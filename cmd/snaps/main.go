@@ -35,11 +35,9 @@ import (
 	"github.com/snaps/snaps/internal/eval"
 	"github.com/snaps/snaps/internal/feedback"
 	"github.com/snaps/snaps/internal/geo"
-	"github.com/snaps/snaps/internal/index"
 	"github.com/snaps/snaps/internal/ingest"
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
-	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/query"
 	"github.com/snaps/snaps/internal/report"
 	"github.com/snaps/snaps/internal/server"
@@ -105,7 +103,7 @@ func main() {
 
 		queryCache = flag.Int("query-cache", 4096, "cache up to this many ranked result lists per serving generation (0 disables; invalidated on every ingest snapshot swap)")
 		queryStale = flag.Bool("query-stale", true, "serve the previous generation's cached ranking while a background refresh recomputes it after a snapshot swap (stale-while-revalidate)")
-		shards     = flag.Int("shards", 1, "partition the serving tier into this many shards searched scatter-gather; an ingest flush re-indexes only touched shards (1 = single-shard legacy path; results are byte-identical for any value)")
+		shards     = flag.Int("shards", 1, "partition the serving tier into this many shards searched scatter-gather; an ingest flush re-indexes only touched shards (1 = one shard answering directly; results are byte-identical for any value)")
 
 		admitConcurrency    = flag.Int("admit-concurrency", 64, "weighted in-flight request budget: pedigree renders admit up to 50%% of it, ingest 75%%, searches 100%% — the load-shed ladder (0 disables admission control)")
 		admitSearchRate     = flag.Float64("admit-search-rate", 0, "token-bucket rate limit for search requests, requests/second (0 = unlimited)")
@@ -242,46 +240,25 @@ func main() {
 		entStore = er.Run(d, gcfg, rcfg).Result.Store
 	}
 
-	g := pedigree.Build(d, entStore)
-	slog.Info("built pedigree graph", "entities", len(g.Nodes))
-	// -shards>1 partitions the serving tier by entity owner and searches it
-	// scatter-gather; -shards=1 keeps the exact single-engine path. Either
-	// way the serving bundle keeps the indexes so the first ingest flush can
-	// patch them incrementally instead of falling back to a full rebuild.
-	var (
-		engine *query.Engine
-		kidx   *index.Keyword
-		sidx   *index.Similarity
-		coord  *shard.Coordinator
-	)
-	if *shards > 1 {
-		coord = shard.Partition(g, shard.Options{
-			Shards:       *shards,
-			SimThreshold: 0.5,
-			Workers:      *workers,
-			CacheEntries: *queryCache,
-			StaleServe:   *queryStale,
-		})
-		slog.Info("partitioned serving tier", "shards", coord.NumShards())
-	} else {
-		kidx, sidx = index.Build(g, 0.5)
-		engine = query.NewEngine(g, kidx, sidx)
-	}
+	// The serving tier is one coordinator over -shards partitions of the
+	// pedigree graph; it keeps each shard's indexes so the first ingest
+	// flush can patch them instead of falling back to a full rebuild.
+	icfg := ingest.DefaultConfig()
+	icfg.BatchSize = *ingestBatch
+	icfg.MaxAge = *ingestMaxAge
+	icfg.QueryCache = *queryCache
+	icfg.StaleServe = *queryStale
+	icfg.Graph = gcfg
+	icfg.Resolver = rcfg
+	sv := ingest.NewServing(d, entStore, *shards, icfg)
+	slog.Info("built pedigree graph and serving tier",
+		"entities", len(sv.Graph.Nodes), "shards", sv.Shards.NumShards())
 
 	if *queryNm != "" {
-		if coord != nil {
-			runQuery(coord, g, *queryNm)
-		} else {
-			runQuery(engine, g, *queryNm)
-		}
+		runQuery(sv.Shards, *queryNm)
 	}
 	if *serve != "" {
-		var srv *server.Server
-		if coord != nil {
-			srv = server.NewSharded(coord)
-		} else {
-			srv = server.New(engine)
-		}
+		srv := server.NewSharded(sv.Shards)
 		srv.EnableStats()
 		srv.EnableFeedback()
 		srv.EnableExplain()
@@ -331,16 +308,7 @@ func main() {
 				slog.Info("replaying journalled certificates", "count", len(backlog), "path", *ingestJournal)
 			}
 		}
-		icfg := ingest.DefaultConfig()
-		icfg.BatchSize = *ingestBatch
-		icfg.MaxAge = *ingestMaxAge
-		icfg.QueryCache = *queryCache
-		icfg.StaleServe = *queryStale
 		icfg.Tracer = srv.Tracer()
-		icfg.Graph = gcfg
-		icfg.Resolver = rcfg
-		sv := &ingest.Serving{Dataset: d, Store: entStore, Graph: g,
-			Keyword: kidx, Similar: sidx, Engine: engine, Shards: coord}
 		pipe, err := ingest.NewPipeline(sv, journal, backlog, icfg)
 		if err != nil {
 			fatal(err)
@@ -360,14 +328,13 @@ func main() {
 			acfg.MaxBacklogBytes = *admitBacklogBytes
 			acfg.BacklogRetryAfter = icfg.MaxAge
 			acfg.Backlog = pipe.Backlog
-			if *shards > 1 {
-				// Per-shard bound: twice the fair share of the global bound,
-				// so routing skew has headroom but one hot shard still sheds
-				// long before the global backlog average would notice it.
-				acfg.ShardBacklog = pipe.HottestShardBacklog
-				acfg.MaxShardBacklogRecords = perShardBound(*admitBacklogRecords, *shards)
-				acfg.MaxShardBacklogBytes = perShardBound(*admitBacklogBytes, int64(*shards))
-			}
+			// Per-shard bound: twice the fair share of the global bound,
+			// so routing skew has headroom but one hot shard still sheds
+			// long before the global backlog average would notice it. At
+			// one shard it equals the global bound.
+			acfg.ShardBacklog = pipe.HottestShardBacklog
+			acfg.MaxShardBacklogRecords = perShardBound(*admitBacklogRecords, *shards)
+			acfg.MaxShardBacklogBytes = perShardBound(*admitBacklogBytes, int64(*shards))
 			srv.EnableAdmission(admission.New(acfg))
 		}
 		srv.EnableHealth(pipe)
@@ -422,13 +389,7 @@ func perShardBound[T int | int64](global, shards T) T {
 	return b
 }
 
-// searcher is the part of the serving tier a one-off -query needs; both
-// *query.Engine and *shard.Coordinator satisfy it.
-type searcher interface {
-	Search(query.Query) []query.Result
-}
-
-func runQuery(engine searcher, g *pedigree.Graph, nameQuery string) {
+func runQuery(coord *shard.Coordinator, nameQuery string) {
 	// "first / surname" splits explicitly (needed for multi-token surnames
 	// like "van den berg"); otherwise the last token is the surname.
 	var first, sur string
@@ -444,7 +405,8 @@ func runQuery(engine searcher, g *pedigree.Graph, nameQuery string) {
 		sur = parts[len(parts)-1]
 	}
 	q := query.Query{FirstName: first, Surname: sur}
-	results := engine.Search(q)
+	results := coord.Search(q)
+	g := coord.Graph()
 	if len(results) == 0 {
 		fmt.Println("no matches")
 		return

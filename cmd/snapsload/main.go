@@ -1,11 +1,11 @@
 // Command snapsload is the SNAPS load harness: it replays deterministic
 // traffic mixes against a server at a fixed open-loop arrival rate and
-// writes BENCH_serve.json with per-route latency quantiles, throughput, and
-// shed counts.
+// writes a JSON report (-out, default BENCH_serve.json) with per-route
+// latency quantiles, throughput, and shed counts.
 //
 // By default it builds the full pipeline in-process (simulate -> resolve ->
 // index -> serve with ingestion and admission control) and drives the
-// handler directly, so the committed baseline measures server work without
+// handler directly, so the report measures server work without
 // network noise. Pass -url to aim the same mixes at a live server instead.
 //
 // It is also the replay half of the flight recorder: -record writes a query
@@ -38,17 +38,14 @@ import (
 	"github.com/snaps/snaps/internal/dataset"
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/er"
-	"github.com/snaps/snaps/internal/index"
 	"github.com/snaps/snaps/internal/ingest"
 	"github.com/snaps/snaps/internal/load"
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/pedigree"
-	"github.com/snaps/snaps/internal/query"
 	"github.com/snaps/snaps/internal/server"
-	"github.com/snaps/snaps/internal/shard"
 )
 
-// Report is the schema of BENCH_serve.json.
+// Report is the schema of the -out report.
 type Report struct {
 	Dataset      string            `json:"dataset"`
 	Scale        float64           `json:"scale"`
@@ -99,7 +96,7 @@ func main() {
 		admitBacklogRecords = flag.Int("admit-max-backlog-records", 4096, "in-process target: shed ingest once this many records are unflushed")
 		admitBacklogBytes   = flag.Int64("admit-max-backlog-bytes", 8<<20, "in-process target: shed ingest once this many bytes are unflushed")
 		ingestBatch         = flag.Int("ingest-batch", 256, "in-process target: ingest flush batch size")
-		shards              = flag.Int("shards", 1, "in-process target: partition the serving tier into this many scatter-gather shards (1 = single-shard path)")
+		shards              = flag.Int("shards", 1, "in-process target: partition the serving tier into this many scatter-gather shards (1 = one shard answering directly)")
 
 		record         = flag.String("record", "", "in-process target: write a flight-recorder query log to this path during the run")
 		recordSample   = flag.Int("record-sample", 1, "record 1 in N requests (1 = every request)")
@@ -256,27 +253,11 @@ func buildServer(name string, scale float64, batch, shards, concurrency, maxReco
 	slog.Info("simulating", "dataset", name, "scale", scale)
 	p := dataset.Generate(cfg.Scaled(scale))
 	pr := er.Run(p.Dataset, depgraph.DefaultConfig(), er.DefaultConfig())
-	g := pedigree.Build(p.Dataset, pr.Result.Store)
-
-	var (
-		srv *server.Server
-		sv  *ingest.Serving
-	)
-	if shards > 1 {
-		coord := shard.Partition(g, shard.Options{Shards: shards, SimThreshold: 0.5})
-		srv = server.NewSharded(coord)
-		sv = &ingest.Serving{Dataset: p.Dataset, Store: pr.Result.Store, Graph: g,
-			Shards: coord}
-	} else {
-		kidx, sidx := index.Build(g, 0.5)
-		engine := query.NewEngine(g, kidx, sidx)
-		srv = server.New(engine)
-		sv = &ingest.Serving{Dataset: p.Dataset, Store: pr.Result.Store, Graph: g,
-			Keyword: kidx, Similar: sidx, Engine: engine}
-	}
 
 	icfg := ingest.DefaultConfig()
 	icfg.BatchSize = batch
+	sv := ingest.NewServing(p.Dataset, pr.Result.Store, shards, icfg)
+	srv := server.NewSharded(sv.Shards)
 	pipe, err := ingest.NewPipeline(sv, nil, nil, icfg)
 	if err != nil {
 		fatal(err)
@@ -290,21 +271,19 @@ func buildServer(name string, scale float64, batch, shards, concurrency, maxReco
 		acfg.MaxBacklogBytes = maxBytes
 		acfg.BacklogRetryAfter = icfg.MaxAge
 		acfg.Backlog = pipe.Backlog
-		if shards > 1 {
-			acfg.ShardBacklog = pipe.HottestShardBacklog
-			if maxRecords > 0 {
-				acfg.MaxShardBacklogRecords = max(1, 2*maxRecords/shards)
-			}
-			if maxBytes > 0 {
-				acfg.MaxShardBacklogBytes = max(int64(1), 2*maxBytes/int64(shards))
-			}
+		acfg.ShardBacklog = pipe.HottestShardBacklog
+		if maxRecords > 0 {
+			acfg.MaxShardBacklogRecords = max(1, 2*maxRecords/shards)
+		}
+		if maxBytes > 0 {
+			acfg.MaxShardBacklogBytes = max(int64(1), 2*maxBytes/int64(shards))
 		}
 		srv.EnableAdmission(admission.New(acfg))
 	}
 	srv.EnableHealth(pipe)
-	slog.Info("in-process server ready", "entities", len(g.Nodes),
+	slog.Info("in-process server ready", "entities", len(sv.Graph.Nodes),
 		"shards", shards, "admit_concurrency", concurrency)
-	return srv, g
+	return srv, sv.Graph
 }
 
 // shedCounters snapshots the admission counters so the report carries the

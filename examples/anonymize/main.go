@@ -14,7 +14,7 @@ import (
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/query"
-	"github.com/snaps/snaps/internal/server"
+	"github.com/snaps/snaps/internal/shard"
 )
 
 func main() {
@@ -52,7 +52,7 @@ func main() {
 	// The full pipeline runs unchanged on the anonymised data.
 	pr := er.Run(anon, depgraph.DefaultConfig(), er.DefaultConfig())
 	g := pedigree.Build(anon, pr.Result.Store)
-	engine := server.BuildIndexes(g, 0.5)
+	coord := shard.Partition(g, shard.Options{SimThreshold: 0.5})
 	fmt.Printf("\nrebuilt pipeline on anonymised data: %d entities\n", len(g.Nodes))
 
 	// Query with a PUBLIC name (users of the demo site never see Scottish
@@ -69,7 +69,7 @@ func main() {
 		fmt.Println("no suitable entity to demo")
 		return
 	}
-	results := engine.Search(query.Query{FirstName: probe.FirstNames[0], Surname: probe.Surnames[0]})
+	results := coord.Search(query.Query{FirstName: probe.FirstNames[0], Surname: probe.Surnames[0]})
 	fmt.Printf("\nquery %q -> %d ranked entities; top match pedigree:\n\n",
 		probe.FirstNames[0]+" "+probe.Surnames[0], len(results))
 	ped := g.Extract(results[0].Entity, 2)

@@ -15,7 +15,7 @@ import (
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/query"
-	"github.com/snaps/snaps/internal/server"
+	"github.com/snaps/snaps/internal/shard"
 )
 
 func main() {
@@ -23,7 +23,7 @@ func main() {
 	d := pop.Dataset
 	pr := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
 	g := pedigree.Build(d, pr.Result.Store)
-	engine := server.BuildIndexes(g, 0.5)
+	coord := shard.Partition(g, shard.Options{SimThreshold: 0.5})
 
 	// The genetics team searches for a patient by name and rough birth
 	// period, exactly like the web form of Fig. 5.
@@ -33,7 +33,7 @@ func main() {
 		Gender:    model.Female,
 		YearFrom:  1861, YearTo: 1901,
 	}
-	results := engine.Search(q)
+	results := coord.Search(q)
 	if len(results) == 0 {
 		fmt.Println("patient not found")
 		return

@@ -91,7 +91,7 @@ func TestPairHintSizingAudit(t *testing.T) {
 //	SNAPS_BENCH_SCALE=100k go test -bench EmitPairsScale -benchtime 1x ./internal/blocking
 //	SNAPS_BENCH_SCALE=1M   go test -bench EmitPairsScale -benchtime 1x ./internal/blocking
 //
-// BENCH_offline.json carries the measured regression note.
+// DESIGN.md §14.5 carries the measured regression note.
 func BenchmarkEmitPairsScale(b *testing.B) {
 	want := os.Getenv("SNAPS_BENCH_SCALE")
 	for _, tier := range []struct {

@@ -46,7 +46,7 @@ type Options struct {
 	// for every setting.
 	Workers int
 	// TierCerts is the certificate count of the DS-scale tier for the
-	// memdiet experiment (not part of All(); the bench script sets it).
+	// memdiet experiment (not part of All(); cmd/experiments -certs sets it).
 	TierCerts int
 }
 

@@ -5,35 +5,25 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/snaps/snaps/internal/blocking"
 	"github.com/snaps/snaps/internal/dataset"
 	"github.com/snaps/snaps/internal/er"
-	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/store"
 	"github.com/snaps/snaps/internal/symbol"
 )
 
-// Memdiet runs one DS-scale bench tier end to end — generate, offline
-// build, snapshot in both formats — and reports the memory-diet
-// trajectory as a single JSON object. scripts/bench_offline.sh runs it at
-// the 100k (CI) and 1M (local) tiers and folds the output into
-// BENCH_offline.json.
+// Memdiet runs one DS-scale tier end to end — generate, offline build,
+// v02 snapshot — and reports its memory and snapshot figures as a single
+// JSON object. (The frozen comparison against the pre-diet record layout
+// and the v01 gob snapshot is the PR 9 line of CHANGES.md.)
 //
-// Two bytes-per-record figures are reported:
-//
-//   - record-plane: the record slab plus the amortised symbol table,
-//     against a *measured* reconstruction of the pre-diet layout (a slab
-//     of fat records holding four privately-copied strings each, the way
-//     the old gob decoder materialised them). This is the pair the >= 2x
-//     acceptance gate compares, because it isolates what the diet changed.
-//   - full-footprint: store.FootprintBytes over everything the snapshot
-//     holds (records, certificates, clusters, symbol table) against the
-//     analytic pre-diet estimate. Certificates and clusters are untouched
-//     by the diet and dilute this ratio; it is reported for honesty.
+// Two bytes-per-record figures are reported: record-plane (the record slab
+// plus the amortised symbol table) and full-footprint
+// (store.FootprintBytes over everything the snapshot holds: records,
+// certificates, clusters, symbol table).
 func Memdiet(w io.Writer, certs int, opt Options) {
 	runtime.GC()
 	heapBase := heapAllocBytes()
@@ -53,37 +43,25 @@ func Memdiet(w io.Writer, certs int, opt Options) {
 	snap := store.FromResult(pop.Dataset, pr.Result.Store)
 	n := len(pop.Dataset.Records)
 
-	post := store.FootprintBytes(snap.Dataset, snap.Clusters)
-	pre := store.FootprintBytesPreDiet(snap.Dataset, snap.Clusters)
-	recPost := int64(n)*64 + symbol.Bytes() + 16*int64(symbol.Len())
-	recPre := measureFatSlab(pop.Dataset)
+	footprint := store.FootprintBytes(snap.Dataset, snap.Clusters)
+	recPlane := int64(n)*64 + symbol.Bytes() + 16*int64(symbol.Len())
 
-	var v01, v02 bytes.Buffer
-	if err := store.WriteV01(&v01, snap); err != nil {
-		fmt.Fprintf(w, `{"experiment":"memdiet","error":%q}`+"\n", err.Error())
-		return
-	}
+	var v02 bytes.Buffer
 	if err := store.Write(&v02, snap); err != nil {
 		fmt.Fprintf(w, `{"experiment":"memdiet","error":%q}`+"\n", err.Error())
 		return
 	}
-	loadV01 := timeSnapshotLoad(v01.Bytes())
-	loadV02 := timeSnapshotLoad(v02.Bytes())
 
 	fmt.Fprintf(w, `{"experiment":"memdiet","tier":%q,"certs":%d,"records":%d,"clusters":%d,`+
 		`"gen_seconds":%.2f,"build_seconds":%.2f,`+
-		`"record_bytes_per_record":%.1f,"record_bytes_per_record_pre_diet":%.1f,"record_plane_reduction_x":%.2f,`+
-		`"footprint_bytes_per_record":%.1f,"footprint_bytes_per_record_pre_diet":%.1f,`+
+		`"record_bytes_per_record":%.1f,"footprint_bytes_per_record":%.1f,`+
 		`"heap_base_bytes":%d,"heap_after_gen_bytes":%d,"heap_after_build_bytes":%d,"heap_peak_bytes":%d,`+
-		`"snapshot_v01_bytes":%d,"snapshot_v02_bytes":%d,`+
-		`"snapshot_v01_load_seconds":%.3f,"snapshot_v02_load_seconds":%.3f}`+"\n",
+		`"snapshot_v02_bytes":%d,"snapshot_v02_load_seconds":%.3f}`+"\n",
 		dataset.ScaleTier(certs).Name, len(pop.Dataset.Certificates), n, len(snap.Clusters),
 		genSec, buildSec,
-		float64(recPost)/float64(n), float64(recPre)/float64(n), float64(recPre)/float64(recPost),
-		float64(post)/float64(n), float64(pre)/float64(n),
+		float64(recPlane)/float64(n), float64(footprint)/float64(n),
 		heapBase, heapAfterGen, heapAfterBuild, heapPeak,
-		v01.Len(), v02.Len(),
-		loadV01, loadV02)
+		v02.Len(), timeSnapshotLoad(v02.Bytes()))
 }
 
 func heapAllocBytes() uint64 {
@@ -133,45 +111,6 @@ func (h *heapWatch) stop() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.max
-}
-
-// fatRecord is the pre-diet Record layout: inline string fields instead of
-// symbol ids.
-type fatRecord struct {
-	ID     model.RecordID
-	Cert   model.CertID
-	Role   model.Role
-	Gender model.Gender
-
-	First, Sur, Addr, Occ string
-
-	Year      int
-	Lat, Lon  float64
-	BirthHint int
-	Truth     model.PersonID
-}
-
-// measureFatSlab materialises the data set's records in the pre-diet
-// layout — each populated attribute a private heap string, as the old gob
-// decoder produced — and returns the measured heap growth.
-func measureFatSlab(d *model.Dataset) int64 {
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	slab := make([]fatRecord, len(d.Records))
-	for i := range d.Records {
-		r := &d.Records[i]
-		slab[i] = fatRecord{
-			ID: r.ID, Cert: r.Cert, Role: r.Role, Gender: r.Gender,
-			First: strings.Clone(r.FirstName()), Sur: strings.Clone(r.Surname()),
-			Addr: strings.Clone(r.Address()), Occ: strings.Clone(r.Occupation()),
-			Year: r.Year, Lat: r.Lat, Lon: r.Lon, BirthHint: r.BirthHint, Truth: r.Truth,
-		}
-	}
-	runtime.ReadMemStats(&m1)
-	grew := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
-	runtime.KeepAlive(slab)
-	return grew
 }
 
 // timeSnapshotLoad reports the faster of two decode passes over the bytes.

@@ -10,7 +10,7 @@
 // stored as a byte stream of uvarint deltas and decoded on read.
 //
 // Encoded lists are immutable: copy-on-write sharing between index
-// generations (index.Update) is a struct copy aliasing the same byte
+// generations (index.UpdateSubset) is a struct copy aliasing the same byte
 // slice. The query hot path iterates postings without allocating via
 // PostingIter; Lookup/LookupCopy decode into a fresh slice, which keeps
 // their documented contracts (read-only view / private copy) intact.

@@ -3,7 +3,7 @@
 // A flush extends the previous resolution with one small batch of records,
 // so most pedigree nodes carry exactly the record set they carried in the
 // previous generation — and therefore exactly the same aggregated values.
-// Update exploits that: instead of rebuilding K and S from scratch (the
+// UpdateSubset exploits that: instead of rebuilding K and S from scratch (the
 // dominant cost of every flush is recomputing name-similarity lists), it
 // translates the previous keyword postings through an old→new node-id map,
 // reindexes only the nodes whose clusters changed, and patches the
@@ -34,13 +34,13 @@ var (
 // MaxDirtyFraction bounds the incremental path: when more than this
 // fraction of the pedigree nodes changed cluster membership since the
 // previous build, patching the indexes approaches the cost of rebuilding
-// them and Update falls back to a full Build.
+// them and UpdateSubset falls back to a full build.
 const MaxDirtyFraction = 0.25
 
 // UpdateStats reports how an index update was satisfied.
 type UpdateStats struct {
 	// Incremental is true when the previous indexes were patched; false
-	// when a full Build ran, with Reason saying why.
+	// when a full build ran, with Reason saying why.
 	Incremental bool
 	Reason      string
 	// TotalNodes and DirtyNodes size the update: dirty nodes are the
@@ -64,29 +64,24 @@ type UpdateStats struct {
 // simFields are the string fields covered by the similarity index S.
 var simFields = []Field{FieldFirstName, FieldSurname, FieldLocation}
 
-// Update builds the indexes for g by patching the previous generation's
-// indexes where their contents are provably unchanged. prevG, prevK, and
-// prevS are the graph and indexes of the generation still being served;
-// they are read (under the memo locks where required) but never mutated.
-// The returned indexes answer Lookup and Similar identically to a fresh
-// Build(g, simThreshold).
+// UpdateSubset builds the indexes over the nodes of g accepted by keep (nil
+// keeps every node) by patching the previous generation's indexes where
+// their contents are provably unchanged. prevG, prevK, and prevS are the
+// graph and indexes of the generation still being served; they are read
+// (under the memo locks where required) but never mutated. The returned
+// indexes answer Lookup and Similar identically to a fresh
+// BuildSubset(g, keep, simThreshold).
 //
-// Update falls back to a full Build — and says so in the returned stats —
-// when there is no previous generation, the similarity threshold changed,
-// or too many nodes are dirty for patching to pay off.
-func Update(g, prevG *pedigree.Graph, prevK *Keyword, prevS *Similarity, simThreshold float64) (*Keyword, *Similarity, UpdateStats) {
-	return UpdateSubset(g, nil, prevG, prevK, prevS, simThreshold)
-}
-
-// UpdateSubset is Update restricted to the nodes of g accepted by keep
-// (nil keeps every node). prevK and prevS must be the previous
-// generation's indexes over the SAME subset — for the serving shards that
-// holds structurally: the owning shard of an entity is a pure function of
-// its record set, so a node whose record set is unchanged (clean) is owned
-// by the same shard in both generations, and every node that moved in or
-// out of the subset is dirty and gets reindexed (moved in) or dropped by
-// posting translation (moved out). The returned indexes answer Lookup and
-// Similar identically to a fresh BuildSubset(g, keep, simThreshold).
+// prevK and prevS must be the previous generation's indexes over the SAME
+// subset — for the serving shards that holds structurally: the owning shard
+// of an entity is a pure function of its record set, so a node whose record
+// set is unchanged (clean) is owned by the same shard in both generations,
+// and every node that moved in or out of the subset is dirty and gets
+// reindexed (moved in) or dropped by posting translation (moved out).
+//
+// UpdateSubset falls back to a full BuildSubset — and says so in the
+// returned stats — when there is no previous generation, the similarity
+// threshold changed, or too many nodes are dirty for patching to pay off.
 func UpdateSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, prevG *pedigree.Graph, prevK *Keyword, prevS *Similarity, simThreshold float64) (*Keyword, *Similarity, UpdateStats) {
 	if prevG == nil || prevK == nil || prevS == nil {
 		return fullRebuild(g, keep, simThreshold, "no previous index")

@@ -109,7 +109,7 @@ func TestUpdateEquivalence(t *testing.T) {
 	}
 
 	fullK, fullS := Build(newG, 0.5)
-	updK, updS, st := Update(newG, prevG, prevK, prevS, 0.5)
+	updK, updS, st := UpdateSubset(newG, nil, prevG, prevK, prevS, 0.5)
 
 	if !st.Incremental {
 		t.Fatalf("update fell back to full rebuild: %s", st.Reason)
@@ -164,14 +164,14 @@ func TestUpdateEquivalence(t *testing.T) {
 func TestUpdateFallbacks(t *testing.T) {
 	prevG, newG, prevK, prevS := buildGenerations(t, 0.04)
 
-	if _, _, st := Update(newG, nil, nil, nil, 0.5); st.Incremental {
+	if _, _, st := UpdateSubset(newG, nil, nil, nil, nil, 0.5); st.Incremental {
 		t.Fatal("nil previous generation must force a full rebuild")
 	}
-	if _, _, st := Update(newG, prevG, prevK, prevS, 0.7); st.Incremental {
+	if _, _, st := UpdateSubset(newG, nil, prevG, prevK, prevS, 0.7); st.Incremental {
 		t.Fatal("threshold change must force a full rebuild")
 	}
 	// A full rebuild still produces working indexes.
-	k, s, st := Update(newG, nil, nil, nil, 0.5)
+	k, s, st := UpdateSubset(newG, nil, nil, nil, nil, 0.5)
 	if st.Reason == "" || k == nil || s == nil {
 		t.Fatalf("fallback returned no reason or nil indexes: %+v", st)
 	}
@@ -245,8 +245,8 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 }
 
 // BenchmarkIndexUpdate compares one flush's index maintenance cost: a full
-// Build of the new generation vs the incremental Update from the previous
-// one. The gap is the low-latency-flush headline of BENCH_offline.json.
+// Build of the new generation vs the incremental UpdateSubset from the
+// previous one. The gap is the low-latency-flush headline of DESIGN.md §10.
 func BenchmarkIndexUpdate(b *testing.B) {
 	prevG, newG, prevK, prevS := buildGenerations(b, 0.1)
 	b.Run("full_rebuild", func(b *testing.B) {
@@ -258,7 +258,7 @@ func BenchmarkIndexUpdate(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _, st := Update(newG, prevG, prevK, prevS, 0.5)
+			_, _, st := UpdateSubset(newG, nil, prevG, prevK, prevS, 0.5)
 			if !st.Incremental {
 				b.Fatalf("fell back to full rebuild: %s", st.Reason)
 			}

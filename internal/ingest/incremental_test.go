@@ -6,24 +6,25 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/snaps/snaps/internal/dataset"
-	"github.com/snaps/snaps/internal/depgraph"
-	"github.com/snaps/snaps/internal/er"
+	"github.com/snaps/snaps/internal/index"
 	"github.com/snaps/snaps/internal/obs"
+	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/query"
 )
 
-// generatedPipeline builds a pipeline over a generated data set, large
-// enough that incremental index maintenance has real sharing to do.
+// generatedPipeline builds a one-shard pipeline over a generated data set,
+// large enough that incremental index maintenance has real sharing to do.
 func generatedPipeline(t *testing.T, scale float64, cfg Config) *Pipeline {
 	t.Helper()
-	d := dataset.Generate(dataset.IOS().Scaled(scale)).Dataset
-	pr := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
-	p, err := NewPipeline(NewServing(d, pr.Result.Store, 0.5), nil, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return generatedShardedPipeline(t, scale, 1, cfg)
+}
+
+// fullRebuild is the ground truth a flushed generation must reproduce: the
+// library building blocks (index.Build + query.Engine) from scratch over
+// the generation's graph, with no coordinator in between.
+func fullRebuild(g *pedigree.Graph) (*query.Engine, *index.Keyword, *index.Similarity) {
+	k, sim := index.Build(g, 0.5)
+	return query.NewEngine(g, k, sim), k, sim
 }
 
 // birthCert builds a submittable birth certificate for three names.
@@ -57,7 +58,7 @@ func sampleQueries(sv *Serving, extra ...[2]string) []query.Query {
 }
 
 // TestFlushIncrementalIndexGoldenEquivalence is the flush-level golden
-// guard: generations published through index.Update must rank queries
+// guard: generations published through Coordinator.Advance must rank queries
 // byte-identically to a from-scratch rebuild of the same generation, across
 // several chained incremental flushes.
 func TestFlushIncrementalIndexGoldenEquivalence(t *testing.T) {
@@ -96,14 +97,14 @@ func TestFlushIncrementalIndexGoldenEquivalence(t *testing.T) {
 		sv := p.Serving()
 		// A from-scratch rebuild over the same data set and clustering is
 		// the ground truth the incremental indexes must reproduce.
-		full := NewServing(sv.Dataset, sv.Store, p.cfg.SimThreshold)
+		full, _, _ := fullRebuild(sv.Graph)
 		qs := sampleQueries(sv,
 			[2]string{"zebedee", "quixworth"},
 			[2]string{"zebedee", "quixwor"}, // typo probe: lazy memo path
 			[2]string{"nosuchname", "nosuchsurname"})
 		for _, q := range qs {
-			got := sv.Engine.Search(q)
-			want := full.Engine.Search(q)
+			got := sv.Shards.Search(q)
+			want := full.Search(q)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("round %d query %+v: incremental results %v, full rebuild %v",
 					round, q, got, want)
@@ -117,7 +118,7 @@ func TestFlushIncrementalIndexGoldenEquivalence(t *testing.T) {
 }
 
 // TestConcurrentSearchesDuringIncrementalFlushes races query-time memo
-// writes on the still-serving generation against index.Update's carry-over
+// writes on the still-serving generation against index.UpdateSubset's carry-over
 // reads of the same shards (plus the usual serve-during-swap traffic),
 // under the race detector. Searchers deliberately probe unseen values so
 // the previous generation's similarity memo keeps growing while Update
@@ -147,8 +148,8 @@ func TestConcurrentSearchesDuringIncrementalFlushes(t *testing.T) {
 				// Mutate the probe so misses keep extending the memo of
 				// whichever generation the searcher holds.
 				q.FirstName = fmt.Sprintf("%s%d", q.FirstName, i%7)
-				p.Serving().Engine.Search(q)
-				sv0.Engine.Search(q) // the generation Update reads from
+				p.Serving().Shards.Search(q)
+				sv0.Shards.Search(q) // the generation Advance reads from
 			}
 		}(w)
 	}
@@ -172,10 +173,91 @@ func TestConcurrentSearchesDuringIncrementalFlushes(t *testing.T) {
 
 	// The final generation still answers exactly like a fresh rebuild.
 	sv := p.Serving()
-	full := NewServing(sv.Dataset, sv.Store, p.cfg.SimThreshold)
+	full, _, _ := fullRebuild(sv.Graph)
 	for _, q := range sampleQueries(sv)[:5] {
-		if got, want := sv.Engine.Search(q), full.Engine.Search(q); !reflect.DeepEqual(got, want) {
+		if got, want := sv.Shards.Search(q), full.Search(q); !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %+v: incremental results %v, full rebuild %v", q, got, want)
+		}
+	}
+}
+
+// TestOneShardFlushesPatchAndMatchFullBuild is the one-shard contract of
+// the single serving path: N chained flushes through a one-shard pipeline
+// answer Lookup, Similar, Search, and Explain exactly like index.Build +
+// query.Engine built from scratch over the final graph, and every flush
+// reports that it patched (rebuild_indexes span: incremental=1, one shard
+// touched and patched, none reused) rather than "no shard was reused".
+func TestOneShardFlushesPatchAndMatchFullBuild(t *testing.T) {
+	cfg := manualConfig()
+	cfg.Tracer = obs.NewTracer(16)
+	p := generatedPipeline(t, 0.05, cfg)
+	defer p.Close()
+
+	d := p.Serving().Dataset
+	const flushes = 3
+	for i := 0; i < flushes; i++ {
+		r := &d.Records[(i*37)%len(d.Records)]
+		c := birthCert(
+			[2]string{r.FirstName(), r.Surname()},
+			[2]string{"fintan", fmt.Sprintf("quixworth%d", i)},
+			[2]string{"maeve", r.Surname()}, 1880+i)
+		if err := p.Submit(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	traces := cfg.Tracer.Traces()
+	if len(traces) != flushes {
+		t.Fatalf("%d flush traces, want %d", len(traces), flushes)
+	}
+	for _, tr := range traces {
+		spans := tr.SpansNamed("rebuild_indexes")
+		if len(spans) != 1 {
+			t.Fatalf("flush trace has %d rebuild_indexes spans", len(spans))
+		}
+		attrs := map[string]any{}
+		for _, a := range spans[0].Attrs {
+			attrs[a.Key] = a.Value
+		}
+		for key, want := range map[string]int64{
+			"incremental": 1, "shards_touched": 1, "shards_patched": 1, "shards_reused": 0,
+		} {
+			if got, _ := attrs[key].(int64); got != want {
+				t.Fatalf("rebuild_indexes %s = %v, want %d (attrs %v)", key, attrs[key], want, attrs)
+			}
+		}
+	}
+
+	sv := p.Serving()
+	sh := sv.Shards.Shards()[0]
+	full, fullK, fullS := fullRebuild(sv.Graph)
+	for i := range sv.Graph.Nodes {
+		n := &sv.Graph.Nodes[i]
+		for f, vals := range map[index.Field][]string{
+			index.FieldFirstName: n.FirstNames, index.FieldSurname: n.Surnames,
+		} {
+			for _, v := range vals {
+				if got, want := sh.Keyword.Lookup(f, v), fullK.Lookup(f, v); !reflect.DeepEqual(got, want) {
+					t.Fatalf("Lookup(%v, %q) = %v, full build %v", f, v, got, want)
+				}
+				if got, want := sh.Similar.Similar(f, v), fullS.Similar(f, v); !reflect.DeepEqual(got, want) {
+					t.Fatalf("Similar(%v, %q) = %v, full build %v", f, v, got, want)
+				}
+			}
+		}
+	}
+	for _, q := range sampleQueries(sv, [2]string{"fintan", "quixworth1"}, [2]string{"fintan", "quixwor"}) {
+		got, want := sv.Shards.Search(q), full.Search(q)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %+v: one-shard results %v, full build %v", q, got, want)
+		}
+		for _, r := range want {
+			if got, want := sv.Shards.Explain(q, r.Entity), full.Explain(q, r.Entity); !reflect.DeepEqual(got, want) {
+				t.Fatalf("query %+v entity %d: Explain = %+v, full build %+v", q, r.Entity, got, want)
+			}
 		}
 	}
 }

@@ -11,11 +11,9 @@ import (
 
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/er"
-	"github.com/snaps/snaps/internal/index"
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/pedigree"
-	"github.com/snaps/snaps/internal/query"
 	"github.com/snaps/snaps/internal/shard"
 	"github.com/snaps/snaps/internal/store"
 )
@@ -47,7 +45,8 @@ var (
 
 // Serving bundles everything the online component answers queries from:
 // the data set, its resolved entity store, the pedigree graph, and the
-// query engine with its indexes. A bundle is immutable once published —
+// shard coordinator that owns the per-shard indexes, engines, and result
+// caches over that (global) graph. A bundle is immutable once published —
 // rebuilds produce a fresh bundle over a cloned data set and publish it
 // with an atomic pointer swap, so concurrent readers always see a
 // consistent generation.
@@ -55,43 +54,28 @@ type Serving struct {
 	Dataset *model.Dataset
 	Store   *er.EntityStore
 	Graph   *pedigree.Graph
-	Engine  *query.Engine
-	// Keyword and Similar are the engine's indexes, kept on the bundle so
-	// the next flush can patch them incrementally (index.Update) instead
-	// of rebuilding from scratch.
-	Keyword *index.Keyword
-	Similar *index.Similarity
-	// Shards, when non-nil, replaces the single Engine/Keyword/Similar
-	// serving path with a sharded one: the coordinator owns N per-shard
-	// index/engine/cache bundles over the (still global) graph and answers
-	// searches by scatter-gather. Engine, Keyword, and Similar are nil in
-	// sharded bundles; flushes advance the coordinator per-partition
-	// instead of patching one global index.
+	// Shards answers searches by scatter-gather (a direct engine call at
+	// one shard); flushes advance it per partition.
 	Shards *shard.Coordinator
 	// Generation counts published snapshots, starting at 0 for the
-	// initial bundle and incrementing on every flush. The query result
-	// cache keys on it, so rankings computed against a superseded
-	// snapshot are never served after a swap.
+	// initial bundle and incrementing on every flush.
 	Generation uint64
 }
 
-// NewServing builds the initial serving bundle from a resolved data set.
-func NewServing(d *model.Dataset, st *er.EntityStore, simThreshold float64) *Serving {
-	g := pedigree.Build(d, st)
-	k, sim := index.Build(g, simThreshold)
-	return &Serving{Dataset: d, Store: st, Graph: g,
-		Keyword: k, Similar: sim, Engine: query.NewEngine(g, k, sim)}
-}
-
-// NewShardedServing builds the initial serving bundle partitioned into
-// opts.Shards serving shards. The graph and entity resolution stay global;
-// only the serving-tier indexes, engines, and caches are per-shard. The
-// per-shard result caches are created here from opts (Config.QueryCache
-// and Config.StaleServe are ignored by the pipeline for sharded bundles).
-func NewShardedServing(d *model.Dataset, st *er.EntityStore, opts shard.Options) *Serving {
+// NewServing builds the initial serving bundle from a resolved data set,
+// partitioned into the given number of serving shards. The graph and entity
+// resolution stay global; the indexes, engines, and result caches (sized
+// and configured from cfg.QueryCache and cfg.StaleServe) are per-shard.
+func NewServing(d *model.Dataset, st *er.EntityStore, shards int, cfg Config) *Serving {
+	cfg = cfg.withDefaults()
 	g := pedigree.Build(d, st)
 	return &Serving{Dataset: d, Store: st, Graph: g,
-		Shards: shard.Partition(g, opts)}
+		Shards: shard.Partition(g, shard.Options{
+			Shards:       shards,
+			SimThreshold: cfg.SimThreshold,
+			CacheEntries: cfg.QueryCache,
+			StaleServe:   cfg.StaleServe,
+		})}
 }
 
 // Config tunes the ingestion pipeline.
@@ -102,13 +86,15 @@ type Config struct {
 	// MaxAge flushes a non-empty batch once its oldest certificate has
 	// waited this long (default 2s).
 	MaxAge time.Duration
-	// SimThreshold is the similarity-index threshold s_t used when the
-	// indexes are rebuilt (default 0.5).
+	// SimThreshold is the similarity-index threshold s_t of the bundle
+	// NewServing builds (default 0.5); flushes keep the threshold of the
+	// coordinator they advance.
 	SimThreshold float64
-	// QueryCache bounds the generation-keyed LRU of ranked search
-	// results shared across serving generations; 0 disables caching.
+	// QueryCache is the total budget of the generation-keyed LRUs of
+	// ranked search results NewServing gives the shards; 0 disables
+	// caching.
 	QueryCache int
-	// StaleServe enables stale-while-revalidate on the result cache:
+	// StaleServe enables stale-while-revalidate on those caches:
 	// after a snapshot swap, entries of the immediately superseded
 	// generation keep answering (at most one flush old) while background
 	// singleflight refreshes recompute them under the new generation —
@@ -178,10 +164,9 @@ type Status struct {
 	JournalPath    string `json:"journal_path,omitempty"`
 	JournalEntries int    `json:"journal_entries,omitempty"`
 	JournalBytes   int64  `json:"journal_bytes,omitempty"`
-	// Shards and ShardBacklog describe the sharded serving tier: the
-	// partition count and the per-shard unflushed backlog (absent for
-	// single-shard pipelines). The per-shard breakdown is what keeps one
-	// hot shard from hiding behind the global average.
+	// Shards and ShardBacklog describe the serving tier: the partition
+	// count and the per-shard unflushed backlog. The per-shard breakdown
+	// is what keeps one hot shard from hiding behind the global average.
 	Shards       int            `json:"shards,omitempty"`
 	ShardBacklog []ShardBacklog `json:"shard_backlog,omitempty"`
 	// LastError reports the most recent rebuild failure, if any.
@@ -209,8 +194,8 @@ type Pipeline struct {
 	pending      []Certificate
 	pendingBytes int64 // encoded size of pending, the backpressure signal
 	// shardPending splits the backlog by destination shard (len = shard
-	// count; nil for single-shard pipelines). Routed at Submit via
-	// RouteCert, zeroed when a flush drains the batch.
+	// count). Routed at Submit via RouteCert, zeroed when a flush drains
+	// the batch.
 	shardPending []shardPending
 	oldestAt     time.Time
 	accepted     int
@@ -224,17 +209,13 @@ type Pipeline struct {
 	// build state, owned by the worker goroutine (and by flushLocked
 	// callers holding buildMu): the data set and store the next generation
 	// grows from, plus the generation counter of the last published
-	// bundle and the result cache shared across generations (nil when
-	// disabled).
+	// bundle.
 	buildMu    sync.Mutex
 	buildD     *model.Dataset
 	buildStore *er.EntityStore
 	generation uint64
-	cache      *query.ResultCache
 
-	// nshards is the serving partition count (1 for single-shard
-	// bundles); shardGauges are the pre-created per-shard backlog series.
-	nshards     int
+	// shardGauges are the pre-created per-shard backlog series.
 	shardGauges []shardBacklogGauges
 
 	kick     chan struct{}
@@ -301,39 +282,23 @@ func RouteCert(c *Certificate, shards int) int {
 // before NewPipeline returns, so the served generation reflects every
 // certificate accepted before the last shutdown.
 func NewPipeline(sv *Serving, jr *Journal, backlog []Certificate, cfg Config) (*Pipeline, error) {
+	n := sv.Shards.NumShards()
 	p := &Pipeline{
-		cfg:        cfg.withDefaults(),
-		journal:    jr,
-		buildD:     sv.Dataset,
-		buildStore: sv.Store,
-		nshards:    1,
-		kick:       make(chan struct{}, 1),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		cfg:          cfg.withDefaults(),
+		journal:      jr,
+		buildD:       sv.Dataset,
+		buildStore:   sv.Store,
+		shardPending: make([]shardPending, n),
+		shardGauges:  make([]shardBacklogGauges, n),
+		kick:         make(chan struct{}, 1),
+		stop:         make(chan struct{}),
+		done:         make(chan struct{}),
 	}
-	// The pipeline owns the bundle: stamp it as generation 0 and attach
-	// the result caches so the initial engines cache too.
+	for s := range p.shardGauges {
+		p.shardGauges[s] = backlogGaugesFor(s)
+	}
+	// The pipeline owns the bundle: stamp it as generation 0.
 	sv.Generation = 0
-	if sv.Shards != nil {
-		// Sharded bundle: the coordinator already wired per-shard caches
-		// and generations (shard.Partition); the pipeline only tracks the
-		// per-shard backlog split. Config.QueryCache/StaleServe are the
-		// coordinator's concern (shard.Options), not ours.
-		p.nshards = sv.Shards.NumShards()
-		p.shardPending = make([]shardPending, p.nshards)
-		p.shardGauges = make([]shardBacklogGauges, p.nshards)
-		for s := 0; s < p.nshards; s++ {
-			p.shardGauges[s] = backlogGaugesFor(s)
-		}
-	} else {
-		p.cache = query.NewResultCache(cfg.QueryCache)
-		sv.Engine.Generation = 0
-		sv.Engine.Cache = p.cache
-		if p.cfg.StaleServe {
-			p.cache.EnableStaleServe()
-			sv.Engine.StaleServe = p.cache != nil
-		}
-	}
 	p.serving.Store(sv)
 	if len(backlog) > 0 {
 		p.mu.Lock()
@@ -352,12 +317,9 @@ func NewPipeline(sv *Serving, jr *Journal, backlog []Certificate, cfg Config) (*
 }
 
 // accountShardLocked adds one accepted certificate to its shard's backlog
-// share. Caller holds p.mu. No-op for single-shard pipelines.
+// share. Caller holds p.mu.
 func (p *Pipeline) accountShardLocked(c *Certificate, bytes int64) {
-	if p.nshards <= 1 {
-		return
-	}
-	s := RouteCert(c, p.nshards)
+	s := RouteCert(c, len(p.shardPending))
 	p.shardPending[s].records++
 	p.shardPending[s].bytes += bytes
 	p.shardGauges[s].records.Set(int64(p.shardPending[s].records))
@@ -379,7 +341,7 @@ func (p *Pipeline) Serving() *Serving { return p.serving.Load() }
 
 // OnSwap registers a callback invoked (from the worker goroutine) after
 // each new generation is published. Used by the HTTP server to retarget
-// its engine pointer.
+// its coordinator pointer.
 func (p *Pipeline) OnSwap(fn func(*Serving)) {
 	p.mu.Lock()
 	p.swapFns = append(p.swapFns, fn)
@@ -464,25 +426,19 @@ func (p *Pipeline) Backlog() (records int, bytes int64) {
 	return len(p.pending), p.pendingBytes
 }
 
-// ShardBacklog reports the unflushed backlog split by destination shard
-// (nil for single-shard pipelines). Shard generations are stamped from the
-// currently served coordinator.
+// ShardBacklog reports the unflushed backlog split by destination shard.
+// Shard generations are stamped from the currently served coordinator.
 func (p *Pipeline) ShardBacklog() []ShardBacklog {
-	if p.nshards <= 1 {
-		return nil
-	}
 	sv := p.Serving()
 	p.mu.Lock()
-	out := make([]ShardBacklog, p.nshards)
+	out := make([]ShardBacklog, len(p.shardPending))
 	for s := range out {
 		out[s] = ShardBacklog{Shard: s,
 			Pending: p.shardPending[s].records, PendingBytes: p.shardPending[s].bytes}
 	}
 	p.mu.Unlock()
-	if sv.Shards != nil {
-		for _, sh := range sv.Shards.Shards() {
-			out[sh.ID].Generation = sh.Generation
-		}
+	for _, sh := range sv.Shards.Shards() {
+		out[sh.ID].Generation = sh.Generation
 	}
 	return out
 }
@@ -490,15 +446,12 @@ func (p *Pipeline) ShardBacklog() []ShardBacklog {
 // HottestShardBacklog reports the shard with the largest unflushed record
 // backlog (ties to the lowest shard id) — the signal per-shard admission
 // backpressure watches, so one hot shard cannot hide behind the global
-// average. Single-shard pipelines report shard 0 with the global backlog.
+// average.
 func (p *Pipeline) HottestShardBacklog() (shardID, records int, bytes int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.nshards <= 1 {
-		return 0, len(p.pending), p.pendingBytes
-	}
 	records, bytes = p.shardPending[0].records, p.shardPending[0].bytes
-	for s := 1; s < p.nshards; s++ {
+	for s := 1; s < len(p.shardPending); s++ {
 		if p.shardPending[s].records > records ||
 			(p.shardPending[s].records == records && p.shardPending[s].bytes > bytes) {
 			shardID, records, bytes = s, p.shardPending[s].records, p.shardPending[s].bytes
@@ -526,10 +479,8 @@ func (p *Pipeline) Status() Status {
 	st.Records = len(sv.Dataset.Records)
 	st.Entities = len(sv.Graph.Nodes)
 	st.Generation = sv.Generation
-	if p.nshards > 1 {
-		st.Shards = p.nshards
-		st.ShardBacklog = p.ShardBacklog()
-	}
+	st.ShardBacklog = p.ShardBacklog()
+	st.Shards = len(st.ShardBacklog)
 	if p.journal != nil {
 		st.JournalPath = p.journal.Path()
 		st.JournalEntries = p.journal.Len()
@@ -645,61 +596,38 @@ func (p *Pipeline) flushLocked() error {
 	esp.End()
 	stageDone("er_extend")
 
-	// Rebuild the pedigree graph, then maintain the indexes incrementally
-	// against the still-serving generation. Single-shard bundles patch the
-	// one global index pair (index.Update); sharded bundles advance the
-	// coordinator, which classifies the new graph once, rebuilds only the
+	// Rebuild the pedigree graph, then advance the still-serving
+	// coordinator: it classifies the new graph once, patches only the
 	// partitions the batch touched (index.UpdateSubset per shard), and
 	// reuses every untouched shard — indexes, engine, cache, and
 	// shard-local generation — by reference.
 	_, isp := obs.StartSpan(ctx, "rebuild_indexes")
-	prev := p.serving.Load()
 	newG := pedigree.Build(newD, newStore)
 	gen := p.generation + 1
-	var sv *Serving
-	incremental := false
-	dirty := 0
-	if prev.Shards != nil {
-		coord, ast := prev.Shards.Advance(newG, gen)
-		sv = &Serving{Dataset: newD, Store: newStore, Graph: newG, Shards: coord}
-		incremental = ast.Reused > 0
-		dirty = ast.DirtyNodes
-		isp.SetAttr("dirty_entities", int64(ast.DirtyNodes))
-		isp.SetAttr("shards_touched", int64(ast.Touched))
-		isp.SetAttr("shards_reused", int64(ast.Reused))
+	coord, ast := p.serving.Load().Shards.Advance(newG, gen)
+	// Incremental means no touched shard fell back to a full rebuild.
+	incremental := ast.Patched == ast.Touched
+	isp.SetAttr("dirty_entities", int64(ast.DirtyNodes))
+	isp.SetAttr("shards_touched", int64(ast.Touched))
+	isp.SetAttr("shards_patched", int64(ast.Patched))
+	isp.SetAttr("shards_reused", int64(ast.Reused))
+	if incremental {
+		isp.SetAttr("incremental", 1)
 	} else {
-		k, sim, ist := index.Update(newG, prev.Graph, prev.Keyword, prev.Similar, p.cfg.SimThreshold)
-		sv = &Serving{Dataset: newD, Store: newStore, Graph: newG,
-			Keyword: k, Similar: sim, Engine: query.NewEngine(newG, k, sim)}
-		incremental = ist.Incremental
-		dirty = ist.DirtyNodes
-		isp.SetAttr("dirty_entities", int64(ist.DirtyNodes))
-		if ist.Incremental {
-			isp.SetAttr("incremental", 1)
-		} else {
-			isp.SetAttr("incremental", 0)
-		}
+		isp.SetAttr("incremental", 0)
+		isp.SetAttrStr("fallback_reason", ast.Reason)
 	}
 	isp.End()
 	stageDone("rebuild_indexes")
 
+	// Result caches invalidate per shard inside Advance, keyed by
+	// shard-local generations, so untouched shards keep their warm caches
+	// across the swap.
 	_, wsp := obs.StartSpan(ctx, "snapshot_swap")
-	sv.Generation = gen
-	if sv.Engine != nil {
-		sv.Engine.Generation = gen
-		sv.Engine.Cache = p.cache
-		sv.Engine.StaleServe = p.cfg.StaleServe && p.cache != nil
-	}
+	sv := &Serving{Dataset: newD, Store: newStore, Graph: newG, Shards: coord, Generation: gen}
 	p.buildD, p.buildStore = newD, newStore
 	p.generation = gen
 	p.serving.Store(sv)
-	// Rankings cached against older generations can no longer be served
-	// (the cache keys on the generation); free them eagerly. Sharded
-	// bundles invalidate per shard inside Advance, keyed by shard-local
-	// generations, so untouched shards keep their warm caches.
-	if p.cache != nil {
-		p.cache.Invalidate(gen)
-	}
 
 	mApplied.Add(int64(len(batch)))
 	mFlushes.Inc()
@@ -729,7 +657,8 @@ func (p *Pipeline) flushLocked() error {
 		slog.Int("entities", len(sv.Graph.Nodes)),
 		slog.Int("candidate_pairs", epr.Candidates),
 		slog.Bool("incremental_index", incremental),
-		slog.Int("dirty_entities", dirty),
+		slog.String("fallback_reason", ast.Reason),
+		slog.Int("dirty_entities", ast.DirtyNodes),
 		slog.Duration("took", time.Since(start)),
 	)
 	return nil

@@ -23,7 +23,7 @@ func familyPipeline(t *testing.T, jr *Journal, backlog []Certificate, cfg Config
 	t.Helper()
 	d := familyDataset()
 	pr := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
-	p, err := NewPipeline(NewServing(d, pr.Result.Store, 0.5), jr, backlog, cfg)
+	p, err := NewPipeline(NewServing(d, pr.Result.Store, 1, cfg), jr, backlog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func familyPipeline(t *testing.T, jr *Journal, backlog []Certificate, cfg Config
 
 // searchOne returns the top result for a first name + surname.
 func searchOne(sv *Serving, first, sur string) (query.Result, bool) {
-	res := sv.Engine.Search(query.Query{FirstName: first, Surname: sur})
+	res := sv.Shards.Search(query.Query{FirstName: first, Surname: sur})
 	if len(res) == 0 {
 		return query.Result{}, false
 	}
@@ -200,8 +200,8 @@ func TestPipelineConcurrentSubmitSearchFlush(t *testing.T) {
 				default:
 				}
 				sv := p.Serving()
-				sv.Engine.Search(query.Query{FirstName: "torquil", Surname: "macsween"})
-				sv.Engine.Search(query.Query{FirstName: "flora", Surname: "macsween"})
+				sv.Shards.Search(query.Query{FirstName: "torquil", Surname: "macsween"})
+				sv.Shards.Search(query.Query{FirstName: "flora", Surname: "macsween"})
 			}
 		}()
 	}

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/snaps/snaps/internal/dataset"
@@ -16,9 +17,7 @@ func generatedShardedPipeline(t *testing.T, scale float64, nshards int, cfg Conf
 	t.Helper()
 	d := dataset.Generate(dataset.IOS().Scaled(scale)).Dataset
 	pr := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
-	sv := NewShardedServing(d, pr.Result.Store,
-		shard.Options{Shards: nshards, SimThreshold: 0.5, CacheEntries: 128})
-	p, err := NewPipeline(sv, nil, nil, cfg)
+	p, err := NewPipeline(NewServing(d, pr.Result.Store, nshards, cfg), nil, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +57,8 @@ func TestShardedPipelineBacklogAccounting(t *testing.T) {
 	defer p.Close()
 
 	sv0 := p.Serving()
-	if sv0.Shards == nil || sv0.Engine != nil {
-		t.Fatalf("sharded bundle misconfigured: Shards=%v Engine=%v", sv0.Shards, sv0.Engine)
+	if got := sv0.Shards.NumShards(); got != nshards {
+		t.Fatalf("bundle has %d shards, want %d", got, nshards)
 	}
 
 	certs := []*Certificate{
@@ -153,24 +152,25 @@ func TestShardedPipelineBacklogAccounting(t *testing.T) {
 	}
 }
 
-// TestSingleShardPipelineHasNoShardSplit pins the legacy path: a pipeline
-// over an engine bundle reports no per-shard state, and
-// HottestShardBacklog degrades to the global backlog.
-func TestSingleShardPipelineHasNoShardSplit(t *testing.T) {
+// TestOneShardPipelineShardSplit pins the one-shard case of the general
+// accounting: one backlog row that always equals the global backlog, which
+// is also what HottestShardBacklog reports.
+func TestOneShardPipelineShardSplit(t *testing.T) {
 	p := generatedPipeline(t, 0.02, manualConfig())
 	defer p.Close()
-	if bl := p.ShardBacklog(); bl != nil {
-		t.Fatalf("single-shard pipeline reports shard backlog %+v", bl)
-	}
-	if st := p.Status(); st.Shards != 0 || st.ShardBacklog != nil {
-		t.Fatalf("single-shard status carries shard fields: %+v", st)
-	}
 	if err := p.Submit(birthCert([2]string{"a", "b"}, [2]string{"c", "d"}, [2]string{"e", "f"}, 1880)); err != nil {
 		t.Fatal(err)
 	}
 	records, bytes := p.Backlog()
+	want := []ShardBacklog{{Shard: 0, Pending: records, PendingBytes: bytes}}
+	if bl := p.ShardBacklog(); !reflect.DeepEqual(bl, want) {
+		t.Fatalf("one-shard backlog split %+v, want %+v", bl, want)
+	}
+	if st := p.Status(); st.Shards != 1 || !reflect.DeepEqual(st.ShardBacklog, want) {
+		t.Fatalf("one-shard status shard fields: %+v", st)
+	}
 	s, r, b := p.HottestShardBacklog()
 	if s != 0 || r != records || b != bytes {
-		t.Fatalf("single-shard hottest = (%d, %d, %d), want (0, %d, %d)", s, r, b, records, bytes)
+		t.Fatalf("one-shard hottest = (%d, %d, %d), want (0, %d, %d)", s, r, b, records, bytes)
 	}
 }

@@ -7,8 +7,7 @@
 // self-throttles exactly when the interesting behaviour starts, hiding both
 // the latency tail and the shedding the admission controller exists to
 // perform. Latencies land in per-route log-bucketed histograms
-// (internal/load.Histogram); cmd/snapsload turns the reports into the
-// committed BENCH_serve.json.
+// (internal/load.Histogram); cmd/snapsload prints and writes the reports.
 package load
 
 import (
@@ -60,8 +59,8 @@ func (t *HTTPTarget) Do(op Op) (int, error) {
 
 // HandlerTarget replays against an http.Handler in-process — no sockets, no
 // kernel, so the measured latency is the server's own work plus admission.
-// This is what scripts/bench_serve.sh uses: it removes network noise from
-// the committed baseline and runs anywhere (CI included).
+// This is cmd/snapsload's default target: it removes network noise from
+// the measurement and runs anywhere (CI included).
 type HandlerTarget struct {
 	Handler http.Handler
 }

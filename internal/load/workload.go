@@ -158,8 +158,8 @@ type Mix struct {
 	Ingest     float64 `json:"ingest"`
 }
 
-// Mixes returns the three standard compositions benchmarked in
-// BENCH_serve.json: the read-heavy steady state, a mixed day with renders
+// Mixes returns the three standard compositions cmd/snapsload runs: the
+// read-heavy steady state, a mixed day with renders
 // and a trickle of ingest, and an ingest burst that drives the backlog into
 // backpressure.
 func Mixes() []Mix {

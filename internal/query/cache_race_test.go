@@ -41,8 +41,6 @@ func genCert(i int) *ingest.Certificate {
 func TestCacheStressNoStaleGenerations(t *testing.T) {
 	p := dataset.Generate(dataset.IOS().Scaled(0.03))
 	pr := er.Run(p.Dataset, depgraph.DefaultConfig(), er.DefaultConfig())
-	sv := ingest.NewServing(p.Dataset, pr.Result.Store, 0.5)
-
 	cfg := ingest.DefaultConfig()
 	cfg.BatchSize = 1000 // flush only when the test says so
 	cfg.QueryCache = 256
@@ -51,6 +49,7 @@ func TestCacheStressNoStaleGenerations(t *testing.T) {
 	// (StaleServe) deliberately relaxes this by exactly one generation —
 	// TestStaleWhileRevalidate covers that contract.
 	cfg.StaleServe = false
+	sv := ingest.NewServing(p.Dataset, pr.Result.Store, 1, cfg)
 	pipe, err := ingest.NewPipeline(sv, nil, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +84,7 @@ func TestCacheStressNoStaleGenerations(t *testing.T) {
 					return
 				default:
 				}
-				eng := pipe.Serving().Engine
+				eng := pipe.Serving().Shards
 				eng.Search(query.Query{FirstName: hotFirst, Surname: hotSur})
 			}
 		}()
@@ -103,7 +102,7 @@ func TestCacheStressNoStaleGenerations(t *testing.T) {
 					return
 				default:
 				}
-				eng := pipe.Serving().Engine
+				eng := pipe.Serving().Shards
 				eng.Search(query.Query{FirstName: hotFirst,
 					Surname: fmt.Sprintf("%s%d_%d", hotSur, g, i)})
 				eng.Search(query.Query{FirstName: hotFirst, Surname: "zzstampede"})
@@ -138,7 +137,7 @@ func TestCacheStressNoStaleGenerations(t *testing.T) {
 		before := pipe.Serving()
 		// Two searches: a cache miss, then a hit of the stale-to-be entry.
 		for pass := 0; pass < 2; pass++ {
-			if hasMarker(before, before.Engine.Search(markerQ), first) {
+			if hasMarker(before, before.Shards.Search(markerQ), first) {
 				t.Fatalf("step %d pass %d: marker entity visible before ingesting it", i, pass)
 			}
 		}
@@ -157,14 +156,14 @@ func TestCacheStressNoStaleGenerations(t *testing.T) {
 		// Repeat to cover both the cache-miss and cache-hit path of the
 		// new generation.
 		for pass := 0; pass < 2; pass++ {
-			if !hasMarker(after, after.Engine.Search(markerQ), first) {
+			if !hasMarker(after, after.Shards.Search(markerQ), first) {
 				t.Fatalf("step %d pass %d: generation %d served a stale ranking without its own certificate",
 					i, pass, after.Generation)
 			}
 		}
 		// The superseded generation still answers consistently for
 		// in-flight readers holding the old bundle.
-		if hasMarker(before, before.Engine.Search(markerQ), first) {
+		if hasMarker(before, before.Shards.Search(markerQ), first) {
 			t.Fatalf("step %d: old generation suddenly sees the new certificate", i)
 		}
 	}

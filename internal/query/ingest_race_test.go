@@ -41,17 +41,16 @@ func raceCert(i int) *ingest.Certificate {
 func TestConcurrentSearchFlushAndScrape(t *testing.T) {
 	p := dataset.Generate(dataset.IOS().Scaled(0.03))
 	pr := er.Run(p.Dataset, depgraph.DefaultConfig(), er.DefaultConfig())
-	sv := ingest.NewServing(p.Dataset, pr.Result.Store, 0.5)
-
 	cfg := ingest.DefaultConfig()
 	cfg.BatchSize = 4
+	sv := ingest.NewServing(p.Dataset, pr.Result.Store, 1, cfg)
 	pipe, err := ingest.NewPipeline(sv, nil, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pipe.Close()
 
-	srv := server.New(sv.Engine)
+	srv := server.NewSharded(sv.Shards)
 	srv.EnableIngest(pipe)
 
 	// A name guaranteed to stay resolvable across generations.
@@ -69,7 +68,7 @@ func TestConcurrentSearchFlushAndScrape(t *testing.T) {
 
 	var wg sync.WaitGroup
 
-	// Searchers: half query the engine directly off the serving pointer
+	// Searchers: half query the coordinator directly off the serving pointer
 	// (exercising the swap-during-read path), half go through the HTTP
 	// handler so the request middleware is hammered too.
 	for g := 0; g < 8; g++ {
@@ -78,7 +77,7 @@ func TestConcurrentSearchFlushAndScrape(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
 				if g%2 == 0 {
-					engine := pipe.Serving().Engine
+					engine := pipe.Serving().Shards
 					engine.Search(query.Query{FirstName: first, Surname: sur})
 					continue
 				}
@@ -141,7 +140,7 @@ func TestConcurrentSearchFlushAndScrape(t *testing.T) {
 	if err := pipe.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	results := pipe.Serving().Engine.Search(query.Query{FirstName: "tormod1", Surname: "macleod"})
+	results := pipe.Serving().Shards.Search(query.Query{FirstName: "tormod1", Surname: "macleod"})
 	if len(results) == 0 {
 		t.Fatal("ingested certificate not searchable after final flush")
 	}

@@ -26,11 +26,11 @@ func swrPipeline(t *testing.T) *ingest.Pipeline {
 	t.Helper()
 	p := dataset.Generate(dataset.IOS().Scaled(0.03))
 	pr := er.Run(p.Dataset, depgraph.DefaultConfig(), er.DefaultConfig())
-	sv := ingest.NewServing(p.Dataset, pr.Result.Store, 0.5)
 	cfg := ingest.DefaultConfig()
 	cfg.BatchSize = 1 << 20 // flush only when the test says so
 	cfg.QueryCache = 256
 	cfg.StaleServe = true
+	sv := ingest.NewServing(p.Dataset, pr.Result.Store, 1, cfg)
 	pipe, err := ingest.NewPipeline(sv, nil, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -53,8 +53,8 @@ func TestStaleWhileRevalidate(t *testing.T) {
 	markerQ := query.Query{FirstName: "ruaraidhswr", Surname: "nicolson"}
 	before := pipe.Serving()
 	// Warm the cache under generation 0: miss, then hit.
-	base := before.Engine.Search(markerQ)
-	before.Engine.Search(markerQ)
+	base := before.Shards.Search(markerQ)
+	before.Shards.Search(markerQ)
 
 	cert := &ingest.Certificate{
 		Type: "birth", Year: 1885, Address: "staffin",
@@ -90,7 +90,7 @@ func TestStaleWhileRevalidate(t *testing.T) {
 	// entry — same ranking as before the flush, marker not yet visible,
 	// stale-serve counter incremented. A blocking recompute would have
 	// found the marker here.
-	stale := after.Engine.Search(markerQ)
+	stale := after.Shards.Search(markerQ)
 	if hasMarker(after, stale) {
 		t.Fatal("first post-swap search recomputed synchronously instead of serving stale")
 	}
@@ -107,7 +107,7 @@ func TestStaleWhileRevalidate(t *testing.T) {
 	// the refreshed entry carries it.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if hasMarker(after, after.Engine.Search(markerQ)) {
+		if hasMarker(after, after.Shards.Search(markerQ)) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -151,7 +151,7 @@ func TestStaleServeNeverBlocksAcrossSwaps(t *testing.T) {
 					return
 				default:
 				}
-				eng := pipe.Serving().Engine
+				eng := pipe.Serving().Shards
 				// Hot query: repeatedly crosses miss/stale/hit paths as
 				// generations swap under it.
 				eng.Search(query.Query{FirstName: hotFirst, Surname: hotSur})

@@ -21,9 +21,9 @@ type HealthResponse struct {
 	JournalBytes   int64  `json:"journal_bytes,omitempty"`
 	BacklogRecords int    `json:"backlog_records"`
 	BacklogBytes   int64  `json:"backlog_bytes"`
-	// Shards reports the per-shard backlog split of a sharded serving
-	// tier (absent otherwise), so a load balancer sees the hot shard, not
-	// just the global average it can hide behind.
+	// Shards reports the per-shard backlog split of the serving tier
+	// (absent without a pipeline), so a load balancer sees the hot shard,
+	// not just the global average it can hide behind.
 	Shards   []ingest.ShardBacklog `json:"shards,omitempty"`
 	Inflight int64                 `json:"inflight_weighted"`
 	Shedding []string              `json:"shedding,omitempty"`
@@ -41,7 +41,7 @@ type HealthResponse struct {
 const burnThreshold = 14.4
 
 // EnableHealth mounts GET /healthz. Both arguments are optional: without a
-// pipeline the generation comes from the served engine and the backlog
+// pipeline the generation comes from the served coordinator and the backlog
 // reads zero; without admission the endpoint always reports "ok". The
 // route is admission-exempt — health must answer precisely when the server
 // is refusing work.
@@ -57,9 +57,9 @@ func (s *Server) EnableHealth(pipe *ingest.Pipeline) {
 			resp.Generation = st.Generation
 			resp.JournalBytes = st.JournalBytes
 			resp.BacklogRecords, resp.BacklogBytes = pipe.Backlog()
-			resp.Shards = pipe.ShardBacklog()
+			resp.Shards = st.ShardBacklog
 		} else {
-			resp.Generation = s.view().generation()
+			resp.Generation = s.Coordinator().Generation()
 		}
 		if c := s.admit; c != nil {
 			resp.Inflight = c.Inflight()

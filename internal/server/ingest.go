@@ -15,21 +15,14 @@ import (
 //	                          generation.
 //	GET  /api/ingest/status — pipeline counters and served generation size.
 //
-// The server's serving view (engine or shard coordinator) is retargeted on
-// every snapshot swap, so queries pick up ingested certificates within one
-// batch flush without any restart or request blocking.
+// The server's coordinator is retargeted on every snapshot swap, so queries
+// pick up ingested certificates within one batch flush without any restart
+// or request blocking.
 func (s *Server) EnableIngest(p *ingest.Pipeline) {
-	retarget := func(sv *ingest.Serving) {
-		if sv.Shards != nil {
-			s.SetCoordinator(sv.Shards)
-		} else {
-			s.SetEngine(sv.Engine)
-		}
-	}
-	p.OnSwap(retarget)
+	p.OnSwap(func(sv *ingest.Serving) { s.SetCoordinator(sv.Shards) })
 	// Converge on the pipeline's current generation in case it replayed a
 	// journal backlog before the callback was registered.
-	retarget(p.Serving())
+	s.SetCoordinator(p.Serving().Shards)
 
 	s.mux.HandleFunc("/api/ingest", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {

@@ -11,51 +11,14 @@ import (
 	"testing"
 	"time"
 
-	"github.com/snaps/snaps/internal/depgraph"
-	"github.com/snaps/snaps/internal/er"
 	"github.com/snaps/snaps/internal/ingest"
-	"github.com/snaps/snaps/internal/model"
 )
 
-// ingestFamily builds a deterministic two-birth family, resolves it, and
-// wires a server with live ingestion enabled.
+// ingestFamily wires the deterministic two-birth family behind a one-shard
+// coordinator with live ingestion enabled.
 func ingestFamily(t *testing.T, cfg ingest.Config) (*Server, *ingest.Pipeline) {
 	t.Helper()
-	d := &model.Dataset{Name: "live"}
-	add := func(role model.Role, cert model.CertID, first, sur string, year int, g model.Gender) model.RecordID {
-		id := model.RecordID(len(d.Records))
-		d.Records = append(d.Records, model.Record{
-			ID: id, Cert: cert, Role: role, Gender: g,
-			First: model.Intern(first), Sur: model.Intern(sur), Addr: model.Intern("5 uig"), Year: year,
-			Truth: model.NoPerson,
-		})
-		return id
-	}
-	add(model.Bb, 0, "torquil", "macsween", 1870, model.Male)
-	add(model.Bm, 0, "flora", "macsween", 1870, model.Female)
-	add(model.Bf, 0, "ewen", "macsween", 1870, model.Male)
-	d.Certificates = append(d.Certificates, model.Certificate{
-		ID: 0, Type: model.Birth, Year: 1870, Age: -1,
-		Roles: map[model.Role]model.RecordID{model.Bb: 0, model.Bm: 1, model.Bf: 2},
-	})
-	add(model.Bb, 1, "una", "macsween", 1872, model.Female)
-	add(model.Bm, 1, "flora", "macsween", 1872, model.Female)
-	add(model.Bf, 1, "ewen", "macsween", 1872, model.Male)
-	d.Certificates = append(d.Certificates, model.Certificate{
-		ID: 1, Type: model.Birth, Year: 1872, Age: -1,
-		Roles: map[model.Role]model.RecordID{model.Bb: 3, model.Bm: 4, model.Bf: 5},
-	})
-
-	pr := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
-	sv := ingest.NewServing(d, pr.Result.Store, 0.5)
-	srv := New(sv.Engine)
-	pipe, err := ingest.NewPipeline(sv, nil, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.EnableIngest(pipe)
-	t.Cleanup(func() { pipe.Close() })
-	return srv, pipe
+	return shardedFamily(t, 1, cfg)
 }
 
 const torquilDeathJSON = `{

@@ -5,11 +5,13 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"html/template"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -25,51 +27,14 @@ import (
 	"github.com/snaps/snaps/internal/shard"
 )
 
-// servingView is the server's immutable view of one serving generation:
-// either a single query engine or a shard coordinator. Exactly one of the
-// two is set; every handler loads the view once and works on that
-// consistent snapshot for its whole lifetime.
-type servingView struct {
-	eng   *query.Engine
-	coord *shard.Coordinator
-}
-
-func (v *servingView) graph() *pedigree.Graph {
-	if v.coord != nil {
-		return v.coord.Graph()
-	}
-	return v.eng.Graph
-}
-
-func (v *servingView) generation() uint64 {
-	if v.coord != nil {
-		return v.coord.Generation()
-	}
-	return v.eng.Generation
-}
-
-func (v *servingView) search(ctx context.Context, q query.Query) []query.Result {
-	if v.coord != nil {
-		return v.coord.SearchContext(ctx, q)
-	}
-	return v.eng.SearchContext(ctx, q)
-}
-
-func (v *servingView) explain(q query.Query, id pedigree.NodeID) query.Explanation {
-	if v.coord != nil {
-		return v.coord.Explain(q, id)
-	}
-	return v.eng.Explain(q, id)
-}
-
-// Server serves the SNAPS web interface for one built data set. The
-// serving view (engine or shard coordinator) is held behind an atomic
-// pointer so the live ingestion subsystem can hot-swap a freshly rebuilt
-// generation (engines + graph + indexes) without blocking request
-// handlers: each request loads the pointer once and works on that
-// consistent snapshot for its whole lifetime.
+// Server serves the SNAPS web interface for one built data set. The shard
+// coordinator (graph + per-shard engines and indexes) is held behind an
+// atomic pointer so the live ingestion subsystem can hot-swap a freshly
+// rebuilt generation without blocking request handlers: each request loads
+// the pointer once and works on that consistent snapshot for its whole
+// lifetime.
 type Server struct {
-	serving atomic.Pointer[servingView]
+	serving atomic.Pointer[shard.Coordinator]
 	// Generations is the pedigree extraction depth g (paper: 2).
 	Generations int
 	mux         *http.ServeMux
@@ -87,21 +52,12 @@ type Server struct {
 	slo *obs.SLOTracker
 }
 
-// New wires the handlers around a single-shard query engine.
-func New(engine *query.Engine) *Server {
-	return newServer(&servingView{eng: engine})
-}
-
 // NewSharded wires the handlers around a shard coordinator: searches
-// scatter-gather across its shards and explanations route to the owning
-// shard, with byte-identical responses to the single-engine server.
+// scatter-gather across its shards (a direct engine call at one shard) and
+// explanations route to the owning shard.
 func NewSharded(coord *shard.Coordinator) *Server {
-	return newServer(&servingView{coord: coord})
-}
-
-func newServer(v *servingView) *Server {
 	s := &Server{Generations: 2, mux: http.NewServeMux(), tracer: obs.NewTracer(256)}
-	s.serving.Store(v)
+	s.serving.Store(coord)
 	s.mux.HandleFunc("/", s.handleHome)
 	s.mux.HandleFunc("/api/search", s.handleSearch)
 	s.mux.HandleFunc("/api/pedigree", s.handlePedigree)
@@ -112,29 +68,15 @@ func newServer(v *servingView) *Server {
 	return s
 }
 
-// view returns the current serving view.
-func (s *Server) view() *servingView { return s.serving.Load() }
+// Coordinator returns the currently served shard coordinator.
+func (s *Server) Coordinator() *shard.Coordinator { return s.serving.Load() }
 
-// Engine returns the currently served query engine, or nil when the
-// server fronts a shard coordinator (use Graph and the handlers instead).
-func (s *Server) Engine() *query.Engine { return s.view().eng }
+// Graph returns the currently served pedigree graph.
+func (s *Server) Graph() *pedigree.Graph { return s.Coordinator().Graph() }
 
-// Coordinator returns the currently served shard coordinator, or nil for
-// single-engine servers.
-func (s *Server) Coordinator() *shard.Coordinator { return s.view().coord }
-
-// Graph returns the currently served pedigree graph regardless of serving
-// mode.
-func (s *Server) Graph() *pedigree.Graph { return s.view().graph() }
-
-// SetEngine atomically swaps the served engine. In-flight requests keep
-// the generation they loaded; new requests see the new one.
-func (s *Server) SetEngine(e *query.Engine) { s.serving.Store(&servingView{eng: e}) }
-
-// SetCoordinator atomically swaps the served shard coordinator.
-func (s *Server) SetCoordinator(c *shard.Coordinator) {
-	s.serving.Store(&servingView{coord: c})
-}
+// SetCoordinator atomically swaps the served shard coordinator. In-flight
+// requests keep the generation they loaded; new requests see the new one.
+func (s *Server) SetCoordinator(c *shard.Coordinator) { s.serving.Store(c) }
 
 // Tracer returns the server's span tracer, for configuring slow-query
 // logging and for sharing with the ingest pipeline so flush traces land in
@@ -253,17 +195,16 @@ func (s *Server) parseQuery(r *http.Request) query.Query {
 	return q
 }
 
-// search runs the request's query against the currently served engine and
-// also reports that engine's snapshot generation, so handlers can stamp
+// search runs the query against the currently served coordinator and also
+// reports that coordinator's snapshot generation, so handlers can stamp
 // responses with the generation that produced them.
-func (s *Server) search(r *http.Request) ([]SearchResult, uint64, error) {
-	q := s.parseQuery(r)
+func (s *Server) search(ctx context.Context, q query.Query) ([]SearchResult, uint64, error) {
 	if q.FirstName == "" || q.Surname == "" {
 		return nil, 0, fmt.Errorf("first_name and surname are required")
 	}
-	v := s.view()
-	results := v.search(r.Context(), q)
-	g := v.graph()
+	c := s.Coordinator()
+	results := c.SearchContext(ctx, q)
+	g := c.Graph()
 	out := make([]SearchResult, 0, len(results))
 	for _, res := range results {
 		n := g.Node(res.Entity)
@@ -302,7 +243,7 @@ func (s *Server) search(r *http.Request) ([]SearchResult, uint64, error) {
 		}
 		out = append(out, sr)
 	}
-	return out, v.generation(), nil
+	return out, c.Generation(), nil
 }
 
 // SearchResponse is the JSON envelope of GET /api/search: the ranked rows
@@ -315,7 +256,7 @@ type SearchResponse struct {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	out, gen, err := s.search(r)
+	out, gen, err := s.search(r.Context(), s.parseQuery(r))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -326,13 +267,22 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, SearchResponse{TraceID: obs.TraceIDFromContext(r.Context()), Results: out})
 }
 
-func (s *Server) extractPedigree(r *http.Request) (*PedigreeResponse, error) {
-	g := s.Graph()
+// nodeID parses the request's id parameter as a node of g.
+func nodeID(r *http.Request, g *pedigree.Graph) (pedigree.NodeID, error) {
 	id, err := strconv.Atoi(r.FormValue("id"))
 	if err != nil || id < 0 || id >= len(g.Nodes) {
-		return nil, fmt.Errorf("invalid entity id")
+		return 0, fmt.Errorf("invalid entity id")
 	}
-	p := g.Extract(pedigree.NodeID(id), s.Generations)
+	return pedigree.NodeID(id), nil
+}
+
+func (s *Server) extractPedigree(r *http.Request) (*PedigreeResponse, error) {
+	g := s.Graph()
+	id, err := nodeID(r, g)
+	if err != nil {
+		return nil, err
+	}
+	p := g.Extract(id, s.Generations)
 	resp := &PedigreeResponse{Focus: int32(p.Focus), Text: g.RenderText(p)}
 	for member, hops := range p.Members {
 		n := g.Node(member)
@@ -343,28 +293,15 @@ func (s *Server) extractPedigree(r *http.Request) (*PedigreeResponse, error) {
 		})
 	}
 	// Deterministic order for clients and tests.
-	sortMembers(resp.Members)
+	slices.SortFunc(resp.Members, func(a, b PedigreeMember) int {
+		return cmp.Or(cmp.Compare(a.Hops, b.Hops), cmp.Compare(a.Entity, b.Entity))
+	})
 	for _, e := range p.Edges {
 		resp.Edges = append(resp.Edges, PedigreeEdge{
 			From: int32(e.From), To: int32(e.To), Rel: e.Rel.String(),
 		})
 	}
 	return resp, nil
-}
-
-func sortMembers(ms []PedigreeMember) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && less(ms[j], ms[j-1]); j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
-}
-
-func less(a, b PedigreeMember) bool {
-	if a.Hops != b.Hops {
-		return a.Hops < b.Hops
-	}
-	return a.Entity < b.Entity
 }
 
 func (s *Server) handlePedigree(w http.ResponseWriter, r *http.Request) {
@@ -380,12 +317,12 @@ func (s *Server) handlePedigree(w http.ResponseWriter, r *http.Request) {
 // for piping into dot(1) to obtain the tree images of Figs. 7-8.
 func (s *Server) handlePedigreeDot(w http.ResponseWriter, r *http.Request) {
 	g := s.Graph()
-	id, err := strconv.Atoi(r.FormValue("id"))
-	if err != nil || id < 0 || id >= len(g.Nodes) {
-		http.Error(w, "invalid entity id", http.StatusBadRequest)
+	id, err := nodeID(r, g)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	p := g.Extract(pedigree.NodeID(id), s.Generations)
+	p := g.Extract(id, s.Generations)
 	w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
 	fmt.Fprint(w, g.RenderDot(p))
 }
@@ -394,12 +331,12 @@ func (s *Server) handlePedigreeDot(w http.ResponseWriter, r *http.Request) {
 // import into mainstream family-tree software.
 func (s *Server) handlePedigreeGedcom(w http.ResponseWriter, r *http.Request) {
 	g := s.Graph()
-	id, err := strconv.Atoi(r.FormValue("id"))
-	if err != nil || id < 0 || id >= len(g.Nodes) {
-		http.Error(w, "invalid entity id", http.StatusBadRequest)
+	id, err := nodeID(r, g)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	p := g.Extract(pedigree.NodeID(id), s.Generations)
+	p := g.Extract(id, s.Generations)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Header().Set("Content-Disposition", "attachment; filename=pedigree.ged")
 	if err := gedcom.ExportPedigree(w, g, p); err != nil {
@@ -478,11 +415,8 @@ func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
 		Gender: r.FormValue("gender"),
 		Type:   r.FormValue("type"),
 	}
-	if data.Q.FirstName != "" && data.Q.Surname != "" {
-		if results, _, err := s.search(r); err == nil {
-			data.Results = results
-		}
-	}
+	// A blank form is not an error: the page just renders without results.
+	data.Results, _, _ = s.search(r.Context(), data.Q)
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := homeTmpl.Execute(w, data); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -501,22 +435,15 @@ func (s *Server) handlePedigreeHTML(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// BuildIndexes is a convenience that builds the pedigree graph indexes and
-// the query engine for a resolved data set; used by cmd/snaps and examples.
-func BuildIndexes(g *pedigree.Graph, simThreshold float64) *query.Engine {
-	k, sim := index.Build(g, simThreshold)
-	return query.NewEngine(g, k, sim)
-}
-
 // EnableExplain mounts GET /api/explain?id=N&first_name=..&surname=..[&...],
 // returning the per-field score breakdown for one entity against a query —
 // the data behind the result list's exact/approximate colour coding.
 func (s *Server) EnableExplain() {
 	s.mux.HandleFunc("/api/explain", func(w http.ResponseWriter, r *http.Request) {
-		v := s.view()
-		id, err := strconv.Atoi(r.FormValue("id"))
-		if err != nil || id < 0 || id >= len(v.graph().Nodes) {
-			http.Error(w, "invalid entity id", http.StatusBadRequest)
+		c := s.Coordinator()
+		id, err := nodeID(r, c.Graph())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		q := s.parseQuery(r)
@@ -524,7 +451,7 @@ func (s *Server) EnableExplain() {
 			http.Error(w, "first_name and surname are required", http.StatusBadRequest)
 			return
 		}
-		ex := v.explain(q, pedigree.NodeID(id))
+		ex := c.Explain(q, id)
 		type fieldJSON struct {
 			Field        string  `json:"field"`
 			QueryValue   string  `json:"query_value,omitempty"`

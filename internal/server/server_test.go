@@ -12,6 +12,7 @@ import (
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/er"
 	"github.com/snaps/snaps/internal/pedigree"
+	"github.com/snaps/snaps/internal/shard"
 )
 
 func testServer(t *testing.T) (*Server, *pedigree.Graph) {
@@ -19,8 +20,7 @@ func testServer(t *testing.T) (*Server, *pedigree.Graph) {
 	p := dataset.Generate(dataset.IOS().Scaled(0.06))
 	pr := er.Run(p.Dataset, depgraph.DefaultConfig(), er.DefaultConfig())
 	g := pedigree.Build(p.Dataset, pr.Result.Store)
-	engine := BuildIndexes(g, 0.5)
-	return New(engine), g
+	return NewSharded(shard.Partition(g, shard.Options{SimThreshold: 0.5})), g
 }
 
 // someName returns a first name and surname present in the graph, query-

@@ -48,11 +48,7 @@ func shardedFamily(t *testing.T, nshards int, cfg ingest.Config) (*Server, *inge
 	})
 
 	pr := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
-	sv := ingest.NewShardedServing(d, pr.Result.Store,
-		shard.Options{Shards: nshards, SimThreshold: 0.5, CacheEntries: 64})
-	if sv.Shards == nil {
-		t.Fatal("sharded serving bundle has no coordinator")
-	}
+	sv := ingest.NewServing(d, pr.Result.Store, nshards, cfg)
 	srv := NewSharded(sv.Shards)
 	pipe, err := ingest.NewPipeline(sv, nil, nil, cfg)
 	if err != nil {

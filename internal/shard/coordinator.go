@@ -181,12 +181,7 @@ func perShardCache(total, n int) int {
 // buildShard constructs shard s's indexes and engine from scratch over the
 // coordinator's graph at shard generation 0.
 func (c *Coordinator) buildShard(s int, cache *query.ResultCache, met *shardMetrics) *Shard {
-	var keep func(pedigree.NodeID) bool
-	if len(c.counts) > 1 {
-		sid := int32(s)
-		keep = func(id pedigree.NodeID) bool { return c.owners[id] == sid }
-	}
-	k, sim := index.BuildSubset(c.graph, keep, c.simThreshold)
+	k, sim := index.BuildSubset(c.graph, c.keep(s), c.simThreshold)
 	sh := &Shard{
 		ID: s, Keyword: k, Similar: sim,
 		Engine:    query.NewEngine(c.graph, k, sim),
@@ -197,6 +192,18 @@ func (c *Coordinator) buildShard(s int, cache *query.ResultCache, met *shardMetr
 	met.nodes.Set(int64(sh.NodeCount))
 	met.gen.Set(int64(sh.Generation))
 	return sh
+}
+
+// keep returns the ownership filter of shard s over the coordinator's
+// graph. A single shard owns every node, so its filter is nil and its
+// indexes are exactly index.Build's (and its flushes patch the whole index
+// pair, not a subset of it).
+func (c *Coordinator) keep(s int) func(pedigree.NodeID) bool {
+	if len(c.counts) == 1 {
+		return nil
+	}
+	sid := int32(s)
+	return func(id pedigree.NodeID) bool { return c.owners[id] == sid }
 }
 
 // wireEngine attaches the shard's cache and generation to its engine.
@@ -214,6 +221,12 @@ type AdvanceStats struct {
 	// Touched and Reused count shards rebuilt vs carried over by
 	// reference.
 	Touched, Reused int
+	// Patched counts the touched shards whose previous indexes were patched
+	// (index.UpdateSubset's incremental path); the other Touched-Patched
+	// fell back to a full subset rebuild, and Reason is the cause the last
+	// of them reported ("" when none fell back).
+	Patched int
+	Reason  string
 	// DirtyNodes is the global count of entities whose record set changed.
 	DirtyNodes int
 }
@@ -269,8 +282,14 @@ func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordin
 			mFlushReused.Inc()
 			continue
 		}
-		nc.shards[s] = nc.advanceShard(s, prev, c.graph)
+		var ust index.UpdateStats
+		nc.shards[s], ust = nc.advanceShard(s, prev, c.graph)
 		st.Touched++
+		if ust.Incremental {
+			st.Patched++
+		} else {
+			st.Reason = ust.Reason
+		}
 		mFlushTouched.Inc()
 	}
 	mShardCount.Set(int64(n))
@@ -281,10 +300,8 @@ func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordin
 // the previous generation's subset indexes where possible. The shard-local
 // generation advances by one and the carried-over cache invalidates
 // against it.
-func (nc *Coordinator) advanceShard(s int, prev *Shard, prevG *pedigree.Graph) *Shard {
-	sid := int32(s)
-	keep := func(id pedigree.NodeID) bool { return nc.owners[id] == sid }
-	k, sim, _ := index.UpdateSubset(nc.graph, keep, prevG, prev.Keyword, prev.Similar, nc.simThreshold)
+func (nc *Coordinator) advanceShard(s int, prev *Shard, prevG *pedigree.Graph) (*Shard, index.UpdateStats) {
+	k, sim, ust := index.UpdateSubset(nc.graph, nc.keep(s), prevG, prev.Keyword, prev.Similar, nc.simThreshold)
 	eng := query.NewEngine(nc.graph, k, sim)
 	eng.Weights = prev.Engine.Weights
 	eng.TopM = prev.Engine.TopM
@@ -301,7 +318,7 @@ func (nc *Coordinator) advanceShard(s int, prev *Shard, prevG *pedigree.Graph) *
 	sh.met.rebuilds.Inc()
 	sh.met.nodes.Set(int64(sh.NodeCount))
 	sh.met.gen.Set(int64(sh.Generation))
-	return sh
+	return sh, ust
 }
 
 // NumShards returns the partition count.

@@ -22,8 +22,8 @@ import (
 	"github.com/snaps/snaps/internal/shard"
 )
 
-// goldenShardCounts is the matrix the equivalence suite runs: the legacy
-// count, powers of two, and a prime that leaves the hash's modulo nothing
+// goldenShardCounts is the matrix the equivalence suite runs: the default
+// one shard, powers of two, and a prime that leaves the hash's modulo nothing
 // to hide behind.
 var goldenShardCounts = []int{1, 2, 4, 7}
 
@@ -239,12 +239,12 @@ func TestScatterGatherGoldenEquivalenceGrown(t *testing.T) {
 	}
 
 	for _, n := range goldenShardCounts {
-		opts := shard.Options{Shards: n, SimThreshold: 0.5, CacheEntries: 256}
-		sv0 := ingest.NewShardedServing(d, st, opts)
 		cfg := ingest.DefaultConfig()
 		cfg.BatchSize = 1 << 20 // flush only when the test says so
 		cfg.MaxAge = time.Hour
-		pipe, err := ingest.NewPipeline(sv0, nil, nil, cfg)
+		cfg.QueryCache = 256
+		cfg.StaleServe = false // strict: a superseded ranking would be a diff
+		pipe, err := ingest.NewPipeline(ingest.NewServing(d, st, n, cfg), nil, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,13 +260,12 @@ func TestScatterGatherGoldenEquivalenceGrown(t *testing.T) {
 			}
 
 			sv := pipe.Serving()
-			if sv.Shards == nil {
-				t.Fatal("sharded pipeline published a bundle without a coordinator")
-			}
 			checkPartition(t, sv.Shards, sv.Graph)
-			// Ground truth: a from-scratch single-shard rebuild of the same
-			// grown generation; cross-check: a from-scratch partition of it.
-			ref := ingest.NewServing(sv.Dataset, sv.Store, 0.5).Engine
+			// Ground truth: a query.Engine over a from-scratch index.Build of
+			// the same grown generation; cross-check: a from-scratch
+			// partition of it.
+			kidx, sidx := index.Build(sv.Graph, 0.5)
+			ref := query.NewEngine(sv.Graph, kidx, sidx)
 			fresh := shard.Partition(sv.Graph, shard.Options{Shards: n, SimThreshold: 0.5})
 			qs := append(goldenQueries(sv.Graph),
 				query.Query{FirstName: "zebedee", Surname: "quixworth"},

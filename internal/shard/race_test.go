@@ -18,14 +18,7 @@ import (
 
 	"github.com/snaps/snaps/internal/ingest"
 	"github.com/snaps/snaps/internal/query"
-	"github.com/snaps/snaps/internal/shard"
 )
-
-// testOptions is the stress configuration: strict cache mode (no
-// stale-serve), so the assertions can demand zero superseded rankings.
-func testOptions(n, cacheEntries int) shard.Options {
-	return shard.Options{Shards: n, SimThreshold: 0.5, CacheEntries: cacheEntries}
-}
 
 // testShards reads SNAPS_TEST_SHARDS (the CI shard matrix) with a default
 // of 4, so the same stress runs single-shard and sharded.
@@ -67,10 +60,13 @@ func markerCert(i int) *ingest.Certificate {
 func TestScatterGatherStressNoTornGenerations(t *testing.T) {
 	nshards := testShards(t)
 	d, st, _ := builtCase(t, 0.03)
-	sv0 := ingest.NewShardedServing(d, st, testOptions(nshards, 256))
-
 	cfg := ingest.DefaultConfig()
 	cfg.BatchSize = 1 << 20 // flush only when the driver says so
+	// Strict cache mode (no stale-serve), so the assertions can demand
+	// zero superseded rankings.
+	cfg.QueryCache = 256
+	cfg.StaleServe = false
+	sv0 := ingest.NewServing(d, st, nshards, cfg)
 	pipe, err := ingest.NewPipeline(sv0, nil, nil, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ func assertSnapshotsEqual(t *testing.T, got, want *Snapshot) {
 func TestV01RoundTrip(t *testing.T) {
 	snap := resolvedSnapshot(t)
 	var buf bytes.Buffer
-	if err := WriteV01(&buf, snap); err != nil {
+	if err := writeV01(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(&buf)
@@ -66,7 +66,7 @@ func TestV01RoundTrip(t *testing.T) {
 func TestV02SmallerThanV01(t *testing.T) {
 	snap := resolvedSnapshot(t)
 	var v01, v02 bytes.Buffer
-	if err := WriteV01(&v01, snap); err != nil {
+	if err := writeV01(&v01, snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := Write(&v02, snap); err != nil {

@@ -51,7 +51,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	var v01 bytes.Buffer
-	if err := WriteV01(&v01, snap); err != nil {
+	if err := writeV01(&v01, snap); err != nil {
 		f.Fatal(err)
 	}
 

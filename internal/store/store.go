@@ -4,9 +4,9 @@
 // supported, both behind an 8-byte magic header so Load rejects unknown
 // versions instead of misinterpreting bytes:
 //
-//   - SNAPSv01: the original gob stream. Still readable (old deployments
-//     keep working) and still writable via WriteV01/SaveV01 for
-//     compatibility tests and load-time benchmarks.
+//   - SNAPSv01: the original gob stream. Still readable, so old deployments
+//     keep working; nothing writes it any more (the compat and fuzz tests
+//     carry their own fixture writer).
 //   - SNAPSBINv02: the compact length-prefixed binary format of binary.go
 //     — a per-file symbol table plus varint-coded records, certificates,
 //     and clusters. Write/Save emit it by default; it is a fraction of the
@@ -105,17 +105,6 @@ type wireRecord struct {
 	Truth      model.PersonID
 }
 
-// toWire converts a record to its v01 gob shape.
-func toWire(r *model.Record) wireRecord {
-	return wireRecord{
-		ID: r.ID, Cert: r.Cert, Role: r.Role, Gender: r.Gender,
-		FirstName: r.FirstName(), Surname: r.Surname(),
-		Address: r.Address(), Occupation: r.Occupation(),
-		Year: r.Year, Lat: r.Lat, Lon: r.Lon,
-		BirthHint: r.BirthHint, Truth: r.Truth,
-	}
-}
-
 // fromWire converts a v01 gob record back, interning its strings.
 func fromWire(w *wireRecord) model.Record {
 	return model.Record{
@@ -146,38 +135,6 @@ type wireRole struct {
 func Write(dst io.Writer, s *Snapshot) error {
 	w := bufio.NewWriter(dst)
 	if err := writeBinary(w, s); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// WriteV01 serialises the snapshot in the legacy gob format, for
-// compatibility tests and for benchmarking old-format load times against
-// the compact format.
-func WriteV01(dst io.Writer, s *Snapshot) error {
-	w := bufio.NewWriter(dst)
-	if _, err := w.Write(magicV01[:]); err != nil {
-		return err
-	}
-	payload := wire{
-		Name:     s.Dataset.Name,
-		Clusters: s.Clusters,
-	}
-	payload.Records = make([]wireRecord, len(s.Dataset.Records))
-	for i := range s.Dataset.Records {
-		payload.Records[i] = toWire(&s.Dataset.Records[i])
-	}
-	for i := range s.Dataset.Certificates {
-		c := &s.Dataset.Certificates[i]
-		wc := wireCert{ID: c.ID, Type: c.Type, Year: c.Year, Cause: c.Cause, Age: c.Age}
-		for role := model.Role(0); role < model.NumRoles; role++ {
-			if rec, ok := c.Roles[role]; ok {
-				wc.Roles = append(wc.Roles, wireRole{Role: role, Rec: rec})
-			}
-		}
-		payload.Certificates = append(payload.Certificates, wc)
-	}
-	if err := gob.NewEncoder(w).Encode(&payload); err != nil {
 		return err
 	}
 	return w.Flush()
@@ -283,8 +240,8 @@ func validate(d *model.Dataset, clusters [][]model.RecordID) error {
 // data: the record slab, certificates with their role maps, clusters, and
 // the full interned-string table (an upper bound on this data set's share
 // of it — the table is process-global and amortised across every clone and
-// generation referencing it). The bench harness divides it by the record
-// count for the bytes-per-record trajectory of BENCH_offline.json.
+// generation referencing it). Divided by the record count it is the
+// snaps_store_bytes_per_record gauge and the memdiet experiment's figure.
 func FootprintBytes(d *model.Dataset, clusters [][]model.RecordID) int64 {
 	const (
 		recordSize  = 64 // unsafe.Sizeof(model.Record{}) with padding
@@ -309,56 +266,15 @@ func symbolTableBytes() int64 {
 	return symbol.Bytes() + 16*int64(symbol.Len())
 }
 
-// FootprintBytesPreDiet estimates the same data's resident bytes under the
-// pre-diet representation, for the before/after trajectory in
-// BENCH_offline.json: records carried four inline string headers and the
-// decoder materialised a private heap copy of every populated attribute
-// value, so string bytes scale with mentions rather than distinct values
-// and there is no shared table to amortise.
-func FootprintBytesPreDiet(d *model.Dataset, clusters [][]model.RecordID) int64 {
-	const (
-		fatRecordSize = 112 // old Record: four 16-byte string headers replace the 4-byte symbol ids
-		strOverhead   = 8   // per-string allocator size-class rounding, averaged
-		certBase      = 64
-		roleEntry     = 16
-		sliceHeader   = 24
-	)
-	total := int64(len(d.Records)) * fatRecordSize
-	for i := range d.Records {
-		r := &d.Records[i]
-		for _, v := range []string{r.FirstName(), r.Surname(), r.Address(), r.Occupation()} {
-			if v != "" {
-				total += int64(len(v)) + strOverhead
-			}
-		}
-	}
-	for i := range d.Certificates {
-		total += certBase + int64(len(d.Certificates[i].Roles))*roleEntry + int64(len(d.Certificates[i].Cause))
-	}
-	for _, c := range clusters {
-		total += sliceHeader + 4*int64(len(c))
-	}
-	return total
-}
-
 // Save writes the snapshot to a file in the v02 format, atomically via a
 // temporary sibling.
 func Save(path string, s *Snapshot) error {
-	return save(path, s, Write)
-}
-
-// SaveV01 writes the snapshot in the legacy gob format (see WriteV01).
-func SaveV01(path string, s *Snapshot) error {
-	return save(path, s, WriteV01)
-}
-
-func save(path string, s *Snapshot, write func(io.Writer, *Snapshot) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := write(f, s); err != nil {
+	if err := Write(f, s); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
