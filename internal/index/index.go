@@ -1,17 +1,25 @@
 // Package index implements the two offline index structures of Sec. 6 of
 // the paper: the keyword index K, mapping QID values (first names,
 // surnames, gender, locations) to entity identifiers in the pedigree
-// graph, and the similarity-aware index S, which precomputes Jaro-Winkler
-// similarities between all pairs of indexed string values that share at
-// least one bigram and reach the threshold s_t.
+// graph, and the similarity-aware index S, which stores for every indexed
+// name the indexed names that share at least one bigram with it and reach
+// the threshold s_t, most similar first.
 //
-// At query time, a value not found in K is compared against the values
-// sharing a bigram with it, and the discovered similar values are added to
-// S to speed up future queries of the same value (Sec. 7). The memo is
-// striped across hash-keyed shards so concurrent lookups contend only on
-// values landing in the same stripe, and concurrent first lookups of the
-// same unknown value compute its similarity list once (the others wait for
-// the leader) instead of racing through duplicate bigram scans.
+// Build fills S with one all-pairs pass per name field (precompute.go):
+// name similarity is symmetric, so each unordered bigram-sharing pair is
+// scored once, by the unmemoised kernel simcache.NameSimFeatures, and the
+// score lands in both values' lists. The package never touches simcache's
+// process-wide pair memo: S is itself the memo of these scores.
+//
+// At query time, a value not found in S is probed one-sidedly
+// (computeSimilar): it is compared against the values sharing a bigram
+// with it, and the discovered similar values are added to S to speed up
+// future queries of the same value (Sec. 7). The same probe computes the
+// lists of the values a flush adds (update.go). S is striped across
+// hash-keyed shards so concurrent lookups contend only on values landing in
+// the same stripe, and concurrent first lookups of the same unknown value
+// compute its similarity list once (the others wait for the leader) instead
+// of racing through duplicate bigram scans.
 //
 // Event years are deliberately NOT materialised as string postings: an
 // entity's year span is an interval check against pedigree.Node.MinYear/
@@ -22,7 +30,8 @@ package index
 
 import (
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"github.com/snaps/snaps/internal/obs"
@@ -44,6 +53,11 @@ var (
 		"Similarity lookups that computed and memoised a new value.")
 	mMemoWaits = obs.Default.Counter("snaps_index_memo_inflight_waits_total",
 		"Similarity lookups that waited for a concurrent computation of the same value.")
+	// Useful-work ratio of the precompute: kept / scored.
+	mPairsScored = obs.Default.Counter("snaps_index_sim_pairs_scored_total",
+		"Distinct bigram-sharing name pairs scored by the similarity precompute.")
+	mPairsKept = obs.Default.Counter("snaps_index_sim_pairs_kept_total",
+		"Scored name pairs that reached the similarity threshold and entered both values' lists.")
 )
 
 // Field enumerates the searchable QID fields of the keyword index.
@@ -201,58 +215,48 @@ func BuildSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, simThreshol
 	for f := Field(0); f < NumFields; f++ {
 		k.postings[f] = make(map[string]postingList, len(raw[f]))
 		for v, ids := range raw[f] {
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			// Deduplicate.
-			out := ids[:0]
-			var last pedigree.NodeID = -1
-			for _, id := range ids {
-				if id != last {
-					out = append(out, id)
-					last = id
-				}
-			}
-			k.postings[f][v] = encodePostings(out)
+			slices.Sort(ids)
+			k.postings[f][v] = encodePostings(slices.Compact(ids))
 		}
 	}
 
-	// Bigram postings for all string fields, as sorted symbol-id lists.
-	// Every indexed value is an interned record attribute, so Intern here
-	// is a map hit, not an insert, and the value's bigram signature comes
-	// straight from the per-symbol feature slab.
-	for _, f := range []Field{FieldFirstName, FieldSurname, FieldLocation} {
-		bgRaw := map[strsim.BigramID][]symbol.ID{}
+	// One walk per string field over its sorted values builds the bigram
+	// postings twice over: by symbol id (stored, what query-time probes
+	// scan) and by dense local id (the value's rank, what the all-pairs
+	// pass below scans). Every indexed value is an interned record
+	// attribute, so Intern here is a map hit, not an insert, and the
+	// value's bigram signature comes straight from the per-symbol feature
+	// slab.
+	var sets [NumFields]valueSet
+	for _, f := range simFields {
+		vs := &sets[f]
+		vs.vals = make([]string, 0, len(k.postings[f]))
 		for v := range k.postings[f] {
+			vs.vals = append(vs.vals, v)
+		}
+		slices.Sort(vs.vals)
+		vs.feats = make([]*simcache.Features, len(vs.vals))
+		vs.post = map[strsim.BigramID][]int32{}
+		bgRaw := map[strsim.BigramID][]symbol.ID{}
+		for i, v := range vs.vals {
 			id := symbol.Intern(v)
-			for _, bg := range simcache.Feat(id).Bigrams {
+			vs.feats[i] = simcache.Feat(id)
+			for _, bg := range vs.feats[i].Bigrams {
 				bgRaw[bg] = append(bgRaw[bg], id)
+				vs.post[bg] = append(vs.post[bg], int32(i))
 			}
 		}
 		for bg, ids := range bgRaw {
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			slices.Sort(ids)
 			s.bigramPost[f][bg] = encodeSyms(ids)
 		}
 	}
-	// Precompute similarities for the name fields, fanning the
-	// per-value computations (the dominant cost of every ingest
-	// rebuild_indexes flush) across all cores. Each value's list depends
-	// only on the read-only bigram postings, so output is deterministic
-	// regardless of scheduling.
+	// Precompute similarities for the name fields (the dominant cost of a
+	// cold start and of every full rebuild); locations are extended lazily
+	// at query time.
 	precompute := obs.StartStage("index_build_sims")
 	for _, f := range []Field{FieldFirstName, FieldSurname} {
-		vals := make([]string, 0, len(k.postings[f]))
-		for v := range k.postings[f] {
-			vals = append(vals, v)
-		}
-		sort.Strings(vals)
-		outs := make([][]SimilarValue, len(vals))
-		parallelRange(len(vals), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				outs[i] = s.computeSimilar(f, vals[i])
-			}
-		})
-		for i, v := range vals {
-			s.shard(f, v).sims[v] = outs[i]
-		}
+		s.precompute(f, &sets[f])
 	}
 	precompute.Stop()
 	return k, s
@@ -402,54 +406,84 @@ func (s *Similarity) Memoised(f Field, value string) bool {
 	return ok
 }
 
-// computeSimilar scans the bigram postings for candidate values and keeps
-// those with Jaro-Winkler similarity at or above the threshold. bigramPost
-// is immutable after Build, so no lock is held while computing.
-//
-// A probe that is already an interned symbol (every indexed value, and any
-// query value matching one) is scored through the symbol-native simcache
-// kernels, reusing cached features and the process-wide memo. Arbitrary
-// query strings are NEVER interned here — an attacker-controlled query
-// stream must not grow the symbol table — so unknown probes fall back to
-// the plain string kernels, which compute identical scores.
-func (s *Similarity) computeSimilar(f Field, value string) []SimilarValue {
-	probe, interned := symbol.Lookup(value)
-	var bgBuf [64]strsim.BigramID
-	var bgs []strsim.BigramID
-	if interned {
-		bgs = simcache.Feat(probe).Bigrams
-	} else {
-		bgs = strsim.AppendBigramIDs(bgBuf[:0], value)
+// compareSim is the one similarity-list order: similarity descending,
+// value ascending. Values are distinct within a list, so the order is total
+// and a sorted list does not depend on the order its entries arrived in.
+func compareSim(x, y SimilarValue) int {
+	if x.Sim != y.Sim {
+		if x.Sim > y.Sim {
+			return -1
+		}
+		return 1
 	}
-	cand := map[symbol.ID]bool{}
+	return strings.Compare(x.Value, y.Value)
+}
+
+// candScratch is pooled scratch for bigram candidate scans, so a probe
+// allocates no set per scan.
+type candScratch struct{ ids []symbol.ID }
+
+var candPool = sync.Pool{New: func() any { return new(candScratch) }}
+
+// candidates returns, ascending, the distinct symbol ids of the values in
+// post sharing at least one of the bigrams. The result aliases the scratch
+// and is valid until the scratch goes back to the pool.
+func (c *candScratch) candidates(post map[strsim.BigramID]symList, bgs []strsim.BigramID) []symbol.ID {
+	ids := c.ids[:0]
 	for _, bg := range bgs {
-		for it := s.bigramPost[f][bg].iter(); ; {
+		for it := post[bg].iter(); ; {
 			id, ok := it.next()
 			if !ok {
 				break
 			}
-			cand[id] = true
+			ids = append(ids, id)
 		}
 	}
+	slices.Sort(ids)
+	c.ids = ids
+	return slices.Compact(ids)
+}
+
+// computeSimilar is the one-sided probe: it scans the bigram postings for
+// candidate values and keeps those with name similarity at or above the
+// threshold. It serves query-time misses, values added by a flush, and is
+// the reference the all-pairs precompute is tested against. bigramPost is
+// immutable after Build, so no lock is held while computing.
+//
+// A probe that is already an interned symbol (every indexed value, and any
+// query value matching one) is scored by the unmemoised symbol-native
+// kernel on cached features. Arbitrary query strings are NEVER interned
+// here — an attacker-controlled query stream must not grow the symbol
+// table — so unknown probes fall back to the plain string kernels, which
+// compute identical scores.
+func (s *Similarity) computeSimilar(f Field, value string) []SimilarValue {
+	probe, interned := symbol.Lookup(value)
+	var pf *simcache.Features
+	var bgBuf [64]strsim.BigramID
+	var bgs []strsim.BigramID
+	if interned {
+		pf = simcache.Feat(probe)
+		bgs = pf.Bigrams
+	} else {
+		bgs = strsim.AppendBigramIDs(bgBuf[:0], value)
+	}
+	sc := candPool.Get().(*candScratch)
+	cand := sc.candidates(s.bigramPost[f], bgs)
 	out := make([]SimilarValue, 0, len(cand))
-	for id := range cand {
-		v := symbol.Str(id)
+	for _, id := range cand {
+		cf := simcache.Feat(id)
 		var sim float64
 		if interned {
-			sim = simcache.NameSim(probe, id)
+			sim = simcache.NameSimFeatures(pf, cf)
 		} else {
-			sim = strsim.NameSim(value, v)
+			sim = strsim.NameSim(value, cf.Str)
 		}
 		if sim >= s.threshold {
-			out = append(out, SimilarValue{Value: v, Sim: sim})
+			out = append(out, SimilarValue{Value: cf.Str, Sim: sim})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Sim != out[j].Sim {
-			return out[i].Sim > out[j].Sim
-		}
-		return out[i].Value < out[j].Value
-	})
+	candPool.Put(sc)
+	slices.SortFunc(out, compareSim)
 	return out
 }
 

@@ -14,7 +14,7 @@
 package index
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
@@ -239,7 +239,7 @@ func updateKeyword(g *pedigree.Graph, prevK *Keyword, oldToNew []pedigree.NodeID
 	}
 
 	for key, ids := range touched {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		k.postings[key.f][key.v] = encodePostings(ids)
 	}
 	return k
@@ -286,32 +286,30 @@ type simPatch struct {
 	rem map[string]bool
 }
 
-// simBefore is the similarity-list order: similarity descending, value
-// ascending (the comparator of computeSimilar).
-func simBefore(x, y SimilarValue) bool {
-	if x.Sim != y.Sim {
-		return x.Sim > y.Sim
-	}
-	return x.Value < y.Value
-}
-
 // applyPatch merges a sorted similarity list with a patch into a fresh,
 // sorted list; the input list (shared with the previous generation) is not
-// modified.
+// modified. Each added entry is placed by binary search and the runs
+// between them are copied whole, so a long list costs a few comparisons.
 func applyPatch(list []SimilarValue, p *simPatch) []SimilarValue {
-	sort.Slice(p.add, func(i, j int) bool { return simBefore(p.add[i], p.add[j]) })
+	slices.SortFunc(p.add, compareSim)
 	out := make([]SimilarValue, 0, len(list)+len(p.add))
-	i, j := 0, 0
-	for i < len(list) || j < len(p.add) {
-		if i >= len(list) || (j < len(p.add) && simBefore(p.add[j], list[i])) {
-			out = append(out, p.add[j])
-			j++
-			continue
+	for _, a := range p.add {
+		at, _ := slices.BinarySearchFunc(list, a, compareSim)
+		out = append(appendKept(out, list[:at], p.rem), a)
+		list = list[at:]
+	}
+	return appendKept(out, list, p.rem)
+}
+
+// appendKept appends the entries of list whose value is not in rem.
+func appendKept(out, list []SimilarValue, rem map[string]bool) []SimilarValue {
+	if rem == nil {
+		return append(out, list...)
+	}
+	for _, sv := range list {
+		if !rem[sv.Value] {
+			out = append(out, sv)
 		}
-		if p.rem == nil || !p.rem[list[i].Value] {
-			out = append(out, list[i])
-		}
-		i++
 	}
 	return out
 }
@@ -394,7 +392,7 @@ func updateSimilarity(k, prevK *Keyword, prevS *Similarity, simThreshold float64
 			if len(ids) == 0 {
 				continue // bigram disappeared with its values
 			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			slices.Sort(ids)
 			bp[bg] = encodeSyms(ids)
 		}
 		s.bigramPost[f] = bp
@@ -434,18 +432,9 @@ func updateSimilarity(k, prevK *Keyword, prevS *Similarity, simThreshold float64
 		// A removed value's list entries all shared a bigram with it, so a
 		// scan of the PREVIOUS bigram postings finds every list it may
 		// appear in.
+		sc := candPool.Get().(*candScratch)
 		for _, r := range removed {
-			cand := map[symbol.ID]bool{}
-			for _, bg := range simcache.Feat(symbol.Intern(r)).Bigrams {
-				for it := prevS.bigramPost[f][bg].iter(); ; {
-					id, ok := it.next()
-					if !ok {
-						break
-					}
-					cand[id] = true
-				}
-			}
-			for id := range cand {
+			for _, id := range sc.candidates(prevS.bigramPost[f], simcache.Feat(symbol.Intern(r)).Bigrams) {
 				v := symbol.Str(id)
 				if v == r || removedSet[v] || addedSet[v] {
 					continue
@@ -457,6 +446,7 @@ func updateSimilarity(k, prevK *Keyword, prevS *Similarity, simThreshold float64
 				p.rem[r] = true
 			}
 		}
+		candPool.Put(sc)
 
 		// Carry the previous generation's memo over: by reference when
 		// untouched, patched into a fresh copy when the diff reaches it.
@@ -507,7 +497,7 @@ func updateSimilarity(k, prevK *Keyword, prevS *Similarity, simThreshold float64
 				need = append(need, v)
 			}
 		}
-		sort.Strings(need)
+		slices.Sort(need)
 		outs := make([][]SimilarValue, len(need))
 		parallelRange(len(need), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -535,8 +525,8 @@ func valueDiff(cur, prev map[string]postingList) (added, removed []string) {
 			removed = append(removed, v)
 		}
 	}
-	sort.Strings(added)
-	sort.Strings(removed)
+	slices.Sort(added)
+	slices.Sort(removed)
 	return added, removed
 }
 

@@ -5,8 +5,24 @@ import (
 	"github.com/snaps/snaps/internal/symbol"
 )
 
-// NameSim is strsim.NameSim over symbols: Jaro-Winkler raised to the
-// symmetric Monge-Elkan score when either value is multi-token, memoised
+// NameSimFeatures is the one definition of name similarity over cached
+// features: Jaro-Winkler raised to the symmetric Monge-Elkan score when
+// either value is multi-token. It is unmemoised, symmetric bit for bit
+// (so a pair may be scored from either side), and scores a value against
+// itself as 1. NameSim memoises it for ER, whose Zipf-repeated record
+// pairs pay for the memo; the similarity index calls it directly because
+// it scores each distinct pair once (DESIGN §15.2).
+func NameSimFeatures(fa, fb *Features) float64 {
+	s := strsim.JaroWinkler(fa.Str, fb.Str)
+	if fa.HasSpace || fb.HasSpace {
+		if me := strsim.SymMongeElkanTokens(fa.Tokens, fb.Tokens); me > s {
+			s = me
+		}
+	}
+	return s
+}
+
+// NameSim is strsim.NameSim over symbols: NameSimFeatures memoised
 // process-wide per distinct symbol pair.
 func NameSim(a, b symbol.ID) float64 {
 	if a == b {
@@ -26,13 +42,7 @@ func NameSim(a, b symbol.ID) float64 {
 		return v
 	}
 	mMemoMisses.Inc()
-	fa, fb := Feat(a), Feat(b)
-	s := strsim.JaroWinkler(fa.Str, fb.Str)
-	if fa.HasSpace || fb.HasSpace {
-		if me := strsim.SymMongeElkanTokens(fa.Tokens, fb.Tokens); me > s {
-			s = me
-		}
-	}
+	s := NameSimFeatures(Feat(a), Feat(b))
 	nameMemo.put(key, s)
 	return s
 }

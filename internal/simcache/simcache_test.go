@@ -55,6 +55,12 @@ func TestKernelsMatchStringForms(t *testing.T) {
 			if got, want := NameSim(ids[i], ids[j]), strsim.NameSim(a, b); got != want {
 				t.Errorf("NameSim(%q, %q) = %v, strsim = %v", a, b, got, want)
 			}
+			// The unmemoised kernel is the index's scorer: same float as
+			// the string form, from either side of the pair.
+			fa, fb := Feat(ids[i]), Feat(ids[j])
+			if got, want := NameSimFeatures(fa, fb), strsim.NameSim(a, b); got != want || NameSimFeatures(fb, fa) != want {
+				t.Errorf("NameSimFeatures(%q, %q) = %v / %v swapped, strsim = %v", a, b, got, NameSimFeatures(fb, fa), want)
+			}
 			if got, want := Jaccard(ids[i], ids[j]), strsim.Jaccard(a, b); got != want {
 				t.Errorf("Jaccard(%q, %q) = %v, strsim = %v", a, b, got, want)
 			}
@@ -91,6 +97,10 @@ func TestKernelsMatchStringFormsRandom(t *testing.T) {
 		ia, ib := symbol.Intern(a), symbol.Intern(b)
 		if got, want := NameSim(ia, ib), strsim.NameSim(a, b); got != want {
 			t.Fatalf("NameSim(%q, %q) = %v, strsim = %v", a, b, got, want)
+		}
+		fa, fb := Feat(ia), Feat(ib)
+		if got, want := NameSimFeatures(fa, fb), strsim.NameSim(a, b); got != want || NameSimFeatures(fb, fa) != want {
+			t.Fatalf("NameSimFeatures(%q, %q) = %v / %v swapped, strsim = %v", a, b, got, NameSimFeatures(fb, fa), want)
 		}
 		if got, want := Jaccard(ia, ib), strsim.Jaccard(a, b); got != want {
 			t.Fatalf("Jaccard(%q, %q) = %v, strsim = %v", a, b, got, want)
