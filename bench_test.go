@@ -8,7 +8,7 @@ package snaps
 //
 // Additional micro-benchmarks cover the pipeline stages (blocking, graph
 // construction, resolution, indexing, querying) and the ablation-relevant
-// design choices listed in DESIGN.md §4.
+// design choices listed in DESIGN.md §3.
 
 import (
 	"io"
@@ -21,6 +21,7 @@ import (
 	"github.com/snaps/snaps/internal/experiments"
 	"github.com/snaps/snaps/internal/index"
 	"github.com/snaps/snaps/internal/model"
+	"github.com/snaps/snaps/internal/par/partest"
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/query"
 	"github.com/snaps/snaps/internal/store"
@@ -203,7 +204,7 @@ func BenchmarkStagePedigreeExtract(b *testing.B) {
 	}
 }
 
-// --- Ablation benches for the design choices of DESIGN.md §4 ---
+// --- Ablation benches for the design choices of DESIGN.md §3 ---
 
 // BenchmarkAblationPropagationCost measures the runtime cost of PROP-A/C.
 func BenchmarkAblationPropagationCost(b *testing.B) {
@@ -412,27 +413,24 @@ func BenchmarkBuildGraphStream(b *testing.B) {
 }
 
 // BenchmarkOfflineRunWorkers runs the complete offline build — blocking,
-// dependency graph, and component-partitioned resolution — serially and
-// with one worker per core. The resolved clusters are identical for every
-// worker setting (see the golden-equivalence tests in er and blocking);
-// the gap between the two sub-benchmarks is the multi-core payoff.
+// dependency graph, and component-partitioned resolution — at GOMAXPROCS 1
+// and at the run's own GOMAXPROCS. The resolved clusters are identical at
+// every setting (see the golden-equivalence tests in er and blocking); the
+// gap between the two sub-benchmarks is the multi-core payoff.
 func BenchmarkOfflineRunWorkers(b *testing.B) {
 	d := dataset.Generate(dataset.IOS().Scaled(0.08)).Dataset
 	for _, bench := range []struct {
-		name    string
-		workers int
+		name  string
+		procs int // 0 keeps the run's own GOMAXPROCS
 	}{
 		{"workers=1", 1},
 		{"workers=gomaxprocs", 0},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
-			gcfg := depgraph.DefaultConfig()
-			gcfg.Workers = bench.workers
-			cfg := er.DefaultConfig()
-			cfg.Workers = bench.workers
+			partest.WithProcs(b, bench.procs)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				er.Run(d, gcfg, cfg)
+				er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
 			}
 		})
 	}

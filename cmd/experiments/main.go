@@ -19,13 +19,11 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment id (table1..table7, figure2, figure7-8, memdiet, or all)")
 	scale := flag.Float64("scale", 0.25, "workload scale factor relative to the full simulated data sets")
-	workers := flag.Int("workers", 0, "worker goroutines for the offline build stages (0 = GOMAXPROCS, 1 = serial; results are identical)")
 	certs := flag.Int("certs", 100000, "certificate count of the DS-scale tier (memdiet experiment only)")
 	flag.Parse()
 
 	opt := experiments.DefaultOptions()
 	opt.Scale = *scale
-	opt.Workers = *workers
 	opt.TierCerts = *certs
 
 	ids := []string{*exp}

@@ -79,7 +79,6 @@ func main() {
 	var (
 		dsName  = flag.String("dataset", "ios", "data set: ios, kil, ds, or bhic")
 		scale   = flag.Float64("scale", 0.25, "population scale factor")
-		workers = flag.Int("workers", 0, "worker goroutines for the offline build stages: blocking, dependency graph, and component-partitioned resolve (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		anon    = flag.Bool("anonymize", false, "anonymise the data set before building indexes")
 		serve   = flag.String("serve", "", "serve the web interface on this address (e.g. :8080)")
 		queryNm = flag.String("query", "", "run one query: \"<first name> <surname>\"")
@@ -136,12 +135,8 @@ func main() {
 	}
 	slog.SetDefault(obs.NewLogger(os.Stderr, level, *logFormat))
 
-	// One worker bound drives every parallel offline stage; the resolved
-	// clusters are identical for any setting.
 	gcfg := depgraph.DefaultConfig()
-	gcfg.Workers = *workers
 	rcfg := er.DefaultConfig()
-	rcfg.Workers = *workers
 
 	var (
 		d        *model.Dataset
@@ -164,7 +159,7 @@ func main() {
 		geo.GeocodeDataset(d, geo.Skye())
 		slog.Info("imported certificates", "certificates", len(d.Certificates), "records", len(d.Records))
 	default:
-		cfg, err := datasetConfig(*dsName)
+		cfg, err := dataset.ConfigByName(*dsName)
 		if err != nil {
 			fatal(err)
 		}
@@ -328,13 +323,9 @@ func main() {
 			acfg.MaxBacklogBytes = *admitBacklogBytes
 			acfg.BacklogRetryAfter = icfg.MaxAge
 			acfg.Backlog = pipe.Backlog
-			// Per-shard bound: twice the fair share of the global bound,
-			// so routing skew has headroom but one hot shard still sheds
-			// long before the global backlog average would notice it. At
-			// one shard it equals the global bound.
 			acfg.ShardBacklog = pipe.HottestShardBacklog
-			acfg.MaxShardBacklogRecords = perShardBound(*admitBacklogRecords, *shards)
-			acfg.MaxShardBacklogBytes = perShardBound(*admitBacklogBytes, int64(*shards))
+			acfg.MaxShardBacklogRecords = admission.PerShardBound(*admitBacklogRecords, *shards)
+			acfg.MaxShardBacklogBytes = admission.PerShardBound(*admitBacklogBytes, int64(*shards))
 			srv.EnableAdmission(admission.New(acfg))
 		}
 		srv.EnableHealth(pipe)
@@ -356,37 +347,6 @@ func main() {
 func fatal(err error) {
 	slog.Error(err.Error())
 	os.Exit(1)
-}
-
-func datasetConfig(name string) (dataset.Config, error) {
-	switch strings.ToLower(name) {
-	case "ios":
-		return dataset.IOS(), nil
-	case "kil":
-		return dataset.KIL(), nil
-	case "ds":
-		return dataset.DS(), nil
-	case "bhic":
-		return dataset.BHIC(1900), nil
-	}
-	return dataset.Config{}, fmt.Errorf("unknown dataset %q (want ios, kil, ds, or bhic)", name)
-}
-
-// perShardBound derives a single-shard admission bound from a global one:
-// twice the fair share (headroom for routing skew), capped at the global
-// bound, floored at 1 so a configured bound never degenerates to unbounded.
-func perShardBound[T int | int64](global, shards T) T {
-	if global <= 0 || shards <= 1 {
-		return global
-	}
-	b := 2 * global / shards
-	if b < 1 {
-		b = 1
-	}
-	if b > global {
-		b = global
-	}
-	return b
 }
 
 func runQuery(coord *shard.Coordinator, nameQuery string) {

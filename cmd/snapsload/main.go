@@ -40,6 +40,7 @@ import (
 	"github.com/snaps/snaps/internal/er"
 	"github.com/snaps/snaps/internal/ingest"
 	"github.com/snaps/snaps/internal/load"
+	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/server"
@@ -143,13 +144,14 @@ func main() {
 		// The workload still needs name pools: mine them from a locally
 		// simulated graph at the requested scale. Matching the live
 		// server's dataset is the operator's job.
-		graph = buildGraph(*dsName, *scale)
+		graph = pedigree.Build(resolve(*dsName, *scale))
 		target = &load.HTTPTarget{Base: strings.TrimRight(*urlFlag, "/"),
 			Client: &http.Client{Timeout: 30 * time.Second}}
 	} else {
 		rep.Target = "in-process"
 		var srv *server.Server
-		srv, graph = buildServer(*dsName, *scale, *ingestBatch, *shards,
+		d, st := resolve(*dsName, *scale)
+		srv, graph = buildServer(d, st, *ingestBatch, *shards,
 			*admitConcurrency, *admitBacklogRecords, *admitBacklogBytes)
 		if *admitConcurrency > 0 {
 			rep.Admission = &AdmissionConfig{
@@ -230,33 +232,24 @@ func main() {
 // target is load.Target; aliased locally to keep main readable.
 type target = load.Target
 
-// buildGraph runs simulate -> resolve -> pedigree.
-func buildGraph(name string, scale float64) *pedigree.Graph {
-	cfg, err := datasetConfig(name)
+// resolve runs simulate -> resolve, the prefix of both targets.
+func resolve(name string, scale float64) (*model.Dataset, *er.EntityStore) {
+	cfg, err := dataset.ConfigByName(name)
 	if err != nil {
 		fatal(err)
 	}
 	slog.Info("simulating", "dataset", name, "scale", scale)
-	p := dataset.Generate(cfg.Scaled(scale))
-	pr := er.Run(p.Dataset, depgraph.DefaultConfig(), er.DefaultConfig())
-	return pedigree.Build(p.Dataset, pr.Result.Store)
+	d := dataset.Generate(cfg.Scaled(scale)).Dataset
+	return d, er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig()).Result.Store
 }
 
-// buildServer stands up the full in-process serving stack: indexes, live
-// ingestion (no journal — the harness measures serving, not fsync), and
-// admission control, mirroring cmd/snaps -serve.
-func buildServer(name string, scale float64, batch, shards, concurrency, maxRecords int, maxBytes int64) (*server.Server, *pedigree.Graph) {
-	cfg, err := datasetConfig(name)
-	if err != nil {
-		fatal(err)
-	}
-	slog.Info("simulating", "dataset", name, "scale", scale)
-	p := dataset.Generate(cfg.Scaled(scale))
-	pr := er.Run(p.Dataset, depgraph.DefaultConfig(), er.DefaultConfig())
-
+// buildServer stands up the full in-process serving stack over a resolved
+// data set: indexes, live ingestion (no journal — the harness measures
+// serving, not fsync), and admission control, mirroring cmd/snaps -serve.
+func buildServer(d *model.Dataset, st *er.EntityStore, batch, shards, concurrency, maxRecords int, maxBytes int64) (*server.Server, *pedigree.Graph) {
 	icfg := ingest.DefaultConfig()
 	icfg.BatchSize = batch
-	sv := ingest.NewServing(p.Dataset, pr.Result.Store, shards, icfg)
+	sv := ingest.NewServing(d, st, shards, icfg)
 	srv := server.NewSharded(sv.Shards)
 	pipe, err := ingest.NewPipeline(sv, nil, nil, icfg)
 	if err != nil {
@@ -272,12 +265,8 @@ func buildServer(name string, scale float64, batch, shards, concurrency, maxReco
 		acfg.BacklogRetryAfter = icfg.MaxAge
 		acfg.Backlog = pipe.Backlog
 		acfg.ShardBacklog = pipe.HottestShardBacklog
-		if maxRecords > 0 {
-			acfg.MaxShardBacklogRecords = max(1, 2*maxRecords/shards)
-		}
-		if maxBytes > 0 {
-			acfg.MaxShardBacklogBytes = max(int64(1), 2*maxBytes/int64(shards))
-		}
+		acfg.MaxShardBacklogRecords = admission.PerShardBound(maxRecords, shards)
+		acfg.MaxShardBacklogBytes = admission.PerShardBound(maxBytes, int64(shards))
 		srv.EnableAdmission(admission.New(acfg))
 	}
 	srv.EnableHealth(pipe)
@@ -304,21 +293,6 @@ func shedCounters() map[string]int64 {
 		return nil
 	}
 	return out
-}
-
-// datasetConfig maps a -dataset name to its simulation parameters.
-func datasetConfig(name string) (dataset.Config, error) {
-	switch strings.ToLower(name) {
-	case "ios":
-		return dataset.IOS(), nil
-	case "kil":
-		return dataset.KIL(), nil
-	case "ds":
-		return dataset.DS(), nil
-	case "bhic":
-		return dataset.BHIC(1900), nil
-	}
-	return dataset.Config{}, fmt.Errorf("unknown dataset %q (want ios, kil, ds, or bhic)", name)
 }
 
 func printReplay(rr *ReplayResult) {

@@ -117,6 +117,19 @@ type Config struct {
 	ShardBacklog func() (shard, records int, bytes int64)
 }
 
+// PerShardBound derives Config.MaxShardBacklog{Records,Bytes} from the
+// global bound: twice the fair share, so routing skew has headroom but one
+// hot shard still sheds long before the global backlog average would notice
+// it; capped at the global bound (which it equals at one shard) and floored
+// at 1, so a configured bound never degenerates to unbounded. A global bound
+// of 0 or less (unbounded) is returned as is.
+func PerShardBound[T int | int64](global, shards T) T {
+	if global <= 0 || shards <= 1 {
+		return global
+	}
+	return max(1, min(global, 2*global/shards))
+}
+
 // DefaultConfig returns the production defaults: a 64-unit budget with the
 // pedigree-before-ingest-before-search degradation ladder, no per-class
 // rate limits, and a 4096-record / 8 MiB ingest backlog bound.

@@ -296,3 +296,30 @@ func TestShardBacklogBackpressure(t *testing.T) {
 		t.Fatal("controller still overloaded after the hot shard drained")
 	}
 }
+
+// TestPerShardBound pins the one derivation of the per-shard backlog bound
+// both commands use: twice the fair share, capped at the global bound,
+// floored at 1, and the global bound itself when unbounded or unsharded.
+func TestPerShardBound(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		global, shards, want int
+	}{
+		{"unbounded stays unbounded", 0, 4, 0},
+		{"negative global passes through", -1, 4, -1},
+		{"one shard gets the global bound", 4096, 1, 4096},
+		{"zero shards means one", 4096, 0, 4096},
+		{"two shards: twice the fair share is the global bound", 4096, 2, 4096},
+		{"four shards: half", 4096, 4, 2048},
+		{"seven shards round down", 100, 7, 28},
+		{"floor at one", 3, 16, 1},
+		{"cap at global", 5, 2, 5},
+	} {
+		if got := PerShardBound(tc.global, tc.shards); got != tc.want {
+			t.Errorf("%s: PerShardBound(%d, %d) = %d, want %d", tc.name, tc.global, tc.shards, got, tc.want)
+		}
+		if got := PerShardBound(int64(tc.global), int64(tc.shards)); got != int64(tc.want) {
+			t.Errorf("%s: int64 PerShardBound(%d, %d) = %d, want %d", tc.name, tc.global, tc.shards, got, tc.want)
+		}
+	}
+}

@@ -4,28 +4,24 @@ import (
 	"testing"
 
 	"github.com/snaps/snaps/internal/dataset"
-	"github.com/snaps/snaps/internal/model"
+	"github.com/snaps/snaps/internal/par/partest"
 )
 
 // TestPairsShardedByteIdentical locks the sharded emitPairs to the serial
 // one: the candidate list must be byte-identical — same pairs, same order —
-// for every worker setting, because downstream dependency-graph node ids
-// derive from candidate order.
+// at every GOMAXPROCS, because downstream dependency-graph node ids derive
+// from candidate order.
 func TestPairsShardedByteIdentical(t *testing.T) {
 	d := dataset.Generate(dataset.IOS().Scaled(0.08)).Dataset
 	ids := allIDs(d)
-	base := func() []Candidate {
-		cfg := DefaultLSHConfig()
-		cfg.Workers = 1
-		return NewLSH(cfg).Pairs(d, ids)
-	}()
+	partest.WithProcs(t, 1)
+	base := NewLSH(DefaultLSHConfig()).Pairs(d, ids)
 	if len(base) == 0 {
 		t.Fatal("no candidates from serial blocking")
 	}
 	for _, w := range []int{2, 4, 7} {
-		cfg := DefaultLSHConfig()
-		cfg.Workers = w
-		got := NewLSH(cfg).Pairs(d, ids)
+		partest.WithProcs(t, w)
+		got := NewLSH(DefaultLSHConfig()).Pairs(d, ids)
 		if len(got) != len(base) {
 			t.Fatalf("workers=%d emitted %d pairs, serial emitted %d", w, len(got), len(base))
 		}
@@ -43,42 +39,20 @@ func BenchmarkEmitPairs(b *testing.B) {
 	d := dataset.Generate(dataset.IOS().Scaled(0.1)).Dataset
 	ids := allIDs(d)
 	cfg := DefaultLSHConfig()
-	l := NewLSH(cfg)
-
-	type recHashes struct{ full, surname []uint64 }
-	hashes := make([]recHashes, len(ids))
-	parallelRange(len(ids), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rec := d.Record(ids[i])
-			hashes[i].full = l.bandHashes(nameKeySyms(rec.First, rec.Sur))
-			if rec.Surname() != "" {
-				hashes[i].surname = l.bandHashes(rec.Surname())
-			}
-		}
-	})
-	blocks := make(map[blockKey][]model.RecordID)
-	for i, id := range ids {
-		for band, h := range hashes[i].full {
-			key := blockKey{band: band, hash: h}
-			blocks[key] = append(blocks[key], id)
-		}
-		for band, h := range hashes[i].surname {
-			key := blockKey{band: cfg.Bands + band, hash: h}
-			blocks[key] = append(blocks[key], id)
-		}
-	}
+	blocks := buildBlocks(d, ids, cfg)
 
 	for _, bench := range []struct {
-		name    string
-		workers int
+		name  string
+		procs int // 0 keeps the run's own GOMAXPROCS
 	}{
 		{"workers=1", 1},
 		{"workers=gomaxprocs", 0},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
+			partest.WithProcs(b, bench.procs)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out := emitPairs(d, blocks, cfg.MaxBlockSize, nil, bench.workers)
+				out := emitPairs(d, blocks, cfg.MaxBlockSize)
 				if len(out) == 0 {
 					b.Fatal("no pairs emitted")
 				}

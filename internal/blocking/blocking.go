@@ -11,12 +11,11 @@
 package blocking
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
+	"github.com/snaps/snaps/internal/par"
 	"github.com/snaps/snaps/internal/simcache"
 	"github.com/snaps/snaps/internal/strsim"
 	"github.com/snaps/snaps/internal/symbol"
@@ -27,12 +26,15 @@ type Candidate struct {
 	A, B model.RecordID
 }
 
-// Blocker produces candidate record pairs from a data set.
-type Blocker interface {
-	// Pairs returns the deduplicated candidate pairs among the given
-	// records. Pairs are canonical: A < B.
-	Pairs(d *model.Dataset, ids []model.RecordID) []Candidate
-}
+// Blocks over the size cap are skipped, never silently: every call adds the
+// blocks it dropped and the records in them (a record counts once per
+// dropped block it sits in) to these counters.
+var (
+	mCappedBlocks = obs.Default.Counter("snaps_blocking_capped_blocks_total",
+		"Blocks skipped by pair emission because they exceeded MaxBlockSize.")
+	mCappedRecords = obs.Default.Counter("snaps_blocking_capped_records_total",
+		"Record memberships of the blocks skipped for exceeding MaxBlockSize.")
+)
 
 // LSHConfig tunes the MinHash LSH blocker.
 type LSHConfig struct {
@@ -47,11 +49,6 @@ type LSHConfig struct {
 	// skipped to avoid quadratic blowup on very frequent values, mirroring
 	// standard blocking practice. Zero means no cap.
 	MaxBlockSize int
-	// Workers bounds the concurrency of signature hashing and pair
-	// emission; 0 uses GOMAXPROCS. Output is identical for every setting:
-	// pair emission shards the sorted block keys and merges shard outputs
-	// in order, reproducing the serial first-occurrence order exactly.
-	Workers int
 }
 
 // DefaultLSHConfig returns the configuration used by SNAPS: 8 bands of 4
@@ -153,7 +150,8 @@ type blockKey struct {
 	hash uint64
 }
 
-// Pairs implements Blocker. Records with the same band hash in any band are
+// Pairs returns the deduplicated candidate pairs among the given records,
+// canonical A < B. Records with the same band hash in any band are
 // candidates; gender-incompatible pairs are filtered here already because no
 // downstream step can ever link them.
 //
@@ -208,13 +206,13 @@ func (l *LSH) PairsChunked(d *model.Dataset, ids []model.RecordID, emit func(chu
 		}
 	}
 	fullSigs := make([][]uint64, len(pairSyms))
-	parallelRangeW(l.cfg.Workers, len(pairSyms), func(lo, hi int) {
+	par.Range(len(pairSyms), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fullSigs[i] = l.bandHashes(nameKeySyms(pairSyms[i][0], pairSyms[i][1]))
 		}
 	})
 	surSigs := make([][]uint64, len(surSyms))
-	parallelRangeW(l.cfg.Workers, len(surSyms), func(lo, hi int) {
+	par.Range(len(surSyms), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			surSigs[i] = l.bandHashes(symbol.Str(surSyms[i]))
 		}
@@ -234,37 +232,7 @@ func (l *LSH) PairsChunked(d *model.Dataset, ids []model.RecordID, emit func(chu
 			}
 		}
 	}
-	emitPairsChunked(d, blocks, l.cfg.MaxBlockSize, nil, l.cfg.Workers, emit)
-}
-
-// PairsTouching blocks all records but emits only candidate pairs with at
-// least one endpoint in focus — the incremental-resolution workload, where
-// newly arrived records must be compared against the whole data set but
-// existing pairs need not be revisited.
-func (l *LSH) PairsTouching(d *model.Dataset, ids []model.RecordID, focus map[model.RecordID]bool) []Candidate {
-	var out []Candidate
-	l.PairsTouchingChunked(d, ids, focus, func(chunk []Candidate) {
-		out = append(out, chunk...)
-	})
-	return out
-}
-
-// PairsTouchingChunked is PairsTouching with streamed output; the focus
-// filter is a pure pair predicate, so filtering each chunk yields the same
-// candidate sequence as filtering the materialised list.
-func (l *LSH) PairsTouchingChunked(d *model.Dataset, ids []model.RecordID, focus map[model.RecordID]bool, emit func(chunk []Candidate)) {
-	l.PairsChunked(d, ids, func(chunk []Candidate) {
-		w := 0
-		for _, c := range chunk {
-			if focus[c.A] || focus[c.B] {
-				chunk[w] = c
-				w++
-			}
-		}
-		if w > 0 {
-			emit(chunk[:w])
-		}
-	})
+	emitPairsChunked(d, blocks, l.cfg.MaxBlockSize, emit)
 }
 
 // bandHashes computes the per-band hashes of a name's MinHash signature,
@@ -285,38 +253,6 @@ func (l *LSH) bandHashes(name string) []uint64 {
 		out[b] = h
 	}
 	return out
-}
-
-// parallelRange splits [0,n) into GOMAXPROCS chunks run concurrently.
-func parallelRange(n int, fn func(lo, hi int)) { parallelRangeW(0, n, fn) }
-
-// parallelRangeW is parallelRange with an explicit worker bound (0 means
-// GOMAXPROCS).
-func parallelRangeW(workers, n int, fn func(lo, hi int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // nameKeySyms is the blocking string of a (first name, surname) pair,
@@ -414,9 +350,9 @@ type emitScratch struct {
 
 // emitPairs is the materialising adapter over emitPairsChunked, retained
 // for the Soundex blocker and tests.
-func emitPairs(d *model.Dataset, blocks map[blockKey][]model.RecordID, maxBlock int, keep func(a, b model.RecordID) bool, workers int) []Candidate {
+func emitPairs(d *model.Dataset, blocks map[blockKey][]model.RecordID, maxBlock int) []Candidate {
 	var out []Candidate
-	emitPairsChunked(d, blocks, maxBlock, keep, workers, func(chunk []Candidate) {
+	emitPairsChunked(d, blocks, maxBlock, func(chunk []Candidate) {
 		out = append(out, chunk...)
 	})
 	return out
@@ -424,30 +360,34 @@ func emitPairs(d *model.Dataset, blocks map[blockKey][]model.RecordID, maxBlock 
 
 // emitPairsChunked deduplicates pair emission across blocks and applies the
 // gender-compatibility filter, delivering the candidates in bounded chunks.
-// A non-nil keep filter restricts emission.
 //
 // The sorted block keys are split into contiguous spans of roughly
-// pairChunkTarget pairs each; spans are emitted in waves of `workers` with
+// pairChunkTarget pairs each; spans are emitted in waves of GOMAXPROCS with
 // a local dedup map per span, then merged serially in span order under the
 // global first-wins pairSet and handed to emit. Because spans are
 // contiguous runs of the serial iteration order, the merged stream
 // reproduces the serial first-occurrence order byte for byte regardless of
-// span size or worker count (the PR 5 ordering contract); the gender and
+// span size or GOMAXPROCS; the gender and
 // certificate filters are pure pair predicates, so applying them before or
 // after deduplication yields the same candidate sequence.
-func emitPairsChunked(d *model.Dataset, blocks map[blockKey][]model.RecordID, maxBlock int, keep func(a, b model.RecordID) bool, workers int, emit func(chunk []Candidate)) {
+func emitPairsChunked(d *model.Dataset, blocks map[blockKey][]model.RecordID, maxBlock int, emit func(chunk []Candidate)) {
 	st := obs.StartStage("blocking.emit_pairs")
 	defer st.Stop()
 
 	// Deterministic iteration: sort keys, dropping capped blocks up front
 	// and summing emittable pair counts for span sizing.
 	keys := make([]blockKey, 0, len(blocks))
+	cappedBlocks, cappedRecords := 0, 0
 	for k, blk := range blocks {
 		if maxBlock > 0 && len(blk) > maxBlock {
+			cappedBlocks++
+			cappedRecords += len(blk)
 			continue
 		}
 		keys = append(keys, k)
 	}
+	mCappedBlocks.Add(int64(cappedBlocks))
+	mCappedRecords.Add(int64(cappedRecords))
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].band != keys[j].band {
 			return keys[i].band < keys[j].band
@@ -461,9 +401,6 @@ func emitPairsChunked(d *model.Dataset, blocks map[blockKey][]model.RecordID, ma
 	}
 	if total == 0 {
 		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 
 	// Contiguous spans of roughly pairChunkTarget pre-dedup pairs.
@@ -483,7 +420,7 @@ func emitPairsChunked(d *model.Dataset, blocks map[blockKey][]model.RecordID, ma
 		// One span needs no cross-span dedup: its local table already
 		// produced the serial first-occurrence order.
 		var sc emitScratch
-		if out := emitShard(d, blocks, keys, keep, total, &sc); len(out) > 0 {
+		if out := emitShard(d, blocks, keys, total, &sc); len(out) > 0 {
 			emit(out)
 		}
 		return
@@ -494,17 +431,18 @@ func emitPairsChunked(d *model.Dataset, blocks map[blockKey][]model.RecordID, ma
 	// race-free, and the emit contract (chunks are only read during the
 	// call) makes recycling the output buffers legal.
 	seen := newPairSet(total/4 + 16)
-	scratch := make([]emitScratch, min(workers, len(spans)))
+	workers := par.Procs(len(spans))
+	scratch := make([]emitScratch, workers)
 	outs := make([][]Candidate, len(spans))
 	for wave := 0; wave < len(spans); wave += workers {
 		end := wave + workers
 		if end > len(spans) {
 			end = len(spans)
 		}
-		parallelRangeW(workers, end-wave, func(lo, hi int) {
+		par.Range(end-wave, func(lo, hi int) {
 			for s := lo; s < hi; s++ {
 				sp := spans[wave+s]
-				outs[wave+s] = emitShard(d, blocks, keys[sp.lo:sp.hi], keep, sp.pairs, &scratch[s])
+				outs[wave+s] = emitShard(d, blocks, keys[sp.lo:sp.hi], sp.pairs, &scratch[s])
 			}
 		})
 		// Ordered merge with global first-wins dedup, then hand the
@@ -538,7 +476,7 @@ func emitPairsChunked(d *model.Dataset, blocks map[blockKey][]model.RecordID, ma
 // the highest measured density, no over-allocation at the lowest — and
 // after the first wave the table has reached working size, so steady state
 // allocates nothing at all.
-func emitShard(d *model.Dataset, blocks map[blockKey][]model.RecordID, keys []blockKey, keep func(a, b model.RecordID) bool, pairHint int, sc *emitScratch) []Candidate {
+func emitShard(d *model.Dataset, blocks map[blockKey][]model.RecordID, keys []blockKey, pairHint int, sc *emitScratch) []Candidate {
 	sc.seen.reset(pairHint/4 + 16)
 	out := sc.out[:0]
 	for _, k := range keys {
@@ -550,9 +488,6 @@ func emitShard(d *model.Dataset, blocks map[blockKey][]model.RecordID, keys []bl
 					a, b = b, a
 				}
 				if a == b {
-					continue
-				}
-				if keep != nil && !keep(a, b) {
 					continue
 				}
 				if !sc.seen.add(uint64(model.MakePairKey(a, b))) {
@@ -600,7 +535,8 @@ type Soundex struct {
 	Encode func(string) string
 }
 
-// Pairs implements Blocker.
+// Pairs returns the deduplicated candidate pairs among the given records,
+// canonical A < B.
 func (s *Soundex) Pairs(d *model.Dataset, ids []model.RecordID) []Candidate {
 	encode := s.Encode
 	if encode == nil {
@@ -631,5 +567,5 @@ func (s *Soundex) Pairs(d *model.Dataset, ids []model.RecordID) []Candidate {
 		k2 := encode(rec.Surname())
 		blocks[blockKey{band: 1, hash: keyID(k2)}] = append(blocks[blockKey{band: 1, hash: keyID(k2)}], id)
 	}
-	return emitPairs(d, blocks, s.MaxBlockSize, nil, 0)
+	return emitPairs(d, blocks, s.MaxBlockSize)
 }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/snaps/snaps/internal/dataset"
 	"github.com/snaps/snaps/internal/model"
+	"github.com/snaps/snaps/internal/par"
 )
 
 // buildBlocks replicates the block-construction half of Pairs so emission
@@ -14,7 +15,7 @@ func buildBlocks(d *model.Dataset, ids []model.RecordID, cfg LSHConfig) map[bloc
 	l := NewLSH(cfg)
 	type recHashes struct{ full, surname []uint64 }
 	hashes := make([]recHashes, len(ids))
-	parallelRange(len(ids), func(lo, hi int) {
+	par.Range(len(ids), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			rec := d.Record(ids[i])
 			hashes[i].full = l.bandHashes(nameKeySyms(rec.First, rec.Sur))
@@ -91,7 +92,7 @@ func TestPairHintSizingAudit(t *testing.T) {
 //	SNAPS_BENCH_SCALE=100k go test -bench EmitPairsScale -benchtime 1x ./internal/blocking
 //	SNAPS_BENCH_SCALE=1M   go test -bench EmitPairsScale -benchtime 1x ./internal/blocking
 //
-// DESIGN.md §14.5 carries the measured regression note.
+// TestPairHintSizingAudit is the always-on check of the same sizing.
 func BenchmarkEmitPairsScale(b *testing.B) {
 	want := os.Getenv("SNAPS_BENCH_SCALE")
 	for _, tier := range []struct {
@@ -112,7 +113,7 @@ func BenchmarkEmitPairsScale(b *testing.B) {
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out := emitPairs(d, blocks, cfg.MaxBlockSize, nil, cfg.Workers)
+				out := emitPairs(d, blocks, cfg.MaxBlockSize)
 				if len(out) == 0 {
 					b.Fatal("no pairs emitted")
 				}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/snaps/snaps/internal/dataset"
 	"github.com/snaps/snaps/internal/model"
+	"github.com/snaps/snaps/internal/par/partest"
 )
 
 // TestPairsChunkedStreamEquivalence locks the streamed emitter to the
@@ -17,9 +18,8 @@ func TestPairsChunkedStreamEquivalence(t *testing.T) {
 	d := dataset.GenerateScale(dataset.ScaleTier(3000)).Dataset
 	ids := allIDs(d)
 	for _, workers := range []int{1, 3} {
-		cfg := ScaleLSHConfig()
-		cfg.Workers = workers
-		l := NewLSH(cfg)
+		partest.WithProcs(t, workers)
+		l := NewLSH(ScaleLSHConfig())
 		want := l.Pairs(d, ids)
 
 		var streamed []Candidate
@@ -50,25 +50,42 @@ func TestPairsChunkedStreamEquivalence(t *testing.T) {
 	}
 }
 
-// TestPairsTouchingChunkedStreamEquivalence is the same lock for the
-// incremental (Extend) path's focus-filtered emitter.
+// TestPairsTouchingChunkedStreamEquivalence locks the incremental (Extend)
+// filter to its definition: keeping, chunk by chunk, the pairs whose B is a
+// new record yields exactly the materialised candidate list restricted to
+// the pairs with an endpoint in the focus set, in the same order — pairs
+// are canonical A < B and the new records are a suffix of the id space.
 func TestPairsTouchingChunkedStreamEquivalence(t *testing.T) {
-	d := dataset.Generate(dataset.IOS().Scaled(0.08)).Dataset
+	d := dataset.GenerateScale(dataset.ScaleTier(3000)).Dataset
 	ids := allIDs(d)
+	firstNew := model.RecordID(len(d.Records) * 3 / 4)
 	focus := map[model.RecordID]bool{}
-	for id := model.RecordID(len(d.Records) * 3 / 4); int(id) < len(d.Records); id++ {
+	for id := firstNew; int(id) < len(d.Records); id++ {
 		focus[id] = true
 	}
-	cfg := DefaultLSHConfig()
-	l := NewLSH(cfg)
-	want := l.PairsTouching(d, ids, focus)
+	l := NewLSH(ScaleLSHConfig())
+	var want []Candidate
+	for _, c := range l.Pairs(d, ids) {
+		if focus[c.A] || focus[c.B] {
+			want = append(want, c)
+		}
+	}
 	if len(want) == 0 {
 		t.Fatal("no touching pairs; focus window too small")
 	}
 	var streamed []Candidate
-	l.PairsTouchingChunked(d, ids, focus, func(chunk []Candidate) {
-		streamed = append(streamed, chunk...)
+	chunks := 0
+	l.PairsChunked(d, ids, func(chunk []Candidate) {
+		chunks++
+		for _, c := range chunk {
+			if c.B >= firstNew {
+				streamed = append(streamed, c)
+			}
+		}
 	})
+	if chunks < 2 {
+		t.Fatalf("got %d chunks, want several (tier too small to exercise streaming)", chunks)
+	}
 	if len(streamed) != len(want) {
 		t.Fatalf("streamed %d pairs, materialised %d", len(streamed), len(want))
 	}
@@ -76,5 +93,32 @@ func TestPairsTouchingChunkedStreamEquivalence(t *testing.T) {
 		if streamed[i] != want[i] {
 			t.Fatalf("pair %d = %v streamed, %v materialised", i, streamed[i], want[i])
 		}
+	}
+}
+
+// TestCappedBlocksAreCounted pins the no-silently-skipped-work contract of
+// the block cap: a DS-3k run under the scale profile drops oversized blocks,
+// and the two counters move by exactly a direct recount of them.
+func TestCappedBlocksAreCounted(t *testing.T) {
+	d := dataset.GenerateScale(dataset.ScaleTier(3000)).Dataset
+	ids := allIDs(d)
+	cfg := ScaleLSHConfig()
+	wantBlocks, wantRecords := int64(0), int64(0)
+	for _, blk := range buildBlocks(d, ids, cfg) {
+		if len(blk) > cfg.MaxBlockSize {
+			wantBlocks++
+			wantRecords += int64(len(blk))
+		}
+	}
+	if wantBlocks == 0 {
+		t.Fatal("no oversized block at this tier; the cap is not exercised")
+	}
+	blocks0, records0 := mCappedBlocks.Value(), mCappedRecords.Value()
+	NewLSH(cfg).Pairs(d, ids)
+	if got := mCappedBlocks.Value() - blocks0; got != wantBlocks {
+		t.Errorf("snaps_blocking_capped_blocks_total moved by %d, recount says %d", got, wantBlocks)
+	}
+	if got := mCappedRecords.Value() - records0; got != wantRecords {
+		t.Errorf("snaps_blocking_capped_records_total moved by %d, recount says %d", got, wantRecords)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"github.com/snaps/snaps/internal/geo"
 	"github.com/snaps/snaps/internal/model"
@@ -177,6 +178,22 @@ func BHIC(startYear int) Config {
 		},
 		BirthRate: 0.33, MarriageRate: 0.10, DeathHazard: 1.0,
 	}
+}
+
+// ConfigByName maps the -dataset name the commands accept (ios, kil, ds or
+// bhic, any case) to its simulation parameters.
+func ConfigByName(name string) (Config, error) {
+	switch strings.ToLower(name) {
+	case "ios":
+		return IOS(), nil
+	case "kil":
+		return KIL(), nil
+	case "ds":
+		return DS(), nil
+	case "bhic":
+		return BHIC(1900), nil
+	}
+	return Config{}, fmt.Errorf("unknown dataset %q (want ios, kil, ds, or bhic)", name)
 }
 
 // Scaled returns a copy of cfg with the founder population multiplied by f,

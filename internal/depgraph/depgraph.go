@@ -14,46 +14,18 @@ package depgraph
 import (
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/snaps/snaps/internal/blocking"
 	"github.com/snaps/snaps/internal/constraint"
 	"github.com/snaps/snaps/internal/model"
+	"github.com/snaps/snaps/internal/par"
 	"github.com/snaps/snaps/internal/simcache"
 	"github.com/snaps/snaps/internal/strsim"
 )
 
 // compareAttrs lists the attributes compared during graph construction.
 var compareAttrs = []model.Attr{model.FirstName, model.Surname, model.Address, model.Occupation}
-
-// parallelRange splits [0,n) into chunks and runs fn on each concurrently.
-func parallelRange(workers, n int, fn func(lo, hi int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // AtomicKey identifies an atomic node: an attribute plus a canonical
 // (ordered) pair of interned values. Keying by symbol ID instead of by the
@@ -124,10 +96,6 @@ type Config struct {
 	// GeoMaxKm converts geocoded address distance to similarity; used only
 	// for records with coordinates.
 	GeoMaxKm float64
-	// Workers bounds the goroutines used for the similarity computations
-	// of the atomic phase; 0 uses GOMAXPROCS. Results are deterministic
-	// regardless of worker count.
-	Workers int
 }
 
 // DefaultConfig returns the paper's parameters. GeoMaxKm is chosen so that
@@ -278,7 +246,7 @@ func Build(d *model.Dataset, cfg Config, cands []blocking.Candidate) (*Graph, Bu
 // occupy in one big slice, and both the atomic-node interning and the
 // relational-node appending are serial per chunk, the first-occurrence
 // orders — and therefore every node and group ID — are identical to the
-// monolithic build at any chunk size and worker count. Atomic and
+// monolithic build at any chunk size and GOMAXPROCS. Atomic and
 // relational nodes live in separate slices with independent ID spaces, so
 // interleaving their construction across chunks cannot renumber anything.
 func BuildStream(d *model.Dataset, cfg Config, stream func(emit func(chunk []blocking.Candidate))) (*Graph, BuildStats) {
@@ -330,7 +298,7 @@ func BuildStream(d *model.Dataset, cfg Config, stream func(emit func(chunk []blo
 		// pair (internal/simcache), so repeats across chunks, workers, and
 		// Extend flushes are computed once.
 		t0 := time.Now()
-		parallelRange(cfg.Workers, n, func(lo, hi int) {
+		par.Range(n, func(lo, hi int) {
 			for ci := lo; ci < hi; ci++ {
 				c := chunk[ci]
 				ra, rb := d.Record(c.A), d.Record(c.B)
@@ -462,8 +430,8 @@ func (g *Graph) connectRelationships() {
 	// Each node's neighbour list is written only by the worker owning that
 	// node; relOf and pairIndex are read-only here, so the wiring loop
 	// parallelises without synchronisation, and per-node dedup+sort keeps
-	// the result independent of the worker count.
-	parallelRange(g.Config.Workers, len(g.Nodes), func(lo, hi int) {
+	// the result independent of GOMAXPROCS.
+	par.Range(len(g.Nodes), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			n := &g.Nodes[i]
 			for _, ea := range relOf[n.A] {
@@ -508,7 +476,7 @@ func (g *Graph) buildGroups() {
 	// Certificate pairs are pure per-node lookups; precompute them in
 	// parallel so the serial component walk below only chases pointers.
 	certPairs := make([][2]model.CertID, len(g.Nodes))
-	parallelRange(g.Config.Workers, len(g.Nodes), func(lo, hi int) {
+	par.Range(len(g.Nodes), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			n := &g.Nodes[i]
 			ca, cb := d.Record(n.A).Cert, d.Record(n.B).Cert

@@ -7,6 +7,7 @@ import (
 	"github.com/snaps/snaps/internal/blocking"
 	"github.com/snaps/snaps/internal/dataset"
 	"github.com/snaps/snaps/internal/model"
+	"github.com/snaps/snaps/internal/par/partest"
 )
 
 // graphsEqual compares every exported component two builds can disagree
@@ -30,7 +31,7 @@ func graphsEqual(t *testing.T, label string, got, want *Graph) {
 // one: feeding the same candidates through BuildStream in chunks of any
 // size — including pathological sizes of 1 and sizes that straddle the
 // phase-2 filter — must produce an identical graph. This is the
-// chunk-interleaving determinism argument of DESIGN.md §15 made
+// chunk-interleaving determinism argument of DESIGN.md §4.4 made
 // executable.
 func TestBuildStreamMatchesBuild(t *testing.T) {
 	p := dataset.Generate(dataset.IOS().Scaled(0.05))
@@ -62,9 +63,8 @@ func TestBuildStreamMatchesBuild(t *testing.T) {
 	// Worker-count invariance on top of chunk-size invariance: the parallel
 	// scoring inside a chunk must not reorder interning.
 	for _, workers := range []int{2, 5} {
-		wcfg := cfg
-		wcfg.Workers = workers
-		g, _ := Build(d, wcfg, cands)
+		partest.WithProcs(t, workers)
+		g, _ := Build(d, cfg, cands)
 		graphsEqual(t, "workers="+itoa(workers), g, want)
 	}
 }

@@ -2,6 +2,7 @@ package er
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"github.com/snaps/snaps/internal/dataset"
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/model"
+	"github.com/snaps/snaps/internal/par/partest"
 )
 
 // canonicalClusters renders a clustering as a canonical string: record ids
@@ -38,7 +40,7 @@ func canonicalClusters(cl [][]model.RecordID) string {
 // TestRunDeterministic is the golden determinism guard: er.Run on the same
 // seeded data set must produce the identical cluster set every time, even
 // though blocking and dependency-graph construction fan work out over
-// parallel goroutines (depgraph.parallelRange). A nondeterministic merge
+// parallel goroutines (par.Range). A nondeterministic merge
 // order would silently change linkage results between runs — and make the
 // live ingestion path's restore-and-extend cycle diverge from a fresh
 // resolve.
@@ -62,25 +64,26 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 // TestResolveParallelGoldenEquivalence locks the component-partitioned
-// parallel resolver to the serial one: on the same data set, workers=1 and
-// workers=GOMAXPROCS (plus a fixed workers=4 so the parallel path runs even
-// on single-CPU hosts) must produce the identical cluster set. Entity
-// enumeration order is allowed to differ — cluster contents are not.
+// parallel resolver to the serial one: on the same data set, GOMAXPROCS 1
+// (the serial resolver) and the run's own GOMAXPROCS (plus a fixed 4 so the
+// parallel path runs even on single-CPU hosts) must produce the identical
+// cluster set. Entity enumeration order is allowed to differ — cluster
+// contents are not.
 func TestResolveParallelGoldenEquivalence(t *testing.T) {
 	cfg := dataset.IOS().Scaled(0.04)
 	p := dataset.Generate(cfg)
+	ambient := runtime.GOMAXPROCS(0)
 	run := func(workers int) (string, *Result) {
+		partest.WithProcs(t, workers)
 		d := p.Dataset.Clone()
-		rcfg := DefaultConfig()
-		rcfg.Workers = workers
-		pr := Run(d, depgraph.DefaultConfig(), rcfg)
+		pr := Run(d, depgraph.DefaultConfig(), DefaultConfig())
 		return canonicalClusters(pr.Result.Store.Clusters()), pr.Result
 	}
 	serial, sres := run(1)
 	if serial == "" {
 		t.Fatal("no non-singleton clusters resolved; scale too small for the guard to bite")
 	}
-	for _, w := range []int{0, 4} {
+	for _, w := range []int{ambient, 4} {
 		par, pres := run(w)
 		if par != serial {
 			t.Fatalf("workers=%d cluster set differs from serial\nserial:\n%s\nworkers=%d:\n%s",
@@ -108,11 +111,10 @@ func TestExtendParallelGoldenEquivalence(t *testing.T) {
 	// full set with the restored clusters and an arbitrary cut point.
 	firstNew := model.RecordID(len(p.Dataset.Records) * 9 / 10)
 	run := func(workers int) string {
+		partest.WithProcs(t, workers)
 		d := p.Dataset.Clone()
 		st := restoreForTest(d, clusters, firstNew)
-		rcfg := DefaultConfig()
-		rcfg.Workers = workers
-		Extend(d, st, firstNew, depgraph.DefaultConfig(), rcfg)
+		Extend(d, st, firstNew, depgraph.DefaultConfig(), DefaultConfig())
 		return canonicalClusters(st.Clusters())
 	}
 	serial := run(1)

@@ -1,8 +1,11 @@
 package er
 
 import (
+	"reflect"
 	"testing"
 
+	"github.com/snaps/snaps/internal/blocking"
+	"github.com/snaps/snaps/internal/dataset"
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/model"
 )
@@ -100,5 +103,64 @@ func TestExtendOnlyBlocksNewPairs(t *testing.T) {
 		if n.A < firstNew && n.B < firstNew {
 			t.Fatalf("delta graph contains old-old node (%d,%d)", n.A, n.B)
 		}
+	}
+}
+
+// TestExtendStreamedMatchesMaterialised locks the streamed Extend to the
+// materialised pipeline it replaced: filter the full candidate list to the
+// pairs whose B is a new record, build the graph from that slice, resolve
+// from the restored clusters. Same candidate count, same node sequence and
+// group membership, same clusters.
+func TestExtendStreamedMatchesMaterialised(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		d    *model.Dataset
+		lcfg blocking.LSHConfig
+	}{
+		{"ios-0.04", dataset.Generate(dataset.IOS().Scaled(0.04)).Dataset, blocking.DefaultLSHConfig()},
+		{"ds-3k", dataset.GenerateScale(dataset.ScaleTier(3000)).Dataset, blocking.ScaleLSHConfig()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gcfg, cfg := depgraph.DefaultConfig(), DefaultConfig()
+			clusters := RunLSH(tc.d, tc.lcfg, gcfg, cfg).Result.Store.Clusters()
+			firstNew := model.RecordID(len(tc.d.Records) * 9 / 10)
+
+			d := tc.d.Clone()
+			var cands []blocking.Candidate
+			for _, c := range blocking.NewLSH(blocking.DefaultLSHConfig()).Pairs(d, d.RecordIDs()) {
+				if c.B >= firstNew {
+					cands = append(cands, c)
+				}
+			}
+			if len(cands) == 0 {
+				t.Fatal("no candidate touches a new record")
+			}
+			wantG, _ := depgraph.Build(d, gcfg, cands)
+			ref := NewResolver(wantG, cfg)
+			ref.store = restoreForTest(d, clusters, firstNew)
+			want := canonicalClusters(ref.Resolve().Store.Clusters())
+
+			d = tc.d.Clone()
+			st := restoreForTest(d, clusters, firstNew)
+			pr := Extend(d, st, firstNew, gcfg, cfg)
+			if pr.Candidates != len(cands) {
+				t.Fatalf("Extend streamed %d candidates, the filtered list has %d", pr.Candidates, len(cands))
+			}
+			if len(pr.Graph.Nodes) != len(wantG.Nodes) {
+				t.Fatalf("Extend built %d nodes, materialised build %d", len(pr.Graph.Nodes), len(wantG.Nodes))
+			}
+			for i := range wantG.Nodes {
+				g, w := &pr.Graph.Nodes[i], &wantG.Nodes[i]
+				if g.A != w.A || g.B != w.B || g.Group != w.Group {
+					t.Fatalf("node %d = (%d,%d) group %d, materialised (%d,%d) group %d", i, g.A, g.B, g.Group, w.A, w.B, w.Group)
+				}
+			}
+			if !reflect.DeepEqual(pr.Graph.Groups, wantG.Groups) {
+				t.Fatalf("group membership differs (%d vs %d groups)", len(pr.Graph.Groups), len(wantG.Groups))
+			}
+			if got := canonicalClusters(st.Clusters()); got != want {
+				t.Fatalf("clusters differ\nmaterialised:\n%s\nstreamed:\n%s", head(want, 20), head(got, 20))
+			}
+		})
 	}
 }

@@ -1,21 +1,11 @@
 package er
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/snaps/snaps/internal/obs"
+	"github.com/snaps/snaps/internal/par"
 )
-
-// effectiveWorkers resolves the Workers knob: 0 means GOMAXPROCS.
-func (c Config) effectiveWorkers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // component is one independent unit of the partitioned resolve: the node
 // groups of one connected component of the dependency graph, plus the
@@ -142,7 +132,7 @@ func (r *Resolver) partition() []component {
 // validator, name frequencies) and, because components partition both the
 // records and the relational nodes, can also share the entityOf/ver record
 // slabs and the similarity/value cache slabs without synchronisation.
-func (r *Resolver) resolveParallel(workers int) *Result {
+func (r *Resolver) resolveParallel() *Result {
 	comps := r.partition()
 	if len(comps) < 2 {
 		return nil
@@ -175,34 +165,20 @@ func (r *Resolver) resolveParallel(workers int) *Result {
 		}
 		return a < b
 	})
-	if workers > len(comps) {
-		workers = len(comps)
-	}
 	results := make([]*Result, len(comps))
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(order) {
-					return
-				}
-				ci := order[i]
-				cr := &Resolver{
-					cfg: r.cfg, g: r.g, d: r.d, store: subs[ci],
-					val: r.val, nameFreq: r.nameFreq,
-					simCache: r.simCache, valCache: r.valCache,
-				}
-				res := &Result{Store: subs[ci]}
-				cr.resolveGroups(res, comps[ci].groups)
-				results[ci] = res
+	par.Pull(len(order), func(_ int, next func() int) {
+		for i := next(); i < len(order); i = next() {
+			ci := order[i]
+			cr := &Resolver{
+				cfg: r.cfg, g: r.g, d: r.d, store: subs[ci],
+				val: r.val, nameFreq: r.nameFreq,
+				simCache: r.simCache, valCache: r.valCache,
 			}
-		}()
-	}
-	wg.Wait()
+			res := &Result{Store: subs[ci]}
+			cr.resolveGroups(res, comps[ci].groups)
+			results[ci] = res
+		}
+	})
 
 	// Merge: renumber every component's live entities into the parent store
 	// in component order. Cluster contents are exactly what the serial
@@ -238,7 +214,3 @@ func (r *Resolver) resolveParallel(workers int) *Result {
 	obs.ObserveStage("refine", out.Timings.Refine)
 	return out
 }
-
-// ComponentCount reports how many independent components the current graph
-// and store partition into; exported for tests and diagnostics.
-func (r *Resolver) ComponentCount() int { return len(r.partition()) }

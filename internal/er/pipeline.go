@@ -34,73 +34,23 @@ func (p *PipelineResult) Total() time.Duration {
 // graph construction, and the SNAPS bootstrapping/merging/refinement
 // process.
 func Run(d *model.Dataset, gcfg depgraph.Config, cfg Config) *PipelineResult {
-	return RunLSH(d, blocking.DefaultLSHConfig(), gcfg, cfg)
+	return run(context.Background(), d, blocking.DefaultLSHConfig(), gcfg, cfg, nil, 0)
 }
 
 // RunLSH is Run under an explicit blocking profile. The DS-scale bench
 // tiers pass blocking.ScaleLSHConfig(), whose tighter admission keeps
 // candidate growth linear in the corpus; parish-scale callers should stay
-// on Run. The profile's Workers field is overridden by gcfg.Workers so
-// one knob bounds the whole build.
-//
-// Blocking streams into graph construction: candidate chunks are scored
-// and interned as they are emitted, so the full candidate slice (and the
-// per-candidate similarity slabs) never materialise. The chunked emitter
-// preserves the serial first-occurrence pair order, so the graph — and
-// everything downstream — is byte-identical to the materialised path.
-// Blocking time is accounted as the producer-side wall clock minus the
-// time spent inside the scoring consumer.
+// on Run.
 func RunLSH(d *model.Dataset, lcfg blocking.LSHConfig, gcfg depgraph.Config, cfg Config) *PipelineResult {
-	lcfg.Workers = gcfg.Workers
-	lsh := blocking.NewLSH(lcfg)
-	ids := allRecordIDs(d)
-
-	var prodTotal, inConsumer time.Duration
-	g, stats := depgraph.BuildStream(d, gcfg, func(emit func(chunk []blocking.Candidate)) {
-		t0 := time.Now()
-		lsh.PairsChunked(d, ids, func(chunk []blocking.Candidate) {
-			tc := time.Now()
-			emit(chunk)
-			inConsumer += time.Since(tc)
-		})
-		prodTotal = time.Since(t0)
-	})
-	blockTime := prodTotal - inConsumer
-	obs.ObserveStage("blocking", blockTime)
-	obs.ObserveStage("graph_atomic", stats.GenAtomic)
-	obs.ObserveStage("graph_relational", stats.GenRelational)
-	// DS-scale builds re-base GC pacing before resolution: the resolver's
-	// first allocations otherwise ride a trigger inflated by build-phase
-	// garbage, and the whole run's heap peak lands there. Gated like the
-	// BuildStream boundary collection so parish-scale runs and tests skip
-	// it.
-	if stats.Candidates >= depgraph.GCRebaseMinCandidates {
-		runtime.GC()
-	}
-	res := NewResolver(g, cfg).Resolve()
-	return &PipelineResult{
-		Graph: g, Result: res,
-		Blocking:      blockTime,
-		GenAtomic:     stats.GenAtomic,
-		GenRelational: stats.GenRelational,
-		Candidates:    stats.Candidates,
-	}
-}
-
-func allRecordIDs(d *model.Dataset) []model.RecordID {
-	ids := make([]model.RecordID, len(d.Records))
-	for i := range d.Records {
-		ids[i] = d.Records[i].ID
-	}
-	return ids
+	return run(context.Background(), d, lcfg, gcfg, cfg, nil, 0)
 }
 
 // Extend incrementally resolves newly appended records against an existing
 // clustering: the data set must already contain the new records (ids at or
 // after firstNew), and store holds the clusters of the earlier resolution.
-// Only candidate pairs touching a new record are blocked, graphed, and
-// merged; existing clusters participate through PROP-A value propagation
-// and PROP-C constraints but their internal links are never revisited.
+// Only candidate pairs touching a new record are graphed and merged;
+// existing clusters participate through PROP-A value propagation and PROP-C
+// constraints but their internal links are never revisited.
 //
 // This is the growth path for a live deployment: new registration quarters
 // arrive, Extend folds them in, and the pedigree graph and indexes are
@@ -109,37 +59,78 @@ func Extend(d *model.Dataset, store *EntityStore, firstNew model.RecordID, gcfg 
 	return ExtendContext(context.Background(), d, store, firstNew, gcfg, cfg)
 }
 
-// ExtendContext is Extend under the caller's trace: when the context
-// carries a span (the ingest pipeline's flush trace), the incremental
-// blocking, dependency-graph construction, and resolution phases each
-// record a child span, attributed with the candidate-pair and new-record
-// counts that drove their cost.
+// ExtendContext is Extend under the caller's trace (the ingest pipeline's
+// flush trace): see run for the child spans it records.
 func ExtendContext(ctx context.Context, d *model.Dataset, store *EntityStore, firstNew model.RecordID, gcfg depgraph.Config, cfg Config) *PipelineResult {
-	st := obs.StartStage("blocking")
-	_, bsp := obs.StartSpan(ctx, "er.blocking")
-	lcfg := blocking.DefaultLSHConfig()
-	lcfg.Workers = gcfg.Workers
-	lsh := blocking.NewLSH(lcfg)
-	focus := make(map[model.RecordID]bool, len(d.Records)-int(firstNew))
-	for id := firstNew; int(id) < len(d.Records); id++ {
-		focus[id] = true
-	}
-	cands := lsh.PairsTouching(d, allRecordIDs(d), focus)
-	bsp.SetAttr("new_records", int64(len(focus)))
-	bsp.SetAttr("candidate_pairs", int64(len(cands)))
-	bsp.End()
-	blockTime := st.Stop()
+	return run(ctx, d, blocking.DefaultLSHConfig(), gcfg, cfg, store, firstNew)
+}
 
+// run is the offline pipeline, full build and incremental extension alike:
+// block every record, score the candidates into G_D, resolve. With a prior
+// store only the candidate pairs touching a record at or after firstNew
+// reach the graph, and the resolver starts from prior's clusters instead of
+// from singletons.
+//
+// Blocking streams into graph construction: candidate chunks are scored
+// and interned as they are emitted, so the full candidate slice (and the
+// per-candidate similarity slabs) never materialise. The chunked emitter
+// preserves the serial first-occurrence pair order and BuildStream is
+// chunk-size-invariant, so the graph — and everything downstream — is
+// byte-identical to a build from the materialised, filtered candidate list.
+// Blocking time is accounted as the producer-side wall clock minus the time
+// spent inside the scoring consumer.
+//
+// When ctx carries a span, the streamed block+score build records the
+// child span er.graph (attrs candidate_pairs, new_records, blocking_us) and
+// resolution records er.resolve (attr merged_nodes).
+func run(ctx context.Context, d *model.Dataset, lcfg blocking.LSHConfig, gcfg depgraph.Config, cfg Config, prior *EntityStore, firstNew model.RecordID) *PipelineResult {
+	lsh := blocking.NewLSH(lcfg)
 	_, gsp := obs.StartSpan(ctx, "er.graph")
-	g, stats := depgraph.Build(d, gcfg, cands)
+	var prodTotal, inConsumer time.Duration
+	g, stats := depgraph.BuildStream(d, gcfg, func(emit func(chunk []blocking.Candidate)) {
+		t0 := time.Now()
+		lsh.PairsChunked(d, d.RecordIDs(), func(chunk []blocking.Candidate) {
+			if prior != nil {
+				// Pairs are canonical A < B and the new records are a suffix
+				// of the id space: a pair touches one exactly when B is new.
+				w := 0
+				for _, c := range chunk {
+					if c.B >= firstNew {
+						chunk[w] = c
+						w++
+					}
+				}
+				chunk = chunk[:w]
+			}
+			tc := time.Now()
+			emit(chunk)
+			inConsumer += time.Since(tc)
+		})
+		prodTotal = time.Since(t0)
+	})
+	blockTime := prodTotal - inConsumer
+	gsp.SetAttr("candidate_pairs", int64(stats.Candidates))
+	gsp.SetAttr("new_records", int64(len(d.Records))-int64(firstNew))
+	gsp.SetAttr("blocking_us", blockTime.Microseconds())
 	gsp.End()
+	obs.ObserveStage("blocking", blockTime)
 	obs.ObserveStage("graph_atomic", stats.GenAtomic)
 	obs.ObserveStage("graph_relational", stats.GenRelational)
+	// DS-scale builds re-base GC pacing before resolution: the resolver's
+	// first allocations otherwise ride a trigger inflated by build-phase
+	// garbage, and the whole run's heap peak lands there. Gated like the
+	// BuildStream boundary collection so parish-scale runs, tests and
+	// incremental flushes skip it.
+	if stats.Candidates >= depgraph.GCRebaseMinCandidates {
+		runtime.GC()
+	}
 
 	_, rsp := obs.StartSpan(ctx, "er.resolve")
-	store.Grow()
 	r := NewResolver(g, cfg)
-	r.store = store
+	if prior != nil {
+		prior.Grow()
+		r.store = prior
+	}
 	res := r.Resolve()
 	rsp.SetAttr("merged_nodes", int64(res.MergedNodes))
 	rsp.End()
@@ -148,6 +139,6 @@ func ExtendContext(ctx context.Context, d *model.Dataset, store *EntityStore, fi
 		Blocking:      blockTime,
 		GenAtomic:     stats.GenAtomic,
 		GenRelational: stats.GenRelational,
-		Candidates:    len(cands),
+		Candidates:    stats.Candidates,
 	}
 }

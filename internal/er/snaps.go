@@ -3,6 +3,7 @@ package er
 import (
 	"container/heap"
 	"math"
+	"runtime"
 	"sort"
 	"time"
 
@@ -54,14 +55,6 @@ type Config struct {
 	// negative evidence; farther apart, the attribute may legitimately have
 	// changed and contributes nothing.
 	ExtraYearWindow int
-
-	// Workers bounds the concurrency of the component-partitioned resolve:
-	// 0 uses GOMAXPROCS, 1 forces the serial resolver. Groups in different
-	// connected components of the dependency graph share no records, so
-	// their merge decisions are independent and the parallel resolve
-	// produces the same clusters as the serial one (entity enumeration
-	// order differs; cluster contents do not).
-	Workers int
 }
 
 // DefaultConfig returns the paper's published parameter values with every
@@ -179,12 +172,16 @@ func nameCombo(rec *model.Record) nameComboKey {
 }
 
 // Resolve runs bootstrapping, merging, and refinement, and returns the
-// resulting clusters. With Config.Workers allowing more than one worker the
-// dependency graph is partitioned into connected components and resolved
-// concurrently (see resolveParallel); otherwise the serial process runs.
+// resulting clusters. With more than one processor the dependency graph is
+// partitioned into connected components and resolved concurrently (see
+// resolveParallel); at GOMAXPROCS 1 the serial process runs, which is also
+// the reference the partitioned one is tested against. Groups in different
+// components share no records, so their merge decisions are independent
+// and both produce the same clusters (entity enumeration order differs;
+// cluster contents do not).
 func (r *Resolver) Resolve() *Result {
-	if w := r.cfg.effectiveWorkers(); w > 1 {
-		if res := r.resolveParallel(w); res != nil {
+	if runtime.GOMAXPROCS(0) > 1 {
+		if res := r.resolveParallel(); res != nil {
 			return res
 		}
 	}

@@ -40,29 +40,9 @@ type Options struct {
 	// fraction of true Bp-Dp pairs retained when scoring. 1.0 disables it.
 	TruthKeepBpDpIOS float64
 	TruthKeepBpDpKIL float64
-	// Workers bounds the goroutines of the offline build stages (blocking,
-	// dependency-graph construction, component-partitioned resolve); 0
-	// uses GOMAXPROCS, 1 forces the serial paths. Results are identical
-	// for every setting.
-	Workers int
 	// TierCerts is the certificate count of the DS-scale tier for the
 	// memdiet experiment (not part of All(); cmd/experiments -certs sets it).
 	TierCerts int
-}
-
-// graphConfig is the dependency-graph config under the options' worker
-// bound (which Run also forwards to blocking).
-func (o Options) graphConfig() depgraph.Config {
-	cfg := depgraph.DefaultConfig()
-	cfg.Workers = o.Workers
-	return cfg
-}
-
-// erConfig is the resolver config under the options' worker bound.
-func (o Options) erConfig() er.Config {
-	cfg := er.DefaultConfig()
-	cfg.Workers = o.Workers
-	return cfg
 }
 
 // DefaultOptions mirror the paper's evaluation setup.
@@ -186,7 +166,7 @@ func Table2(w io.Writer, opt Options) {
 	for _, cfg := range []dataset.Config{dataset.IOS().Scaled(opt.Scale), dataset.KIL().Scaled(opt.Scale)} {
 		p := dataset.Generate(cfg)
 		d := p.Dataset
-		ids := allIDs(d)
+		ids := d.RecordIDs()
 		cands := blocking.NewLSH(blocking.DefaultLSHConfig()).Pairs(d, ids)
 		for _, grp := range []struct {
 			name   string
@@ -214,20 +194,6 @@ func Table2(w io.Writer, opt Options) {
 				nc, len(truth))
 		}
 	}
-}
-
-func allIDs(d *model.Dataset) []model.RecordID {
-	ids := make([]model.RecordID, len(d.Records))
-	for i := range d.Records {
-		ids[i] = d.Records[i].ID
-	}
-	return ids
-}
-
-// runSNAPS executes the full pipeline with the given graph and resolver
-// configs.
-func runSNAPS(d *model.Dataset, gcfg depgraph.Config, cfg er.Config) *er.PipelineResult {
-	return er.Run(d, gcfg, cfg)
 }
 
 // score evaluates a prediction against (possibly thinned) truth.
@@ -262,9 +228,9 @@ func Table3(w io.Writer, opt Options) {
 	}
 	var rows []row
 	for _, v := range variants {
-		cfg := opt.erConfig()
+		cfg := er.DefaultConfig()
 		v.mod(&cfg)
-		pr := runSNAPS(d, opt.graphConfig(), cfg)
+		pr := er.Run(d, depgraph.DefaultConfig(), cfg)
 		rows = append(rows, row{
 			name: v.name,
 			bpbp: score(d, combinedPred(pr.Result.Store, BpBp), BpBp, 1),
@@ -292,7 +258,7 @@ func Table4(w io.Writer, opt Options) {
 	} {
 		p := dataset.Generate(ds.cfg)
 		d := p.Dataset
-		ids := allIDs(d)
+		ids := d.RecordIDs()
 		cands := blocking.NewLSH(blocking.DefaultLSHConfig()).Pairs(d, ids)
 
 		for _, grp := range []struct {
@@ -305,7 +271,7 @@ func Table4(w io.Writer, opt Options) {
 		} {
 			fmt.Fprintf(w, "%s (%s):\n", ds.cfg.Name, grp.name)
 
-			pr := runSNAPS(d, opt.graphConfig(), opt.erConfig())
+			pr := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
 			q := score(d, combinedPred(pr.Result.Store, grp.rps), grp.rps, grp.keep)
 			fmt.Fprintf(w, "  %-12s %v\n", "SNAPS", q)
 
@@ -313,12 +279,12 @@ func Table4(w io.Writer, opt Options) {
 			q = score(d, attr, grp.rps, grp.keep)
 			fmt.Fprintf(w, "  %-12s %v\n", "Attr-Sim", q)
 
-			g, _ := depgraph.Build(d, opt.graphConfig(), cands)
+			g, _ := depgraph.Build(d, depgraph.DefaultConfig(), cands)
 			store := baseline.NewDepGraph().Resolve(d, g)
 			q = score(d, combinedPred(store, grp.rps), grp.rps, grp.keep)
 			fmt.Fprintf(w, "  %-12s %v\n", "Dep-Graph", q)
 
-			g2, _ := depgraph.Build(d, opt.graphConfig(), cands)
+			g2, _ := depgraph.Build(d, depgraph.DefaultConfig(), cands)
 			store = baseline.NewRelCluster().Resolve(d, g2)
 			q = score(d, combinedPred(store, grp.rps), grp.rps, grp.keep)
 			fmt.Fprintf(w, "  %-12s %v\n", "Rel-Cluster", q)
@@ -385,10 +351,10 @@ func Table5(w io.Writer, opt Options) {
 	for _, cfg := range []dataset.Config{dataset.IOS().Scaled(opt.Scale), dataset.KIL().Scaled(opt.Scale)} {
 		p := dataset.Generate(cfg)
 		d := p.Dataset
-		ids := allIDs(d)
+		ids := d.RecordIDs()
 		cands := blocking.NewLSH(blocking.DefaultLSHConfig()).Pairs(d, ids)
 
-		pr := runSNAPS(d, opt.graphConfig(), opt.erConfig())
+		pr := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
 		snapsTime := pr.Total()
 
 		// Baselines are timed through the shared Stage API, so the table's
@@ -397,12 +363,12 @@ func Table5(w io.Writer, opt Options) {
 		baseline.NewAttrSim().Match(d, toBaselineCands(cands))
 		attrTime := st.Stop()
 
-		g, _ := depgraph.Build(d, opt.graphConfig(), cands)
+		g, _ := depgraph.Build(d, depgraph.DefaultConfig(), cands)
 		st = obs.StartStage("baseline_dep_graph")
 		baseline.NewDepGraph().Resolve(d, g)
 		depTime := st.Stop()
 
-		g2, _ := depgraph.Build(d, opt.graphConfig(), cands)
+		g2, _ := depgraph.Build(d, depgraph.DefaultConfig(), cands)
 		st = obs.StartStage("baseline_rel_cluster")
 		baseline.NewRelCluster().Resolve(d, g2)
 		relTime := st.Stop()
@@ -428,7 +394,7 @@ func Table6(w io.Writer, opt Options) {
 		cfg := dataset.BHIC(startYear).Scaled(opt.Scale)
 		p := dataset.Generate(cfg)
 		d := p.Dataset
-		pr := runSNAPS(d, opt.graphConfig(), opt.erConfig())
+		pr := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
 
 		nodes := len(pr.Graph.Atomics) + len(pr.Graph.Nodes)
 		edges := 0
@@ -459,7 +425,7 @@ func maxInt(a, b int) int {
 func Table7(w io.Writer, opt Options) {
 	fmt.Fprintln(w, "Table 7: query and pedigree extraction latency (seconds)")
 	p := dataset.Generate(dataset.IOS().Scaled(opt.Scale))
-	pr := runSNAPS(p.Dataset, opt.graphConfig(), opt.erConfig())
+	pr := er.Run(p.Dataset, depgraph.DefaultConfig(), er.DefaultConfig())
 	g := pedigree.Build(p.Dataset, pr.Result.Store)
 	k, s := index.Build(g, 0.5)
 	engine := query.NewEngine(g, k, s)
@@ -512,7 +478,7 @@ func printLatencies(w io.Writer, label string, ts []time.Duration) {
 func Figure7(w io.Writer, opt Options) {
 	fmt.Fprintln(w, "Figures 7-8: example family pedigree renderings")
 	p := dataset.Generate(dataset.IOS().Scaled(opt.Scale))
-	pr := runSNAPS(p.Dataset, opt.graphConfig(), opt.erConfig())
+	pr := er.Run(p.Dataset, depgraph.DefaultConfig(), er.DefaultConfig())
 	g := pedigree.Build(p.Dataset, pr.Result.Store)
 	// Pick the best-connected entity for an interesting tree.
 	best, bestEdges := pedigree.NodeID(0), -1
@@ -535,17 +501,17 @@ func Sensitivity(w io.Writer, opt Options) {
 
 	fmt.Fprintln(w, "sweep of merge threshold t_m (γ=0.6):")
 	for _, tm := range []float64{0.75, 0.80, 0.85, 0.90, 0.95} {
-		cfg := opt.erConfig()
+		cfg := er.DefaultConfig()
 		cfg.MergeThreshold = tm
-		pr := runSNAPS(d, opt.graphConfig(), cfg)
+		pr := er.Run(d, depgraph.DefaultConfig(), cfg)
 		q := score(d, combinedPred(pr.Result.Store, BpBp), BpBp, 1)
 		fmt.Fprintf(w, "  t_m=%.2f  %v\n", tm, q)
 	}
 	fmt.Fprintln(w, "sweep of γ (t_m=0.85):")
 	for _, gamma := range []float64{0.4, 0.5, 0.6, 0.7, 0.8, 1.0} {
-		cfg := opt.erConfig()
+		cfg := er.DefaultConfig()
 		cfg.Gamma = gamma
-		pr := runSNAPS(d, opt.graphConfig(), cfg)
+		pr := er.Run(d, depgraph.DefaultConfig(), cfg)
 		q := score(d, combinedPred(pr.Result.Store, BpBp), BpBp, 1)
 		fmt.Fprintf(w, "  γ=%.2f    %v\n", gamma, q)
 	}
@@ -568,7 +534,7 @@ func Census(w io.Writer, opt Options) {
 		if len(cfg.CensusYears) > 0 {
 			label = fmt.Sprintf("with %d censuses", len(cfg.CensusYears))
 		}
-		pr := runSNAPS(d, opt.graphConfig(), opt.erConfig())
+		pr := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
 		fmt.Fprintf(w, "%s (%d records):\n", label, len(d.Records))
 		q := score(d, combinedPred(pr.Result.Store, BpBp), BpBp, 1)
 		fmt.Fprintf(w, "  %-28s %v\n", "Bp-Bp", q)
@@ -591,12 +557,12 @@ func Census(w io.Writer, opt Options) {
 
 // Blocking reports the standard blocking-quality measures (pair
 // completeness over the Bp-Bp truth, reduction ratio, candidate count) for
-// several LSH configurations, grounding the banding choice of DESIGN.md §4.
+// several LSH configurations, grounding the banding choice of DESIGN.md §3.
 func Blocking(w io.Writer, opt Options) {
 	fmt.Fprintln(w, "Blocking quality on IOS (Bp-Bp truth)")
 	p := dataset.Generate(dataset.IOS().Scaled(opt.Scale))
 	d := p.Dataset
-	ids := allIDs(d)
+	ids := d.RecordIDs()
 	truth := combinedTruth(d, BpBp)
 	fmt.Fprintf(w, "%-22s %12s %10s %10s\n", "Config", "Candidates", "PC", "RR")
 	score := func(label string, cands []blocking.Candidate) {
@@ -627,7 +593,7 @@ func Blocking(w io.Writer, opt Options) {
 func Tuning(w io.Writer, opt Options) {
 	fmt.Fprintln(w, "Learned query-ranking weights (future-work extension)")
 	p := dataset.Generate(dataset.IOS().Scaled(opt.Scale))
-	pr := runSNAPS(p.Dataset, opt.graphConfig(), opt.erConfig())
+	pr := er.Run(p.Dataset, depgraph.DefaultConfig(), er.DefaultConfig())
 	g := pedigree.Build(p.Dataset, pr.Result.Store)
 	k, s := index.Build(g, 0.5)
 	engine := query.NewEngine(g, k, s)
@@ -665,7 +631,7 @@ func Run(w io.Writer, id string, opt Options) bool {
 		Stages(w, opt)
 		return true
 	case "memdiet":
-		Memdiet(w, opt.TierCerts, opt)
+		Memdiet(w, opt.TierCerts)
 		return true
 	case "sensitivity":
 		Sensitivity(w, opt)

@@ -10,6 +10,7 @@ import (
 
 	"github.com/snaps/snaps/internal/blocking"
 	"github.com/snaps/snaps/internal/dataset"
+	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/er"
 	"github.com/snaps/snaps/internal/store"
 	"github.com/snaps/snaps/internal/symbol"
@@ -24,7 +25,7 @@ import (
 // plus the amortised symbol table) and full-footprint
 // (store.FootprintBytes over everything the snapshot holds: records,
 // certificates, clusters, symbol table).
-func Memdiet(w io.Writer, certs int, opt Options) {
+func Memdiet(w io.Writer, certs int) {
 	runtime.GC()
 	heapBase := heapAllocBytes()
 	watch := newHeapWatch()
@@ -35,7 +36,7 @@ func Memdiet(w io.Writer, certs int, opt Options) {
 	heapAfterGen := heapAllocBytes()
 
 	t0 = time.Now()
-	pr := er.RunLSH(pop.Dataset, blocking.ScaleLSHConfig(), opt.graphConfig(), opt.erConfig())
+	pr := er.RunLSH(pop.Dataset, blocking.ScaleLSHConfig(), depgraph.DefaultConfig(), er.DefaultConfig())
 	buildSec := time.Since(t0).Seconds()
 	heapAfterBuild := heapAllocBytes()
 	heapPeak := watch.stop()

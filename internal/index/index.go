@@ -29,7 +29,6 @@
 package index
 
 import (
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -262,44 +261,11 @@ func BuildSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, simThreshol
 	return k, s
 }
 
-// parallelRange splits [0,n) into GOMAXPROCS chunks run concurrently (the
-// same pattern as blocking's candidate-pair fan-out).
-func parallelRange(n int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // Lookup returns the entities carrying the exact value in the field,
-// decoded from the compressed posting list into a fresh slice. Callers
-// must treat the result as read-only (the historical contract); the query
-// hot path avoids the decode allocation entirely via Postings.
+// decoded from the compressed posting list into a fresh slice: the caller
+// owns it and may mutate it or keep it across index updates. The query hot
+// path avoids the decode allocation entirely via Postings.
 func (k *Keyword) Lookup(f Field, value string) []pedigree.NodeID {
-	return k.postings[f][value].decode()
-}
-
-// LookupCopy returns a private copy of the postings for the value, safe to
-// mutate or retain across index rebuilds.
-func (k *Keyword) LookupCopy(f Field, value string) []pedigree.NodeID {
 	return k.postings[f][value].decode()
 }
 

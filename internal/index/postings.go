@@ -12,8 +12,7 @@
 // Encoded lists are immutable: copy-on-write sharing between index
 // generations (index.UpdateSubset) is a struct copy aliasing the same byte
 // slice. The query hot path iterates postings without allocating via
-// PostingIter; Lookup/LookupCopy decode into a fresh slice, which keeps
-// their documented contracts (read-only view / private copy) intact.
+// PostingIter; Lookup decodes into a fresh slice the caller owns.
 package index
 
 import (

@@ -8,11 +8,9 @@
 package index
 
 import (
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
+	"github.com/snaps/snaps/internal/par"
 	"github.com/snaps/snaps/internal/simcache"
 	"github.com/snaps/snaps/internal/strsim"
 )
@@ -41,51 +39,40 @@ const pairChunk = 16
 
 // precompute computes and stores the similarity list of every value in vs:
 // exactly the list computeSimilar returns for it, entry for entry and bit
-// for bit, whatever the worker count.
+// for bit, whatever GOMAXPROCS is.
 func (s *Similarity) precompute(f Field, vs *valueSet) {
 	n := len(vs.vals)
-	workers := min(runtime.GOMAXPROCS(0), (n+pairChunk-1)/pairChunk)
-	bufs := make([][]simPair, workers)
-	calls := make([]int, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// seen[j] == i+1 marks j as already scored against i: each i
-			// belongs to one worker, so its number is the epoch and the
-			// marks never need clearing.
-			seen := make([]int32, n)
-			var buf []simPair
-			scored := 0
-			for {
-				lo := int(next.Add(pairChunk)) - pairChunk
-				if lo >= n {
-					break
-				}
-				for i := lo; i < min(lo+pairChunk, n); i++ {
-					fi, epoch := vs.feats[i], int32(i)+1
-					for _, bg := range fi.Bigrams {
-						list := vs.post[bg]
-						at, _ := slices.BinarySearch(list, int32(i))
-						for _, j := range list[at+1:] {
-							if seen[j] == epoch {
-								continue
-							}
-							seen[j] = epoch
-							scored++
-							if sim := simcache.NameSimFeatures(fi, vs.feats[j]); sim >= s.threshold {
-								buf = append(buf, simPair{int32(i), j, sim})
-							}
+	chunks := (n + pairChunk - 1) / pairChunk
+	bufs := make([][]simPair, par.Procs(chunks))
+	calls := make([]int, len(bufs))
+	par.Pull(chunks, func(w int, next func() int) {
+		// seen[j] == i+1 marks j as already scored against i: each i
+		// belongs to one worker, so its number is the epoch and the
+		// marks never need clearing.
+		seen := make([]int32, n)
+		var buf []simPair
+		scored := 0
+		for c := next(); c < chunks; c = next() {
+			for i := c * pairChunk; i < min((c+1)*pairChunk, n); i++ {
+				fi, epoch := vs.feats[i], int32(i)+1
+				for _, bg := range fi.Bigrams {
+					list := vs.post[bg]
+					at, _ := slices.BinarySearch(list, int32(i))
+					for _, j := range list[at+1:] {
+						if seen[j] == epoch {
+							continue
+						}
+						seen[j] = epoch
+						scored++
+						if sim := simcache.NameSimFeatures(fi, vs.feats[j]); sim >= s.threshold {
+							buf = append(buf, simPair{int32(i), j, sim})
 						}
 					}
 				}
 			}
-			bufs[w], calls[w] = buf, scored
-		}()
-	}
-	wg.Wait()
+		}
+		bufs[w], calls[w] = buf, scored
+	})
 
 	// Count, allocate every list at its exact size, scatter, sort. A value
 	// with a bigram is its own candidate and scores 1 without a kernel
@@ -117,7 +104,7 @@ func (s *Similarity) precompute(f Field, vs *valueSet) {
 	// The fill order follows the scheduling; the sort, under a total
 	// order, does not.
 	lists := make([][]SimilarValue, n)
-	parallelRange(n, func(lo, hi int) {
+	par.Range(n, func(lo, hi int) {
 		add := func(i, j int32, sim float64) {
 			if int(i) >= lo && int(i) < hi {
 				lists[i] = append(lists[i], SimilarValue{Value: vs.vals[j], Sim: sim})

@@ -9,6 +9,7 @@ import (
 	"github.com/snaps/snaps/internal/dataset"
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/er"
+	"github.com/snaps/snaps/internal/par"
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/simcache"
 )
@@ -33,7 +34,7 @@ func probeLists(k *Keyword, s *Similarity) map[Field]map[string][]SimilarValue {
 			vals = append(vals, v)
 		}
 		lists := make([][]SimilarValue, len(vals))
-		parallelRange(len(vals), func(lo, hi int) {
+		par.Range(len(vals), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				lists[i] = s.computeSimilar(f, vals[i])
 			}

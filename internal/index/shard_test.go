@@ -98,10 +98,9 @@ func TestSimilarShardedConcurrentMix(t *testing.T) {
 	}
 }
 
-// TestLookupCopyProtectsIndex mutates a LookupCopy result and verifies the
-// index postings are untouched; it also documents that the plain Lookup
-// contract is read-only sharing.
-func TestLookupCopyProtectsIndex(t *testing.T) {
+// TestLookupResultIsCallerOwned mutates a Lookup result and verifies the
+// index postings are untouched: Lookup decodes into a fresh slice.
+func TestLookupResultIsCallerOwned(t *testing.T) {
 	_, k, _ := builtIndexes(t)
 	var value string
 	for v, ids := range k.postings[FieldSurname] {
@@ -113,7 +112,7 @@ func TestLookupCopyProtectsIndex(t *testing.T) {
 	if value == "" {
 		t.Skip("no populated posting")
 	}
-	cp := k.LookupCopy(FieldSurname, value)
+	cp := k.Lookup(FieldSurname, value)
 	want := append([]pedigree.NodeID(nil), cp...)
 	for i := range cp {
 		cp[i] = -999 // hostile caller scribbles over the slice
@@ -127,8 +126,8 @@ func TestLookupCopyProtectsIndex(t *testing.T) {
 			t.Fatalf("posting %d corrupted: got %d, want %d", i, got[i], want[i])
 		}
 	}
-	if k.LookupCopy(FieldSurname, "zq-absent-value") != nil {
-		t.Error("LookupCopy of an absent value should be nil")
+	if k.Lookup(FieldSurname, "zq-absent-value") != nil {
+		t.Error("Lookup of an absent value should be nil")
 	}
 }
 

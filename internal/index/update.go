@@ -18,6 +18,7 @@ import (
 
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
+	"github.com/snaps/snaps/internal/par"
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/simcache"
 	"github.com/snaps/snaps/internal/strsim"
@@ -416,7 +417,7 @@ func updateSimilarity(k, prevK *Keyword, prevS *Similarity, simThreshold float64
 			return p
 		}
 		addedLists := make([][]SimilarValue, len(added))
-		parallelRange(len(added), func(lo, hi int) {
+		par.Range(len(added), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				addedLists[i] = s.computeSimilar(f, added[i])
 			}
@@ -499,7 +500,7 @@ func updateSimilarity(k, prevK *Keyword, prevS *Similarity, simThreshold float64
 		}
 		slices.Sort(need)
 		outs := make([][]SimilarValue, len(need))
-		parallelRange(len(need), func(lo, hi int) {
+		par.Range(len(need), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				outs[i] = s.computeSimilar(f, need[i])
 			}

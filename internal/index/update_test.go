@@ -246,7 +246,7 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 
 // BenchmarkIndexUpdate compares one flush's index maintenance cost: a full
 // Build of the new generation vs the incremental UpdateSubset from the
-// previous one. The gap is the low-latency-flush headline of DESIGN.md §10.
+// previous one. The gap is the reason UpdateSubset exists (DESIGN.md §4.9).
 func BenchmarkIndexUpdate(b *testing.B) {
 	prevG, newG, prevK, prevS := buildGenerations(b, 0.1)
 	b.Run("full_rebuild", func(b *testing.B) {

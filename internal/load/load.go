@@ -6,8 +6,17 @@
 // way to measure an overloaded server: a closed loop (fire, wait, fire)
 // self-throttles exactly when the interesting behaviour starts, hiding both
 // the latency tail and the shedding the admission controller exists to
-// perform. Latencies land in per-route log-bucketed histograms
-// (internal/load.Histogram); cmd/snapsload prints and writes the reports.
+// perform. Latencies land in per-route log-bucketed histograms (an
+// obs.Histogram at 5% resolution from 1µs to 66s, plus the exact maximum);
+// cmd/snapsload prints and writes the reports.
+//
+// Every arrival gets its own goroutine, up to MaxOutstanding. The repo
+// benchmark's driver (bench/load.go) shares its schedule among a fixed
+// handful of senders instead, and the two are deliberately not one design:
+// these mixes exist to push past the admission budget and show the shed
+// ladder, which a fixed sender count can never do (in-flight requests are
+// capped at the sender count, below the budget), while the benchmark's loop
+// exists never to be shed, so that every run measures the same work.
 package load
 
 import (
@@ -22,6 +31,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/snaps/snaps/internal/obs"
 )
 
 // Target answers one operation and reports the HTTP status code.
@@ -105,19 +116,40 @@ type Config struct {
 	Seed int64
 }
 
+// latencyBuckets is the histogram layout of every route: log-spaced by 5%
+// from 1µs to 66s, so a quantile's relative error is bounded by the growth
+// factor at every magnitude — the property that matters for tail quantiles,
+// where linear buckets either blur the tail or explode in count.
+var latencyBuckets = obs.LogBuckets(1e-6, 1.05, 370)
+
 // RouteStats accumulates one route's outcomes during a run.
 type RouteStats struct {
 	Count  int64
 	OK     int64 // 2xx
 	Shed   int64 // 429 — admission rejections
 	Errors int64 // transport errors and non-2xx/429 statuses
-	Hist   Histogram
+	// Hist holds the latencies in seconds.
+	Hist *obs.Histogram
+	// maxNs is the exact maximum; the histogram only knows its bucket.
+	maxNs atomic.Int64
+}
+
+func newRouteStats() *RouteStats {
+	return &RouteStats{Hist: obs.NewHistogram(latencyBuckets)}
 }
 
 // record classifies one completed request into the stats. Safe for
-// concurrent use (counters are atomic, the histogram is lock-free).
+// concurrent use (counters are atomic, the histogram is lock-free). A
+// negative latency (a hostile flight log) counts as zero.
 func (st *RouteStats) record(status int, err error, lat time.Duration) {
-	st.Hist.Observe(lat)
+	lat = max(lat, 0)
+	st.Hist.ObserveDuration(lat)
+	for {
+		cur := st.maxNs.Load()
+		if int64(lat) <= cur || st.maxNs.CompareAndSwap(cur, int64(lat)) {
+			break
+		}
+	}
 	atomicAdd(&st.Count)
 	switch {
 	case err != nil:
@@ -133,14 +165,17 @@ func (st *RouteStats) record(status int, err error, lat time.Duration) {
 
 // report summarises the stats into the JSON-ready shape.
 func (st *RouteStats) report() RouteReport {
-	return RouteReport{
+	rep := RouteReport{
 		Count: st.Count, OK: st.OK, Shed: st.Shed, Errors: st.Errors,
-		P50Ms:  ms(st.Hist.Quantile(0.50)),
-		P95Ms:  ms(st.Hist.Quantile(0.95)),
-		P99Ms:  ms(st.Hist.Quantile(0.99)),
-		MaxMs:  ms(st.Hist.Max()),
-		MeanMs: ms(st.Hist.Mean()),
+		P50Ms: 1e3 * st.Hist.Quantile(0.50),
+		P95Ms: 1e3 * st.Hist.Quantile(0.95),
+		P99Ms: 1e3 * st.Hist.Quantile(0.99),
+		MaxMs: float64(st.maxNs.Load()) / 1e6,
 	}
+	if n := st.Hist.Count(); n > 0 {
+		rep.MeanMs = 1e3 * st.Hist.Sum() / float64(n)
+	}
+	return rep
 }
 
 // RouteReport is the JSON-ready summary of one route in one mix.
@@ -167,10 +202,8 @@ type MixReport struct {
 	Routes       map[string]RouteReport `json:"routes"`
 }
 
-// Run replays one mix against the target. Arrivals follow the open-loop
-// schedule: request i is due at start + i/rate, independent of how many
-// earlier requests have completed — lateness in the server widens the
-// outstanding window instead of stretching the schedule.
+// Run replays one mix against the target on the open-loop schedule of
+// pace: request i is due at start + i/rate.
 func Run(target Target, w *Workload, m Mix, cfg Config) (*MixReport, error) {
 	if cfg.Rate <= 0 {
 		return nil, fmt.Errorf("load: rate must be positive")
@@ -178,52 +211,18 @@ func Run(target Target, w *Workload, m Mix, cfg Config) (*MixReport, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("load: duration must be positive")
 	}
-	maxOut := cfg.MaxOutstanding
-	if maxOut <= 0 {
-		maxOut = 4096
-	}
 	n := int(cfg.Rate * cfg.Duration.Seconds())
 	if n < 1 {
 		n = 1
 	}
-	ops := w.Ops(m, n, cfg.Seed)
+	ops := w.Ops(m, n, cfg.Rate, cfg.Seed)
 
 	stats := map[string]*RouteStats{}
 	for k := OpSearchHot; k <= OpIngest; k++ {
-		stats[k.Route()] = &RouteStats{}
+		stats[k.Route()] = newRouteStats()
 	}
-	var (
-		wg      sync.WaitGroup
-		sem     = make(chan struct{}, maxOut)
-		dropped int64 // only the arrival loop writes this
-	)
-
 	start := time.Now()
-	for i, op := range ops {
-		due := start.Add(time.Duration(float64(i) / cfg.Rate * float64(time.Second)))
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
-		select {
-		case sem <- struct{}{}:
-		default:
-			// Outstanding window full: the server is so far behind that
-			// launching more requests measures the generator, not the
-			// server. Count and move on — the schedule does not stretch.
-			dropped++
-			continue
-		}
-		wg.Add(1)
-		go func(op Op) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			st := stats[op.Kind.Route()]
-			t0 := time.Now()
-			status, err := target.Do(op)
-			st.record(status, err, time.Since(t0))
-		}(op)
-	}
-	wg.Wait()
+	dropped := pace(target, ops, 1, cfg.MaxOutstanding, stats)
 	elapsed := time.Since(start)
 
 	rep := &MixReport{
@@ -246,17 +245,54 @@ func Run(target Target, w *Workload, m Mix, cfg Config) (*MixReport, error) {
 	return rep, nil
 }
 
+// pace issues the ops on their open-loop schedule and waits for the last
+// response: op i is due at start + (DueUs[i]-DueUs[0])/speed, independent of
+// how many earlier requests have completed — lateness in the server widens
+// the outstanding window instead of stretching the schedule. At most maxOut
+// (0 means 4096) requests are in flight; an arrival past that is counted as
+// dropped, not launched: the server is then so far behind that more requests
+// would measure the generator, and generator memory stays bounded when the
+// server stalls entirely.
+func pace(target Target, ops []Op, speed float64, maxOut int, stats map[string]*RouteStats) (dropped int64) {
+	if maxOut <= 0 {
+		maxOut = 4096
+	}
+	sem := make(chan struct{}, maxOut)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := range ops {
+		due := start.Add(time.Duration(float64(ops[i].DueUs-ops[0].DueUs)/speed) * time.Microsecond)
+		if d := time.Until(due); d > 0 {
+			time.Sleep(d)
+		}
+		select {
+		case sem <- struct{}{}:
+		default:
+			dropped++
+			continue
+		}
+		wg.Add(1)
+		go func(op *Op) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			replayOne(target, op, stats)
+		}(&ops[i])
+	}
+	wg.Wait()
+	return dropped
+}
+
 // RouteNames returns the routes of a report in stable order for printing.
-func (r *MixReport) RouteNames() []string {
-	names := make([]string, 0, len(r.Routes))
-	for name := range r.Routes {
+func (r *MixReport) RouteNames() []string { return sortedKeys(r.Routes) }
+
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
 }
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // atomicAdd increments a RouteStats field shared across request goroutines.
 func atomicAdd(p *int64) { atomic.AddInt64(p, 1) }

@@ -15,67 +15,75 @@ import (
 	"github.com/snaps/snaps/internal/pedigree"
 )
 
-func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
+func TestRouteStatsQuantiles(t *testing.T) {
+	st := newRouteStats()
 	// 1..1000 ms uniformly: quantiles must land within the ~5% relative
 	// error the bucket growth factor guarantees.
 	for i := 1; i <= 1000; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
+		st.record(200, nil, time.Duration(i)*time.Millisecond)
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
+	rep := st.report()
+	if rep.Count != 1000 || rep.OK != 1000 {
+		t.Fatalf("count = %d, ok = %d", rep.Count, rep.OK)
 	}
-	if h.Max() != 1000*time.Millisecond {
-		t.Fatalf("max = %v, want exactly 1s (max is not bucketed)", h.Max())
+	if rep.MaxMs != 1000 {
+		t.Fatalf("max = %vms, want exactly 1000 (max is not bucketed)", rep.MaxMs)
 	}
 	for _, tc := range []struct {
-		q    float64
-		want time.Duration
-	}{{0.50, 500 * time.Millisecond}, {0.95, 950 * time.Millisecond}, {0.99, 990 * time.Millisecond}} {
-		got := h.Quantile(tc.q)
-		if rel := math.Abs(float64(got-tc.want)) / float64(tc.want); rel > 0.06 {
-			t.Errorf("q%.2f = %v, want %v ±6%%", tc.q, got, tc.want)
+		name      string
+		got, want float64
+	}{{"p50", rep.P50Ms, 500}, {"p95", rep.P95Ms, 950}, {"p99", rep.P99Ms, 990}} {
+		if rel := math.Abs(tc.got-tc.want) / tc.want; rel > 0.06 {
+			t.Errorf("%s = %vms, want %v ±6%%", tc.name, tc.got, tc.want)
 		}
 	}
-	if m := h.Mean(); m < 495*time.Millisecond || m > 506*time.Millisecond {
-		t.Errorf("mean = %v, want ~500.5ms", m)
+	if rep.MeanMs < 495 || rep.MeanMs > 506 {
+		t.Errorf("mean = %vms, want ~500.5", rep.MeanMs)
 	}
 }
 
-func TestHistogramEmptyAndExtremes(t *testing.T) {
-	var h Histogram
-	if h.Quantile(0.99) != 0 || h.Max() != 0 || h.Mean() != 0 {
-		t.Fatal("empty histogram must report zeros")
+func TestRouteStatsEmptyAndExtremes(t *testing.T) {
+	st := newRouteStats()
+	if rep := st.report(); rep.P99Ms != 0 || rep.MaxMs != 0 || rep.MeanMs != 0 {
+		t.Fatalf("empty stats must report zeros, got %+v", rep)
 	}
-	h.Observe(0)               // below the first bucket
-	h.Observe(5 * time.Minute) // beyond the last bucket
-	h.Observe(-time.Second)    // clamped to zero
-	if h.Count() != 3 {
-		t.Fatalf("count = %d", h.Count())
+	st.record(200, nil, 0)             // below the first bucket
+	st.record(200, nil, 5*time.Minute) // beyond the last bucket
+	st.record(200, nil, -time.Second)  // clamped to zero
+	rep := st.report()
+	if rep.Count != 3 {
+		t.Fatalf("count = %d", rep.Count)
 	}
-	if h.Max() != 5*time.Minute {
-		t.Fatalf("max = %v", h.Max())
+	if rep.MaxMs != 5*60*1000 {
+		t.Fatalf("max = %vms", rep.MaxMs)
 	}
-	if h.Quantile(1.0) < 60*time.Second {
-		t.Fatalf("q100 = %v, want the overflow bucket (>= 60s)", h.Quantile(1.0))
+	if rep.MeanMs != 100*1000 {
+		t.Fatalf("mean = %vms, want 100s: the negative latency must count as zero", rep.MeanMs)
+	}
+	if q100 := 1e3 * st.Hist.Quantile(1.0); q100 < 60*1000 {
+		t.Fatalf("q100 = %vms, want the overflow bucket (>= 60s)", q100)
 	}
 }
 
-func TestHistogramConcurrent(t *testing.T) {
-	var h Histogram
+func TestRouteStatsConcurrent(t *testing.T) {
+	st := newRouteStats()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				h.Observe(time.Duration(g*1000+i) * time.Microsecond)
+				st.record(200, nil, time.Duration(g*1000+i)*time.Microsecond)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if h.Count() != 8000 {
-		t.Fatalf("count = %d, want 8000", h.Count())
+	rep := st.report()
+	if rep.Count != 8000 {
+		t.Fatalf("count = %d, want 8000", rep.Count)
+	}
+	if rep.MaxMs != 7.999 {
+		t.Fatalf("max = %vms, want 7.999 (the CAS must keep the largest)", rep.MaxMs)
 	}
 }
 
@@ -109,14 +117,19 @@ func TestWorkloadDeterministicAndMixed(t *testing.T) {
 	}
 
 	mix, _ := MixByName("mixed")
-	a := w.Ops(mix, 2000, 42)
-	b := w.Ops(mix, 2000, 42)
+	a := w.Ops(mix, 2000, 100, 42)
+	b := w.Ops(mix, 2000, 100, 42)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different op sequences")
 	}
-	c := w.Ops(mix, 2000, 43)
+	c := w.Ops(mix, 2000, 100, 43)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical op sequences")
+	}
+
+	// Op i is due i/rate seconds in: the schedule the paced loop follows.
+	if a[0].DueUs != 0 || a[1].DueUs != 10_000 || a[1999].DueUs != 19_990_000 {
+		t.Fatalf("due offsets at 100 rps = %d, %d, ..., %d µs", a[0].DueUs, a[1].DueUs, a[1999].DueUs)
 	}
 
 	// Kind frequencies track the mix probabilities.

@@ -2,7 +2,6 @@ package load
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -90,7 +89,7 @@ func Replay(target Target, ops []Op, cfg ReplayConfig) (*ReplayReport, error) {
 	stats := map[string]*RouteStats{}
 	for i := range ops {
 		if r := ops[i].routeLabel(); stats[r] == nil {
-			stats[r] = &RouteStats{}
+			stats[r] = newRouteStats()
 		}
 	}
 	rep := &ReplayReport{ClosedLoop: cfg.ClosedLoop, Routes: map[string]RouteReport{}}
@@ -125,37 +124,11 @@ func Replay(target Target, ops []Op, cfg ReplayConfig) (*ReplayReport, error) {
 		}
 		wg.Wait()
 	} else {
-		speed := cfg.Speed
-		if speed <= 0 {
-			speed = 1
+		rep.Speed = cfg.Speed
+		if rep.Speed <= 0 {
+			rep.Speed = 1
 		}
-		rep.Speed = speed
-		maxOut := cfg.MaxOutstanding
-		if maxOut <= 0 {
-			maxOut = 4096
-		}
-		sem := make(chan struct{}, maxOut)
-		var wg sync.WaitGroup
-		base := ops[0].DueUs
-		for i := range ops {
-			due := start.Add(time.Duration(float64(ops[i].DueUs-base)/speed) * time.Microsecond)
-			if d := time.Until(due); d > 0 {
-				time.Sleep(d)
-			}
-			select {
-			case sem <- struct{}{}:
-			default:
-				rep.Dropped++
-				continue
-			}
-			wg.Add(1)
-			go func(op *Op) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				replayOne(target, op, stats)
-			}(&ops[i])
-		}
-		wg.Wait()
+		rep.Dropped = pace(target, ops, rep.Speed, cfg.MaxOutstanding, stats)
 	}
 	rep.DurationSec = time.Since(start).Seconds()
 
@@ -201,7 +174,7 @@ func CompareToLog(recs []obs.FlightRecord, rep *ReplayReport) *ReplayComparison 
 	for _, r := range recs {
 		st := recorded[r.Route]
 		if st == nil {
-			st = &RouteStats{}
+			st = newRouteStats()
 			recorded[r.Route] = st
 		}
 		var err error
@@ -225,21 +198,4 @@ func CompareToLog(recs []obs.FlightRecord, rep *ReplayReport) *ReplayComparison 
 }
 
 // RouteNames returns the comparison's routes in stable order for printing.
-func (c *ReplayComparison) RouteNames() []string {
-	names := make([]string, 0, len(c.Routes))
-	for name := range c.Routes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// RouteNames returns the replay report's routes in stable order.
-func (r *ReplayReport) RouteNames() []string {
-	names := make([]string, 0, len(r.Routes))
-	for name := range r.Routes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func (c *ReplayComparison) RouteNames() []string { return sortedKeys(c.Routes) }

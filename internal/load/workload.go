@@ -72,9 +72,9 @@ type Op struct {
 	// Replayed flight-log ops keep their recorded mux pattern here so a
 	// replay report's per-route counts line up with the recorded log.
 	Route string
-	// DueUs is the op's recorded arrival offset in µs since the first
-	// record; Replay's paced mode reproduces it. Synthetic ops leave it 0
-	// and take their schedule from the configured rate.
+	// DueUs is the op's arrival offset in µs: the recorded offset since
+	// the first record for a replayed op, i/rate for a synthetic one. The
+	// paced loop reproduces it.
 	DueUs int64
 }
 
@@ -180,11 +180,11 @@ func MixByName(name string) (Mix, bool) {
 	return Mix{}, false
 }
 
-// Ops pre-generates n operations for the mix, deterministically from the
-// seed: generation happens before the clock starts so op construction never
-// steals time from the arrival schedule, and two runs with the same seed
-// replay the identical sequence.
-func (w *Workload) Ops(m Mix, n int, seed int64) []Op {
+// Ops pre-generates n operations for the mix, op i due i/rate seconds in,
+// deterministically from the seed: generation happens before the clock
+// starts so op construction never steals time from the arrival schedule,
+// and two runs with the same seed replay the identical sequence.
+func (w *Workload) Ops(m Mix, n int, rate float64, seed int64) []Op {
 	rng := rand.New(rand.NewSource(seed))
 	total := m.SearchHot + m.SearchCold + m.Pedigree + m.Ingest
 	if total <= 0 {
@@ -212,6 +212,7 @@ func (w *Workload) Ops(m Mix, n int, seed int64) []Op {
 				1850+rng.Intn(50), i, p.Surname, p.First, p.Surname)
 			ops[i] = Op{Kind: OpIngest, Body: []byte(body)}
 		}
+		ops[i].DueUs = int64(float64(i) / rate * 1e6)
 	}
 	return ops
 }

@@ -533,6 +533,16 @@ func (d *Dataset) Clone() *Dataset {
 	}
 }
 
+// RecordIDs returns the ids of all records, in record order: what a blocker
+// takes when every record takes part.
+func (d *Dataset) RecordIDs() []RecordID {
+	ids := make([]RecordID, len(d.Records))
+	for i := range d.Records {
+		ids[i] = d.Records[i].ID
+	}
+	return ids
+}
+
 // RecordsByRole returns the ids of all records holding any of the given
 // roles.
 func (d *Dataset) RecordsByRole(roles ...Role) []RecordID {

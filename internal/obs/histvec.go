@@ -106,7 +106,7 @@ func (r *Registry) HistogramVec(family, help string, buckets []float64, labelNam
 			names: append([]string(nil), labelNames...),
 			max:   DefMaxSeries, series: map[string]any{}},
 		buckets:  buckets,
-		overflow: newHistogram(buckets),
+		overflow: NewHistogram(buckets),
 	}
 }
 

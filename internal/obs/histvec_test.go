@@ -34,11 +34,11 @@ func TestLogBuckets(t *testing.T) {
 	}
 }
 
-// Log-spaced layouts must interpolate quantiles geometrically — the same
-// bounded-relative-error math as internal/load's HDR histogram — while
-// linear layouts (DefBuckets) keep Prometheus-style linear interpolation.
+// Log-spaced layouts must interpolate quantiles geometrically — bounded
+// relative error, which internal/load's reports rely on — while linear
+// layouts (DefBuckets) keep Prometheus-style linear interpolation.
 func TestQuantileGeometricOnLogBuckets(t *testing.T) {
-	h := newHistogram(LogBuckets(1e-6, 2, 27))
+	h := NewHistogram(LogBuckets(1e-6, 2, 27))
 	if h.growth == 0 {
 		t.Fatal("log-spaced layout not detected")
 	}
@@ -54,16 +54,16 @@ func TestQuantileGeometricOnLogBuckets(t *testing.T) {
 	}
 
 	// DefBuckets are not constant-ratio: they must stay linear.
-	if lh := newHistogram(DefBuckets); lh.growth != 0 {
+	if lh := NewHistogram(DefBuckets); lh.growth != 0 {
 		t.Errorf("DefBuckets detected as log-spaced (growth %g)", lh.growth)
 	}
-	if lh := newHistogram(CountBuckets); lh.growth != 0 {
+	if lh := NewHistogram(CountBuckets); lh.growth != 0 {
 		t.Errorf("CountBuckets detected as log-spaced (growth %g)", lh.growth)
 	}
 }
 
 func TestHistogramExemplar(t *testing.T) {
-	h := newHistogram(LogBuckets(1e-6, 2, 10))
+	h := NewHistogram(LogBuckets(1e-6, 2, 10))
 	h.ObserveExemplar(3e-6, "deadbeef00000001")
 	h.ObserveExemplar(5e-6, "") // untraced: no exemplar
 	i := 2                      // 3e-6 lands in (2e-6, 4e-6]

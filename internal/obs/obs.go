@@ -76,10 +76,9 @@ var DefBuckets = []float64{
 }
 
 // LogBuckets returns n log-spaced upper bounds min, min*growth,
-// min*growth^2, ... — the exposition-friendly cousin of internal/load's
-// HDR histogram: relative error is bounded by the growth factor at every
-// magnitude, instead of the lowest linear bucket swallowing the whole
-// sub-millisecond range.
+// min*growth^2, ... — an HDR-style layout: relative error is bounded by the
+// growth factor at every magnitude, instead of the lowest linear bucket
+// swallowing the whole sub-millisecond range.
 func LogBuckets(min, growth float64, n int) []float64 {
 	if min <= 0 || growth <= 1 || n < 1 {
 		panic("obs: LogBuckets wants min > 0, growth > 1, n >= 1")
@@ -131,10 +130,11 @@ type Exemplar struct {
 	Time    time.Time
 }
 
-// newHistogram copies and sorts the bounds so callers can share bucket
-// slices safely, and detects a log-spaced layout (constant bound ratio) so
+// NewHistogram returns a histogram outside any registry (Registry.Histogram
+// is the registered kind). It copies and sorts the bounds so callers can
+// share bucket slices safely, and detects a log-spaced layout (constant bound ratio) so
 // quantile interpolation can match it.
-func newHistogram(bounds []float64) *Histogram {
+func NewHistogram(bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
 	sort.Float64s(bs)
 	h := &Histogram{
@@ -215,9 +215,7 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()
 // interpolate linearly — the same estimate Prometheus's
 // histogram_quantile produces. Log-spaced layouts (LogBuckets,
 // LatencyBuckets) interpolate geometrically, lo*(hi/lo)^frac, the estimate
-// with bounded relative error under logarithmic bucketing — consistent
-// with internal/load's HDR histogram, whose geometric bucket midpoint is
-// exactly the frac=0.5 case. Observations in the +Inf bucket clamp to the
+// with bounded relative error under logarithmic bucketing. Observations in the +Inf bucket clamp to the
 // largest finite bound. Returns 0 with no observations.
 func (h *Histogram) Quantile(q float64) float64 {
 	total := h.count.Load()

@@ -29,7 +29,7 @@ func TestGauge(t *testing.T) {
 }
 
 func TestHistogramObserveAndQuantile(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4, 8})
+	h := NewHistogram([]float64{1, 2, 4, 8})
 	for _, v := range []float64{0.5, 0.5, 1.5, 3, 3, 3, 7, 100} {
 		h.Observe(v)
 	}
@@ -57,7 +57,7 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	h := newHistogram(DefBuckets)
+	h := NewHistogram(DefBuckets)
 	if q := h.Quantile(0.99); q != 0 {
 		t.Fatalf("empty histogram quantile = %g, want 0", q)
 	}
@@ -67,7 +67,7 @@ func TestHistogramEmpty(t *testing.T) {
 }
 
 func TestHistogramObserveDuration(t *testing.T) {
-	h := newHistogram(DefBuckets)
+	h := NewHistogram(DefBuckets)
 	h.ObserveDuration(250 * time.Millisecond)
 	if h.Count() != 1 || math.Abs(h.Sum()-0.25) > 1e-9 {
 		t.Fatalf("duration observation: count=%d sum=%g", h.Count(), h.Sum())
@@ -76,7 +76,7 @@ func TestHistogramObserveDuration(t *testing.T) {
 
 func TestHistogramBoundsSortedAndCopied(t *testing.T) {
 	bounds := []float64{4, 1, 2}
-	h := newHistogram(bounds)
+	h := NewHistogram(bounds)
 	bounds[0] = 99 // caller's slice must not alias the histogram's
 	h.Observe(3)
 	if q := h.Quantile(1); q <= 2 || q > 4 {

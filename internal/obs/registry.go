@@ -144,7 +144,7 @@ func (r *Registry) FloatGauge(name, help string) *FloatGauge {
 // Histogram returns the histogram registered under name, creating it with
 // the given bucket upper bounds (seconds for latencies) on first use.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.lookup(name, help, histogramKind, func(e *entry) { e.histogram = newHistogram(buckets) }).histogram
+	return r.lookup(name, help, histogramKind, func(e *entry) { e.histogram = NewHistogram(buckets) }).histogram
 }
 
 // WriteText renders every registered series in the Prometheus text

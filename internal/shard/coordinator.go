@@ -2,15 +2,13 @@ package shard
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/snaps/snaps/internal/index"
 	"github.com/snaps/snaps/internal/obs"
+	"github.com/snaps/snaps/internal/par"
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/query"
 )
@@ -106,9 +104,6 @@ type Options struct {
 	Shards int
 	// SimThreshold is the similarity-index threshold s_t (paper: 0.5).
 	SimThreshold float64
-	// Workers bounds the scatter fan-out per search; 0 means
-	// min(GOMAXPROCS, shards).
-	Workers int
 	// CacheEntries is the TOTAL result-cache budget, split evenly across
 	// the shards (with a small per-shard floor); 0 disables caching.
 	CacheEntries int
@@ -131,7 +126,6 @@ type Coordinator struct {
 	// generation is the global serving generation the coordinator was
 	// published under (the pipeline's snapshot counter).
 	generation   uint64
-	workers      int
 	simThreshold float64
 	staleServe   bool
 }
@@ -147,7 +141,6 @@ func Partition(g *pedigree.Graph, o Options) *Coordinator {
 	}
 	c := &Coordinator{
 		graph:        g,
-		workers:      o.Workers,
 		simThreshold: o.SimThreshold,
 		staleServe:   o.StaleServe,
 	}
@@ -249,7 +242,6 @@ func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordin
 	nc := &Coordinator{
 		graph:        newG,
 		generation:   generation,
-		workers:      c.workers,
 		simThreshold: c.simThreshold,
 		staleServe:   c.staleServe,
 	}
@@ -372,35 +364,11 @@ func (c *Coordinator) SearchContext(ctx context.Context, q query.Query) []query.
 	ctx, sp := obs.StartSpan(ctx, "scatter")
 	parts := make([][]query.Result, len(c.shards))
 	durs := make([]time.Duration, len(c.shards))
-	workers := c.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(c.shards) {
-		workers = len(c.shards)
-	}
-	if workers <= 1 {
-		for i, sh := range c.shards {
-			parts[i], durs[i] = c.searchShard(ctx, sh, q, start)
+	par.Pull(len(c.shards), func(_ int, next func() int) {
+		for i := next(); i < len(c.shards); i = next() {
+			parts[i], durs[i] = c.searchShard(ctx, c.shards[i], q, start)
 		}
-	} else {
-		var next atomic.Int32
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(c.shards) {
-						return
-					}
-					parts[i], durs[i] = c.searchShard(ctx, c.shards[i], q, start)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	mergeStart := time.Now()
 	out := mergeRanked(parts, c.TopM())
 	merge := time.Since(mergeStart)

@@ -11,7 +11,7 @@ import (
 // (so a pair may be scored from either side), and scores a value against
 // itself as 1. NameSim memoises it for ER, whose Zipf-repeated record
 // pairs pay for the memo; the similarity index calls it directly because
-// it scores each distinct pair once (DESIGN §15.2).
+// it scores each distinct pair once (DESIGN §4.9).
 func NameSimFeatures(fa, fb *Features) float64 {
 	s := strsim.JaroWinkler(fa.Str, fb.Str)
 	if fa.HasSpace || fb.HasSpace {
