@@ -7,9 +7,10 @@
 //
 // Build fills S with one all-pairs pass per name field (precompute.go):
 // name similarity is symmetric, so each unordered bigram-sharing pair is
-// scored once, by the unmemoised kernel simcache.NameSimFeatures, and the
-// score lands in both values' lists. The package never touches simcache's
-// process-wide pair memo: S is itself the memo of these scores.
+// scored once, by the unmemoised kernel simcache.NameSimFeatures in its
+// match-table form (simcache.Probe), and the score lands in both values'
+// lists. The package never touches simcache's process-wide pair memo: S is
+// itself the memo of these scores.
 //
 // At query time, a value not found in S is probed one-sidedly
 // (computeSimilar): it is compared against the values sharing a bigram
@@ -253,11 +254,9 @@ func BuildSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, simThreshol
 	// Precompute similarities for the name fields (the dominant cost of a
 	// cold start and of every full rebuild); locations are extended lazily
 	// at query time.
-	precompute := obs.StartStage("index_build_sims")
 	for _, f := range []Field{FieldFirstName, FieldSurname} {
 		s.precompute(f, &sets[f])
 	}
-	precompute.Stop()
 	return k, s
 }
 
@@ -385,9 +384,13 @@ func compareSim(x, y SimilarValue) int {
 	return strings.Compare(x.Value, y.Value)
 }
 
-// candScratch is pooled scratch for bigram candidate scans, so a probe
-// allocates no set per scan.
-type candScratch struct{ ids []symbol.ID }
+// candScratch is pooled scratch for a probe: the candidate set of its
+// bigram scan and the match tables it scores the candidates against, so a
+// probe allocates neither.
+type candScratch struct {
+	ids   []symbol.ID
+	probe simcache.Probe
+}
 
 var candPool = sync.Pool{New: func() any { return new(candScratch) }}
 
@@ -416,35 +419,30 @@ func (c *candScratch) candidates(post map[strsim.BigramID]symList, bgs []strsim.
 // the reference the all-pairs precompute is tested against. bigramPost is
 // immutable after Build, so no lock is held while computing.
 //
-// A probe that is already an interned symbol (every indexed value, and any
-// query value matching one) is scored by the unmemoised symbol-native
-// kernel on cached features. Arbitrary query strings are NEVER interned
-// here — an attacker-controlled query stream must not grow the symbol
-// table — so unknown probes fall back to the plain string kernels, which
-// compute identical scores.
+// The probe's match tables are set once and every candidate is scored
+// against them (simcache.Probe). A probe that is already an interned symbol
+// (every indexed value, and any query value matching one) takes its tokens
+// and bigrams from the cached features. Arbitrary query strings are NEVER
+// interned here — an attacker-controlled query stream must not grow the
+// symbol table — so unknown probes are set from the raw string, which
+// yields identical scores.
 func (s *Similarity) computeSimilar(f Field, value string) []SimilarValue {
-	probe, interned := symbol.Lookup(value)
-	var pf *simcache.Features
+	sc := candPool.Get().(*candScratch)
 	var bgBuf [64]strsim.BigramID
 	var bgs []strsim.BigramID
-	if interned {
-		pf = simcache.Feat(probe)
+	if id, interned := symbol.Lookup(value); interned {
+		pf := simcache.Feat(id)
+		sc.probe.Set(pf)
 		bgs = pf.Bigrams
 	} else {
+		sc.probe.SetString(value)
 		bgs = strsim.AppendBigramIDs(bgBuf[:0], value)
 	}
-	sc := candPool.Get().(*candScratch)
 	cand := sc.candidates(s.bigramPost[f], bgs)
 	out := make([]SimilarValue, 0, len(cand))
 	for _, id := range cand {
 		cf := simcache.Feat(id)
-		var sim float64
-		if interned {
-			sim = simcache.NameSimFeatures(pf, cf)
-		} else {
-			sim = strsim.NameSim(value, cf.Str)
-		}
-		if sim >= s.threshold {
+		if sim := sc.probe.Sim(cf); sim >= s.threshold {
 			out = append(out, SimilarValue{Value: cf.Str, Sim: sim})
 		}
 	}

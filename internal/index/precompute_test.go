@@ -1,8 +1,11 @@
 package index
 
 import (
+	"math"
+	"math/bits"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/snaps/snaps/internal/blocking"
@@ -12,6 +15,8 @@ import (
 	"github.com/snaps/snaps/internal/par"
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/simcache"
+	"github.com/snaps/snaps/internal/strsim"
+	"github.com/snaps/snaps/internal/symbol"
 )
 
 // scaleGraph resolves a DS-tier population the way the benchmark's serve
@@ -85,13 +90,19 @@ func TestPrecomputeMatchesProbe(t *testing.T) {
 
 // TestPrecomputeFixture pins the edges of the pass on a hand-built graph: a
 // one-letter value (no bigrams: an empty list without even itself), a
-// multi-token value (the Monge-Elkan arm of the kernel), and two values
-// tying on similarity (value-ascending order).
+// multi-token value (the Monge-Elkan arm of the kernel), two values tying
+// on similarity (value-ascending order), two differing only in the last
+// bits of it, and values too long for the match tables.
 func TestPrecomputeFixture(t *testing.T) {
 	names := []string{"x", "mary ann", "ann mary", "john", "johnb", "johna"}
+	long := strings.Repeat("wilhelmina jacoba ", 4)
+	surnames := []string{"john", "bjohn", "jon", long + "of uist", long + "of harris"}
 	g := &pedigree.Graph{}
 	for i, v := range names {
 		g.Nodes = append(g.Nodes, pedigree.Node{ID: pedigree.NodeID(i), FirstNames: []string{v}})
+	}
+	for _, v := range surnames {
+		g.Nodes = append(g.Nodes, pedigree.Node{ID: pedigree.NodeID(len(g.Nodes)), Surnames: []string{v}})
 	}
 	_, s := Build(g, 0.5)
 	list := func(v string) []SimilarValue { return s.shard(FieldFirstName, v).sims[v] }
@@ -111,6 +122,93 @@ func TestPrecomputeFixture(t *testing.T) {
 	if len(got) != 3 || got[0] != (SimilarValue{"john", 1}) ||
 		got[1].Value != "johna" || got[2].Value != "johnb" || got[1].Sim != got[2].Sim {
 		t.Errorf(`list("john") = %v, want john, then johna and johnb tied`, got)
+	}
+
+	// The surname field holds the cases of the integer-keyed order: "jon"
+	// beats "bjohn" against "john" by one unit in the last place — inside
+	// the bits the sort key gives to the rank, so the key order alone would
+	// put them in value order — and two values over 64 bytes, which the
+	// match tables do not cover.
+	sur := func(v string) []SimilarValue { return s.shard(FieldSurname, v).sims[v] }
+	near, far := strsim.NameSim("john", "jon"), strsim.NameSim("john", "bjohn")
+	if n := uint(bits.Len(uint(len(surnames)))); near <= far || math.Float64bits(near)>>n != math.Float64bits(far)>>n {
+		t.Fatalf("fixture lost its near tie: jon %v (%x), bjohn %v (%x)", near, math.Float64bits(near), far, math.Float64bits(far))
+	}
+	if got, want := sur("john"), []SimilarValue{{"john", 1}, {"jon", near}, {"bjohn", far}}; !reflect.DeepEqual(got, want) {
+		t.Errorf(`surname list("john") = %v, want %v`, got, want)
+	}
+	long, long2 := surnames[3], surnames[4]
+	if got, want := sur(long), []SimilarValue{{long, 1}, {long2, strsim.NameSim(long, long2)}}; len(long) <= 64 || !reflect.DeepEqual(got, want) {
+		t.Errorf("list of a %d-byte surname = %v, want %v", len(long), got, want)
+	}
+	for _, v := range surnames {
+		if got, want := sur(v), s.computeSimilar(FieldSurname, v); !reflect.DeepEqual(got, want) {
+			t.Errorf("surname %q:\nprecomputed %v\nprobe       %v", v, got, want)
+		}
+	}
+}
+
+// TestProbeMatchesKernel: at a DS tier, for every ordered pair of indexed
+// names of both fields, the match-table probe the index scores with returns
+// the float of the kernel it replaced — NameSimFeatures when set from the
+// value's features (from either side: the precompute writes one score into
+// both lists), strsim.NameSim when set from the raw string, the way a
+// query for a name no record carries is scored.
+func TestProbeMatchesKernel(t *testing.T) {
+	k, _ := Build(scaleGraph(3000, 11), 0.5)
+	for _, f := range []Field{FieldFirstName, FieldSurname} {
+		var feats []*simcache.Features
+		for v := range k.postings[f] {
+			feats = append(feats, simcache.Feat(symbol.Intern(v)))
+		}
+		if len(feats) < 500 {
+			t.Fatalf("field %v: only %d values", f, len(feats))
+		}
+		par.Range(len(feats), func(lo, hi int) {
+			var p, raw simcache.Probe
+			for _, fi := range feats[lo:hi] {
+				p.Set(fi)
+				raw.SetString(fi.Str)
+				for _, fj := range feats {
+					want := simcache.NameSimFeatures(fj, fi)
+					if got := p.Sim(fj); got != want || simcache.NameSimFeatures(fi, fj) != want {
+						t.Errorf("field %v: Probe(%q).Sim(%q) = %v, NameSimFeatures = %v / %v swapped",
+							f, fi.Str, fj.Str, got, want, simcache.NameSimFeatures(fi, fj))
+						return
+					}
+					if got, want := raw.Sim(fj), strsim.NameSim(fi.Str, fj.Str); got != want {
+						t.Errorf("field %v: raw Probe(%q).Sim(%q) = %v, strsim.NameSim = %v", f, fi.Str, fj.Str, got, want)
+						return
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestProbeNeverInterns pins the rule computeSimilar states: a query for a
+// name nobody carries is scored from the raw string — it enters neither
+// the symbol table nor the feature slab nor the pair memo, or a stream of
+// made-up names would grow all three without bound.
+func TestProbeNeverInterns(t *testing.T) {
+	_, _, s := builtIndexes(t)
+	syms, memo := symbol.Len(), simcache.MemoEntries()
+	for _, v := range []string{"jonhxq", "mary annxq", "xq\tjohn  william"} {
+		if _, ok := symbol.Lookup(v); ok {
+			t.Fatalf("%q is already interned", v)
+		}
+		if len(s.Similar(FieldFirstName, v)) == 0 {
+			t.Fatalf("Similar(%q) found nothing: the probe scored no candidate", v)
+		}
+		if !s.Memoised(FieldFirstName, v) {
+			t.Fatalf("Similar(%q) did not extend S", v)
+		}
+	}
+	if got := symbol.Len(); got != syms {
+		t.Errorf("unknown probes grew the symbol table from %d to %d", syms, got)
+	}
+	if got := simcache.MemoEntries(); got != memo {
+		t.Errorf("unknown probes moved simcache.MemoEntries() from %d to %d", memo, got)
 	}
 }
 

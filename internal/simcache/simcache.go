@@ -19,4 +19,9 @@
 // strsim.NameSim, strsim.Jaccard, and strsim.TokenJaccard: for every pair
 // of symbols they return the bit-identical float of the string kernel on
 // the symbols' strings (pinned by property and fuzz tests in this package).
+//
+// A caller that scores one value against many — the similarity index, which
+// meets each distinct pair once and so gains nothing from the memo — uses a
+// Probe (probe.go): the name kernel with the value's match tables built
+// once, the same float again.
 package simcache

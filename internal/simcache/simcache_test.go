@@ -174,3 +174,44 @@ func TestPackKeyCanonical(t *testing.T) {
 		t.Fatal("PackKey collides on distinct pairs")
 	}
 }
+
+// TestProbeMatchesNameSim pins the match-table probe to the kernels it
+// stands in for, over the corpus cross product and random values, with one
+// Probe re-Set from value to value (so a table or a token slot that kept
+// state from a longer or many-token predecessor would show): set from
+// features it is NameSimFeatures from either side, set from the raw string
+// it is strsim.NameSim — and neither path touches the memo.
+func TestProbeMatchesNameSim(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	vals := append([]string(nil), kernelCorpus...)
+	for i := 0; i < 300; i++ {
+		buf := make([]byte, rng.Intn(30))
+		for j := range buf {
+			buf[j] = " \tabcdef"[rng.Intn(8)]
+		}
+		vals = append(vals, string(buf))
+	}
+	feats := make([]*Features, len(vals))
+	for i, v := range vals {
+		feats[i] = Feat(symbol.Intern(v))
+	}
+	memo := MemoEntries()
+	var p, raw Probe
+	for i, b := range vals {
+		p.Set(feats[i])
+		raw.SetString(b)
+		for j, a := range vals {
+			want := NameSimFeatures(feats[j], feats[i])
+			if got := p.Sim(feats[j]); got != want || NameSimFeatures(feats[i], feats[j]) != want {
+				t.Fatalf("Probe(%q).Sim(%q) = %v, NameSimFeatures = %v / %v swapped",
+					b, a, got, want, NameSimFeatures(feats[i], feats[j]))
+			}
+			if got, want := raw.Sim(feats[j]), strsim.NameSim(b, a); got != want {
+				t.Fatalf("raw Probe(%q).Sim(%q) = %v, strsim.NameSim = %v", b, a, got, want)
+			}
+		}
+	}
+	if got := MemoEntries(); got != memo {
+		t.Fatalf("probes moved MemoEntries() from %d to %d", memo, got)
+	}
+}

@@ -12,8 +12,8 @@ import (
 )
 
 // jaroReferenceClassic is the pre-optimisation Jaro kernel, kept verbatim:
-// two freshly allocated []bool matched-flag slices, no bitmask fast path,
-// no pooling. Every optimised path is tested against it.
+// two freshly allocated []bool matched-flag slices, a window scan per
+// byte, no tables, no pooling. Every optimised kernel is tested against it.
 func jaroReferenceClassic(a, b string) float64 {
 	if a == b {
 		if a == "" {
@@ -67,8 +67,9 @@ func jaroReferenceClassic(a, b string) float64 {
 	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
 }
 
-// FuzzJaroBitmaskEquivalence fuzzes the dispatching Jaro (bitmask fast
-// path, pooled-scratch slow path) against the classic reference. Seeds
+// FuzzJaroBitmaskEquivalence fuzzes the dispatching Jaro (match-table
+// kernel up to 64 bytes, pooled-scratch path above) against the classic
+// reference. Seeds
 // cover the dispatch boundaries: empty strings, sub-bigram strings,
 // non-ASCII bytes (the kernels operate on bytes, so multi-byte runes must
 // behave identically in both), exactly 64 bytes, and beyond 64 bytes
@@ -100,6 +101,76 @@ func FuzzJaroBitmaskEquivalence(f *testing.F) {
 			t.Fatalf("Jaro(%q, %q) = %v, classic reference = %v", a, b, got, want)
 		}
 	})
+}
+
+// FuzzPatternJaroEquivalence fuzzes the match-table kernel as the
+// similarity index uses it — one Pattern re-Set from value to value — against
+// the classic reference. prev is what the Pattern held before b: a table
+// that kept one of its bits would match positions b does not have. Seeds
+// cover empty and one-byte strings, non-ASCII bytes, the 64/65-byte
+// boundary on either side, and a re-Set from a longer string to a shorter.
+func FuzzPatternJaroEquivalence(f *testing.F) {
+	long64 := strings.Repeat("abcdefgh", 8)
+	long65 := long64 + "x"
+	seeds := [][3]string{
+		{"", "", ""},
+		{"", "a", ""},
+		{"a", "", "a"},
+		{"a", "a", "b"},
+		{"a", "b", "a"},
+		{"martha", "marhta", ""},
+		{"jörg", "jürgen", "Ødegård"},
+		{long64, long64[:63] + "y", "martha"},
+		{long64, long65, long64},
+		{long65, long64, long65},
+		{"dixon", "dicksonx", long64},
+		{"ab", "ba", "abababababababab"},
+		{"jellyfish", "smellyfish", strings.Repeat("van den berg ", 16)},
+	}
+	for _, s := range seeds {
+		f.Add(s[0], s[1], s[2])
+	}
+	f.Fuzz(func(t *testing.T, a, b, prev string) {
+		var p Pattern
+		p.Set(prev)
+		p.Set(b)
+		want := jaroReferenceClassic(a, b)
+		if got := p.Jaro(a); got != want {
+			t.Fatalf("Pattern(%q after %q).Jaro(%q) = %v, classic reference = %v", b, prev, a, got, want)
+		}
+		if got, want := p.JaroWinkler(a), winkler(want, a, b); got != want {
+			t.Fatalf("Pattern(%q after %q).JaroWinkler(%q) = %v, reference = %v", b, prev, a, got, want)
+		}
+	})
+}
+
+// TestPatternMatchesTwoStringKernels is the deterministic form of the
+// Pattern fuzz target: one Pattern, and one Pattern per token, re-Set from
+// pair to pair the way a worker of the similarity index reuses them.
+func TestPatternMatchesTwoStringKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var p Pattern
+	var toks []Pattern
+	for i := 0; i < 20000; i++ {
+		a, b := randomName(rng), randomName(rng)
+		p.Set(b)
+		if got, want := p.Jaro(a), jaroReferenceClassic(a, b); got != want {
+			t.Fatalf("Pattern(%q).Jaro(%q) = %v, classic reference = %v", b, a, got, want)
+		}
+		if got, want := p.JaroWinkler(a), JaroWinkler(a, b); got != want {
+			t.Fatalf("Pattern(%q).JaroWinkler(%q) = %v, JaroWinkler = %v", b, a, got, want)
+		}
+		ta, tb := Fields(a), Fields(b)
+		for len(toks) < len(tb) {
+			toks = append(toks, Pattern{})
+		}
+		for j, tok := range tb {
+			toks[j].Set(tok)
+		}
+		if got, want := SymMongeElkanPatterns(ta, toks[:len(tb)]), SymMongeElkanTokens(ta, tb); got != want {
+			t.Fatalf("SymMongeElkanPatterns(%q, %q) = %v, token form = %v", a, b, got, want)
+		}
+	}
 }
 
 // randomName draws a random byte string biased towards the name alphabet
@@ -196,9 +267,13 @@ func TestSymMongeElkanTokensMatchesString(t *testing.T) {
 	}
 }
 
-// BenchmarkJaroKernel measures the two Jaro paths the streamed scorer
-// leans on: the ≤64-byte bitmask kernel (virtually all names) and the
-// pooled-scratch fallback.
+// BenchmarkJaroKernel measures the Jaro paths: the ≤64-byte kernel
+// (virtually all names) entered with two strings, as the streamed scorer
+// does — on near-identical pairs ("bitmask": the table is built per call)
+// and on the cross product of common names, mostly dissimilar, which is
+// what a memo miss in ER looks like ("mixed") — and against a Pattern set
+// once, as the similarity index does ("table"); and the pooled-scratch
+// fallback.
 func BenchmarkJaroKernel(b *testing.B) {
 	short := [][2]string{
 		{"jonathan", "johnathan"},
@@ -212,6 +287,25 @@ func BenchmarkJaroKernel(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := short[i&3]
 			Jaro(p[0], p[1])
+		}
+	})
+	b.Run("mixed", func(b *testing.B) {
+		names := []string{"john", "mary", "william", "margaret", "james", "ann", "donald", "catherine",
+			"alexander", "christina", "macdonald", "macleod", "mackinnon", "nicolson", "campbell", "robertson"}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Jaro(names[i&15], names[(i>>4)&15])
+		}
+	})
+	b.Run("table", func(b *testing.B) {
+		var pats [4]Pattern
+		for i := range pats {
+			pats[i].Set(short[i][1])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pats[i&3].Jaro(short[i&3][0])
 		}
 	})
 	b.Run("scratch", func(b *testing.B) {

@@ -17,73 +17,12 @@ import (
 // bytes, which is adequate for the ASCII historical-records domain.
 //
 // The kernel is allocation-free: strings up to 64 bytes (virtually every
-// name in the vital-records domain) track their matched positions in two
-// uint64 bitmasks; longer strings fall back to pooled []bool scratch. Both
-// paths run the identical match/transposition schedule, so the returned
-// float is bit-for-bit the classic implementation's (locked in by
-// FuzzJaroBitmaskEquivalence).
-func Jaro(a, b string) float64 {
-	if a == b {
-		if a == "" {
-			return 0 // the paper treats missing-vs-missing as no evidence
-		}
-		return 1
-	}
-	la, lb := len(a), len(b)
-	if la == 0 || lb == 0 {
-		return 0
-	}
-	if la <= 64 && lb <= 64 {
-		return jaroBitmask(a, b)
-	}
-	return jaroScratch(a, b)
-}
-
-// jaroBitmask is the ≤64-byte fast path: matched-position flags live in two
-// registers instead of two heap slices.
-func jaroBitmask(a, b string) float64 {
-	la, lb := len(a), len(b)
-	matchDist := max(la, lb)/2 - 1
-	if matchDist < 0 {
-		matchDist = 0
-	}
-	var aMatched, bMatched uint64
-	matches := 0
-	for i := 0; i < la; i++ {
-		lo := max(0, i-matchDist)
-		hi := min(lb-1, i+matchDist)
-		for j := lo; j <= hi; j++ {
-			if bMatched&(1<<uint(j)) != 0 || a[i] != b[j] {
-				continue
-			}
-			aMatched |= 1 << uint(i)
-			bMatched |= 1 << uint(j)
-			matches++
-			break
-		}
-	}
-	if matches == 0 {
-		return 0
-	}
-	// Count transpositions among matched characters.
-	transposes := 0
-	j := 0
-	for i := 0; i < la; i++ {
-		if aMatched&(1<<uint(i)) == 0 {
-			continue
-		}
-		for bMatched&(1<<uint(j)) == 0 {
-			j++
-		}
-		if a[i] != b[j] {
-			transposes++
-		}
-		j++
-	}
-	m := float64(matches)
-	t := float64(transposes) / 2
-	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
-}
+// name in the vital-records domain) are scored by the match-table kernel
+// (pattern.go) over a table of b built on the stack; longer strings fall
+// back to pooled []bool scratch. Both paths run the identical
+// match/transposition schedule, so the returned float is bit-for-bit the
+// classic implementation's (locked in by FuzzJaroBitmaskEquivalence).
+func Jaro(a, b string) float64 { return jaro(a, b, nil) }
 
 // jaroPool recycles the matched-flag scratch of the >64-byte path.
 var jaroPool = sync.Pool{New: func() any { s := make([]bool, 256); return &s }}
@@ -153,8 +92,10 @@ const winklerPrefixScale = 0.1
 
 // JaroWinkler returns the Jaro-Winkler similarity, which boosts the Jaro
 // similarity of strings sharing a common prefix of up to four characters.
-func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
+func JaroWinkler(a, b string) float64 { return winkler(Jaro(a, b), a, b) }
+
+// winkler applies the common-prefix boost to the Jaro score j of a and b.
+func winkler(j float64, a, b string) float64 {
 	if j == 0 {
 		return 0
 	}
@@ -491,42 +432,48 @@ func MongeElkan(a, b string) float64 {
 // lower it. It handles transposed double forenames ("jane elizabeth" vs
 // "elizabeth jane") that character-level measures miss.
 func SymMongeElkan(a, b string) float64 {
-	return symMongeElkanTokens(fields(a), fields(b))
+	return SymMongeElkanTokens(fields(a), fields(b))
 }
 
 // SymMongeElkanTokens is SymMongeElkan over pre-split token slices, the
 // entry point for callers (internal/simcache) that cache token splits per
 // interned value and must not pay the re-tokenisation.
-func SymMongeElkanTokens(ta, tb []string) float64 { return symMongeElkanTokens(ta, tb) }
+func SymMongeElkanTokens(ta, tb []string) float64 {
+	return symMongeElkan(ta, len(tb), func(x string, j int) float64 { return JaroWinkler(x, tb[j]) })
+}
+
+// SymMongeElkanPatterns is SymMongeElkanTokens(ta, tb) with tb given as one
+// Pattern per token, for a value scored against many others.
+func SymMongeElkanPatterns(ta []string, tb []Pattern) float64 {
+	return symMongeElkan(ta, len(tb), func(x string, j int) float64 { return tb[j].JaroWinkler(x) })
+}
 
 // Fields splits s on spaces and tabs, the tokenisation used by the token-
 // level similarities. The returned substrings share s's backing bytes.
 func Fields(s string) []string { return fields(s) }
 
-// symMongeElkanTokens computes both directed Monge-Elkan scores from one
-// pass over the token similarity matrix (Jaro-Winkler is symmetric, so
-// JW(x,y) serves both directions) and returns their minimum.
-func symMongeElkanTokens(ta, tb []string) float64 {
-	if len(ta) == 0 || len(tb) == 0 {
+// symMongeElkan computes both directed Monge-Elkan scores from one pass
+// over the token similarity matrix (Jaro-Winkler is symmetric, so JW(x,y)
+// serves both directions) and returns their minimum. jw(x, j) scores token
+// x of the first value against token j of the second, which has nb tokens.
+func symMongeElkan(ta []string, nb int, jw func(x string, j int) float64) float64 {
+	if len(ta) == 0 || nb == 0 {
 		return 0
 	}
 	// Multi-token names rarely exceed a handful of tokens; a stack buffer
 	// keeps the per-call column maxima allocation-free.
 	var colBuf [8]float64
 	var colBest []float64
-	if len(tb) <= len(colBuf) {
-		colBest = colBuf[:len(tb)]
-		for i := range colBest {
-			colBest[i] = 0
-		}
+	if nb <= len(colBuf) {
+		colBest = colBuf[:nb]
 	} else {
-		colBest = make([]float64, len(tb))
+		colBest = make([]float64, nb)
 	}
 	sumRow := 0.0
 	for _, x := range ta {
 		rowBest := 0.0
-		for j, y := range tb {
-			s := JaroWinkler(x, y)
+		for j := range colBest {
+			s := jw(x, j)
 			if s > rowBest {
 				rowBest = s
 			}
@@ -541,7 +488,7 @@ func symMongeElkanTokens(ta, tb []string) float64 {
 		sumCol += s
 	}
 	ab := sumRow / float64(len(ta))
-	ba := sumCol / float64(len(tb))
+	ba := sumCol / float64(nb)
 	if ba < ab {
 		return ba
 	}
