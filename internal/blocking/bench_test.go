@@ -7,8 +7,9 @@ import (
 	"github.com/snaps/snaps/internal/par/partest"
 )
 
-// TestPairsShardedByteIdentical locks the sharded emitPairs to the serial
-// one: the candidate list must be byte-identical — same pairs, same order —
+// TestPairsShardedByteIdentical locks the parallel emitPairs (bands sorted
+// and spans emitted on several goroutines) to the serial one: the candidate
+// list must be byte-identical — same pairs, same order —
 // at every GOMAXPROCS, because downstream dependency-graph node ids derive
 // from candidate order.
 func TestPairsShardedByteIdentical(t *testing.T) {
@@ -33,13 +34,13 @@ func TestPairsShardedByteIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkEmitPairs measures pair emission alone (blocks prebuilt), the
-// stage the sharded dedup and output preallocation target.
+// BenchmarkEmitPairs measures pair emission alone (signature tables
+// prebuilt): band sorts, span emission and the band-order dedup.
 func BenchmarkEmitPairs(b *testing.B) {
 	d := dataset.Generate(dataset.IOS().Scaled(0.1)).Dataset
 	ids := allIDs(d)
 	cfg := DefaultLSHConfig()
-	blocks := buildBlocks(d, ids, cfg)
+	tables := NewLSH(cfg).tables(d, ids)
 
 	for _, bench := range []struct {
 		name  string
@@ -52,8 +53,7 @@ func BenchmarkEmitPairs(b *testing.B) {
 			partest.WithProcs(b, bench.procs)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out := emitPairs(d, blocks, cfg.MaxBlockSize)
-				if len(out) == 0 {
+				if countPairs(d, ids, tables, cfg.MaxBlockSize) == 0 {
 					b.Fatal("no pairs emitted")
 				}
 			}

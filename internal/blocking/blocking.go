@@ -11,7 +11,9 @@
 package blocking
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
@@ -79,9 +81,16 @@ type LSH struct {
 	mixers []uint64
 }
 
-// NewLSH returns an LSH blocker with the given configuration.
+// maxBands is the largest LSHConfig.Bands NewLSH accepts.
+const maxBands = 32
+
+// NewLSH returns an LSH blocker with the given configuration; one without
+// positive Bands and Rows, or with more than 32 Bands, is replaced by
+// DefaultLSHConfig.
 func NewLSH(cfg LSHConfig) *LSH {
-	if cfg.Bands <= 0 || cfg.Rows <= 0 {
+	// The two signature passes number 2·Bands bands, and the emitter keeps
+	// one bit per band and record in a uint64.
+	if cfg.Bands <= 0 || cfg.Rows <= 0 || cfg.Bands > maxBands {
 		cfg = DefaultLSHConfig()
 	}
 	n := cfg.Bands * cfg.Rows
@@ -98,13 +107,9 @@ func NewLSH(cfg LSHConfig) *LSH {
 	return &LSH{cfg: cfg, mixers: mixers}
 }
 
-// signature computes the MinHash signature of a record's name bigrams.
-func (l *LSH) signature(name string) []uint64 {
-	n := len(l.mixers)
-	sig := make([]uint64, n)
-	for i := range sig {
-		sig[i] = ^uint64(0)
-	}
+// signature fills sig (len(l.mixers) long) with the MinHash signature of a
+// record's name bigrams.
+func (l *LSH) signature(name string, sig []uint64) {
 	if len(name) < 2 {
 		// Degenerate names hash as a single token so they still block
 		// together rather than being silently dropped.
@@ -112,7 +117,10 @@ func (l *LSH) signature(name string) []uint64 {
 		for i := range sig {
 			sig[i] = h * l.mixers[i]
 		}
-		return sig
+		return
+	}
+	for i := range sig {
+		sig[i] = ^uint64(0)
 	}
 	for i := 0; i+2 <= len(name); i++ {
 		h := fnvHash(name[i : i+2])
@@ -123,7 +131,6 @@ func (l *LSH) signature(name string) []uint64 {
 			}
 		}
 	}
-	return sig
 }
 
 // FNV-1a, inlined: hash/fnv's New64a allocates a hasher per call, and the
@@ -142,12 +149,6 @@ func fnvHash(s string) uint64 {
 		h *= fnvPrime64
 	}
 	return h
-}
-
-// blockKey identifies one band of one signature.
-type blockKey struct {
-	band int
-	hash uint64
 }
 
 // Pairs returns the deduplicated candidate pairs among the given records,
@@ -170,9 +171,15 @@ func (l *LSH) Pairs(d *model.Dataset, ids []model.RecordID) []Candidate {
 // PairsChunked is Pairs with streamed output: candidate pairs are delivered
 // in bounded chunks, in exactly the order Pairs would return them. Chunk
 // slices are only valid during the emit call and are reused afterwards.
-// Streaming bounds the blocking stage's memory to the block map plus one
-// wave of shard outputs, instead of the full candidate slice.
+// Streaming bounds the blocking stage's memory to the sorted blocks plus one
+// wave of span outputs, instead of the full candidate slice.
 func (l *LSH) PairsChunked(d *model.Dataset, ids []model.RecordID, emit func(chunk []Candidate)) {
+	emitPairs(d, ids, l.tables(d, ids), l.cfg.MaxBlockSize, emit)
+}
+
+// tables computes the two signature passes over ids: full name, then
+// surname alone.
+func (l *LSH) tables(d *model.Dataset, ids []model.RecordID) []sigTable {
 	// MinHash signatures depend only on the name strings, and Zipf-shaped
 	// name distributions make distinct (first, surname) pairs far rarer
 	// than records, so signatures are keyed by the packed symbol pair and
@@ -205,43 +212,29 @@ func (l *LSH) PairsChunked(d *model.Dataset, ids []model.RecordID, emit func(chu
 			recSur[i] = si
 		}
 	}
-	fullSigs := make([][]uint64, len(pairSyms))
-	par.Range(len(pairSyms), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fullSigs[i] = l.bandHashes(nameKeySyms(pairSyms[i][0], pairSyms[i][1]))
-		}
-	})
-	surSigs := make([][]uint64, len(surSyms))
-	par.Range(len(surSyms), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			surSigs[i] = l.bandHashes(symbol.Str(surSyms[i]))
-		}
-	})
-	// Block contents are collected serially in record order, exactly as
-	// the per-record hashing produced them.
-	blocks := make(map[blockKey][]model.RecordID)
-	for i, id := range ids {
-		for b, h := range fullSigs[recPair[i]] {
-			key := blockKey{band: b, hash: h}
-			blocks[key] = append(blocks[key], id)
-		}
-		if si := recSur[i]; si >= 0 {
-			for b, h := range surSigs[si] {
-				key := blockKey{band: l.cfg.Bands + b, hash: h}
-				blocks[key] = append(blocks[key], id)
+	bands := l.cfg.Bands
+	pass := func(row []int32, keys int, name func(key int) string) sigTable {
+		t := sigTable{width: bands, row: row, sigs: make([]uint64, keys*bands)}
+		par.Range(keys, func(lo, hi int) {
+			sig := make([]uint64, len(l.mixers))
+			for i := lo; i < hi; i++ {
+				l.bandHashes(name(i), sig, t.sigs[i*bands:(i+1)*bands])
 			}
-		}
+		})
+		return t
 	}
-	emitPairsChunked(d, blocks, l.cfg.MaxBlockSize, emit)
+	return []sigTable{
+		pass(recPair, len(pairSyms), func(i int) string { return nameKeySyms(pairSyms[i][0], pairSyms[i][1]) }),
+		pass(recSur, len(surSyms), func(i int) string { return symbol.Str(surSyms[i]) }),
+	}
 }
 
-// bandHashes computes the per-band hashes of a name's MinHash signature,
-// FNV-1a over each band's rows in little-endian byte order (byte-for-byte
-// the hash/fnv writer it replaces).
-func (l *LSH) bandHashes(name string) []uint64 {
-	sig := l.signature(name)
-	out := make([]uint64, l.cfg.Bands)
-	for b := 0; b < l.cfg.Bands; b++ {
+// bandHashes writes the per-band hashes of a name's MinHash signature to
+// out, FNV-1a over each band's rows in little-endian byte order (byte-for-
+// byte the hash/fnv writer it replaces). sig is signature scratch.
+func (l *LSH) bandHashes(name string, sig, out []uint64) {
+	l.signature(name, sig)
+	for b := range out {
 		h := uint64(fnvOffset64)
 		for r := 0; r < l.cfg.Rows; r++ {
 			v := sig[b*l.cfg.Rows+r]
@@ -252,7 +245,6 @@ func (l *LSH) bandHashes(name string) []uint64 {
 		}
 		out[b] = h
 	}
-	return out
 }
 
 // nameKeySyms is the blocking string of a (first name, surname) pair,
@@ -265,247 +257,263 @@ func nameKeySyms(first, sur model.Sym) string {
 // streamed consumer sees chunks of at most roughly this many candidates.
 const pairChunkTarget = 1 << 16
 
-// mix64 is the splitmix64 finaliser used to spread pair keys over the
-// open-addressed dedup table.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// sigTable is one signature pass of a blocker: the band hashes of every
+// distinct key of the pass, and the key each position of ids carries. A
+// blocker's bands are numbered pass by pass, and a block is the set of
+// positions with one hash in one band.
+type sigTable struct {
+	width int      // bands in this pass
+	sigs  []uint64 // key r's band hashes are sigs[r*width : (r+1)*width]
+	row   []int32  // per position of ids: its key, -1 when it has none
+	base  int      // number of this pass's first band, set by emitPairs
 }
 
-// pairSet is an open-addressed set of pair keys: the global first-wins
-// dedup structure of the chunked emitter. Pair keys are canonical A<B, so
-// B is nonzero and zero serves as the empty-slot sentinel. At DS scale it
-// replaces a map[PairKey]bool holding tens of millions of entries with a
-// flat uint64 table at under half the footprint and no per-entry overhead.
-type pairSet struct {
-	keys []uint64
-	n    int
+// bandBlocks holds the blocks of one band that can emit a pair — two or
+// more members, not over the cap — in ascending hash order, each block's
+// members in ascending position order.
+type bandBlocks struct {
+	members []int32 // positions of ids, block after block
+	ends    []int32 // block r is members[ends[r-1]:ends[r]]
+	cuts    []int32 // span boundaries, as block numbers; the last is len(ends)
+	// capped lists the positions of the blocks dropped for exceeding the
+	// cap, cappedBlocks their number.
+	capped       []int32
+	cappedBlocks int
 }
 
-func newPairSet(hint int) *pairSet {
-	size := 1024
-	for size*7 < hint*10 {
-		size <<= 1
-	}
-	return &pairSet{keys: make([]uint64, size)}
+// span is a run of consecutive blocks of one band, about pairChunkTarget
+// pairs before deduplication: the unit of parallel pair emission.
+type span struct{ band, lo, hi int }
+
+// emitter is the read-only state the spans of one emitPairs call share.
+type emitter struct {
+	d      *model.Dataset
+	ids    []model.RecordID
+	tables []sigTable
+	bands  []bandBlocks
+	// live has bit k set for position p when p sits in a block of band k
+	// that was not dropped for its size.
+	live []uint64
 }
 
-// add inserts k and reports whether it was absent.
-func (s *pairSet) add(k uint64) bool {
-	if 10*(s.n+1) >= 7*len(s.keys) {
-		s.grow()
-	}
-	mask := uint64(len(s.keys) - 1)
-	for i := mix64(k) & mask; ; i = (i + 1) & mask {
-		switch s.keys[i] {
-		case 0:
-			s.keys[i] = k
-			s.n++
-			return true
-		case k:
-			return false
-		}
-	}
-}
-
-func (s *pairSet) grow() {
-	old := s.keys
-	s.keys = make([]uint64, 2*len(old))
-	s.n = 0
-	for _, k := range old {
-		if k != 0 {
-			s.add(k)
-		}
-	}
-}
-
-// reset empties the set, reallocating only when the existing table cannot
-// hold hint entries below the load factor. Clearing in place (a memclr)
-// lets one table serve every span a wave slot processes — at DS scale the
-// per-span dedup previously churned gigabytes of short-lived maps, which
-// set the GC pacing (and so the peak heap) of the whole offline build.
-func (s *pairSet) reset(hint int) {
-	size := 1024
-	for size*7 < hint*10 {
-		size <<= 1
-	}
-	if size > len(s.keys) {
-		s.keys = make([]uint64, size)
-	} else {
-		clear(s.keys)
-	}
-	s.n = 0
-}
-
-// emitScratch is the reusable per-wave-slot state of emitPairsChunked: the
-// span-local dedup table and the span output buffer. Both survive across
-// waves; the output buffer may be handed to emit because the chunked
-// contract says chunks are only read during the emit call.
-type emitScratch struct {
-	seen pairSet
-	out  []Candidate
-}
-
-// emitPairs is the materialising adapter over emitPairsChunked, retained
-// for the Soundex blocker and tests.
-func emitPairs(d *model.Dataset, blocks map[blockKey][]model.RecordID, maxBlock int) []Candidate {
-	var out []Candidate
-	emitPairsChunked(d, blocks, maxBlock, func(chunk []Candidate) {
-		out = append(out, chunk...)
-	})
-	return out
-}
-
-// emitPairsChunked deduplicates pair emission across blocks and applies the
-// gender-compatibility filter, delivering the candidates in bounded chunks.
+// emitPairs turns signature tables into the candidate stream: every pair of
+// distinct records sharing a block of at most maxBlock members (0: any
+// size), once, canonical A < B, gender- and certificate-filtered, in the
+// order of the pair's first block under (band, hash) order and, within a
+// block, of the members' positions in ids.
 //
-// The sorted block keys are split into contiguous spans of roughly
-// pairChunkTarget pairs each; spans are emitted in waves of GOMAXPROCS with
-// a local dedup map per span, then merged serially in span order under the
-// global first-wins pairSet and handed to emit. Because spans are
-// contiguous runs of the serial iteration order, the merged stream
-// reproduces the serial first-occurrence order byte for byte regardless of
-// span size or GOMAXPROCS; the gender and
-// certificate filters are pure pair predicates, so applying them before or
-// after deduplication yields the same candidate sequence.
-func emitPairsChunked(d *model.Dataset, blocks map[blockKey][]model.RecordID, maxBlock int, emit func(chunk []Candidate)) {
+// Blocks are built by sorting each band's (hash, position) entries, bands
+// in parallel. Pairs are emitted span by span, a wave of GOMAXPROCS spans
+// at a time, and handed to emit in span order. No span consults another's
+// output: a pair met in band k has been emitted before exactly when the two
+// records share a block of a band below k that the cap did not drop — each
+// record sits in one block per band, so that is the pair's only possible
+// earlier occurrence — and a few hash compares against the signature tables
+// answer that. The candidate sequence is therefore independent of span size
+// and GOMAXPROCS. The gender and certificate filters are pure pair
+// predicates, so applying them after deduplication changes nothing.
+func emitPairs(d *model.Dataset, ids []model.RecordID, tables []sigTable, maxBlock int, emit func(chunk []Candidate)) {
 	st := obs.StartStage("blocking.emit_pairs")
 	defer st.Stop()
 
-	// Deterministic iteration: sort keys, dropping capped blocks up front
-	// and summing emittable pair counts for span sizing.
-	keys := make([]blockKey, 0, len(blocks))
-	cappedBlocks, cappedRecords := 0, 0
-	for k, blk := range blocks {
-		if maxBlock > 0 && len(blk) > maxBlock {
-			cappedBlocks++
-			cappedRecords += len(blk)
-			continue
+	// A record listed twice in ids sits twice in each of its blocks: it
+	// counts twice against the cap, but pairs only through its first
+	// position.
+	var repeat []bool
+	listed := make([]bool, len(d.Records))
+	for p, id := range ids {
+		if listed[id] {
+			if repeat == nil {
+				repeat = make([]bool, len(ids))
+			}
+			repeat[p] = true
 		}
-		keys = append(keys, k)
+		listed[id] = true
 	}
-	mCappedBlocks.Add(int64(cappedBlocks))
-	mCappedRecords.Add(int64(cappedRecords))
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].band != keys[j].band {
-			return keys[i].band < keys[j].band
+
+	e := &emitter{d: d, ids: ids, tables: slices.Clone(tables), live: make([]uint64, len(ids))}
+	nbands := 0
+	for ti := range e.tables {
+		t := &e.tables[ti]
+		t.base = nbands
+		nbands += t.width
+		bits := (uint64(1)<<t.width - 1) << t.base
+		for p, r := range t.row {
+			if r >= 0 {
+				e.live[p] |= bits
+			}
 		}
-		return keys[i].hash < keys[j].hash
+	}
+	e.bands = make([]bandBlocks, nbands)
+	par.Pull(nbands, func(_ int, next func() int) {
+		var scratch []bandEntry
+		for b := next(); b < nbands; b = next() {
+			scratch = e.buildBand(b, maxBlock, repeat, scratch)
+		}
 	})
-	total := 0
-	for _, k := range keys {
-		n := len(blocks[k])
-		total += n * (n - 1) / 2
-	}
-	if total == 0 {
-		return
-	}
 
-	// Contiguous spans of roughly pairChunkTarget pre-dedup pairs.
-	type span struct{ lo, hi, pairs int }
 	var spans []span
-	cur := span{}
-	for i, k := range keys {
-		n := len(blocks[k])
-		cur.pairs += n * (n - 1) / 2
-		if cur.pairs >= pairChunkTarget || i == len(keys)-1 {
-			cur.hi = i + 1
-			spans = append(spans, cur)
-			cur = span{lo: i + 1}
+	for b := range e.bands {
+		bb := &e.bands[b]
+		for _, p := range bb.capped {
+			e.live[p] &^= 1 << b
 		}
-	}
-	if len(spans) == 1 {
-		// One span needs no cross-span dedup: its local table already
-		// produced the serial first-occurrence order.
-		var sc emitScratch
-		if out := emitShard(d, blocks, keys, total, &sc); len(out) > 0 {
-			emit(out)
+		mCappedBlocks.Add(int64(bb.cappedBlocks))
+		mCappedRecords.Add(int64(len(bb.capped)))
+		bb.capped = nil
+		lo := 0
+		for _, hi := range bb.cuts {
+			spans = append(spans, span{band: b, lo: lo, hi: int(hi)})
+			lo = int(hi)
 		}
-		return
 	}
 
-	// One scratch per wave slot, reused for every wave: slot s of each wave
-	// runs on one goroutine at a time and waves are serial, so reuse is
-	// race-free, and the emit contract (chunks are only read during the
-	// call) makes recycling the output buffers legal.
-	seen := newPairSet(total/4 + 16)
-	workers := par.Procs(len(spans))
-	scratch := make([]emitScratch, workers)
-	outs := make([][]Candidate, len(spans))
-	for wave := 0; wave < len(spans); wave += workers {
-		end := wave + workers
-		if end > len(spans) {
-			end = len(spans)
-		}
-		par.Range(end-wave, func(lo, hi int) {
+	// Span buffers are reused wave after wave: the emit contract says a
+	// chunk is only read during the call.
+	outs := make([][]Candidate, par.Procs(len(spans)))
+	for wave := 0; wave < len(spans); wave += len(outs) {
+		n := min(len(outs), len(spans)-wave)
+		par.Range(n, func(lo, hi int) {
 			for s := lo; s < hi; s++ {
-				sp := spans[wave+s]
-				outs[wave+s] = emitShard(d, blocks, keys[sp.lo:sp.hi], sp.pairs, &scratch[s])
+				outs[s] = e.emitSpan(spans[wave+s], outs[s][:0])
 			}
 		})
-		// Ordered merge with global first-wins dedup, then hand the
-		// surviving chunk to the consumer. The span buffer stays owned by
-		// its scratch slot and is overwritten next wave.
-		for s := wave; s < end; s++ {
-			o := outs[s]
-			outs[s] = nil
-			w := 0
-			for _, c := range o {
-				if seen.add(uint64(model.MakePairKey(c.A, c.B))) {
-					o[w] = c
-					w++
-				}
-			}
-			if w > 0 {
-				emit(o[:w])
+		for _, out := range outs[:n] {
+			if len(out) > 0 {
+				emit(out)
 			}
 		}
 	}
 }
 
-// emitShard emits the deduplicated, filtered pairs of one contiguous run of
-// sorted block keys into sc, whose dedup table and output buffer are reused
-// across spans. pairHint is the worst-case pair count (every block visit
-// distinct). Measured distinct-pair fractions of worst case run 0.18 on the
-// parish-scale IOS profile and 0.41 on the DS-scale substrate
-// (TestPairHintSizingAudit) — the denser the blocks, the more of the
-// recurrence is same-pair-new-band and the higher the distinct fraction.
-// Resetting to pairHint/4 splits that range: at most one table growth at
-// the highest measured density, no over-allocation at the lowest — and
-// after the first wave the table has reached working size, so steady state
-// allocates nothing at all.
-func emitShard(d *model.Dataset, blocks map[blockKey][]model.RecordID, keys []blockKey, pairHint int, sc *emitScratch) []Candidate {
-	sc.seen.reset(pairHint/4 + 16)
-	out := sc.out[:0]
-	for _, k := range keys {
-		blk := blocks[k]
-		for i := 0; i < len(blk); i++ {
-			for j := i + 1; j < len(blk); j++ {
-				a, b := blk[i], blk[j]
-				if b < a {
-					a, b = b, a
-				}
-				if a == b {
+// bandEntry is one record's membership of one band.
+type bandEntry struct {
+	hash uint64
+	pos  int32
+}
+
+// buildBand sorts band b's entries into blocks and keeps the ones that can
+// emit, cutting them into spans as it goes. scratch is reused across the
+// bands one worker builds.
+func (e *emitter) buildBand(b, maxBlock int, repeat []bool, scratch []bandEntry) []bandEntry {
+	var t *sigTable
+	for ti := range e.tables {
+		if b >= e.tables[ti].base {
+			t = &e.tables[ti]
+		}
+	}
+	off := b - t.base
+	entries := scratch[:0]
+	for p, r := range t.row {
+		if r >= 0 {
+			entries = append(entries, bandEntry{hash: t.sigs[int(r)*t.width+off], pos: int32(p)})
+		}
+	}
+	// Entries were appended in position order, so a stable sort on the hash
+	// alone would do; comparing positions too lets the unstable sort serve.
+	slices.SortFunc(entries, func(x, y bandEntry) int {
+		if x.hash != y.hash {
+			return cmp.Compare(x.hash, y.hash)
+		}
+		return cmp.Compare(x.pos, y.pos)
+	})
+	bb := &e.bands[b]
+	pending := 0 // pairs in the blocks since the last cut
+	for lo := 0; lo < len(entries); {
+		hi := lo + 1
+		for hi < len(entries) && entries[hi].hash == entries[lo].hash {
+			hi++
+		}
+		blk := entries[lo:hi]
+		lo = hi
+		if len(blk) < 2 {
+			continue
+		}
+		if maxBlock > 0 && len(blk) > maxBlock {
+			bb.cappedBlocks++
+			for _, en := range blk {
+				bb.capped = append(bb.capped, en.pos)
+			}
+			continue
+		}
+		start := len(bb.members)
+		for _, en := range blk {
+			if repeat == nil || !repeat[en.pos] {
+				bb.members = append(bb.members, en.pos)
+			}
+		}
+		n := len(bb.members) - start
+		if n < 2 {
+			bb.members = bb.members[:start]
+			continue
+		}
+		bb.ends = append(bb.ends, int32(len(bb.members)))
+		if pending += n * (n - 1) / 2; pending >= pairChunkTarget {
+			bb.cuts = append(bb.cuts, int32(len(bb.ends)))
+			pending = 0
+		}
+	}
+	if pending > 0 {
+		bb.cuts = append(bb.cuts, int32(len(bb.ends)))
+	}
+	return entries
+}
+
+// emitSpan appends the new, filtered pairs of one span to out.
+func (e *emitter) emitSpan(sp span, out []Candidate) []Candidate {
+	bb := &e.bands[sp.band]
+	below := uint64(1)<<sp.band - 1
+	lo := int32(0)
+	if sp.lo > 0 {
+		lo = bb.ends[sp.lo-1]
+	}
+	for _, hi := range bb.ends[sp.lo:sp.hi] {
+		blk := bb.members[lo:hi]
+		lo = hi
+		for i, p := range blk {
+			livep := e.live[p] & below
+			idp := e.ids[p]
+			rp := e.d.Record(idp)
+			for _, q := range blk[i+1:] {
+				if m := livep & e.live[q]; m != 0 && e.sharedBlock(p, q, m) {
 					continue
 				}
-				if !sc.seen.add(uint64(model.MakePairKey(a, b))) {
+				idq := e.ids[q]
+				rq := e.d.Record(idq)
+				if !GenderCompatible(rp, rq) {
 					continue
 				}
-				ra, rb := d.Record(a), d.Record(b)
-				if !GenderCompatible(ra, rb) {
-					continue
-				}
-				if ra.Cert == rb.Cert {
+				if rp.Cert == rq.Cert {
 					continue // two roles on one certificate are distinct people
 				}
-				out = append(out, Candidate{A: a, B: b})
+				out = append(out, Candidate{A: min(idp, idq), B: max(idp, idq)})
 			}
 		}
 	}
-	sc.out = out
 	return out
+}
+
+// sharedBlock reports whether positions p and q agree on the hash of one of
+// the bands in m, the bands that are live for both.
+func (e *emitter) sharedBlock(p, q int32, m uint64) bool {
+	for ti := range e.tables {
+		t := &e.tables[ti]
+		mt := m >> t.base & (1<<t.width - 1)
+		if mt == 0 {
+			continue
+		}
+		rp, rq := t.row[p], t.row[q]
+		if rp == rq {
+			return true
+		}
+		sp, sq := t.sigs[int(rp)*t.width:], t.sigs[int(rq)*t.width:]
+		for ; mt != 0; mt &= mt - 1 {
+			if o := bits.TrailingZeros64(mt); sp[o] == sq[o] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // GenderCompatible reports whether two records could refer to the same
@@ -549,23 +557,26 @@ func (s *Soundex) Pairs(d *model.Dataset, ids []model.RecordID) []Candidate {
 			return strsim.Soundex(v)
 		}
 	}
-	blocks := make(map[blockKey][]model.RecordID)
-	intern := map[string]uint64{}
-	keyID := func(key string) uint64 {
-		if v, ok := intern[key]; ok {
-			return v
-		}
-		v := fnvHash(key)
-		intern[key] = v
-		return v
-	}
-	for _, id := range ids {
+	// Two passes of one band each: the full phonetic key, and the surname
+	// code alone, which tolerates first-name nicknames.
+	passes := [2]sigTable{{width: 1, row: make([]int32, len(ids))}, {width: 1, row: make([]int32, len(ids))}}
+	rows := [2]map[string]int32{{}, {}}
+	for p, id := range ids {
 		rec := d.Record(id)
-		k1 := encode(rec.FirstName()) + "/" + encode(rec.Surname())
-		blocks[blockKey{band: 0, hash: keyID(k1)}] = append(blocks[blockKey{band: 0, hash: keyID(k1)}], id)
-		// Second pass on surname alone tolerates first-name nicknames.
-		k2 := encode(rec.Surname())
-		blocks[blockKey{band: 1, hash: keyID(k2)}] = append(blocks[blockKey{band: 1, hash: keyID(k2)}], id)
+		sur := encode(rec.Surname())
+		for ti, key := range [2]string{encode(rec.FirstName()) + "/" + sur, sur} {
+			r, ok := rows[ti][key]
+			if !ok {
+				r = int32(len(passes[ti].sigs))
+				rows[ti][key] = r
+				passes[ti].sigs = append(passes[ti].sigs, fnvHash(key))
+			}
+			passes[ti].row[p] = r
+		}
 	}
-	return emitPairs(d, blocks, s.MaxBlockSize)
+	var out []Candidate
+	emitPairs(d, ids, passes[:], s.MaxBlockSize, func(chunk []Candidate) {
+		out = append(out, chunk...)
+	})
+	return out
 }

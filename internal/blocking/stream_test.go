@@ -11,7 +11,8 @@ import (
 // TestPairsChunkedStreamEquivalence locks the streamed emitter to the
 // materialised candidate list: concatenating the chunks must reproduce
 // Pairs byte for byte (same pairs, same order), with no duplicate pair
-// across chunk boundaries — the global first-wins dedup set spans spans.
+// across chunk boundaries — a span decides on its own what an earlier span
+// has emitted.
 // The DS-scale tier is sized to force a few dozen chunks so the
 // cross-span path actually runs.
 func TestPairsChunkedStreamEquivalence(t *testing.T) {
@@ -104,7 +105,7 @@ func TestCappedBlocksAreCounted(t *testing.T) {
 	ids := allIDs(d)
 	cfg := ScaleLSHConfig()
 	wantBlocks, wantRecords := int64(0), int64(0)
-	for _, blk := range buildBlocks(d, ids, cfg) {
+	for _, blk := range lshBlocks(d, ids, cfg) {
 		if len(blk) > cfg.MaxBlockSize {
 			wantBlocks++
 			wantRecords += int64(len(blk))

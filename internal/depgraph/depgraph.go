@@ -210,8 +210,12 @@ type BuildStats struct {
 // incremental Extend flushes) skip it.
 const GCRebaseMinCandidates = 1 << 22
 
+// atomicMiss marks, in a chunk's scratch, an attribute whose supporting
+// value pair was not in the atomic index when the chunk arrived.
+const atomicMiss = -2
+
 // buildChunkSize bounds the candidate pairs scored per streamed chunk; the
-// per-chunk scratch slabs (similarities, presence flags, atomic bindings)
+// per-chunk scratch slabs (similarities, atomic bindings, node predicate)
 // are sized by it and reused, so graph construction memory no longer grows
 // with the total candidate count.
 const buildChunkSize = 1 << 16
@@ -241,30 +245,28 @@ func Build(d *model.Dataset, cfg Config, cands []blocking.Candidate) (*Graph, Bu
 // chunks. stream must call emit once per chunk, in order; chunk slices are
 // only read during the emit call and may be reused by the producer.
 //
-// Each chunk is scored in parallel into fixed-size scratch, then interned
-// serially. Because chunks arrive in the same order the candidates would
-// occupy in one big slice, and both the atomic-node interning and the
-// relational-node appending are serial per chunk, the first-occurrence
+// Each chunk is scored in parallel into fixed-size scratch; the same pass
+// resolves every supporting value pair against the atomic index and
+// evaluates the node predicate. What stays serial per chunk is interning
+// the value pairs the index did not yet hold and appending the surviving
+// relational nodes, both in candidate order. Because chunks arrive in the
+// order the candidates would occupy in one big slice, the first-occurrence
 // orders — and therefore every node and group ID — are identical to the
 // monolithic build at any chunk size and GOMAXPROCS. Atomic and
 // relational nodes live in separate slices with independent ID spaces, so
 // interleaving their construction across chunks cannot renumber anything.
 func BuildStream(d *model.Dataset, cfg Config, stream func(emit func(chunk []blocking.Candidate))) (*Graph, BuildStats) {
-	g := &Graph{
-		Dataset:     d,
-		Config:      cfg,
-		AtomicIndex: map[AtomicKey]int32{},
-		pairIndex:   map[model.PairKey]NodeID{},
-	}
+	g := &Graph{Dataset: d, Config: cfg, AtomicIndex: map[AtomicKey]int32{}}
 	var stats BuildStats
 	v := constraint.NewValidator(d)
 
-	// Chunk-sized scratch, reused across chunks.
+	// Chunk-sized scratch, reused across chunks: per candidate, the atomic
+	// node bound to each attribute (or atomicMiss, with the similarity the
+	// new node will carry in sims), and whether it becomes a node.
 	var (
-		sims        [][model.NumAttrs]float64
-		present     [][model.NumAttrs]bool
-		atomicOf    [][model.NumAttrs]int32
-		nameSupport []bool
+		sims     [][model.NumAttrs]float64
+		atomicOf [][model.NumAttrs]int32
+		keep     []bool
 	)
 
 	// Surviving relational nodes are staged in fixed-size slabs and copied
@@ -286,76 +288,78 @@ func BuildStream(d *model.Dataset, cfg Config, stream func(emit func(chunk []blo
 		stats.Candidates += n
 		if cap(sims) < n {
 			sims = make([][model.NumAttrs]float64, n)
-			present = make([][model.NumAttrs]bool, n)
 			atomicOf = make([][model.NumAttrs]int32, n)
-			nameSupport = make([]bool, n)
+			keep = make([]bool, n)
 		}
-		sims, present = sims[:n], present[:n]
-		atomicOf, nameSupport = atomicOf[:n], nameSupport[:n]
+		sims, atomicOf, keep = sims[:n], atomicOf[:n], keep[:n]
 
-		// Phase 1a: score the chunk in parallel. Similarities are pure
-		// functions of the value pairs, memoised process-wide by symbol
-		// pair (internal/simcache), so repeats across chunks, workers, and
-		// Extend flushes are computed once.
+		// Phase 1a, parallel: score the chunk, look every supporting value
+		// pair up in the atomic index as it stood when the chunk arrived —
+		// nothing writes it during the pass — and evaluate the node
+		// predicate. Similarities are pure functions of the value pairs,
+		// memoised process-wide by symbol pair (internal/simcache), so
+		// repeats across chunks, goroutines and Extend flushes are computed
+		// once; BuildOK is a pure function of the two records.
 		t0 := time.Now()
 		par.Range(n, func(lo, hi int) {
 			for ci := lo; ci < hi; ci++ {
 				c := chunk[ci]
 				ra, rb := d.Record(c.A), d.Record(c.B)
+				atomic := [model.NumAttrs]int32{}
+				for i := range atomic {
+					atomic[i] = -1
+				}
+				nameSupport := false
 				for _, attr := range compareAttrs {
-					if s, ok := CompareAttr(cfg, ra, rb, attr); ok {
-						sims[ci][attr] = s
-						present[ci][attr] = true
+					s, ok := CompareAttr(cfg, ra, rb, attr)
+					if !ok || s < cfg.AtomicThreshold {
+						continue
+					}
+					if idx, ok := g.AtomicIndex[MakeAtomicKey(attr, ra.Sym(attr), rb.Sym(attr))]; ok {
+						atomic[attr] = idx
 					} else {
-						present[ci][attr] = false
+						atomic[attr] = atomicMiss
+						sims[ci][attr] = s
+					}
+					if attr == model.FirstName || attr == model.Surname {
+						nameSupport = true
 					}
 				}
+				atomicOf[ci] = atomic
+				keep[ci] = nameSupport && v.BuildOK(c.A, c.B)
 			}
 		})
-		// Phase 1b: intern atomic nodes serially, in candidate order (the
-		// interning map is shared, and serial interning keeps node ids
-		// deterministic).
-		for ci := range chunk {
-			c := chunk[ci]
-			ra, rb := d.Record(c.A), d.Record(c.B)
-			var atomic [model.NumAttrs]int32
-			for i := range atomic {
-				atomic[i] = -1
-			}
-			nameSupport[ci] = false
+		// Phase 1b, serial: intern the value pairs the index did not hold,
+		// in candidate order. Only a pair's first occurrence creates a
+		// node, and a first occurrence is a miss whichever chunk it falls
+		// in, so atomic ids are those of one serial pass over the stream.
+		for ci := range atomicOf {
 			for _, attr := range compareAttrs {
-				if !present[ci][attr] || sims[ci][attr] < cfg.AtomicThreshold {
-					continue
-				}
-				atomic[attr] = g.addAtomic(attr, ra.Sym(attr), rb.Sym(attr), sims[ci][attr])
-				if attr == model.FirstName || attr == model.Surname {
-					nameSupport[ci] = true
+				if atomicOf[ci][attr] == atomicMiss {
+					ra, rb := d.Record(chunk[ci].A), d.Record(chunk[ci].B)
+					atomicOf[ci][attr] = g.addAtomic(attr, ra.Sym(attr), rb.Sym(attr), sims[ci][attr])
 				}
 			}
-			atomicOf[ci] = atomic
 		}
 		stats.GenAtomic += time.Since(t0)
 
-		// Phase 2 (per chunk): filter impossible role pairs and temporal
-		// violations and append the surviving relational nodes. Both
-		// predicates depend only on the pair itself, so filtering per
+		// Phase 2 (per chunk): append the relational nodes of the pairs that
+		// have name support and pass the impossible-role and temporal
+		// filters. Both depend only on the pair itself, so filtering per
 		// chunk equals filtering after full materialisation.
 		t1 := time.Now()
-		for ci := range chunk {
-			c := chunk[ci]
-			if !nameSupport[ci] || !v.BuildOK(c.A, c.B) {
+		for ci, c := range chunk {
+			if !keep[ci] {
 				continue
 			}
-			id := NodeID(nodeCount)
-			if si := nodeCount >> nodeSlabShift; si == len(nodeSlabs) {
+			si := nodeCount >> nodeSlabShift
+			if si == len(nodeSlabs) {
 				nodeSlabs = append(nodeSlabs, make([]RelationalNode, 0, 1<<nodeSlabShift))
 			}
-			si := nodeCount >> nodeSlabShift
 			nodeSlabs[si] = append(nodeSlabs[si], RelationalNode{
-				ID: id, A: c.A, B: c.B, Atomic: atomicOf[ci], Group: -1,
+				ID: NodeID(nodeCount), A: c.A, B: c.B, Atomic: atomicOf[ci], Group: -1,
 			})
 			nodeCount++
-			g.pairIndex[model.MakePairKey(c.A, c.B)] = id
 		}
 		stats.GenRelational += time.Since(t1)
 	})
@@ -369,7 +373,7 @@ func BuildStream(d *model.Dataset, cfg Config, stream func(emit func(chunk []blo
 	// the live set. One forced collection here costs well under a second
 	// against a multi-minute build and is gated on candidate volume so
 	// incremental Extend flushes never pay it.
-	sims, present, atomicOf, nameSupport = nil, nil, nil, nil
+	sims, atomicOf, keep = nil, nil, nil
 	if stats.Candidates >= GCRebaseMinCandidates {
 		runtime.GC()
 	}
@@ -383,8 +387,13 @@ func BuildStream(d *model.Dataset, cfg Config, stream func(emit func(chunk []blo
 	}
 	nodeSlabs = nil
 
-	// Relationship edges and groups need the complete node set.
+	// Relationship edges and groups need the complete node set, and the
+	// pair index behind NodeFor is filled once, at its final size.
 	t2 := time.Now()
+	g.pairIndex = make(map[model.PairKey]NodeID, len(g.Nodes))
+	for i := range g.Nodes {
+		g.pairIndex[model.MakePairKey(g.Nodes[i].A, g.Nodes[i].B)] = NodeID(i)
+	}
 	g.connectRelationships()
 	g.buildGroups()
 	stats.GenRelational += time.Since(t2)

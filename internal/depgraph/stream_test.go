@@ -69,6 +69,51 @@ func TestBuildStreamMatchesBuild(t *testing.T) {
 	}
 }
 
+// TestBuildStreamAtomicKeyAcrossChunks puts a chunk boundary on every side
+// of a repeated atomic key. With the boundary between the two occurrences
+// of smith/smith the first is interned serially as a miss and the second is
+// resolved against the index in the next chunk's parallel pass; with both
+// in one chunk both miss and the serial pass interns one node. Either way
+// angus/angus, new in the later candidate, takes the next id, as in the
+// one-chunk build.
+func TestBuildStreamAtomicKeyAcrossChunks(t *testing.T) {
+	d := figure3Dataset()
+	cfg := DefaultConfig()
+	cands := []blocking.Candidate{
+		{A: 0, B: 3}, // mary/mary
+		{A: 1, B: 4}, // flora/flora, smith/smith
+		{A: 2, B: 5}, // angus/angus, smith/smith again
+		{A: 1, B: 5}, // smith/smith a third time; not a node (mother, father)
+	}
+	chunked := func(cuts ...int) *Graph {
+		g, _ := BuildStream(d, cfg, func(emit func(chunk []blocking.Candidate)) {
+			lo := 0
+			for _, hi := range append(cuts, len(cands)) {
+				emit(cands[lo:hi])
+				lo = hi
+			}
+		})
+		return g
+	}
+	smith, angus := model.Intern("smith"), model.Intern("angus")
+	for _, procs := range []int{1, 4} {
+		partest.WithProcs(t, procs)
+		want := chunked()
+		if len(want.Atomics) != 4 || len(want.Nodes) != 3 ||
+			want.AtomicIndex[MakeAtomicKey(model.Surname, smith, smith)] != 2 ||
+			want.AtomicIndex[MakeAtomicKey(model.FirstName, angus, angus)] != 3 {
+			t.Fatalf("procs=%d: one-chunk build has atomics %v; the fixture expects smith/smith at 2 and angus/angus at 3", procs, want.Atomics)
+		}
+		for _, cuts := range [][]int{{1}, {2}, {3}, {1, 2, 3}} {
+			g := chunked(cuts...)
+			graphsEqual(t, "procs="+itoa(procs)+" first cut="+itoa(cuts[0]), g, want)
+			if !reflect.DeepEqual(g.AtomicIndex, want.AtomicIndex) {
+				t.Fatalf("procs=%d cuts=%v: atomic index differs", procs, cuts)
+			}
+		}
+	}
+}
+
 // TestBuildStreamReusedChunkBuffer checks the documented producer
 // contract: chunk slices are only read during emit, so a producer reusing
 // one buffer for every chunk must still yield the monolithic graph.

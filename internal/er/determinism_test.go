@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/snaps/snaps/internal/dataset"
 	"github.com/snaps/snaps/internal/depgraph"
@@ -59,6 +60,28 @@ func TestRunDeterministic(t *testing.T) {
 		if again := run(); again != first {
 			t.Fatalf("run %d produced a different cluster set (parallel stages are nondeterministic)\nfirst run:\n%s\nrun %d:\n%s",
 				i+2, head(first, 20), i+2, head(again, 20))
+		}
+	}
+}
+
+// TestTotalIsWallClock pins what PipelineResult.Total adds up: parts of the
+// run that do not overlap, so never more than the run took. The
+// component-partitioned resolver's phase timings are sums over components
+// resolved concurrently and carry no such bound, which is why Total counts
+// Resolve and not them.
+func TestTotalIsWallClock(t *testing.T) {
+	d := dataset.Generate(dataset.IOS().Scaled(0.04)).Dataset
+	for _, procs := range []int{1, 4} {
+		partest.WithProcs(t, procs)
+		t0 := time.Now()
+		pr := Run(d, depgraph.DefaultConfig(), DefaultConfig())
+		wall := time.Since(t0)
+		if pr.Resolve <= 0 || pr.Total() != pr.Blocking+pr.GenAtomic+pr.GenRelational+pr.Resolve {
+			t.Fatalf("procs=%d: Total %v is not blocking %v + graph %v + resolve %v",
+				procs, pr.Total(), pr.Blocking, pr.GenAtomic+pr.GenRelational, pr.Resolve)
+		}
+		if pr.Total() > wall {
+			t.Fatalf("procs=%d: Total %v exceeds the run's wall clock %v", procs, pr.Total(), wall)
 		}
 	}
 }

@@ -74,8 +74,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// Timings reports the wall-clock duration of each offline phase, matching
-// the columns of Tables 5 and 6.
+// Timings reports the duration of each resolution phase, matching the
+// columns of Tables 5 and 6: wall clock from the serial resolver, and from
+// the component-partitioned one (GOMAXPROCS > 1) the sum over components
+// resolved concurrently, that is CPU time. PipelineResult.Resolve is the
+// wall clock of the whole resolution at any setting.
 type Timings struct {
 	Bootstrap time.Duration
 	Merge     time.Duration

@@ -27,6 +27,9 @@ import (
 // Counter is a monotonically increasing metric.
 type Counter struct {
 	v atomic.Int64
+	// read, when set, is where the count lives (Registry.CounterFunc); Inc
+	// and Add do not reach it.
+	read func() int64
 }
 
 // Inc adds one.
@@ -40,7 +43,12 @@ func (c *Counter) Add(n int64) {
 }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c.read != nil {
+		return c.read()
+	}
+	return c.v.Load()
+}
 
 // Gauge is a metric that can go up and down (queue depths, sizes).
 type Gauge struct {

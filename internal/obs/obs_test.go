@@ -114,6 +114,29 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	r.Gauge("snaps_test_total", "")
 }
 
+// TestCounterFunc: a read-callback counter is an ordinary counter to every
+// reader — a later lookup by name and the exposition both see the callback's
+// value — and its name cannot be given a second source.
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	n := int64(41)
+	r.CounterFunc("snaps_striped_total", "Summed on read.", func() int64 { return n })
+	n++
+	if got := r.Counter("snaps_striped_total", "").Value(); got != 42 {
+		t.Fatalf("Value() = %d, want the callback's 42", got)
+	}
+	var sb strings.Builder
+	if err := r.WriteText(&sb); err != nil || !strings.Contains(sb.String(), "snaps_striped_total 42\n") {
+		t.Fatalf("exposition %q, err %v: want the callback's value", sb.String(), err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering a second source for the name should panic")
+		}
+	}()
+	r.CounterFunc("snaps_striped_total", "", func() int64 { return 0 })
+}
+
 func TestRegistryInvalidNamePanics(t *testing.T) {
 	for _, name := range []string{"", "9leading_digit", "has space", "bad{unclosed", "bad-dash"} {
 		func() {

@@ -130,6 +130,23 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return r.lookup(name, help, counterKind, func(e *entry) { e.counter = &Counter{} }).counter
 }
 
+// CounterFunc registers a counter whose owner keeps the count elsewhere —
+// striped over the structure it counts, say, so that counting shares no
+// cache line — and reports it through read, which must be monotonic and
+// safe to call from any goroutine. Everything that reads the counter
+// (Value, the exposition) sees read's result. It panics if the name is
+// already registered: there would be two sources for one series.
+func (r *Registry) CounterFunc(name, help string, read func() int64) {
+	created := false
+	r.lookup(name, help, counterKind, func(e *entry) {
+		e.counter = &Counter{read: read}
+		created = true
+	})
+	if !created {
+		panic(fmt.Sprintf("obs: CounterFunc %q: name already registered", name))
+	}
+}
+
 // Gauge returns the gauge registered under name, creating it on first use.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.lookup(name, help, gaugeKind, func(e *entry) { e.gauge = &Gauge{} }).gauge

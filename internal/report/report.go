@@ -81,7 +81,8 @@ func Write(w io.Writer, in Input) {
 	fmt.Fprintf(w, "| bootstrap time | %v |\n", pr.Result.Timings.Bootstrap)
 	fmt.Fprintf(w, "| merge time | %v |\n", pr.Result.Timings.Merge)
 	fmt.Fprintf(w, "| refine time | %v |\n", pr.Result.Timings.Refine)
-	fmt.Fprintf(w, "| total | %v |\n\n", pr.Total())
+	fmt.Fprintf(w, "| resolution, wall clock | %v |\n", pr.Resolve)
+	fmt.Fprintf(w, "| total, wall clock | %v |\n\n", pr.Total())
 
 	// Cluster size distribution.
 	fmt.Fprintf(w, "## Clusters\n\n")

@@ -38,10 +38,8 @@ func NameSim(a, b symbol.ID) float64 {
 	}
 	key := PackKey(a, b)
 	if v, ok := nameMemo.get(key); ok {
-		mMemoHits.Inc()
 		return v
 	}
-	mMemoMisses.Inc()
 	s := NameSimFeatures(Feat(a), Feat(b))
 	nameMemo.put(key, s)
 	return s
@@ -62,10 +60,8 @@ func Jaccard(a, b symbol.ID) float64 {
 	}
 	key := PackKey(a, b)
 	if v, ok := jacMemo.get(key); ok {
-		mMemoHits.Inc()
 		return v
 	}
-	mMemoMisses.Inc()
 	s := strsim.JaccardBigramIDs(Feat(a).Bigrams, Feat(b).Bigrams)
 	jacMemo.put(key, s)
 	return s
@@ -86,10 +82,8 @@ func TokenJaccard(a, b symbol.ID) float64 {
 	}
 	key := PackKey(a, b)
 	if v, ok := tokenMemo.get(key); ok {
-		mMemoHits.Inc()
 		return v
 	}
-	mMemoMisses.Inc()
 	ta, tb := Feat(a).TokenSyms, Feat(b).TokenSyms
 	s := tokenJaccardMerge(ta, tb)
 	tokenMemo.put(key, s)

@@ -1,18 +1,35 @@
 package simcache
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/symbol"
 )
 
-var (
-	mMemoHits = obs.Default.Counter("snaps_simkernel_memo_hits_total",
-		"Symbol-pair similarity kernel calls answered from the process-wide memo.")
-	mMemoMisses = obs.Default.Counter("snaps_simkernel_memo_misses_total",
-		"Symbol-pair similarity kernel calls that computed and stored a fresh score.")
-)
+// The two counters report, when read, the sums of the per-shard counts the
+// lookups keep (memoShard): a lookup writes no line another shard's lookups
+// write.
+func init() {
+	obs.Default.CounterFunc("snaps_simkernel_memo_hits_total",
+		"Symbol-pair similarity kernel calls answered from the process-wide memo.",
+		func() int64 { return memoCount(func(s *memoShard) int64 { return s.hits.Load() }) })
+	obs.Default.CounterFunc("snaps_simkernel_memo_misses_total",
+		"Symbol-pair similarity kernel calls that computed and stored a fresh score.",
+		func() int64 { return memoCount(func(s *memoShard) int64 { return s.misses.Load() }) })
+}
+
+func memoCount(of func(*memoShard) int64) int64 {
+	total := int64(0)
+	for _, t := range []*memoTable{&nameMemo, &jacMemo, &tokenMemo} {
+		for i := range t.shards {
+			total += of(&t.shards[i])
+		}
+	}
+	return total
+}
 
 // PackKey packs a canonical (unordered) symbol pair into one uint64. All
 // memoised kernels are symmetric, so (a,b) and (b,a) share a slot. Both
@@ -25,23 +42,43 @@ func PackKey(a, b symbol.ID) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
-// memoTable is a sharded open-addressed uint64→float64 hash table. Shards
-// take an RWMutex: scoring is read-mostly after warm-up (Zipf-repeated
-// value pairs are the whole point of memoising), so readers share. Probing
-// is linear over power-of-two tables; keys are pre-mixed with splitmix64 so
-// the low bits used for slots and the high bits used for shard selection
-// are independently distributed.
+// memoTable is a sharded open-addressed uint64→float64 hash table whose
+// lookups take no lock: scoring is read-mostly after warm-up (Zipf-repeated
+// value pairs are the whole point of memoising). Probing is linear over
+// power-of-two tables; keys are pre-mixed with splitmix64 so the low bits
+// used for slots and the high bits used for shard selection are
+// independently distributed.
+//
+// Publication protocol. A shard's slots hang off an atomic pointer. A
+// writer, under the shard mutex, fills an empty slot by storing the value
+// and then the key, both atomically; when the table is full enough it
+// builds the doubled table aside and publishes it with one pointer store.
+// A reader loads the pointer, then keys, and on finding its key loads the
+// value the writer stored before that key. A reader still probing a
+// replaced table finds everything put before the replacement and at worst
+// misses a later put, which costs a recomputation of the same float.
 type memoTable struct {
 	shards [memoShardCount]memoShard
 }
 
 const memoShardCount = 128
 
+// memoShard is padded to a cache line of its own, so that counting a lookup
+// in the shard its key hashes to never contends with another shard.
 type memoShard struct {
-	mu   sync.RWMutex
-	keys []uint64
-	vals []float64
-	n    int
+	mu    sync.Mutex // serialises put
+	slots atomic.Pointer[memoSlots]
+	n     int // filled slots, under mu
+
+	hits, misses atomic.Int64 // lookups answered / not answered by this shard
+
+	_ [64 - 40]byte
+}
+
+// memoSlots is one generation of a shard's table. A zero key is an empty
+// slot; vals hold math.Float64bits of the scores.
+type memoSlots struct {
+	keys, vals []atomic.Uint64
 }
 
 // mix is the splitmix64 finaliser, the same mixer the blocking layer seeds
@@ -56,24 +93,20 @@ func mix(x uint64) uint64 {
 func (t *memoTable) get(key uint64) (float64, bool) {
 	h := mix(key)
 	s := &t.shards[(h>>57)&(memoShardCount-1)]
-	s.mu.RLock()
-	if len(s.keys) == 0 {
-		s.mu.RUnlock()
-		return 0, false
-	}
-	mask := h & uint64(len(s.keys)-1)
-	for i := mask; ; i = (i + 1) & uint64(len(s.keys)-1) {
-		k := s.keys[i]
-		if k == key {
-			v := s.vals[i]
-			s.mu.RUnlock()
-			return v, true
-		}
-		if k == 0 {
-			break
+	if sl := s.slots.Load(); sl != nil {
+		mask := uint64(len(sl.keys) - 1)
+		for i := h & mask; ; i = (i + 1) & mask {
+			k := sl.keys[i].Load()
+			if k == key {
+				s.hits.Add(1)
+				return math.Float64frombits(sl.vals[i].Load()), true
+			}
+			if k == 0 {
+				break
+			}
 		}
 	}
-	s.mu.RUnlock()
+	s.misses.Add(1)
 	return 0, false
 }
 
@@ -81,42 +114,42 @@ func (t *memoTable) put(key uint64, v float64) {
 	h := mix(key)
 	s := &t.shards[(h>>57)&(memoShardCount-1)]
 	s.mu.Lock()
-	if len(s.keys) == 0 {
-		s.keys = make([]uint64, 1024)
-		s.vals = make([]float64, 1024)
-	} else if 10*(s.n+1) >= 7*len(s.keys) {
-		s.grow()
-	}
-	s.insert(h, key, v)
-	s.mu.Unlock()
-}
-
-// insert places key under mixed hash h; racing writers of the same key
-// (both missed before either published) store identical values, so keeping
-// the first copy is correct.
-func (s *memoShard) insert(h, key uint64, v float64) {
-	mask := uint64(len(s.keys) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		switch s.keys[i] {
-		case 0:
-			s.keys[i] = key
-			s.vals[i] = v
-			s.n++
-			return
-		case key:
-			return
+	defer s.mu.Unlock()
+	sl := s.slots.Load()
+	if sl == nil || 10*(s.n+1) >= 7*len(sl.keys) {
+		// Build the next generation aside and publish it whole.
+		var old memoSlots
+		if sl != nil {
+			old = *sl
 		}
+		size := max(1024, 2*len(old.keys))
+		sl = &memoSlots{keys: make([]atomic.Uint64, size), vals: make([]atomic.Uint64, size)}
+		for i := range old.keys {
+			if k := old.keys[i].Load(); k != 0 {
+				sl.insert(mix(k), k, old.vals[i].Load())
+			}
+		}
+		s.slots.Store(sl)
+	}
+	if sl.insert(h, key, math.Float64bits(v)) {
+		s.n++
 	}
 }
 
-func (s *memoShard) grow() {
-	oldKeys, oldVals := s.keys, s.vals
-	s.keys = make([]uint64, 2*len(oldKeys))
-	s.vals = make([]float64, 2*len(oldVals))
-	s.n = 0
-	for i, k := range oldKeys {
-		if k != 0 {
-			s.insert(mix(k), k, oldVals[i])
+// insert places key under mixed hash h and reports whether it was absent;
+// racing writers of the same key (both missed before either published)
+// store identical values, so keeping the first copy is correct. The value
+// is stored before the key that makes it findable.
+func (sl *memoSlots) insert(h, key, bits uint64) bool {
+	mask := uint64(len(sl.keys) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch sl.keys[i].Load() {
+		case 0:
+			sl.vals[i].Store(bits)
+			sl.keys[i].Store(key)
+			return true
+		case key:
+			return false
 		}
 	}
 }
@@ -126,9 +159,9 @@ func (s *memoShard) grow() {
 func (t *memoTable) entries() int {
 	total := 0
 	for i := range t.shards {
-		t.shards[i].mu.RLock()
+		t.shards[i].mu.Lock()
 		total += t.shards[i].n
-		t.shards[i].mu.RUnlock()
+		t.shards[i].mu.Unlock()
 	}
 	return total
 }
