@@ -272,12 +272,6 @@ func BenchmarkStringSimilarity(b *testing.B) {
 			strsim.Jaccard(p[0], p[1])
 		}
 	})
-	b.Run("levenshtein", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			strsim.Levenshtein(p[0], p[1])
-		}
-	})
 }
 
 func itoa(n int) string {

@@ -17,14 +17,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (table1..table7, figure2, figure7-8, memdiet, or all)")
+	exp := flag.String("exp", "all", fmt.Sprintf("experiment id: all or one of %v", experiments.All()))
 	scale := flag.Float64("scale", 0.25, "workload scale factor relative to the full simulated data sets")
-	certs := flag.Int("certs", 100000, "certificate count of the DS-scale tier (memdiet experiment only)")
 	flag.Parse()
 
 	opt := experiments.DefaultOptions()
 	opt.Scale = *scale
-	opt.TierCerts = *certs
 
 	ids := []string{*exp}
 	if *exp == "all" {

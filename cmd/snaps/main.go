@@ -128,6 +128,18 @@ func main() {
 	)
 	flag.Parse()
 
+	// Pairs in which one flag would silently undo the other: -load skips
+	// the resolution run a report describes, and -anonymize re-resolves,
+	// discarding the decisions -feedback applied.
+	if *reportPath != "" && *loadPath != "" {
+		fmt.Fprintln(os.Stderr, "-report cannot be combined with -load: a loaded snapshot has no resolution run to report")
+		os.Exit(2)
+	}
+	if *feedbackCSV != "" && *anon {
+		fmt.Fprintln(os.Stderr, "-feedback cannot be combined with -anonymize: anonymising re-resolves and discards the applied decisions")
+		os.Exit(2)
+	}
+
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -1,7 +1,7 @@
 // Command snapsload is the SNAPS load harness: it replays deterministic
 // traffic mixes against a server at a fixed open-loop arrival rate and
-// writes a JSON report (-out, default BENCH_serve.json) with per-route
-// latency quantiles, throughput, and shed counts.
+// writes a JSON report (-out, default stdout) with per-route latency
+// quantiles, throughput, and shed counts.
 //
 // By default it builds the full pipeline in-process (simulate -> resolve ->
 // index -> serve with ingestion and admission control) and drives the
@@ -90,7 +90,7 @@ func main() {
 		duration = flag.Duration("duration", 10*time.Second, "arrival window per mix")
 		mixNames = flag.String("mixes", "read-heavy,mixed,ingest-burst", "comma-separated mixes to run")
 		seed     = flag.Int64("seed", 1, "workload seed (same seed replays the same op sequence)")
-		out      = flag.String("out", "BENCH_serve.json", "report output path; - for stdout")
+		out      = flag.String("out", "-", "report output path; - for stdout")
 		maxOut   = flag.Int("max-outstanding", 4096, "cap on concurrent in-flight requests")
 
 		admitConcurrency    = flag.Int("admit-concurrency", 64, "in-process target: weighted concurrency budget (0 disables admission)")

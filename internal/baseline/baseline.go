@@ -20,6 +20,7 @@ import (
 	"math"
 	"sort"
 
+	"github.com/snaps/snaps/internal/blocking"
 	"github.com/snaps/snaps/internal/constraint"
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/er"
@@ -72,7 +73,7 @@ func NewAttrSim() *AttrSim {
 // Match classifies candidate pairs and returns the matched pair set. No
 // relationship information, constraints, or clustering is used — exactly
 // the behaviour whose poor linkage quality Table 4 documents.
-func (m *AttrSim) Match(d *model.Dataset, cands []Candidate) map[model.PairKey]bool {
+func (m *AttrSim) Match(d *model.Dataset, cands []blocking.Candidate) map[model.PairKey]bool {
 	out := map[model.PairKey]bool{}
 	for _, c := range cands {
 		a, b := d.Record(c.A), d.Record(c.B)
@@ -81,12 +82,6 @@ func (m *AttrSim) Match(d *model.Dataset, cands []Candidate) map[model.PairKey]b
 		}
 	}
 	return out
-}
-
-// Candidate aliases the blocking candidate type so baseline users need not
-// import blocking.
-type Candidate struct {
-	A, B model.RecordID
 }
 
 // DepGraph is the Dong-et-al.-style propagation baseline. It reuses the

@@ -32,14 +32,6 @@ func newFixture(t *testing.T, scale float64) *fixture {
 	return &fixture{d: d, cands: cands, g: g}
 }
 
-func toBaselineCands(cands []blocking.Candidate) []Candidate {
-	out := make([]Candidate, len(cands))
-	for i, c := range cands {
-		out[i] = Candidate{A: c.A, B: c.B}
-	}
-	return out
-}
-
 func quality(d *model.Dataset, pred map[model.PairKey]bool, rp model.RolePair) eval.Quality {
 	return eval.QualityOf(eval.Compare(pred, d.TruePairs(rp)))
 }
@@ -64,7 +56,7 @@ func TestPairSimBounds(t *testing.T) {
 func TestAttrSimHighRecallLowPrecision(t *testing.T) {
 	f := newFixture(t, 0.12)
 	rp := model.MakeRolePair(model.Bm, model.Bm)
-	pred := NewAttrSim().Match(f.d, toBaselineCands(f.cands))
+	pred := NewAttrSim().Match(f.d, f.cands)
 	// Restrict predictions to the scored role pair.
 	filtered := map[model.PairKey]bool{}
 	for k := range pred {
@@ -117,7 +109,7 @@ func TestSNAPSBeatsBaselines(t *testing.T) {
 	g3, _ := depgraph.Build(f.d, depgraph.DefaultConfig(), f.cands)
 	qRel := quality(f.d, NewRelCluster().Resolve(f.d, g3).MatchPairs(rp), rp)
 
-	attrPred := NewAttrSim().Match(f.d, toBaselineCands(f.cands))
+	attrPred := NewAttrSim().Match(f.d, f.cands)
 	filtered := map[model.PairKey]bool{}
 	for k := range attrPred {
 		a, b := k.Split()

@@ -5,9 +5,6 @@
 // block and are compared. Pairs of very dissimilar records are unlikely to
 // collide in any band, so the quadratic comparison space shrinks to
 // near-linear.
-//
-// A simple Soundex-based blocker is also provided as a deterministic
-// cross-check for tests and for data sets too small to warrant LSH.
 package blocking
 
 import (
@@ -18,8 +15,6 @@ import (
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/par"
-	"github.com/snaps/snaps/internal/simcache"
-	"github.com/snaps/snaps/internal/strsim"
 	"github.com/snaps/snaps/internal/symbol"
 )
 
@@ -531,52 +526,4 @@ func effectiveGender(r *model.Record) model.Gender {
 		return r.Gender
 	}
 	return model.RoleGender(r.Role)
-}
-
-// Soundex blocks records by the Soundex codes of their first name and
-// surname. It is exact for spelling variants that preserve the phonetic
-// skeleton and serves as a baseline blocker and a test oracle.
-type Soundex struct {
-	// MaxBlockSize caps block sizes as in LSH. Zero means no cap.
-	MaxBlockSize int
-	// Encode maps a name to its phonetic code; tests may substitute a stub.
-	Encode func(string) string
-}
-
-// Pairs returns the deduplicated candidate pairs among the given records,
-// canonical A < B.
-func (s *Soundex) Pairs(d *model.Dataset, ids []model.RecordID) []Candidate {
-	encode := s.Encode
-	if encode == nil {
-		// Default to the per-symbol cached code: record values are
-		// interned, so the phonetic encoding is a slab lookup.
-		encode = func(v string) string {
-			if id, ok := symbol.Lookup(v); ok {
-				return simcache.Soundex(id)
-			}
-			return strsim.Soundex(v)
-		}
-	}
-	// Two passes of one band each: the full phonetic key, and the surname
-	// code alone, which tolerates first-name nicknames.
-	passes := [2]sigTable{{width: 1, row: make([]int32, len(ids))}, {width: 1, row: make([]int32, len(ids))}}
-	rows := [2]map[string]int32{{}, {}}
-	for p, id := range ids {
-		rec := d.Record(id)
-		sur := encode(rec.Surname())
-		for ti, key := range [2]string{encode(rec.FirstName()) + "/" + sur, sur} {
-			r, ok := rows[ti][key]
-			if !ok {
-				r = int32(len(passes[ti].sigs))
-				rows[ti][key] = r
-				passes[ti].sigs = append(passes[ti].sigs, fnvHash(key))
-			}
-			passes[ti].row[p] = r
-		}
-	}
-	var out []Candidate
-	emitPairs(d, ids, passes[:], s.MaxBlockSize, func(chunk []Candidate) {
-		out = append(out, chunk...)
-	})
-	return out
 }

@@ -154,20 +154,6 @@ func TestLSHMaxBlockSizeSkipsLargeBlocks(t *testing.T) {
 	}
 }
 
-func TestSoundexBlocker(t *testing.T) {
-	d := testDataset(t)
-	s := &Soundex{MaxBlockSize: 2000}
-	pairs := s.Pairs(d, allIDs(d))
-	if len(pairs) == 0 {
-		t.Fatal("Soundex blocker produced no pairs")
-	}
-	for _, p := range pairs {
-		if p.A >= p.B {
-			t.Fatalf("non-canonical pair %v", p)
-		}
-	}
-}
-
 func TestGenderCompatible(t *testing.T) {
 	mk := func(g model.Gender, role model.Role) *model.Record {
 		return &model.Record{Gender: g, Role: role}

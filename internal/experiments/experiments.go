@@ -28,7 +28,6 @@ import (
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/query"
-	"github.com/snaps/snaps/internal/tuning"
 )
 
 // Options scales the experiment workloads; 1.0 runs the full simulated data
@@ -40,14 +39,11 @@ type Options struct {
 	// fraction of true Bp-Dp pairs retained when scoring. 1.0 disables it.
 	TruthKeepBpDpIOS float64
 	TruthKeepBpDpKIL float64
-	// TierCerts is the certificate count of the DS-scale tier for the
-	// memdiet experiment (not part of All(); cmd/experiments -certs sets it).
-	TierCerts int
 }
 
 // DefaultOptions mirror the paper's evaluation setup.
 func DefaultOptions() Options {
-	return Options{Scale: 0.25, TruthKeepBpDpIOS: 0.87, TruthKeepBpDpKIL: 0.72, TierCerts: 100000}
+	return Options{Scale: 0.25, TruthKeepBpDpIOS: 0.87, TruthKeepBpDpKIL: 0.72}
 }
 
 // BpBp and BpDp are the evaluated role-pair groups of Tables 3 and 4:
@@ -275,7 +271,7 @@ func Table4(w io.Writer, opt Options) {
 			q := score(d, combinedPred(pr.Result.Store, grp.rps), grp.rps, grp.keep)
 			fmt.Fprintf(w, "  %-12s %v\n", "SNAPS", q)
 
-			attr := baseline.NewAttrSim().Match(d, toBaselineCands(cands))
+			attr := baseline.NewAttrSim().Match(d, cands)
 			q = score(d, attr, grp.rps, grp.keep)
 			fmt.Fprintf(w, "  %-12s %v\n", "Attr-Sim", q)
 
@@ -294,14 +290,6 @@ func Table4(w io.Writer, opt Options) {
 				"Magellan", mp[0], ms[0], mp[1], ms[1], mp[2], ms[2])
 		}
 	}
-}
-
-func toBaselineCands(cands []blocking.Candidate) []baseline.Candidate {
-	out := make([]baseline.Candidate, len(cands))
-	for i, c := range cands {
-		out[i] = baseline.Candidate{A: c.A, B: c.B}
-	}
-	return out
 }
 
 // magellan runs the supervised baseline in the paper's two regimes across
@@ -360,7 +348,7 @@ func Table5(w io.Writer, opt Options) {
 		// Baselines are timed through the shared Stage API, so the table's
 		// numbers and the snaps_stage_seconds series agree by construction.
 		st := obs.StartStage("baseline_attr_sim")
-		baseline.NewAttrSim().Match(d, toBaselineCands(cands))
+		baseline.NewAttrSim().Match(d, cands)
 		attrTime := st.Stop()
 
 		g, _ := depgraph.Build(d, depgraph.DefaultConfig(), cands)
@@ -582,69 +570,18 @@ func Blocking(w io.Writer, opt Options) {
 		score(fmt.Sprintf("lsh bands=%d rows=%d", cfg.Bands, cfg.Rows),
 			blocking.NewLSH(cfg).Pairs(d, ids))
 	}
-	// The deterministic phonetic blocker as a point of comparison.
-	score("soundex", (&blocking.Soundex{MaxBlockSize: 400}).Pairs(d, ids))
-}
-
-// Tuning runs the learned-match-weights extension (Sec. 7 future work):
-// self-retrieval queries are sampled from the resolved IOS data, split into
-// train and test halves, and coordinate descent over the ranking weights is
-// compared against the hand-set defaults.
-func Tuning(w io.Writer, opt Options) {
-	fmt.Fprintln(w, "Learned query-ranking weights (future-work extension)")
-	p := dataset.Generate(dataset.IOS().Scaled(opt.Scale))
-	pr := er.Run(p.Dataset, depgraph.DefaultConfig(), er.DefaultConfig())
-	g := pedigree.Build(p.Dataset, pr.Result.Store)
-	k, s := index.Build(g, 0.5)
-	engine := query.NewEngine(g, k, s)
-
-	qs := tuning.SampleQueries(g, 400, 17)
-	half := len(qs) / 2
-	train, test := qs[:half], qs[half:]
-
-	baseMRR, baseHit := tuning.Evaluate(engine, test, 1, 5)
-	fmt.Fprintf(w, "hand-set weights:  MRR=%.4f hit@1=%.3f hit@5=%.3f\n",
-		baseMRR, baseHit[1], baseHit[5])
-
-	weights, trainMRR := tuning.Tune(engine, train, tuning.DefaultConfig())
-	testMRR, testHit := tuning.Evaluate(engine, test, 1, 5)
-	fmt.Fprintf(w, "learned weights:   MRR=%.4f hit@1=%.3f hit@5=%.3f (train MRR=%.4f)\n",
-		testMRR, testHit[1], testHit[5], trainMRR)
-	fmt.Fprintf(w, "weights: first=%.2f sur=%.2f gender=%.2f year=%.2f loc=%.2f\n",
-		weights.FirstName, weights.Surname, weights.Gender, weights.Year, weights.Location)
-}
-
-// Stages prints the per-stage timing summary accumulated in the default
-// metrics registry over every pipeline run of the process so far — the
-// same snaps_stage_seconds series GET /metrics exposes, so the offline
-// tables (5-6) and live scrapes share one timing source.
-func Stages(w io.Writer, opt Options) {
-	fmt.Fprintln(w, "Per-stage timings (snaps_stage_seconds)")
-	obs.StageSummary(w)
 }
 
 // Run dispatches an experiment id to its implementation. It reports whether
 // the id was recognised.
 func Run(w io.Writer, id string, opt Options) bool {
 	switch id {
-	case "stages":
-		Stages(w, opt)
-		return true
-	case "memdiet":
-		Memdiet(w, opt.TierCerts)
-		return true
 	case "sensitivity":
 		Sensitivity(w, opt)
-		return true
-	case "tuning":
-		Tuning(w, opt)
-		return true
 	case "census":
 		Census(w, opt)
-		return true
 	case "blocking":
 		Blocking(w, opt)
-		return true
 	case "table1":
 		Table1(w, opt)
 	case "figure2":
@@ -670,11 +607,11 @@ func Run(w io.Writer, id string, opt Options) bool {
 }
 
 // All lists the experiment ids in paper order, followed by the extension
-// experiments (parameter sensitivity and census integration).
+// experiments (parameter sensitivity, census integration, LSH banding).
 func All() []string {
 	return []string{
 		"table1", "figure2", "table2", "table3", "table4", "table5",
 		"table6", "table7", "figure7-8", "sensitivity", "census",
-		"blocking", "tuning", "stages",
+		"blocking",
 	}
 }

@@ -25,8 +25,7 @@
 // Event years are deliberately NOT materialised as string postings: an
 // entity's year span is an interval check against pedigree.Node.MinYear/
 // MaxYear at query time, so the index no longer stores one posting entry
-// per (entity, year) pair across the whole span. YearPostingEntries
-// reports how many entries the old scheme would have held.
+// per (entity, year) pair across the whole span.
 package index
 
 import (
@@ -277,43 +276,6 @@ func (k *Keyword) Postings(f Field, value string) PostingIter {
 
 // Values returns the number of distinct values indexed for the field.
 func (k *Keyword) Values(f Field) int { return len(k.postings[f]) }
-
-// PostingStats describes the keyword index's footprint for one field.
-type PostingStats struct {
-	// Values is the number of distinct indexed values.
-	Values int
-	// Entries is the total number of posting-list entries.
-	Entries int
-	// Bytes approximates the heap footprint: value string bytes plus the
-	// compressed posting bytes plus map/slice headers.
-	Bytes int
-}
-
-// Stats reports the field's posting footprint; the year-index shrink is
-// measured against it (see YearPostingEntries).
-func (k *Keyword) Stats(f Field) PostingStats {
-	st := PostingStats{Values: len(k.postings[f])}
-	for v, pl := range k.postings[f] {
-		st.Entries += pl.len()
-		st.Bytes += len(v) + len(pl.data) + 48 // string bytes + compressed postings + header overhead
-	}
-	return st
-}
-
-// YearPostingEntries reports how many posting entries the retired
-// string-keyed year index would have stored for the graph: one per
-// (entity, year) pair across each entity's MinYear..MaxYear span. The
-// interval check replaced all of them with zero index state.
-func YearPostingEntries(g *pedigree.Graph) int {
-	entries := 0
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
-		if n.MinYear != 0 && n.MaxYear >= n.MinYear {
-			entries += n.MaxYear - n.MinYear + 1
-		}
-	}
-	return entries
-}
 
 // Similar returns the indexed values of the field similar to the probe,
 // most similar first, including the probe itself when indexed. Results are

@@ -131,26 +131,11 @@ func TestLookupResultIsCallerOwned(t *testing.T) {
 	}
 }
 
-// TestYearIndexShrunk verifies the year field stores no postings at all —
-// queries use the MinYear/MaxYear interval check — and measures the
-// entries the retired per-(entity, year) scheme would have held.
+// TestYearIndexShrunk verifies the year field stores no postings at all:
+// queries use the MinYear/MaxYear interval check.
 func TestYearIndexShrunk(t *testing.T) {
-	g, k, _ := builtIndexes(t)
-	st := k.Stats(FieldYear)
-	if st.Values != 0 || st.Entries != 0 {
-		t.Fatalf("year field still holds postings: %+v", st)
-	}
-	retired := YearPostingEntries(g)
-	if retired == 0 {
-		t.Skip("graph has no year spans to measure")
-	}
-	// Every retired entry was a NodeID plus its share of a map entry and
-	// a year-string key; ~4 bytes of payload per entry is the floor.
-	t.Logf("year index shrink: %d posting entries (>= %d bytes) replaced by the interval check",
-		retired, 4*retired)
-	nameEntries := k.Stats(FieldFirstName).Entries + k.Stats(FieldSurname).Entries
-	if retired < nameEntries/10 {
-		t.Logf("note: retired year entries (%d) small relative to name entries (%d) at this scale",
-			retired, nameEntries)
+	_, k, _ := builtIndexes(t)
+	if n := k.Values(FieldYear); n != 0 {
+		t.Fatalf("year field still holds postings for %d values", n)
 	}
 }

@@ -228,21 +228,6 @@ func TestStageTimerRecordsIntoDefaultRegistry(t *testing.T) {
 	if h.Count() < 2 {
 		t.Fatal("ObserveStage did not record")
 	}
-
-	var sb strings.Builder
-	StageSummary(&sb)
-	if !strings.Contains(sb.String(), "obs_test_stage") {
-		t.Fatalf("stage summary missing stage:\n%s", sb.String())
-	}
-}
-
-func TestStageLabelValue(t *testing.T) {
-	if got := stageLabelValue(`stage="blocking"`); got != "blocking" {
-		t.Fatalf("stageLabelValue = %q", got)
-	}
-	if got := stageLabelValue(`other="x"`); got != `other="x"` {
-		t.Fatalf("non-stage label should pass through, got %q", got)
-	}
 }
 
 func TestConcurrentObservations(t *testing.T) {

@@ -281,20 +281,3 @@ func join(labels, more string) string {
 func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
-
-// each calls fn for every registered series of the family, sorted by label
-// set; used by the stage summary.
-func (r *Registry) each(family string, fn func(labels string, e *entry)) {
-	r.mu.RLock()
-	var matched []*entry
-	for _, e := range r.entries {
-		if e.family == family {
-			matched = append(matched, e)
-		}
-	}
-	r.mu.RUnlock()
-	sort.Slice(matched, func(i, j int) bool { return matched[i].labels < matched[j].labels })
-	for _, e := range matched {
-		fn(e.labels, e)
-	}
-}

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-	"time"
-)
+import "time"
 
 // stageFamily is the shared histogram family for pipeline stage timings:
 // one labelled series per stage (blocking, graph construction, bootstrap,
@@ -45,32 +41,4 @@ func (s *Stage) Stop() time.Duration {
 // statistics, the resolver's phase breakdown).
 func ObserveStage(name string, d time.Duration) {
 	StageHistogram(name).ObserveDuration(d)
-}
-
-// StageSummary prints one line per recorded stage — observation count,
-// total seconds, and the p50/p95/p99 latency estimates — in label order.
-// cmd/experiments uses it to print the per-stage breakdown behind the
-// runtime tables.
-func StageSummary(w io.Writer) {
-	fmt.Fprintf(w, "%-28s %8s %12s %10s %10s %10s\n",
-		"stage", "count", "total(s)", "p50(s)", "p95(s)", "p99(s)")
-	Default.each(stageFamily, func(labels string, e *entry) {
-		h := e.histogram
-		if h == nil || h.Count() == 0 {
-			return
-		}
-		fmt.Fprintf(w, "%-28s %8d %12.4f %10.4f %10.4f %10.4f\n",
-			stageLabelValue(labels), h.Count(), h.Sum(),
-			h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))
-	})
-}
-
-// stageLabelValue extracts the stage name back out of the rendered label
-// set produced by StageHistogram.
-func stageLabelValue(labels string) string {
-	const pre, post = `stage="`, `"`
-	if len(labels) > len(pre)+len(post) && labels[:len(pre)] == pre && labels[len(labels)-1] == '"' {
-		return labels[len(pre) : len(labels)-1]
-	}
-	return labels
 }

@@ -26,8 +26,6 @@ type Features struct {
 	// TokenSyms is the sorted distinct symbols of Tokens, for merge-based
 	// token Jaccard.
 	TokenSyms []symbol.ID
-	// Soundex is the four-character phonetic code of Str.
-	Soundex string
 	// HasSpace mirrors strsim's NameSim trigger: Str contains a space
 	// byte (tabs deliberately excluded, matching the string kernel).
 	HasSpace bool
@@ -100,7 +98,6 @@ func computeFeatures(id symbol.ID) *Features {
 	f := &Features{
 		Str:      s,
 		HasSpace: strings.IndexByte(s, ' ') >= 0,
-		Soundex:  strsim.Soundex(s),
 		Tokens:   strsim.Fields(s),
 	}
 	if len(s) >= 2 {

@@ -111,6 +111,3 @@ func tokenJaccardMerge(a, b []symbol.ID) float64 {
 	union := len(a) + len(b) - inter
 	return float64(inter) / float64(union)
 }
-
-// Soundex returns the cached phonetic code of a symbol.
-func Soundex(a symbol.ID) string { return Feat(a).Soundex }

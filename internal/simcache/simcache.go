@@ -1,9 +1,9 @@
 // Package simcache makes the similarity layer symbol-native: every string
 // that reaches a hot comparison kernel in the offline build is already an
 // interned symbol (internal/symbol), so the derived features the kernels
-// need — bigram signatures, whitespace token splits, Soundex codes — are
-// pure functions of the symbol and can be computed once per distinct value
-// for the life of the process instead of once per candidate pair.
+// need — bigram signatures, whitespace token splits — are pure functions of
+// the symbol and can be computed once per distinct value for the life of
+// the process instead of once per candidate pair.
 //
 // Two structures implement that:
 //

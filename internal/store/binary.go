@@ -50,12 +50,8 @@ import (
 	"github.com/snaps/snaps/internal/symbol"
 )
 
-var (
-	// magicV02 is the full 11-byte magic; magicV02Head is its first 8
-	// bytes, the prefix Read dispatches on.
-	magicV02     = []byte("SNAPSBINv02")
-	magicV02Head = [8]byte{'S', 'N', 'A', 'P', 'S', 'B', 'I', 'N'}
-)
+// magicV02 opens every snapshot; Read rejects a stream that starts otherwise.
+var magicV02 = []byte("SNAPSBINv02")
 
 // Section tags.
 const (
@@ -383,17 +379,9 @@ func nextSection(r *bufio.Reader, wantTag byte) (*sectionReader, error) {
 	return &sectionReader{r: r, rem: n}, nil
 }
 
-// readBinary decodes the stream after the first 8 magic bytes (already
-// consumed and matched against magicV02Head by Read).
+// readBinary decodes the sections that follow the magic (already consumed
+// and matched by Read).
 func readBinary(r *bufio.Reader) (*Snapshot, error) {
-	var tail [3]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return nil, fmt.Errorf("store: reading header: %w", err)
-	}
-	if string(tail[:]) != string(magicV02[8:]) {
-		return nil, fmt.Errorf("store: bad magic version %q", tail)
-	}
-
 	// tagMeta
 	sec, err := nextSection(r, tagMeta)
 	if err != nil {

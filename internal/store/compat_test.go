@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/snaps/snaps/internal/dataset"
@@ -45,37 +46,17 @@ func assertSnapshotsEqual(t *testing.T, got, want *Snapshot) {
 	}
 }
 
-// TestV01RoundTrip writes the legacy gob format and reads it back through
-// the dispatching Read: old snapshot files must keep loading, including
-// their name strings (re-interned on read).
-func TestV01RoundTrip(t *testing.T) {
-	snap := resolvedSnapshot(t)
-	var buf bytes.Buffer
-	if err := writeV01(&buf, snap); err != nil {
-		t.Fatal(err)
+// TestV01MagicRejected pins what became of the retired gob format: its
+// magic is one more unknown header, answered with the bad-magic error that
+// names the one format there is — never a panic, never a decode attempt.
+func TestV01MagicRejected(t *testing.T) {
+	_, err := Read(strings.NewReader("SNAPSv01 and whatever a gob stream held"))
+	if err == nil {
+		t.Fatal("SNAPSv01 stream accepted")
 	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
+	if msg := err.Error(); !strings.Contains(msg, "bad magic") || !strings.HasSuffix(msg, `(want "SNAPSBINv02")`) {
+		t.Fatalf("error %q: want bad magic naming SNAPSBINv02 as the only format", msg)
 	}
-	assertSnapshotsEqual(t, got, snap)
-}
-
-// TestV02SmallerThanV01 pins the point of the compact format: the same
-// snapshot must encode substantially smaller than the gob.
-func TestV02SmallerThanV01(t *testing.T) {
-	snap := resolvedSnapshot(t)
-	var v01, v02 bytes.Buffer
-	if err := writeV01(&v01, snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := Write(&v02, snap); err != nil {
-		t.Fatal(err)
-	}
-	if v02.Len()*2 > v01.Len() {
-		t.Fatalf("v02 is %d bytes, v01 %d: expected at least 2x smaller", v02.Len(), v01.Len())
-	}
-	t.Logf("v01 gob %d bytes, v02 binary %d bytes (%.1fx)", v01.Len(), v02.Len(), float64(v01.Len())/float64(v02.Len()))
 }
 
 // TestSnapshotGoldenEquivalence is the round-trip determinism guard: a

@@ -1,21 +1,16 @@
 // Package store persists the outputs of the SNAPS offline phase — the data
 // set, the resolved entity clusters, and the pedigree graph — so a server
-// can start without re-running entity resolution. Two wire formats are
-// supported, both behind an 8-byte magic header so Load rejects unknown
-// versions instead of misinterpreting bytes:
-//
-//   - SNAPSv01: the original gob stream. Still readable, so old deployments
-//     keep working; nothing writes it any more (the compat and fuzz tests
-//     carry their own fixture writer).
-//   - SNAPSBINv02: the compact length-prefixed binary format of binary.go
-//     — a per-file symbol table plus varint-coded records, certificates,
-//     and clusters. Write/Save emit it by default; it is a fraction of the
-//     gob's size and decodes section-by-section without gob's reflection.
+// can start without re-running entity resolution. There is one wire
+// format, SNAPSBINv02: the compact length-prefixed binary format of
+// binary.go — a per-file symbol table plus varint-coded records,
+// certificates, and clusters — behind a magic header, so Load rejects any
+// other file (the gob-based SNAPSv01 of early versions included) instead of
+// misinterpreting its bytes.
 package store
 
 import (
 	"bufio"
-	"encoding/gob"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -26,9 +21,6 @@ import (
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/symbol"
 )
-
-// magicV01 identifies the gob-based SNAPS store stream.
-var magicV01 = [8]byte{'S', 'N', 'A', 'P', 'S', 'v', '0', '1'}
 
 // Footprint gauges: how much resident memory the loaded snapshot's data
 // costs, amortised per record. Set on every successful Read/Load, so the
@@ -74,63 +66,6 @@ func (s *Snapshot) PedigreeGraph() *pedigree.Graph {
 	return pedigree.Build(s.Dataset, s.Restore())
 }
 
-// wire is the gob payload; kept separate from Snapshot so the public type
-// can evolve without breaking stored files (the version header guards the
-// wire format).
-type wire struct {
-	Name         string
-	Records      []wireRecord
-	Certificates []wireCert
-	Clusters     [][]model.RecordID
-}
-
-// wireRecord is the v01 gob shape of a record. It keeps the historical
-// string fields under their original names: gob matches struct fields by
-// name, so this is what makes pre-diet v01 files (and files written by
-// older binaries) decode correctly now that model.Record holds symbol ids
-// — encoding model.Record directly would silently drop every name field
-// on old files and leak process-local symbol ids into new ones.
-type wireRecord struct {
-	ID         model.RecordID
-	Cert       model.CertID
-	Role       model.Role
-	Gender     model.Gender
-	FirstName  string
-	Surname    string
-	Address    string
-	Occupation string
-	Year       int
-	Lat, Lon   float64
-	BirthHint  int
-	Truth      model.PersonID
-}
-
-// fromWire converts a v01 gob record back, interning its strings.
-func fromWire(w *wireRecord) model.Record {
-	return model.Record{
-		ID: w.ID, Cert: w.Cert, Role: w.Role, Gender: w.Gender,
-		First: model.Intern(w.FirstName), Sur: model.Intern(w.Surname),
-		Addr: model.Intern(w.Address), Occ: model.Intern(w.Occupation),
-		Year: w.Year, Lat: w.Lat, Lon: w.Lon,
-		BirthHint: w.BirthHint, Truth: w.Truth,
-	}
-}
-
-// wireCert flattens the certificate role map for stable encoding.
-type wireCert struct {
-	ID    model.CertID
-	Type  model.CertType
-	Year  int
-	Cause string
-	Age   int
-	Roles []wireRole
-}
-
-type wireRole struct {
-	Role model.Role
-	Rec  model.RecordID
-}
-
 // Write serialises the snapshot in the compact v02 binary format.
 func Write(dst io.Writer, s *Snapshot) error {
 	w := bufio.NewWriter(dst)
@@ -140,56 +75,22 @@ func Write(dst io.Writer, s *Snapshot) error {
 	return w.Flush()
 }
 
-// Read deserialises a snapshot, dispatching on the 8-byte magic: v01 gob
-// or v02 compact binary.
+// Read deserialises a v02 snapshot.
 func Read(src io.Reader) (*Snapshot, error) {
 	r := bufio.NewReader(src)
-	var got [8]byte
-	if _, err := io.ReadFull(r, got[:]); err != nil {
+	got := make([]byte, len(magicV02))
+	if _, err := io.ReadFull(r, got); err != nil {
 		return nil, fmt.Errorf("store: reading header: %w", err)
 	}
-	var s *Snapshot
-	var err error
-	switch {
-	case got == magicV01:
-		s, err = readGob(r)
-	case got == magicV02Head:
-		s, err = readBinary(r)
-	default:
-		return nil, fmt.Errorf("store: bad magic %q (want %q or %q)", got, magicV01, magicV02)
+	if !bytes.Equal(got, magicV02) {
+		return nil, fmt.Errorf("store: bad magic %q (want %q)", got, magicV02)
 	}
+	s, err := readBinary(r)
 	if err != nil {
 		return nil, err
 	}
 	recordFootprint(s)
 	return s, nil
-}
-
-// readGob decodes the v01 gob payload following the magic.
-func readGob(r *bufio.Reader) (*Snapshot, error) {
-	var payload wire
-	if err := gob.NewDecoder(r).Decode(&payload); err != nil {
-		return nil, fmt.Errorf("store: decoding: %w", err)
-	}
-	d := &model.Dataset{Name: payload.Name}
-	d.Records = make([]model.Record, len(payload.Records))
-	for i := range payload.Records {
-		d.Records[i] = fromWire(&payload.Records[i])
-	}
-	for _, wc := range payload.Certificates {
-		c := model.Certificate{
-			ID: wc.ID, Type: wc.Type, Year: wc.Year, Cause: wc.Cause, Age: wc.Age,
-			Roles: make(map[model.Role]model.RecordID, len(wc.Roles)),
-		}
-		for _, wr := range wc.Roles {
-			c.Roles[wr.Role] = wr.Rec
-		}
-		d.Certificates = append(d.Certificates, c)
-	}
-	if err := validate(d, payload.Clusters); err != nil {
-		return nil, err
-	}
-	return &Snapshot{Dataset: d, Clusters: payload.Clusters}, nil
 }
 
 // recordFootprint publishes the loaded snapshot's resident data footprint
@@ -241,7 +142,7 @@ func validate(d *model.Dataset, clusters [][]model.RecordID) error {
 // the full interned-string table (an upper bound on this data set's share
 // of it — the table is process-global and amortised across every clone and
 // generation referencing it). Divided by the record count it is the
-// snaps_store_bytes_per_record gauge and the memdiet experiment's figure.
+// snaps_store_bytes_per_record gauge.
 func FootprintBytes(d *model.Dataset, clusters [][]model.RecordID) int64 {
 	const (
 		recordSize  = 64 // unsafe.Sizeof(model.Record{}) with padding

@@ -31,9 +31,3 @@ func ExampleJaccard() {
 	// Output:
 	// 0.1429
 }
-
-func ExampleSoundex() {
-	fmt.Println(strsim.Soundex("Robert"), strsim.Soundex("Rupert"))
-	// Output:
-	// R163 R163
-}

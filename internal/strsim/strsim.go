@@ -1,8 +1,8 @@
 // Package strsim provides the approximate string comparison functions used
-// throughout SNAPS: Jaro and Jaro-Winkler for personal names, normalised
-// Levenshtein edit similarity, bigram extraction and Jaccard similarity for
-// longer strings, maximum-absolute-difference similarity for years, and a
-// haversine-based similarity for geocoded addresses.
+// throughout SNAPS: Jaro and Jaro-Winkler for personal names, bigram
+// extraction and Jaccard similarity for longer strings,
+// maximum-absolute-difference similarity for years, and a haversine-based
+// similarity for geocoded addresses.
 //
 // All similarities are normalised to [0, 1], where 1 means identical and 0
 // means completely different, matching the convention of the paper.
@@ -106,47 +106,6 @@ func winkler(j float64, a, b string) float64 {
 	return j + float64(prefix)*winklerPrefixScale*(1-j)
 }
 
-// Levenshtein returns the edit distance (insertions, deletions,
-// substitutions) between two strings.
-func Levenshtein(a, b string) int {
-	la, lb := len(a), len(b)
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min(min(cur[j-1]+1, prev[j]+1), prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[lb]
-}
-
-// EditSim returns the normalised edit similarity 1 - dist/maxLen.
-func EditSim(a, b string) float64 {
-	if a == "" || b == "" {
-		return 0
-	}
-	if a == b {
-		return 1
-	}
-	d := Levenshtein(a, b)
-	return 1 - float64(d)/float64(max(len(a), len(b)))
-}
-
 // Bigrams returns the multiset of two-character substrings of s as a
 // sorted-insertion map from bigram to count. A string shorter than two
 // characters yields an empty map.
@@ -228,21 +187,6 @@ func JaccardBigramIDs(a, b []BigramID) float64 {
 	}
 	union := len(a) + len(b) - inter
 	return float64(inter) / float64(union)
-}
-
-// ShareBigram reports whether two strings have at least one bigram in
-// common.
-func ShareBigram(a, b string) bool {
-	if len(a) < 2 || len(b) < 2 {
-		return false
-	}
-	ga := Bigrams(a)
-	for i := 0; i+2 <= len(b); i++ {
-		if ga[b[i:i+2]] > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Jaccard returns the Jaccard coefficient of the bigram sets of two strings:
@@ -359,50 +303,6 @@ func GeoSim(lat1, lon1, lat2, lon2, maxKm float64) float64 {
 		return 0
 	}
 	return 1 - d/maxKm
-}
-
-// Soundex returns the classic four-character Soundex code of an ASCII name.
-// It is used as a secondary blocking key and as a cross-check in tests.
-func Soundex(s string) string {
-	if s == "" {
-		return ""
-	}
-	code := func(c byte) byte {
-		switch c {
-		case 'b', 'f', 'p', 'v', 'B', 'F', 'P', 'V':
-			return '1'
-		case 'c', 'g', 'j', 'k', 'q', 's', 'x', 'z', 'C', 'G', 'J', 'K', 'Q', 'S', 'X', 'Z':
-			return '2'
-		case 'd', 't', 'D', 'T':
-			return '3'
-		case 'l', 'L':
-			return '4'
-		case 'm', 'n', 'M', 'N':
-			return '5'
-		case 'r', 'R':
-			return '6'
-		}
-		return 0
-	}
-	first := s[0]
-	if first >= 'a' && first <= 'z' {
-		first -= 'a' - 'A'
-	}
-	out := []byte{first}
-	prev := code(s[0])
-	for i := 1; i < len(s) && len(out) < 4; i++ {
-		c := code(s[i])
-		if c != 0 && c != prev {
-			out = append(out, c)
-		}
-		if s[i] != 'h' && s[i] != 'w' && s[i] != 'H' && s[i] != 'W' {
-			prev = c
-		}
-	}
-	for len(out) < 4 {
-		out = append(out, '0')
-	}
-	return string(out)
 }
 
 // MongeElkan returns the directed Monge-Elkan similarity of two multi-token

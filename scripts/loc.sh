@@ -5,6 +5,10 @@
 # Usage:
 #   ./scripts/loc.sh          # the total
 #   ./scripts/loc.sh -v       # one line per package directory, then the total
+#   ./scripts/loc.sh -check   # the total, failing above scripts/loc_ceiling.txt (CI)
+#
+# The ceiling is one committed number: a change that grows the tree must
+# raise it in its own diff, and one that shrinks it should lower it.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -17,4 +21,13 @@ if [ "${1:-}" = "-v" ]; then
         dir = $2; sub(/\/[^\/]*$/, "", dir); sum[dir] += $1
     } END { for (d in sum) printf "%7d %s\n", sum[d], d }' | sort -k2
 fi
-echo "$(files | xargs cat | wc -l) non-test Go lines outside bench/"
+total=$(files | xargs cat | wc -l)
+echo "$total non-test Go lines outside bench/"
+if [ "${1:-}" = "-check" ]; then
+    ceiling=$(cat scripts/loc_ceiling.txt)
+    if [ "$total" -gt "$ceiling" ]; then
+        echo "over the ceiling of $ceiling in scripts/loc_ceiling.txt:"
+        echo "delete as much as the change adds, or raise the ceiling in this diff."
+        exit 1
+    fi
+fi
