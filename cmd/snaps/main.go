@@ -100,7 +100,7 @@ func main() {
 		ingestBatch   = flag.Int("ingest-batch", 16, "flush ingested certificates after this many accumulate")
 		ingestMaxAge  = flag.Duration("ingest-max-age", 2*time.Second, "flush a non-empty ingest batch after its oldest certificate waited this long")
 
-		queryCache = flag.Int("query-cache", 4096, "cache up to this many ranked result lists per serving generation (0 disables; invalidated on every ingest snapshot swap)")
+		queryCache = flag.Int("query-cache", ingest.DefaultQueryCache, "cache up to this many ranked result lists per serving generation (0 disables; invalidated on every ingest snapshot swap)")
 		queryStale = flag.Bool("query-stale", true, "serve the previous generation's cached ranking while a background refresh recomputes it after a snapshot swap (stale-while-revalidate)")
 		shards     = flag.Int("shards", 1, "partition the serving tier into this many shards searched scatter-gather; an ingest flush re-indexes only touched shards (1 = one shard answering directly; results are byte-identical for any value)")
 
@@ -265,7 +265,37 @@ func main() {
 		runQuery(sv.Shards, *queryNm)
 	}
 	if *serve != "" {
-		srv := server.NewSharded(sv.Shards)
+		// Live ingestion: new certificates POSTed to /api/ingest are
+		// journalled, batch-resolved with er.Extend, and hot-swapped into
+		// the serving snapshot without downtime.
+		var (
+			journal *ingest.Journal
+			backlog []ingest.Certificate
+		)
+		if *ingestJournal != "" {
+			var err error
+			if journal, backlog, err = ingest.OpenJournal(*ingestJournal); err != nil {
+				fatal(err)
+			}
+			if len(backlog) > 0 {
+				slog.Info("replaying journalled certificates", "count", len(backlog), "path", *ingestJournal)
+			}
+		}
+		// Admission control: weighted concurrency limits with the
+		// pedigree-before-search shed ladder, optional per-class rate
+		// limits, and ingest backpressure reading the pipeline's backlog
+		// (-admit-concurrency 0 disables it).
+		acfg := admission.DefaultConfig()
+		acfg.MaxConcurrency = *admitConcurrency
+		acfg.Limits[admission.Search].Rate = *admitSearchRate
+		acfg.Limits[admission.Pedigree].Rate = *admitPedigreeRate
+		acfg.Limits[admission.Ingest].Rate = *admitIngestRate
+		acfg.MaxBacklogRecords = *admitBacklogRecords
+		acfg.MaxBacklogBytes = *admitBacklogBytes
+		srv, err := server.NewStack(sv, journal, backlog, icfg, acfg)
+		if err != nil {
+			fatal(err)
+		}
 		srv.EnableStats()
 		srv.EnableFeedback()
 		srv.EnableExplain()
@@ -298,49 +328,6 @@ func main() {
 				"sample", *flightSample, "max_bytes", *flightMaxBytes)
 		}
 		srv.EnableSLO(obs.NewSLOTracker(*sloLatency, *sloErrorBudget, *sloLatencyBudget))
-
-		// Live ingestion: new certificates POSTed to /api/ingest are
-		// journalled, batch-resolved with er.Extend, and hot-swapped into
-		// the serving snapshot without downtime.
-		var (
-			journal *ingest.Journal
-			backlog []ingest.Certificate
-		)
-		if *ingestJournal != "" {
-			var err error
-			if journal, backlog, err = ingest.OpenJournal(*ingestJournal); err != nil {
-				fatal(err)
-			}
-			if len(backlog) > 0 {
-				slog.Info("replaying journalled certificates", "count", len(backlog), "path", *ingestJournal)
-			}
-		}
-		icfg.Tracer = srv.Tracer()
-		pipe, err := ingest.NewPipeline(sv, journal, backlog, icfg)
-		if err != nil {
-			fatal(err)
-		}
-		srv.EnableIngest(pipe)
-
-		// Admission control: weighted concurrency limits with the
-		// pedigree-before-search shed ladder, optional per-class rate
-		// limits, and ingest backpressure reading the pipeline's backlog.
-		if *admitConcurrency > 0 {
-			acfg := admission.DefaultConfig()
-			acfg.MaxConcurrency = *admitConcurrency
-			acfg.Limits[admission.Search].Rate = *admitSearchRate
-			acfg.Limits[admission.Pedigree].Rate = *admitPedigreeRate
-			acfg.Limits[admission.Ingest].Rate = *admitIngestRate
-			acfg.MaxBacklogRecords = *admitBacklogRecords
-			acfg.MaxBacklogBytes = *admitBacklogBytes
-			acfg.BacklogRetryAfter = icfg.MaxAge
-			acfg.Backlog = pipe.Backlog
-			acfg.ShardBacklog = pipe.HottestShardBacklog
-			acfg.MaxShardBacklogRecords = admission.PerShardBound(*admitBacklogRecords, *shards)
-			acfg.MaxShardBacklogBytes = admission.PerShardBound(*admitBacklogBytes, int64(*shards))
-			srv.EnableAdmission(admission.New(acfg))
-		}
-		srv.EnableHealth(pipe)
 
 		slog.Info("serving", "addr", *serve, "shards", *shards,
 			"ingest_batch", icfg.BatchSize,

@@ -244,32 +244,22 @@ func resolve(name string, scale float64) (*model.Dataset, *er.EntityStore) {
 }
 
 // buildServer stands up the full in-process serving stack over a resolved
-// data set: indexes, live ingestion (no journal — the harness measures
-// serving, not fsync), and admission control, mirroring cmd/snaps -serve.
+// data set through server.NewStack, the assembly cmd/snaps -serve runs, at
+// cmd/snaps' defaults (no journal — the harness measures serving, not
+// fsync).
 func buildServer(d *model.Dataset, st *er.EntityStore, batch, shards, concurrency, maxRecords int, maxBytes int64) (*server.Server, *pedigree.Graph) {
 	icfg := ingest.DefaultConfig()
 	icfg.BatchSize = batch
+	icfg.QueryCache = ingest.DefaultQueryCache
 	sv := ingest.NewServing(d, st, shards, icfg)
-	srv := server.NewSharded(sv.Shards)
-	pipe, err := ingest.NewPipeline(sv, nil, nil, icfg)
+	acfg := admission.DefaultConfig()
+	acfg.MaxConcurrency = concurrency
+	acfg.MaxBacklogRecords = maxRecords
+	acfg.MaxBacklogBytes = maxBytes
+	srv, err := server.NewStack(sv, nil, nil, icfg, acfg)
 	if err != nil {
 		fatal(err)
 	}
-	srv.EnableIngest(pipe)
-
-	if concurrency > 0 {
-		acfg := admission.DefaultConfig()
-		acfg.MaxConcurrency = concurrency
-		acfg.MaxBacklogRecords = maxRecords
-		acfg.MaxBacklogBytes = maxBytes
-		acfg.BacklogRetryAfter = icfg.MaxAge
-		acfg.Backlog = pipe.Backlog
-		acfg.ShardBacklog = pipe.HottestShardBacklog
-		acfg.MaxShardBacklogRecords = admission.PerShardBound(maxRecords, shards)
-		acfg.MaxShardBacklogBytes = admission.PerShardBound(maxBytes, int64(shards))
-		srv.EnableAdmission(admission.New(acfg))
-	}
-	srv.EnableHealth(pipe)
 	slog.Info("in-process server ready", "entities", len(sv.Graph.Nodes),
 		"shards", shards, "admit_concurrency", concurrency)
 	return srv, sv.Graph

@@ -14,13 +14,12 @@
 //
 // At query time, a value not found in S is probed one-sidedly
 // (computeSimilar): it is compared against the values sharing a bigram
-// with it, and the discovered similar values are added to S to speed up
-// future queries of the same value (Sec. 7). The same probe computes the
-// lists of the values a flush adds (update.go). S is striped across
-// hash-keyed shards so concurrent lookups contend only on values landing in
-// the same stripe, and concurrent first lookups of the same unknown value
-// compute its similarity list once (the others wait for the leader) instead
-// of racing through duplicate bigram scans.
+// with it, and its list is kept to speed up future queries of the same
+// value (Sec. 7) — in a small fixed-size cache, because query strings come
+// from outside and an index that stored every one of them would grow
+// without bound. The same probe computes the lists of the values a flush
+// adds (update.go). Only a build or a flush writes the rest of S: plain
+// maps, immutable once published and read without a lock.
 //
 // Event years are deliberately NOT materialised as string postings: an
 // entity's year span is an interval check against pedigree.Node.MinYear/
@@ -29,9 +28,11 @@
 package index
 
 import (
+	"hash/maphash"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/pedigree"
@@ -40,18 +41,14 @@ import (
 	"github.com/snaps/snaps/internal/symbol"
 )
 
-// Memoisation metrics of the similarity-aware index: a miss is a
-// query-time probe that had to scan the bigram postings and compute
-// similarities before being stored (Sec. 7's lazy extension of S); an
-// inflight wait is a concurrent probe of the same value that reused the
-// leader's computation instead of duplicating it.
+// Lookup metrics of the similarity-aware index: a hit was answered without
+// computing (a precomputed list or the probe cache), a miss scanned the
+// bigram postings and scored the candidates (Sec. 7's lazy extension of S).
 var (
 	mMemoHits = obs.Default.Counter("snaps_index_memo_hits_total",
-		"Similarity lookups answered from the memoised index S.")
+		"Similarity lookups answered from S without computing: a precomputed list or the probe cache.")
 	mMemoMisses = obs.Default.Counter("snaps_index_memo_misses_total",
-		"Similarity lookups that computed and memoised a new value.")
-	mMemoWaits = obs.Default.Counter("snaps_index_memo_inflight_waits_total",
-		"Similarity lookups that waited for a concurrent computation of the same value.")
+		"Similarity lookups that probed the bigram postings and computed the value's list.")
 	// Useful-work ratio of the precompute: kept / scored.
 	mPairsScored = obs.Default.Counter("snaps_index_sim_pairs_scored_total",
 		"Distinct bigram-sharing name pairs scored by the similarity precompute.")
@@ -103,55 +100,75 @@ type Keyword struct {
 	postings [NumFields]map[string]postingList
 }
 
-// memoShards stripes the similarity memo; must be a power of two. 32
-// stripes keep lock contention negligible at GOMAXPROCS-scale query
-// concurrency without bloating the struct.
-const memoShards = 32
+// probeSlots is how many probe-cache slots the strings the corpus does not
+// know share, per field. A list at DS-4k runs to ~16 KB, so full they hold
+// about a megabyte per field and shard; a constant, because what lands in
+// them is whatever callers chose to send.
+const probeSlots = 64
 
-// memoShard is one stripe of the memo: its own lock, its slice of the
-// memoised lists, and the in-flight computations being deduplicated.
-type memoShard struct {
-	mu       sync.RWMutex
-	sims     map[string][]SimilarValue
-	inflight map[string]*memoCall
+// probeEntry is one cached probe: a value S does not index and its list.
+type probeEntry struct {
+	value string
+	list  []SimilarValue
 }
 
-// memoCall is one leader computation concurrent probes of the same value
-// wait on. out is written before wg.Done, so waiters reading it after
-// wg.Wait observe the completed list.
-type memoCall struct {
-	wg  sync.WaitGroup
-	out []SimilarValue
-}
-
-// Similarity is the similarity-aware index S: for every known string value
-// of a field it stores the other values with similarity >= threshold. It
-// memoises query-time extensions, so lookups after the first are O(1).
+// Similarity is the similarity-aware index S: for every indexed name it
+// stores the indexed values with similarity >= threshold. lists and
+// bigramPost are written by Build and UpdateSubset only and are immutable
+// once either returns, so readers take no lock; probes is the one part a
+// query writes.
 type Similarity struct {
 	threshold float64
-	// shards[field][stripe] holds the memoised lists of values hashing to
-	// the stripe (exact value included, first).
-	shards [NumFields][memoShards]memoShard
+	// lists[field][value] is the precomputed list of an indexed name (the
+	// value itself included, first). Locations are not precomputed.
+	lists [NumFields]map[string][]SimilarValue
+	// probes[field] keeps the lists of probed values (Sec. 7's "store an
+	// unseen value's list") and starts empty in every generation. A value
+	// the corpus knew at build time — an interned symbol: a name only
+	// another shard indexes, a surname asked as a first name, any location —
+	// has the slot of its symbol id to itself and is computed once; there
+	// are only as many as the vocabulary. Every other string is outside
+	// input and shares the last probeSlots slots, direct-mapped by hash: a
+	// collision overwrites.
+	probes [NumFields][]atomic.Pointer[probeEntry]
 	// bigramPost[field][bigram] lists the symbol ids of values containing
 	// the bigram, delta+varint compressed in ascending id order. Bigrams
 	// are keyed by their packed integer form (strsim.BigramID) rather than
 	// two-byte strings, so probing never hashes string keys.
-	// Read-only after Build — scanned without locks.
 	bigramPost [NumFields]map[strsim.BigramID]symList
 }
 
-// shardOf stripes a value by FNV-1a hash.
-func shardOf(value string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(value); i++ {
-		h ^= uint32(value[i])
-		h *= 16777619
+// probeSeed keys the probe cache's hash, so which values collide is not
+// something a caller can choose.
+var probeSeed = maphash.MakeSeed()
+
+// probeSlot maps a value to its probe-cache slot.
+func (s *Similarity) probeSlot(f Field, value string) *atomic.Pointer[probeEntry] {
+	p := s.probes[f]
+	known := len(p) - probeSlots
+	if id, ok := symbol.Lookup(value); ok && int(id) < known {
+		return &p[id]
 	}
-	return h & (memoShards - 1)
+	return &p[known+int(maphash.String(probeSeed, value)%probeSlots)]
 }
 
-func (s *Similarity) shard(f Field, value string) *memoShard {
-	return &s.shards[f][shardOf(value)]
+// eachIndexedValue calls add for every (field, value) the node is indexed
+// under: the one statement of what K holds per entity. Years are matched by
+// interval against Node.MinYear/MaxYear at query time; no per-year postings
+// are stored.
+func eachIndexedValue(n *pedigree.Node, add func(Field, string, pedigree.NodeID)) {
+	for _, v := range n.FirstNames {
+		add(FieldFirstName, v, n.ID)
+	}
+	for _, v := range n.Surnames {
+		add(FieldSurname, v, n.ID)
+	}
+	for _, v := range n.Locations {
+		add(FieldLocation, v, n.ID)
+	}
+	if gd := n.Gender.String(); gd != "?" {
+		add(FieldGender, gd, n.ID)
+	}
 }
 
 // Build constructs both indexes from a pedigree graph. simThreshold is s_t
@@ -179,36 +196,14 @@ func BuildSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, simThreshol
 		raw[f] = map[string][]pedigree.NodeID{}
 	}
 	s := &Similarity{threshold: simThreshold}
-	for f := Field(0); f < NumFields; f++ {
-		for i := range s.shards[f] {
-			s.shards[f][i].sims = map[string][]SimilarValue{}
-			s.shards[f][i].inflight = map[string]*memoCall{}
-		}
-		s.bigramPost[f] = map[strsim.BigramID]symList{}
-	}
 
 	add := func(f Field, v string, id pedigree.NodeID) {
 		raw[f][v] = append(raw[f][v], id)
 	}
 	for i := range g.Nodes {
-		n := &g.Nodes[i]
-		if keep != nil && !keep(n.ID) {
-			continue
+		if n := &g.Nodes[i]; keep == nil || keep(n.ID) {
+			eachIndexedValue(n, add)
 		}
-		for _, v := range n.FirstNames {
-			add(FieldFirstName, v, n.ID)
-		}
-		for _, v := range n.Surnames {
-			add(FieldSurname, v, n.ID)
-		}
-		for _, v := range n.Locations {
-			add(FieldLocation, v, n.ID)
-		}
-		if n.Gender.String() != "?" {
-			add(FieldGender, n.Gender.String(), n.ID)
-		}
-		// Years are matched by interval against Node.MinYear/MaxYear at
-		// query time; no per-year postings are stored.
 	}
 	k := &Keyword{}
 	for f := Field(0); f < NumFields; f++ {
@@ -245,6 +240,8 @@ func BuildSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, simThreshol
 				vs.post[bg] = append(vs.post[bg], int32(i))
 			}
 		}
+		s.probes[f] = make([]atomic.Pointer[probeEntry], symbol.Len()+probeSlots)
+		s.bigramPost[f] = make(map[strsim.BigramID]symList, len(bgRaw))
 		for bg, ids := range bgRaw {
 			slices.Sort(ids)
 			s.bigramPost[f][bg] = encodeSyms(ids)
@@ -253,7 +250,7 @@ func BuildSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, simThreshol
 	// Precompute similarities for the name fields (the dominant cost of a
 	// cold start and of every full rebuild); locations are extended lazily
 	// at query time.
-	for _, f := range []Field{FieldFirstName, FieldSurname} {
+	for _, f := range nameFields {
 		s.precompute(f, &sets[f])
 	}
 	return k, s
@@ -278,59 +275,38 @@ func (k *Keyword) Postings(f Field, value string) PostingIter {
 func (k *Keyword) Values(f Field) int { return len(k.postings[f]) }
 
 // Similar returns the indexed values of the field similar to the probe,
-// most similar first, including the probe itself when indexed. Results are
-// memoised in S: the first query for an unknown value computes similarities
-// against all bigram-sharing values and stores them (Sec. 7). Concurrent
-// first queries of the same value compute once; the rest wait for the
-// leader. The returned slice is shared and read-only.
+// most similar first, including the probe itself when indexed. A value S
+// does not hold is compared against all bigram-sharing values and its list
+// kept in the probe cache (Sec. 7) — for an outside string, until a
+// colliding one replaces it; concurrent first queries of one value each
+// compute the same list. The returned slice is shared and read-only.
 func (s *Similarity) Similar(f Field, value string) []SimilarValue {
-	sh := s.shard(f, value)
-	sh.mu.RLock()
-	out, ok := sh.sims[value]
-	sh.mu.RUnlock()
-	if ok {
+	if out, ok := s.lists[f][value]; ok {
 		mMemoHits.Inc()
 		return out
 	}
-
-	sh.mu.Lock()
-	if out, ok := sh.sims[value]; ok { // memoised while we upgraded the lock
-		sh.mu.Unlock()
+	slot := s.probeSlot(f, value)
+	if e := slot.Load(); e != nil && e.value == value {
 		mMemoHits.Inc()
-		return out
+		return e.list
 	}
-	if c, ok := sh.inflight[value]; ok { // a leader is already computing
-		sh.mu.Unlock()
-		c.wg.Wait()
-		mMemoWaits.Inc()
-		return c.out
-	}
-	c := &memoCall{}
-	c.wg.Add(1)
-	sh.inflight[value] = c
-	sh.mu.Unlock()
-
 	mMemoMisses.Inc()
-	out = s.computeSimilar(f, value)
-
-	sh.mu.Lock()
-	sh.sims[value] = out
-	delete(sh.inflight, value)
-	sh.mu.Unlock()
-	c.out = out
-	c.wg.Done()
+	out := s.computeSimilar(f, value)
+	// The clone keeps the cache from pinning whatever buffer the caller's
+	// string was cut from.
+	slot.Store(&probeEntry{value: strings.Clone(value), list: out})
 	return out
 }
 
-// Memoised reports whether a similarity list for the value is already
-// stored in S, without computing or storing one. The query engine uses it
-// to attribute memo hits to the trace span of the lookup.
+// Memoised reports whether Similar would answer the value without
+// computing. The query engine uses it to attribute hits to the trace span
+// of the lookup.
 func (s *Similarity) Memoised(f Field, value string) bool {
-	sh := s.shard(f, value)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	_, ok := sh.sims[value]
-	return ok
+	if _, ok := s.lists[f][value]; ok {
+		return true
+	}
+	e := s.probeSlot(f, value).Load()
+	return e != nil && e.value == value
 }
 
 // compareSim is the one similarity-list order: similarity descending,
@@ -378,8 +354,7 @@ func (c *candScratch) candidates(post map[strsim.BigramID]symList, bgs []strsim.
 // computeSimilar is the one-sided probe: it scans the bigram postings for
 // candidate values and keeps those with name similarity at or above the
 // threshold. It serves query-time misses, values added by a flush, and is
-// the reference the all-pairs precompute is tested against. bigramPost is
-// immutable after Build, so no lock is held while computing.
+// the reference the all-pairs precompute is tested against.
 //
 // The probe's match tables are set once and every candidate is scored
 // against them (simcache.Probe). A probe that is already an interned symbol
@@ -413,14 +388,14 @@ func (s *Similarity) computeSimilar(f Field, value string) []SimilarValue {
 	return out
 }
 
-// Size reports the number of memoised similarity lists for a field.
+// Size reports the number of similarity lists S holds for a field: the
+// precomputed ones plus the occupied probe-cache slots.
 func (s *Similarity) Size(f Field) int {
-	n := 0
-	for i := range s.shards[f] {
-		sh := &s.shards[f][i]
-		sh.mu.RLock()
-		n += len(sh.sims)
-		sh.mu.RUnlock()
+	n := len(s.lists[f])
+	for i := range s.probes[f] {
+		if s.probes[f][i].Load() != nil {
+			n++
+		}
 	}
 	return n
 }

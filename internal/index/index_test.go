@@ -135,8 +135,8 @@ func TestFieldString(t *testing.T) {
 
 func TestSimilarConcurrentAccess(t *testing.T) {
 	_, _, s := builtIndexes(t)
-	// Hammer the memoising index from many goroutines with a mix of known
-	// and unknown probes; the race detector validates the locking.
+	// Hammer the index from many goroutines with a mix of known and
+	// unknown probes; the race detector validates the lock-free probe cache.
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func(g int) {

@@ -187,8 +187,9 @@ func (s *Similarity) precompute(f Field, vs *valueSet) {
 			lists[i] = list
 		}
 	})
+	s.lists[f] = make(map[string][]SimilarValue, n)
 	for i, v := range vs.vals {
-		s.shard(f, v).sims[v] = lists[i]
+		s.lists[f][v] = lists[i]
 	}
 }
 

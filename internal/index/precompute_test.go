@@ -77,7 +77,7 @@ func TestPrecomputeMatchesProbe(t *testing.T) {
 							seed, ki, procs, f, s.Size(f), len(want))
 					}
 					for v, w := range want {
-						if got := s.shard(f, v).sims[v]; !reflect.DeepEqual(got, w) {
+						if got := s.lists[f][v]; !reflect.DeepEqual(got, w) {
 							t.Fatalf("seed %d keep %d procs %d field %v value %q:\nprecomputed %v\nprobe       %v",
 								seed, ki, procs, f, v, got, w)
 						}
@@ -105,7 +105,7 @@ func TestPrecomputeFixture(t *testing.T) {
 		g.Nodes = append(g.Nodes, pedigree.Node{ID: pedigree.NodeID(len(g.Nodes)), Surnames: []string{v}})
 	}
 	_, s := Build(g, 0.5)
-	list := func(v string) []SimilarValue { return s.shard(FieldFirstName, v).sims[v] }
+	list := func(v string) []SimilarValue { return s.lists[FieldFirstName][v] }
 	for _, v := range names {
 		if got, want := list(v), s.computeSimilar(FieldFirstName, v); !reflect.DeepEqual(got, want) {
 			t.Errorf("value %q:\nprecomputed %v\nprobe       %v", v, got, want)
@@ -129,7 +129,7 @@ func TestPrecomputeFixture(t *testing.T) {
 	// the bits the sort key gives to the rank, so the key order alone would
 	// put them in value order — and two values over 64 bytes, which the
 	// match tables do not cover.
-	sur := func(v string) []SimilarValue { return s.shard(FieldSurname, v).sims[v] }
+	sur := func(v string) []SimilarValue { return s.lists[FieldSurname][v] }
 	near, far := strsim.NameSim("john", "jon"), strsim.NameSim("john", "bjohn")
 	if n := uint(bits.Len(uint(len(surnames)))); near <= far || math.Float64bits(near)>>n != math.Float64bits(far)>>n {
 		t.Fatalf("fixture lost its near tie: jon %v (%x), bjohn %v (%x)", near, math.Float64bits(near), far, math.Float64bits(far))
@@ -241,9 +241,9 @@ func TestIndexLeavesKernelMemoUntouched(t *testing.T) {
 	}
 	check("a miss-path Similar on an interned value")
 
-	_, _, st := UpdateSubset(newG, nil, prevG, prevK, prevS, 0.5)
-	if !st.Incremental || st.AddedValues == 0 {
-		t.Fatalf("UpdateSubset did not patch in new values: %+v", st)
+	updK, _ := UpdateSubset(newG, nil, Classify(newG, prevG), prevK, prevS)
+	if updK.Values(FieldSurname) <= prevK.Values(FieldSurname) {
+		t.Fatal("UpdateSubset did not patch in new values")
 	}
 	check("UpdateSubset adding values")
 }

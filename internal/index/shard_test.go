@@ -1,7 +1,9 @@
 package index
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,59 +21,17 @@ func TestBuildDeterministic(t *testing.T) {
 		if s1.Size(f) != s2.Size(f) {
 			t.Fatalf("field %v: memo sizes differ: %d vs %d", f, s1.Size(f), s2.Size(f))
 		}
-		for i := range s1.shards[f] {
-			sh := &s1.shards[f][i]
-			for v, want := range sh.sims {
-				got := s2.shard(f, v).sims[v]
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("field %v value %q: precomputed lists differ:\n%v\nvs\n%v", f, v, want, got)
-				}
+		for v, want := range s1.lists[f] {
+			if got := s2.lists[f][v]; !reflect.DeepEqual(want, got) {
+				t.Fatalf("field %v value %q: precomputed lists differ:\n%v\nvs\n%v", f, v, want, got)
 			}
 		}
 	}
 }
 
-// TestSimilarSingleflight hammers one unknown value from many goroutines:
-// all of them must receive the identical (shared) list, and the miss
-// counter must move by far less than the goroutine count, proving the
-// concurrent computations were deduplicated onto one leader.
-func TestSimilarSingleflight(t *testing.T) {
-	_, _, s := builtIndexes(t)
-	const goroutines = 32
-	var (
-		wg    sync.WaitGroup
-		start = make(chan struct{})
-		outs  [goroutines][]SimilarValue
-	)
-	var before = mMemoMisses.Value()
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			<-start
-			outs[g] = s.Similar(FieldSurname, "zqvxsingleflight")
-		}(g)
-	}
-	close(start)
-	wg.Wait()
-	for g := 1; g < goroutines; g++ {
-		if !reflect.DeepEqual(outs[0], outs[g]) {
-			t.Fatalf("goroutine %d received a different list", g)
-		}
-	}
-	// The value lands in one shard: exactly one computation can win the
-	// leader slot at a time, so misses can only grow by a handful (the
-	// goroutines that arrived after the leader finished hit the memo).
-	if got := mMemoMisses.Value() - before; got > 3 {
-		t.Errorf("expected ~1 computation for %d concurrent probes, misses grew by %d", goroutines, got)
-	}
-	if !s.Memoised(FieldSurname, "zqvxsingleflight") {
-		t.Error("probe not memoised after the stampede")
-	}
-}
-
 // TestSimilarShardedConcurrentMix drives hits, misses, and same-value
-// stampedes across shards under the race detector.
+// stampedes (colliding stores into one probe-cache slot) under the race
+// detector.
 func TestSimilarShardedConcurrentMix(t *testing.T) {
 	_, k, s := builtIndexes(t)
 	var known string
@@ -95,6 +55,100 @@ func TestSimilarShardedConcurrentMix(t *testing.T) {
 	wg.Wait()
 	if s.Size(FieldSurname) == 0 {
 		t.Fatal("memo empty after concurrent mix")
+	}
+}
+
+// TestProbeMemoryBounded: query strings come from outside, so the lists S
+// holds must not grow with the number of distinct values probed — only the
+// fixed share of the probe cache fills. A value the corpus knows (here a
+// first name asked as a surname) has a slot of its own, which no number of
+// outside strings evicts.
+func TestProbeMemoryBounded(t *testing.T) {
+	_, k, s := builtIndexes(t)
+	indexed := k.Values(FieldSurname)
+	if got := s.Size(FieldSurname); got != indexed {
+		t.Fatalf("a fresh S holds %d surname lists for %d indexed surnames", got, indexed)
+	}
+	var known string
+	for v := range k.postings[FieldFirstName] {
+		if k.postings[FieldSurname][v].len() == 0 {
+			known = v
+			break
+		}
+	}
+	s.Similar(FieldSurname, known)
+	for i := 0; i < 2000; i++ {
+		s.Similar(FieldSurname, fmt.Sprintf("macprobe%d", i))
+	}
+	if got := len(s.lists[FieldSurname]); got != indexed {
+		t.Errorf("probes changed the precomputed lists: %d, want %d", got, indexed)
+	}
+	if got := s.Size(FieldSurname); got <= indexed+1 || got > indexed+1+probeSlots {
+		t.Errorf("after 2000 distinct probes S holds %d lists, want within (%d, %d]", got, indexed+1, indexed+1+probeSlots)
+	}
+	if !s.Memoised(FieldSurname, known) {
+		t.Errorf("outside strings evicted the list of %q, a value the corpus knows", known)
+	}
+}
+
+// TestSimilarityImmutableAfterPublish: nothing writes a published S but
+// its probe cache. While goroutines probe the served generation and a
+// flush patches the next one from it, every precomputed list keeps its
+// address, length and contents, and every probe answer is the list a fresh
+// computeSimilar returns.
+func TestSimilarityImmutableAfterPublish(t *testing.T) {
+	prevG, newG, prevK, prevS := buildGenerations(t, 0.05)
+	type pin struct {
+		first *SimilarValue
+		list  []SimilarValue
+	}
+	pins := map[Field]map[string]pin{}
+	for _, f := range nameFields {
+		pins[f] = map[string]pin{}
+		for v, list := range prevS.lists[f] {
+			p := pin{list: slices.Clone(list)}
+			if len(list) > 0 {
+				p.first = &list[0]
+			}
+			pins[f][v] = p
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				f := nameFields[i%2]
+				v := fmt.Sprintf("quixwor%d", (i+g)%200) // far more values than slots
+				if got, want := prevS.Similar(f, v), prevS.computeSimilar(f, v); !sameSimilar(got, want) {
+					t.Errorf("probe %v %q: Similar = %v, computeSimilar = %v", f, v, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	UpdateSubset(newG, nil, Classify(newG, prevG), prevK, prevS)
+	close(stop)
+	wg.Wait()
+
+	for _, f := range nameFields {
+		if len(prevS.lists[f]) != len(pins[f]) {
+			t.Fatalf("field %v: %d lists after the flush, %d before", f, len(prevS.lists[f]), len(pins[f]))
+		}
+		for v, p := range pins[f] {
+			list := prevS.lists[f][v]
+			if !sameSimilar(list, p.list) || (len(list) > 0 && &list[0] != p.first) {
+				t.Fatalf("field %v value %q: the previous generation's list changed", f, v)
+			}
+		}
 	}
 }
 

@@ -14,7 +14,9 @@
 package index
 
 import (
+	"maps"
 	"slices"
+	"sync/atomic"
 
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
@@ -25,53 +27,23 @@ import (
 	"github.com/snaps/snaps/internal/symbol"
 )
 
+// simFields are the string fields whose bigram postings S keeps; nameFields
+// are the ones whose similarity lists it precomputes (locations are probed
+// at query time).
 var (
-	mIncremental = obs.Default.Counter("snaps_index_incremental_total",
-		"Index updates satisfied by patching the previous generation's indexes.")
-	mFullRebuild = obs.Default.Counter("snaps_index_full_rebuild_total",
-		"Index updates that fell back to a full rebuild.")
+	simFields  = []Field{FieldFirstName, FieldSurname, FieldLocation}
+	nameFields = simFields[:2]
 )
 
-// MaxDirtyFraction bounds the incremental path: when more than this
-// fraction of the pedigree nodes changed cluster membership since the
-// previous build, patching the indexes approaches the cost of rebuilding
-// them and UpdateSubset falls back to a full build.
-const MaxDirtyFraction = 0.25
-
-// UpdateStats reports how an index update was satisfied.
-type UpdateStats struct {
-	// Incremental is true when the previous indexes were patched; false
-	// when a full build ran, with Reason saying why.
-	Incremental bool
-	Reason      string
-	// TotalNodes and DirtyNodes size the update: dirty nodes are the
-	// pedigree nodes whose record set has no identical counterpart in the
-	// previous graph and therefore had to be reindexed.
-	TotalNodes int
-	DirtyNodes int
-	// AddedValues and RemovedValues count distinct indexed string values
-	// that appeared or disappeared across the similarity fields.
-	AddedValues   int
-	RemovedValues int
-	// ReusedSimLists, PatchedSimLists, and DroppedSimLists count memoised
-	// similarity lists carried over by reference, copied with added/removed
-	// entries merged in, and invalidated for lazy recompute (non-indexed
-	// probe values whose candidate set changed), respectively.
-	ReusedSimLists  int
-	PatchedSimLists int
-	DroppedSimLists int
-}
-
-// simFields are the string fields covered by the similarity index S.
-var simFields = []Field{FieldFirstName, FieldSurname, FieldLocation}
-
 // UpdateSubset builds the indexes over the nodes of g accepted by keep (nil
-// keeps every node) by patching the previous generation's indexes where
-// their contents are provably unchanged. prevG, prevK, and prevS are the
-// graph and indexes of the generation still being served; they are read
-// (under the memo locks where required) but never mutated. The returned
-// indexes answer Lookup and Similar identically to a fresh
-// BuildSubset(g, keep, simThreshold).
+// keeps every node) by patching the previous generation's indexes over the
+// same subset. cl is the classification of the WHOLE graph g against the
+// previous one, made once per flush; keep selects the dirty nodes that are
+// this subset's. prevK and prevS are only read, without any lock — nothing
+// writes an index once it is published — and the similarity threshold is
+// prevS's. The returned indexes answer Lookup and Similar identically to a
+// fresh BuildSubset(g, keep, threshold). Whether patching is worth it at all
+// is the caller's decision (shard.Coordinator.Advance).
 //
 // prevK and prevS must be the previous generation's indexes over the SAME
 // subset — for the serving shards that holds structurally: the owning shard
@@ -79,72 +51,41 @@ var simFields = []Field{FieldFirstName, FieldSurname, FieldLocation}
 // set is unchanged (clean) is owned by the same shard in both generations,
 // and every node that moved in or out of the subset is dirty and gets
 // reindexed (moved in) or dropped by posting translation (moved out).
-//
-// UpdateSubset falls back to a full BuildSubset — and says so in the
-// returned stats — when there is no previous generation, the similarity
-// threshold changed, or too many nodes are dirty for patching to pay off.
-func UpdateSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, prevG *pedigree.Graph, prevK *Keyword, prevS *Similarity, simThreshold float64) (*Keyword, *Similarity, UpdateStats) {
-	if prevG == nil || prevK == nil || prevS == nil {
-		return fullRebuild(g, keep, simThreshold, "no previous index")
-	}
-	if prevS.threshold != simThreshold {
-		return fullRebuild(g, keep, simThreshold, "similarity threshold changed")
-	}
-	oldToNew, isDirty, dirtyCount, total := classifyNodes(g, prevG, keep)
-	if total == 0 || float64(dirtyCount) > MaxDirtyFraction*float64(total) {
-		return fullRebuild(g, keep, simThreshold, "dirty fraction above threshold")
-	}
+func UpdateSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, cl *Classification, prevK *Keyword, prevS *Similarity) (*Keyword, *Similarity) {
 	defer obs.StartStage("index.update").Stop()
-	mIncremental.Inc()
-	stats := UpdateStats{
-		Incremental: true,
-		TotalNodes:  total,
-		DirtyNodes:  dirtyCount,
+	k := updateKeyword(g, keep, cl, prevK)
+	return k, updateSimilarity(k, prevK, prevS)
+}
+
+// Classification is the clean/dirty split of a graph's nodes against the
+// previous graph: OldToNew maps each previous node to its clean counterpart
+// (-1 when its cluster changed or it disappeared), IsDirty marks the nodes
+// that have no identical previous record set, Dirty counts them.
+type Classification struct {
+	OldToNew []pedigree.NodeID
+	IsDirty  []bool
+	Dirty    int
+}
+
+// Classify matches each node of g against the previous graph. A node is
+// clean when its record set is exactly the record set of one previous node:
+// aggregation is a pure function of the record set (records are append-only
+// across generations), so a clean node carries byte-identical indexed
+// values and only its NodeID may have changed. The shard coordinator calls
+// it once per flush: to decide which partitions the flush touched, whether
+// patching pays, and as the input of every touched shard's UpdateSubset.
+func Classify(g, prevG *pedigree.Graph) *Classification {
+	defer obs.StartStage("index_classify").Stop()
+	cl := &Classification{
+		OldToNew: make([]pedigree.NodeID, len(prevG.Nodes)),
+		IsDirty:  make([]bool, len(g.Nodes)),
 	}
-
-	k := updateKeyword(g, prevK, oldToNew, isDirty)
-	s := updateSimilarity(k, prevK, prevS, simThreshold, &stats)
-	return k, s, stats
-}
-
-func fullRebuild(g *pedigree.Graph, keep func(pedigree.NodeID) bool, simThreshold float64, reason string) (*Keyword, *Similarity, UpdateStats) {
-	mFullRebuild.Inc()
-	k, s := BuildSubset(g, keep, simThreshold)
-	return k, s, UpdateStats{Reason: reason, TotalNodes: len(g.Nodes)}
-}
-
-// Classify exposes the clean/dirty classification of g's nodes against the
-// previous graph: oldToNew maps each previous node to its clean
-// counterpart in g (-1 when its cluster changed or it disappeared), and
-// isDirty marks the nodes of g that have no identical previous record set.
-// The shard coordinator uses it to decide which partitions a flush
-// actually touched.
-func Classify(g, prevG *pedigree.Graph) (oldToNew []pedigree.NodeID, isDirty []bool, dirtyCount int) {
-	oldToNew, isDirty, dirtyCount, _ = classifyNodes(g, prevG, nil)
-	return oldToNew, isDirty, dirtyCount
-}
-
-// classifyNodes matches each node of g against the previous graph. A node
-// is clean when its record set is exactly the record set of one previous
-// node: aggregation is a pure function of the record set (records are
-// append-only across generations), so a clean node carries byte-identical
-// indexed values and only its NodeID may have changed. oldToNew maps each
-// previous node to its clean counterpart (-1 when its cluster changed).
-// Nodes rejected by keep (nil keeps all) are skipped entirely: not
-// classified, not counted in total, and never mapped into oldToNew.
-func classifyNodes(g, prevG *pedigree.Graph, keep func(pedigree.NodeID) bool) (oldToNew []pedigree.NodeID, isDirty []bool, dirtyCount, total int) {
-	oldToNew = make([]pedigree.NodeID, len(prevG.Nodes))
-	for i := range oldToNew {
-		oldToNew[i] = -1
+	for i := range cl.OldToNew {
+		cl.OldToNew[i] = -1
 	}
-	isDirty = make([]bool, len(g.Nodes))
 	prevRecs := model.RecordID(len(prevG.Dataset.Records))
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
-		if keep != nil && !keep(n.ID) {
-			continue
-		}
-		total++
 		old := pedigree.NodeID(-1)
 		clean := len(n.Records) > 0
 		for j, r := range n.Records {
@@ -170,13 +111,13 @@ func classifyNodes(g, prevG *pedigree.Graph, keep func(pedigree.NodeID) bool) (o
 			clean = false
 		}
 		if clean {
-			oldToNew[old] = n.ID
+			cl.OldToNew[old] = n.ID
 		} else {
-			isDirty[i] = true
-			dirtyCount++
+			cl.IsDirty[i] = true
+			cl.Dirty++
 		}
 	}
-	return oldToNew, isDirty, dirtyCount, total
+	return cl
 }
 
 // fieldValue keys a posting list across the per-field maps.
@@ -185,12 +126,12 @@ type fieldValue struct {
 	v string
 }
 
-// updateKeyword translates the previous postings through oldToNew and
-// reindexes the dirty nodes. Compressed lists whose ids are unchanged are
-// shared with the previous index (the encoded bytes are immutable); any
-// list that is translated, filtered, or appended to is decoded into a
-// working slice, edited, sorted, and re-encoded fresh.
-func updateKeyword(g *pedigree.Graph, prevK *Keyword, oldToNew []pedigree.NodeID, isDirty []bool) *Keyword {
+// updateKeyword translates the previous postings through cl.OldToNew and
+// reindexes the dirty nodes keep accepts. Compressed lists whose ids are
+// unchanged are shared with the previous index (the encoded bytes are
+// immutable); any list that is translated, filtered, or appended to is
+// decoded into a working slice, edited, sorted, and re-encoded fresh.
+func updateKeyword(g *pedigree.Graph, keep func(pedigree.NodeID) bool, cl *Classification, prevK *Keyword) *Keyword {
 	k := &Keyword{}
 	// touched holds the decoded working lists of every value being edited;
 	// they are re-encoded into k at the end.
@@ -198,7 +139,7 @@ func updateKeyword(g *pedigree.Graph, prevK *Keyword, oldToNew []pedigree.NodeID
 	for f := Field(0); f < NumFields; f++ {
 		k.postings[f] = make(map[string]postingList, len(prevK.postings[f]))
 		for v, pl := range prevK.postings[f] {
-			out, shared := translatePostings(pl, oldToNew)
+			out, shared := translatePostings(pl, cl.OldToNew)
 			if shared {
 				k.postings[f][v] = pl
 				continue
@@ -221,21 +162,8 @@ func updateKeyword(g *pedigree.Graph, prevK *Keyword, oldToNew []pedigree.NodeID
 		touched[key] = append(ids, id)
 	}
 	for i := range g.Nodes {
-		if !isDirty[i] {
-			continue
-		}
-		n := &g.Nodes[i]
-		for _, v := range n.FirstNames {
-			add(FieldFirstName, v, n.ID)
-		}
-		for _, v := range n.Surnames {
-			add(FieldSurname, v, n.ID)
-		}
-		for _, v := range n.Locations {
-			add(FieldLocation, v, n.ID)
-		}
-		if gd := n.Gender.String(); gd != "?" {
-			add(FieldGender, gd, n.ID)
+		if n := &g.Nodes[i]; cl.IsDirty[i] && (keep == nil || keep(n.ID)) {
+			eachIndexedValue(n, add)
 		}
 	}
 
@@ -316,45 +244,26 @@ func appendKept(out, list []SimilarValue, rem map[string]bool) []SimilarValue {
 }
 
 // updateSimilarity patches S around the indexed-value diff. S is entirely
-// value-keyed — node ids never appear in it — so a memoised similarity
-// list changes only when a value similar to it (which therefore shares a
-// bigram with it) was added to or removed from the index. The edits are
-// driven from the diff side: each added value's candidate scan says
-// exactly which existing lists gain an entry, each removed value's scan
-// (over the previous bigram postings) says which lists lose one. Every
-// untouched list — precomputed or query-extended — is carried over by
-// reference; patched lists are fresh copies; only memoised lists of
-// NON-indexed probe values whose candidate set may have changed are
-// dropped for lazy recompute (the diff scans cannot see probes).
-func updateSimilarity(k, prevK *Keyword, prevS *Similarity, simThreshold float64, stats *UpdateStats) *Similarity {
-	s := &Similarity{threshold: simThreshold}
-	for f := Field(0); f < NumFields; f++ {
-		for i := range s.shards[f] {
-			s.shards[f][i].sims = map[string][]SimilarValue{}
-			s.shards[f][i].inflight = map[string]*memoCall{}
-		}
-		s.bigramPost[f] = map[strsim.BigramID]symList{}
-	}
-
+// value-keyed — node ids never appear in it — so an indexed value's list
+// changes only when a value similar to it (which therefore shares a bigram
+// with it) was added to or removed from the index. The edits are driven
+// from the diff side: each added value's candidate scan says exactly which
+// existing lists gain an entry, each removed value's scan (over the
+// previous bigram postings) says which lists lose one. Every untouched
+// list is carried over by reference; patched lists are fresh copies. The
+// probe cache is not carried: the new generation starts with an empty one.
+func updateSimilarity(k, prevK *Keyword, prevS *Similarity) *Similarity {
+	s := &Similarity{threshold: prevS.threshold}
 	for _, f := range simFields {
 		added, removed := valueDiff(k.postings[f], prevK.postings[f])
-		stats.AddedValues += len(added)
-		stats.RemovedValues += len(removed)
-		removedSet := make(map[string]bool, len(removed))
 		removedIDs := make(map[symbol.ID]bool, len(removed))
 		for _, v := range removed {
-			removedSet[v] = true
 			removedIDs[symbol.Intern(v)] = true
 		}
 		// Diff values are (or were) indexed, hence interned; their bigram
 		// signatures come from the feature slab.
 		changed := map[strsim.BigramID]bool{}
-		for _, v := range added {
-			for _, bg := range simcache.Feat(symbol.Intern(v)).Bigrams {
-				changed[bg] = true
-			}
-		}
-		for _, v := range removed {
+		for _, v := range slices.Concat(added, removed) {
 			for _, bg := range simcache.Feat(symbol.Intern(v)).Bigrams {
 				changed[bg] = true
 			}
@@ -397,6 +306,10 @@ func updateSimilarity(k, prevK *Keyword, prevS *Similarity, simThreshold float64
 			bp[bg] = encodeSyms(ids)
 		}
 		s.bigramPost[f] = bp
+		s.probes[f] = make([]atomic.Pointer[probeEntry], symbol.Len()+probeSlots)
+		if !slices.Contains(nameFields, f) {
+			continue // not precomputed: a location has postings and no list
+		}
 
 		// Compute the added values' own lists against the patched bigram
 		// postings (they see each other and every surviving value), and
@@ -437,7 +350,7 @@ func updateSimilarity(k, prevK *Keyword, prevS *Similarity, simThreshold float64
 		for _, r := range removed {
 			for _, id := range sc.candidates(prevS.bigramPost[f], simcache.Feat(symbol.Intern(r)).Bigrams) {
 				v := symbol.Str(id)
-				if v == r || removedSet[v] || addedSet[v] {
+				if removedIDs[id] || addedSet[v] {
 					continue
 				}
 				p := getPatch(v)
@@ -449,67 +362,20 @@ func updateSimilarity(k, prevK *Keyword, prevS *Similarity, simThreshold float64
 		}
 		candPool.Put(sc)
 
-		// Carry the previous generation's memo over: by reference when
-		// untouched, patched into a fresh copy when the diff reaches it.
-		// The previous index is still serving queries and memoising new
-		// probes, so its shards are read under their locks.
-		for i := range prevS.shards[f] {
-			psh := &prevS.shards[f][i]
-			nsh := &s.shards[f][i]
-			psh.mu.RLock()
-			for v, list := range psh.sims {
-				if removedSet[v] || addedSet[v] {
-					stats.DroppedSimLists++
-					continue
-				}
-				pch := patches[v]
-				if pch == nil {
-					// No edits found via the index-side scans — but a
-					// NON-indexed probe's list is invisible to them, so it
-					// is dropped (lazily recomputed) if its candidate set
-					// may have changed.
-					if k.postings[f][v].len() == 0 && touchesChanged(v, changed) {
-						stats.DroppedSimLists++
-						continue
-					}
-					nsh.sims[v] = list
-					stats.ReusedSimLists++
-					continue
-				}
-				nsh.sims[v] = applyPatch(list, pch)
-				stats.PatchedSimLists++
-			}
-			psh.mu.RUnlock()
+		// Carry the previous generation's lists over: by reference when
+		// untouched, patched into a fresh copy when the diff reaches them.
+		lists := maps.Clone(prevS.lists[f])
+		for _, r := range removed {
+			delete(lists, r)
+		}
+		for v, pch := range patches {
+			lists[v] = applyPatch(lists[v], pch)
 		}
 		for i, a := range added {
-			s.shard(f, a).sims[a] = addedLists[i]
+			lists[a] = addedLists[i]
 		}
+		s.lists[f] = lists
 	}
-
-	// Safety net preserving Build's precompute invariant for the name
-	// fields: any indexed value that somehow has no memoised list (e.g. it
-	// was never memoised in the previous generation) is computed now, off
-	// the query path.
-	precompute := obs.StartStage("index_update_sims")
-	for _, f := range []Field{FieldFirstName, FieldSurname} {
-		var need []string
-		for v := range k.postings[f] {
-			if _, ok := s.shard(f, v).sims[v]; !ok {
-				need = append(need, v)
-			}
-		}
-		slices.Sort(need)
-		outs := make([][]SimilarValue, len(need))
-		par.Range(len(need), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				outs[i] = s.computeSimilar(f, need[i])
-			}
-		})
-		for i, v := range need {
-			s.shard(f, v).sims[v] = outs[i]
-		}
-	}
-	precompute.Stop()
 	return s
 }
 
@@ -529,27 +395,4 @@ func valueDiff(cur, prev map[string]postingList) (added, removed []string) {
 	slices.Sort(added)
 	slices.Sort(removed)
 	return added, removed
-}
-
-// touchesChanged reports whether any bigram of v is in the changed set,
-// i.e. whether v's similarity candidates may have changed. v may be a
-// non-indexed probe value, so it is looked up (never interned) and falls
-// back to computing bigram ids on the stack when unknown.
-func touchesChanged(v string, changed map[strsim.BigramID]bool) bool {
-	if len(changed) == 0 {
-		return false
-	}
-	var bgBuf [64]strsim.BigramID
-	var bgs []strsim.BigramID
-	if id, ok := symbol.Lookup(v); ok {
-		bgs = simcache.Feat(id).Bigrams
-	} else {
-		bgs = strsim.AppendBigramIDs(bgBuf[:0], v)
-	}
-	for _, bg := range bgs {
-		if changed[bg] {
-			return true
-		}
-	}
-	return false
 }

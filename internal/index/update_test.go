@@ -93,14 +93,13 @@ func sameSimilar(a, b []SimilarValue) bool {
 func TestUpdateEquivalence(t *testing.T) {
 	prevG, newG, prevK, prevS := buildGenerations(t, 0.06)
 
-	// Warm the previous generation's memo with query-time probes, so the
-	// carry-over path handles lazily memoised lists, not just precomputed
-	// ones.
+	// Probe the previous generation before the update: a cached probe list
+	// must not reach the next generation, whose answer may differ.
 	probes := []struct {
 		f Field
 		v string
 	}{
-		{FieldSurname, "quixwor"}, // near the new surname: must be invalidated
+		{FieldSurname, "quixwor"}, // near the new surname: its list changes
 		{FieldFirstName, "zzzz-not-a-name"},
 		{FieldLocation, "edinburgh"},
 	}
@@ -109,18 +108,22 @@ func TestUpdateEquivalence(t *testing.T) {
 	}
 
 	fullK, fullS := Build(newG, 0.5)
-	updK, updS, st := UpdateSubset(newG, nil, prevG, prevK, prevS, 0.5)
+	cl := Classify(newG, prevG)
+	updK, updS := UpdateSubset(newG, nil, cl, prevK, prevS)
 
-	if !st.Incremental {
-		t.Fatalf("update fell back to full rebuild: %s", st.Reason)
-	}
-	if st.DirtyNodes == 0 {
+	if cl.Dirty == 0 {
 		t.Fatal("no dirty nodes; the scenario did not change any cluster")
 	}
-	if st.AddedValues == 0 {
+	if updK.Values(FieldSurname) <= prevK.Values(FieldSurname) {
 		t.Fatal("no added values; the new surname was not detected")
 	}
-	if st.ReusedSimLists == 0 {
+	reused := 0
+	for v, list := range updS.lists[FieldSurname] {
+		if prev := prevS.lists[FieldSurname][v]; len(prev) > 0 && &prev[0] == &list[0] {
+			reused++
+		}
+	}
+	if reused == 0 {
 		t.Fatal("no similarity lists reused; the incremental path did no sharing")
 	}
 
@@ -144,7 +147,7 @@ func TestUpdateEquivalence(t *testing.T) {
 
 	// Similarity index: identical lists for every indexed value of the
 	// name fields (covers shared, recomputed, and added values) and for
-	// the warmed probes (covers dropped-and-lazily-recomputed lists).
+	// the warmed probes (recomputed against the new generation).
 	for _, f := range []Field{FieldFirstName, FieldSurname} {
 		for v := range fullK.postings[f] {
 			if got, want := updS.Similar(f, v), fullS.Similar(f, v); !sameSimilar(got, want) {
@@ -156,24 +159,6 @@ func TestUpdateEquivalence(t *testing.T) {
 		if got, want := updS.Similar(p.f, p.v), fullS.Similar(p.f, p.v); !sameSimilar(got, want) {
 			t.Fatalf("probe %v %q: Similar = %v, full rebuild = %v", p.f, p.v, got, want)
 		}
-	}
-}
-
-// TestUpdateFallbacks locks the conditions under which Update refuses the
-// incremental path and runs a full Build instead.
-func TestUpdateFallbacks(t *testing.T) {
-	prevG, newG, prevK, prevS := buildGenerations(t, 0.04)
-
-	if _, _, st := UpdateSubset(newG, nil, nil, nil, nil, 0.5); st.Incremental {
-		t.Fatal("nil previous generation must force a full rebuild")
-	}
-	if _, _, st := UpdateSubset(newG, nil, prevG, prevK, prevS, 0.7); st.Incremental {
-		t.Fatal("threshold change must force a full rebuild")
-	}
-	// A full rebuild still produces working indexes.
-	k, s, st := UpdateSubset(newG, nil, nil, nil, nil, 0.5)
-	if st.Reason == "" || k == nil || s == nil {
-		t.Fatalf("fallback returned no reason or nil indexes: %+v", st)
 	}
 }
 
@@ -195,13 +180,8 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 	}
 	prevK := mk("anna", "annie", "bert")
 	prevS := &Similarity{threshold: 0.5}
-	for f := Field(0); f < NumFields; f++ {
-		for i := range prevS.shards[f] {
-			prevS.shards[f][i].sims = map[string][]SimilarValue{}
-			prevS.shards[f][i].inflight = map[string]*memoCall{}
-		}
-		prevS.bigramPost[f] = map[strsim.BigramID]symList{}
-	}
+	prevS.lists[FieldSurname] = map[string][]SimilarValue{}
+	prevS.bigramPost[FieldSurname] = map[strsim.BigramID]symList{}
 	bgRaw := map[strsim.BigramID][]symbol.ID{}
 	for v := range prevK.postings[FieldSurname] {
 		id := symbol.Intern(v)
@@ -214,17 +194,16 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 		prevS.bigramPost[FieldSurname][bg] = encodeSyms(ids)
 	}
 	for v := range prevK.postings[FieldSurname] {
-		prevS.shard(FieldSurname, v).sims[v] = prevS.computeSimilar(FieldSurname, v)
+		prevS.lists[FieldSurname][v] = prevS.computeSimilar(FieldSurname, v)
 	}
 	if list := prevS.Similar(FieldSurname, "anna"); len(list) < 2 {
 		t.Fatalf("precondition: anna should be similar to annie, got %v", list)
 	}
 
 	newK := mk("anna", "bert") // "annie" removed
-	var st UpdateStats
-	s := updateSimilarity(newK, prevK, prevS, 0.5, &st)
-	if st.RemovedValues != 1 {
-		t.Fatalf("RemovedValues = %d, want 1", st.RemovedValues)
+	s := updateSimilarity(newK, prevK, prevS)
+	if _, ok := s.lists[FieldSurname]["annie"]; ok || s.Size(FieldSurname) != 2 {
+		t.Fatalf("S holds %d surname lists after the removal, want anna and bert", s.Size(FieldSurname))
 	}
 	for bg, vals := range s.bigramPost[FieldSurname] {
 		for it := vals.iter(); ; {
@@ -249,6 +228,7 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 // previous one. The gap is the reason UpdateSubset exists (DESIGN.md §4.9).
 func BenchmarkIndexUpdate(b *testing.B) {
 	prevG, newG, prevK, prevS := buildGenerations(b, 0.1)
+	cl := Classify(newG, prevG)
 	b.Run("full_rebuild", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -258,10 +238,7 @@ func BenchmarkIndexUpdate(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _, st := UpdateSubset(newG, nil, prevG, prevK, prevS, 0.5)
-			if !st.Incremental {
-				b.Fatalf("fell back to full rebuild: %s", st.Reason)
-			}
+			UpdateSubset(newG, nil, cl, prevK, prevS)
 		}
 	})
 }

@@ -100,7 +100,7 @@ func TestFlushIncrementalIndexGoldenEquivalence(t *testing.T) {
 		full, _, _ := fullRebuild(sv.Graph)
 		qs := sampleQueries(sv,
 			[2]string{"zebedee", "quixworth"},
-			[2]string{"zebedee", "quixwor"}, // typo probe: lazy memo path
+			[2]string{"zebedee", "quixwor"}, // typo probe: query-time probe path
 			[2]string{"nosuchname", "nosuchsurname"})
 		for _, q := range qs {
 			got := sv.Shards.Search(q)
@@ -117,12 +117,12 @@ func TestFlushIncrementalIndexGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestConcurrentSearchesDuringIncrementalFlushes races query-time memo
-// writes on the still-serving generation against index.UpdateSubset's carry-over
-// reads of the same shards (plus the usual serve-during-swap traffic),
-// under the race detector. Searchers deliberately probe unseen values so
-// the previous generation's similarity memo keeps growing while Update
-// copies it.
+// TestConcurrentSearchesDuringIncrementalFlushes races query-time probe
+// cache stores on the still-serving generation against index.UpdateSubset's
+// lock-free reads of the same shards (plus the usual serve-during-swap
+// traffic), under the race detector. Searchers deliberately probe unseen
+// values so the previous generation's probe cache keeps churning while
+// Update patches from its lists.
 func TestConcurrentSearchesDuringIncrementalFlushes(t *testing.T) {
 	p := generatedPipeline(t, 0.03, manualConfig())
 	defer p.Close()
@@ -145,7 +145,7 @@ func TestConcurrentSearchesDuringIncrementalFlushes(t *testing.T) {
 				default:
 				}
 				q := probes[(i+w)%len(probes)]
-				// Mutate the probe so misses keep extending the memo of
+				// Mutate the probe so misses keep writing the probe cache of
 				// whichever generation the searcher holds.
 				q.FirstName = fmt.Sprintf("%s%d", q.FirstName, i%7)
 				p.Serving().Shards.Search(q)

@@ -111,6 +111,10 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
+// DefaultQueryCache is the result-cache budget cmd/snaps and cmd/snapsload
+// serve with by default; DefaultConfig leaves the cache off.
+const DefaultQueryCache = 4096
+
 // DefaultConfig returns the production defaults.
 func DefaultConfig() Config {
 	return Config{
@@ -598,14 +602,16 @@ func (p *Pipeline) flushLocked() error {
 
 	// Rebuild the pedigree graph, then advance the still-serving
 	// coordinator: it classifies the new graph once, patches only the
-	// partitions the batch touched (index.UpdateSubset per shard), and
+	// partitions the batch touched (index.UpdateSubset per shard, from
+	// that one classification and without locking the served indexes;
+	// rebuilding them instead when too much of the graph is dirty), and
 	// reuses every untouched shard — indexes, engine, cache, and
 	// shard-local generation — by reference.
 	_, isp := obs.StartSpan(ctx, "rebuild_indexes")
 	newG := pedigree.Build(newD, newStore)
 	gen := p.generation + 1
 	coord, ast := p.serving.Load().Shards.Advance(newG, gen)
-	// Incremental means no touched shard fell back to a full rebuild.
+	// Incremental means the touched shards were patched, not rebuilt.
 	incremental := ast.Patched == ast.Touched
 	isp.SetAttr("dirty_entities", int64(ast.DirtyNodes))
 	isp.SetAttr("shards_touched", int64(ast.Touched))

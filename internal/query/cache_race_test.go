@@ -1,5 +1,5 @@
 // External test closing the loop of the query hot-path overhaul: pooled
-// accumulator state, the sharded similarity memo, and the generation-keyed
+// accumulator state, the similarity index's probe cache, and the generation-keyed
 // result cache are hammered concurrently while the ingest pipeline flushes
 // and hot-swaps serving snapshots underneath. Run under -race in CI.
 package query_test
@@ -32,7 +32,7 @@ func genCert(i int) *ingest.Certificate {
 
 // TestCacheStressNoStaleGenerations runs concurrent Search traffic — cache
 // hits (repeated hot query), cache misses (per-goroutine unique queries),
-// and memo-shard stampedes (all goroutines probing the same never-seen
+// and probe-cache stampedes (all goroutines probing the same never-seen
 // surname) — while the ingest pipeline flushes and swaps snapshots. After
 // every swap the test asserts the freshly served generation finds the
 // certificate ingested for it, even though the identical query string was
@@ -90,8 +90,8 @@ func TestCacheStressNoStaleGenerations(t *testing.T) {
 		}()
 	}
 	// Cold searchers: per-iteration unique surnames — result-cache misses
-	// plus similarity-memo misses; every goroutine also probes one shared
-	// novel surname to stampede a single memo shard concurrently.
+	// plus similarity probes; every goroutine also probes one shared novel
+	// surname to stampede a single probe-cache slot concurrently.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {

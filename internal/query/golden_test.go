@@ -83,7 +83,7 @@ func referenceSearch(e *Engine, q Query) []Result {
 	if q.Location != "" {
 		weightSum += e.Weights.Location
 		for id, a := range m {
-			if sim, exact, ok := e.bestLocation(id, q.Location); ok {
+			if sim, exact, ok := e.bestLocation(id, q.Location, e.Similar.Similar(index.FieldLocation, q.Location)); ok {
 				a.contrib[index.FieldLocation] = e.Weights.Location * sim
 				a.matched[index.FieldLocation] = exact
 				a.hasField[index.FieldLocation] = true

@@ -315,9 +315,10 @@ func (e *Engine) compute(ctx context.Context, q Query, ckey string, start time.T
 	}
 	if q.Location != "" {
 		weightSum += e.Weights.Location
+		locVals := e.Similar.Similar(index.FieldLocation, q.Location)
 		for i := range st.slab {
 			a := &st.slab[i]
-			if sim, exact, ok := e.bestLocation(st.ids[i], q.Location); ok {
+			if sim, exact, ok := e.bestLocation(st.ids[i], q.Location, locVals); ok {
 				a.contrib[index.FieldLocation] = e.Weights.Location * sim
 				a.matched[index.FieldLocation] = exact
 				a.hasField[index.FieldLocation] = true
@@ -483,12 +484,13 @@ func (e *Engine) accumulate(st *searchState, f index.Field, value string, simila
 }
 
 // bestLocation returns the best similarity between the query location and
-// the entity's locations.
-func (e *Engine) bestLocation(id pedigree.NodeID, loc string) (sim float64, exact, ok bool) {
+// the entity's locations; similar is the query location's similarity list,
+// looked up once per query.
+func (e *Engine) bestLocation(id pedigree.NodeID, loc string, similar []index.SimilarValue) (sim float64, exact, ok bool) {
 	n := e.Graph.Node(id)
 	best := 0.0
 	for _, l := range n.Locations {
-		for _, sv := range e.Similar.Similar(index.FieldLocation, loc) {
+		for _, sv := range similar {
 			if sv.Value == l && sv.Sim > best {
 				best = sv.Sim
 				exact = l == loc
@@ -591,7 +593,7 @@ func (e *Engine) Explain(q Query, id pedigree.NodeID) Explanation {
 	}
 	if q.Location != "" {
 		weightSum += e.Weights.Location
-		if sim, exact, ok := e.bestLocation(id, q.Location); ok {
+		if sim, exact, ok := e.bestLocation(id, q.Location, e.Similar.Similar(index.FieldLocation, q.Location)); ok {
 			out.Fields = append(out.Fields, FieldExplanation{
 				Field: index.FieldLocation, QueryValue: q.Location,
 				Similarity: sim, Weight: e.Weights.Location,

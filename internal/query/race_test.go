@@ -14,8 +14,8 @@ import (
 
 // TestConcurrentSearchAndMemoisation hammers Engine.Search from many
 // goroutines with probe values absent from the precomputed similarity
-// index, so concurrent lookups race the index's query-time memoisation
-// writes. Run under -race this guards the locking of index.Similarity and
+// index, so concurrent lookups race the stores into the index's probe
+// cache. Run under -race this guards the lock-free index.Similarity and
 // the read-only discipline of the serving bundle the live ingestion
 // subsystem hot-swaps.
 func TestConcurrentSearchAndMemoisation(t *testing.T) {
@@ -26,7 +26,7 @@ func TestConcurrentSearchAndMemoisation(t *testing.T) {
 	engine := NewEngine(g, k, s)
 
 	// Collect real names, then derive misspellings that force the
-	// similarity index to memoise new values at query time.
+	// similarity index to probe and cache new values at query time.
 	var names [][2]string
 	for i := range g.Nodes {
 		n := &g.Nodes[i]

@@ -20,10 +20,6 @@ func (s *Server) EnableAdmission(c *admission.Controller) {
 	s.admit = c
 }
 
-// Admission returns the controller wired by EnableAdmission, nil when
-// admission is disabled. The health endpoint and tests read it.
-func (s *Server) Admission() *admission.Controller { return s.admit }
-
 // classifyRoute maps a mux route pattern to its admission class. Patterns
 // come from the mux registrations (bounded set), never from client input.
 // The ladder: pedigree renders (the expensive graph walks) shed first,

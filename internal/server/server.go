@@ -195,12 +195,28 @@ func (s *Server) parseQuery(r *http.Request) query.Query {
 	return q
 }
 
+// maxQueryValue bounds first_name, surname and location in bytes. Every
+// generated and BHIC-style name fits, and the similarity index's probe
+// cache, which holds the values it is sent, stays bounded in bytes too.
+const maxQueryValue = 128
+
+// checkQuery reports why a query is answered 400 instead of searched.
+func checkQuery(q query.Query) error {
+	if q.FirstName == "" || q.Surname == "" {
+		return fmt.Errorf("first_name and surname are required")
+	}
+	if max(len(q.FirstName), len(q.Surname), len(q.Location)) > maxQueryValue {
+		return fmt.Errorf("first_name, surname and location may not exceed %d bytes", maxQueryValue)
+	}
+	return nil
+}
+
 // search runs the query against the currently served coordinator and also
 // reports that coordinator's snapshot generation, so handlers can stamp
 // responses with the generation that produced them.
 func (s *Server) search(ctx context.Context, q query.Query) ([]SearchResult, uint64, error) {
-	if q.FirstName == "" || q.Surname == "" {
-		return nil, 0, fmt.Errorf("first_name and surname are required")
+	if err := checkQuery(q); err != nil {
+		return nil, 0, err
 	}
 	c := s.Coordinator()
 	results := c.SearchContext(ctx, q)
@@ -447,8 +463,8 @@ func (s *Server) EnableExplain() {
 			return
 		}
 		q := s.parseQuery(r)
-		if q.FirstName == "" || q.Surname == "" {
-			http.Error(w, "first_name and surname are required", http.StatusBadRequest)
+		if err := checkQuery(q); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		ex := c.Explain(q, id)

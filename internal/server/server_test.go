@@ -63,13 +63,29 @@ func TestSearchAPI(t *testing.T) {
 	}
 }
 
+// TestSearchAPIRequiresNames: a search needs both names, and no name or
+// location value may be longer than maxQueryValue bytes — the boundary that
+// keeps caller-chosen strings out of the index's probe path.
 func TestSearchAPIRequiresNames(t *testing.T) {
 	s, _ := testServer(t)
-	req := httptest.NewRequest("GET", "/api/search?first_name=mary", nil)
-	w := httptest.NewRecorder()
-	s.ServeHTTP(w, req)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("missing surname should 400, got %d", w.Code)
+	s.EnableExplain()
+	long := strings.Repeat("x", maxQueryValue+1)
+	for _, tc := range []struct {
+		target string
+		want   int
+	}{
+		{"/api/search?first_name=mary", http.StatusBadRequest},
+		{"/api/search?first_name=mary&surname=" + long[1:], http.StatusOK},
+		{"/api/search?first_name=mary&surname=" + long, http.StatusBadRequest},
+		{"/api/search?first_name=" + long + "&surname=macdonald", http.StatusBadRequest},
+		{"/api/search?first_name=mary&surname=macdonald&location=" + long, http.StatusBadRequest},
+		{"/api/explain?id=0&first_name=mary&surname=" + long, http.StatusBadRequest},
+	} {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest("GET", tc.target, nil))
+		if w.Code != tc.want {
+			t.Errorf("GET %.60s: status %d, want %d", tc.target, w.Code, tc.want)
+		}
 	}
 }
 

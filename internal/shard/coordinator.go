@@ -31,6 +31,10 @@ var (
 		"Shards rebuilt (incrementally or fully) by ingest flushes.")
 	mFlushReused = obs.Default.Counter("snaps_shard_flush_reused_total",
 		"Shards carried over untouched by ingest flushes.")
+	mIncremental = obs.Default.Counter("snaps_index_incremental_total",
+		"Index updates satisfied by patching the previous generation's indexes.")
+	mFullRebuild = obs.Default.Counter("snaps_index_full_rebuild_total",
+		"Index updates that fell back to a full rebuild.")
 
 	mShardSearchSeconds = obs.Default.HistogramVec("snaps_shard_search_seconds",
 		"Per-shard search duration under the scatter-gather coordinator.",
@@ -41,6 +45,12 @@ var (
 	mStragglerTotal = obs.Default.CounterVec("snaps_shard_straggler_total",
 		"Scatters in which the shard was the slowest one.", "shard")
 )
+
+// maxDirtyFraction bounds the incremental path: when more than this
+// fraction of the pedigree nodes changed cluster membership since the
+// previous generation, patching the indexes approaches the cost of
+// rebuilding them and Advance rebuilds every touched shard instead.
+const maxDirtyFraction = 0.25
 
 // shardMetrics are the per-shard series, pre-created at shard construction
 // so the serving hot path never takes the registry (or vec) lock.
@@ -152,7 +162,8 @@ func Partition(g *pedigree.Graph, o Options) *Coordinator {
 		if c.staleServe {
 			cache.EnableStaleServe()
 		}
-		c.shards[s] = c.buildShard(s, cache, metricsFor(s))
+		k, sim := index.BuildSubset(g, c.keep(s), c.simThreshold)
+		c.shards[s] = c.newShard(s, k, sim, 0, cache, metricsFor(s))
 	}
 	mShardCount.Set(int64(n))
 	return c
@@ -171,19 +182,24 @@ func perShardCache(total, n int) int {
 	return per
 }
 
-// buildShard constructs shard s's indexes and engine from scratch over the
-// coordinator's graph at shard generation 0.
-func (c *Coordinator) buildShard(s int, cache *query.ResultCache, met *shardMetrics) *Shard {
-	k, sim := index.BuildSubset(c.graph, c.keep(s), c.simThreshold)
+// newShard puts an engine over shard s's indexes of the coordinator's
+// graph at shard-local generation gen, wired to the shard's cache and
+// metrics.
+func (c *Coordinator) newShard(s int, k *index.Keyword, sim *index.Similarity, gen uint64, cache *query.ResultCache, met *shardMetrics) *Shard {
 	sh := &Shard{
 		ID: s, Keyword: k, Similar: sim,
-		Engine:    query.NewEngine(c.graph, k, sim),
-		NodeCount: c.counts[s],
-		cache:     cache, met: met,
+		Engine:     query.NewEngine(c.graph, k, sim),
+		Generation: gen,
+		NodeCount:  c.counts[s],
+		cache:      cache, met: met,
 	}
-	c.wireEngine(sh)
+	if cache != nil {
+		sh.Engine.Cache = cache
+		sh.Engine.Generation = gen
+		sh.Engine.StaleServe = c.staleServe
+	}
 	met.nodes.Set(int64(sh.NodeCount))
-	met.gen.Set(int64(sh.Generation))
+	met.gen.Set(int64(gen))
 	return sh
 }
 
@@ -199,25 +215,15 @@ func (c *Coordinator) keep(s int) func(pedigree.NodeID) bool {
 	return func(id pedigree.NodeID) bool { return c.owners[id] == sid }
 }
 
-// wireEngine attaches the shard's cache and generation to its engine.
-func (c *Coordinator) wireEngine(sh *Shard) {
-	if sh.cache == nil {
-		return
-	}
-	sh.Engine.Cache = sh.cache
-	sh.Engine.Generation = sh.Generation
-	sh.Engine.StaleServe = c.staleServe
-}
-
 // AdvanceStats reports how a flush was absorbed by the partitions.
 type AdvanceStats struct {
 	// Touched and Reused count shards rebuilt vs carried over by
 	// reference.
 	Touched, Reused int
 	// Patched counts the touched shards whose previous indexes were patched
-	// (index.UpdateSubset's incremental path); the other Touched-Patched
-	// fell back to a full subset rebuild, and Reason is the cause the last
-	// of them reported ("" when none fell back).
+	// (index.UpdateSubset): all of them, or none when the flush was over
+	// maxDirtyFraction and every touched shard was rebuilt, which Reason
+	// then says ("" otherwise).
 	Patched int
 	Reason  string
 	// DirtyNodes is the global count of entities whose record set changed.
@@ -225,9 +231,10 @@ type AdvanceStats struct {
 }
 
 // Advance publishes a flush: it classifies the new graph against the
-// served one, rebuilds ONLY the shards whose partitions the flush touched
-// (via index.UpdateSubset, so even a touched shard patches rather than
-// rebuilds when it can), and reuses every untouched shard by reference.
+// served one — once, for every shard — decides from the dirty fraction
+// whether touched shards patch (index.UpdateSubset) or rebuild, updates
+// ONLY the shards whose partitions the flush touched, and reuses every
+// untouched shard by reference.
 //
 // Reuse is sound because ownership is a pure function of a node's record
 // set (Owner): a shard is untouched exactly when every entity it owned is
@@ -247,10 +254,10 @@ func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordin
 	}
 	nc.owners, nc.counts = computeOwners(newG, n)
 
-	oldToNew, isDirty, dirty := index.Classify(newG, c.graph)
+	cl := index.Classify(newG, c.graph)
 	touched := make([]bool, n)
 	for i := range newG.Nodes {
-		if isDirty[i] {
+		if cl.IsDirty[i] {
 			touched[nc.owners[i]] = true
 		}
 	}
@@ -258,13 +265,16 @@ func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordin
 	// none at all — invalidates the posting lists of the shard that owned
 	// it (its clean counterpart, if any, is owned by the same shard, since
 	// clean means an identical record set).
-	for j := range oldToNew {
-		if oldToNew[j] != pedigree.NodeID(j) {
+	for j, nid := range cl.OldToNew {
+		if nid != pedigree.NodeID(j) {
 			touched[c.owners[j]] = true
 		}
 	}
 
-	st := AdvanceStats{DirtyNodes: dirty}
+	st := AdvanceStats{DirtyNodes: cl.Dirty}
+	if float64(cl.Dirty) > maxDirtyFraction*float64(len(newG.Nodes)) {
+		cl, st.Reason = nil, "dirty fraction above threshold"
+	}
 	nc.shards = make([]*Shard, n)
 	for s := 0; s < n; s++ {
 		prev := c.shards[s]
@@ -274,43 +284,35 @@ func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordin
 			mFlushReused.Inc()
 			continue
 		}
-		var ust index.UpdateStats
-		nc.shards[s], ust = nc.advanceShard(s, prev, c.graph)
-		st.Touched++
-		if ust.Incremental {
+		// A touched shard patches the previous generation's subset indexes
+		// from the flush's classification, or rebuilds them when the flush
+		// was too dirty; its shard-local generation advances by one and the
+		// carried-over cache invalidates against it.
+		var (
+			k   *index.Keyword
+			sim *index.Similarity
+		)
+		if cl != nil {
+			k, sim = index.UpdateSubset(newG, nc.keep(s), cl, prev.Keyword, prev.Similar)
 			st.Patched++
+			mIncremental.Inc()
 		} else {
-			st.Reason = ust.Reason
+			k, sim = index.BuildSubset(newG, nc.keep(s), nc.simThreshold)
+			mFullRebuild.Inc()
 		}
+		sh := nc.newShard(s, k, sim, prev.Generation+1, prev.cache, prev.met)
+		sh.Engine.Weights = prev.Engine.Weights
+		sh.Engine.TopM = prev.Engine.TopM
+		if sh.cache != nil {
+			sh.cache.Invalidate(sh.Generation)
+		}
+		sh.met.rebuilds.Inc()
+		nc.shards[s] = sh
+		st.Touched++
 		mFlushTouched.Inc()
 	}
 	mShardCount.Set(int64(n))
 	return nc, st
-}
-
-// advanceShard rebuilds one touched shard against the new graph, patching
-// the previous generation's subset indexes where possible. The shard-local
-// generation advances by one and the carried-over cache invalidates
-// against it.
-func (nc *Coordinator) advanceShard(s int, prev *Shard, prevG *pedigree.Graph) (*Shard, index.UpdateStats) {
-	k, sim, ust := index.UpdateSubset(nc.graph, nc.keep(s), prevG, prev.Keyword, prev.Similar, nc.simThreshold)
-	eng := query.NewEngine(nc.graph, k, sim)
-	eng.Weights = prev.Engine.Weights
-	eng.TopM = prev.Engine.TopM
-	sh := &Shard{
-		ID: s, Keyword: k, Similar: sim, Engine: eng,
-		Generation: prev.Generation + 1,
-		NodeCount:  nc.counts[s],
-		cache:      prev.cache, met: prev.met,
-	}
-	nc.wireEngine(sh)
-	if sh.cache != nil {
-		sh.cache.Invalidate(sh.Generation)
-	}
-	sh.met.rebuilds.Inc()
-	sh.met.nodes.Set(int64(sh.NodeCount))
-	sh.met.gen.Set(int64(sh.Generation))
-	return sh, ust
 }
 
 // NumShards returns the partition count.

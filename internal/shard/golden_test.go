@@ -269,7 +269,7 @@ func TestScatterGatherGoldenEquivalenceGrown(t *testing.T) {
 			fresh := shard.Partition(sv.Graph, shard.Options{Shards: n, SimThreshold: 0.5})
 			qs := append(goldenQueries(sv.Graph),
 				query.Query{FirstName: "zebedee", Surname: "quixworth"},
-				query.Query{FirstName: "zebedee", Surname: "quixwor"}, // typo: lazy memo path
+				query.Query{FirstName: "zebedee", Surname: "quixwor"}, // typo: query-time probe path
 				query.Query{FirstName: "philomena", Surname: "quixworth"})
 			for qi, q := range qs {
 				want := render(ref.Search(q))

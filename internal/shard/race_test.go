@@ -1,6 +1,6 @@
 // External -race stress closing the loop on the sharded serving tier:
 // concurrent scatter-gather searches — cache hits, cache misses, and
-// similarity-memo stampedes — run while the ingest pipeline flushes and
+// probe-cache stampedes — run while the ingest pipeline flushes and
 // republishes coordinators underneath. The assertions pin the RCU
 // contract: a held coordinator keeps serving one immutable generation of
 // every shard (never a torn mix), the freshly published coordinator sees
@@ -104,8 +104,9 @@ func TestScatterGatherStressNoTornGenerations(t *testing.T) {
 			}
 		}()
 	}
-	// Cold searchers: per-iteration unique surnames (cache and memo misses
-	// on every shard) plus one shared novel surname stampeding the memo.
+	// Cold searchers: per-iteration unique surnames (result-cache misses and
+	// probes on every shard) plus one shared novel surname stampeding one
+	// probe-cache slot.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
