@@ -93,11 +93,11 @@ type SimilarValue struct {
 }
 
 // Keyword is the keyword index K. Posting lists are stored delta+varint
-// compressed (see postings.go); lists are immutable once stored, so
-// incremental updates share them across generations by reference.
+// compressed (see postings.go) and are immutable once stored. K has one
+// builder, buildKeyword: a flush builds a fresh K like any other build.
 type Keyword struct {
 	// postings[field][value] lists the entity nodes carrying the value.
-	postings [NumFields]map[string]postingList
+	postings [NumFields]map[string]postingList[pedigree.NodeID]
 }
 
 // probeSlots is how many probe-cache slots the strings the corpus does not
@@ -135,7 +135,7 @@ type Similarity struct {
 	// the bigram, delta+varint compressed in ascending id order. Bigrams
 	// are keyed by their packed integer form (strsim.BigramID) rather than
 	// two-byte strings, so probing never hashes string keys.
-	bigramPost [NumFields]map[strsim.BigramID]symList
+	bigramPost [NumFields]map[strsim.BigramID]postingList[symbol.ID]
 }
 
 // probeSeed keys the probe cache's hash, so which values collide is not
@@ -189,30 +189,8 @@ func Build(g *pedigree.Graph, simThreshold float64) (*Keyword, *Similarity) {
 // similarities identical.
 func BuildSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, simThreshold float64) (*Keyword, *Similarity) {
 	defer obs.StartStage("index_build").Stop()
-	// Postings accumulate uncompressed and are compressed in one pass once
-	// sorted and deduplicated.
-	var raw [NumFields]map[string][]pedigree.NodeID
-	for f := Field(0); f < NumFields; f++ {
-		raw[f] = map[string][]pedigree.NodeID{}
-	}
+	k := buildKeyword(g, keep)
 	s := &Similarity{threshold: simThreshold}
-
-	add := func(f Field, v string, id pedigree.NodeID) {
-		raw[f][v] = append(raw[f][v], id)
-	}
-	for i := range g.Nodes {
-		if n := &g.Nodes[i]; keep == nil || keep(n.ID) {
-			eachIndexedValue(n, add)
-		}
-	}
-	k := &Keyword{}
-	for f := Field(0); f < NumFields; f++ {
-		k.postings[f] = make(map[string]postingList, len(raw[f]))
-		for v, ids := range raw[f] {
-			slices.Sort(ids)
-			k.postings[f][v] = encodePostings(slices.Compact(ids))
-		}
-	}
 
 	// One walk per string field over its sorted values builds the bigram
 	// postings twice over: by symbol id (stored, what query-time probes
@@ -241,10 +219,10 @@ func BuildSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, simThreshol
 			}
 		}
 		s.probes[f] = make([]atomic.Pointer[probeEntry], symbol.Len()+probeSlots)
-		s.bigramPost[f] = make(map[strsim.BigramID]symList, len(bgRaw))
+		s.bigramPost[f] = make(map[strsim.BigramID]postingList[symbol.ID], len(bgRaw))
 		for bg, ids := range bgRaw {
 			slices.Sort(ids)
-			s.bigramPost[f][bg] = encodeSyms(ids)
+			s.bigramPost[f][bg] = encodePostings(ids)
 		}
 	}
 	// Precompute similarities for the name fields (the dominant cost of a
@@ -254,6 +232,33 @@ func BuildSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, simThreshol
 		s.precompute(f, &sets[f])
 	}
 	return k, s
+}
+
+// buildKeyword is the one builder of K: the postings of the nodes of g
+// accepted by keep (nil keeps every node). They accumulate uncompressed and
+// are compressed in one pass once sorted and deduplicated.
+func buildKeyword(g *pedigree.Graph, keep func(pedigree.NodeID) bool) *Keyword {
+	var raw [NumFields]map[string][]pedigree.NodeID
+	for f := Field(0); f < NumFields; f++ {
+		raw[f] = map[string][]pedigree.NodeID{}
+	}
+	add := func(f Field, v string, id pedigree.NodeID) {
+		raw[f][v] = append(raw[f][v], id)
+	}
+	for i := range g.Nodes {
+		if n := &g.Nodes[i]; keep == nil || keep(n.ID) {
+			eachIndexedValue(n, add)
+		}
+	}
+	k := &Keyword{}
+	for f := Field(0); f < NumFields; f++ {
+		k.postings[f] = make(map[string]postingList[pedigree.NodeID], len(raw[f]))
+		for v, ids := range raw[f] {
+			slices.Sort(ids)
+			k.postings[f][v] = encodePostings(slices.Compact(ids))
+		}
+	}
+	return k
 }
 
 // Lookup returns the entities carrying the exact value in the field,
@@ -267,7 +272,7 @@ func (k *Keyword) Lookup(f Field, value string) []pedigree.NodeID {
 // Postings returns an allocation-free iterator over the value's posting
 // list, in ascending node-id order. The iterator reads the immutable
 // compressed bytes, so it stays valid across concurrent index updates.
-func (k *Keyword) Postings(f Field, value string) PostingIter {
+func (k *Keyword) Postings(f Field, value string) PostingIter[pedigree.NodeID] {
 	return k.postings[f][value].iter()
 }
 
@@ -335,11 +340,11 @@ var candPool = sync.Pool{New: func() any { return new(candScratch) }}
 // candidates returns, ascending, the distinct symbol ids of the values in
 // post sharing at least one of the bigrams. The result aliases the scratch
 // and is valid until the scratch goes back to the pool.
-func (c *candScratch) candidates(post map[strsim.BigramID]symList, bgs []strsim.BigramID) []symbol.ID {
+func (c *candScratch) candidates(post map[strsim.BigramID]postingList[symbol.ID], bgs []strsim.BigramID) []symbol.ID {
 	ids := c.ids[:0]
 	for _, bg := range bgs {
 		for it := post[bg].iter(); ; {
-			id, ok := it.next()
+			id, ok := it.Next()
 			if !ok {
 				break
 			}

@@ -7,24 +7,25 @@
 // a slice header per list; at DS scale the entries number in the tens of
 // millions. Sorted integer lists compress extremely well as varint-coded
 // gaps — frequent values have dense, small deltas — so both list kinds are
-// stored as a byte stream of uvarint deltas and decoded on read.
+// one codec: a byte stream of uvarint deltas, decoded on read, instantiated
+// over pedigree.NodeID (K) and symbol.ID (S's bigram postings, where sixteen
+// bytes of string header per entry collapse to the gap between symbol ids).
 //
-// Encoded lists are immutable: copy-on-write sharing between index
-// generations (index.UpdateSubset) is a struct copy aliasing the same byte
-// slice. The query hot path iterates postings without allocating via
-// PostingIter; Lookup decodes into a fresh slice the caller owns.
+// Encoded lists are immutable: the bigram lists a flush does not reach are
+// shared between index generations (index.UpdateSubset) as a struct copy
+// aliasing the same byte slice. The query hot path iterates postings
+// without allocating via PostingIter; Lookup decodes into a fresh slice the
+// caller owns.
 package index
 
-import (
-	"encoding/binary"
+import "encoding/binary"
 
-	"github.com/snaps/snaps/internal/pedigree"
-	"github.com/snaps/snaps/internal/symbol"
-)
+// postingID is what a posting list holds: pedigree.NodeID or symbol.ID.
+type postingID interface{ ~int32 | ~uint32 }
 
-// postingList is a compressed, sorted list of entity node ids. The zero
-// value is the empty list.
-type postingList struct {
+// postingList is a compressed, sorted list of ids. The zero value is the
+// empty list.
+type postingList[T postingID] struct {
 	n    int32
 	data []byte
 }
@@ -32,9 +33,9 @@ type postingList struct {
 // encodePostings compresses a sorted (ascending, possibly with repeats)
 // id list. The first id is stored as a delta from -1 so that id 0 still
 // yields a positive gap.
-func encodePostings(ids []pedigree.NodeID) postingList {
+func encodePostings[T postingID](ids []T) postingList[T] {
 	if len(ids) == 0 {
-		return postingList{}
+		return postingList[T]{}
 	}
 	var buf [binary.MaxVarintLen64]byte
 	data := make([]byte, 0, len(ids)) // dense lists average ~1 byte/entry
@@ -44,96 +45,47 @@ func encodePostings(ids []pedigree.NodeID) postingList {
 		data = append(data, buf[:k]...)
 		prev = int64(id)
 	}
-	return postingList{n: int32(len(ids)), data: data}
+	return postingList[T]{n: int32(len(ids)), data: data}
 }
 
 // len returns the number of entries.
-func (p postingList) len() int { return int(p.n) }
+func (p postingList[T]) len() int { return int(p.n) }
 
 // decode returns the entries as a fresh slice (nil when empty).
-func (p postingList) decode() []pedigree.NodeID {
+func (p postingList[T]) decode() []T {
 	if p.n == 0 {
 		return nil
 	}
-	out := make([]pedigree.NodeID, 0, p.n)
-	prev := int64(-1)
-	for i := 0; i < len(p.data); {
-		d, k := binary.Uvarint(p.data[i:])
-		i += k
-		prev += int64(d)
-		out = append(out, pedigree.NodeID(prev))
+	out := make([]T, 0, p.n)
+	for it := p.iter(); ; {
+		id, ok := it.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, id)
 	}
-	return out
 }
 
 // PostingIter walks a compressed posting list without allocating. The
 // zero value is an exhausted iterator.
-type PostingIter struct {
+type PostingIter[T postingID] struct {
 	data []byte
 	pos  int
 	prev int64
 }
 
 // iter returns an iterator positioned before the first entry.
-func (p postingList) iter() PostingIter {
-	return PostingIter{data: p.data, prev: -1}
+func (p postingList[T]) iter() PostingIter[T] {
+	return PostingIter[T]{data: p.data, prev: -1}
 }
 
 // Next returns the next id, or ok=false when the list is exhausted.
-func (it *PostingIter) Next() (pedigree.NodeID, bool) {
+func (it *PostingIter[T]) Next() (T, bool) {
 	if it.pos >= len(it.data) {
 		return 0, false
 	}
 	d, k := binary.Uvarint(it.data[it.pos:])
 	it.pos += k
 	it.prev += int64(d)
-	return pedigree.NodeID(it.prev), true
-}
-
-// symList is a compressed, sorted list of interned-string ids — the
-// bigram postings of the similarity index. Sixteen bytes of string header
-// per entry collapse to the varint gap between symbol ids.
-type symList struct {
-	n    int32
-	data []byte
-}
-
-// encodeSyms compresses a sorted (ascending, strictly increasing) symbol
-// id list.
-func encodeSyms(ids []symbol.ID) symList {
-	if len(ids) == 0 {
-		return symList{}
-	}
-	var buf [binary.MaxVarintLen64]byte
-	data := make([]byte, 0, len(ids))
-	prev := int64(-1)
-	for _, id := range ids {
-		k := binary.PutUvarint(buf[:], uint64(int64(id)-prev))
-		data = append(data, buf[:k]...)
-		prev = int64(id)
-	}
-	return symList{n: int32(len(ids)), data: data}
-}
-
-func (p symList) len() int { return int(p.n) }
-
-// symIter walks a compressed symbol list without allocating.
-type symIter struct {
-	data []byte
-	pos  int
-	prev int64
-}
-
-func (p symList) iter() symIter {
-	return symIter{data: p.data, prev: -1}
-}
-
-func (it *symIter) next() (symbol.ID, bool) {
-	if it.pos >= len(it.data) {
-		return 0, false
-	}
-	d, k := binary.Uvarint(it.data[it.pos:])
-	it.pos += k
-	it.prev += int64(d)
-	return symbol.ID(it.prev), true
+	return T(it.prev), true
 }

@@ -241,7 +241,7 @@ func TestIndexLeavesKernelMemoUntouched(t *testing.T) {
 	}
 	check("a miss-path Similar on an interned value")
 
-	updK, _ := UpdateSubset(newG, nil, Classify(newG, prevG), prevK, prevS)
+	updK, _ := UpdateSubset(newG, nil, prevK, prevS)
 	if updK.Values(FieldSurname) <= prevK.Values(FieldSurname) {
 		t.Fatal("UpdateSubset did not patch in new values")
 	}

@@ -97,7 +97,7 @@ func TestProbeMemoryBounded(t *testing.T) {
 // address, length and contents, and every probe answer is the list a fresh
 // computeSimilar returns.
 func TestSimilarityImmutableAfterPublish(t *testing.T) {
-	prevG, newG, prevK, prevS := buildGenerations(t, 0.05)
+	_, newG, prevK, prevS := buildGenerations(t, 0.05)
 	type pin struct {
 		first *SimilarValue
 		list  []SimilarValue
@@ -135,7 +135,7 @@ func TestSimilarityImmutableAfterPublish(t *testing.T) {
 			}
 		}(g)
 	}
-	UpdateSubset(newG, nil, Classify(newG, prevG), prevK, prevS)
+	UpdateSubset(newG, nil, prevK, prevS)
 	close(stop)
 	wg.Wait()
 

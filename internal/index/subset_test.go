@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/pedigree"
 )
 
@@ -127,11 +126,9 @@ func TestBuildSubsetSimilarityIsFilteredGlobal(t *testing.T) {
 func TestUpdateSubsetEquivalentToBuildSubset(t *testing.T) {
 	prevG, newG, _, _ := buildGenerations(t, 0.05)
 	const n = 4
-	// One classification of the whole graph serves every partition.
-	cl := Classify(newG, prevG)
 	for shard := 0; shard < n; shard++ {
 		prevK, prevS := BuildSubset(prevG, keepFor(prevG, shard, n), 0.5)
-		gotK, gotS := UpdateSubset(newG, keepFor(newG, shard, n), cl, prevK, prevS)
+		gotK, gotS := UpdateSubset(newG, keepFor(newG, shard, n), prevK, prevS)
 		wantK, wantS := BuildSubset(newG, keepFor(newG, shard, n), 0.5)
 
 		for f := Field(0); f < NumFields; f++ {
@@ -162,43 +159,6 @@ func TestUpdateSubsetEquivalentToBuildSubset(t *testing.T) {
 						shard, f, probe, got, want)
 				}
 			}
-		}
-	}
-}
-
-// TestClassifyInvariants pins what every shard's UpdateSubset relies on in
-// the one whole-graph classification: a node carrying a new record is
-// dirty, and a previous node maps only to a clean node with the same
-// number of records.
-func TestClassifyInvariants(t *testing.T) {
-	prevG, newG, _, _ := buildGenerations(t, 0.03)
-	cl := Classify(newG, prevG)
-	oldToNew, isDirty := cl.OldToNew, cl.IsDirty
-	if cl.Dirty == 0 {
-		t.Fatal("growth produced no dirty nodes")
-	}
-	if len(oldToNew) != len(prevG.Nodes) || len(isDirty) != len(newG.Nodes) {
-		t.Fatalf("classification sized %d/%d, graphs %d/%d",
-			len(oldToNew), len(isDirty), len(prevG.Nodes), len(newG.Nodes))
-	}
-	prevRecs := model.RecordID(len(prevG.Dataset.Records))
-	for i := range newG.Nodes {
-		n := &newG.Nodes[i]
-		for _, r := range n.Records {
-			if r >= prevRecs && !isDirty[i] {
-				t.Fatalf("node %d carries new record %d but is not dirty", i, r)
-			}
-		}
-	}
-	for j, nid := range oldToNew {
-		if nid < 0 {
-			continue
-		}
-		if isDirty[nid] {
-			t.Fatalf("prev node %d maps to dirty node %d", j, nid)
-		}
-		if len(prevG.Nodes[j].Records) != len(newG.Node(nid).Records) {
-			t.Fatalf("prev node %d mapped to node %d with a different record set", j, nid)
 		}
 	}
 }

@@ -91,7 +91,7 @@ func sameSimilar(a, b []SimilarValue) bool {
 // like a fresh Build over the new generation — same posting lists, same
 // similarity lists, for indexed values and query-time probes alike.
 func TestUpdateEquivalence(t *testing.T) {
-	prevG, newG, prevK, prevS := buildGenerations(t, 0.06)
+	_, newG, prevK, prevS := buildGenerations(t, 0.06)
 
 	// Probe the previous generation before the update: a cached probe list
 	// must not reach the next generation, whose answer may differ.
@@ -108,12 +108,8 @@ func TestUpdateEquivalence(t *testing.T) {
 	}
 
 	fullK, fullS := Build(newG, 0.5)
-	cl := Classify(newG, prevG)
-	updK, updS := UpdateSubset(newG, nil, cl, prevK, prevS)
+	updK, updS := UpdateSubset(newG, nil, prevK, prevS)
 
-	if cl.Dirty == 0 {
-		t.Fatal("no dirty nodes; the scenario did not change any cluster")
-	}
 	if updK.Values(FieldSurname) <= prevK.Values(FieldSurname) {
 		t.Fatal("no added values; the new surname was not detected")
 	}
@@ -171,7 +167,7 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 	mk := func(vals ...string) *Keyword {
 		k := &Keyword{}
 		for f := Field(0); f < NumFields; f++ {
-			k.postings[f] = map[string]postingList{}
+			k.postings[f] = map[string]postingList[pedigree.NodeID]{}
 		}
 		for i, v := range vals {
 			k.postings[FieldSurname][v] = encodePostings([]pedigree.NodeID{pedigree.NodeID(i)})
@@ -181,7 +177,7 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 	prevK := mk("anna", "annie", "bert")
 	prevS := &Similarity{threshold: 0.5}
 	prevS.lists[FieldSurname] = map[string][]SimilarValue{}
-	prevS.bigramPost[FieldSurname] = map[strsim.BigramID]symList{}
+	prevS.bigramPost[FieldSurname] = map[strsim.BigramID]postingList[symbol.ID]{}
 	bgRaw := map[strsim.BigramID][]symbol.ID{}
 	for v := range prevK.postings[FieldSurname] {
 		id := symbol.Intern(v)
@@ -191,7 +187,7 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 	}
 	for bg, ids := range bgRaw {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		prevS.bigramPost[FieldSurname][bg] = encodeSyms(ids)
+		prevS.bigramPost[FieldSurname][bg] = encodePostings(ids)
 	}
 	for v := range prevK.postings[FieldSurname] {
 		prevS.lists[FieldSurname][v] = prevS.computeSimilar(FieldSurname, v)
@@ -207,7 +203,7 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 	}
 	for bg, vals := range s.bigramPost[FieldSurname] {
 		for it := vals.iter(); ; {
-			id, ok := it.next()
+			id, ok := it.Next()
 			if !ok {
 				break
 			}
@@ -227,8 +223,7 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 // Build of the new generation vs the incremental UpdateSubset from the
 // previous one. The gap is the reason UpdateSubset exists (DESIGN.md §4.9).
 func BenchmarkIndexUpdate(b *testing.B) {
-	prevG, newG, prevK, prevS := buildGenerations(b, 0.1)
-	cl := Classify(newG, prevG)
+	_, newG, prevK, prevS := buildGenerations(b, 0.1)
 	b.Run("full_rebuild", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -238,7 +233,7 @@ func BenchmarkIndexUpdate(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			UpdateSubset(newG, nil, cl, prevK, prevS)
+			UpdateSubset(newG, nil, prevK, prevS)
 		}
 	})
 }

@@ -6,7 +6,12 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/snaps/snaps/internal/blocking"
+	"github.com/snaps/snaps/internal/dataset"
+	"github.com/snaps/snaps/internal/depgraph"
+	"github.com/snaps/snaps/internal/er"
 	"github.com/snaps/snaps/internal/index"
+	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/query"
@@ -257,6 +262,148 @@ func TestOneShardFlushesPatchAndMatchFullBuild(t *testing.T) {
 		for _, r := range want {
 			if got, want := sv.Shards.Explain(q, r.Entity), full.Explain(q, r.Entity); !reflect.DeepEqual(got, want) {
 				t.Fatalf("query %+v entity %d: Explain = %+v, full build %+v", q, r.Entity, got, want)
+			}
+		}
+	}
+}
+
+// scaleDataset generates a DS tier of the given size, seeded apart from the
+// tier's default when seedOffset is not zero.
+func scaleDataset(certs int, seedOffset int64) *model.Dataset {
+	cfg := dataset.ScaleTier(certs)
+	cfg.Seed += seedOffset
+	return dataset.GenerateScale(cfg).Dataset
+}
+
+// holdoutCerts is a stream of certificates the served corpus has not seen
+// but shares its name pools with: a second, differently seeded DS tier in
+// the wire format, without the few the validator refuses (a role with
+// neither name).
+func holdoutCerts(certs int) []*Certificate {
+	d := scaleDataset(certs, 1)
+	types := map[model.CertType]string{model.Birth: "birth", model.Death: "death", model.Marriage: "marriage"}
+	var out []*Certificate
+	for i := range d.Certificates {
+		mc := &d.Certificates[i]
+		c := &Certificate{Type: types[mc.Type], Year: mc.Year, Cause: mc.Cause, Roles: map[string]Person{}}
+		if mc.Age > 0 {
+			c.Age = mc.Age
+		}
+		for role := model.Role(0); role < model.NumRoles; role++ {
+			id, ok := mc.Roles[role]
+			if !ok || id < 0 {
+				continue
+			}
+			r := d.Record(id)
+			p := Person{FirstName: r.FirstName(), Surname: r.Surname()}
+			if r.Gender != model.GenderUnknown {
+				p.Gender = r.Gender.String()
+			}
+			c.Roles[role.String()] = p
+			if role.IsPrincipal() && c.Address == "" {
+				c.Address = r.Address()
+			}
+		}
+		if c.Validate() == nil {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// TestJournalReplayBatchPatchMatchesFreshBuild gives the S patch the shape a
+// journal replay gives it: one flush of several hundred certificates, so
+// lists take many added entries each instead of the one or two every other
+// equivalence test grows a generation by. The batch stays under the
+// dirty-fraction fallback, so every touched shard patches, and every
+// shard's K and S must answer like a fresh BuildSubset over the same
+// partition of the new graph.
+func TestJournalReplayBatchPatchMatchesFreshBuild(t *testing.T) {
+	d := scaleDataset(2000, 0)
+	// A flush clones the data set and restores the clusters, so both shard
+	// counts start from the one resolution.
+	st := er.RunLSH(d, blocking.ScaleLSHConfig(), depgraph.DefaultConfig(), er.DefaultConfig()).Result.Store
+	batch := holdoutCerts(330)
+	if len(batch) < 300 {
+		t.Fatalf("hold-out stream has %d valid certificates, want >= 300", len(batch))
+	}
+	for _, nshards := range []int{1, 2} {
+		cfg := manualConfig()
+		cfg.Tracer = obs.NewTracer(4)
+		p, err := NewPipeline(NewServing(d, st, nshards, cfg), nil, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before []int
+		for _, sh := range p.Serving().Shards.Shards() {
+			before = append(before, sh.Keyword.Values(index.FieldSurname))
+		}
+		for _, c := range batch {
+			if err := p.Submit(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		sv := p.Serving()
+		p.Close()
+
+		attrs := map[string]int64{}
+		for _, a := range cfg.Tracer.Traces()[0].SpansNamed("rebuild_indexes")[0].Attrs {
+			attrs[a.Key], _ = a.Value.(int64)
+		}
+		if attrs["shards_touched"] != int64(nshards) || attrs["shards_patched"] != attrs["shards_touched"] {
+			t.Fatalf("%d shards: the batch should touch and patch every shard: %v", nshards, attrs)
+		}
+		if 4*attrs["dirty_entities"] > int64(len(sv.Graph.Nodes)) || attrs["dirty_entities"] < 300 {
+			t.Fatalf("%d shards: %d of %d entities dirty, want a large batch under the fallback",
+				nshards, attrs["dirty_entities"], len(sv.Graph.Nodes))
+		}
+
+		for s, sh := range sv.Shards.Shards() {
+			// Many names added at once is the point of the case.
+			if was, is := before[s], sh.Keyword.Values(index.FieldSurname); is < was+50 {
+				t.Fatalf("%d shards, shard %d: surnames went %d -> %d, want >= 50 added", nshards, s, was, is)
+			}
+			var keep func(pedigree.NodeID) bool
+			if nshards > 1 {
+				keep = func(id pedigree.NodeID) bool { return sv.Shards.OwnerOf(id) == s }
+			}
+			wantK, wantS := index.BuildSubset(sv.Graph, keep, 0.5)
+			for f := index.Field(0); f < index.NumFields; f++ {
+				if got, want := sh.Keyword.Values(f), wantK.Values(f); got != want {
+					t.Fatalf("%d shards, shard %d field %v: %d values, fresh build %d", nshards, s, f, got, want)
+				}
+			}
+			for i := range sv.Graph.Nodes {
+				n := &sv.Graph.Nodes[i]
+				if keep != nil && !keep(n.ID) {
+					continue
+				}
+				for f, vals := range map[index.Field][]string{
+					index.FieldFirstName: n.FirstNames, index.FieldSurname: n.Surnames,
+					index.FieldLocation: n.Locations, index.FieldGender: {n.Gender.String()},
+				} {
+					for _, v := range vals {
+						if got, want := sh.Keyword.Lookup(f, v), wantK.Lookup(f, v); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%d shards, shard %d: Lookup(%v, %q) = %v, fresh build %v", nshards, s, f, v, got, want)
+						}
+						if f != index.FieldFirstName && f != index.FieldSurname {
+							continue
+						}
+						if got, want := sh.Similar.Similar(f, v), wantS.Similar(f, v); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%d shards, shard %d: Similar(%v, %q) = %v, fresh build %v", nshards, s, f, v, got, want)
+						}
+					}
+				}
+			}
+			for _, f := range []index.Field{index.FieldFirstName, index.FieldSurname} {
+				for _, probe := range []string{"zqprobe", "macdonalt", "alexandr"} {
+					if got, want := sh.Similar.Similar(f, probe), wantS.Similar(f, probe); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%d shards, shard %d: probe Similar(%v, %q) = %v, fresh build %v", nshards, s, f, probe, got, want)
+					}
+				}
 			}
 		}
 	}

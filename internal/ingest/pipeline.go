@@ -601,12 +601,12 @@ func (p *Pipeline) flushLocked() error {
 	stageDone("er_extend")
 
 	// Rebuild the pedigree graph, then advance the still-serving
-	// coordinator: it classifies the new graph once, patches only the
-	// partitions the batch touched (index.UpdateSubset per shard, from
-	// that one classification and without locking the served indexes;
-	// rebuilding them instead when too much of the graph is dirty), and
-	// reuses every untouched shard — indexes, engine, cache, and
-	// shard-local generation — by reference.
+	// coordinator: it classifies the new graph once, updates only the
+	// partitions the batch touched (index.UpdateSubset per shard: a fresh
+	// K and the served S patched, without locking it; both rebuilt
+	// instead when too much of the graph is dirty), and reuses every
+	// untouched shard — indexes, engine, cache, and shard-local
+	// generation — by reference.
 	_, isp := obs.StartSpan(ctx, "rebuild_indexes")
 	newG := pedigree.Build(newD, newStore)
 	gen := p.generation + 1

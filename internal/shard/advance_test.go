@@ -1,6 +1,6 @@
 // External tests of the decisions Advance makes once per flush: one
-// classification of the new graph for every shard, and the choice between
-// patching the touched shards and rebuilding them.
+// classification of the new graph for every shard (what it calls clean),
+// and the choice between patching the touched shards and rebuilding them.
 package shard_test
 
 import (
@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/snaps/snaps/internal/ingest"
+	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/shard"
@@ -49,6 +50,48 @@ func novelCerts(n int) []*ingest.Certificate {
 		out = append(out, growCert([2]string{"zebedee", sur}, [2]string{"barnabus", sur}, [2]string{"philomena", sur}, 1891))
 	}
 	return out
+}
+
+// TestClassifyInvariants pins what Advance relies on in the one whole-graph
+// classification: a node carrying a new record is dirty, and a previous
+// node maps only to a clean node with the same number of records.
+func TestClassifyInvariants(t *testing.T) {
+	d, _, _ := builtCase(t, 0.03)
+	r0, r1 := &d.Records[0], &d.Records[len(d.Records)/2]
+	// One certificate reuses names the corpus has, one is all new names.
+	c, newG := grownGraph(t, append(novelCerts(1),
+		growCert([2]string{r0.FirstName(), r0.Surname()},
+			[2]string{r1.FirstName(), r1.Surname()},
+			[2]string{r1.FirstName(), r0.Surname()}, 1890)))
+	prevG := c.Graph()
+	oldToNew, isDirty, dirty := shard.Classify(newG, prevG)
+	if dirty == 0 {
+		t.Fatal("growth produced no dirty nodes")
+	}
+	if len(oldToNew) != len(prevG.Nodes) || len(isDirty) != len(newG.Nodes) {
+		t.Fatalf("classification sized %d/%d, graphs %d/%d",
+			len(oldToNew), len(isDirty), len(prevG.Nodes), len(newG.Nodes))
+	}
+	prevRecs := model.RecordID(len(prevG.Dataset.Records))
+	for i := range newG.Nodes {
+		n := &newG.Nodes[i]
+		for _, r := range n.Records {
+			if r >= prevRecs && !isDirty[i] {
+				t.Fatalf("node %d carries new record %d but is not dirty", i, r)
+			}
+		}
+	}
+	for j, nid := range oldToNew {
+		if nid < 0 {
+			continue
+		}
+		if isDirty[nid] {
+			t.Fatalf("prev node %d maps to dirty node %d", j, nid)
+		}
+		if len(prevG.Nodes[j].Records) != len(newG.Node(nid).Records) {
+			t.Fatalf("prev node %d mapped to node %d with a different record set", j, nid)
+		}
+	}
 }
 
 // TestAdvanceClassifiesOncePerFlush: however many shards a flush touches,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/snaps/snaps/internal/index"
+	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/par"
 	"github.com/snaps/snaps/internal/pedigree"
@@ -232,9 +233,9 @@ type AdvanceStats struct {
 
 // Advance publishes a flush: it classifies the new graph against the
 // served one — once, for every shard — decides from the dirty fraction
-// whether touched shards patch (index.UpdateSubset) or rebuild, updates
-// ONLY the shards whose partitions the flush touched, and reuses every
-// untouched shard by reference.
+// whether touched shards patch their S (index.UpdateSubset) or rebuild,
+// updates ONLY the shards whose partitions the flush touched, and reuses
+// every untouched shard by reference.
 //
 // Reuse is sound because ownership is a pure function of a node's record
 // set (Owner): a shard is untouched exactly when every entity it owned is
@@ -254,10 +255,10 @@ func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordin
 	}
 	nc.owners, nc.counts = computeOwners(newG, n)
 
-	cl := index.Classify(newG, c.graph)
+	cl := classify(newG, c.graph)
 	touched := make([]bool, n)
 	for i := range newG.Nodes {
-		if cl.IsDirty[i] {
+		if cl.isDirty[i] {
 			touched[nc.owners[i]] = true
 		}
 	}
@@ -265,15 +266,16 @@ func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordin
 	// none at all — invalidates the posting lists of the shard that owned
 	// it (its clean counterpart, if any, is owned by the same shard, since
 	// clean means an identical record set).
-	for j, nid := range cl.OldToNew {
+	for j, nid := range cl.oldToNew {
 		if nid != pedigree.NodeID(j) {
 			touched[c.owners[j]] = true
 		}
 	}
 
-	st := AdvanceStats{DirtyNodes: cl.Dirty}
-	if float64(cl.Dirty) > maxDirtyFraction*float64(len(newG.Nodes)) {
-		cl, st.Reason = nil, "dirty fraction above threshold"
+	st := AdvanceStats{DirtyNodes: cl.dirty}
+	patch := float64(cl.dirty) <= maxDirtyFraction*float64(len(newG.Nodes))
+	if !patch {
+		st.Reason = "dirty fraction above threshold"
 	}
 	nc.shards = make([]*Shard, n)
 	for s := 0; s < n; s++ {
@@ -284,16 +286,16 @@ func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordin
 			mFlushReused.Inc()
 			continue
 		}
-		// A touched shard patches the previous generation's subset indexes
-		// from the flush's classification, or rebuilds them when the flush
-		// was too dirty; its shard-local generation advances by one and the
-		// carried-over cache invalidates against it.
+		// A touched shard builds its K and patches the previous generation's
+		// S, or rebuilds both when the flush was too dirty; its shard-local
+		// generation advances by one and the carried-over cache invalidates
+		// against it.
 		var (
 			k   *index.Keyword
 			sim *index.Similarity
 		)
-		if cl != nil {
-			k, sim = index.UpdateSubset(newG, nc.keep(s), cl, prev.Keyword, prev.Similar)
+		if patch {
+			k, sim = index.UpdateSubset(newG, nc.keep(s), prev.Keyword, prev.Similar)
 			st.Patched++
 			mIncremental.Inc()
 		} else {
@@ -313,6 +315,69 @@ func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordin
 	}
 	mShardCount.Set(int64(n))
 	return nc, st
+}
+
+// classification is the clean/dirty split of a graph's nodes against the
+// previous graph: oldToNew maps each previous node to its clean counterpart
+// (-1 when its cluster changed or it disappeared), isDirty marks the nodes
+// that have no identical previous record set, dirty counts them.
+type classification struct {
+	oldToNew []pedigree.NodeID
+	isDirty  []bool
+	dirty    int
+}
+
+// classify matches each node of g against the previous graph. A node is
+// clean when its record set is exactly the record set of one previous node:
+// aggregation is a pure function of the record set (records are append-only
+// across generations), so a clean node carries byte-identical indexed
+// values and only its NodeID may have changed. Advance calls it once per
+// flush, to decide which partitions the flush touched and whether patching
+// pays; nothing else in the program knows what "clean" means.
+func classify(g, prevG *pedigree.Graph) *classification {
+	defer obs.StartStage("index_classify").Stop()
+	cl := &classification{
+		oldToNew: make([]pedigree.NodeID, len(prevG.Nodes)),
+		isDirty:  make([]bool, len(g.Nodes)),
+	}
+	for i := range cl.oldToNew {
+		cl.oldToNew[i] = -1
+	}
+	prevRecs := model.RecordID(len(prevG.Dataset.Records))
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		old := pedigree.NodeID(-1)
+		clean := len(n.Records) > 0
+		for j, r := range n.Records {
+			if r >= prevRecs {
+				clean = false
+				break
+			}
+			o, ok := prevG.NodeOfRecord(r)
+			if !ok {
+				clean = false
+				break
+			}
+			if j == 0 {
+				old = o
+			} else if o != old {
+				clean = false
+				break
+			}
+		}
+		// Same count plus containment means the sets are equal (records
+		// appear in exactly one node per graph).
+		if clean && len(prevG.Node(old).Records) != len(n.Records) {
+			clean = false
+		}
+		if clean {
+			cl.oldToNew[old] = n.ID
+		} else {
+			cl.isDirty[i] = true
+			cl.dirty++
+		}
+	}
+	return cl
 }
 
 // NumShards returns the partition count.

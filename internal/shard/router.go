@@ -56,9 +56,8 @@ func Route(firstName, surname string, shards int) int {
 // key of the node's lowest-numbered record. Records are append-only and a
 // record never changes its name, so ownership is a pure function of the
 // node's record set — a node whose record set is unchanged across
-// generations (a "clean" node in index.Classify terms) is owned by the
-// same shard in both, which is what lets an ingest flush reuse untouched
-// shards wholesale.
+// generations (a "clean" node, see classify) is owned by the same shard in
+// both, which is what lets an ingest flush reuse untouched shards wholesale.
 func Owner(g *pedigree.Graph, n *pedigree.Node, shards int) int {
 	if shards <= 1 || len(n.Records) == 0 {
 		return 0

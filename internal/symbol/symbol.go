@@ -14,8 +14,9 @@
 // equality, embedded in records, shared across model.Dataset clones (the
 // live-ingest pipeline clones the data set on every flush), and written to
 // snapshots (remapped to a dense per-file table, see internal/store).
-// Lookups by ID are a lock-free slice index; interning takes a mutex only
-// on the slow path that inserts a new value.
+// Lookups by ID are a lock-free slice index; lookups by string share a read
+// lock, and only the slow path that inserts a new value takes the write
+// lock.
 package symbol
 
 import (
@@ -36,7 +37,7 @@ const None ID = 0
 // interned strings, replaced wholesale on growth, so readers index it
 // without locks; ids and the append path are guarded by mu.
 var table = struct {
-	mu    sync.Mutex
+	mu    sync.RWMutex
 	ids   map[string]ID
 	strs  atomic.Pointer[[]string]
 	bytes atomic.Int64 // total interned string bytes, for footprint stats
@@ -50,17 +51,17 @@ func init() {
 // Intern returns the ID of s, issuing a new one if s has never been seen.
 // The empty string is always None.
 func Intern(s string) ID {
-	if s == "" {
-		return None
-	}
 	// Fast path: value already interned. The ids map is only written under
 	// mu, so reads must also synchronise — but most callers intern in
-	// batches where the same values recur, so the read lock is cheap
-	// relative to the similarity math around it.
-	table.mu.Lock()
-	if id, ok := table.ids[s]; ok {
-		table.mu.Unlock()
+	// batches where the same values recur, and readers (the search path's
+	// Lookup among them) do not wait for each other.
+	if id, ok := Lookup(s); ok {
 		return id
+	}
+	table.mu.Lock()
+	defer table.mu.Unlock()
+	if id, ok := table.ids[s]; ok {
+		return id // interned between the two locks
 	}
 	strs := *table.strs.Load()
 	id := ID(len(strs))
@@ -73,7 +74,6 @@ func Intern(s string) ID {
 	table.strs.Store(&next)
 	table.ids[s] = id
 	table.bytes.Add(int64(len(s)))
-	table.mu.Unlock()
 	return id
 }
 
@@ -82,9 +82,9 @@ func Lookup(s string) (ID, bool) {
 	if s == "" {
 		return None, true
 	}
-	table.mu.Lock()
+	table.mu.RLock()
 	id, ok := table.ids[s]
-	table.mu.Unlock()
+	table.mu.RUnlock()
 	return id, ok
 }
 

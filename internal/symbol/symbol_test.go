@@ -43,11 +43,19 @@ func TestUnknownIDResolvesEmpty(t *testing.T) {
 	}
 }
 
-// TestConcurrentIntern hammers Intern and Str from many goroutines; run
-// with -race this guards the snapshot-publishing protocol.
+// TestConcurrentIntern hammers the table from many goroutines with the
+// calls a serving process mixes: Intern of strings seen before and of
+// strings nobody has interned yet (a flush), Lookup of both kinds and of
+// strings that never get interned (the search path), and Str. Run with
+// -race this guards the read-lock/write-lock split of the ids map and the
+// snapshot-publishing protocol.
 func TestConcurrentIntern(t *testing.T) {
 	const workers = 8
 	const perWorker = 500
+	seen := make([]ID, perWorker/2)
+	for i := range seen {
+		seen[i] = Intern(fmt.Sprintf("seen-%d", i))
+	}
 	var wg sync.WaitGroup
 	ids := make([][]ID, workers)
 	for w := 0; w < workers; w++ {
@@ -57,11 +65,29 @@ func TestConcurrentIntern(t *testing.T) {
 			ids[w] = make([]ID, perWorker)
 			for i := 0; i < perWorker; i++ {
 				// Overlapping value universes force both the hit and the
-				// insert path.
+				// insert path, and the re-check between the two locks.
 				v := fmt.Sprintf("concurrent-%d", i%(perWorker/2))
 				ids[w][i] = Intern(v)
 				if got := Str(ids[w][i]); got != v {
 					t.Errorf("Str after Intern(%q) = %q", v, got)
+					return
+				}
+				if id, ok := Lookup(v); !ok || id != ids[w][i] {
+					t.Errorf("Lookup after Intern(%q) = %d,%v want %d,true", v, id, ok, ids[w][i])
+					return
+				}
+				j := (i + w) % len(seen)
+				sv := fmt.Sprintf("seen-%d", j)
+				if id := Intern(sv); id != seen[j] {
+					t.Errorf("Intern(%q) = %d, interned as %d before the workers started", sv, id, seen[j])
+					return
+				}
+				if id, ok := Lookup(sv); !ok || id != seen[j] {
+					t.Errorf("Lookup(%q) = %d,%v want %d,true", sv, id, ok, seen[j])
+					return
+				}
+				if id, ok := Lookup(fmt.Sprintf("never-%d-%d", w, i)); ok {
+					t.Errorf("Lookup of a string nobody interned = %d,true", id)
 					return
 				}
 			}
