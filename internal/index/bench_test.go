@@ -32,9 +32,9 @@ func BenchmarkProbeUnseen(b *testing.B) {
 	k, s := Build(g, 0.5)
 	var typos []string
 	for v, pl := range k.postings[FieldSurname] {
-		if n := len(v); pl.len() == 1 && n >= 4 && v[n-1] != v[n-2] {
+		if n := len(v); pl.n == 1 && n >= 4 && v[n-1] != v[n-2] {
 			typo := v[:n-2] + string([]byte{v[n-1], v[n-2]})
-			if !s.Memoised(FieldSurname, typo) {
+			if _, indexed := k.postings[FieldSurname][typo]; !indexed {
 				typos = append(typos, typo)
 			}
 		}
@@ -54,4 +54,4 @@ func BenchmarkProbeUnseen(b *testing.B) {
 	}
 }
 
-var sinkSimilar []SimilarValue
+var sinkSimilar SimilarList

@@ -18,8 +18,9 @@
 // value (Sec. 7) — in a small fixed-size cache, because query strings come
 // from outside and an index that stored every one of them would grow
 // without bound. The same probe computes the lists of the values a flush
-// adds (update.go). Only a build or a flush writes the rest of S: plain
-// maps, immutable once published and read without a lock.
+// adds (update.go). Only a build or a flush writes the rest of S: per name
+// field one pointer-free block of symbol ids and similarities (simBlock),
+// immutable once published and read in place, without a lock.
 //
 // Event years are deliberately NOT materialised as string postings: an
 // entity's year span is an interval check against pedigree.Node.MinYear/
@@ -92,6 +93,54 @@ type SimilarValue struct {
 	Sim   float64
 }
 
+// SimilarList is a read-only view of one similarity list, most similar
+// first: a row of a field's block or a probe-cache entry, read in place.
+// Every listed value is an indexed one, hence an interned symbol, so an
+// entry is an id and a float and At resolves the string on the way out.
+type SimilarList struct {
+	ids  []symbol.ID
+	sims []float64
+	// Computed: the lookup that returned the list had to probe for it.
+	Computed bool
+}
+
+// Len returns the number of entries.
+func (l SimilarList) Len() int { return len(l.ids) }
+
+// At returns the i-th entry.
+func (l SimilarList) At(i int) SimilarValue { return SimilarValue{symbol.Str(l.ids[i]), l.sims[i]} }
+
+// Sim returns the similarity the list holds for value, if it lists it: the
+// way to ask about one value without walking the strings.
+func (l SimilarList) Sim(value string) (float64, bool) {
+	if id, ok := symbol.Lookup(value); ok {
+		if i := slices.Index(l.ids, id); i >= 0 {
+			return l.sims[i], true
+		}
+	}
+	return 0, false
+}
+
+// simBlock holds every precomputed list of one name field in CSR form: row
+// r is ids[offsets[r]:offsets[r+1]] with sims beside it, and vals[r] is the
+// value the row belongs to (itself listed in the row, unless it has no
+// bigram). Nothing in the arrays is a pointer, so the collector never scans
+// them, and a block is immutable: a flush that changes the field's
+// vocabulary writes a new one (update.go), any other shares it whole.
+type simBlock struct {
+	rows    map[string]uint32
+	vals    []symbol.ID
+	offsets []uint32
+	ids     []symbol.ID
+	sims    []float64
+}
+
+// row returns the view of row r.
+func (b *simBlock) row(r uint32) SimilarList {
+	lo, hi := b.offsets[r], b.offsets[r+1]
+	return SimilarList{ids: b.ids[lo:hi:hi], sims: b.sims[lo:hi:hi]}
+}
+
 // Keyword is the keyword index K. Posting lists are stored delta+varint
 // compressed (see postings.go) and are immutable once stored. K has one
 // builder, buildKeyword: a flush builds a fresh K like any other build.
@@ -101,27 +150,28 @@ type Keyword struct {
 }
 
 // probeSlots is how many probe-cache slots the strings the corpus does not
-// know share, per field. A list at DS-4k runs to ~16 KB, so full they hold
-// about a megabyte per field and shard; a constant, because what lands in
-// them is whatever callers chose to send.
+// know share, per field. A list at DS-4k runs to ~7 KB, so full they hold
+// about half a megabyte per field and shard; a constant, because what lands
+// in them is whatever callers chose to send.
 const probeSlots = 64
 
-// probeEntry is one cached probe: a value S does not index and its list.
+// probeEntry is one cached probe: a value S does not index and its list, in
+// the two-array form of a block row.
 type probeEntry struct {
 	value string
-	list  []SimilarValue
+	list  SimilarList
 }
 
 // Similarity is the similarity-aware index S: for every indexed name it
-// stores the indexed values with similarity >= threshold. lists and
+// stores the indexed values with similarity >= threshold. blocks and
 // bigramPost are written by Build and UpdateSubset only and are immutable
 // once either returns, so readers take no lock; probes is the one part a
 // query writes.
 type Similarity struct {
 	threshold float64
-	// lists[field][value] is the precomputed list of an indexed name (the
-	// value itself included, first). Locations are not precomputed.
-	lists [NumFields]map[string][]SimilarValue
+	// blocks[field] holds the precomputed list of every indexed name (the
+	// value itself included, first). Locations are not precomputed: nil.
+	blocks [NumFields]*simBlock
 	// probes[field] keeps the lists of probed values (Sec. 7's "store an
 	// unseen value's list") and starts empty in every generation. A value
 	// the corpus knew at build time — an interned symbol: a name only
@@ -192,46 +242,37 @@ func BuildSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, simThreshol
 	k := buildKeyword(g, keep)
 	s := &Similarity{threshold: simThreshold}
 
-	// One walk per string field over its sorted values builds the bigram
-	// postings twice over: by symbol id (stored, what query-time probes
-	// scan) and by dense local id (the value's rank, what the all-pairs
-	// pass below scans). Every indexed value is an interned record
-	// attribute, so Intern here is a map hit, not an insert, and the
-	// value's bigram signature comes straight from the per-symbol feature
-	// slab.
-	var sets [NumFields]valueSet
 	for _, f := range simFields {
-		vs := &sets[f]
-		vs.vals = make([]string, 0, len(k.postings[f]))
-		for v := range k.postings[f] {
-			vs.vals = append(vs.vals, v)
-		}
-		slices.Sort(vs.vals)
-		vs.feats = make([]*simcache.Features, len(vs.vals))
-		vs.post = map[strsim.BigramID][]int32{}
-		bgRaw := map[strsim.BigramID][]symbol.ID{}
-		for i, v := range vs.vals {
-			id := symbol.Intern(v)
-			vs.feats[i] = simcache.Feat(id)
-			for _, bg := range vs.feats[i].Bigrams {
-				bgRaw[bg] = append(bgRaw[bg], id)
-				vs.post[bg] = append(vs.post[bg], int32(i))
-			}
-		}
 		s.probes[f] = make([]atomic.Pointer[probeEntry], symbol.Len()+probeSlots)
-		s.bigramPost[f] = make(map[strsim.BigramID]postingList[symbol.ID], len(bgRaw))
-		for bg, ids := range bgRaw {
-			slices.Sort(ids)
-			s.bigramPost[f][bg] = encodePostings(ids)
-		}
+		s.bigramPost[f] = bigramPostings(k.postings[f])
 	}
 	// Precompute similarities for the name fields (the dominant cost of a
 	// cold start and of every full rebuild); locations are extended lazily
 	// at query time.
 	for _, f := range nameFields {
-		s.precompute(f, &sets[f])
+		s.precompute(f, k.postings[f])
 	}
 	return k, s
+}
+
+// bigramPostings is the one builder of S's bigram postings: for every
+// bigram of the field's indexed values, the ascending ids of the values
+// containing it, encoded. An indexed value is an interned record attribute,
+// so its bigram signature comes straight from the per-symbol feature slab.
+func bigramPostings(indexed map[string]postingList[pedigree.NodeID]) map[strsim.BigramID]postingList[symbol.ID] {
+	raw := map[strsim.BigramID][]symbol.ID{}
+	for v := range indexed {
+		id := symbol.Intern(v)
+		for _, bg := range simcache.Feat(id).Bigrams {
+			raw[bg] = append(raw[bg], id)
+		}
+	}
+	post := make(map[strsim.BigramID]postingList[symbol.ID], len(raw))
+	for bg, ids := range raw {
+		slices.Sort(ids)
+		post[bg] = encodePostings(ids)
+	}
+	return post
 }
 
 // buildKeyword is the one builder of K: the postings of the nodes of g
@@ -284,11 +325,13 @@ func (k *Keyword) Values(f Field) int { return len(k.postings[f]) }
 // does not hold is compared against all bigram-sharing values and its list
 // kept in the probe cache (Sec. 7) — for an outside string, until a
 // colliding one replaces it; concurrent first queries of one value each
-// compute the same list. The returned slice is shared and read-only.
-func (s *Similarity) Similar(f Field, value string) []SimilarValue {
-	if out, ok := s.lists[f][value]; ok {
-		mMemoHits.Inc()
-		return out
+// compute the same list. The view reads S in place: a hit allocates nothing.
+func (s *Similarity) Similar(f Field, value string) SimilarList {
+	if b := s.blocks[f]; b != nil {
+		if r, ok := b.rows[value]; ok {
+			mMemoHits.Inc()
+			return b.row(r)
+		}
 	}
 	slot := s.probeSlot(f, value)
 	if e := slot.Load(); e != nil && e.value == value {
@@ -300,31 +343,27 @@ func (s *Similarity) Similar(f Field, value string) []SimilarValue {
 	// The clone keeps the cache from pinning whatever buffer the caller's
 	// string was cut from.
 	slot.Store(&probeEntry{value: strings.Clone(value), list: out})
+	out.Computed = true
 	return out
 }
 
-// Memoised reports whether Similar would answer the value without
-// computing. The query engine uses it to attribute hits to the trace span
-// of the lookup.
-func (s *Similarity) Memoised(f Field, value string) bool {
-	if _, ok := s.lists[f][value]; ok {
-		return true
-	}
-	e := s.probeSlot(f, value).Load()
-	return e != nil && e.value == value
+// simEntry is one list entry on its own, the form entries are ordered in.
+type simEntry struct {
+	id  symbol.ID
+	sim float64
 }
 
 // compareSim is the one similarity-list order: similarity descending,
 // value ascending. Values are distinct within a list, so the order is total
 // and a sorted list does not depend on the order its entries arrived in.
-func compareSim(x, y SimilarValue) int {
-	if x.Sim != y.Sim {
-		if x.Sim > y.Sim {
+func compareSim(x, y simEntry) int {
+	if x.sim != y.sim {
+		if x.sim > y.sim {
 			return -1
 		}
 		return 1
 	}
-	return strings.Compare(x.Value, y.Value)
+	return strings.Compare(symbol.Str(x.id), symbol.Str(y.id))
 }
 
 // candScratch is pooled scratch for a probe: the candidate set of its
@@ -332,6 +371,7 @@ func compareSim(x, y SimilarValue) int {
 // probe allocates neither.
 type candScratch struct {
 	ids   []symbol.ID
+	kept  []simEntry
 	probe simcache.Probe
 }
 
@@ -358,8 +398,9 @@ func (c *candScratch) candidates(post map[strsim.BigramID]postingList[symbol.ID]
 
 // computeSimilar is the one-sided probe: it scans the bigram postings for
 // candidate values and keeps those with name similarity at or above the
-// threshold. It serves query-time misses, values added by a flush, and is
-// the reference the all-pairs precompute is tested against.
+// threshold, as the two arrays of a block row. It serves query-time misses,
+// values added by a flush, and is the reference the all-pairs precompute is
+// tested against.
 //
 // The probe's match tables are set once and every candidate is scored
 // against them (simcache.Probe). A probe that is already an interned symbol
@@ -368,7 +409,7 @@ func (c *candScratch) candidates(post map[strsim.BigramID]postingList[symbol.ID]
 // interned here — an attacker-controlled query stream must not grow the
 // symbol table — so unknown probes are set from the raw string, which
 // yields identical scores.
-func (s *Similarity) computeSimilar(f Field, value string) []SimilarValue {
+func (s *Similarity) computeSimilar(f Field, value string) SimilarList {
 	sc := candPool.Get().(*candScratch)
 	var bgBuf [64]strsim.BigramID
 	var bgs []strsim.BigramID
@@ -381,26 +422,49 @@ func (s *Similarity) computeSimilar(f Field, value string) []SimilarValue {
 		bgs = strsim.AppendBigramIDs(bgBuf[:0], value)
 	}
 	cand := sc.candidates(s.bigramPost[f], bgs)
-	out := make([]SimilarValue, 0, len(cand))
+	kept := sc.kept[:0]
 	for _, id := range cand {
-		cf := simcache.Feat(id)
-		if sim := sc.probe.Sim(cf); sim >= s.threshold {
-			out = append(out, SimilarValue{Value: cf.Str, Sim: sim})
+		if sim := sc.probe.Sim(simcache.Feat(id)); sim >= s.threshold {
+			kept = append(kept, simEntry{id, sim})
 		}
 	}
+	slices.SortFunc(kept, compareSim)
+	out := SimilarList{ids: make([]symbol.ID, len(kept)), sims: make([]float64, len(kept))}
+	for i, e := range kept {
+		out.ids[i], out.sims[i] = e.id, e.sim
+	}
+	sc.kept = kept
 	candPool.Put(sc)
-	slices.SortFunc(out, compareSim)
 	return out
 }
 
 // Size reports the number of similarity lists S holds for a field: the
 // precomputed ones plus the occupied probe-cache slots.
 func (s *Similarity) Size(f Field) int {
-	n := len(s.lists[f])
+	n := 0
+	if b := s.blocks[f]; b != nil {
+		n = len(b.vals)
+	}
 	for i := range s.probes[f] {
 		if s.probes[f][i].Load() != nil {
 			n++
 		}
 	}
 	return n
+}
+
+// Bytes is the size of the data S was built with: the arrays of every
+// field's block and the encoded bigram postings, by arithmetic over their
+// lengths. The maps' own overhead and the probe cache are not in it.
+func (s *Similarity) Bytes() int64 {
+	n := 0
+	for f := range s.blocks {
+		if b := s.blocks[f]; b != nil {
+			n += 4*(len(b.vals)+len(b.offsets)+len(b.ids)) + 8*len(b.sims)
+		}
+		for _, pl := range s.bigramPost[f] {
+			n += len(pl.data)
+		}
+	}
+	return int64(n)
 }

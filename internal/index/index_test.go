@@ -46,8 +46,8 @@ func TestKeywordPostingsSortedDeduped(t *testing.T) {
 	for f := Field(0); f < NumFields; f++ {
 		for v, pl := range k.postings[f] {
 			ids := pl.decode()
-			if len(ids) != pl.len() {
-				t.Fatalf("postings for %v=%q decode to %d entries, header says %d", f, v, len(ids), pl.len())
+			if len(ids) != int(pl.n) {
+				t.Fatalf("postings for %v=%q decode to %d entries, header says %d", f, v, len(ids), int(pl.n))
 			}
 			for i := 1; i < len(ids); i++ {
 				if ids[i] <= ids[i-1] {
@@ -65,7 +65,7 @@ func TestSimilarIncludesSelfFirst(t *testing.T) {
 		name = v
 		break
 	}
-	sims := s.Similar(FieldSurname, name)
+	sims := s.similar(FieldSurname, name)
 	if len(sims) == 0 {
 		t.Fatal("no similar values for an indexed name")
 	}
@@ -85,12 +85,12 @@ func TestSimilarIncludesSelfFirst(t *testing.T) {
 func TestSimilarUnknownValueMemoised(t *testing.T) {
 	_, _, s := builtIndexes(t)
 	before := s.Size(FieldFirstName)
-	out1 := s.Similar(FieldFirstName, "zzyzxq")
+	out1 := s.similar(FieldFirstName, "zzyzxq")
 	after := s.Size(FieldFirstName)
 	if after != before+1 {
 		t.Errorf("unknown probe should be memoised: %d -> %d", before, after)
 	}
-	out2 := s.Similar(FieldFirstName, "zzyzxq")
+	out2 := s.similar(FieldFirstName, "zzyzxq")
 	if len(out1) != len(out2) {
 		t.Error("memoised result differs")
 	}
@@ -111,7 +111,7 @@ func TestSimilarFindsMisspellings(t *testing.T) {
 	}
 	misspelt := name[:len(name)-1] + "x"
 	found := false
-	for _, sv := range s.Similar(FieldSurname, misspelt) {
+	for _, sv := range s.similar(FieldSurname, misspelt) {
 		if sv.Value == name {
 			found = true
 		}
@@ -153,5 +153,63 @@ func TestSimilarConcurrentAccess(t *testing.T) {
 	}
 	for g := 0; g < 8; g++ {
 		<-done
+	}
+}
+
+// raceEnabled is set by raceon_test.go under -race, where allocation counts
+// mean nothing.
+var raceEnabled bool
+
+// TestSimilarAllocsZero: a lookup of an indexed value and a walk over every
+// entry of the returned view read the block in place.
+func TestSimilarAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	_, k, s := builtIndexes(t)
+	var name string
+	for v := range k.postings[FieldSurname] {
+		name = v
+		break
+	}
+	entries, chars := 0, 0
+	allocs := testing.AllocsPerRun(200, func() {
+		l := s.Similar(FieldSurname, name)
+		for i := 0; i < l.Len(); i++ {
+			entries++
+			chars += len(l.At(i).Value)
+		}
+	})
+	if allocs != 0 || entries == 0 || chars == 0 {
+		t.Errorf("Similar(%q) and a walk of its %d entries: %v allocations, want 0", name, entries/201, allocs)
+	}
+}
+
+// TestSimilarListSim: asking a list about one value answers what a walk of
+// it would — every listed value's similarity, nothing for a value it does
+// not list, interned or not.
+func TestSimilarListSim(t *testing.T) {
+	_, k, s := builtIndexes(t)
+	var name string
+	for v := range k.postings[FieldSurname] {
+		name = v
+		break
+	}
+	l := s.Similar(FieldSurname, name)
+	listed := map[string]bool{}
+	for i := 0; i < l.Len(); i++ {
+		sv := l.At(i)
+		listed[sv.Value] = true
+		if got, ok := l.Sim(sv.Value); !ok || got != sv.Sim {
+			t.Fatalf("Sim(%q) = %v, %v; the list holds %v", sv.Value, got, ok, sv.Sim)
+		}
+	}
+	for v := range k.postings[FieldSurname] {
+		if _, ok := l.Sim(v); ok != listed[v] {
+			t.Fatalf("Sim(%q) listed = %v, a walk says %v", v, ok, listed[v])
+		}
+	}
+	if _, ok := l.Sim("zq-nobody-interned-this"); ok {
+		t.Fatal("Sim found a value nobody interned")
 	}
 }

@@ -11,11 +11,10 @@
 // over pedigree.NodeID (K) and symbol.ID (S's bigram postings, where sixteen
 // bytes of string header per entry collapse to the gap between symbol ids).
 //
-// Encoded lists are immutable: the bigram lists a flush does not reach are
-// shared between index generations (index.UpdateSubset) as a struct copy
-// aliasing the same byte slice. The query hot path iterates postings
-// without allocating via PostingIter; Lookup decodes into a fresh slice the
-// caller owns.
+// Encoded lists are immutable: the bigram lists of a field a flush does not
+// reach are shared between index generations (index.UpdateSubset). The query
+// hot path iterates postings without allocating via PostingIter; Lookup
+// decodes into a fresh slice the caller owns.
 package index
 
 import "encoding/binary"
@@ -47,9 +46,6 @@ func encodePostings[T postingID](ids []T) postingList[T] {
 	}
 	return postingList[T]{n: int32(len(ids)), data: data}
 }
-
-// len returns the number of entries.
-func (p postingList[T]) len() int { return int(p.n) }
 
 // decode returns the entries as a fresh slice (nil when empty).
 func (p postingList[T]) decode() []T {

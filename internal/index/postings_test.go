@@ -14,8 +14,8 @@ import (
 func checkCodec[T postingID](t *testing.T, name string, ids []T) {
 	t.Helper()
 	pl := encodePostings(ids)
-	if pl.len() != len(ids) {
-		t.Errorf("%s: len = %d, want %d", name, pl.len(), len(ids))
+	if int(pl.n) != len(ids) {
+		t.Errorf("%s: len = %d, want %d", name, int(pl.n), len(ids))
 	}
 	if got := pl.decode(); !slices.Equal(got, ids) || (len(ids) == 0 && got != nil) {
 		t.Errorf("%s: decode = %v, want %v", name, got, ids)

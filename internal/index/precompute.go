@@ -8,27 +8,17 @@
 package index
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"slices"
 
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/par"
+	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/simcache"
 	"github.com/snaps/snaps/internal/strsim"
+	"github.com/snaps/snaps/internal/symbol"
 )
-
-// valueSet is one field's indexed values in sorted order. A value's rank in
-// vals is its dense local id: feats and the bigram postings are keyed by
-// it, so the pair loop touches flat slices only.
-type valueSet struct {
-	vals  []string
-	feats []*simcache.Features
-	// post[bigram] lists, ascending, the local ids of the values
-	// containing the bigram.
-	post map[strsim.BigramID][]int32
-}
 
 // simPair is one scored pair that reached the threshold, i < j.
 type simPair struct {
@@ -46,11 +36,29 @@ const pairChunk = 16
 // spends a tenth of the pass copying itself.
 const pairBlock = 1 << 15
 
-// precompute computes and stores the similarity list of every value in vs:
-// exactly the list computeSimilar returns for it, entry for entry and bit
-// for bit, whatever GOMAXPROCS is.
-func (s *Similarity) precompute(f Field, vs *valueSet) {
-	n := len(vs.vals)
+// precompute computes the similarity list of every value the field indexes
+// and stores them as the field's block: exactly the list computeSimilar
+// returns for each, entry for entry and bit for bit, whatever GOMAXPROCS is.
+func (s *Similarity) precompute(f Field, indexed map[string]postingList[pedigree.NodeID]) {
+	// A value's rank in sorted order is its dense local id: syms, feats and
+	// post (per bigram, ascending, the values containing it) are keyed by it,
+	// so the pair loop touches flat slices only. Every indexed value is an
+	// interned record attribute, so Intern here is a map hit, not an insert.
+	vals := make([]string, 0, len(indexed))
+	for v := range indexed {
+		vals = append(vals, v)
+	}
+	slices.Sort(vals)
+	n := len(vals)
+	syms, feats := make([]symbol.ID, n), make([]*simcache.Features, n)
+	post := map[strsim.BigramID][]int32{}
+	for i, v := range vals {
+		syms[i] = symbol.Intern(v)
+		feats[i] = simcache.Feat(syms[i])
+		for _, bg := range feats[i].Bigrams {
+			post[bg] = append(post[bg], int32(i))
+		}
+	}
 	score := obs.StartStage("index_build_sims_score")
 	chunks := (n + pairChunk - 1) / pairChunk
 	blocks := make([][][]simPair, par.Procs(chunks))
@@ -68,10 +76,10 @@ func (s *Similarity) precompute(f Field, vs *valueSet) {
 		scored := 0
 		for c := next(); c < chunks; c = next() {
 			for i := c * pairChunk; i < min((c+1)*pairChunk, n); i++ {
-				fi, epoch := vs.feats[i], int32(i)+1
+				fi, epoch := feats[i], int32(i)+1
 				probe.Set(fi)
 				for _, bg := range fi.Bigrams {
-					list := vs.post[bg]
+					list := post[bg]
 					at, _ := slices.BinarySearch(list, int32(i))
 					for _, j := range list[at+1:] {
 						if seen[j] == epoch {
@@ -79,7 +87,7 @@ func (s *Similarity) precompute(f Field, vs *valueSet) {
 						}
 						seen[j] = epoch
 						scored++
-						if sim := probe.Sim(vs.feats[j]); sim >= s.threshold {
+						if sim := probe.Sim(feats[j]); sim >= s.threshold {
 							if len(buf) == pairBlock {
 								blocks[w] = append(blocks[w], buf)
 								buf = make([]simPair, 0, pairBlock)
@@ -96,16 +104,15 @@ func (s *Similarity) precompute(f Field, vs *valueSet) {
 	score.Stop()
 	defer obs.StartStage("index_build_sims_order").Stop()
 
-	// Count, allocate every list at its exact size, scatter, order. A value
-	// with a bigram is its own candidate and scores 1 without a kernel
-	// call; a one-letter value has no candidates at all and gets an empty
-	// list. Lists are separate allocations because generations share them
-	// one by one (UpdateSubset): a slab would stay whole for its last user.
-	hasSelf := func(i int) bool { return s.threshold <= 1 && len(vs.feats[i].Bigrams) > 0 }
-	size := make([]int32, n)
-	for i := range size {
+	// Count, lay the rows out at their exact sizes, scatter, order. A value
+	// with a bigram is its own candidate and scores 1 without a kernel call;
+	// a one-letter value has no candidates at all and gets an empty row.
+	hasSelf := func(i int) bool { return s.threshold <= 1 && len(feats[i].Bigrams) > 0 }
+	b := &simBlock{rows: make(map[string]uint32, n), vals: syms, offsets: make([]uint32, n+1)}
+	for i, v := range vals {
+		b.rows[v] = uint32(i)
 		if hasSelf(i) {
-			size[i] = 1
+			b.offsets[i+1] = 1
 		}
 	}
 	scored, kept := 0, 0
@@ -115,46 +122,43 @@ func (s *Similarity) precompute(f Field, vs *valueSet) {
 	for _, buf := range bufs {
 		kept += len(buf)
 		for _, p := range buf {
-			size[p.i]++
-			size[p.j]++
+			b.offsets[p.i+1]++
+			b.offsets[p.j+1]++
 		}
 	}
 	mPairsScored.Add(int64(scored))
 	mPairsKept.Add(int64(kept))
+	for i := range vals {
+		b.offsets[i+1] += b.offsets[i]
+	}
+	b.ids, b.sims = make([]symbol.ID, b.offsets[n]), make([]float64, b.offsets[n])
 
 	// A list's order is similarity descending, value ascending, and a
-	// value's rank in vs.vals is its place in value order, so the order
+	// value's rank in vals is its place in value order, so the order
 	// lives in integers: one uint64 per entry, the inverted bits of the
 	// similarity (non-negative floats order as their bits) with the low
-	// rankBits replaced by the rank. Sorting the keys is exact on value
-	// order and drops only the similarity's last rankBits bits, which
-	// orderExact repairs once the entries exist.
-	rankBits := uint(bits.Len(uint(n)))
-	rankMask := uint64(1)<<rankBits - 1
+	// bits.Len(n) bits replaced by the rank. Sorting the keys is exact on
+	// value order and drops only those last bits of the similarity, which
+	// the write-back below repairs.
+	rankMask := uint64(1)<<bits.Len(uint(n)) - 1
 
-	// Each range of lists is filled and ordered by one goroutine, which
+	// Each range of rows is filled and ordered by one goroutine, which
 	// reads every pair and keeps the sides landing in its range: a
 	// sequential read per goroutine buys scattered writes nobody shares.
 	// The fill order follows the scheduling; the order under a total
 	// comparator does not.
-	lists := make([][]SimilarValue, n)
 	par.Range(n, func(lo, hi int) {
-		// Until it is ordered a list is a transient buffer of (key, exact
-		// similarity bits) word pairs in fill order; the keys are then
-		// compacted into its front half and sorted there.
-		pend := make([][]uint64, hi-lo)
-		filled := make([]int32, hi-lo)
+		// Until it is ordered a row holds ranks where its ids will be, in
+		// fill order.
+		filled := make([]uint32, hi-lo)
 		add := func(i, j int32, sim float64) {
 			if int(i) >= lo && int(i) < hi {
-				at := 2 * filled[int(i)-lo]
+				at := b.offsets[i] + filled[int(i)-lo]
 				filled[int(i)-lo]++
-				simBits := math.Float64bits(sim)
-				pend[int(i)-lo][at] = ^simBits&^rankMask | uint64(j)
-				pend[int(i)-lo][at+1] = simBits
+				b.ids[at], b.sims[at] = symbol.ID(j), sim
 			}
 		}
 		for i := lo; i < hi; i++ {
-			pend[i-lo] = make([]uint64, 2*size[i])
 			if hasSelf(i) {
 				add(int32(i), int32(i), 1)
 			}
@@ -165,50 +169,28 @@ func (s *Similarity) precompute(f Field, vs *valueSet) {
 				add(p.j, p.i, p.sim)
 			}
 		}
-		// simOf carries one list's exact similarities across the key sort,
-		// by rank. Each buffer is dropped as soon as its list exists, so
-		// the transient words shrink as the lists grow.
+		// keys orders one row at a time; simOf carries the row's exact
+		// similarities across the key sort, by rank. An entry that beats its
+		// predecessors in the bits the key dropped moves up past them as it
+		// lands; equal ones keep their value order.
+		var keys []uint64
 		simOf := make([]float64, n)
 		for i := lo; i < hi; i++ {
-			buf := pend[i-lo]
-			keys := buf[:len(buf)/2]
-			for at := range keys {
-				k := buf[2*at]
-				simOf[k&rankMask] = math.Float64frombits(buf[2*at+1])
-				keys[at] = k
+			ids, sims := b.ids[b.offsets[i]:b.offsets[i+1]], b.sims[b.offsets[i]:b.offsets[i+1]]
+			keys = keys[:0]
+			for at, rank := range ids {
+				simOf[rank] = sims[at]
+				keys = append(keys, ^math.Float64bits(sims[at])&^rankMask|uint64(rank))
 			}
 			slices.Sort(keys)
-			list := make([]SimilarValue, len(keys))
 			for at, k := range keys {
-				list[at] = SimilarValue{Value: vs.vals[k&rankMask], Sim: simOf[k&rankMask]}
+				ids[at], sims[at] = syms[k&rankMask], simOf[k&rankMask]
+				for j := at; j > 0 && sims[j-1] < sims[j]; j-- {
+					ids[j-1], ids[j] = ids[j], ids[j-1]
+					sims[j-1], sims[j] = sims[j], sims[j-1]
+				}
 			}
-			pend[i-lo] = nil
-			orderExact(list, rankBits)
-			lists[i] = list
 		}
 	})
-	s.lists[f] = make(map[string][]SimilarValue, n)
-	for i, v := range vs.vals {
-		s.lists[f][v] = lists[i]
-	}
-}
-
-// orderExact finishes a list that is sorted on its keys: under compareSim
-// except that entries whose similarities agree above the low rankBits bits
-// stand in value order whatever those bits say. Equal similarities are
-// therefore in place already, and a stretch of agreeing similarities that
-// holds a larger one after a smaller one needs only a stable sort on the
-// exact similarity: the value order it starts in is the tie-break.
-func orderExact(list []SimilarValue, rankBits uint) {
-	coarse := func(sim float64) uint64 { return math.Float64bits(sim) >> rankBits }
-	for lo := 0; lo < len(list); {
-		hi, ordered := lo+1, true
-		for ; hi < len(list) && coarse(list[hi].Sim) == coarse(list[lo].Sim); hi++ {
-			ordered = ordered && list[hi-1].Sim >= list[hi].Sim
-		}
-		if !ordered {
-			slices.SortStableFunc(list[lo:hi], func(x, y SimilarValue) int { return cmp.Compare(y.Sim, x.Sim) })
-		}
-		lo = hi
-	}
+	s.blocks[f] = b
 }

@@ -41,7 +41,7 @@ func probeLists(k *Keyword, s *Similarity) map[Field]map[string][]SimilarValue {
 		lists := make([][]SimilarValue, len(vals))
 		par.Range(len(vals), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				lists[i] = s.computeSimilar(f, vals[i])
+				lists[i] = s.probe(f, vals[i])
 			}
 		})
 		ref[f] = make(map[string][]SimilarValue, len(vals))
@@ -77,7 +77,7 @@ func TestPrecomputeMatchesProbe(t *testing.T) {
 							seed, ki, procs, f, s.Size(f), len(want))
 					}
 					for v, w := range want {
-						if got := s.lists[f][v]; !reflect.DeepEqual(got, w) {
+						if got := s.listOf(f, v); !reflect.DeepEqual(got, w) {
 							t.Fatalf("seed %d keep %d procs %d field %v value %q:\nprecomputed %v\nprobe       %v",
 								seed, ki, procs, f, v, got, w)
 						}
@@ -105,9 +105,9 @@ func TestPrecomputeFixture(t *testing.T) {
 		g.Nodes = append(g.Nodes, pedigree.Node{ID: pedigree.NodeID(len(g.Nodes)), Surnames: []string{v}})
 	}
 	_, s := Build(g, 0.5)
-	list := func(v string) []SimilarValue { return s.lists[FieldFirstName][v] }
+	list := func(v string) []SimilarValue { return s.listOf(FieldFirstName, v) }
 	for _, v := range names {
-		if got, want := list(v), s.computeSimilar(FieldFirstName, v); !reflect.DeepEqual(got, want) {
+		if got, want := list(v), s.probe(FieldFirstName, v); !reflect.DeepEqual(got, want) {
 			t.Errorf("value %q:\nprecomputed %v\nprobe       %v", v, got, want)
 		}
 	}
@@ -129,7 +129,7 @@ func TestPrecomputeFixture(t *testing.T) {
 	// the bits the sort key gives to the rank, so the key order alone would
 	// put them in value order — and two values over 64 bytes, which the
 	// match tables do not cover.
-	sur := func(v string) []SimilarValue { return s.lists[FieldSurname][v] }
+	sur := func(v string) []SimilarValue { return s.listOf(FieldSurname, v) }
 	near, far := strsim.NameSim("john", "jon"), strsim.NameSim("john", "bjohn")
 	if n := uint(bits.Len(uint(len(surnames)))); near <= far || math.Float64bits(near)>>n != math.Float64bits(far)>>n {
 		t.Fatalf("fixture lost its near tie: jon %v (%x), bjohn %v (%x)", near, math.Float64bits(near), far, math.Float64bits(far))
@@ -142,7 +142,7 @@ func TestPrecomputeFixture(t *testing.T) {
 		t.Errorf("list of a %d-byte surname = %v, want %v", len(long), got, want)
 	}
 	for _, v := range surnames {
-		if got, want := sur(v), s.computeSimilar(FieldSurname, v); !reflect.DeepEqual(got, want) {
+		if got, want := sur(v), s.probe(FieldSurname, v); !reflect.DeepEqual(got, want) {
 			t.Errorf("surname %q:\nprecomputed %v\nprobe       %v", v, got, want)
 		}
 	}
@@ -197,10 +197,10 @@ func TestProbeNeverInterns(t *testing.T) {
 		if _, ok := symbol.Lookup(v); ok {
 			t.Fatalf("%q is already interned", v)
 		}
-		if len(s.Similar(FieldFirstName, v)) == 0 {
-			t.Fatalf("Similar(%q) found nothing: the probe scored no candidate", v)
+		if l := s.Similar(FieldFirstName, v); l.Len() == 0 || !l.Computed {
+			t.Fatalf("Similar(%q) found nothing or did not compute: the probe scored no candidate", v)
 		}
-		if !s.Memoised(FieldFirstName, v) {
+		if s.Similar(FieldFirstName, v).Computed {
 			t.Fatalf("Similar(%q) did not extend S", v)
 		}
 	}
@@ -232,8 +232,10 @@ func TestIndexLeavesKernelMemoUntouched(t *testing.T) {
 	// field neither indexes nor precomputes.
 	hits := 0
 	for v := range prevK.postings[FieldSurname] {
-		if prevK.postings[FieldFirstName][v].len() == 0 && !prevS.Memoised(FieldFirstName, v) {
-			hits += len(prevS.Similar(FieldFirstName, v))
+		if prevK.postings[FieldFirstName][v].n == 0 {
+			if l := prevS.Similar(FieldFirstName, v); l.Computed {
+				hits += l.Len()
+			}
 		}
 	}
 	if hits == 0 {

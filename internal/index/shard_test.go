@@ -2,11 +2,13 @@ package index
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"github.com/snaps/snaps/internal/pedigree"
 )
@@ -21,8 +23,8 @@ func TestBuildDeterministic(t *testing.T) {
 		if s1.Size(f) != s2.Size(f) {
 			t.Fatalf("field %v: memo sizes differ: %d vs %d", f, s1.Size(f), s2.Size(f))
 		}
-		for v, want := range s1.lists[f] {
-			if got := s2.lists[f][v]; !reflect.DeepEqual(want, got) {
+		for v := range s1.blocks[f].rows {
+			if want, got := s1.listOf(f, v), s2.listOf(f, v); !reflect.DeepEqual(want, got) {
 				t.Fatalf("field %v value %q: precomputed lists differ:\n%v\nvs\n%v", f, v, want, got)
 			}
 		}
@@ -48,7 +50,7 @@ func TestSimilarShardedConcurrentMix(t *testing.T) {
 			probes := []string{known, "zzstampede", "macdonald", "zqnovel" + string(rune('a'+g%4))}
 			for i := 0; i < 60; i++ {
 				out := s.Similar(FieldSurname, probes[(i+g)%len(probes)])
-				total.Add(int64(len(out)))
+				total.Add(int64(out.Len()))
 			}
 		}(g)
 	}
@@ -71,7 +73,7 @@ func TestProbeMemoryBounded(t *testing.T) {
 	}
 	var known string
 	for v := range k.postings[FieldFirstName] {
-		if k.postings[FieldSurname][v].len() == 0 {
+		if k.postings[FieldSurname][v].n == 0 {
 			known = v
 			break
 		}
@@ -80,38 +82,45 @@ func TestProbeMemoryBounded(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		s.Similar(FieldSurname, fmt.Sprintf("macprobe%d", i))
 	}
-	if got := len(s.lists[FieldSurname]); got != indexed {
+	if got := len(s.blocks[FieldSurname].rows); got != indexed {
 		t.Errorf("probes changed the precomputed lists: %d, want %d", got, indexed)
 	}
 	if got := s.Size(FieldSurname); got <= indexed+1 || got > indexed+1+probeSlots {
 		t.Errorf("after 2000 distinct probes S holds %d lists, want within (%d, %d]", got, indexed+1, indexed+1+probeSlots)
 	}
-	if !s.Memoised(FieldSurname, known) {
+	if s.Similar(FieldSurname, known).Computed {
 		t.Errorf("outside strings evicted the list of %q, a value the corpus knows", known)
 	}
 }
 
 // TestSimilarityImmutableAfterPublish: nothing writes a published S but
 // its probe cache. While goroutines probe the served generation and a
-// flush patches the next one from it, every precomputed list keeps its
-// address, length and contents, and every probe answer is the list a fresh
-// computeSimilar returns.
+// flush rewrites the next one from it, every array of every block keeps its
+// backing address, length and contents, and every probe answer is the list
+// a fresh computeSimilar returns. A flush that leaves a field's vocabulary
+// alone hands the next generation the very same block.
 func TestSimilarityImmutableAfterPublish(t *testing.T) {
 	_, newG, prevK, prevS := buildGenerations(t, 0.05)
 	type pin struct {
-		first *SimilarValue
-		list  []SimilarValue
+		block              *simBlock
+		copy               simBlock
+		offsets, ids, sims unsafe.Pointer
 	}
-	pins := map[Field]map[string]pin{}
+	addrs := func(b *simBlock) (offsets, ids, sims unsafe.Pointer) {
+		return unsafe.Pointer(unsafe.SliceData(b.offsets)), unsafe.Pointer(unsafe.SliceData(b.ids)), unsafe.Pointer(unsafe.SliceData(b.sims))
+	}
+	pins := map[Field]pin{}
 	for _, f := range nameFields {
-		pins[f] = map[string]pin{}
-		for v, list := range prevS.lists[f] {
-			p := pin{list: slices.Clone(list)}
-			if len(list) > 0 {
-				p.first = &list[0]
-			}
-			pins[f][v] = p
+		b := prevS.blocks[f]
+		if len(b.ids) == 0 || len(b.ids) != len(b.sims) || len(b.offsets) != len(b.vals)+1 {
+			t.Fatalf("field %v: block of %d ids, %d sims, %d offsets for %d values", f, len(b.ids), len(b.sims), len(b.offsets), len(b.vals))
 		}
+		p := pin{block: b, copy: simBlock{
+			rows: maps.Clone(b.rows), vals: slices.Clone(b.vals),
+			offsets: slices.Clone(b.offsets), ids: slices.Clone(b.ids), sims: slices.Clone(b.sims),
+		}}
+		p.offsets, p.ids, p.sims = addrs(b)
+		pins[f] = p
 	}
 
 	stop := make(chan struct{})
@@ -128,27 +137,40 @@ func TestSimilarityImmutableAfterPublish(t *testing.T) {
 				}
 				f := nameFields[i%2]
 				v := fmt.Sprintf("quixwor%d", (i+g)%200) // far more values than slots
-				if got, want := prevS.Similar(f, v), prevS.computeSimilar(f, v); !sameSimilar(got, want) {
+				if got, want := prevS.similar(f, v), prevS.probe(f, v); !sameSimilar(got, want) {
 					t.Errorf("probe %v %q: Similar = %v, computeSimilar = %v", f, v, got, want)
 					return
 				}
 			}
 		}(g)
 	}
-	UpdateSubset(newG, nil, prevK, prevS)
+	_, updS := UpdateSubset(newG, nil, prevK, prevS)
+	// A second flush off the same generation adds one surname and nothing
+	// else: the first-name block must come through by address.
+	surK := &Keyword{postings: prevK.postings}
+	surK.postings[FieldSurname] = maps.Clone(prevK.postings[FieldSurname])
+	surK.postings[FieldSurname]["quixworth"] = encodePostings([]pedigree.NodeID{0})
+	surS := updateSimilarity(surK, prevK, prevS)
 	close(stop)
 	wg.Wait()
 
 	for _, f := range nameFields {
-		if len(prevS.lists[f]) != len(pins[f]) {
-			t.Fatalf("field %v: %d lists after the flush, %d before", f, len(prevS.lists[f]), len(pins[f]))
+		b, p := prevS.blocks[f], pins[f]
+		if b != p.block || updS.blocks[f] == b {
+			t.Fatalf("field %v: the flush replaced the served block or shared a changed one", f)
 		}
-		for v, p := range pins[f] {
-			list := prevS.lists[f][v]
-			if !sameSimilar(list, p.list) || (len(list) > 0 && &list[0] != p.first) {
-				t.Fatalf("field %v value %q: the previous generation's list changed", f, v)
-			}
+		if offsets, ids, sims := addrs(b); offsets != p.offsets || ids != p.ids || sims != p.sims {
+			t.Fatalf("field %v: an array of the previous generation's block moved", f)
 		}
+		if !reflect.DeepEqual(*b, p.copy) {
+			t.Fatalf("field %v: the previous generation's block changed", f)
+		}
+	}
+	if surS.blocks[FieldFirstName] != prevS.blocks[FieldFirstName] {
+		t.Error("a flush that changed no first name did not share the first-name block")
+	}
+	if surS.blocks[FieldSurname] == prevS.blocks[FieldSurname] || surS.listOf(FieldSurname, "quixworth") == nil {
+		t.Error("a flush that added a surname did not write a surname block holding it")
 	}
 }
 
@@ -158,7 +180,7 @@ func TestLookupResultIsCallerOwned(t *testing.T) {
 	_, k, _ := builtIndexes(t)
 	var value string
 	for v, ids := range k.postings[FieldSurname] {
-		if ids.len() > 0 {
+		if ids.n > 0 {
 			value = v
 			break
 		}

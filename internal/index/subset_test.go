@@ -96,10 +96,10 @@ func TestBuildSubsetSimilarityIsFilteredGlobal(t *testing.T) {
 		for _, f := range []Field{FieldFirstName, FieldSurname} {
 			checked := 0
 			for v := range sk.postings[f] {
-				got := ss.Similar(f, v)
+				got := ss.similar(f, v)
 				var want []SimilarValue
-				for _, sv := range s.Similar(f, v) {
-					if sk.postings[f][sv.Value].len() > 0 {
+				for _, sv := range s.similar(f, v) {
+					if sk.postings[f][sv.Value].n > 0 {
 						want = append(want, sv)
 					}
 				}
@@ -146,7 +146,7 @@ func TestUpdateSubsetEquivalentToBuildSubset(t *testing.T) {
 		}
 		for _, f := range []Field{FieldFirstName, FieldSurname} {
 			for v := range wantK.postings[f] {
-				if got, want := gotS.Similar(f, v), wantS.Similar(f, v); !sameSimilar(got, want) {
+				if got, want := gotS.similar(f, v), wantS.similar(f, v); !sameSimilar(got, want) {
 					t.Fatalf("shard %d field %v value %q: incremental similar %v, fresh %v",
 						shard, f, v, got, want)
 				}
@@ -154,7 +154,7 @@ func TestUpdateSubsetEquivalentToBuildSubset(t *testing.T) {
 			// Probe values neither generation indexed: the lazy path must
 			// agree too.
 			for _, probe := range []string{"zqprobe", "quixwor"} {
-				if got, want := gotS.Similar(f, probe), wantS.Similar(f, probe); !sameSimilar(got, want) {
+				if got, want := gotS.similar(f, probe), wantS.similar(f, probe); !sameSimilar(got, want) {
 					t.Fatalf("shard %d field %v probe %q: incremental similar %v, fresh %v",
 						shard, f, probe, got, want)
 				}

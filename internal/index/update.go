@@ -4,24 +4,24 @@
 // so the set of indexed values barely moves between generations. K is cheap
 // and is built fresh (a few milliseconds at DS-4k, which is what translating
 // the previous postings through an old-to-new node-id map cost as well: both
-// read every posting). The dominant cost of a rebuild is S's name-similarity
-// lists, and S is entirely value-keyed, so UpdateSubset patches the previous
-// S around the handful of indexed values that appeared or disappeared.
-// Everything untouched is shared by reference with the previous generation,
-// which keeps serving concurrently: shared similarity lists and bigram
-// lists are never mutated in place.
+// read every posting). The dominant cost of a rebuild is scoring S's
+// name-similarity lists, and S is entirely value-keyed, so UpdateSubset
+// scores only the values that appeared and rewrites, in one sequential
+// pass, the block of each field whose vocabulary changed. A field the flush
+// did not reach shares its block and its bigram postings with the previous
+// generation, which keeps serving concurrently: nothing published is ever
+// mutated in place.
 package index
 
 import (
-	"maps"
+	"cmp"
 	"slices"
+	"sort"
 	"sync/atomic"
 
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/par"
 	"github.com/snaps/snaps/internal/pedigree"
-	"github.com/snaps/snaps/internal/simcache"
-	"github.com/snaps/snaps/internal/strsim"
 	"github.com/snaps/snaps/internal/symbol"
 )
 
@@ -35,7 +35,7 @@ var (
 
 // UpdateSubset builds the indexes over the nodes of g accepted by keep (nil
 // keeps every node): K is built like any other, S is the previous
-// generation's patched around the difference between the two K's value
+// generation's carried across the difference between the two K's value
 // sets. prevK and prevS are only read, without any lock — nothing writes an
 // index once it is published — and the similarity threshold is prevS's. The
 // returned indexes answer Lookup and Similar identically to a fresh
@@ -48,189 +48,136 @@ func UpdateSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, prevK *Key
 	return k, updateSimilarity(k, prevK, prevS)
 }
 
-// simPatch collects the edits one carried-over similarity list needs:
-// entries for values that just became indexed, entries of values that left
-// the index.
-type simPatch struct {
-	add []SimilarValue
-	rem map[string]bool
-}
-
-// applyPatch merges a sorted similarity list with a patch into a fresh,
-// sorted list; the input list (shared with the previous generation) is not
-// modified. Each added entry is placed by binary search and the runs
-// between them are copied whole, so a long list costs a few comparisons.
-func applyPatch(list []SimilarValue, p *simPatch) []SimilarValue {
-	slices.SortFunc(p.add, compareSim)
-	out := make([]SimilarValue, 0, len(list)+len(p.add))
-	for _, a := range p.add {
-		at, _ := slices.BinarySearchFunc(list, a, compareSim)
-		out = append(appendKept(out, list[:at], p.rem), a)
-		list = list[at:]
-	}
-	return appendKept(out, list, p.rem)
-}
-
-// appendKept appends the entries of list whose value is not in rem.
-func appendKept(out, list []SimilarValue, rem map[string]bool) []SimilarValue {
-	if rem == nil {
-		return append(out, list...)
-	}
-	for _, sv := range list {
-		if !rem[sv.Value] {
-			out = append(out, sv)
-		}
-	}
-	return out
-}
-
-// updateSimilarity patches S around the indexed-value diff. S is entirely
-// value-keyed — node ids never appear in it — so an indexed value's list
-// changes only when a value similar to it (which therefore shares a bigram
-// with it) was added to or removed from the index. The edits are driven
-// from the diff side: each added value's candidate scan says exactly which
-// existing lists gain an entry, each removed value's own previous list says
-// which lists lose one. Every untouched list is carried over by reference;
-// patched lists are fresh copies. The probe cache is not carried: the new
-// generation starts with an empty one.
+// updateSimilarity carries S across the indexed-value diff, field by field:
+// shared by reference where the value set did not move, otherwise the bigram
+// postings built from the new value set as a build does (a millisecond) and
+// the block rewritten around the diff (rewriteBlock). The probe cache is not
+// carried: the new generation starts with an empty one.
 func updateSimilarity(k, prevK *Keyword, prevS *Similarity) *Similarity {
 	s := &Similarity{threshold: prevS.threshold}
 	for _, f := range simFields {
-		added, removed := valueDiff(k.postings[f], prevK.postings[f])
-		removedIDs := make(map[symbol.ID]bool, len(removed))
-		for _, v := range removed {
-			removedIDs[symbol.Intern(v)] = true
-		}
-		// Diff values are (or were) indexed, hence interned; their bigram
-		// signatures come from the feature slab.
-		changed := map[strsim.BigramID]bool{}
-		for _, v := range slices.Concat(added, removed) {
-			for _, bg := range simcache.Feat(symbol.Intern(v)).Bigrams {
-				changed[bg] = true
-			}
-		}
-
-		// Bigram postings, copy-on-write: lists touched by the diff are
-		// decoded and rebuilt (removed values filtered out, added values
-		// appended, re-sorted, re-encoded); the rest share the previous
-		// generation's immutable encoded bytes.
-		bp := make(map[strsim.BigramID]postingList[symbol.ID], len(prevS.bigramPost[f]))
-		work := map[strsim.BigramID][]symbol.ID{}
-		for bg, vals := range prevS.bigramPost[f] {
-			if !changed[bg] {
-				bp[bg] = vals
-				continue
-			}
-			out := make([]symbol.ID, 0, vals.len()+1)
-			for it := vals.iter(); ; {
-				id, ok := it.Next()
-				if !ok {
-					break
-				}
-				if !removedIDs[id] {
-					out = append(out, id)
-				}
-			}
-			work[bg] = out
-		}
-		for _, a := range added {
-			aid := symbol.Intern(a)
-			for _, bg := range simcache.Feat(aid).Bigrams {
-				work[bg] = append(work[bg], aid)
-			}
-		}
-		for bg, ids := range work {
-			if len(ids) == 0 {
-				continue // bigram disappeared with its values
-			}
-			slices.Sort(ids)
-			bp[bg] = encodePostings(ids)
-		}
-		s.bigramPost[f] = bp
 		s.probes[f] = make([]atomic.Pointer[probeEntry], symbol.Len()+probeSlots)
-		if !slices.Contains(nameFields, f) {
-			continue // not precomputed: a location has postings and no list
+		added, removed := valueDiff(k.postings[f], prevK.postings[f])
+		if len(added)+len(removed) == 0 {
+			s.bigramPost[f], s.blocks[f] = prevS.bigramPost[f], prevS.blocks[f]
+			continue
 		}
-
-		// Compute the added values' own lists against the patched bigram
-		// postings (they see each other and every surviving value), and
-		// derive from each scan the patch every existing indexed value's
-		// list needs: a's candidates with sim >= threshold are exactly the
-		// lists a belongs in, with the same (symmetric) similarity.
-		addedSet := make(map[string]bool, len(added))
-		for _, a := range added {
-			addedSet[a] = true
+		s.bigramPost[f] = bigramPostings(k.postings[f])
+		// A location has postings and no lists: nothing is precomputed.
+		if old := prevS.blocks[f]; old != nil {
+			s.blocks[f] = s.rewriteBlock(f, old, added, removed)
 		}
-		patches := map[string]*simPatch{}
-		getPatch := func(v string) *simPatch {
-			p := patches[v]
-			if p == nil {
-				p = &simPatch{}
-				patches[v] = p
-			}
-			return p
-		}
-		addedLists := make([][]SimilarValue, len(added))
-		par.Range(len(added), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				addedLists[i] = s.computeSimilar(f, added[i])
-			}
-		})
-		for i, a := range added {
-			for _, sv := range addedLists[i] {
-				if sv.Value == a || addedSet[sv.Value] {
-					continue // fresh lists are already complete
-				}
-				getPatch(sv.Value).add = append(getPatch(sv.Value).add, SimilarValue{Value: a, Sim: sv.Sim})
-			}
-		}
-		// S is symmetric (the property the all-pairs precompute rests on), so
-		// a removed value's own previous list names exactly the lists it
-		// appears in.
-		for _, r := range removed {
-			for _, sv := range prevS.lists[f][r] {
-				if _, gone := slices.BinarySearch(removed, sv.Value); gone {
-					continue
-				}
-				p := getPatch(sv.Value)
-				if p.rem == nil {
-					p.rem = map[string]bool{}
-				}
-				p.rem[r] = true
-			}
-		}
-
-		// Carry the previous generation's lists over: by reference when
-		// untouched, patched into a fresh copy when the diff reaches them.
-		lists := maps.Clone(prevS.lists[f])
-		for _, r := range removed {
-			delete(lists, r)
-		}
-		for v, pch := range patches {
-			lists[v] = applyPatch(lists[v], pch)
-		}
-		for i, a := range added {
-			lists[a] = addedLists[i]
-		}
-		s.lists[f] = lists
 	}
 	return s
 }
 
+// rowEdit is one change the diff makes to a surviving row: the entry of a
+// value that became indexed, to merge in, or of one that left, to leave out.
+type rowEdit struct {
+	row uint32
+	simEntry
+	remove bool
+}
+
+// rewriteBlock writes the field's next block from the previous one: removed
+// values' rows dropped, every surviving row copied with its edits merged in
+// under compareSim, the added values' rows appended. It reads old and the
+// new bigram postings and writes fresh arrays of the exact size, in one
+// sequential pass whose cost is the block's, however many values the flush
+// added.
+func (s *Similarity) rewriteBlock(f Field, old *simBlock, added, removed []symbol.ID) *simBlock {
+	// An added value is in no old row and a removed one in no new list, so
+	// one set of both says which entries of a diff value's list to skip.
+	inDiff := make(map[symbol.ID]bool, len(added)+len(removed))
+	for _, id := range slices.Concat(added, removed) {
+		inDiff[id] = true
+	}
+	// The added values' own lists, against the new bigram postings: they see
+	// each other and every surviving value.
+	fresh := make([]SimilarList, len(added))
+	par.Range(len(added), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fresh[i] = s.computeSimilar(f, symbol.Str(added[i]))
+		}
+	})
+	// S is symmetric (the property the all-pairs precompute rests on, and one
+	// score is always written to both sides), so a diff value's own list
+	// names exactly the surviving rows it enters or leaves, and the
+	// similarity there is where the entry stands in each. The block grows or
+	// shrinks by that list and by one entry in each of those rows.
+	var edits []rowEdit
+	total := len(old.ids)
+	mirror := func(v symbol.ID, l SimilarList, sign int) {
+		total += sign * l.Len()
+		for i, id := range l.ids {
+			if !inDiff[id] {
+				edits = append(edits, rowEdit{old.rows[symbol.Str(id)], simEntry{v, l.sims[i]}, sign < 0})
+				total += sign
+			}
+		}
+	}
+	for i, a := range added {
+		mirror(a, fresh[i], +1)
+	}
+	for _, r := range removed {
+		mirror(r, old.row(old.rows[symbol.Str(r)]), -1)
+	}
+	slices.SortFunc(edits, func(x, y rowEdit) int {
+		return cmp.Or(cmp.Compare(x.row, y.row), compareSim(x.simEntry, y.simEntry))
+	})
+
+	n := len(old.vals) - len(removed) + len(added)
+	b := &simBlock{
+		rows: make(map[string]uint32, n), vals: make([]symbol.ID, 0, n), offsets: make([]uint32, 1, n+1),
+		ids: make([]symbol.ID, 0, total), sims: make([]float64, 0, total),
+	}
+	endRow := func(v symbol.ID) {
+		b.rows[symbol.Str(v)] = uint32(len(b.vals))
+		b.vals = append(b.vals, v)
+		b.offsets = append(b.offsets, uint32(len(b.ids)))
+	}
+	for r, v := range old.vals {
+		if inDiff[v] {
+			continue
+		}
+		// Each edit is placed by binary search and the runs between them are
+		// copied whole, so a long row costs a few comparisons.
+		lo, hi := int(old.offsets[r]), int(old.offsets[r+1])
+		for ; len(edits) > 0 && edits[0].row == uint32(r); edits = edits[1:] {
+			ed := edits[0]
+			at := lo + sort.Search(hi-lo, func(i int) bool {
+				return compareSim(simEntry{old.ids[lo+i], old.sims[lo+i]}, ed.simEntry) >= 0
+			})
+			b.ids, b.sims = append(b.ids, old.ids[lo:at]...), append(b.sims, old.sims[lo:at]...)
+			lo = at
+			if !ed.remove {
+				b.ids, b.sims = append(b.ids, ed.id), append(b.sims, ed.sim)
+			} else if lo++; at == hi || old.ids[at] != ed.id {
+				panic("index: a removed value's list names a row that does not list it")
+			}
+		}
+		b.ids, b.sims = append(b.ids, old.ids[lo:hi]...), append(b.sims, old.sims[lo:hi]...)
+		endRow(v)
+	}
+	for i, a := range added {
+		b.ids, b.sims = append(b.ids, fresh[i].ids...), append(b.sims, fresh[i].sims...)
+		endRow(a)
+	}
+	return b
+}
+
 // valueDiff returns the values present only in cur (added) and only in
-// prev (removed), sorted.
-func valueDiff(cur, prev map[string]postingList[pedigree.NodeID]) (added, removed []string) {
-	for v := range cur {
-		if _, ok := prev[v]; !ok {
-			added = append(added, v)
+// prev (removed), as symbols (both are or were indexed, hence interned), in
+// id order.
+func valueDiff(cur, prev map[string]postingList[pedigree.NodeID]) (added, removed []symbol.ID) {
+	only := func(in, notIn map[string]postingList[pedigree.NodeID]) (ids []symbol.ID) {
+		for v := range in {
+			if _, ok := notIn[v]; !ok {
+				ids = append(ids, symbol.Intern(v))
+			}
 		}
+		slices.Sort(ids)
+		return ids
 	}
-	for v := range prev {
-		if _, ok := cur[v]; !ok {
-			removed = append(removed, v)
-		}
-	}
-	slices.Sort(added)
-	slices.Sort(removed)
-	return added, removed
+	return only(cur, prev), only(prev, cur)
 }

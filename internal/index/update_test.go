@@ -1,7 +1,6 @@
 package index
 
 import (
-	"sort"
 	"testing"
 
 	"github.com/snaps/snaps/internal/dataset"
@@ -10,7 +9,6 @@ import (
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/store"
-	"github.com/snaps/snaps/internal/strsim"
 	"github.com/snaps/snaps/internal/symbol"
 )
 
@@ -86,6 +84,33 @@ func sameSimilar(a, b []SimilarValue) bool {
 	return true
 }
 
+// values materialises a view as the list it stands for (empty, not nil, when
+// it has no entries).
+func values(l SimilarList) []SimilarValue {
+	out := make([]SimilarValue, l.Len())
+	for i := range out {
+		out[i] = l.At(i)
+	}
+	return out
+}
+
+// similar is Similar, materialised.
+func (s *Similarity) similar(f Field, v string) []SimilarValue { return values(s.Similar(f, v)) }
+
+// probe is computeSimilar, materialised.
+func (s *Similarity) probe(f Field, v string) []SimilarValue { return values(s.computeSimilar(f, v)) }
+
+// listOf is the precomputed list of v: nil when the field's block has no row
+// for it.
+func (s *Similarity) listOf(f Field, v string) []SimilarValue {
+	if b := s.blocks[f]; b != nil {
+		if r, ok := b.rows[v]; ok {
+			return values(b.row(r))
+		}
+	}
+	return nil
+}
+
 // TestUpdateEquivalence is the structural golden guard for incremental
 // index maintenance: Update must answer every Lookup and Similar exactly
 // like a fresh Build over the new generation — same posting lists, same
@@ -113,14 +138,10 @@ func TestUpdateEquivalence(t *testing.T) {
 	if updK.Values(FieldSurname) <= prevK.Values(FieldSurname) {
 		t.Fatal("no added values; the new surname was not detected")
 	}
-	reused := 0
-	for v, list := range updS.lists[FieldSurname] {
-		if prev := prevS.lists[FieldSurname][v]; len(prev) > 0 && &prev[0] == &list[0] {
-			reused++
-		}
-	}
-	if reused == 0 {
-		t.Fatal("no similarity lists reused; the incremental path did no sharing")
+	// Both name fields gained values, so both blocks are rewritten (that an
+	// untouched field's block is shared is TestSimilarityImmutableAfterPublish's).
+	if updS.blocks[FieldSurname] == prevS.blocks[FieldSurname] || updS.blocks[FieldFirstName] == prevS.blocks[FieldFirstName] {
+		t.Fatal("a field that gained values shares the previous generation's block")
 	}
 
 	// Keyword index: identical value sets and posting lists per field.
@@ -146,13 +167,13 @@ func TestUpdateEquivalence(t *testing.T) {
 	// the warmed probes (recomputed against the new generation).
 	for _, f := range []Field{FieldFirstName, FieldSurname} {
 		for v := range fullK.postings[f] {
-			if got, want := updS.Similar(f, v), fullS.Similar(f, v); !sameSimilar(got, want) {
+			if got, want := updS.similar(f, v), fullS.similar(f, v); !sameSimilar(got, want) {
 				t.Fatalf("field %v value %q: Similar = %v, full rebuild = %v", f, v, got, want)
 			}
 		}
 	}
 	for _, p := range probes {
-		if got, want := updS.Similar(p.f, p.v), fullS.Similar(p.f, p.v); !sameSimilar(got, want) {
+		if got, want := updS.similar(p.f, p.v), fullS.similar(p.f, p.v); !sameSimilar(got, want) {
 			t.Fatalf("probe %v %q: Similar = %v, full rebuild = %v", p.f, p.v, got, want)
 		}
 	}
@@ -164,41 +185,21 @@ func TestUpdateEquivalence(t *testing.T) {
 // future compaction). A removed value must leave the bigram postings and
 // every similarity list that contained it.
 func TestUpdateSimilarityRemovesValues(t *testing.T) {
-	mk := func(vals ...string) *Keyword {
-		k := &Keyword{}
-		for f := Field(0); f < NumFields; f++ {
-			k.postings[f] = map[string]postingList[pedigree.NodeID]{}
-		}
+	mk := func(vals ...string) *pedigree.Graph {
+		g := &pedigree.Graph{}
 		for i, v := range vals {
-			k.postings[FieldSurname][v] = encodePostings([]pedigree.NodeID{pedigree.NodeID(i)})
+			g.Nodes = append(g.Nodes, pedigree.Node{ID: pedigree.NodeID(i), Surnames: []string{v}})
 		}
-		return k
+		return g
 	}
-	prevK := mk("anna", "annie", "bert")
-	prevS := &Similarity{threshold: 0.5}
-	prevS.lists[FieldSurname] = map[string][]SimilarValue{}
-	prevS.bigramPost[FieldSurname] = map[strsim.BigramID]postingList[symbol.ID]{}
-	bgRaw := map[strsim.BigramID][]symbol.ID{}
-	for v := range prevK.postings[FieldSurname] {
-		id := symbol.Intern(v)
-		for _, bg := range strsim.AppendBigramIDs(nil, v) {
-			bgRaw[bg] = append(bgRaw[bg], id)
-		}
-	}
-	for bg, ids := range bgRaw {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		prevS.bigramPost[FieldSurname][bg] = encodePostings(ids)
-	}
-	for v := range prevK.postings[FieldSurname] {
-		prevS.lists[FieldSurname][v] = prevS.computeSimilar(FieldSurname, v)
-	}
-	if list := prevS.Similar(FieldSurname, "anna"); len(list) < 2 {
+	prevK, prevS := Build(mk("anna", "annie", "bert"), 0.5)
+	if list := prevS.similar(FieldSurname, "anna"); len(list) < 2 {
 		t.Fatalf("precondition: anna should be similar to annie, got %v", list)
 	}
 
-	newK := mk("anna", "bert") // "annie" removed
+	newK := buildKeyword(mk("anna", "bert"), nil) // "annie" removed
 	s := updateSimilarity(newK, prevK, prevS)
-	if _, ok := s.lists[FieldSurname]["annie"]; ok || s.Size(FieldSurname) != 2 {
+	if s.listOf(FieldSurname, "annie") != nil || s.Size(FieldSurname) != 2 {
 		t.Fatalf("S holds %d surname lists after the removal, want anna and bert", s.Size(FieldSurname))
 	}
 	for bg, vals := range s.bigramPost[FieldSurname] {
@@ -212,7 +213,7 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 			}
 		}
 	}
-	for _, v := range s.Similar(FieldSurname, "anna") {
+	for _, v := range s.similar(FieldSurname, "anna") {
 		if v.Value == "annie" {
 			t.Fatal("similarity list for anna still contains removed value annie")
 		}

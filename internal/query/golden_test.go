@@ -12,6 +12,16 @@ import (
 	"github.com/snaps/snaps/internal/strsim"
 )
 
+// similarValues materialises a view of S as the slice the historical engine
+// was handed.
+func similarValues(l index.SimilarList) []index.SimilarValue {
+	out := make([]index.SimilarValue, l.Len())
+	for i := range out {
+		out[i] = l.At(i)
+	}
+	return out
+}
+
 // referenceSearch is the historical engine — per-candidate pointer map,
 // Matched maps for every candidate, full sort, trim — kept verbatim as the
 // golden oracle: the slab + heap engine must produce byte-identical ranked
@@ -21,7 +31,7 @@ func referenceSearch(e *Engine, q Query) []Result {
 		if value == "" {
 			return nil
 		}
-		return e.Similar.Similar(f, value)
+		return similarValues(e.Similar.Similar(f, value))
 	}
 	firstVals := lookupName(index.FieldFirstName, q.FirstName)
 	surVals := lookupName(index.FieldSurname, q.Surname)

@@ -255,19 +255,18 @@ func (e *Engine) compute(ctx context.Context, q Query, ckey string, start time.T
 	// indexed values through the similarity-aware index S.
 	_, bsp := obs.StartSpan(ctx, "blocking")
 	memoHits := int64(0)
-	lookupName := func(f index.Field, value string) []index.SimilarValue {
-		if value == "" {
-			return nil
+	lookupName := func(f index.Field, value string) (l index.SimilarList) {
+		if value != "" {
+			if l = e.Similar.Similar(f, value); !l.Computed {
+				memoHits++
+			}
 		}
-		if e.Similar.Memoised(f, value) {
-			memoHits++
-		}
-		return e.Similar.Similar(f, value)
+		return l
 	}
 	firstVals := lookupName(index.FieldFirstName, q.FirstName)
 	surVals := lookupName(index.FieldSurname, q.Surname)
-	bsp.SetAttr("similar_first_names", int64(len(firstVals)))
-	bsp.SetAttr("similar_surnames", int64(len(surVals)))
+	bsp.SetAttr("similar_first_names", int64(firstVals.Len()))
+	bsp.SetAttr("similar_surnames", int64(surVals.Len()))
 	bsp.SetAttr("memo_hits", memoHits)
 	bsp.End()
 
@@ -449,11 +448,9 @@ func siftDown(h []rankEntry, i int) {
 // accumulate adds entities matching any of the precomputed similar name
 // values, weighting the contribution by string similarity. An entity
 // matching several similar values keeps the best contribution.
-func (e *Engine) accumulate(st *searchState, f index.Field, value string, similar []index.SimilarValue, weight float64) {
-	if value == "" {
-		return
-	}
-	for _, sv := range similar {
+func (e *Engine) accumulate(st *searchState, f index.Field, value string, similar index.SimilarList, weight float64) {
+	for i := 0; i < similar.Len(); i++ {
+		sv := similar.At(i)
 		exact := sv.Value == value
 		contribution := weight * sv.Sim
 		// Iterate the compressed postings in place: decoding to a slice
@@ -486,15 +483,13 @@ func (e *Engine) accumulate(st *searchState, f index.Field, value string, simila
 // bestLocation returns the best similarity between the query location and
 // the entity's locations; similar is the query location's similarity list,
 // looked up once per query.
-func (e *Engine) bestLocation(id pedigree.NodeID, loc string, similar []index.SimilarValue) (sim float64, exact, ok bool) {
+func (e *Engine) bestLocation(id pedigree.NodeID, loc string, similar index.SimilarList) (sim float64, exact, ok bool) {
 	n := e.Graph.Node(id)
 	best := 0.0
 	for _, l := range n.Locations {
-		for _, sv := range similar {
-			if sv.Value == l && sv.Sim > best {
-				best = sv.Sim
-				exact = l == loc
-			}
+		if s, listed := similar.Sim(l); listed && s > best {
+			best = s
+			exact = l == loc
 		}
 	}
 	return best, exact, best > 0
@@ -547,7 +542,9 @@ func (e *Engine) Explain(q Query, id pedigree.NodeID) Explanation {
 			return
 		}
 		best, bestVal := 0.0, ""
-		for _, sv := range e.Similar.Similar(f, qv) {
+		similar := e.Similar.Similar(f, qv)
+		for i := 0; i < similar.Len(); i++ {
+			sv := similar.At(i)
 			for _, v := range values {
 				if sv.Value == v && sv.Sim > best {
 					best, bestVal = sv.Sim, v

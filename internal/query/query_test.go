@@ -11,6 +11,10 @@ import (
 	"github.com/snaps/snaps/internal/pedigree"
 )
 
+// raceEnabled is set by raceon_test.go under -race, where allocation counts
+// mean nothing.
+var raceEnabled bool
+
 func builtEngine(t *testing.T) *Engine {
 	t.Helper()
 	p := dataset.Generate(dataset.IOS().Scaled(0.06))

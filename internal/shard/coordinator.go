@@ -36,6 +36,8 @@ var (
 		"Index updates satisfied by patching the previous generation's indexes.")
 	mFullRebuild = obs.Default.Counter("snaps_index_full_rebuild_total",
 		"Index updates that fell back to a full rebuild.")
+	mSimilarityBytes = obs.Default.Gauge("snaps_index_similarity_bytes",
+		"Bytes of the similarity index S over the published generation's shards: block arrays plus encoded bigram postings.")
 
 	mShardSearchSeconds = obs.Default.HistogramVec("snaps_shard_search_seconds",
 		"Per-shard search duration under the scatter-gather coordinator.",
@@ -166,8 +168,18 @@ func Partition(g *pedigree.Graph, o Options) *Coordinator {
 		k, sim := index.BuildSubset(g, c.keep(s), c.simThreshold)
 		c.shards[s] = c.newShard(s, k, sim, 0, cache, metricsFor(s))
 	}
-	mShardCount.Set(int64(n))
+	c.setGauges()
 	return c
+}
+
+// setGauges publishes the sizes of the coordinator about to be served.
+func (c *Coordinator) setGauges() {
+	mShardCount.Set(int64(len(c.shards)))
+	var simBytes int64
+	for _, sh := range c.shards {
+		simBytes += sh.Similar.Bytes()
+	}
+	mSimilarityBytes.Set(simBytes)
 }
 
 // perShardCache splits a total cache budget across n shards, rounding up
@@ -313,7 +325,7 @@ func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordin
 		st.Touched++
 		mFlushTouched.Inc()
 	}
-	mShardCount.Set(int64(n))
+	nc.setGauges()
 	return nc, st
 }
 
