@@ -104,18 +104,11 @@ func main() {
 		queryStale = flag.Bool("query-stale", true, "serve the previous generation's cached ranking while a background refresh recomputes it after a snapshot swap (stale-while-revalidate)")
 		shards     = flag.Int("shards", 1, "partition the serving tier into this many shards searched scatter-gather; an ingest flush re-indexes only touched shards (1 = one shard answering directly; results are byte-identical for any value)")
 
-		admitConcurrency    = flag.Int("admit-concurrency", 64, "weighted in-flight request budget: pedigree renders admit up to 50%% of it, ingest 75%%, searches 100%% — the load-shed ladder (0 disables admission control)")
-		admitSearchRate     = flag.Float64("admit-search-rate", 0, "token-bucket rate limit for search requests, requests/second (0 = unlimited)")
-		admitPedigreeRate   = flag.Float64("admit-pedigree-rate", 0, "token-bucket rate limit for pedigree renders, requests/second (0 = unlimited)")
-		admitIngestRate     = flag.Float64("admit-ingest-rate", 0, "token-bucket rate limit for ingest submissions, requests/second (0 = unlimited)")
+		admitConcurrency    = flag.Int("admit-concurrency", 64, "weighted in-flight request budget: pedigree renders admit up to 50%% of it, ingest 75%%, searches 100%% — the load-shed ladder (0 = no concurrency limit; the backlog bounds still apply)")
 		admitBacklogRecords = flag.Int("admit-max-backlog-records", 4096, "shed ingest with 429 + Retry-After once this many certificates await a flush (0 = unbounded)")
 		admitBacklogBytes   = flag.Int64("admit-max-backlog-bytes", 8<<20, "shed ingest with 429 + Retry-After once the unflushed backlog reaches this many encoded bytes (0 = unbounded)")
 
 		pprofFlag = flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/ (metrics at /metrics are always on)")
-
-		flightRecord   = flag.String("flight-record", "", "record sampled requests to this flight-recorder query log (replay with snapsload -replay)")
-		flightSample   = flag.Int("flight-sample", 1, "record 1 in N requests into the flight log (1 = every request)")
-		flightMaxBytes = flag.Int64("flight-max-bytes", 64<<20, "flight log size cap in bytes; further records are dropped and counted (0 = unbounded)")
 
 		sloLatency       = flag.Duration("slo-latency", 250*time.Millisecond, "latency SLO: a success slower than this burns latency budget on /healthz")
 		sloErrorBudget   = flag.Float64("slo-error-budget", 0.01, "tolerated 5xx fraction for /healthz burn rates")
@@ -282,14 +275,11 @@ func main() {
 			}
 		}
 		// Admission control: weighted concurrency limits with the
-		// pedigree-before-search shed ladder, optional per-class rate
-		// limits, and ingest backpressure reading the pipeline's backlog
-		// (-admit-concurrency 0 disables it).
+		// pedigree-before-search shed ladder, and ingest backpressure
+		// reading the pipeline's backlog; each bound's 0 turns off only
+		// that bound.
 		acfg := admission.DefaultConfig()
 		acfg.MaxConcurrency = *admitConcurrency
-		acfg.Limits[admission.Search].Rate = *admitSearchRate
-		acfg.Limits[admission.Pedigree].Rate = *admitPedigreeRate
-		acfg.Limits[admission.Ingest].Rate = *admitIngestRate
 		acfg.MaxBacklogRecords = *admitBacklogRecords
 		acfg.MaxBacklogBytes = *admitBacklogBytes
 		srv, err := server.NewStack(sv, journal, backlog, icfg, acfg)
@@ -314,19 +304,8 @@ func main() {
 			slog.Info("trace debug enabled", "path", "/api/debug/traces")
 		}
 
-		// Flight recorder: a sampled, bounded on-disk query log replayable
-		// with snapsload -replay. SLO tracker: /healthz reports 1m/5m
-		// latency- and error-budget burn rates over every response.
-		if *flightRecord != "" {
-			fr, err := obs.NewFlightRecorder(*flightRecord, *flightSample, *flightMaxBytes)
-			if err != nil {
-				fatal(err)
-			}
-			defer fr.Close()
-			srv.EnableFlightRecorder(fr)
-			slog.Info("flight recorder armed", "path", *flightRecord,
-				"sample", *flightSample, "max_bytes", *flightMaxBytes)
-		}
+		// SLO tracker: /healthz reports 1m/5m latency- and error-budget
+		// burn rates over every response.
 		srv.EnableSLO(obs.NewSLOTracker(*sloLatency, *sloErrorBudget, *sloLatencyBudget))
 
 		slog.Info("serving", "addr", *serve, "shards", *shards,

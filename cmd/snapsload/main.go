@@ -7,12 +7,8 @@
 // index -> serve with ingestion and admission control) and drives the
 // handler directly, so the report measures server work without
 // network noise. Pass -url to aim the same mixes at a live server instead.
-//
-// It is also the replay half of the flight recorder: -record writes a query
-// log (server middleware, in-process target only) during the run, and
-// -replay re-issues a recorded log — paced to the recorded arrivals or
-// closed-loop at fixed concurrency — and diffs the latency distributions
-// against the recorded ones.
+// It exits 1 when any route reports an error (a transport failure or a
+// status other than 2xx and 429); a 429 is a shed, not an error.
 //
 // Usage:
 //
@@ -20,8 +16,6 @@
 //	snapsload -rate 800 -duration 10s      # heavier pass
 //	snapsload -mixes ingest-burst          # one mix only
 //	snapsload -url http://localhost:8080   # against a live server
-//	snapsload -record q.log                # record a query log while running
-//	snapsload -replay q.log -closed-loop   # replay it, diff distributions
 package main
 
 import (
@@ -58,15 +52,7 @@ type Report struct {
 	Target       string            `json:"target"` // "in-process" or the URL
 	Admission    *AdmissionConfig  `json:"admission,omitempty"`
 	Mixes        []*load.MixReport `json:"mixes,omitempty"`
-	Replay       *ReplayResult     `json:"replay,omitempty"`
 	ShedCounters map[string]int64  `json:"shed_counters,omitempty"`
-}
-
-// ReplayResult is the report section of one -replay run.
-type ReplayResult struct {
-	Log        string                 `json:"log"`
-	Report     *load.ReplayReport     `json:"report"`
-	Comparison *load.ReplayComparison `json:"comparison"`
 }
 
 // AdmissionConfig records the admission knobs the run was measured under.
@@ -93,19 +79,11 @@ func main() {
 		out      = flag.String("out", "-", "report output path; - for stdout")
 		maxOut   = flag.Int("max-outstanding", 4096, "cap on concurrent in-flight requests")
 
-		admitConcurrency    = flag.Int("admit-concurrency", 64, "in-process target: weighted concurrency budget (0 disables admission)")
+		admitConcurrency    = flag.Int("admit-concurrency", 64, "in-process target: weighted concurrency budget (0 = no concurrency limit; the backlog bounds still apply)")
 		admitBacklogRecords = flag.Int("admit-max-backlog-records", 4096, "in-process target: shed ingest once this many records are unflushed")
 		admitBacklogBytes   = flag.Int64("admit-max-backlog-bytes", 8<<20, "in-process target: shed ingest once this many bytes are unflushed")
 		ingestBatch         = flag.Int("ingest-batch", 256, "in-process target: ingest flush batch size")
 		shards              = flag.Int("shards", 1, "in-process target: partition the serving tier into this many scatter-gather shards (1 = one shard answering directly)")
-
-		record         = flag.String("record", "", "in-process target: write a flight-recorder query log to this path during the run")
-		recordSample   = flag.Int("record-sample", 1, "record 1 in N requests (1 = every request)")
-		recordMaxBytes = flag.Int64("record-max-bytes", 64<<20, "flight log size cap in bytes (0 = unbounded)")
-		replay         = flag.String("replay", "", "replay this recorded flight log instead of the synthetic mixes")
-		replaySpeed    = flag.Float64("replay-speed", 1, "paced replay time scale (2 = twice the recorded rate)")
-		closedLoop     = flag.Bool("closed-loop", false, "replay at fixed concurrency instead of the recorded pacing")
-		concurrency    = flag.Int("concurrency", 8, "closed-loop replay worker count")
 	)
 	flag.Parse()
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
@@ -136,9 +114,6 @@ func main() {
 		graph  *pedigree.Graph
 	)
 	if *urlFlag != "" {
-		if *record != "" {
-			fatal(fmt.Errorf("-record needs the in-process target: the flight recorder is server middleware, it cannot observe a remote server"))
-		}
 		rep.Target = *urlFlag
 		rep.Dataset, rep.Scale = "remote", 0
 		// The workload still needs name pools: mine them from a locally
@@ -153,63 +128,34 @@ func main() {
 		d, st := resolve(*dsName, *scale)
 		srv, graph = buildServer(d, st, *ingestBatch, *shards,
 			*admitConcurrency, *admitBacklogRecords, *admitBacklogBytes)
-		if *admitConcurrency > 0 {
-			rep.Admission = &AdmissionConfig{
-				MaxConcurrency:    *admitConcurrency,
-				MaxBacklogRecords: *admitBacklogRecords,
-				MaxBacklogBytes:   *admitBacklogBytes,
-			}
-		}
-		if *record != "" {
-			fr, err := obs.NewFlightRecorder(*record, *recordSample, *recordMaxBytes)
-			if err != nil {
-				fatal(err)
-			}
-			defer fr.Close()
-			srv.EnableFlightRecorder(fr)
-			slog.Info("flight recorder armed", "path", *record, "sample", *recordSample)
+		rep.Admission = &AdmissionConfig{
+			MaxConcurrency:    *admitConcurrency,
+			MaxBacklogRecords: *admitBacklogRecords,
+			MaxBacklogBytes:   *admitBacklogBytes,
 		}
 		target = &load.HandlerTarget{Handler: srv}
 	}
 	rep.Entities = len(graph.Nodes)
 
-	if *replay != "" {
-		recs, err := obs.ReadFlightLog(*replay)
-		if err != nil {
-			fatal(err)
-		}
-		ops, skipped := load.OpsFromFlightLog(recs)
-		slog.Info("replaying flight log", "path", *replay, "records", len(recs),
-			"skipped", skipped, "closed_loop", *closedLoop)
-		rr, err := load.Replay(target, ops, load.ReplayConfig{
-			Speed: *replaySpeed, ClosedLoop: *closedLoop,
-			Concurrency: *concurrency, MaxOutstanding: *maxOut,
+	w, err := load.BuildWorkload(graph)
+	if err != nil {
+		fatal(err)
+	}
+	slog.Info("workload ready", "hot", len(w.Hot), "cold", len(w.Cold), "entities", w.Entities)
+
+	var failed int64
+	for _, m := range mixes {
+		slog.Info("running mix", "mix", m.Name, "rate", *rate, "duration", *duration)
+		mr, err := load.Run(target, w, m, load.Config{
+			Rate: *rate, Duration: *duration, MaxOutstanding: *maxOut, Seed: *seed,
 		})
 		if err != nil {
 			fatal(err)
 		}
-		rr.Records, rr.Skipped = len(recs), skipped
-		rep.Replay = &ReplayResult{
-			Log: *replay, Report: rr, Comparison: load.CompareToLog(recs, rr),
-		}
-		printReplay(rep.Replay)
-	} else {
-		w, err := load.BuildWorkload(graph)
-		if err != nil {
-			fatal(err)
-		}
-		slog.Info("workload ready", "hot", len(w.Hot), "cold", len(w.Cold), "entities", w.Entities)
-
-		for _, m := range mixes {
-			slog.Info("running mix", "mix", m.Name, "rate", *rate, "duration", *duration)
-			mr, err := load.Run(target, w, m, load.Config{
-				Rate: *rate, Duration: *duration, MaxOutstanding: *maxOut, Seed: *seed,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			rep.Mixes = append(rep.Mixes, mr)
-			printMix(mr)
+		rep.Mixes = append(rep.Mixes, mr)
+		printMix(mr)
+		for _, rt := range mr.Routes {
+			failed += rt.Errors
 		}
 	}
 	rep.ShedCounters = shedCounters()
@@ -221,12 +167,14 @@ func main() {
 	enc = append(enc, '\n')
 	if *out == "-" {
 		os.Stdout.Write(enc)
-		return
-	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
+	} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
 		fatal(err)
+	} else {
+		slog.Info("report written", "path", *out)
 	}
-	slog.Info("report written", "path", *out)
+	if failed > 0 {
+		fatal(fmt.Errorf("%d requests failed (transport error or a status other than 2xx and 429)", failed))
+	}
 }
 
 // target is load.Target; aliased locally to keep main readable.
@@ -271,7 +219,7 @@ func buildServer(d *model.Dataset, st *er.EntityStore, batch, shards, concurrenc
 func shedCounters() map[string]int64 {
 	out := map[string]int64{}
 	for _, cl := range []admission.Class{admission.Search, admission.Ingest, admission.Pedigree} {
-		for _, reason := range []string{"concurrency", "rate", "backlog", "shard_backlog"} {
+		for _, reason := range []string{"concurrency", "backlog", "shard_backlog"} {
 			name := "snaps_admission_shed_total{" +
 				obs.Label("class", cl.String()) + "," + obs.Label("reason", reason) + "}"
 			if v := obs.Default.Counter(name, "").Value(); v > 0 {
@@ -283,24 +231,6 @@ func shedCounters() map[string]int64 {
 		return nil
 	}
 	return out
-}
-
-func printReplay(rr *ReplayResult) {
-	r := rr.Report
-	mode := "paced"
-	if r.ClosedLoop {
-		mode = "closed-loop"
-	}
-	fmt.Printf("\nreplay %s (%s): %d records, %d skipped, %d replayed, %d dropped in %.1fs\n",
-		rr.Log, mode, r.Records, r.Skipped, r.Replayed, r.Dropped, r.DurationSec)
-	fmt.Printf("  %-16s %8s %8s %9s %9s %10s %10s\n",
-		"route", "recorded", "replayed", "p50ms", "p99ms", "Δp50ms", "Δp99ms")
-	for _, name := range rr.Comparison.RouteNames() {
-		c := rr.Comparison.Routes[name]
-		fmt.Printf("  %-16s %8d %8d %9.3f %9.3f %+10.3f %+10.3f\n",
-			name, c.Recorded.Count, c.Replayed.Count,
-			c.Replayed.P50Ms, c.Replayed.P99Ms, c.P50DeltaMs, c.P99DeltaMs)
-	}
 }
 
 func printMix(r *load.MixReport) {

@@ -1,7 +1,6 @@
 // Package admission implements server-side load protection for the SNAPS
-// serving tier: per-class weighted concurrency limits, token-bucket rate
-// limiting, and ingest backpressure, combined into one admission decision
-// per request.
+// serving tier: per-class weighted concurrency limits and ingest
+// backpressure, combined into one admission decision per request.
 //
 // Requests are grouped into classes (search, pedigree render, ingest;
 // /metrics and /healthz are exempt) and every class pays a weighted share
@@ -28,7 +27,7 @@ import (
 )
 
 // Class buckets routes by cost and priority. The zero value is Exempt:
-// never rate-limited, never counted against the in-flight budget.
+// never shed, never counted against the in-flight budget.
 type Class uint8
 
 const (
@@ -73,19 +72,12 @@ type ClassLimits struct {
 	// Fraction*MaxConcurrency. Lower fractions shed earlier — this
 	// ordering is the degradation ladder.
 	Fraction float64
-	// Rate is the token-bucket refill rate in requests/second; 0 means
-	// no rate limit for the class.
-	Rate float64
-	// Burst is the bucket depth; defaults to max(1, 2*Rate) when a rate
-	// is set.
-	Burst float64
 }
 
 // Config tunes the admission controller.
 type Config struct {
 	// MaxConcurrency is the global weighted in-flight budget. <= 0
-	// disables concurrency limiting (rate limits and backpressure still
-	// apply).
+	// disables concurrency limiting (backpressure still applies).
 	MaxConcurrency int
 	// Limits holds the per-class knobs, indexed by Class.
 	Limits [NumClasses]ClassLimits
@@ -131,8 +123,8 @@ func PerShardBound[T int | int64](global, shards T) T {
 }
 
 // DefaultConfig returns the production defaults: a 64-unit budget with the
-// pedigree-before-ingest-before-search degradation ladder, no per-class
-// rate limits, and a 4096-record / 8 MiB ingest backlog bound.
+// pedigree-before-ingest-before-search degradation ladder and a 4096-record
+// / 8 MiB ingest backlog bound.
 func DefaultConfig() Config {
 	cfg := Config{
 		MaxConcurrency:    64,
@@ -150,7 +142,7 @@ func DefaultConfig() Config {
 // Decision is the outcome of one admission check.
 type Decision struct {
 	Admitted bool
-	// Reason a request was shed: "concurrency", "rate", "backlog", or
+	// Reason a request was shed: "concurrency", "backlog", or
 	// "shard_backlog".
 	Reason string
 	// RetryAfter is the suggested client back-off; the HTTP layer rounds
@@ -163,10 +155,7 @@ type Decision struct {
 type Controller struct {
 	cfg      Config
 	ceil     [NumClasses]int64 // weighted ceiling per class; 0 = unlimited
-	buckets  [NumClasses]*bucket
-	inflight atomic.Int64 // weighted units currently being served
-
-	now func() time.Time // injectable for deterministic tests
+	inflight atomic.Int64      // weighted units currently being served
 }
 
 // Admission metrics in the default registry, exposed at GET /metrics.
@@ -187,23 +176,15 @@ func shedCounter(c Class, reason string) *obs.Counter {
 		"Requests shed (429), by class and reason.")
 }
 
-// mShedRetryAfter records the Retry-After hints attached to shed decisions,
-// so a replayed log can be checked against the back-off the live run
-// actually advertised.
-var mShedRetryAfter = obs.Default.HistogramVec("snaps_admission_retry_after_seconds",
-	"Retry-After hints attached to shed (429) decisions, by class.",
-	obs.LatencyBuckets, "class")
-
 // shed counts one rejection and returns its Decision.
 func shedDecision(cl Class, reason string, retryAfter time.Duration) Decision {
 	shedCounter(cl, reason).Inc()
-	mShedRetryAfter.With(cl.String()).Observe(retryAfter.Seconds())
 	return Decision{Reason: reason, RetryAfter: retryAfter}
 }
 
 // New returns a controller for the config.
 func New(cfg Config) *Controller {
-	c := &Controller{cfg: cfg, now: time.Now}
+	c := &Controller{cfg: cfg}
 	if c.cfg.RetryAfter <= 0 {
 		c.cfg.RetryAfter = time.Second
 	}
@@ -219,16 +200,6 @@ func New(cfg Config) *Controller {
 			}
 			c.ceil[cl] = ceil
 		}
-		if lim.Rate > 0 {
-			burst := lim.Burst
-			if burst <= 0 {
-				burst = 2 * lim.Rate
-			}
-			if burst < 1 {
-				burst = 1
-			}
-			c.buckets[cl] = &bucket{rate: lim.Rate, burst: burst}
-		}
 	}
 	return c
 }
@@ -241,7 +212,7 @@ var noRelease = func() {}
 //
 // Checks run cheapest-and-most-actionable first: ingest backlog (the
 // memory-protection signal, with a flush-horizon Retry-After), then the
-// class token bucket, then the weighted concurrency ceiling.
+// weighted concurrency ceiling.
 func (c *Controller) Admit(cl Class) (release func(), d Decision) {
 	if cl == Exempt || cl >= NumClasses {
 		return noRelease, Decision{Admitted: true}
@@ -254,14 +225,6 @@ func (c *Controller) Admit(cl Class) (release func(), d Decision) {
 	if cl == Ingest && c.cfg.ShardBacklog != nil {
 		if over, _, _, _ := c.ShardBacklogExceeded(); over {
 			return noRelease, shedDecision(cl, "shard_backlog", c.cfg.BacklogRetryAfter)
-		}
-	}
-	if b := c.buckets[cl]; b != nil {
-		if ok, wait := b.take(c.now()); !ok {
-			if wait < c.cfg.RetryAfter {
-				wait = c.cfg.RetryAfter
-			}
-			return noRelease, shedDecision(cl, "rate", wait)
 		}
 	}
 	w := int64(c.cfg.Limits[cl].Weight)
@@ -353,35 +316,4 @@ func (c *Controller) Overloaded() bool {
 	}
 	over, _, _, _ := c.ShardBacklogExceeded()
 	return over
-}
-
-// bucket is a token bucket: refilled continuously at rate tokens/second up
-// to burst, one token per admitted request.
-type bucket struct {
-	mu     sync.Mutex
-	rate   float64
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-// take consumes one token, reporting how long until one would be available
-// when it cannot.
-func (b *bucket) take(now time.Time) (ok bool, wait time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.last.IsZero() {
-		b.tokens = b.burst
-	} else if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens += dt * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
-	if b.tokens >= 1 {
-		b.tokens--
-		return true, 0
-	}
-	return false, time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
 }

@@ -111,38 +111,6 @@ func TestReleaseIdempotent(t *testing.T) {
 	}
 }
 
-func TestTokenBucketRateLimit(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Limits[Search].Rate = 10 // 10 rps
-	cfg.Limits[Search].Burst = 2
-	c := New(cfg)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-
-	// The burst admits two back-to-back requests; the third is shed with
-	// a wait hint.
-	for i := 0; i < 2; i++ {
-		rel, d := c.Admit(Search)
-		if !d.Admitted {
-			t.Fatalf("burst request %d shed: %+v", i, d)
-		}
-		rel()
-	}
-	if _, d := c.Admit(Search); d.Admitted {
-		t.Fatal("request over the bucket admitted")
-	} else if d.Reason != "rate" || d.RetryAfter <= 0 {
-		t.Fatalf("rate shed = %+v", d)
-	}
-
-	// 100ms refills one token at 10 rps.
-	now = now.Add(100 * time.Millisecond)
-	rel, d := c.Admit(Search)
-	if !d.Admitted {
-		t.Fatalf("request after refill shed: %+v", d)
-	}
-	rel()
-}
-
 func TestIngestBacklogBackpressure(t *testing.T) {
 	var mu sync.Mutex
 	records, bytes := 0, int64(0)

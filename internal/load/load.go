@@ -139,10 +139,8 @@ func newRouteStats() *RouteStats {
 }
 
 // record classifies one completed request into the stats. Safe for
-// concurrent use (counters are atomic, the histogram is lock-free). A
-// negative latency (a hostile flight log) counts as zero.
+// concurrent use (counters are atomic, the histogram is lock-free).
 func (st *RouteStats) record(status int, err error, lat time.Duration) {
-	lat = max(lat, 0)
 	st.Hist.ObserveDuration(lat)
 	for {
 		cur := st.maxNs.Load()
@@ -163,14 +161,15 @@ func (st *RouteStats) record(status int, err error, lat time.Duration) {
 	}
 }
 
-// report summarises the stats into the JSON-ready shape.
+// report summarises the stats into the JSON-ready shape. Quantiles are
+// clamped to the exact maximum: interpolating inside the top bucket can
+// otherwise place them above every observed latency.
 func (st *RouteStats) report() RouteReport {
+	maxMs := float64(st.maxNs.Load()) / 1e6
+	q := func(p float64) float64 { return min(1e3*st.Hist.Quantile(p), maxMs) }
 	rep := RouteReport{
 		Count: st.Count, OK: st.OK, Shed: st.Shed, Errors: st.Errors,
-		P50Ms: 1e3 * st.Hist.Quantile(0.50),
-		P95Ms: 1e3 * st.Hist.Quantile(0.95),
-		P99Ms: 1e3 * st.Hist.Quantile(0.99),
-		MaxMs: float64(st.maxNs.Load()) / 1e6,
+		P50Ms: q(0.50), P95Ms: q(0.95), P99Ms: q(0.99), MaxMs: maxMs,
 	}
 	if n := st.Hist.Count(); n > 0 {
 		rep.MeanMs = 1e3 * st.Hist.Sum() / float64(n)
@@ -222,7 +221,7 @@ func Run(target Target, w *Workload, m Mix, cfg Config) (*MixReport, error) {
 		stats[k.Route()] = newRouteStats()
 	}
 	start := time.Now()
-	dropped := pace(target, ops, 1, cfg.MaxOutstanding, stats)
+	dropped := pace(target, ops, cfg.MaxOutstanding, stats)
 	elapsed := time.Since(start)
 
 	rep := &MixReport{
@@ -246,14 +245,14 @@ func Run(target Target, w *Workload, m Mix, cfg Config) (*MixReport, error) {
 }
 
 // pace issues the ops on their open-loop schedule and waits for the last
-// response: op i is due at start + (DueUs[i]-DueUs[0])/speed, independent of
-// how many earlier requests have completed — lateness in the server widens
-// the outstanding window instead of stretching the schedule. At most maxOut
+// response: op i is due at start + DueUs[i]-DueUs[0], independent of how
+// many earlier requests have completed — lateness in the server widens the
+// outstanding window instead of stretching the schedule. At most maxOut
 // (0 means 4096) requests are in flight; an arrival past that is counted as
 // dropped, not launched: the server is then so far behind that more requests
 // would measure the generator, and generator memory stays bounded when the
 // server stalls entirely.
-func pace(target Target, ops []Op, speed float64, maxOut int, stats map[string]*RouteStats) (dropped int64) {
+func pace(target Target, ops []Op, maxOut int, stats map[string]*RouteStats) (dropped int64) {
 	if maxOut <= 0 {
 		maxOut = 4096
 	}
@@ -261,7 +260,7 @@ func pace(target Target, ops []Op, speed float64, maxOut int, stats map[string]*
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := range ops {
-		due := start.Add(time.Duration(float64(ops[i].DueUs-ops[0].DueUs)/speed) * time.Microsecond)
+		due := start.Add(time.Duration(ops[i].DueUs-ops[0].DueUs) * time.Microsecond)
 		if d := time.Until(due); d > 0 {
 			time.Sleep(d)
 		}
@@ -275,7 +274,9 @@ func pace(target Target, ops []Op, speed float64, maxOut int, stats map[string]*
 		go func(op *Op) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			replayOne(target, op, stats)
+			t0 := time.Now()
+			status, err := target.Do(*op)
+			stats[op.Kind.Route()].record(status, err, time.Since(t0))
 		}(&ops[i])
 	}
 	wg.Wait()
@@ -283,11 +284,9 @@ func pace(target Target, ops []Op, speed float64, maxOut int, stats map[string]*
 }
 
 // RouteNames returns the routes of a report in stable order for printing.
-func (r *MixReport) RouteNames() []string { return sortedKeys(r.Routes) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
+func (r *MixReport) RouteNames() []string {
+	names := make([]string, 0, len(r.Routes))
+	for name := range r.Routes {
 		names = append(names, name)
 	}
 	sort.Strings(names)

@@ -68,22 +68,9 @@ type Op struct {
 	Surname string
 	Entity  int
 	Body    []byte
-	// Route, when non-empty, overrides Kind.Route() as the reporting label.
-	// Replayed flight-log ops keep their recorded mux pattern here so a
-	// replay report's per-route counts line up with the recorded log.
-	Route string
-	// DueUs is the op's arrival offset in µs: the recorded offset since
-	// the first record for a replayed op, i/rate for a synthetic one. The
-	// paced loop reproduces it.
+	// DueUs is the op's arrival offset in µs, i/rate for op i. The paced
+	// loop reproduces it.
 	DueUs int64
-}
-
-// routeLabel is the label the op's outcomes are reported under.
-func (op *Op) routeLabel() string {
-	if op.Route != "" {
-		return op.Route
-	}
-	return op.Kind.Route()
 }
 
 // BuildWorkload mines the graph for the hot and cold name pools.

@@ -20,10 +20,10 @@ import (
 //     so a label-cardinality bug degrades into one counter instead of an
 //     unbounded registry.
 
-// DefMaxSeries is the default per-vec series cap. Routes (~15) × status
-// classes (4) and shard counts (< 100) sit far below it; anything
-// approaching it is a cardinality leak, not a workload.
-const DefMaxSeries = 256
+// seriesCap is the per-vec series cap. Routes (~15) × status classes (4)
+// and shard counts (< 100) sit far below it; anything approaching it is a
+// cardinality leak, not a workload.
+const seriesCap = 256
 
 // mDroppedLabels counts label sets refused by a vec's series cap.
 var mDroppedLabels = Default.Counter("snaps_obs_dropped_labels_total",
@@ -92,8 +92,7 @@ type HistogramVec struct {
 
 // HistogramVec returns the labeled histogram family registered under
 // family, creating it on first use. labelNames fixes the label schema;
-// With hands out the per-value series. The series count is capped at
-// DefMaxSeries (tune with MaxSeries before first use).
+// With hands out the per-value series, at most seriesCap of them.
 func (r *Registry) HistogramVec(family, help string, buckets []float64, labelNames ...string) *HistogramVec {
 	if len(labelNames) == 0 {
 		panic("obs: HistogramVec needs at least one label name")
@@ -104,18 +103,10 @@ func (r *Registry) HistogramVec(family, help string, buckets []float64, labelNam
 	return &HistogramVec{
 		vec: vec{reg: r, family: family, help: help,
 			names: append([]string(nil), labelNames...),
-			max:   DefMaxSeries, series: map[string]any{}},
+			max:   seriesCap, series: map[string]any{}},
 		buckets:  buckets,
 		overflow: NewHistogram(buckets),
 	}
-}
-
-// MaxSeries overrides the series cap; call before the first With.
-func (v *HistogramVec) MaxSeries(n int) *HistogramVec {
-	if n > 0 {
-		v.max = n
-	}
-	return v
 }
 
 // With returns the histogram for the label values (in labelNames order),
@@ -150,17 +141,9 @@ func (r *Registry) CounterVec(family, help string, labelNames ...string) *Counte
 	return &CounterVec{
 		vec: vec{reg: r, family: family, help: help,
 			names: append([]string(nil), labelNames...),
-			max:   DefMaxSeries, series: map[string]any{}},
+			max:   seriesCap, series: map[string]any{}},
 		overflow: &Counter{},
 	}
-}
-
-// MaxSeries overrides the series cap; call before the first With.
-func (v *CounterVec) MaxSeries(n int) *CounterVec {
-	if n > 0 {
-		v.max = n
-	}
-	return v
 }
 
 // With returns the counter for the label values, creating and registering

@@ -114,7 +114,8 @@ func TestHistogramVec(t *testing.T) {
 
 func TestVecSeriesCap(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("capped_total", "help", "k").MaxSeries(2)
+	v := r.CounterVec("capped_total", "help", "k")
+	v.max = 2
 	before := mDroppedLabels.Value()
 
 	v.With("a").Inc()
@@ -146,7 +147,8 @@ func TestVecSeriesCap(t *testing.T) {
 
 func TestHistogramVecCapSharesOverflow(t *testing.T) {
 	r := NewRegistry()
-	v := r.HistogramVec("h_seconds", "help", DefBuckets, "k").MaxSeries(1)
+	v := r.HistogramVec("h_seconds", "help", DefBuckets, "k")
+	v.max = 1
 	v.With("a").Observe(0.1)
 	o1, o2 := v.With("b"), v.With("c")
 	if o1 != o2 {

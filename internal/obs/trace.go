@@ -79,39 +79,6 @@ func TraceIDFromContext(ctx context.Context) string {
 	return ""
 }
 
-// FinishedSpanAttr scans the context's in-flight trace for the most
-// recently finished span with the given name and returns its value for the
-// attribute key. Middleware uses it after the handler has returned — child
-// spans have ended and sit in the trace's done list — to lift handler-level
-// facts (cache outcome, shard ids) into request-level telemetry without
-// plumbing new return values through every layer. Returns (nil, false) on
-// an untraced context or when no finished span carries the attribute.
-func FinishedSpanAttr(ctx context.Context, name, key string) (any, bool) {
-	s := spanFromContext(ctx)
-	if s == nil {
-		return nil, false
-	}
-	tr := s.tr
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	for i := len(tr.done) - 1; i >= 0; i-- {
-		d := tr.done[i]
-		if d.name != name {
-			continue
-		}
-		d.mu.Lock()
-		for j := len(d.attrs) - 1; j >= 0; j-- {
-			if d.attrs[j].Key == key {
-				v := d.attrs[j].Value
-				d.mu.Unlock()
-				return v, true
-			}
-		}
-		d.mu.Unlock()
-	}
-	return nil, false
-}
-
 // StartSpan begins a child span of the context's current span. When the
 // context carries no trace it returns the context unchanged and a nil span
 // whose methods are no-ops, so callers never branch on tracing being

@@ -11,8 +11,8 @@ import (
 
 // EnableAdmission fronts every request with the admission controller:
 // requests are classified by their mux route pattern, charged against the
-// weighted in-flight budget, rate-limited, and — for ingest — checked
-// against the journal backlog, before any handler runs. Shed requests get
+// weighted in-flight budget and — for ingest — checked against the journal
+// backlog, before any handler runs. Shed requests get
 // 429 with a Retry-After hint; /metrics, /healthz, and the status/debug
 // endpoints are exempt so the server stays observable exactly when it is
 // shedding.

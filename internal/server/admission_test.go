@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -199,6 +202,109 @@ func TestIngestBacklogBackpressureHTTP(t *testing.T) {
 	}
 	if w := post(); w.Code != http.StatusAccepted {
 		t.Fatalf("submit after flush: status %d: %s", w.Code, w.Body.String())
+	}
+}
+
+// TestNewStackBacklogBoundWithoutConcurrencyLimit pins one meaning per
+// admission bound: MaxConcurrency 0 lifts the concurrency limit alone, and
+// the ingest backlog bound still sheds, with the flush horizon as
+// Retry-After.
+func TestNewStackBacklogBoundWithoutConcurrencyLimit(t *testing.T) {
+	icfg := ingest.DefaultConfig()
+	icfg.BatchSize = 1 << 20 // no flush during the test
+	icfg.MaxAge = time.Hour
+	acfg := admission.DefaultConfig()
+	acfg.MaxConcurrency = 0
+	acfg.MaxBacklogRecords = 1
+	srv, err := NewStack(familyServing(1, icfg), nil, nil, icfg, acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		req := httptest.NewRequest("POST", "/api/ingest", strings.NewReader(torquilDeathJSON))
+		req.Header.Set("Content-Type", "application/json")
+		srv.ServeHTTP(w, req)
+		return w
+	}
+	if w := post(); w.Code != http.StatusAccepted {
+		t.Fatalf("first submit: status %d: %s", w.Code, w.Body.String())
+	}
+	w := post()
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("second unflushed submit: status %d, want 429: %s", w.Code, w.Body.String())
+	}
+	if ra := w.Header().Get("Retry-After"); ra != "3600" {
+		t.Fatalf("Retry-After %q, want %q (the flush horizon)", ra, "3600")
+	}
+}
+
+// TestClassifyEveryRoute pins the admission class of every pattern the mux
+// registers once every Enable* surface is mounted. The registered set is
+// read from this package's source, so a new route without a row here fails
+// instead of silently landing in Exempt.
+func TestClassifyEveryRoute(t *testing.T) {
+	want := map[string]admission.Class{
+		"/":                    admission.Search,
+		"/api/search":          admission.Search,
+		"/api/explain":         admission.Search,
+		"/api/pedigree":        admission.Pedigree,
+		"/api/pedigree.dot":    admission.Pedigree,
+		"/api/pedigree.ged":    admission.Pedigree,
+		"/pedigree":            admission.Pedigree,
+		"/api/ingest":          admission.Ingest,
+		"/api/ingest/status":   admission.Exempt,
+		"/api/feedback":        admission.Exempt,
+		"/api/stats":           admission.Exempt,
+		"/api/debug/traces":    admission.Exempt,
+		"/healthz":             admission.Exempt,
+		"/metrics":             admission.Exempt,
+		"/debug/pprof/":        admission.Exempt,
+		"/debug/pprof/cmdline": admission.Exempt,
+		"/debug/pprof/profile": admission.Exempt,
+		"/debug/pprof/symbol":  admission.Exempt,
+		"/debug/pprof/trace":   admission.Exempt,
+	}
+
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	handleRE := regexp.MustCompile(`s\.mux\.HandleFunc\("([^"]+)"`)
+	registered := 0
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range handleRE.FindAllStringSubmatch(string(src), -1) {
+			registered++
+			if _, ok := want[m[1]]; !ok {
+				t.Errorf("%s registers %q, which has no admission class in this table", f, m[1])
+			}
+		}
+	}
+	if registered != len(want) {
+		t.Errorf("source registers %d patterns, the table pins %d", registered, len(want))
+	}
+
+	srv, pipe := ingestFamily(t, ingest.DefaultConfig())
+	srv.EnableStats()
+	srv.EnableFeedback()
+	srv.EnableExplain()
+	srv.EnableHealth(pipe)
+	srv.EnableTraceDebug()
+	srv.EnablePprof()
+	for pattern, class := range want {
+		if _, got := srv.mux.Handler(httptest.NewRequest("GET", pattern, nil)); got != pattern {
+			t.Errorf("GET %s routes to pattern %q: not registered after every Enable* call", pattern, got)
+		}
+		if got := classifyRoute(pattern); got != class {
+			t.Errorf("classifyRoute(%q) = %v, want %v", pattern, got, class)
+		}
 	}
 }
 

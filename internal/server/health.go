@@ -40,6 +40,12 @@ type HealthResponse struct {
 // 30-day budget in under 2 days.
 const burnThreshold = 14.4
 
+// EnableSLO attaches an SLO tracker: ServeHTTP feeds it every response and
+// /healthz reports the rolling 1m/5m error- and latency-budget burn rates.
+func (s *Server) EnableSLO(t *obs.SLOTracker) {
+	s.slo = t
+}
+
 // EnableHealth mounts GET /healthz. Both arguments are optional: without a
 // pipeline the generation comes from the served coordinator and the backlog
 // reads zero; without admission the endpoint always reports "ok". The

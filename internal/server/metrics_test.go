@@ -6,7 +6,12 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"github.com/snaps/snaps/internal/ingest"
+	"github.com/snaps/snaps/internal/obs"
 )
 
 // scrape fetches /metrics and returns the parsed samples: series name
@@ -114,6 +119,130 @@ func TestMetricsEndpoint(t *testing.T) {
 	if sumFamily(after, `snaps_http_requests_total{route="/metrics",code="2xx"}`) < 1 {
 		t.Fatal("the /metrics route is not itself instrumented")
 	}
+}
+
+// TestMetricsOpenMetricsNegotiation checks the Accept-header switch: the
+// OpenMetrics rendition carries trace-ID exemplars and the # EOF
+// terminator; the default 0.0.4 rendition carries neither.
+func TestMetricsOpenMetricsNegotiation(t *testing.T) {
+	srv, g := testServer(t)
+	first, sur := someName(g)
+	if w := do(srv, "GET", "/api/search?first_name="+first+"&surname="+sur); w.Code != http.StatusOK {
+		t.Fatalf("search status %d", w.Code)
+	}
+
+	req := httptest.NewRequest("GET", "/metrics", nil)
+	req.Header.Set("Accept", "application/openmetrics-text; version=1.0.0")
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("openmetrics scrape status %d", w.Code)
+	}
+	if ct := w.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/openmetrics-text") {
+		t.Fatalf("openmetrics content type %q", ct)
+	}
+	body := w.Body.String()
+	if !strings.HasSuffix(strings.TrimRight(body, "\n"), "# EOF") {
+		t.Error("OpenMetrics body does not end with # EOF")
+	}
+	if !strings.Contains(body, `trace_id="`) {
+		t.Error("OpenMetrics body has no trace-ID exemplars after a traced search")
+	}
+	// The request-latency histogram family carries an exemplar on a bucket
+	// of the route that served the search.
+	found := false
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "snaps_http_request_seconds_bucket") &&
+			strings.Contains(line, `route="/api/search"`) && strings.Contains(line, " # {") {
+			found = true
+			break
+		}
+	}
+	if !found {
+		t.Error("no exemplar on the /api/search latency buckets")
+	}
+
+	// Classic scrape: text/plain, no exemplars, no EOF marker.
+	w = httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	if ct := w.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("classic content type %q", ct)
+	}
+	if strings.Contains(w.Body.String(), " # {") {
+		t.Error("classic 0.0.4 body contains exemplars")
+	}
+	if strings.Contains(w.Body.String(), "# EOF") {
+		t.Error("classic 0.0.4 body contains # EOF")
+	}
+}
+
+// TestMetricsScrapeUnderConcurrentLoad is the acceptance race test: both
+// exposition formats are scraped continuously while scatter-gather
+// searches, pedigree renders, and ingest flushes run — with the SLO
+// tracker attached. Run under -race in CI.
+func TestMetricsScrapeUnderConcurrentLoad(t *testing.T) {
+	cfg := ingest.DefaultConfig()
+	cfg.BatchSize = 1 // flush on every certificate
+	cfg.MaxAge = 10 * time.Millisecond
+	srv, _ := shardedFamily(t, 4, cfg)
+	srv.EnableSLO(obs.NewSLOTracker(0, 0, 0))
+	srv.EnableHealth(nil)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	run := func(f func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					f()
+				}
+			}
+		}()
+	}
+
+	// Searchers: scatter-gather across all four shards.
+	for i := 0; i < 4; i++ {
+		run(func() {
+			do(srv, "GET", "/api/search?first_name=torquil&surname=macsween")
+		})
+	}
+	// Pedigree renders exercise the per-shard engines.
+	run(func() { do(srv, "GET", "/api/pedigree?id=0") })
+	// Ingest: every certificate triggers a flush and a snapshot swap.
+	year := 1900
+	run(func() {
+		body := hotShardBirthJSON("racer", "clanrace", year)
+		year++
+		w := httptest.NewRecorder()
+		req := httptest.NewRequest("POST", "/api/ingest", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		srv.ServeHTTP(w, req)
+	})
+	// Scrapers: classic and OpenMetrics, plus health (reads the SLO ring).
+	run(func() {
+		if w := do(srv, "GET", "/metrics"); w.Code != http.StatusOK {
+			t.Error("classic scrape failed")
+		}
+	})
+	run(func() {
+		req := httptest.NewRequest("GET", "/metrics", nil)
+		req.Header.Set("Accept", "application/openmetrics-text")
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Error("openmetrics scrape failed")
+		}
+	})
+	run(func() { do(srv, "GET", "/healthz") })
+
+	time.Sleep(500 * time.Millisecond)
+	close(stop)
+	wg.Wait()
 }
 
 func TestRuntimeGaugesOnScrape(t *testing.T) {

@@ -40,13 +40,9 @@ type Server struct {
 	mux         *http.ServeMux
 	tracer      *obs.Tracer
 	// admit, when set (EnableAdmission), decides every request before its
-	// handler runs: weighted concurrency limits, rate limits, and ingest
-	// backpressure, with the pedigree-before-search degradation ladder.
+	// handler runs: weighted concurrency limits and ingest backpressure,
+	// with the pedigree-before-search degradation ladder.
 	admit *admission.Controller
-	// flight, when set (EnableFlightRecorder), receives one sampled record
-	// per admission-classified request — including shed ones — for offline
-	// replay by cmd/snapsload.
-	flight *obs.FlightRecorder
 	// slo, when set (EnableSLO), tracks every response against the latency
 	// and error budgets; /healthz reports its 1m/5m burn rates.
 	slo *obs.SLOTracker
@@ -98,7 +94,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	traceID := obs.TraceIDFromContext(ctx)
 	w.Header().Set("X-Request-ID", traceID)
 	start := time.Now()
-	fc := s.startFlight(route, r)
 
 	// Admission runs before the handler: a shed request never touches the
 	// engine or the pedigree graph, it only costs the decision itself.
@@ -115,14 +110,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if s.slo != nil {
 				s.slo.Observe(http.StatusTooManyRequests, d)
 			}
-			fc.finishShed(s, dec, d, traceID)
 			return
 		}
 		defer release()
 	}
 
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	s.mux.ServeHTTP(sw, fc.teeBody(r.WithContext(ctx)))
+	s.mux.ServeHTTP(sw, r.WithContext(ctx))
 	span.SetAttr("status", int64(sw.status))
 	span.End()
 	d := time.Since(start)
@@ -130,7 +124,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.slo != nil {
 		s.slo.Observe(sw.status, d)
 	}
-	fc.finish(s, ctx, sw, d, traceID)
 }
 
 // SearchResult is one row of the JSON result list.

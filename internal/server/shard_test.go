@@ -22,6 +22,20 @@ import (
 // n-shard coordinator with live ingestion enabled.
 func shardedFamily(t *testing.T, nshards int, cfg ingest.Config) (*Server, *ingest.Pipeline) {
 	t.Helper()
+	sv := familyServing(nshards, cfg)
+	srv := NewSharded(sv.Shards)
+	pipe, err := ingest.NewPipeline(sv, nil, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.EnableIngest(pipe)
+	t.Cleanup(func() { pipe.Close() })
+	return srv, pipe
+}
+
+// familyServing resolves the deterministic two-birth family into an n-shard
+// serving bundle.
+func familyServing(nshards int, cfg ingest.Config) *ingest.Serving {
 	d := &model.Dataset{Name: "live-sharded"}
 	add := func(role model.Role, cert model.CertID, first, sur string, year int, g model.Gender) model.RecordID {
 		id := model.RecordID(len(d.Records))
@@ -48,15 +62,7 @@ func shardedFamily(t *testing.T, nshards int, cfg ingest.Config) (*Server, *inge
 	})
 
 	pr := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
-	sv := ingest.NewServing(d, pr.Result.Store, nshards, cfg)
-	srv := NewSharded(sv.Shards)
-	pipe, err := ingest.NewPipeline(sv, nil, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.EnableIngest(pipe)
-	t.Cleanup(func() { pipe.Close() })
-	return srv, pipe
+	return ingest.NewServing(d, pr.Result.Store, nshards, cfg)
 }
 
 // hotShardBirthJSON renders an ingest certificate whose principal (the

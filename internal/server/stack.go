@@ -11,7 +11,8 @@ import (
 // cmd/snapsload's in-process target both call it, so the harness measures
 // the server that ships. icfg is the configuration sv was built with; acfg
 // carries the caller's budgets and bounds, the fields wired to the pipeline
-// are set here, and MaxConcurrency <= 0 leaves admission control off.
+// are set here. The controller is always installed: a bound of 0 turns off
+// that bound alone, so MaxConcurrency 0 keeps the backlog bounds.
 func NewStack(sv *ingest.Serving, journal *ingest.Journal, backlog []ingest.Certificate, icfg ingest.Config, acfg admission.Config) (*Server, error) {
 	srv := NewSharded(sv.Shards)
 	icfg.Tracer = srv.Tracer()
@@ -20,14 +21,12 @@ func NewStack(sv *ingest.Serving, journal *ingest.Journal, backlog []ingest.Cert
 		return nil, err
 	}
 	srv.EnableIngest(pipe)
-	if acfg.MaxConcurrency > 0 {
-		acfg.BacklogRetryAfter = icfg.MaxAge
-		acfg.Backlog = pipe.Backlog
-		acfg.ShardBacklog = pipe.HottestShardBacklog
-		acfg.MaxShardBacklogRecords = admission.PerShardBound(acfg.MaxBacklogRecords, sv.Shards.NumShards())
-		acfg.MaxShardBacklogBytes = admission.PerShardBound(acfg.MaxBacklogBytes, int64(sv.Shards.NumShards()))
-		srv.EnableAdmission(admission.New(acfg))
-	}
+	acfg.BacklogRetryAfter = icfg.MaxAge
+	acfg.Backlog = pipe.Backlog
+	acfg.ShardBacklog = pipe.HottestShardBacklog
+	acfg.MaxShardBacklogRecords = admission.PerShardBound(acfg.MaxBacklogRecords, sv.Shards.NumShards())
+	acfg.MaxShardBacklogBytes = admission.PerShardBound(acfg.MaxBacklogBytes, int64(sv.Shards.NumShards()))
+	srv.EnableAdmission(admission.New(acfg))
 	srv.EnableHealth(pipe)
 	return srv, nil
 }
