@@ -1,9 +1,9 @@
 // Package par is the one parallelism policy of the code base: every
 // data-parallel loop runs on at most runtime.GOMAXPROCS(0) goroutines, and
-// no caller can set another degree. Both helpers return once every
-// goroutine they started has finished, run inline when one goroutine is
-// enough, and leave a panic in fn uncaught, so it ends the process as it
-// would in a plain loop.
+// no caller can set another degree. Both helpers return once every goroutine
+// they started has finished and run inline when one goroutine is enough. A
+// panic in fn ends the process as in a plain loop: Done is not deferred, so
+// the caller never runs on (or exits cleanly) past a panicking goroutine.
 package par
 
 import (
@@ -30,8 +30,8 @@ func Range(n int, fn func(lo, hi int)) {
 	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
-			defer wg.Done()
 			fn(lo, hi)
+			wg.Done()
 		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
@@ -57,8 +57,8 @@ func Pull(n int, worker func(w int, next func() int)) {
 	wg.Add(procs)
 	for w := 0; w < procs; w++ {
 		go func(w int) {
-			defer wg.Done()
 			worker(w, next)
+			wg.Done()
 		}(w)
 	}
 	wg.Wait()
