@@ -100,8 +100,8 @@ func main() {
 		ingestBatch   = flag.Int("ingest-batch", 16, "flush ingested certificates after this many accumulate")
 		ingestMaxAge  = flag.Duration("ingest-max-age", 2*time.Second, "flush a non-empty ingest batch after its oldest certificate waited this long")
 
-		queryCache = flag.Int("query-cache", ingest.DefaultQueryCache, "cache up to this many ranked result lists per serving generation (0 disables; invalidated on every ingest snapshot swap)")
-		queryStale = flag.Bool("query-stale", true, "serve the previous generation's cached ranking while a background refresh recomputes it after a snapshot swap (stale-while-revalidate)")
+		queryCache = flag.Int("query-cache", ingest.DefaultQueryCache, "cache up to this many merged rankings in one result cache (0 disables; invalidated on every ingest snapshot swap)")
+		queryStale = flag.Bool("query-stale", true, "serve the previous generation's cached ranking, re-anchored to the new generation's entities, while a background refresh recomputes it after a snapshot swap (stale-while-revalidate)")
 		shards     = flag.Int("shards", 1, "partition the serving tier into this many shards searched scatter-gather; an ingest flush re-indexes only touched shards (1 = one shard answering directly; results are byte-identical for any value)")
 
 		admitConcurrency    = flag.Int("admit-concurrency", 64, "weighted in-flight request budget: pedigree renders admit up to 50%% of it, ingest 75%%, searches 100%% — the load-shed ladder (0 = no concurrency limit; the backlog bounds still apply)")

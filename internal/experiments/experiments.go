@@ -256,6 +256,7 @@ func Table4(w io.Writer, opt Options) {
 		d := p.Dataset
 		ids := d.RecordIDs()
 		cands := blocking.NewLSH(blocking.DefaultLSHConfig()).Pairs(d, ids)
+		pr := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
 
 		for _, grp := range []struct {
 			name string
@@ -266,8 +267,6 @@ func Table4(w io.Writer, opt Options) {
 			{"Bp-Dp", BpDp, ds.keep},
 		} {
 			fmt.Fprintf(w, "%s (%s):\n", ds.cfg.Name, grp.name)
-
-			pr := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
 			q := score(d, combinedPred(pr.Result.Store, grp.rps), grp.rps, grp.keep)
 			fmt.Fprintf(w, "  %-12s %v\n", "SNAPS", q)
 

@@ -45,9 +45,9 @@ var (
 
 // Serving bundles everything the online component answers queries from:
 // the data set, its resolved entity store, the pedigree graph, and the
-// shard coordinator that owns the per-shard indexes, engines, and result
-// caches over that (global) graph. A bundle is immutable once published —
-// rebuilds produce a fresh bundle over a cloned data set and publish it
+// shard coordinator that owns the per-shard indexes and engines and the
+// result cache over that (global) graph. A bundle is immutable once
+// published — rebuilds produce a fresh bundle over a cloned data set and publish it
 // with an atomic pointer swap, so concurrent readers always see a
 // consistent generation.
 type Serving struct {
@@ -64,8 +64,9 @@ type Serving struct {
 
 // NewServing builds the initial serving bundle from a resolved data set,
 // partitioned into the given number of serving shards. The graph and entity
-// resolution stay global; the indexes, engines, and result caches (sized
-// and configured from cfg.QueryCache and cfg.StaleServe) are per-shard.
+// resolution stay global; the indexes and engines are per-shard, and the
+// coordinator's one result cache is sized and configured from
+// cfg.QueryCache and cfg.StaleServe.
 func NewServing(d *model.Dataset, st *er.EntityStore, shards int, cfg Config) *Serving {
 	cfg = cfg.withDefaults()
 	g := pedigree.Build(d, st)
@@ -90,16 +91,17 @@ type Config struct {
 	// NewServing builds (default 0.5); flushes keep the threshold of the
 	// coordinator they advance.
 	SimThreshold float64
-	// QueryCache is the total budget of the generation-keyed LRUs of
-	// ranked search results NewServing gives the shards; 0 disables
-	// caching.
+	// QueryCache is the capacity, in merged rankings, of the
+	// generation-keyed result cache NewServing gives the coordinator; 0
+	// disables caching.
 	QueryCache int
-	// StaleServe enables stale-while-revalidate on those caches:
-	// after a snapshot swap, entries of the immediately superseded
-	// generation keep answering (at most one flush old) while background
-	// singleflight refreshes recompute them under the new generation —
-	// instead of every hot query stampeding into a synchronous recompute
-	// the moment the generation bumps. No effect when QueryCache is 0.
+	// StaleServe enables stale-while-revalidate on that cache: after a
+	// snapshot swap, entries of the immediately superseded generation keep
+	// answering (at most one flush old, re-anchored to the new graph's
+	// entities) while background singleflight refreshes recompute them
+	// under the new generation — instead of every hot query stampeding
+	// into a synchronous recompute the moment the generation bumps. No
+	// effect when QueryCache is 0.
 	StaleServe bool
 	// Graph and Resolver configure the incremental er.Extend pass.
 	Graph    depgraph.Config
@@ -604,9 +606,9 @@ func (p *Pipeline) flushLocked() error {
 	// coordinator: it classifies the new graph once, updates only the
 	// partitions the batch touched (index.UpdateSubset per shard: a fresh
 	// K and the served S patched, without locking it; both rebuilt
-	// instead when too much of the graph is dirty), and reuses every
-	// untouched shard — indexes, engine, cache, and shard-local
-	// generation — by reference.
+	// instead when too much of the graph is dirty), reuses every
+	// untouched shard — indexes, engine, and shard-local generation — by
+	// reference, and invalidates the result cache against gen.
 	_, isp := obs.StartSpan(ctx, "rebuild_indexes")
 	newG := pedigree.Build(newD, newStore)
 	gen := p.generation + 1
@@ -626,9 +628,6 @@ func (p *Pipeline) flushLocked() error {
 	isp.End()
 	stageDone("rebuild_indexes")
 
-	// Result caches invalidate per shard inside Advance, keyed by
-	// shard-local generations, so untouched shards keep their warm caches
-	// across the swap.
 	_, wsp := obs.StartSpan(ctx, "snapshot_swap")
 	sv := &Serving{Dataset: newD, Store: newStore, Graph: newG, Shards: coord, Generation: gen}
 	p.buildD, p.buildStore = newD, newStore

@@ -90,35 +90,14 @@ type Engine struct {
 	Weights Weights
 	TopM    int
 
-	// Cache, when non-nil, memoises ranked result lists under
-	// (Generation, normalised query). The live-ingestion pipeline shares
-	// one cache across generations and bumps Generation on every
-	// snapshot swap, so entries of superseded generations can never be
-	// served. Cached result slices are shared between callers and must be
-	// treated as read-only (the HTTP layer only reads them).
-	Cache *ResultCache
-	// Generation identifies the serving snapshot this engine belongs to.
-	Generation uint64
-	// StaleServe enables stale-while-revalidate on the cache: a miss
-	// under the current generation that finds the same query cached under
-	// the previous one serves that entry immediately and refreshes the
-	// ranking in a background singleflight, so a flush-driven generation
-	// bump never stampedes hot queries into synchronous recomputes. The
-	// cache must have EnableStaleServe set (the ingest pipeline wires
-	// both together).
-	StaleServe bool
-
-	// pool recycles per-search accumulator state. Nil (engines built with
-	// a struct literal rather than NewEngine) falls back to allocating
-	// fresh state per search.
-	pool *sync.Pool
+	// pool recycles per-search accumulator state.
+	pool sync.Pool
 }
 
 // NewEngine wires an engine with default weights and the paper's result
 // list size.
 func NewEngine(g *pedigree.Graph, k *index.Keyword, s *index.Similarity) *Engine {
-	return &Engine{Graph: g, Keyword: k, Similar: s, Weights: DefaultWeights(), TopM: 20,
-		pool: &sync.Pool{}}
+	return &Engine{Graph: g, Keyword: k, Similar: s, Weights: DefaultWeights(), TopM: 20}
 }
 
 // accumulator entry per candidate entity: the best weighted contribution
@@ -153,10 +132,7 @@ type searchState struct {
 
 // getState fetches (or sizes) a search state for one search.
 func (e *Engine) getState() *searchState {
-	var st *searchState
-	if e.pool != nil {
-		st, _ = e.pool.Get().(*searchState)
-	}
+	st, _ := e.pool.Get().(*searchState)
 	if st == nil {
 		st = &searchState{}
 	}
@@ -178,19 +154,10 @@ func (e *Engine) getState() *searchState {
 	return st
 }
 
-func (e *Engine) putState(st *searchState) {
-	if e.pool != nil {
-		e.pool.Put(st)
-	}
-}
-
 // Search runs the query and returns the top-m ranked entities. Entities
 // enter the accumulator only through a name match (exact or approximate, on
 // first name and/or surname); gender, year, and location only adjust scores
 // of accumulated entities, never add new ones (Sec. 7).
-//
-// The returned slice and its Matched maps may be shared with the result
-// cache; callers must not mutate them.
 func (e *Engine) Search(q Query) []Result {
 	return e.SearchContext(context.Background(), q)
 }
@@ -200,57 +167,11 @@ func (e *Engine) Search(q Query) []Result {
 // query's four stages — blocking-key lookup, candidate accumulation,
 // refinement-field scoring, and ranking — each record a child span with
 // the sizes that drove their cost, so a slow search is attributable from
-// GET /api/debug/traces or the slow-query log. A result-cache hit skips
-// the stages and records cache_hit=1 on the search span.
+// GET /api/debug/traces or the slow-query log.
 func (e *Engine) SearchContext(ctx context.Context, q Query) []Result {
 	start := time.Now()
 	ctx, sp := obs.StartSpan(ctx, "search")
 
-	var ckey string
-	if e.Cache != nil {
-		ckey = cacheKey(q, e.Weights, e.TopM)
-		if res, ok := e.Cache.Get(e.Generation, ckey); ok {
-			mSearches.Inc()
-			mSearchSeconds.ObserveDuration(time.Since(start))
-			sp.SetAttr("cache_hit", 1)
-			sp.SetAttr("results", int64(len(res)))
-			sp.End()
-			return res
-		}
-		// Stale-while-revalidate: a previous-generation entry answers the
-		// request immediately (the ranking is at most one flush old) and
-		// a single background goroutine recomputes it under the current
-		// generation. Without this, every snapshot swap turns the whole
-		// hot set into synchronous misses at once — a self-inflicted
-		// stampede exactly when the flush already loaded the machine.
-		if e.StaleServe {
-			if res, ok := e.Cache.GetStale(e.Generation, ckey); ok {
-				if e.Cache.beginRefresh(e.Generation, ckey) {
-					go func() {
-						defer e.Cache.endRefresh(e.Generation, ckey)
-						e.compute(context.Background(), q, ckey, time.Now(), nil)
-						mCacheRefreshes.Inc()
-					}()
-				}
-				mCacheStaleServes.Inc()
-				mSearches.Inc()
-				mSearchSeconds.ObserveDuration(time.Since(start))
-				sp.SetAttr("cache_stale", 1)
-				sp.SetAttr("results", int64(len(res)))
-				sp.End()
-				return res
-			}
-		}
-	}
-
-	return e.compute(ctx, q, ckey, start, sp)
-}
-
-// compute runs the four query stages without consulting the cache, records
-// the engine metrics, stores the ranking under ckey (when caching is on),
-// and finalises sp (nil for background refreshes, whose span methods
-// no-op).
-func (e *Engine) compute(ctx context.Context, q Query, ckey string, start time.Time, sp *obs.Span) []Result {
 	// Blocking-key lookup: both query names resolve to their similar
 	// indexed values through the similarity-aware index S.
 	_, bsp := obs.StartSpan(ctx, "blocking")
@@ -355,11 +276,7 @@ func (e *Engine) compute(ctx context.Context, q Query, ckey string, start time.T
 	sp.SetAttr("candidates", int64(len(st.ids)))
 	sp.SetAttr("results", int64(len(results)))
 	sp.End()
-
-	if e.Cache != nil && ckey != "" {
-		e.Cache.Put(e.Generation, ckey, results)
-	}
-	e.putState(st)
+	e.pool.Put(st)
 	return results
 }
 

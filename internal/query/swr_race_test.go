@@ -20,9 +20,9 @@ import (
 	"github.com/snaps/snaps/internal/query"
 )
 
-// swrPipeline builds a small pipeline with the result cache in
-// stale-while-revalidate mode (the production default).
-func swrPipeline(t *testing.T) *ingest.Pipeline {
+// swrPipeline builds a small pipeline over nshards shards with the result
+// cache in stale-while-revalidate mode (the production default).
+func swrPipeline(t *testing.T, nshards int) *ingest.Pipeline {
 	t.Helper()
 	p := dataset.Generate(dataset.IOS().Scaled(0.03))
 	pr := er.Run(p.Dataset, depgraph.DefaultConfig(), er.DefaultConfig())
@@ -30,7 +30,7 @@ func swrPipeline(t *testing.T) *ingest.Pipeline {
 	cfg.BatchSize = 1 << 20 // flush only when the test says so
 	cfg.QueryCache = 256
 	cfg.StaleServe = true
-	sv := ingest.NewServing(p.Dataset, pr.Result.Store, 1, cfg)
+	sv := ingest.NewServing(p.Dataset, pr.Result.Store, nshards, cfg)
 	pipe, err := ingest.NewPipeline(sv, nil, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,13 @@ func counterValue(name string) int64 { return obs.Default.Counter(name, "").Valu
 // generation — observable because only a current-generation cache entry
 // can make the marker certificate visible on the hit path.
 func TestStaleWhileRevalidate(t *testing.T) {
-	pipe := swrPipeline(t)
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { staleWhileRevalidate(t, n) })
+	}
+}
+
+func staleWhileRevalidate(t *testing.T, nshards int) {
+	pipe := swrPipeline(t, nshards)
 
 	markerQ := query.Query{FirstName: "ruaraidhswr", Surname: "nicolson"}
 	before := pipe.Serving()
@@ -124,7 +130,7 @@ func TestStaleWhileRevalidate(t *testing.T) {
 // cache retains exactly one generation back — and the run must be free of
 // data races between stale serves, background refreshes, and swaps.
 func TestStaleServeNeverBlocksAcrossSwaps(t *testing.T) {
-	pipe := swrPipeline(t)
+	pipe := swrPipeline(t, 1)
 
 	sv := pipe.Serving()
 	var hotFirst, hotSur string

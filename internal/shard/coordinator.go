@@ -86,10 +86,9 @@ func metricsFor(id int) *shardMetrics {
 }
 
 // Shard is one self-contained serving partition: the subset-filtered
-// keyword and similarity indexes over its owned entities, a query engine
-// bound to them, and a shard-local result cache keyed by a shard-local
-// generation. A Shard is immutable once published; flushes that touch it
-// produce a replacement, flushes that don't reuse it by reference (its
+// keyword and similarity indexes over its owned entities and a query engine
+// bound to them. A Shard is immutable once published; flushes that touch
+// it produce a replacement, flushes that don't reuse it by reference (its
 // engine keeps serving against the graph it was built from, which is
 // provably identical on every owned entity).
 type Shard struct {
@@ -100,15 +99,12 @@ type Shard struct {
 	Keyword *index.Keyword
 	Similar *index.Similarity
 	// Generation is the shard-local rebuild counter: it advances only when
-	// a flush touches this shard's partition, so the shard's result cache
-	// (and its stale-while-revalidate window) invalidate only when the
-	// shard's contents actually changed.
+	// a flush touches this shard's partition.
 	Generation uint64
 	// NodeCount is the number of owned pedigree entities.
 	NodeCount int
 
-	cache *query.ResultCache
-	met   *shardMetrics
+	met *shardMetrics
 }
 
 // Options tunes Partition.
@@ -117,18 +113,19 @@ type Options struct {
 	Shards int
 	// SimThreshold is the similarity-index threshold s_t (paper: 0.5).
 	SimThreshold float64
-	// CacheEntries is the TOTAL result-cache budget, split evenly across
-	// the shards (with a small per-shard floor); 0 disables caching.
+	// CacheEntries is the capacity of the coordinator's result cache, in
+	// merged rankings; 0 disables caching.
 	CacheEntries int
-	// StaleServe enables stale-while-revalidate on the per-shard caches.
+	// StaleServe enables stale-while-revalidate on that cache.
 	StaleServe bool
 }
 
-// Coordinator fronts the shards: it fans a search out across them on a
-// bounded worker pool and merges the per-shard top-m rankings. Like the
-// Serving bundle that carries it, a Coordinator is immutable once
-// published — Advance produces a fresh one — so a reader that loaded it
-// sees one consistent generation of every shard, never a torn mix.
+// Coordinator fronts the shards: it answers a search from its result cache
+// or fans it out across the shards on a bounded worker pool and merges the
+// per-shard top-m rankings. Like the Serving bundle that carries it, a
+// Coordinator is immutable once published — Advance produces a fresh one —
+// so a reader that loaded it sees one consistent generation of every
+// shard, never a torn mix.
 type Coordinator struct {
 	graph  *pedigree.Graph
 	shards []*Shard
@@ -140,7 +137,9 @@ type Coordinator struct {
 	// published under (the pipeline's snapshot counter).
 	generation   uint64
 	simThreshold float64
-	staleServe   bool
+	// cache holds merged rankings keyed by generation; Advance hands it to
+	// the next coordinator. Nil when caching is off.
+	cache *ResultCache
 }
 
 // Partition builds a coordinator over the graph from scratch: every
@@ -155,18 +154,13 @@ func Partition(g *pedigree.Graph, o Options) *Coordinator {
 	c := &Coordinator{
 		graph:        g,
 		simThreshold: o.SimThreshold,
-		staleServe:   o.StaleServe,
+		cache:        NewResultCache(o.CacheEntries, o.StaleServe),
 	}
 	c.owners, c.counts = computeOwners(g, n)
-	perCache := perShardCache(o.CacheEntries, n)
 	c.shards = make([]*Shard, n)
 	for s := 0; s < n; s++ {
-		cache := query.NewResultCache(perCache)
-		if c.staleServe {
-			cache.EnableStaleServe()
-		}
 		k, sim := index.BuildSubset(g, c.keep(s), c.simThreshold)
-		c.shards[s] = c.newShard(s, k, sim, 0, cache, metricsFor(s))
+		c.shards[s] = c.newShard(s, k, sim, 0, metricsFor(s))
 	}
 	c.setGauges()
 	return c
@@ -182,34 +176,15 @@ func (c *Coordinator) setGauges() {
 	mSimilarityBytes.Set(simBytes)
 }
 
-// perShardCache splits a total cache budget across n shards, rounding up
-// with a floor so small budgets still cache something per shard.
-func perShardCache(total, n int) int {
-	if total <= 0 {
-		return 0
-	}
-	per := (total + n - 1) / n
-	if per < 64 {
-		per = 64
-	}
-	return per
-}
-
 // newShard puts an engine over shard s's indexes of the coordinator's
-// graph at shard-local generation gen, wired to the shard's cache and
-// metrics.
-func (c *Coordinator) newShard(s int, k *index.Keyword, sim *index.Similarity, gen uint64, cache *query.ResultCache, met *shardMetrics) *Shard {
+// graph at shard-local generation gen, wired to the shard's metrics.
+func (c *Coordinator) newShard(s int, k *index.Keyword, sim *index.Similarity, gen uint64, met *shardMetrics) *Shard {
 	sh := &Shard{
 		ID: s, Keyword: k, Similar: sim,
 		Engine:     query.NewEngine(c.graph, k, sim),
 		Generation: gen,
 		NodeCount:  c.counts[s],
-		cache:      cache, met: met,
-	}
-	if cache != nil {
-		sh.Engine.Cache = cache
-		sh.Engine.Generation = gen
-		sh.Engine.StaleServe = c.staleServe
+		met:        met,
 	}
 	met.nodes.Set(int64(sh.NodeCount))
 	met.gen.Set(int64(gen))
@@ -253,9 +228,9 @@ type AdvanceStats struct {
 // set (Owner): a shard is untouched exactly when every entity it owned is
 // clean with an unchanged NodeID and no entity moved in — so its indexes,
 // its engine, and even the old graph its engine reads are byte-identical
-// on every owned entity, and its shard-local generation (hence its result
-// cache) legitimately survives the global swap. generation is the global
-// snapshot counter of the bundle the new coordinator will be published in.
+// on every owned entity. generation is the global snapshot counter of the
+// bundle the new coordinator will be published in; the result cache
+// carries over and is invalidated against it once.
 func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordinator, AdvanceStats) {
 	defer obs.StartStage("shard_advance").Stop()
 	n := len(c.shards)
@@ -263,7 +238,7 @@ func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordin
 		graph:        newG,
 		generation:   generation,
 		simThreshold: c.simThreshold,
-		staleServe:   c.staleServe,
+		cache:        c.cache,
 	}
 	nc.owners, nc.counts = computeOwners(newG, n)
 
@@ -300,8 +275,7 @@ func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordin
 		}
 		// A touched shard builds its K and patches the previous generation's
 		// S, or rebuilds both when the flush was too dirty; its shard-local
-		// generation advances by one and the carried-over cache invalidates
-		// against it.
+		// generation advances by one.
 		var (
 			k   *index.Keyword
 			sim *index.Similarity
@@ -314,16 +288,16 @@ func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordin
 			k, sim = index.BuildSubset(newG, nc.keep(s), nc.simThreshold)
 			mFullRebuild.Inc()
 		}
-		sh := nc.newShard(s, k, sim, prev.Generation+1, prev.cache, prev.met)
+		sh := nc.newShard(s, k, sim, prev.Generation+1, prev.met)
 		sh.Engine.Weights = prev.Engine.Weights
 		sh.Engine.TopM = prev.Engine.TopM
-		if sh.cache != nil {
-			sh.cache.Invalidate(sh.Generation)
-		}
 		sh.met.rebuilds.Inc()
 		nc.shards[s] = sh
 		st.Touched++
 		mFlushTouched.Inc()
+	}
+	if nc.cache != nil {
+		nc.cache.Invalidate(generation)
 	}
 	nc.setGauges()
 	return nc, st
@@ -420,20 +394,95 @@ func (c *Coordinator) SetTopM(m int) {
 // OwnerOf returns the shard owning a node of the coordinator's graph.
 func (c *Coordinator) OwnerOf(id pedigree.NodeID) int { return int(c.owners[id]) }
 
-// Search fans the query out and merges, without a caller trace.
+// Search answers the query without a caller trace.
 func (c *Coordinator) Search(q query.Query) []query.Result {
 	return c.SearchContext(context.Background(), q)
 }
 
-// SearchContext fans the query out across the shards on a bounded worker
-// pool, then merges the per-shard rankings into the global top-m. Every
-// entity's score is computed entirely within its owning shard with the
-// same floating-point operations as the single-shard engine (the shard's
-// similarity lists are order-preserving subsets of the global ones), the
-// shards' node sets are disjoint, and any entity in the global top-m is
-// necessarily within its own shard's top-m — so the merged ranking is
-// byte-identical to the single-shard engine's.
+// SearchContext answers the query from the result cache when it holds the
+// query under this coordinator's generation, and otherwise scatters it and
+// caches the merged ranking. With stale-while-revalidate on, a miss that
+// finds the previous generation's entry serves it re-anchored to this
+// graph and leaves one background refresh to recompute it. The returned
+// slice and its Matched maps may be shared with the cache; callers must
+// not mutate them.
 func (c *Coordinator) SearchContext(ctx context.Context, q query.Query) []query.Result {
+	if c.cache == nil {
+		return c.scatter(ctx, q)
+	}
+	key := cacheKey(q, c.shards[0].Engine.Weights, c.TopM())
+	if res, ok := c.cache.Get(c.generation, key); ok {
+		cachedSpan(ctx, "cache_hit", res)
+		return res
+	}
+	if prev, anchors, ok := c.cache.GetStale(c.generation, key); ok {
+		if c.cache.beginRefresh(c.generation, key) {
+			go func() {
+				defer c.cache.endRefresh(c.generation, key)
+				c.scatterAndPut(context.Background(), q, key)
+				mCacheRefreshes.Inc()
+			}()
+		}
+		mCacheStaleServes.Inc()
+		res := c.reanchor(prev, anchors)
+		cachedSpan(ctx, "cache_stale", res)
+		return res
+	}
+	return c.scatterAndPut(ctx, q, key)
+}
+
+// cachedSpan records a search the cache answered as a "search" span
+// carrying attr, where an engine's would carry its stages.
+func cachedSpan(ctx context.Context, attr string, res []query.Result) {
+	_, sp := obs.StartSpan(ctx, "search")
+	sp.SetAttr(attr, 1)
+	sp.SetAttr("results", int64(len(res)))
+	sp.End()
+}
+
+// scatterAndPut computes the ranking and caches it with its anchors under
+// the coordinator's generation.
+func (c *Coordinator) scatterAndPut(ctx context.Context, q query.Query, key string) []query.Result {
+	res := c.scatter(ctx, q)
+	anchors := make([]model.RecordID, len(res))
+	for i, r := range res {
+		anchors[i] = minRecord(c.graph.Node(r.Entity))
+	}
+	c.cache.Put(c.generation, key, res, anchors)
+	return res
+}
+
+// reanchor renders a previous generation's ranking in this coordinator's
+// graph. Every flush renumbers entities, so a cached id names someone
+// else here; each row moves to the entity that now holds its anchor
+// record, keeping its score and match flags, and a row that lands on an
+// entity already listed is dropped.
+func (c *Coordinator) reanchor(prev []query.Result, anchors []model.RecordID) []query.Result {
+	out := make([]query.Result, 0, len(prev))
+rows:
+	for i, r := range prev {
+		// Records are append-only and each is in exactly one node, so the
+		// anchor always resolves.
+		r.Entity, _ = c.graph.NodeOfRecord(anchors[i])
+		for _, o := range out {
+			if o.Entity == r.Entity {
+				continue rows
+			}
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// scatter fans the query out across the shards on a bounded worker pool,
+// then merges the per-shard rankings into the global top-m; one shard is
+// a direct engine call. Every entity's score is computed entirely within
+// its owning shard with the same floating-point operations as the
+// single-shard engine (the shard's similarity lists are order-preserving
+// subsets of the global ones), the shards' node sets are disjoint, and any
+// entity in the global top-m is necessarily within its own shard's top-m —
+// so the merged ranking is byte-identical to the single-shard engine's.
+func (c *Coordinator) scatter(ctx context.Context, q query.Query) []query.Result {
 	if len(c.shards) == 1 {
 		sh := c.shards[0]
 		sh.met.searches.Inc()
@@ -511,7 +560,7 @@ func resultBefore(a, b query.Result) bool {
 
 // mergeRanked k-way merges the per-shard rankings (each already sorted by
 // resultBefore) into the global top-m; m <= 0 merges everything. The input
-// slices may be shared with per-shard caches and are never mutated.
+// slices are never mutated.
 func mergeRanked(parts [][]query.Result, m int) []query.Result {
 	total := 0
 	for _, p := range parts {

@@ -142,8 +142,8 @@ func TestScatterGatherGoldenEquivalence(t *testing.T) {
 			}
 		}
 
-		// Cached coordinator at the default depth: the miss fills the
-		// per-shard caches, the hit must replay the identical ranking.
+		// Cached coordinator at the default depth: the miss caches the
+		// merged ranking, the hit must replay it identically.
 		ref.TopM = 20
 		cc := shard.Partition(g, shard.Options{Shards: n, SimThreshold: 0.5, CacheEntries: 256})
 		for qi, q := range qs {

@@ -92,26 +92,12 @@ func TestMergeRankedMatchesSort(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d m=%d: merge %v, sort %v", trial, m, got, want)
 			}
-			// The inputs may be shared with per-shard caches: never mutated.
+			// The inputs are never mutated.
 			for p := range parts {
 				if !reflect.DeepEqual(parts[p], snapshot[p]) {
 					t.Fatalf("trial %d m=%d: mergeRanked mutated shard %d's ranking", trial, m, p)
 				}
 			}
-		}
-	}
-}
-
-// TestPerShardCache pins the budget split: ceil division with a floor, and
-// zero stays zero (caching disabled).
-func TestPerShardCache(t *testing.T) {
-	cases := []struct{ total, n, want int }{
-		{0, 4, 0}, {-1, 4, 0}, {4096, 4, 1024}, {4097, 4, 1025},
-		{100, 4, 64}, {1, 7, 64}, {4096, 1, 4096},
-	}
-	for _, c := range cases {
-		if got := perShardCache(c.total, c.n); got != c.want {
-			t.Fatalf("perShardCache(%d, %d) = %d, want %d", c.total, c.n, got, c.want)
 		}
 	}
 }

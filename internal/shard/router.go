@@ -1,9 +1,9 @@
 // Package shard partitions the serving tier into N self-contained shards,
 // each owning a disjoint subset of the pedigree entities with its own
-// keyword index, similarity index, generation stamp, and result cache, all
-// fronted by a coordinator that fans a search out across the shards and
-// merges the per-shard bounded top-m rankings into the exact ranking the
-// single-shard engine would produce.
+// keyword index, similarity index and generation stamp, all fronted by a
+// coordinator that caches merged rankings, fans a search out across the
+// shards and merges the per-shard bounded top-m rankings into the exact
+// ranking the single-shard engine would produce.
 //
 // Partitioning is by blocking-key hash: an entity is owned by the shard
 // its canonical record's name key (first name + surname, the same key the
@@ -13,13 +13,14 @@
 // resolving per-partition would split entities and break byte-equivalence
 // with the single-shard engine. What shards own is the serving state built
 // FROM the global graph: per-value posting lists filtered to owned
-// entities, similarity lists computed over the shard's own value universe
-// (order-preserving subsets of the global lists), and a shard-local result
-// cache keyed by a shard-local generation that only advances when a flush
-// actually touches the partition.
+// entities and similarity lists computed over the shard's own value
+// universe (order-preserving subsets of the global lists). The result cache
+// is the coordinator's, one per serving tier, keyed by the global
+// generation.
 package shard
 
 import (
+	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/pedigree"
 )
 
@@ -62,14 +63,20 @@ func Owner(g *pedigree.Graph, n *pedigree.Node, shards int) int {
 	if shards <= 1 || len(n.Records) == 0 {
 		return 0
 	}
+	rec := g.Dataset.Record(minRecord(n))
+	return Route(rec.FirstName(), rec.Surname(), shards)
+}
+
+// minRecord returns the lowest-numbered record of a node with records: the
+// one both ownership and a cached row's anchor are read from.
+func minRecord(n *pedigree.Node) model.RecordID {
 	min := n.Records[0]
 	for _, r := range n.Records[1:] {
 		if r < min {
 			min = r
 		}
 	}
-	rec := g.Dataset.Record(min)
-	return Route(rec.FirstName(), rec.Surname(), shards)
+	return min
 }
 
 // computeOwners assigns every node of g to its owning shard and counts the
