@@ -1,7 +1,7 @@
 // Package baseline implements the three unsupervised ER baselines the paper
 // compares SNAPS against (Sec. 10):
 //
-//   - Attr-Sim: traditional pairwise record linkage — classify each candidate
+//   - Attr-Sim: traditional pairwise record linkage — decide each candidate
 //     pair by a weighted attribute similarity threshold.
 //   - Dep-Graph: a reference-reconciliation baseline in the style of Dong,
 //     Halevy & Madhavan (2005) — propagates link decisions and applies the

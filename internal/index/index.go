@@ -55,6 +55,10 @@ var (
 		"Distinct bigram-sharing name pairs scored by the similarity precompute.")
 	mPairsKept = obs.Default.Counter("snaps_index_sim_pairs_kept_total",
 		"Scored name pairs that reached the similarity threshold and entered both values' lists.")
+	mIncremental = obs.Default.Counter("snaps_index_incremental_total",
+		"Name-field similarity blocks a flush patched or shared with the previous generation.")
+	mFullRebuild = obs.Default.Counter("snaps_index_full_rebuild_total",
+		"Name-field similarity blocks a flush scored from scratch because too many of their values were new.")
 )
 
 // Field enumerates the searchable QID fields of the keyword index.
@@ -170,7 +174,8 @@ type probeEntry struct {
 type Similarity struct {
 	threshold float64
 	// blocks[field] holds the precomputed list of every indexed name (the
-	// value itself included, first). Locations are not precomputed: nil.
+	// value itself included, first). Locations are not precomputed, and a
+	// field with no values has no lists: nil.
 	blocks [NumFields]*simBlock
 	// probes[field] keeps the lists of probed values (Sec. 7's "store an
 	// unseen value's list") and starts empty in every generation. A value
@@ -240,18 +245,9 @@ func Build(g *pedigree.Graph, simThreshold float64) (*Keyword, *Similarity) {
 func BuildSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, simThreshold float64) (*Keyword, *Similarity) {
 	defer obs.StartStage("index_build").Stop()
 	k := buildKeyword(g, keep)
-	s := &Similarity{threshold: simThreshold}
-
-	for _, f := range simFields {
-		s.probes[f] = make([]atomic.Pointer[probeEntry], symbol.Len()+probeSlots)
-		s.bigramPost[f] = bigramPostings(k.postings[f])
-	}
-	// Precompute similarities for the name fields (the dominant cost of a
-	// cold start and of every full rebuild); locations are extended lazily
-	// at query time.
-	for _, f := range nameFields {
-		s.precompute(f, k.postings[f])
-	}
+	// Against an empty previous index every value is added, so every name
+	// field with values is precomputed.
+	s, _ := updateSimilarity(k, &Keyword{}, &Similarity{threshold: simThreshold}, rebuildAbove)
 	return k, s
 }
 

@@ -243,7 +243,7 @@ func TestIndexLeavesKernelMemoUntouched(t *testing.T) {
 	}
 	check("a miss-path Similar on an interned value")
 
-	updK, _ := UpdateSubset(newG, nil, prevK, prevS)
+	updK, _, _ := UpdateSubset(newG, nil, prevK, prevS)
 	if updK.Values(FieldSurname) <= prevK.Values(FieldSurname) {
 		t.Fatal("UpdateSubset did not patch in new values")
 	}

@@ -144,13 +144,13 @@ func TestSimilarityImmutableAfterPublish(t *testing.T) {
 			}
 		}(g)
 	}
-	_, updS := UpdateSubset(newG, nil, prevK, prevS)
+	_, updS, _ := UpdateSubset(newG, nil, prevK, prevS)
 	// A second flush off the same generation adds one surname and nothing
 	// else: the first-name block must come through by address.
 	surK := &Keyword{postings: prevK.postings}
 	surK.postings[FieldSurname] = maps.Clone(prevK.postings[FieldSurname])
 	surK.postings[FieldSurname]["quixworth"] = encodePostings([]pedigree.NodeID{0})
-	surS := updateSimilarity(surK, prevK, prevS)
+	surS, _ := updateSimilarity(surK, prevK, prevS, rebuildAbove)
 	close(stop)
 	wg.Wait()
 

@@ -128,7 +128,7 @@ func TestUpdateSubsetEquivalentToBuildSubset(t *testing.T) {
 	const n = 4
 	for shard := 0; shard < n; shard++ {
 		prevK, prevS := BuildSubset(prevG, keepFor(prevG, shard, n), 0.5)
-		gotK, gotS := UpdateSubset(newG, keepFor(newG, shard, n), prevK, prevS)
+		gotK, gotS, _ := UpdateSubset(newG, keepFor(newG, shard, n), prevK, prevS)
 		wantK, wantS := BuildSubset(newG, keepFor(newG, shard, n), 0.5)
 
 		for f := Field(0); f < NumFields; f++ {

@@ -7,10 +7,11 @@
 // read every posting). The dominant cost of a rebuild is scoring S's
 // name-similarity lists, and S is entirely value-keyed, so UpdateSubset
 // scores only the values that appeared and rewrites, in one sequential
-// pass, the block of each field whose vocabulary changed. A field the flush
-// did not reach shares its block and its bigram postings with the previous
-// generation, which keeps serving concurrently: nothing published is ever
-// mutated in place.
+// pass, the block of each field whose vocabulary changed — unless so many
+// values appeared that scoring the field from scratch is cheaper. A field
+// the flush did not reach shares its block and its bigram postings with the
+// previous generation, which keeps serving concurrently: nothing published
+// is ever mutated in place.
 package index
 
 import (
@@ -33,6 +34,15 @@ var (
 	nameFields = simFields[:2]
 )
 
+// rebuildAbove is the share of a name field's new value set that may be
+// values the previous generation did not index before patching its block
+// stops paying. A rewrite scores every added value one-sidedly, so its cost
+// grows with the added share, while precompute costs the same whatever the
+// previous generation held. On BenchmarkUpdateSubset a patch costs as much
+// as a rebuild at 12–13% added values and a fifth less at 9–10% (DESIGN.md
+// §4.9): the bound is the round tenth, just under the crossover.
+const rebuildAbove = 0.1
+
 // UpdateSubset builds the indexes over the nodes of g accepted by keep (nil
 // keeps every node): K is built like any other, S is the previous
 // generation's carried across the difference between the two K's value
@@ -40,21 +50,30 @@ var (
 // index once it is published — and the similarity threshold is prevS's. The
 // returned indexes answer Lookup and Similar identically to a fresh
 // BuildSubset(g, keep, threshold), whatever subset prevK and prevS were
-// built over. Whether patching is worth it at all is the caller's decision
-// (shard.Coordinator.Advance).
-func UpdateSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, prevK *Keyword, prevS *Similarity) (*Keyword, *Similarity) {
+// built over; rebuilt is how many name-field blocks were scored from
+// scratch rather than patched or shared.
+func UpdateSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, prevK *Keyword, prevS *Similarity) (k *Keyword, s *Similarity, rebuilt int) {
 	defer obs.StartStage("index.update").Stop()
-	k := buildKeyword(g, keep)
-	return k, updateSimilarity(k, prevK, prevS)
+	k = buildKeyword(g, keep)
+	s, rebuilt = updateSimilarity(k, prevK, prevS, rebuildAbove)
+	mFullRebuild.Add(int64(rebuilt))
+	mIncremental.Add(int64(len(nameFields) - rebuilt))
+	return k, s, rebuilt
 }
 
-// updateSimilarity carries S across the indexed-value diff, field by field:
-// shared by reference where the value set did not move, otherwise the bigram
-// postings built from the new value set as a build does (a millisecond) and
-// the block rewritten around the diff (rewriteBlock). The probe cache is not
-// carried: the new generation starts with an empty one.
-func updateSimilarity(k, prevK *Keyword, prevS *Similarity) *Similarity {
-	s := &Similarity{threshold: prevS.threshold}
+// updateSimilarity carries S across the indexed-value diff, field by field,
+// and is where S is either patched or rebuilt. A field whose value set did
+// not move is shared by reference. Otherwise its bigram postings are built
+// from the new value set (a millisecond), and a name field's block is
+// scored from scratch (precompute) when more than rebuildAt of its new
+// values were added, or rewritten around the diff (rewriteBlock). A build is
+// this function run against an empty previous index, where every value is
+// added. rebuilt counts the blocks precompute wrote. rebuildAt is
+// rebuildAbove on every path but the crossover benchmark, which times the
+// rewrite at any share. The probe cache is not carried: the new generation
+// starts with an empty one.
+func updateSimilarity(k, prevK *Keyword, prevS *Similarity, rebuildAt float64) (s *Similarity, rebuilt int) {
+	s = &Similarity{threshold: prevS.threshold}
 	for _, f := range simFields {
 		s.probes[f] = make([]atomic.Pointer[probeEntry], symbol.Len()+probeSlots)
 		added, removed := valueDiff(k.postings[f], prevK.postings[f])
@@ -63,12 +82,17 @@ func updateSimilarity(k, prevK *Keyword, prevS *Similarity) *Similarity {
 			continue
 		}
 		s.bigramPost[f] = bigramPostings(k.postings[f])
-		// A location has postings and no lists: nothing is precomputed.
-		if old := prevS.blocks[f]; old != nil {
-			s.blocks[f] = s.rewriteBlock(f, old, added, removed)
+		switch {
+		case f == FieldLocation:
+			// A location has postings and no lists: nothing is precomputed.
+		case float64(len(added)) > rebuildAt*float64(len(k.postings[f])):
+			s.precompute(f, k.postings[f])
+			rebuilt++
+		default:
+			s.blocks[f] = s.rewriteBlock(f, prevS.blocks[f], added, removed)
 		}
 	}
-	return s
+	return s, rebuilt
 }
 
 // rowEdit is one change the diff makes to a surviving row: the entry of a

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/snaps/snaps/internal/dataset"
@@ -133,7 +134,10 @@ func TestUpdateEquivalence(t *testing.T) {
 	}
 
 	fullK, fullS := Build(newG, 0.5)
-	updK, updS := UpdateSubset(newG, nil, prevK, prevS)
+	updK, updS, rebuilt := UpdateSubset(newG, nil, prevK, prevS)
+	if rebuilt != 0 {
+		t.Fatalf("a two-certificate flush rebuilt %d blocks, want both patched", rebuilt)
+	}
 
 	if updK.Values(FieldSurname) <= prevK.Values(FieldSurname) {
 		t.Fatal("no added values; the new surname was not detected")
@@ -179,6 +183,67 @@ func TestUpdateEquivalence(t *testing.T) {
 	}
 }
 
+// TestUpdateSubsetAtTheBound takes a name field to either side of
+// rebuildAbove: with a tenth of the values new the blocks are patched, with
+// one more they are rebuilt, and both times K and every precomputed row of S
+// equal BuildSubset's, entry for entry. Each node carries a first name and a
+// surname no other node does, so the previous generation's missing nodes
+// are exactly the added values of both fields.
+func TestUpdateSubsetAtTheBound(t *testing.T) {
+	const n = 300
+	d := dataset.GenerateScale(dataset.ScaleTier(2000)).Dataset
+	var firsts, surs []string
+	seenF, seenS := map[string]bool{}, map[string]bool{}
+	for i := range d.Records {
+		r := &d.Records[i]
+		if f, s := r.FirstName(), r.Surname(); f != "" && s != "" && !seenF[f] && !seenS[s] {
+			seenF[f], seenS[s] = true, true
+			firsts, surs = append(firsts, f), append(surs, s)
+		}
+	}
+	if len(firsts) < n {
+		t.Fatalf("only %d nodes with a name pair of their own", len(firsts))
+	}
+	graph := func(nodes int) *pedigree.Graph {
+		g := &pedigree.Graph{}
+		for i := 0; i < nodes; i++ {
+			g.Nodes = append(g.Nodes, pedigree.Node{ID: pedigree.NodeID(i),
+				FirstNames: []string{firsts[i]}, Surnames: []string{surs[i]}})
+		}
+		return g
+	}
+	g := graph(n)
+	wantK, wantS := BuildSubset(g, nil, 0.5)
+	under := int(rebuildAbove * n)
+	for added, wantRebuilt := range map[int]int{under: 0, under + 1: len(nameFields)} {
+		prevK, prevS := BuildSubset(graph(n-added), nil, 0.5)
+		gotK, gotS, rebuilt := UpdateSubset(g, nil, prevK, prevS)
+		if rebuilt != wantRebuilt {
+			t.Fatalf("%d of %d values added: %d blocks rebuilt, want %d", added, n, rebuilt, wantRebuilt)
+		}
+		for f := Field(0); f < NumFields; f++ {
+			if got, want := gotK.Values(f), wantK.Values(f); got != want {
+				t.Fatalf("%d added, field %v: %d values, fresh build %d", added, f, got, want)
+			}
+			for v, pl := range wantK.postings[f] {
+				if got, want := gotK.Lookup(f, v), pl.decode(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d added, field %v value %q: postings %v, fresh build %v", added, f, v, got, want)
+				}
+			}
+		}
+		for _, f := range nameFields {
+			if got, want := len(gotS.blocks[f].vals), len(wantS.blocks[f].vals); got != want {
+				t.Fatalf("%d added, field %v: %d rows, fresh build %d", added, f, got, want)
+			}
+			for v := range wantS.blocks[f].rows {
+				if got, want := gotS.listOf(f, v), wantS.listOf(f, v); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d added, field %v row %q: %v, fresh build %v", added, f, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestUpdateSimilarityRemovesValues exercises the removal path directly:
 // record sets are append-only in production so indexed values in practice
 // only appear, but Update must stay correct if a value vanishes (e.g. a
@@ -198,7 +263,7 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 	}
 
 	newK := buildKeyword(mk("anna", "bert"), nil) // "annie" removed
-	s := updateSimilarity(newK, prevK, prevS)
+	s, _ := updateSimilarity(newK, prevK, prevS, rebuildAbove)
 	if s.listOf(FieldSurname, "annie") != nil || s.Size(FieldSurname) != 2 {
 		t.Fatalf("S holds %d surname lists after the removal, want anna and bert", s.Size(FieldSurname))
 	}
@@ -218,23 +283,4 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 			t.Fatal("similarity list for anna still contains removed value annie")
 		}
 	}
-}
-
-// BenchmarkIndexUpdate compares one flush's index maintenance cost: a full
-// Build of the new generation vs the incremental UpdateSubset from the
-// previous one. The gap is the reason UpdateSubset exists (DESIGN.md §4.9).
-func BenchmarkIndexUpdate(b *testing.B) {
-	_, newG, prevK, prevS := buildGenerations(b, 0.1)
-	b.Run("full_rebuild", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Build(newG, 0.5)
-		}
-	})
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			UpdateSubset(newG, nil, prevK, prevS)
-		}
-	})
 }

@@ -181,10 +181,9 @@ type Status struct {
 
 // ShardBacklog is one shard's share of the unflushed ingest backlog.
 type ShardBacklog struct {
-	Shard        int    `json:"shard"`
-	Pending      int    `json:"pending"`
-	PendingBytes int64  `json:"pending_bytes"`
-	Generation   uint64 `json:"generation"`
+	Shard        int   `json:"shard"`
+	Pending      int   `json:"pending"`
+	PendingBytes int64 `json:"pending_bytes"`
 }
 
 // Pipeline accepts certificates, journals them, and folds them into the
@@ -433,18 +432,13 @@ func (p *Pipeline) Backlog() (records int, bytes int64) {
 }
 
 // ShardBacklog reports the unflushed backlog split by destination shard.
-// Shard generations are stamped from the currently served coordinator.
 func (p *Pipeline) ShardBacklog() []ShardBacklog {
-	sv := p.Serving()
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	out := make([]ShardBacklog, len(p.shardPending))
 	for s := range out {
 		out[s] = ShardBacklog{Shard: s,
 			Pending: p.shardPending[s].records, PendingBytes: p.shardPending[s].bytes}
-	}
-	p.mu.Unlock()
-	for _, sh := range sv.Shards.Shards() {
-		out[sh.ID].Generation = sh.Generation
 	}
 	return out
 }
@@ -603,28 +597,16 @@ func (p *Pipeline) flushLocked() error {
 	stageDone("er_extend")
 
 	// Rebuild the pedigree graph, then advance the still-serving
-	// coordinator: it classifies the new graph once, updates only the
-	// partitions the batch touched (index.UpdateSubset per shard: a fresh
-	// K and the served S patched, without locking it; both rebuilt
-	// instead when too much of the graph is dirty), reuses every
-	// untouched shard — indexes, engine, and shard-local generation — by
-	// reference, and invalidates the result cache against gen.
+	// coordinator: every shard gets a fresh K and the served S carried
+	// across the value diff without locking it (index.UpdateSubset, which
+	// rebuilds a name field's block instead when too many of its values are
+	// new), and the result cache is invalidated against gen.
 	_, isp := obs.StartSpan(ctx, "rebuild_indexes")
 	newG := pedigree.Build(newD, newStore)
 	gen := p.generation + 1
 	coord, ast := p.serving.Load().Shards.Advance(newG, gen)
-	// Incremental means the touched shards were patched, not rebuilt.
-	incremental := ast.Patched == ast.Touched
-	isp.SetAttr("dirty_entities", int64(ast.DirtyNodes))
-	isp.SetAttr("shards_touched", int64(ast.Touched))
-	isp.SetAttr("shards_patched", int64(ast.Patched))
-	isp.SetAttr("shards_reused", int64(ast.Reused))
-	if incremental {
-		isp.SetAttr("incremental", 1)
-	} else {
-		isp.SetAttr("incremental", 0)
-		isp.SetAttrStr("fallback_reason", ast.Reason)
-	}
+	isp.SetAttr("shards", int64(ast.Touched))
+	isp.SetAttr("blocks_rebuilt", int64(ast.Rebuilt))
 	isp.End()
 	stageDone("rebuild_indexes")
 
@@ -661,9 +643,8 @@ func (p *Pipeline) flushLocked() error {
 		slog.Int("records", len(newD.Records)),
 		slog.Int("entities", len(sv.Graph.Nodes)),
 		slog.Int("candidate_pairs", epr.Candidates),
-		slog.Bool("incremental_index", incremental),
-		slog.String("fallback_reason", ast.Reason),
-		slog.Int("dirty_entities", ast.DirtyNodes),
+		slog.Int("shards", ast.Touched),
+		slog.Int("blocks_rebuilt", ast.Rebuilt),
 		slog.Duration("took", time.Since(start)),
 	)
 	return nil

@@ -490,7 +490,7 @@ func buildCensusRelations() []CertRelation {
 	return rels
 }
 
-// RolePair is an unordered pair of roles used to classify candidate links
+// RolePair is an unordered pair of roles used to group candidate links
 // (e.g. Bb-Dd: a baby linking to a deceased person). The smaller role is
 // stored first so pairs compare regardless of argument order.
 type RolePair struct {

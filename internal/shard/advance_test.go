@@ -1,6 +1,6 @@
-// External tests of the decisions Advance makes once per flush: one
-// classification of the new graph for every shard (what it calls clean),
-// and the choice between patching the touched shards and rebuilding them.
+// External tests of what Advance does with a flush: every shard advances,
+// and each of its name-field blocks is patched or rebuilt as the index
+// decides.
 package shard_test
 
 import (
@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/snaps/snaps/internal/index"
 	"github.com/snaps/snaps/internal/ingest"
-	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/shard"
@@ -52,81 +52,60 @@ func novelCerts(n int) []*ingest.Certificate {
 	return out
 }
 
-// TestClassifyInvariants pins what Advance relies on in the one whole-graph
-// classification: a node carrying a new record is dirty, and a previous
-// node maps only to a clean node with the same number of records.
-func TestClassifyInvariants(t *testing.T) {
-	d, _, _ := builtCase(t, 0.03)
-	r0, r1 := &d.Records[0], &d.Records[len(d.Records)/2]
-	// One certificate reuses names the corpus has, one is all new names.
-	c, newG := grownGraph(t, append(novelCerts(1),
-		growCert([2]string{r0.FirstName(), r0.Surname()},
-			[2]string{r1.FirstName(), r1.Surname()},
-			[2]string{r1.FirstName(), r0.Surname()}, 1890)))
-	prevG := c.Graph()
-	oldToNew, isDirty, dirty := shard.Classify(newG, prevG)
-	if dirty == 0 {
-		t.Fatal("growth produced no dirty nodes")
-	}
-	if len(oldToNew) != len(prevG.Nodes) || len(isDirty) != len(newG.Nodes) {
-		t.Fatalf("classification sized %d/%d, graphs %d/%d",
-			len(oldToNew), len(isDirty), len(prevG.Nodes), len(newG.Nodes))
-	}
-	prevRecs := model.RecordID(len(prevG.Dataset.Records))
-	for i := range newG.Nodes {
-		n := &newG.Nodes[i]
-		for _, r := range n.Records {
-			if r >= prevRecs && !isDirty[i] {
-				t.Fatalf("node %d carries new record %d but is not dirty", i, r)
-			}
-		}
-	}
-	for j, nid := range oldToNew {
-		if nid < 0 {
-			continue
-		}
-		if isDirty[nid] {
-			t.Fatalf("prev node %d maps to dirty node %d", j, nid)
-		}
-		if len(prevG.Nodes[j].Records) != len(newG.Node(nid).Records) {
-			t.Fatalf("prev node %d mapped to node %d with a different record set", j, nid)
-		}
-	}
-}
-
-// TestAdvanceClassifiesOncePerFlush: however many shards a flush touches,
-// the new graph is classified once and every touched shard patches from
-// that one classification.
-func TestAdvanceClassifiesOncePerFlush(t *testing.T) {
+// TestAdvanceRepublishesEveryShard: a flush advances every shard, reusing
+// none, and a six-entity flush patches every block it changes; the new
+// ownership covers every node once.
+func TestAdvanceRepublishesEveryShard(t *testing.T) {
 	c, newG := grownGraph(t, novelCerts(2))
-	classified := obs.StageHistogram("index_classify")
-	before := classified.Count()
 	nc, ast := c.Advance(newG, 1)
-	if got := classified.Count() - before; got != 1 {
-		t.Errorf("Advance classified the graph %d times, want 1", got)
+	if ast.Touched != c.NumShards() || ast.Reused != 0 || ast.Rebuilt != 0 {
+		t.Fatalf("a six-entity flush over four shards should advance and patch all of them: %+v", ast)
 	}
-	if ast.Touched < 2 || ast.Patched != ast.Touched || ast.Reason != "" {
-		t.Fatalf("a six-entity flush over four shards should patch several shards: %+v", ast)
+	for s, sh := range nc.Shards() {
+		if sh == c.Shards()[s] {
+			t.Fatalf("shard %d was carried over, not republished", s)
+		}
 	}
 	checkPartition(t, nc, newG)
 }
 
-// TestAdvanceDirtyFractionFallback: a flush that dirties more than a
-// quarter of the entities rebuilds its touched shards instead of patching
-// them, says why, and serves what a fresh partition serves.
-func TestAdvanceDirtyFractionFallback(t *testing.T) {
+// TestAdvanceRebuildsFieldsPastTheBound: whether a block is patched or
+// rebuilt is decided per name field of each shard, from the share of its
+// values the flush added. 80 novel surnames are more than a tenth of every
+// shard's surnames, so every surname block is rebuilt, while the three new
+// first names are too few to rebuild any first-name block. The counters
+// tick once per block, and the coordinator serves what a fresh partition
+// serves.
+func TestAdvanceRebuildsFieldsPastTheBound(t *testing.T) {
 	c, newG := grownGraph(t, novelCerts(80))
+	incr := obs.Default.Counter("snaps_index_incremental_total", "")
+	full := obs.Default.Counter("snaps_index_full_rebuild_total", "")
+	i0, f0 := incr.Value(), full.Value()
 	nc, ast := c.Advance(newG, 1)
-	if 4*ast.DirtyNodes <= len(newG.Nodes) {
-		t.Fatalf("the batch dirtied only %d of %d entities", ast.DirtyNodes, len(newG.Nodes))
+	n := c.NumShards()
+	for s, sh := range nc.Shards() {
+		prev := c.Shards()[s].Keyword
+		for f, rebuild := range map[index.Field]bool{index.FieldSurname: true, index.FieldFirstName: false} {
+			was, is := prev.Values(f), sh.Keyword.Values(f)
+			if over := 10*(is-was) > is; over != rebuild {
+				t.Fatalf("shard %d field %v went %d -> %d values: the case does not put it on the intended side of the bound", s, f, was, is)
+			}
+		}
 	}
-	if ast.Touched == 0 || ast.Patched != 0 || ast.Reason == "" {
-		t.Fatalf("Advance patched a flush over the dirty fraction: %+v", ast)
+	if ast.Touched != n || ast.Reused != 0 || ast.Rebuilt != n {
+		t.Fatalf("want every shard advanced and its surname block alone rebuilt: %+v", ast)
 	}
-	fresh := shard.Partition(newG, shard.Options{Shards: 4, SimThreshold: 0.5})
+	if got, want := full.Value()-f0, int64(n); got != want {
+		t.Errorf("snaps_index_full_rebuild_total moved by %d, want %d (one per surname block)", got, want)
+	}
+	if got, want := incr.Value()-i0, int64(n); got != want {
+		t.Errorf("snaps_index_incremental_total moved by %d, want %d (one per first-name block)", got, want)
+	}
+	checkPartition(t, nc, newG)
+	fresh := shard.Partition(newG, shard.Options{Shards: n, SimThreshold: 0.5})
 	for qi, q := range goldenQueries(newG) {
 		if got, want := render(nc.Search(q)), render(fresh.Search(q)); got != want {
-			t.Fatalf("query %d (%+v): rebuilt coordinator diverged\nwant:\n%s\ngot:\n%s", qi, q, want, got)
+			t.Fatalf("query %d (%+v): advanced coordinator diverged\nwant:\n%s\ngot:\n%s", qi, q, want, got)
 		}
 	}
 }

@@ -28,14 +28,6 @@ var (
 	mStragglerSeconds = obs.Default.Histogram("snaps_shard_straggler_seconds",
 		"Per scatter: slowest shard search minus the median one — scatter time lost to the laggard.",
 		obs.LatencyBuckets)
-	mFlushTouched = obs.Default.Counter("snaps_shard_flush_touched_total",
-		"Shards rebuilt (incrementally or fully) by ingest flushes.")
-	mFlushReused = obs.Default.Counter("snaps_shard_flush_reused_total",
-		"Shards carried over untouched by ingest flushes.")
-	mIncremental = obs.Default.Counter("snaps_index_incremental_total",
-		"Index updates satisfied by patching the previous generation's indexes.")
-	mFullRebuild = obs.Default.Counter("snaps_index_full_rebuild_total",
-		"Index updates that fell back to a full rebuild.")
 	mSimilarityBytes = obs.Default.Gauge("snaps_index_similarity_bytes",
 		"Bytes of the similarity index S over the published generation's shards: block arrays plus encoded bigram postings.")
 
@@ -49,19 +41,11 @@ var (
 		"Scatters in which the shard was the slowest one.", "shard")
 )
 
-// maxDirtyFraction bounds the incremental path: when more than this
-// fraction of the pedigree nodes changed cluster membership since the
-// previous generation, patching the indexes approaches the cost of
-// rebuilding them and Advance rebuilds every touched shard instead.
-const maxDirtyFraction = 0.25
-
 // shardMetrics are the per-shard series, pre-created at shard construction
 // so the serving hot path never takes the registry (or vec) lock.
 type shardMetrics struct {
 	searches      *obs.Counter
-	rebuilds      *obs.Counter
 	nodes         *obs.Gauge
-	gen           *obs.Gauge
 	searchSeconds *obs.Histogram
 	queueWait     *obs.Histogram
 	straggles     *obs.Counter
@@ -73,12 +57,8 @@ func metricsFor(id int) *shardMetrics {
 	return &shardMetrics{
 		searches: obs.Default.Counter("snaps_shard_searches_total{"+l+"}",
 			"Searches served by the shard under the scatter-gather coordinator."),
-		rebuilds: obs.Default.Counter("snaps_shard_rebuilds_total{"+l+"}",
-			"Times an ingest flush rebuilt the shard's indexes."),
 		nodes: obs.Default.Gauge("snaps_shard_nodes{"+l+"}",
 			"Pedigree entities owned by the shard."),
-		gen: obs.Default.Gauge("snaps_shard_generation{"+l+"}",
-			"Shard-local generation: advances only when a flush touches the shard."),
 		searchSeconds: mShardSearchSeconds.With(sid),
 		queueWait:     mShardQueueWait.With(sid),
 		straggles:     mStragglerTotal.With(sid),
@@ -87,10 +67,8 @@ func metricsFor(id int) *shardMetrics {
 
 // Shard is one self-contained serving partition: the subset-filtered
 // keyword and similarity indexes over its owned entities and a query engine
-// bound to them. A Shard is immutable once published; flushes that touch
-// it produce a replacement, flushes that don't reuse it by reference (its
-// engine keeps serving against the graph it was built from, which is
-// provably identical on every owned entity).
+// bound to them. A Shard is immutable once published; every flush produces
+// a replacement.
 type Shard struct {
 	ID     int
 	Engine *query.Engine
@@ -98,9 +76,6 @@ type Shard struct {
 	// the next flush can patch them per-partition via index.UpdateSubset.
 	Keyword *index.Keyword
 	Similar *index.Similarity
-	// Generation is the shard-local rebuild counter: it advances only when
-	// a flush touches this shard's partition.
-	Generation uint64
 	// NodeCount is the number of owned pedigree entities.
 	NodeCount int
 
@@ -160,7 +135,7 @@ func Partition(g *pedigree.Graph, o Options) *Coordinator {
 	c.shards = make([]*Shard, n)
 	for s := 0; s < n; s++ {
 		k, sim := index.BuildSubset(g, c.keep(s), c.simThreshold)
-		c.shards[s] = c.newShard(s, k, sim, 0, metricsFor(s))
+		c.shards[s] = c.newShard(s, k, sim, metricsFor(s))
 	}
 	c.setGauges()
 	return c
@@ -177,17 +152,15 @@ func (c *Coordinator) setGauges() {
 }
 
 // newShard puts an engine over shard s's indexes of the coordinator's
-// graph at shard-local generation gen, wired to the shard's metrics.
-func (c *Coordinator) newShard(s int, k *index.Keyword, sim *index.Similarity, gen uint64, met *shardMetrics) *Shard {
+// graph, wired to the shard's metrics.
+func (c *Coordinator) newShard(s int, k *index.Keyword, sim *index.Similarity, met *shardMetrics) *Shard {
 	sh := &Shard{
 		ID: s, Keyword: k, Similar: sim,
-		Engine:     query.NewEngine(c.graph, k, sim),
-		Generation: gen,
-		NodeCount:  c.counts[s],
-		met:        met,
+		Engine:    query.NewEngine(c.graph, k, sim),
+		NodeCount: c.counts[s],
+		met:       met,
 	}
 	met.nodes.Set(int64(sh.NodeCount))
-	met.gen.Set(int64(gen))
 	return sh
 }
 
@@ -205,32 +178,20 @@ func (c *Coordinator) keep(s int) func(pedigree.NodeID) bool {
 
 // AdvanceStats reports how a flush was absorbed by the partitions.
 type AdvanceStats struct {
-	// Touched and Reused count shards rebuilt vs carried over by
-	// reference.
+	// Touched is the shard count, since every flush advances every shard,
+	// and Reused is always 0.
 	Touched, Reused int
-	// Patched counts the touched shards whose previous indexes were patched
-	// (index.UpdateSubset): all of them, or none when the flush was over
-	// maxDirtyFraction and every touched shard was rebuilt, which Reason
-	// then says ("" otherwise).
-	Patched int
-	Reason  string
-	// DirtyNodes is the global count of entities whose record set changed.
-	DirtyNodes int
+	// Rebuilt counts the name-field S blocks the flush scored from scratch
+	// rather than patched or shared (index.UpdateSubset decides, per block).
+	Rebuilt int
 }
 
-// Advance publishes a flush: it classifies the new graph against the
-// served one — once, for every shard — decides from the dirty fraction
-// whether touched shards patch their S (index.UpdateSubset) or rebuild,
-// updates ONLY the shards whose partitions the flush touched, and reuses
-// every untouched shard by reference.
-//
-// Reuse is sound because ownership is a pure function of a node's record
-// set (Owner): a shard is untouched exactly when every entity it owned is
-// clean with an unchanged NodeID and no entity moved in — so its indexes,
-// its engine, and even the old graph its engine reads are byte-identical
-// on every owned entity. generation is the global snapshot counter of the
-// bundle the new coordinator will be published in; the result cache
-// carries over and is invalidated against it once.
+// Advance publishes a flush: every shard gets the indexes of its partition
+// of the new graph from index.UpdateSubset over its previous ones, and an
+// engine over them. A flush renumbers most entities, so no shard's previous
+// engine could be kept. generation is the global snapshot counter of the
+// bundle the new coordinator will be published in; the result cache carries
+// over and is invalidated against it once.
 func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordinator, AdvanceStats) {
 	defer obs.StartStage("shard_advance").Stop()
 	n := len(c.shards)
@@ -241,129 +202,21 @@ func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordin
 		cache:        c.cache,
 	}
 	nc.owners, nc.counts = computeOwners(newG, n)
-
-	cl := classify(newG, c.graph)
-	touched := make([]bool, n)
-	for i := range newG.Nodes {
-		if cl.isDirty[i] {
-			touched[nc.owners[i]] = true
-		}
-	}
-	// A previous node whose clean counterpart has a different NodeID — or
-	// none at all — invalidates the posting lists of the shard that owned
-	// it (its clean counterpart, if any, is owned by the same shard, since
-	// clean means an identical record set).
-	for j, nid := range cl.oldToNew {
-		if nid != pedigree.NodeID(j) {
-			touched[c.owners[j]] = true
-		}
-	}
-
-	st := AdvanceStats{DirtyNodes: cl.dirty}
-	patch := float64(cl.dirty) <= maxDirtyFraction*float64(len(newG.Nodes))
-	if !patch {
-		st.Reason = "dirty fraction above threshold"
-	}
+	st := AdvanceStats{Touched: n}
 	nc.shards = make([]*Shard, n)
-	for s := 0; s < n; s++ {
-		prev := c.shards[s]
-		if !touched[s] {
-			nc.shards[s] = prev
-			st.Reused++
-			mFlushReused.Inc()
-			continue
-		}
-		// A touched shard builds its K and patches the previous generation's
-		// S, or rebuilds both when the flush was too dirty; its shard-local
-		// generation advances by one.
-		var (
-			k   *index.Keyword
-			sim *index.Similarity
-		)
-		if patch {
-			k, sim = index.UpdateSubset(newG, nc.keep(s), prev.Keyword, prev.Similar)
-			st.Patched++
-			mIncremental.Inc()
-		} else {
-			k, sim = index.BuildSubset(newG, nc.keep(s), nc.simThreshold)
-			mFullRebuild.Inc()
-		}
-		sh := nc.newShard(s, k, sim, prev.Generation+1, prev.met)
+	for s, prev := range c.shards {
+		k, sim, rebuilt := index.UpdateSubset(newG, nc.keep(s), prev.Keyword, prev.Similar)
+		st.Rebuilt += rebuilt
+		sh := nc.newShard(s, k, sim, prev.met)
 		sh.Engine.Weights = prev.Engine.Weights
 		sh.Engine.TopM = prev.Engine.TopM
-		sh.met.rebuilds.Inc()
 		nc.shards[s] = sh
-		st.Touched++
-		mFlushTouched.Inc()
 	}
 	if nc.cache != nil {
 		nc.cache.Invalidate(generation)
 	}
 	nc.setGauges()
 	return nc, st
-}
-
-// classification is the clean/dirty split of a graph's nodes against the
-// previous graph: oldToNew maps each previous node to its clean counterpart
-// (-1 when its cluster changed or it disappeared), isDirty marks the nodes
-// that have no identical previous record set, dirty counts them.
-type classification struct {
-	oldToNew []pedigree.NodeID
-	isDirty  []bool
-	dirty    int
-}
-
-// classify matches each node of g against the previous graph. A node is
-// clean when its record set is exactly the record set of one previous node:
-// aggregation is a pure function of the record set (records are append-only
-// across generations), so a clean node carries byte-identical indexed
-// values and only its NodeID may have changed. Advance calls it once per
-// flush, to decide which partitions the flush touched and whether patching
-// pays; nothing else in the program knows what "clean" means.
-func classify(g, prevG *pedigree.Graph) *classification {
-	defer obs.StartStage("index_classify").Stop()
-	cl := &classification{
-		oldToNew: make([]pedigree.NodeID, len(prevG.Nodes)),
-		isDirty:  make([]bool, len(g.Nodes)),
-	}
-	for i := range cl.oldToNew {
-		cl.oldToNew[i] = -1
-	}
-	prevRecs := model.RecordID(len(prevG.Dataset.Records))
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
-		old := pedigree.NodeID(-1)
-		clean := len(n.Records) > 0
-		for j, r := range n.Records {
-			if r >= prevRecs {
-				clean = false
-				break
-			}
-			o, ok := prevG.NodeOfRecord(r)
-			if !ok {
-				clean = false
-				break
-			}
-			if j == 0 {
-				old = o
-			} else if o != old {
-				clean = false
-				break
-			}
-		}
-		// Same count plus containment means the sets are equal (records
-		// appear in exactly one node per graph).
-		if clean && len(prevG.Node(old).Records) != len(n.Records) {
-			clean = false
-		}
-		if clean {
-			cl.oldToNew[old] = n.ID
-		} else {
-			cl.isDirty[i] = true
-			cl.dirty++
-		}
-	}
-	return cl
 }
 
 // NumShards returns the partition count.
@@ -504,9 +357,9 @@ func (c *Coordinator) scatter(ctx context.Context, q query.Query) []query.Result
 
 	// Straggler accounting: the scatter finishes with its slowest shard, so
 	// the time the laggard spent beyond the (lower-)median shard is scatter
-	// latency that better balance would recover. The laggard's identity and
-	// generation land on the scatter span, which the slow-query WARN logs in
-	// full — the forensics name the shard, not just the total.
+	// latency that better balance would recover. The laggard's identity lands
+	// on the scatter span, which the slow-query WARN logs in full — the
+	// forensics name the shard, not just the total.
 	slow := 0
 	for i := range durs {
 		if durs[i] > durs[slow] {
@@ -523,7 +376,6 @@ func (c *Coordinator) scatter(ctx context.Context, q query.Query) []query.Result
 	sp.SetAttr("results", int64(len(out)))
 	sp.SetAttr("merge_us", merge.Microseconds())
 	sp.SetAttr("straggler_shard", int64(slow))
-	sp.SetAttr("straggler_generation", int64(c.shards[slow].Generation))
 	sp.SetAttr("straggler_us", lag.Microseconds())
 	sp.End()
 	mScatterSeconds.ObserveDurationExemplar(time.Since(start), obs.TraceIDFromContext(ctx))
@@ -538,7 +390,6 @@ func (c *Coordinator) searchShard(ctx context.Context, sh *Shard, q query.Query,
 	sh.met.queueWait.ObserveDuration(wait)
 	ctx, sp := obs.StartSpan(ctx, "shard_search")
 	sp.SetAttr("shard", int64(sh.ID))
-	sp.SetAttr("shard_generation", int64(sh.Generation))
 	sp.SetAttr("queue_wait_us", wait.Microseconds())
 	t0 := time.Now()
 	res := sh.Engine.SearchContext(ctx, q)

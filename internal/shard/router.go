@@ -1,6 +1,6 @@
 // Package shard partitions the serving tier into N self-contained shards,
 // each owning a disjoint subset of the pedigree entities with its own
-// keyword index, similarity index and generation stamp, all fronted by a
+// keyword index and similarity index, all fronted by a
 // coordinator that caches merged rankings, fans a search out across the
 // shards and merges the per-shard bounded top-m rankings into the exact
 // ranking the single-shard engine would produce.
@@ -56,9 +56,8 @@ func Route(firstName, surname string, shards int) int {
 // Owner returns the shard owning a pedigree node: the route of the name
 // key of the node's lowest-numbered record. Records are append-only and a
 // record never changes its name, so ownership is a pure function of the
-// node's record set — a node whose record set is unchanged across
-// generations (a "clean" node, see classify) is owned by the same shard in
-// both, which is what lets an ingest flush reuse untouched shards wholesale.
+// node's record set: an entity a flush leaves alone stays on its shard,
+// whatever id the flush renumbers it to.
 func Owner(g *pedigree.Graph, n *pedigree.Node, shards int) int {
 	if shards <= 1 || len(n.Records) == 0 {
 		return 0
