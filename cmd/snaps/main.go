@@ -102,7 +102,7 @@ func main() {
 
 		queryCache = flag.Int("query-cache", ingest.DefaultQueryCache, "cache up to this many merged rankings in one result cache (0 disables; invalidated on every ingest snapshot swap)")
 		queryStale = flag.Bool("query-stale", true, "serve the previous generation's cached ranking, re-anchored to the new generation's entities, while a background refresh recomputes it after a snapshot swap (stale-while-revalidate)")
-		shards     = flag.Int("shards", 1, "partition the serving tier into this many shards searched scatter-gather; an ingest flush re-indexes only touched shards (1 = one shard answering directly; results are byte-identical for any value)")
+		shards     = flag.Int("shards", 1, "partition the serving tier into this many shards searched scatter-gather; every ingest flush re-indexes every shard (1 = one shard answering directly; results are byte-identical for any value)")
 
 		admitConcurrency    = flag.Int("admit-concurrency", 64, "weighted in-flight request budget: pedigree renders admit up to 50%% of it, ingest 75%%, searches 100%% — the load-shed ladder (0 = no concurrency limit; the backlog bounds still apply)")
 		admitBacklogRecords = flag.Int("admit-max-backlog-records", 4096, "shed ingest with 429 + Retry-After once this many certificates await a flush (0 = unbounded)")
@@ -241,8 +241,8 @@ func main() {
 	}
 
 	// The serving tier is one coordinator over -shards partitions of the
-	// pedigree graph; it keeps each shard's indexes so the first ingest
-	// flush can patch them instead of falling back to a full rebuild.
+	// pedigree graph; every ingest flush re-indexes every shard from the
+	// shard's previous indexes (index.UpdateSubset).
 	icfg := ingest.DefaultConfig()
 	icfg.BatchSize = *ingestBatch
 	icfg.MaxAge = *ingestMaxAge

@@ -1,7 +1,7 @@
 // Package geo provides the geocoding substrate the paper's future work
 // calls for: a gazetteer that resolves historical addresses ("7 portree")
-// to coordinates, dataset-level geocoding for records loaded from CSV, and
-// distance helpers for geographic query filtering.
+// to coordinates, dataset-level geocoding for records loaded from CSV, and a
+// haversine distance helper.
 package geo
 
 import (

@@ -38,11 +38,6 @@ type Node struct {
 	// YearRange spans all event years of the entity's records.
 	MinYear, MaxYear int
 
-	// Lat, Lon is the centroid of the entity's geocoded records; HasGeo
-	// reports whether any record was geocoded.
-	Lat, Lon float64
-	HasGeo   bool
-
 	// Edges to related entities.
 	Edges []Edge
 }
@@ -149,14 +144,8 @@ func (g *Graph) aggregate(n *Node) {
 	sur := map[string]int{}
 	loc := map[string]int{}
 	n.MinYear, n.MaxYear = 1<<30, 0
-	geoCount := 0
 	for _, rid := range n.Records {
 		rec := g.Dataset.Record(rid)
-		if rec.Lat != 0 || rec.Lon != 0 {
-			n.Lat += rec.Lat
-			n.Lon += rec.Lon
-			geoCount++
-		}
 		if rec.First != 0 {
 			first[rec.FirstName()]++
 		}
@@ -188,11 +177,6 @@ func (g *Graph) aggregate(n *Node) {
 	}
 	if n.MinYear == 1<<30 {
 		n.MinYear = 0
-	}
-	if geoCount > 0 {
-		n.Lat /= float64(geoCount)
-		n.Lon /= float64(geoCount)
-		n.HasGeo = true
 	}
 	n.FirstNames = rankValues(first)
 	n.Surnames = rankValues(sur)

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"math"
 	"testing"
 
 	"github.com/snaps/snaps/internal/index"
@@ -54,17 +53,18 @@ func TestExplainBreakdownSumsToSearchScore(t *testing.T) {
 		t.Fatal("full query returned no results")
 	}
 	// The query enables every scored field, so its weight sum is fixed.
-	w := e.Weights
-	weightSum := w.FirstName + w.Surname + w.Gender + w.Year + w.Location
+	weightSum := weights[index.FieldFirstName] + weights[index.FieldSurname] +
+		weights[index.FieldGender] + weights[index.FieldYear] + weights[index.FieldLocation]
 
 	sawLocation := false
 	for _, r := range results {
 		ex := e.Explain(q, r.Entity)
 
-		var contribSum float64
+		// s_r sums in field order, whatever order Fields lists them in.
+		var contrib [index.NumFields]float64
 		for _, f := range ex.Fields {
-			contribSum += f.Contribution
-			if math.Abs(f.Contribution-f.Weight*f.Similarity) > 1e-12 {
+			contrib[f.Field] = f.Contribution
+			if f.Contribution != f.Weight*f.Similarity {
 				t.Errorf("entity %d field %v: contribution %v != weight %v x similarity %v",
 					r.Entity, f.Field, f.Contribution, f.Weight, f.Similarity)
 			}
@@ -78,10 +78,14 @@ func TestExplainBreakdownSumsToSearchScore(t *testing.T) {
 				}
 			}
 		}
-		if got := 100 * contribSum / weightSum; math.Abs(got-ex.Score) > 1e-9 {
+		contribSum := 0.0
+		for _, c := range contrib {
+			contribSum += c
+		}
+		if got := 100 * contribSum / weightSum; got != ex.Score {
 			t.Errorf("entity %d: field contributions sum to %v, Explain.Score is %v", r.Entity, got, ex.Score)
 		}
-		if math.Abs(ex.Score-r.Score) > 1e-9 {
+		if ex.Score != r.Score {
 			t.Errorf("entity %d: Explain score %v != Search score %v", r.Entity, ex.Score, r.Score)
 		}
 		// The cert-type restriction filtered this result set: every entity
@@ -133,12 +137,12 @@ func TestExplainApproximateLocation(t *testing.T) {
 		if f.Similarity >= 1 || f.Similarity <= 0 {
 			t.Errorf("approximate location similarity %v, want in (0,1)", f.Similarity)
 		}
-		if math.Abs(f.Contribution-e.Weights.Location*f.Similarity) > 1e-12 {
+		if f.Contribution != weights[index.FieldLocation]*f.Similarity {
 			t.Errorf("approximate location contribution %v not scaled by similarity", f.Contribution)
 		}
 		// And Search agrees with the degraded score.
 		for _, r := range e.Search(q) {
-			if r.Entity == n.ID && math.Abs(ex.Score-r.Score) > 1e-9 {
+			if r.Entity == n.ID && ex.Score != r.Score {
 				t.Errorf("Explain %v != Search %v on approximate location", ex.Score, r.Score)
 			}
 		}
@@ -148,8 +152,57 @@ func TestExplainApproximateLocation(t *testing.T) {
 	// legitimate no-contribution outcome, not a failure — but the entity
 	// must then score identically in Search.
 	for _, r := range e.Search(q) {
-		if r.Entity == n.ID && math.Abs(ex.Score-r.Score) > 1e-9 {
+		if r.Entity == n.ID && ex.Score != r.Score {
 			t.Errorf("Explain %v != Search %v with unmatched location", ex.Score, r.Score)
 		}
+	}
+}
+
+// TestExplainEqualsSearch explains every row of every golden query and of
+// full-query variants (with and without the cert-type restriction, and with
+// a misspelt surname) built from the graph's entities: each explanation's
+// score must equal the row's bit for bit, and its exact/approximate flags
+// the row's match state.
+func TestExplainEqualsSearch(t *testing.T) {
+	e := builtEngine(t)
+	qs := goldenQueries(e)
+	for i := range e.Graph.Nodes {
+		q, ok := fullQueryFor(e, &e.Graph.Nodes[i])
+		if !ok {
+			continue
+		}
+		qs = append(qs, q)
+		q.HasCertType = false
+		qs = append(qs, q)
+		if len(q.Surname) >= 5 {
+			q.Surname = q.Surname[:len(q.Surname)-1] + "x"
+			qs = append(qs, q)
+		}
+		if len(qs) >= 600 {
+			break
+		}
+	}
+	rows := 0
+	for _, q := range qs {
+		for _, r := range e.Search(q) {
+			rows++
+			ex := e.Explain(q, r.Entity)
+			if ex.Score != r.Score {
+				t.Fatalf("query %+v entity %d: Explain score %v != Search score %v", q, r.Entity, ex.Score, r.Score)
+			}
+			var flags [index.NumFields]Match
+			for _, f := range ex.Fields {
+				flags[f.Field] = MatchApprox
+				if f.Exact {
+					flags[f.Field] = MatchExact
+				}
+			}
+			if flags != r.Matched {
+				t.Fatalf("query %+v entity %d: Explain flags %v != Search match state %v", q, r.Entity, flags, r.Matched)
+			}
+		}
+	}
+	if rows < 1000 {
+		t.Fatalf("the sweep explained only %d rows", rows)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"github.com/snaps/snaps/internal/index"
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/pedigree"
-	"github.com/snaps/snaps/internal/strsim"
 )
 
 // similarValues materialises a view of S as the slice the historical engine
@@ -22,10 +21,19 @@ func similarValues(l index.SimilarList) []index.SimilarValue {
 	return out
 }
 
+// refAccum is the historical engine's accumulator entry: the best weighted
+// contribution per query field, and whether that contribution was exact.
+type refAccum struct {
+	contrib  [index.NumFields]float64
+	matched  [index.NumFields]bool
+	hasField [index.NumFields]bool
+	excluded bool
+}
+
 // referenceSearch is the historical engine — per-candidate pointer map,
-// Matched maps for every candidate, full sort, trim — kept verbatim as the
-// golden oracle: the slab + heap engine must produce byte-identical ranked
-// output for any query.
+// match flags for every candidate, full sort, trim — kept as the golden
+// oracle: the slab + heap engine must produce byte-identical ranked output
+// for any query.
 func referenceSearch(e *Engine, q Query) []Result {
 	lookupName := func(f index.Field, value string) []index.SimilarValue {
 		if value == "" {
@@ -36,19 +44,19 @@ func referenceSearch(e *Engine, q Query) []Result {
 	firstVals := lookupName(index.FieldFirstName, q.FirstName)
 	surVals := lookupName(index.FieldSurname, q.Surname)
 
-	m := map[pedigree.NodeID]*accum{}
-	weightSum := e.Weights.FirstName + e.Weights.Surname
-	refAccumulate := func(f index.Field, value string, similar []index.SimilarValue, weight float64) {
+	m := map[pedigree.NodeID]*refAccum{}
+	weightSum := weights[index.FieldFirstName] + weights[index.FieldSurname]
+	refAccumulate := func(f index.Field, value string, similar []index.SimilarValue) {
 		if value == "" {
 			return
 		}
 		for _, sv := range similar {
 			exact := sv.Value == value
-			contribution := weight * sv.Sim
+			contribution := weights[f] * sv.Sim
 			for _, id := range e.Keyword.Lookup(f, sv.Value) {
 				a := m[id]
 				if a == nil {
-					a = &accum{}
+					a = &refAccum{}
 					m[id] = a
 				}
 				if contribution > a.contrib[f] {
@@ -59,21 +67,21 @@ func referenceSearch(e *Engine, q Query) []Result {
 			}
 		}
 	}
-	refAccumulate(index.FieldFirstName, q.FirstName, firstVals, e.Weights.FirstName)
-	refAccumulate(index.FieldSurname, q.Surname, surVals, e.Weights.Surname)
+	refAccumulate(index.FieldFirstName, q.FirstName, firstVals)
+	refAccumulate(index.FieldSurname, q.Surname, surVals)
 
 	if q.Gender != model.GenderUnknown {
-		weightSum += e.Weights.Gender
+		weightSum += weights[index.FieldGender]
 		for id, a := range m {
 			if e.Graph.Node(id).Gender == q.Gender {
-				a.contrib[index.FieldGender] = e.Weights.Gender
+				a.contrib[index.FieldGender] = weights[index.FieldGender]
 				a.matched[index.FieldGender] = true
 				a.hasField[index.FieldGender] = true
 			}
 		}
 	}
 	if q.YearFrom != 0 || q.YearTo != 0 {
-		weightSum += e.Weights.Year
+		weightSum += weights[index.FieldYear]
 		from, to := q.YearFrom, q.YearTo
 		if from == 0 {
 			from = -1 << 30
@@ -84,17 +92,24 @@ func referenceSearch(e *Engine, q Query) []Result {
 		for id, a := range m {
 			n := e.Graph.Node(id)
 			if n.MinYear != 0 && n.MinYear <= to && n.MaxYear >= from {
-				a.contrib[index.FieldYear] = e.Weights.Year
+				a.contrib[index.FieldYear] = weights[index.FieldYear]
 				a.matched[index.FieldYear] = true
 				a.hasField[index.FieldYear] = true
 			}
 		}
 	}
 	if q.Location != "" {
-		weightSum += e.Weights.Location
+		weightSum += weights[index.FieldLocation]
+		locs := e.Similar.Similar(index.FieldLocation, q.Location)
 		for id, a := range m {
-			if sim, exact, ok := e.bestLocation(id, q.Location, e.Similar.Similar(index.FieldLocation, q.Location)); ok {
-				a.contrib[index.FieldLocation] = e.Weights.Location * sim
+			best, exact := 0.0, false
+			for _, l := range e.Graph.Node(id).Locations {
+				if s, listed := locs.Sim(l); listed && s > best {
+					best, exact = s, l == q.Location
+				}
+			}
+			if best > 0 {
+				a.contrib[index.FieldLocation] = weights[index.FieldLocation] * best
 				a.matched[index.FieldLocation] = exact
 				a.hasField[index.FieldLocation] = true
 			}
@@ -102,15 +117,7 @@ func referenceSearch(e *Engine, q Query) []Result {
 	}
 	if q.HasCertType {
 		for id, a := range m {
-			if !e.hasCertType(id, q.CertType) {
-				a.excluded = true
-			}
-		}
-	}
-	if q.RadiusKm > 0 {
-		for id, a := range m {
-			n := e.Graph.Node(id)
-			if n.HasGeo && strsim.GeoDistanceKm(q.CenterLat, q.CenterLon, n.Lat, n.Lon) > q.RadiusKm {
+			if !e.hasCertType(e.Graph.Node(id), q.CertType) {
 				a.excluded = true
 			}
 		}
@@ -121,17 +128,20 @@ func referenceSearch(e *Engine, q Query) []Result {
 		if a.excluded {
 			continue
 		}
-		matched := map[index.Field]bool{}
+		r := Result{Entity: id}
+		total := 0.0
 		for f := index.Field(0); f < index.NumFields; f++ {
-			if a.hasField[f] {
-				matched[f] = a.matched[f]
+			total += a.contrib[f]
+			switch {
+			case !a.hasField[f]:
+			case a.matched[f]:
+				r.Matched[f] = MatchExact
+			default:
+				r.Matched[f] = MatchApprox
 			}
 		}
-		results = append(results, Result{
-			Entity:  id,
-			Score:   100 * a.score() / weightSum,
-			Matched: matched,
-		})
+		r.Score = 100 * total / weightSum
+		results = append(results, r)
 	}
 	sort.Slice(results, func(i, j int) bool {
 		if results[i].Score != results[j].Score {
@@ -146,7 +156,7 @@ func referenceSearch(e *Engine, q Query) []Result {
 }
 
 // goldenQueries builds a query set spanning every engine code path: hot
-// and misspelt names, gender/year/location refinement, cert-type and geo
+// and misspelt names, gender/year/location refinement, cert-type
 // exclusion, and their combinations.
 func goldenQueries(e *Engine) []Query {
 	var qs []Query
@@ -168,10 +178,6 @@ func goldenQueries(e *Engine) []Query {
 		}
 		qs = append(qs, Query{FirstName: first, Surname: sur,
 			CertType: model.Birth, HasCertType: true})
-		if n.HasGeo {
-			qs = append(qs, Query{FirstName: first, Surname: sur,
-				CenterLat: n.Lat, CenterLon: n.Lon, RadiusKm: 10})
-		}
 		if len(sur) >= 5 {
 			qs = append(qs, Query{FirstName: first, Surname: sur[:len(sur)-1] + "x"})
 		}
@@ -189,8 +195,8 @@ func render(results []Result) string {
 	for _, r := range results {
 		out += fmt.Sprintf("%d %.17g", r.Entity, r.Score)
 		for f := index.Field(0); f < index.NumFields; f++ {
-			if exact, ok := r.Matched[f]; ok {
-				out += fmt.Sprintf(" %v=%v", f, exact)
+			if r.Matched[f] != MatchNone {
+				out += fmt.Sprintf(" %v=%v", f, r.Matched[f] == MatchExact)
 			}
 		}
 		out += "\n"
@@ -227,8 +233,8 @@ func TestSearchGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestSearchResultsDeepEqual double-checks structural equality (maps
-// included) between reference and engine on the default configuration.
+// TestSearchResultsDeepEqual double-checks structural equality (match
+// state included) between reference and engine on the default configuration.
 func TestSearchResultsDeepEqual(t *testing.T) {
 	e := builtEngine(t)
 	qs := goldenQueries(e)

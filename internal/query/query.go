@@ -5,8 +5,8 @@
 // index), scored into an accumulator, and the top-m entities are returned
 // ranked by their normalised match scores.
 //
-// The serving path is allocation-free in the steady state: candidates score
-// into a pooled dense accumulator slab addressed through a reusable
+// A search allocates only its result list in the steady state: candidates
+// score into a pooled dense accumulator slab addressed through a reusable
 // NodeID→slot table (epoch-reset, so recycling is O(1)), and ranking uses
 // bounded top-m heap selection instead of sorting every candidate. Ranked
 // output is byte-identical to the naive map + full-sort engine; the golden
@@ -15,7 +15,7 @@ package query
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -24,7 +24,6 @@ import (
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/pedigree"
-	"github.com/snaps/snaps/internal/strsim"
 )
 
 // Engine metrics in the default registry, exposed at GET /metrics.
@@ -51,25 +50,56 @@ type Query struct {
 	CertType model.CertType
 	// HasCertType enables the CertType restriction.
 	HasCertType bool
-
-	// CenterLat, CenterLon, RadiusKm restrict results to entities whose
-	// geocoded centroid lies within the radius — the geographic search
-	// region of the paper's future work. RadiusKm <= 0 disables the
-	// filter; entities without geocoded records are never excluded by it.
-	CenterLat, CenterLon float64
-	RadiusKm             float64
 }
 
-// Weights are the per-field match weights w_a of the ranking score s_r.
-// Names dominate; year, gender, and location refine.
-type Weights struct {
-	FirstName, Surname, Gender, Year, Location float64
+// years returns the query's year range, an open end widened to any year,
+// and whether the query gives one.
+func (q *Query) years() (from, to int, ok bool) {
+	from, to = q.YearFrom, q.YearTo
+	if from == 0 {
+		from = -1 << 30
+	}
+	if to == 0 {
+		to = 1 << 30
+	}
+	return from, to, q.YearFrom != 0 || q.YearTo != 0
 }
 
-// DefaultWeights returns the weights used by the SNAPS web interface.
-func DefaultWeights() Weights {
-	return Weights{FirstName: 0.35, Surname: 0.35, Gender: 0.08, Year: 0.12, Location: 0.10}
+// weights are the per-field match weights w_a of the ranking score s_r, the
+// SNAPS web interface's: names dominate; year, gender, and location refine.
+var weights = [index.NumFields]float64{
+	index.FieldFirstName: 0.35,
+	index.FieldSurname:   0.35,
+	index.FieldLocation:  0.10,
+	index.FieldGender:    0.08,
+	index.FieldYear:      0.12,
 }
+
+// weightSum is the normaliser of s_r: the weights of the names and of every
+// refinement field the query gives.
+func weightSum(q *Query) float64 {
+	s := weights[index.FieldFirstName] + weights[index.FieldSurname]
+	if q.Gender != model.GenderUnknown {
+		s += weights[index.FieldGender]
+	}
+	if _, _, ok := q.years(); ok {
+		s += weights[index.FieldYear]
+	}
+	if q.Location != "" {
+		s += weights[index.FieldLocation]
+	}
+	return s
+}
+
+// Match is how one query field matched an entity: not at all, only
+// approximately, or exactly.
+type Match uint8
+
+const (
+	MatchNone Match = iota
+	MatchApprox
+	MatchExact
+)
 
 // Result is one ranked entity.
 type Result struct {
@@ -77,9 +107,9 @@ type Result struct {
 	// Score is the normalised match score in percent (100 = exact match on
 	// every provided field).
 	Score float64
-	// Matched records which query fields matched exactly (true) or only
-	// approximately (false); fields absent from the map did not match.
-	Matched map[index.Field]bool
+	// Matched holds, per query field, whether it matched exactly, only
+	// approximately, or not at all.
+	Matched [index.NumFields]Match
 }
 
 // Engine answers queries against the indexes and the pedigree graph.
@@ -87,34 +117,89 @@ type Engine struct {
 	Graph   *pedigree.Graph
 	Keyword *index.Keyword
 	Similar *index.Similarity
-	Weights Weights
 	TopM    int
 
 	// pool recycles per-search accumulator state.
 	pool sync.Pool
 }
 
-// NewEngine wires an engine with default weights and the paper's result
-// list size.
+// NewEngine wires an engine with the paper's result list size.
 func NewEngine(g *pedigree.Graph, k *index.Keyword, s *index.Similarity) *Engine {
-	return &Engine{Graph: g, Keyword: k, Similar: s, Weights: DefaultWeights(), TopM: 20}
+	return &Engine{Graph: g, Keyword: k, Similar: s, TopM: 20}
 }
 
-// accumulator entry per candidate entity: the best weighted contribution
-// per query field, plus whether that contribution was an exact match.
+// accum is the accumulator entry of one candidate entity: per query field,
+// the similarity of its best match and how it matched.
 type accum struct {
-	contrib  [index.NumFields]float64
-	matched  [index.NumFields]bool
-	hasField [index.NumFields]bool
+	sim      [index.NumFields]float64
+	match    [index.NumFields]Match
 	excluded bool
 }
 
-func (a *accum) score() float64 {
-	s := 0.0
-	for _, c := range a.contrib {
-		s += c
+// set records field f's match at similarity sim.
+func (a *accum) set(f index.Field, sim float64, exact bool) {
+	a.sim[f], a.match[f] = sim, MatchApprox
+	if exact {
+		a.match[f] = MatchExact
 	}
-	return s
+}
+
+// offer records a name match at similarity sim when its weighted
+// contribution, the quantity s_r sums, beats the field's best so far.
+func (a *accum) offer(f index.Field, sim float64, exact bool) bool {
+	if weights[f]*sim <= weights[f]*a.sim[f] {
+		return false
+	}
+	a.set(f, sim, exact)
+	return true
+}
+
+// score is s_r in percent: the weighted similarities summed in field order,
+// over weightSum.
+func (a *accum) score(weightSum float64) float64 {
+	s := 0.0
+	for f, sim := range a.sim {
+		s += weights[f] * sim
+	}
+	return 100 * s / weightSum
+}
+
+// refine is the one scorer of the refinement fields: it scores the query's
+// gender, year range and location against one entity into its accumulator
+// entry, and excludes the entity when it lacks a record of a restricted
+// certificate type. Gender and an overlapping year range match exactly; the
+// location matches by its best similarity in locs, the query location's
+// similarity list. Search calls it per candidate, Explain for its entity.
+func (e *Engine) refine(q *Query, locs index.SimilarList, n *pedigree.Node, a *accum) {
+	if q.Gender != model.GenderUnknown && n.Gender == q.Gender {
+		a.set(index.FieldGender, 1, true)
+	}
+	if from, to, ok := q.years(); ok && n.MinYear != 0 && n.MinYear <= to && n.MaxYear >= from {
+		a.set(index.FieldYear, 1, true)
+	}
+	if q.Location != "" {
+		best, exact := 0.0, false
+		for _, l := range n.Locations {
+			if s, listed := locs.Sim(l); listed && s > best {
+				best, exact = s, l == q.Location
+			}
+		}
+		if best > 0 {
+			a.set(index.FieldLocation, best, exact)
+		}
+	}
+	if q.HasCertType && !e.hasCertType(n, q.CertType) {
+		a.excluded = true
+	}
+}
+
+// similar returns the similarity list of value in field f, empty for an
+// empty value.
+func (e *Engine) similar(f index.Field, value string) (l index.SimilarList) {
+	if value != "" {
+		l = e.Similar.Similar(f, value)
+	}
+	return l
 }
 
 // searchState is the pooled per-search scratch: a dense accumulator slab
@@ -176,11 +261,10 @@ func (e *Engine) SearchContext(ctx context.Context, q Query) []Result {
 	// indexed values through the similarity-aware index S.
 	_, bsp := obs.StartSpan(ctx, "blocking")
 	memoHits := int64(0)
-	lookupName := func(f index.Field, value string) (l index.SimilarList) {
-		if value != "" {
-			if l = e.Similar.Similar(f, value); !l.Computed {
-				memoHits++
-			}
+	lookupName := func(f index.Field, value string) index.SimilarList {
+		l := e.similar(f, value)
+		if value != "" && !l.Computed {
+			memoHits++
 		}
 		return l
 	}
@@ -194,79 +278,24 @@ func (e *Engine) SearchContext(ctx context.Context, q Query) []Result {
 	// Candidate accumulation: entities carrying any similar name value
 	// enter the accumulator with their best weighted contribution.
 	st := e.getState()
-	weightSum := e.Weights.FirstName + e.Weights.Surname
 	_, asp := obs.StartSpan(ctx, "accumulate")
-	e.accumulate(st, index.FieldFirstName, q.FirstName, firstVals, e.Weights.FirstName)
-	e.accumulate(st, index.FieldSurname, q.Surname, surVals, e.Weights.Surname)
+	e.accumulate(st, index.FieldFirstName, q.FirstName, firstVals)
+	e.accumulate(st, index.FieldSurname, q.Surname, surVals)
 	asp.SetAttr("candidates", int64(len(st.ids)))
 	asp.End()
 
 	// Refinement fields.
 	_, ssp := obs.StartSpan(ctx, "score")
-	if q.Gender != model.GenderUnknown {
-		weightSum += e.Weights.Gender
-		for i := range st.slab {
-			a := &st.slab[i]
-			if e.Graph.Node(st.ids[i]).Gender == q.Gender {
-				a.contrib[index.FieldGender] = e.Weights.Gender
-				a.matched[index.FieldGender] = true
-				a.hasField[index.FieldGender] = true
-			}
-		}
-	}
-	if q.YearFrom != 0 || q.YearTo != 0 {
-		weightSum += e.Weights.Year
-		from, to := q.YearFrom, q.YearTo
-		if from == 0 {
-			from = -1 << 30
-		}
-		if to == 0 {
-			to = 1 << 30
-		}
-		for i := range st.slab {
-			a := &st.slab[i]
-			n := e.Graph.Node(st.ids[i])
-			if n.MinYear != 0 && n.MinYear <= to && n.MaxYear >= from {
-				a.contrib[index.FieldYear] = e.Weights.Year
-				a.matched[index.FieldYear] = true
-				a.hasField[index.FieldYear] = true
-			}
-		}
-	}
-	if q.Location != "" {
-		weightSum += e.Weights.Location
-		locVals := e.Similar.Similar(index.FieldLocation, q.Location)
-		for i := range st.slab {
-			a := &st.slab[i]
-			if sim, exact, ok := e.bestLocation(st.ids[i], q.Location, locVals); ok {
-				a.contrib[index.FieldLocation] = e.Weights.Location * sim
-				a.matched[index.FieldLocation] = exact
-				a.hasField[index.FieldLocation] = true
-			}
-		}
-	}
-	if q.HasCertType {
-		for i := range st.slab {
-			if !e.hasCertType(st.ids[i], q.CertType) {
-				st.slab[i].excluded = true
-			}
-		}
-	}
-	if q.RadiusKm > 0 {
-		for i := range st.slab {
-			n := e.Graph.Node(st.ids[i])
-			if n.HasGeo && strsim.GeoDistanceKm(q.CenterLat, q.CenterLon, n.Lat, n.Lon) > q.RadiusKm {
-				st.slab[i].excluded = true
-			}
-		}
+	locs := e.similar(index.FieldLocation, q.Location)
+	for i := range st.slab {
+		e.refine(&q, locs, e.Graph.Node(st.ids[i]), &st.slab[i])
 	}
 	ssp.End()
 
 	// Ranking: normalise, select the top-m by bounded heap, and
-	// materialise Result values (Matched maps included) only for the
-	// selected entities.
+	// materialise Result values only for the selected entities.
 	_, rsp := obs.StartSpan(ctx, "rank")
-	results := e.rank(st, weightSum)
+	results := e.rank(st, weightSum(&q))
 	rsp.SetAttr("results", int64(len(results)))
 	rsp.End()
 
@@ -308,7 +337,7 @@ func (e *Engine) rank(st *searchState, weightSum float64) []Result {
 		if a.excluded {
 			continue
 		}
-		ent := rankEntry{id: st.ids[i], score: 100 * a.score() / weightSum}
+		ent := rankEntry{id: st.ids[i], score: a.score(weightSum)}
 		if m <= 0 || len(h) < m {
 			h = append(h, ent)
 			if m > 0 && len(h) == m {
@@ -327,17 +356,15 @@ func (e *Engine) rank(st *searchState, weightSum float64) []Result {
 	st.heap = h // retain grown capacity for the next search
 	// Within-heap order is partial; sort the (at most m) survivors into
 	// the final ranking.
-	sort.Slice(h, func(i, j int) bool { return rankBetter(h[i], h[j]) })
-	results := make([]Result, 0, len(h))
-	for _, ent := range h {
-		a := &st.slab[st.slot[ent.id]]
-		matched := map[index.Field]bool{}
-		for f := index.Field(0); f < index.NumFields; f++ {
-			if a.hasField[f] {
-				matched[f] = a.matched[f]
-			}
+	slices.SortFunc(h, func(a, b rankEntry) int {
+		if rankBetter(a, b) {
+			return -1
 		}
-		results = append(results, Result{Entity: ent.id, Score: ent.score, Matched: matched})
+		return 1 // ids are distinct, so no two entries tie
+	})
+	results := make([]Result, len(h))
+	for i, ent := range h {
+		results[i] = Result{Entity: ent.id, Score: ent.score, Matched: st.slab[st.slot[ent.id]].match}
 	}
 	return results
 }
@@ -365,11 +392,10 @@ func siftDown(h []rankEntry, i int) {
 // accumulate adds entities matching any of the precomputed similar name
 // values, weighting the contribution by string similarity. An entity
 // matching several similar values keeps the best contribution.
-func (e *Engine) accumulate(st *searchState, f index.Field, value string, similar index.SimilarList, weight float64) {
+func (e *Engine) accumulate(st *searchState, f index.Field, value string, similar index.SimilarList) {
 	for i := 0; i < similar.Len(); i++ {
 		sv := similar.At(i)
 		exact := sv.Value == value
-		contribution := weight * sv.Sim
 		// Iterate the compressed postings in place: decoding to a slice
 		// here would put one allocation per similar value back on the hot
 		// path the pooled accumulators took off it.
@@ -388,34 +414,14 @@ func (e *Engine) accumulate(st *searchState, f index.Field, value string, simila
 				st.slab = append(st.slab, accum{})
 				a = &st.slab[len(st.slab)-1]
 			}
-			if contribution > a.contrib[f] {
-				a.contrib[f] = contribution
-				a.matched[f] = exact
-			}
-			a.hasField[f] = true
+			a.offer(f, sv.Sim, exact)
 		}
 	}
-}
-
-// bestLocation returns the best similarity between the query location and
-// the entity's locations; similar is the query location's similarity list,
-// looked up once per query.
-func (e *Engine) bestLocation(id pedigree.NodeID, loc string, similar index.SimilarList) (sim float64, exact, ok bool) {
-	n := e.Graph.Node(id)
-	best := 0.0
-	for _, l := range n.Locations {
-		if s, listed := similar.Sim(l); listed && s > best {
-			best = s
-			exact = l == loc
-		}
-	}
-	return best, exact, best > 0
 }
 
 // hasCertType reports whether the entity has a record from a certificate of
 // the given type.
-func (e *Engine) hasCertType(id pedigree.NodeID, t model.CertType) bool {
-	n := e.Graph.Node(id)
+func (e *Engine) hasCertType(n *pedigree.Node, t model.CertType) bool {
 	for _, rid := range n.Records {
 		if e.Graph.Dataset.Record(rid).Role.CertType() == t {
 			return true
@@ -429,7 +435,7 @@ func (e *Engine) hasCertType(id pedigree.NodeID, t model.CertType) bool {
 type Explanation struct {
 	// Fields holds one entry per query field that contributed.
 	Fields []FieldExplanation
-	// Score is the normalised total, identical to Result.Score.
+	// Score is the normalised total, bit for bit the entity's Result.Score.
 	Score float64
 }
 
@@ -446,81 +452,42 @@ type FieldExplanation struct {
 	Exact                bool
 }
 
-// Explain recomputes the match between a query and one entity, reporting
-// the per-field contributions. The entity need not have been returned by
-// Search (its score may be zero).
+// Explain scores one entity as Search does — its names offered in the order
+// of their similarity lists, the rest through refine — and reports the
+// per-field contributions. The entity need not have been returned by Search
+// (its score may be zero).
 func (e *Engine) Explain(q Query, id pedigree.NodeID) Explanation {
 	n := e.Graph.Node(id)
-	var out Explanation
-	weightSum := e.Weights.FirstName + e.Weights.Surname
-
-	explainName := func(f index.Field, qv string, values []string, weight float64) {
-		if qv == "" {
-			return
-		}
-		best, bestVal := 0.0, ""
-		similar := e.Similar.Similar(f, qv)
+	var a accum
+	queryValue := [index.NumFields]string{index.FieldFirstName: q.FirstName,
+		index.FieldSurname: q.Surname, index.FieldLocation: q.Location,
+		index.FieldGender: q.Gender.String()}
+	matchedValue := [index.NumFields]string{index.FieldGender: n.Gender.String()}
+	name := func(f index.Field, values []string) {
+		similar := e.similar(f, queryValue[f])
 		for i := 0; i < similar.Len(); i++ {
 			sv := similar.At(i)
-			for _, v := range values {
-				if sv.Value == v && sv.Sim > best {
-					best, bestVal = sv.Sim, v
-				}
+			if slices.Contains(values, sv.Value) && a.offer(f, sv.Sim, sv.Value == queryValue[f]) {
+				matchedValue[f] = sv.Value
 			}
 		}
-		if best > 0 {
-			out.Fields = append(out.Fields, FieldExplanation{
-				Field: f, QueryValue: qv, MatchedValue: bestVal,
-				Similarity: best, Weight: weight, Contribution: weight * best,
-				Exact: bestVal == qv,
-			})
-		}
 	}
-	explainName(index.FieldFirstName, q.FirstName, n.FirstNames, e.Weights.FirstName)
-	explainName(index.FieldSurname, q.Surname, n.Surnames, e.Weights.Surname)
+	name(index.FieldFirstName, n.FirstNames)
+	name(index.FieldSurname, n.Surnames)
+	e.refine(&q, e.similar(index.FieldLocation, q.Location), n, &a)
 
-	if q.Gender != model.GenderUnknown {
-		weightSum += e.Weights.Gender
-		if n.Gender == q.Gender {
-			out.Fields = append(out.Fields, FieldExplanation{
-				Field: index.FieldGender, QueryValue: q.Gender.String(),
-				MatchedValue: n.Gender.String(), Similarity: 1,
-				Weight: e.Weights.Gender, Contribution: e.Weights.Gender, Exact: true,
-			})
+	out := Explanation{Score: a.score(weightSum(&q))}
+	// Fields list the names, then gender, year and location.
+	for _, f := range [...]index.Field{index.FieldFirstName, index.FieldSurname,
+		index.FieldGender, index.FieldYear, index.FieldLocation} {
+		if a.match[f] == MatchNone {
+			continue
 		}
-	}
-	if q.YearFrom != 0 || q.YearTo != 0 {
-		weightSum += e.Weights.Year
-		from, to := q.YearFrom, q.YearTo
-		if from == 0 {
-			from = -1 << 30
-		}
-		if to == 0 {
-			to = 1 << 30
-		}
-		if n.MinYear != 0 && n.MinYear <= to && n.MaxYear >= from {
-			out.Fields = append(out.Fields, FieldExplanation{
-				Field: index.FieldYear, Similarity: 1,
-				Weight: e.Weights.Year, Contribution: e.Weights.Year, Exact: true,
-			})
-		}
-	}
-	if q.Location != "" {
-		weightSum += e.Weights.Location
-		if sim, exact, ok := e.bestLocation(id, q.Location, e.Similar.Similar(index.FieldLocation, q.Location)); ok {
-			out.Fields = append(out.Fields, FieldExplanation{
-				Field: index.FieldLocation, QueryValue: q.Location,
-				Similarity: sim, Weight: e.Weights.Location,
-				Contribution: e.Weights.Location * sim, Exact: exact,
-			})
-		}
-	}
-	total := 0.0
-	for _, f := range out.Fields {
-		total += f.Contribution
-	}
-	if weightSum > 0 {
-		out.Score = 100 * total / weightSum
+		out.Fields = append(out.Fields, FieldExplanation{
+			Field: f, QueryValue: queryValue[f], MatchedValue: matchedValue[f],
+			Similarity: a.sim[f], Weight: weights[f], Contribution: weights[f] * a.sim[f],
+			Exact: a.match[f] == MatchExact,
+		})
 	}
 	return out
 }

@@ -237,17 +237,12 @@ func (s *Server) search(ctx context.Context, q query.Query) ([]SearchResult, uin
 		} else {
 			sr.Year = n.MinYear
 		}
-		// Canonical field order: Matched is a map, and ranging it would
-		// shuffle exact_fields/approx_fields between otherwise
-		// byte-identical responses.
-		for f := index.Field(0); f < index.NumFields; f++ {
-			exact, ok := res.Matched[f]
-			switch {
-			case !ok:
-			case exact:
-				sr.Exact = append(sr.Exact, f.String())
-			default:
-				sr.Approx = append(sr.Approx, f.String())
+		for f, m := range res.Matched {
+			switch m {
+			case query.MatchExact:
+				sr.Exact = append(sr.Exact, index.Field(f).String())
+			case query.MatchApprox:
+				sr.Approx = append(sr.Approx, index.Field(f).String())
 			}
 		}
 		out = append(out, sr)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"github.com/snaps/snaps/internal/dataset"
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/er"
+	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/shard"
 )
@@ -59,6 +61,81 @@ func TestSearchAPI(t *testing.T) {
 	for i := 1; i < len(results); i++ {
 		if results[i].Score > results[i-1].Score {
 			t.Fatal("results not ranked")
+		}
+	}
+}
+
+// TestSearchAPIMatchFields pins the result rows' exact_fields and
+// approx_fields: matched fields are listed in field order, each in the list
+// of how it matched, a field that did not match in neither, and an empty
+// list is JSON null.
+func TestSearchAPIMatchFields(t *testing.T) {
+	s, g := testServer(t)
+	var n *pedigree.Node
+	for i := range g.Nodes {
+		c := &g.Nodes[i]
+		if len(c.FirstNames) > 0 && len(c.Surnames) > 0 && len(c.Surnames[0]) >= 6 &&
+			c.Gender != model.GenderUnknown && c.MinYear != 0 && len(c.Locations) > 0 {
+			n = c
+			break
+		}
+	}
+	if n == nil {
+		t.Skip("no entity with names, gender, years and a location")
+	}
+	gender, other := "m", "f"
+	if n.Gender == model.Female {
+		gender, other = "f", "m"
+	}
+	sur := n.Surnames[0]
+	// fields returns the raw match lists of n's row in the ranking.
+	fields := func(params url.Values) (exact, approx string) {
+		t.Helper()
+		params.Set("first_name", n.FirstNames[0])
+		if !params.Has("surname") {
+			params.Set("surname", sur)
+		}
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest("GET", "/api/search?"+params.Encode(), nil))
+		var resp struct {
+			Results []map[string]json.RawMessage `json:"results"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("status %d, bad JSON: %v", w.Code, err)
+		}
+		compact := func(raw json.RawMessage) string {
+			var b bytes.Buffer
+			if err := json.Compact(&b, raw); err != nil {
+				t.Fatal(err)
+			}
+			return b.String()
+		}
+		for _, row := range resp.Results {
+			if string(row["entity"]) == itoa(int(n.ID)) {
+				return compact(row["exact_fields"]), compact(row["approx_fields"])
+			}
+		}
+		t.Fatalf("%v: entity %d not ranked", params, n.ID)
+		return "", ""
+	}
+	for _, tc := range []struct {
+		name          string
+		params        url.Values
+		exact, approx string
+	}{
+		{"exact names", url.Values{}, `["first_name","surname"]`, `null`},
+		{"misspelt surname", url.Values{"surname": {sur[:len(sur)-1] + "x"}},
+			`["first_name"]`, `["surname"]`},
+		{"refinements held", url.Values{"gender": {gender}, "location": {n.Locations[0]},
+			"year_from": {itoa(n.MinYear)}, "year_to": {itoa(n.MaxYear)}},
+			`["first_name","surname","location","gender","year"]`, `null`},
+		{"refinements missed", url.Values{"gender": {other},
+			"year_from": {itoa(n.MaxYear + 50)}, "year_to": {itoa(n.MaxYear + 60)}},
+			`["first_name","surname"]`, `null`},
+	} {
+		if exact, approx := fields(tc.params); exact != tc.exact || approx != tc.approx {
+			t.Errorf("%s: exact_fields %s approx_fields %s, want %s and %s",
+				tc.name, exact, approx, tc.exact, tc.approx)
 		}
 	}
 }

@@ -172,13 +172,13 @@ func (c *ResultCache) Invalidate(gen uint64) {
 	mCacheEntries.Set(int64(c.ll.Len()))
 }
 
-// cacheKey canonicalises a query (plus the weights and result-list bound
-// that shape its ranking) into a cache key. The generation is the other
-// half of the composite key: the key says which ranking, the generation
-// which id space its entity ids belong to.
-func cacheKey(q query.Query, w query.Weights, topM int) string {
+// cacheKey canonicalises a query (plus the result-list bound that shapes
+// its ranking) into a cache key. The generation is the other half of the
+// composite key: the key says which ranking, the generation which id space
+// its entity ids belong to.
+func cacheKey(q query.Query, topM int) string {
 	var b strings.Builder
-	b.Grow(len(q.FirstName) + len(q.Surname) + len(q.Location) + 64)
+	b.Grow(len(q.FirstName) + len(q.Surname) + len(q.Location) + 32)
 	b.WriteString(q.FirstName)
 	b.WriteByte(0)
 	b.WriteString(q.Surname)
@@ -190,10 +190,6 @@ func cacheKey(q query.Query, w query.Weights, topM int) string {
 		b.Write(strconv.AppendInt(num[:0], v, 10))
 		b.WriteByte(0)
 	}
-	writeFloat := func(v float64) {
-		b.Write(strconv.AppendFloat(num[:0], v, 'g', -1, 64))
-		b.WriteByte(0)
-	}
 	writeInt(int64(q.Gender))
 	writeInt(int64(q.YearFrom))
 	writeInt(int64(q.YearTo))
@@ -203,14 +199,6 @@ func cacheKey(q query.Query, w query.Weights, topM int) string {
 	} else {
 		b.WriteByte(0)
 	}
-	writeFloat(q.CenterLat)
-	writeFloat(q.CenterLon)
-	writeFloat(q.RadiusKm)
-	writeFloat(w.FirstName)
-	writeFloat(w.Surname)
-	writeFloat(w.Gender)
-	writeFloat(w.Year)
-	writeFloat(w.Location)
 	writeInt(int64(topM))
 	return b.String()
 }

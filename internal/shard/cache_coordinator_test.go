@@ -89,3 +89,22 @@ func TestCoordinatorCacheHitAllocs(t *testing.T) {
 		t.Errorf("a cached Search(%+v) makes %v allocations, ceiling %d", q, got, ceiling)
 	}
 }
+
+// TestScatterAllocsCeiling holds an uncached search at two shards to its 10
+// allocations: one per shard engine (its ranked results), the rest the
+// scatter's per-shard slots and worker pool and the merge.
+func TestScatterAllocsCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	_, _, g := builtCase(t, 0.05)
+	c := shard.Partition(g, shard.Options{Shards: 2, SimThreshold: 0.5})
+	q := nameQueries(g, 1)[0]
+	if len(c.Search(q)) == 0 {
+		t.Fatalf("no results for %+v", q)
+	}
+	const ceiling = 10
+	if got := testing.AllocsPerRun(200, func() { c.Search(q) }); got > ceiling {
+		t.Errorf("an uncached Search(%+v) at two shards makes %v allocations, ceiling %d", q, got, ceiling)
+	}
+}

@@ -12,7 +12,7 @@ func fakeResults(n int) []query.Result {
 	out := make([]query.Result, n)
 	for i := range out {
 		out[i] = query.Result{Entity: pedigree.NodeID(i), Score: float64(100 - i),
-			Matched: map[index.Field]bool{index.FieldFirstName: true}}
+			Matched: [index.NumFields]query.Match{index.FieldFirstName: query.MatchExact}}
 	}
 	return out
 }
@@ -69,7 +69,6 @@ func TestNewResultCacheDisabled(t *testing.T) {
 }
 
 func TestCacheKeyDistinguishesQueries(t *testing.T) {
-	w := query.DefaultWeights()
 	base := query.Query{FirstName: "mary", Surname: "macdonald"}
 	variants := []query.Query{
 		{FirstName: "mary", Surname: "macdonal\x00d"}, // separator injection
@@ -77,23 +76,17 @@ func TestCacheKeyDistinguishesQueries(t *testing.T) {
 		{FirstName: "mary", Surname: "macdonald", YearFrom: 1850},
 		{FirstName: "mary", Surname: "macdonald", YearTo: 1850},
 		{FirstName: "mary", Surname: "macdonald", HasCertType: true},
-		{FirstName: "mary", Surname: "macdonald", RadiusKm: 5},
 	}
-	bk := cacheKey(base, w, 20)
+	bk := cacheKey(base, 20)
 	for i, v := range variants {
-		if cacheKey(v, w, 20) == bk {
+		if cacheKey(v, 20) == bk {
 			t.Fatalf("variant %d collides with base key", i)
 		}
 	}
-	if cacheKey(base, w, 20) != bk {
+	if cacheKey(base, 20) != bk {
 		t.Fatal("cache key not deterministic")
 	}
-	if cacheKey(base, w, 3) == bk {
+	if cacheKey(base, 3) == bk {
 		t.Fatal("TopM not part of the key")
-	}
-	w2 := w
-	w2.Surname = 0.2
-	if cacheKey(base, w2, 20) == bk {
-		t.Fatal("weights not part of the key")
 	}
 }

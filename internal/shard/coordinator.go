@@ -2,7 +2,7 @@ package shard
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -208,7 +208,6 @@ func (c *Coordinator) Advance(newG *pedigree.Graph, generation uint64) (*Coordin
 		k, sim, rebuilt := index.UpdateSubset(newG, nc.keep(s), prev.Keyword, prev.Similar)
 		st.Rebuilt += rebuilt
 		sh := nc.newShard(s, k, sim, prev.met)
-		sh.Engine.Weights = prev.Engine.Weights
 		sh.Engine.TopM = prev.Engine.TopM
 		nc.shards[s] = sh
 	}
@@ -257,13 +256,12 @@ func (c *Coordinator) Search(q query.Query) []query.Result {
 // caches the merged ranking. With stale-while-revalidate on, a miss that
 // finds the previous generation's entry serves it re-anchored to this
 // graph and leaves one background refresh to recompute it. The returned
-// slice and its Matched maps may be shared with the cache; callers must
-// not mutate them.
+// slice may be shared with the cache; callers must not mutate it.
 func (c *Coordinator) SearchContext(ctx context.Context, q query.Query) []query.Result {
 	if c.cache == nil {
 		return c.scatter(ctx, q)
 	}
-	key := cacheKey(q, c.shards[0].Engine.Weights, c.TopM())
+	key := cacheKey(q, c.TopM())
 	if res, ok := c.cache.Get(c.generation, key); ok {
 		cachedSpan(ctx, "cache_hit", res)
 		return res
@@ -366,8 +364,8 @@ func (c *Coordinator) scatter(ctx context.Context, q query.Query) []query.Result
 			slow = i
 		}
 	}
-	sorted := append([]time.Duration(nil), durs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(durs)
+	slices.Sort(sorted)
 	lag := durs[slow] - sorted[(len(sorted)-1)/2]
 	mStragglerSeconds.ObserveDuration(lag)
 	c.shards[slow].met.straggles.Inc()

@@ -72,9 +72,9 @@ func render(results []query.Result) string {
 	out := ""
 	for _, r := range results {
 		out += fmt.Sprintf("%d %.17g", r.Entity, r.Score)
-		for f := index.Field(0); f < index.NumFields; f++ {
-			if exact, ok := r.Matched[f]; ok {
-				out += fmt.Sprintf(" %v=%v", f, exact)
+		for f, m := range r.Matched {
+			if m != query.MatchNone {
+				out += fmt.Sprintf(" %v=%v", index.Field(f), m == query.MatchExact)
 			}
 		}
 		out += "\n"
@@ -176,7 +176,7 @@ func TestScatterGatherGoldenEquivalence(t *testing.T) {
 }
 
 // TestScatterGatherResultsDeepEqual double-checks structural equality
-// (maps included) between the coordinator and the engine on the default
+// (match state included) between the coordinator and the engine on the default
 // configuration.
 func TestScatterGatherResultsDeepEqual(t *testing.T) {
 	_, _, g := builtCase(t, 0.03)

@@ -277,8 +277,8 @@ func YearSim(a, b, maxDiff int) float64 {
 	return 1 - float64(d)/float64(maxDiff)
 }
 
-// earthRadiusKm is the mean Earth radius used by the haversine formula.
-const earthRadiusKm = 6371.0
+// earthRadius is the mean Earth radius in kilometres.
+const earthRadius = 6371.0
 
 // GeoDistanceKm returns the haversine distance in kilometres between two
 // geocoded points.
@@ -289,7 +289,7 @@ func GeoDistanceKm(lat1, lon1, lat2, lon2 float64) float64 {
 	sLat := math.Sin(dLat / 2)
 	sLon := math.Sin(dLon / 2)
 	h := sLat*sLat + math.Cos(lat1*degToRad)*math.Cos(lat2*degToRad)*sLon*sLon
-	return 2 * earthRadiusKm * math.Asin(math.Sqrt(h))
+	return 2 * earthRadius * math.Asin(math.Sqrt(h))
 }
 
 // GeoSim converts a geodesic distance to a similarity: 1 at zero distance,
