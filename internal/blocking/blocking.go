@@ -25,12 +25,13 @@ type Candidate struct {
 
 // Blocks over the size cap are skipped, never silently: every call adds the
 // blocks it dropped and the records in them (a record counts once per
-// dropped block it sits in) to these counters.
+// dropped block it sits in) to these counters. A call from a first new
+// position (an ingest flush) counts only the blocks holding a new record.
 var (
 	mCappedBlocks = obs.Default.Counter("snaps_blocking_capped_blocks_total",
-		"Blocks skipped by pair emission because they exceeded MaxBlockSize.")
+		"Blocks skipped by pair emission because they exceeded MaxBlockSize; an ingest flush counts only the blocks holding one of its new records.")
 	mCappedRecords = obs.Default.Counter("snaps_blocking_capped_records_total",
-		"Record memberships of the blocks skipped for exceeding MaxBlockSize.")
+		"Record memberships of the blocks skipped for exceeding MaxBlockSize; an ingest flush counts only the blocks holding one of its new records.")
 )
 
 // LSHConfig tunes the MinHash LSH blocker.
@@ -167,9 +168,18 @@ func (l *LSH) Pairs(d *model.Dataset, ids []model.RecordID) []Candidate {
 // in bounded chunks, in exactly the order Pairs would return them. Chunk
 // slices are only valid during the emit call and are reused afterwards.
 // Streaming bounds the blocking stage's memory to the sorted blocks plus one
-// wave of span outputs, instead of the full candidate slice.
+// wave of span outputs, instead of the full candidate slice. It is
+// PairsChunkedFrom with firstNew 0.
 func (l *LSH) PairsChunked(d *model.Dataset, ids []model.RecordID, emit func(chunk []Candidate)) {
-	emitPairs(d, ids, l.tables(d, ids), l.cfg.MaxBlockSize, emit)
+	l.PairsChunkedFrom(d, ids, 0, emit)
+}
+
+// PairsChunkedFrom streams the pairs of PairsChunked that touch a position
+// of ids at or after firstNew, in its order (with ids in record order: its
+// pairs whose B is at or after firstNew). Only the blocks holding such a
+// position are built, walked and counted if capped.
+func (l *LSH) PairsChunkedFrom(d *model.Dataset, ids []model.RecordID, firstNew int, emit func(chunk []Candidate)) {
+	emitPairs(d, ids, l.tables(d, ids), l.cfg.MaxBlockSize, firstNew, emit)
 }
 
 // tables computes the two signature passes over ids: full name, then
@@ -286,6 +296,9 @@ type emitter struct {
 	ids    []model.RecordID
 	tables []sigTable
 	bands  []bandBlocks
+	// firstNew is the first position a pair must reach: a pair is emitted
+	// only when its later position is at or after it.
+	firstNew int32
 	// live has bit k set for position p when p sits in a block of band k
 	// that was not dropped for its size.
 	live []uint64
@@ -295,7 +308,12 @@ type emitter struct {
 // distinct records sharing a block of at most maxBlock members (0: any
 // size), once, canonical A < B, gender- and certificate-filtered, in the
 // order of the pair's first block under (band, hash) order and, within a
-// block, of the members' positions in ids.
+// block, of the members' positions in ids. Only the pairs whose later
+// position q is at or after firstNew are emitted (0: every pair). Such a
+// pair can only share blocks that hold q, so a band keeps just the entries
+// whose hash a new position carries: a kept block keeps all its members,
+// so the cap decides as over the whole band, and the dedup below compares
+// p and q only on blocks that hold q, which are all built.
 //
 // Blocks are built by sorting each band's (hash, position) entries, bands
 // in parallel. Pairs are emitted span by span, a wave of GOMAXPROCS spans
@@ -307,7 +325,7 @@ type emitter struct {
 // answer that. The candidate sequence is therefore independent of span size
 // and GOMAXPROCS. The gender and certificate filters are pure pair
 // predicates, so applying them after deduplication changes nothing.
-func emitPairs(d *model.Dataset, ids []model.RecordID, tables []sigTable, maxBlock int, emit func(chunk []Candidate)) {
+func emitPairs(d *model.Dataset, ids []model.RecordID, tables []sigTable, maxBlock, firstNew int, emit func(chunk []Candidate)) {
 	st := obs.StartStage("blocking.emit_pairs")
 	defer st.Stop()
 
@@ -326,7 +344,7 @@ func emitPairs(d *model.Dataset, ids []model.RecordID, tables []sigTable, maxBlo
 		listed[id] = true
 	}
 
-	e := &emitter{d: d, ids: ids, tables: slices.Clone(tables), live: make([]uint64, len(ids))}
+	e := &emitter{d: d, ids: ids, tables: slices.Clone(tables), firstNew: int32(firstNew), live: make([]uint64, len(ids))}
 	nbands := 0
 	for ti := range e.tables {
 		t := &e.tables[ti]
@@ -398,10 +416,22 @@ func (e *emitter) buildBand(b, maxBlock int, repeat []bool, scratch []bandEntry)
 		}
 	}
 	off := b - t.base
+	var fresh map[uint64]bool // the hashes new positions carry; nil: keep all
+	if e.firstNew > 0 {
+		fresh = map[uint64]bool{}
+		for _, r := range t.row[min(int(e.firstNew), len(t.row)):] {
+			if r >= 0 {
+				fresh[t.sigs[int(r)*t.width+off]] = true
+			}
+		}
+	}
 	entries := scratch[:0]
 	for p, r := range t.row {
-		if r >= 0 {
-			entries = append(entries, bandEntry{hash: t.sigs[int(r)*t.width+off], pos: int32(p)})
+		if r < 0 {
+			continue
+		}
+		if h := t.sigs[int(r)*t.width+off]; fresh == nil || fresh[h] {
+			entries = append(entries, bandEntry{hash: h, pos: int32(p)})
 		}
 	}
 	// Entries were appended in position order, so a stable sort on the hash
@@ -413,7 +443,7 @@ func (e *emitter) buildBand(b, maxBlock int, repeat []bool, scratch []bandEntry)
 		return cmp.Compare(x.pos, y.pos)
 	})
 	bb := &e.bands[b]
-	pending := 0 // pairs in the blocks since the last cut
+	pending := 0 // pairs emittable from the blocks since the last cut
 	for lo := 0; lo < len(entries); {
 		hi := lo + 1
 		for hi < len(entries) && entries[hi].hash == entries[lo].hash {
@@ -431,10 +461,13 @@ func (e *emitter) buildBand(b, maxBlock int, repeat []bool, scratch []bandEntry)
 			}
 			continue
 		}
-		start := len(bb.members)
+		start, old := len(bb.members), 0
 		for _, en := range blk {
 			if repeat == nil || !repeat[en.pos] {
 				bb.members = append(bb.members, en.pos)
+				if en.pos < e.firstNew {
+					old++
+				}
 			}
 		}
 		n := len(bb.members) - start
@@ -443,7 +476,7 @@ func (e *emitter) buildBand(b, maxBlock int, repeat []bool, scratch []bandEntry)
 			continue
 		}
 		bb.ends = append(bb.ends, int32(len(bb.members)))
-		if pending += n * (n - 1) / 2; pending >= pairChunkTarget {
+		if pending += n*(n-1)/2 - old*(old-1)/2; pending >= pairChunkTarget {
 			bb.cuts = append(bb.cuts, int32(len(bb.ends)))
 			pending = 0
 		}
@@ -465,11 +498,17 @@ func (e *emitter) emitSpan(sp span, out []Candidate) []Candidate {
 	for _, hi := range bb.ends[sp.lo:sp.hi] {
 		blk := bb.members[lo:hi]
 		lo = hi
+		// Members are in position order: the pairs to emit are those whose
+		// later member is at or after the first new one.
+		fresh := 0
+		for fresh < len(blk) && blk[fresh] < e.firstNew {
+			fresh++
+		}
 		for i, p := range blk {
 			livep := e.live[p] & below
 			idp := e.ids[p]
 			rp := e.d.Record(idp)
-			for _, q := range blk[i+1:] {
+			for _, q := range blk[max(i+1, fresh):] {
 				if m := livep & e.live[q]; m != 0 && e.sharedBlock(p, q, m) {
 					continue
 				}

@@ -186,7 +186,7 @@ func TestPairsOracleFixtures(t *testing.T) {
 		for maxBlock, wantPairs := range map[int]int{4: 4, 5: 10} {
 			want, _, _ := oraclePairs(d, tableBlocks(ids, tables()), maxBlock)
 			var got []Candidate
-			emitPairs(d, ids, tables(), maxBlock, func(chunk []Candidate) { got = append(got, chunk...) })
+			emitPairs(d, ids, tables(), maxBlock, 0, func(chunk []Candidate) { got = append(got, chunk...) })
 			if !slices.Equal(got, want) || len(got) != wantPairs {
 				t.Fatalf("cap %d: got %v, oracle %v, want %d pairs", maxBlock, got, want, wantPairs)
 			}
@@ -245,7 +245,7 @@ func TestPairsOracleFixtures(t *testing.T) {
 		}
 		want, _, _ := oraclePairs(d, blocks, 60)
 		var got []Candidate
-		emitPairs(d, ids, tables, 60, func(chunk []Candidate) { got = append(got, chunk...) })
+		emitPairs(d, ids, tables, 60, 0, func(chunk []Candidate) { got = append(got, chunk...) })
 		if len(got) == 0 || !slices.Equal(got, want) {
 			t.Fatalf("emitted %d pairs, the oracle %d, or in another order", len(got), len(want))
 		}
@@ -261,4 +261,71 @@ func TestPairsOracleFixtures(t *testing.T) {
 			t.Fatal("no pairs in the subset")
 		}
 	})
+}
+
+// TestPairsChunkedFromMatchesFiltered gives the oracle comparison the first
+// new position as one more input: PairsChunkedFrom must emit exactly the
+// full sequence's pairs whose B is new, in order, and count only the capped
+// blocks that hold a new record. The batch past the DS-3k corpus holds a
+// record without surname, a one-letter first name and a one-letter surname
+// beside corpus names, and one cut makes it the whole batch; both profiles
+// run, and the scale profile once more under a cap small enough to drop
+// blocks the batch joins.
+func TestPairsChunkedFromMatchesFiltered(t *testing.T) {
+	d := dataset.GenerateScale(dataset.ScaleTier(3000)).Dataset
+	corpus := len(d.Records)
+	// A batch record is corpus record i on a certificate of its own, under
+	// the given names.
+	batch := func(i int, first, sur model.Sym) {
+		rec := d.Records[i]
+		rec.ID, rec.Cert = model.RecordID(len(d.Records)), model.CertID(len(d.Certificates)+len(d.Records))
+		rec.First, rec.Sur = first, sur
+		d.Records = append(d.Records, rec)
+	}
+	batch(3, d.Records[3].First, d.Records[3].Sur)
+	batch(0, d.Records[0].First, 0)
+	batch(1, model.Intern("j"), d.Records[1].Sur)
+	batch(2, d.Records[2].First, model.Intern("q"))
+	ids := allIDs(d)
+	small := ScaleLSHConfig()
+	small.MaxBlockSize = 12
+	for _, tc := range []struct {
+		name string
+		cfg  LSHConfig
+	}{{"scale", ScaleLSHConfig()}, {"default", DefaultLSHConfig()}, {"scale, cap 12", small}} {
+		full := NewLSH(tc.cfg).Pairs(d, ids)
+		blocks := lshBlocks(d, ids, tc.cfg)
+		for _, firstNew := range []int{0, corpus * 3 / 4, corpus - 40, corpus, len(d.Records)} {
+			var want []Candidate
+			for _, c := range full {
+				if int(c.B) >= firstNew {
+					want = append(want, c)
+				}
+			}
+			wantBlocks, wantRecords := int64(0), int64(0)
+			for _, blk := range blocks {
+				if len(blk) > tc.cfg.MaxBlockSize && int(slices.Max(blk)) >= firstNew {
+					wantBlocks++
+					wantRecords += int64(len(blk))
+				}
+			}
+			if tc.cfg.MaxBlockSize == small.MaxBlockSize && firstNew == corpus-40 && wantBlocks == 0 {
+				t.Fatalf("%s: the batch joins no capped block; the cap is not exercised", tc.name)
+			}
+			for _, procs := range []int{1, 4} {
+				partest.WithProcs(t, procs)
+				blocks0, records0 := mCappedBlocks.Value(), mCappedRecords.Value()
+				var got []Candidate
+				NewLSH(tc.cfg).PairsChunkedFrom(d, ids, firstNew, func(chunk []Candidate) { got = append(got, chunk...) })
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s, firstNew %d, procs %d: emitted %d pairs, the filtered sequence %d, or in another order",
+						tc.name, firstNew, procs, len(got), len(want))
+				}
+				if b, r := mCappedBlocks.Value()-blocks0, mCappedRecords.Value()-records0; b != wantBlocks || r != wantRecords {
+					t.Fatalf("%s, firstNew %d, procs %d: capped counters moved by %d blocks / %d records, want %d / %d",
+						tc.name, firstNew, procs, b, r, wantBlocks, wantRecords)
+				}
+			}
+		}
+	}
 }

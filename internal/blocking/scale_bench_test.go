@@ -12,7 +12,7 @@ import (
 // be measured apart from the MinHash pass.
 func countPairs(d *model.Dataset, ids []model.RecordID, tables []sigTable, maxBlock int) int {
 	n := 0
-	emitPairs(d, ids, tables, maxBlock, func(chunk []Candidate) { n += len(chunk) })
+	emitPairs(d, ids, tables, maxBlock, 0, func(chunk []Candidate) { n += len(chunk) })
 	return n
 }
 

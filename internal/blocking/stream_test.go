@@ -52,10 +52,10 @@ func TestPairsChunkedStreamEquivalence(t *testing.T) {
 }
 
 // TestPairsTouchingChunkedStreamEquivalence locks the incremental (Extend)
-// filter to its definition: keeping, chunk by chunk, the pairs whose B is a
-// new record yields exactly the materialised candidate list restricted to
-// the pairs with an endpoint in the focus set, in the same order — pairs
-// are canonical A < B and the new records are a suffix of the id space.
+// emitter to its definition: streaming from the first new record yields
+// exactly the materialised candidate list restricted to the pairs with an
+// endpoint in the focus set, in the same order — pairs are canonical A < B
+// and the new records are a suffix of the id space.
 func TestPairsTouchingChunkedStreamEquivalence(t *testing.T) {
 	d := dataset.GenerateScale(dataset.ScaleTier(3000)).Dataset
 	ids := allIDs(d)
@@ -76,13 +76,9 @@ func TestPairsTouchingChunkedStreamEquivalence(t *testing.T) {
 	}
 	var streamed []Candidate
 	chunks := 0
-	l.PairsChunked(d, ids, func(chunk []Candidate) {
+	l.PairsChunkedFrom(d, ids, int(firstNew), func(chunk []Candidate) {
 		chunks++
-		for _, c := range chunk {
-			if c.B >= firstNew {
-				streamed = append(streamed, c)
-			}
-		}
+		streamed = append(streamed, chunk...)
 	})
 	if chunks < 2 {
 		t.Fatalf("got %d chunks, want several (tier too small to exercise streaming)", chunks)

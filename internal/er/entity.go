@@ -79,11 +79,20 @@ func (s *EntityStore) bumpViews(e EntityID) {
 // pre-populated store to its component resolver. The slices are owned by
 // the store afterwards.
 func (s *EntityStore) seed(records []model.RecordID, links []linkEdge) {
+	s.adopt(records, links)
+	for _, r := range records {
+		s.ver[r]++
+	}
+}
+
+// adopt appends a cluster resolved elsewhere (a component store's, or one
+// passed through) as the next entity, leaving the records' views as they
+// are.
+func (s *EntityStore) adopt(records []model.RecordID, links []linkEdge) {
 	id := EntityID(len(s.entities))
 	s.entities = append(s.entities, entity{id: id, records: records, links: links})
 	for _, r := range records {
 		s.entityOf[r] = id
-		s.ver[r]++
 	}
 }
 

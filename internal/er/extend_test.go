@@ -8,6 +8,7 @@ import (
 	"github.com/snaps/snaps/internal/dataset"
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/model"
+	"github.com/snaps/snaps/internal/obs"
 )
 
 // TestExtendLinksNewCertificate resolves a base data set, appends a new
@@ -162,5 +163,53 @@ func TestExtendStreamedMatchesMaterialised(t *testing.T) {
 				t.Fatalf("clusters differ\nmaterialised:\n%s\nstreamed:\n%s", head(want, 20), head(got, 20))
 			}
 		})
+	}
+}
+
+// TestExtendCountsCappedBlocksOfTheBatchOnly: a flush adds to the
+// capped-block counters the blocks over the cap that hold one of its new
+// records, and no others — a batch that joins no capped block leaves both
+// counters where the corpus left them.
+func TestExtendCountsCappedBlocksOfTheBatchOnly(t *testing.T) {
+	d := &model.Dataset{Name: "capped"}
+	add := func(first, sur string) {
+		id := model.RecordID(len(d.Records))
+		d.Records = append(d.Records, model.Record{
+			ID: id, Cert: model.CertID(id), Role: model.Bm, Gender: model.Female,
+			First: model.Intern(first), Sur: model.Intern(sur), Year: 1870, Truth: model.NoPerson,
+		})
+	}
+	lcfg := blocking.DefaultLSHConfig()
+	for i := 0; i <= lcfg.MaxBlockSize; i++ {
+		add("mary", "smith")
+	}
+	counters := func() (blocks, records int64) {
+		return obs.Default.Counter("snaps_blocking_capped_blocks_total", "").Value(),
+			obs.Default.Counter("snaps_blocking_capped_records_total", "").Value()
+	}
+	b0, r0 := counters()
+	st := Run(d, depgraph.DefaultConfig(), DefaultConfig()).Result.Store
+	if b, _ := counters(); b == b0 {
+		t.Fatal("the corpus build capped no block; the fixture does not exercise the cap")
+	}
+
+	firstNew := model.RecordID(len(d.Records))
+	add("torquil", "macsween")
+	b0, r0 = counters()
+	Extend(d, st, firstNew, depgraph.DefaultConfig(), DefaultConfig())
+	if b, r := counters(); b != b0 || r != r0 {
+		t.Fatalf("a batch joining no capped block moved the counters by %d blocks / %d records", b-b0, r-r0)
+	}
+
+	// One more mary smith joins the capped block of every band of both
+	// passes, each now holding every mary smith.
+	firstNew = model.RecordID(len(d.Records))
+	add("mary", "smith")
+	b0, r0 = counters()
+	Extend(d, st, firstNew, depgraph.DefaultConfig(), DefaultConfig())
+	wantBlocks := int64(2 * lcfg.Bands)
+	if b, r := counters(); b-b0 != wantBlocks || r-r0 != wantBlocks*int64(lcfg.MaxBlockSize+2) {
+		t.Fatalf("counters moved by %d blocks / %d records, want %d / %d",
+			b-b0, r-r0, wantBlocks, wantBlocks*int64(lcfg.MaxBlockSize+2))
 	}
 }

@@ -139,11 +139,17 @@ func (r *Resolver) resolveParallel() *Result {
 	}
 	st := obs.StartStage("resolve.components")
 
-	// Hand each component its share of the pre-populated store. Seeding
-	// rewrites the shared entityOf slab from parent entity ids to
-	// component-local ids, so it must finish before workers start.
+	// Hand each component with a node group its share of the pre-populated
+	// store. Seeding rewrites the shared entityOf slab from parent entity ids
+	// to component-local ids, so it must finish before workers start. A
+	// component without a group is one prior entity no new record reaches:
+	// nothing would bootstrap or merge into it, and REF leaves a restored
+	// clique alone (density 1, no bridge), so it is passed through as it is.
 	subs := make([]*EntityStore, len(comps))
 	for ci := range comps {
+		if len(comps[ci].groups) == 0 {
+			continue
+		}
 		sub := newSharedStore(r.d, r.store.entityOf, r.store.ver)
 		for _, e := range comps[ci].entities {
 			ent := &r.store.entities[e]
@@ -154,9 +160,11 @@ func (r *Resolver) resolveParallel() *Result {
 
 	// Largest components first so a straggler starts early; results land in
 	// per-component slots, so scheduling never affects the output.
-	order := make([]int, len(comps))
-	for i := range order {
-		order[i] = i
+	var order []int
+	for ci := range comps {
+		if subs[ci] != nil {
+			order = append(order, ci)
+		}
 	}
 	sort.Slice(order, func(i, j int) bool {
 		a, b := order[i], order[j]
@@ -184,8 +192,14 @@ func (r *Resolver) resolveParallel() *Result {
 	// in component order. Cluster contents are exactly what the serial
 	// resolver produces; only the entity enumeration order differs.
 	out := &Result{Store: r.store}
-	r.store.entities = r.store.entities[:0]
+	prior := r.store.entities
+	r.store.entities = make([]entity, 0, len(prior))
 	for ci := range comps {
+		if subs[ci] == nil {
+			ent := &prior[comps[ci].entities[0]]
+			r.store.adopt(ent.records, ent.links)
+			continue
+		}
 		res := results[ci]
 		out.MergedNodes += res.MergedNodes
 		out.RefineRemoved += res.RefineRemoved
@@ -197,14 +211,8 @@ func (r *Resolver) resolveParallel() *Result {
 		out.Timings.Refine += res.Timings.Refine
 		sub := subs[ci]
 		for i := range sub.entities {
-			ent := &sub.entities[i]
-			if ent.dead || len(ent.records) == 0 {
-				continue
-			}
-			id := EntityID(len(r.store.entities))
-			r.store.entities = append(r.store.entities, entity{id: id, records: ent.records, links: ent.links})
-			for _, rec := range ent.records {
-				r.store.entityOf[rec] = id
+			if ent := &sub.entities[i]; !ent.dead && len(ent.records) > 0 {
+				r.store.adopt(ent.records, ent.links)
 			}
 		}
 	}

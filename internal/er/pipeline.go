@@ -60,7 +60,10 @@ func RunLSH(d *model.Dataset, lcfg blocking.LSHConfig, gcfg depgraph.Config, cfg
 // after firstNew), and store holds the clusters of the earlier resolution.
 // Only candidate pairs touching a new record are graphed and merged;
 // existing clusters participate through PROP-A value propagation and PROP-C
-// constraints but their internal links are never revisited.
+// constraints but their internal links are never revisited. store's
+// clusters are expected as store.Snapshot.Restore leaves them, cliques,
+// which REF never changes: the partitioned resolver passes a cluster no new
+// record reaches through without refining it.
 //
 // This is the growth path for a live deployment: new registration quarters
 // arrive, Extend folds them in, and the pedigree graph and indexes are
@@ -76,10 +79,12 @@ func ExtendContext(ctx context.Context, d *model.Dataset, store *EntityStore, fi
 }
 
 // run is the offline pipeline, full build and incremental extension alike:
-// block every record, score the candidates into G_D, resolve. With a prior
-// store only the candidate pairs touching a record at or after firstNew
-// reach the graph, and the resolver starts from prior's clusters instead of
-// from singletons.
+// block, score the candidates into G_D, resolve. Blocking signs every record
+// but emits only the pairs whose B is at or after firstNew — new records are
+// a suffix of the id space, so those are the pairs touching one, and a full
+// build passes 0 — and builds only the blocks that hold such a record. With
+// a prior store the resolver starts from prior's clusters instead of from
+// singletons.
 //
 // Blocking streams into graph construction: candidate chunks are scored
 // and interned as they are emitted, so the full candidate slice (and the
@@ -99,19 +104,7 @@ func run(ctx context.Context, d *model.Dataset, lcfg blocking.LSHConfig, gcfg de
 	var prodTotal, inConsumer time.Duration
 	g, stats := depgraph.BuildStream(d, gcfg, func(emit func(chunk []blocking.Candidate)) {
 		t0 := time.Now()
-		lsh.PairsChunked(d, d.RecordIDs(), func(chunk []blocking.Candidate) {
-			if prior != nil {
-				// Pairs are canonical A < B and the new records are a suffix
-				// of the id space: a pair touches one exactly when B is new.
-				w := 0
-				for _, c := range chunk {
-					if c.B >= firstNew {
-						chunk[w] = c
-						w++
-					}
-				}
-				chunk = chunk[:w]
-			}
+		lsh.PairsChunkedFrom(d, d.RecordIDs(), int(firstNew), func(chunk []blocking.Candidate) {
 			tc := time.Now()
 			emit(chunk)
 			inConsumer += time.Since(tc)
