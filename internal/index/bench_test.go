@@ -13,17 +13,26 @@ import (
 // all-pairs name-similarity precompute is the hot part; pairs/op is how
 // many distinct name pairs it scored and ns/pair the whole build's time
 // per scored pair (keyword postings, scoring and list ordering together).
+// B/entry is Similarity.Bytes() over the list entries of the built index:
+// the entry's 6 bytes plus its share of the page tables, rows and bigram
+// postings.
 func BenchmarkIndexRebuild(b *testing.B) {
 	g := scaleGraph(4000, 1)
 	pairs := mPairsScored.Value()
+	var s *Similarity
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(g, 0.5)
+		_, s = Build(g, 0.5)
 	}
 	pairs = mPairsScored.Value() - pairs
 	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
+	entries := 0
+	for _, f := range nameFields {
+		entries += len(s.blocks[f].ids)
+	}
+	b.ReportMetric(float64(s.Bytes())/float64(entries), "B/entry")
 }
 
 // BenchmarkProbeUnseen measures the one-sided probe on names no record

@@ -19,8 +19,9 @@
 // from outside and an index that stored every one of them would grow
 // without bound. The same probe computes the lists of the values a flush
 // adds (update.go). Only a build or a flush writes the rest of S: per name
-// field one pointer-free block of symbol ids and similarities (simBlock),
-// immutable once published and read in place, without a lock.
+// field one block of symbol ids and 16-bit similarity codes into per-page
+// tables of exact similarities (simBlock), immutable once published and
+// read in place, without a lock.
 //
 // Event years are deliberately NOT materialised as string postings: an
 // entity's year span is an interval check against pedigree.Node.MinYear/
@@ -29,7 +30,9 @@
 package index
 
 import (
+	"cmp"
 	"hash/maphash"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -99,11 +102,14 @@ type SimilarValue struct {
 
 // SimilarList is a read-only view of one similarity list, most similar
 // first: a row of a field's block or a probe-cache entry, read in place.
-// Every listed value is an indexed one, hence an interned symbol, so an
-// entry is an id and a float and At resolves the string on the way out.
+// Every listed value is an indexed one, hence an interned symbol, and a
+// list's similarities repeat, so an entry is an id and a code into table,
+// the exact similarities of the entry's page (see simBlock); At resolves
+// both on the way out.
 type SimilarList struct {
-	ids  []symbol.ID
-	sims []float64
+	ids   []symbol.ID
+	codes []uint16
+	table []float64
 	// Computed: the lookup that returned the list had to probe for it.
 	Computed bool
 }
@@ -112,37 +118,132 @@ type SimilarList struct {
 func (l SimilarList) Len() int { return len(l.ids) }
 
 // At returns the i-th entry.
-func (l SimilarList) At(i int) SimilarValue { return SimilarValue{symbol.Str(l.ids[i]), l.sims[i]} }
+func (l SimilarList) At(i int) SimilarValue { return SimilarValue{symbol.Str(l.ids[i]), l.sim(i)} }
+
+// sim returns the similarity of the i-th entry.
+func (l SimilarList) sim(i int) float64 { return l.table[l.codes[i]] }
 
 // Sim returns the similarity the list holds for value, if it lists it: the
 // way to ask about one value without walking the strings.
 func (l SimilarList) Sim(value string) (float64, bool) {
 	if id, ok := symbol.Lookup(value); ok {
 		if i := slices.Index(l.ids, id); i >= 0 {
-			return l.sims[i], true
+			return l.sim(i), true
 		}
 	}
 	return 0, false
 }
 
 // simBlock holds every precomputed list of one name field in CSR form: row
-// r is ids[offsets[r]:offsets[r+1]] with sims beside it, and vals[r] is the
+// r is ids[offsets[r]:offsets[r+1]] with codes beside it, and vals[r] is the
 // value the row belongs to (itself listed in the row, unless it has no
-// bigram). Nothing in the arrays is a pointer, so the collector never scans
-// them, and a block is immutable: a flush that changes the field's
-// vocabulary writes a new one (update.go), any other shares it whole.
+// bigram). An entry is 6 bytes: its similarity is the code's value in the
+// table of the row's page, a run of consecutive rows whose table holds at
+// most maxTable values. offsets caps a block at 2^32 entries and a page's
+// table caps one row at maxTable distinct similarities, which only a block
+// of more than maxTable values can reach; neither is checked on the read
+// path, and a coder panics rather than write a code that does not fit.
+// Nothing in the arrays but the page tables is a pointer, so the collector
+// never scans them, and a block is immutable: a flush that changes the
+// field's vocabulary writes a new one (update.go), any other shares it
+// whole.
 type simBlock struct {
 	rows    map[string]uint32
 	vals    []symbol.ID
 	offsets []uint32
 	ids     []symbol.ID
-	sims    []float64
+	codes   []uint16
+	pages   []simPage
+}
+
+// simPage is a run of a block's rows, from first up to the next page's
+// first, and the similarities their codes index.
+type simPage struct {
+	first uint32
+	table []float64
+}
+
+// maxTable is how many values a page's table may hold: every uint16 code.
+const maxTable = 1 << 16
+
+// page returns the index of the page row r is on.
+func (b *simBlock) page(r uint32) int {
+	p, found := slices.BinarySearchFunc(b.pages, r, func(p simPage, r uint32) int { return cmp.Compare(p.first, r) })
+	if !found {
+		p--
+	}
+	return p
 }
 
 // row returns the view of row r.
 func (b *simBlock) row(r uint32) SimilarList {
 	lo, hi := b.offsets[r], b.offsets[r+1]
-	return SimilarList{ids: b.ids[lo:hi:hi], sims: b.sims[lo:hi:hi]}
+	return SimilarList{ids: b.ids[lo:hi:hi], codes: b.codes[lo:hi:hi], table: b.pages[b.page(r)].table}
+}
+
+// coder writes the pages of consecutive rows of one block: it opens a page
+// before any row that could take the open page's table past maxTable values,
+// and gives each distinct similarity of a page one code.
+type coder struct {
+	pages []simPage
+	// slots inverts the open page's table: open addressing on the
+	// similarity's bits, linear probing, at most half full.
+	slots []codeSlot
+	shift uint8 // 64 - log2(len(slots))
+}
+
+// codeSlot is a slot of the inverted table: code+1 and its similarity's
+// bits, or 0 when free.
+type codeSlot struct {
+	bits uint64
+	code uint32
+}
+
+func newCoder() *coder { return &coder{slots: make([]codeSlot, 1<<8), shift: 64 - 8} }
+
+// row starts a row of n entries numbered r, on a new page unless the open
+// one has room for n more values. A row longer than maxTable starts a page
+// of its own and still fits as long as its similarities do.
+func (c *coder) row(r uint32, n int) {
+	if last := len(c.pages) - 1; last < 0 || len(c.pages[last].table) > 0 && len(c.pages[last].table)+n > maxTable {
+		c.pages = append(c.pages, simPage{first: r})
+		clear(c.slots)
+	}
+}
+
+// slot returns the slot holding bits, or the free slot where it belongs.
+func (c *coder) slot(bits uint64) *codeSlot {
+	mask := len(c.slots) - 1
+	for i := int(bits * 0x9e3779b97f4a7c15 >> c.shift); ; i = (i + 1) & mask {
+		if sl := &c.slots[i]; sl.code == 0 || sl.bits == bits {
+			return sl
+		}
+	}
+}
+
+// code returns the open page's code for sim, adding sim to its table if
+// the page has not seen it.
+func (c *coder) code(sim float64) uint16 {
+	bits := math.Float64bits(sim)
+	sl := c.slot(bits)
+	if sl.code != 0 {
+		return uint16(sl.code - 1)
+	}
+	p := &c.pages[len(c.pages)-1]
+	if len(p.table) == maxTable {
+		panic("index: a similarity row holds more distinct values than a page's table can code")
+	}
+	p.table = append(p.table, sim)
+	*sl = codeSlot{bits, uint32(len(p.table))}
+	if 2*len(p.table) > len(c.slots) {
+		// Double and re-insert the table, which lists every key in code order.
+		c.slots, c.shift = make([]codeSlot, 2*len(c.slots)), c.shift-1
+		for code, v := range p.table {
+			b := math.Float64bits(v)
+			*c.slot(b) = codeSlot{b, uint32(code) + 1}
+		}
+	}
+	return uint16(len(p.table) - 1)
 }
 
 // Keyword is the keyword index K. Posting lists are stored delta+varint
@@ -160,7 +261,7 @@ type Keyword struct {
 const probeSlots = 64
 
 // probeEntry is one cached probe: a value S does not index and its list, in
-// the two-array form of a block row.
+// the form of a block row with a table of its own.
 type probeEntry struct {
 	value string
 	list  SimilarList
@@ -394,9 +495,9 @@ func (c *candScratch) candidates(post map[strsim.BigramID]postingList[symbol.ID]
 
 // computeSimilar is the one-sided probe: it scans the bigram postings for
 // candidate values and keeps those with name similarity at or above the
-// threshold, as the two arrays of a block row. It serves query-time misses,
-// values added by a flush, and is the reference the all-pairs precompute is
-// tested against.
+// threshold, in the form of a block row with a table of its own. It serves
+// query-time misses, values added by a flush, and is the reference the
+// all-pairs precompute is tested against.
 //
 // The probe's match tables are set once and every candidate is scored
 // against them (simcache.Probe). A probe that is already an interned symbol
@@ -425,9 +526,23 @@ func (s *Similarity) computeSimilar(f Field, value string) SimilarList {
 		}
 	}
 	slices.SortFunc(kept, compareSim)
-	out := SimilarList{ids: make([]symbol.ID, len(kept)), sims: make([]float64, len(kept))}
+	// Equal similarities are adjacent in the ordered list, so its table is
+	// the list's run heads and a code is the number of heads before it.
+	distinct := 0
 	for i, e := range kept {
-		out.ids[i], out.sims[i] = e.id, e.sim
+		if i == 0 || math.Float64bits(e.sim) != math.Float64bits(kept[i-1].sim) {
+			distinct++
+		}
+	}
+	if distinct > maxTable {
+		panic("index: a similarity list holds more distinct values than a table can code")
+	}
+	out := SimilarList{ids: make([]symbol.ID, len(kept)), codes: make([]uint16, len(kept)), table: make([]float64, 0, distinct)}
+	for i, e := range kept {
+		if i == 0 || math.Float64bits(e.sim) != math.Float64bits(kept[i-1].sim) {
+			out.table = append(out.table, e.sim)
+		}
+		out.ids[i], out.codes[i] = e.id, uint16(len(out.table)-1)
 	}
 	sc.kept = kept
 	candPool.Put(sc)
@@ -450,13 +565,17 @@ func (s *Similarity) Size(f Field) int {
 }
 
 // Bytes is the size of the data S was built with: the arrays of every
-// field's block and the encoded bigram postings, by arithmetic over their
-// lengths. The maps' own overhead and the probe cache are not in it.
+// field's block — 6 bytes per entry, 8 per page-table value, 4 per row in
+// vals and offsets — and the encoded bigram postings, by arithmetic over
+// their lengths. The maps' own overhead and the probe cache are not in it.
 func (s *Similarity) Bytes() int64 {
 	n := 0
 	for f := range s.blocks {
 		if b := s.blocks[f]; b != nil {
-			n += 4*(len(b.vals)+len(b.offsets)+len(b.ids)) + 8*len(b.sims)
+			n += 4*(len(b.vals)+len(b.offsets)+len(b.ids)) + 2*len(b.codes)
+			for _, p := range b.pages {
+				n += 8 * len(p.table)
+			}
 		}
 		for _, pl := range s.bigramPost[f] {
 			n += len(pl.data)

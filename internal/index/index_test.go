@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/snaps/snaps/internal/dataset"
@@ -182,6 +183,35 @@ func TestSimilarAllocsZero(t *testing.T) {
 	})
 	if allocs != 0 || entries == 0 || chars == 0 {
 		t.Errorf("Similar(%q) and a walk of its %d entries: %v allocations, want 0", name, entries/201, allocs)
+	}
+}
+
+// TestSimilarMissAllocs is the ceiling of the typo path: a lookup of a
+// value S has never seen probes it and caches the list. The list's three
+// arrays (ids, codes and its own table), the cache entry and the entry's
+// copy of the value are the five allocations; the probe's scratch is
+// pooled and its token split is on the stack.
+func TestSimilarMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	_, _, s := builtIndexes(t)
+	const runs = 200
+	typos := make([]string, runs+1)
+	for i := range typos {
+		typos[i] = fmt.Sprintf("macdonal%dx", i)
+	}
+	i, entries := 0, 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		l := s.Similar(FieldSurname, typos[i])
+		if !l.Computed {
+			t.Fatalf("Similar(%q) did not probe", typos[i])
+		}
+		entries += l.Len()
+		i++
+	})
+	if allocs > 5 || entries == 0 {
+		t.Errorf("Similar on %d unknown values (%d entries): %v allocations each, want at most 5", runs+1, entries, allocs)
 	}
 }
 

@@ -8,9 +8,11 @@
 package index
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/par"
@@ -131,7 +133,7 @@ func (s *Similarity) precompute(f Field, indexed map[string]postingList[pedigree
 	for i := range vals {
 		b.offsets[i+1] += b.offsets[i]
 	}
-	b.ids, b.sims = make([]symbol.ID, b.offsets[n]), make([]float64, b.offsets[n])
+	b.ids, b.codes = make([]symbol.ID, b.offsets[n]), make([]uint16, b.offsets[n])
 
 	// A list's order is similarity descending, value ascending, and a
 	// value's rank in vals is its place in value order, so the order
@@ -142,20 +144,25 @@ func (s *Similarity) precompute(f Field, indexed map[string]postingList[pedigree
 	// the write-back below repairs.
 	rankMask := uint64(1)<<bits.Len(uint(n)) - 1
 
-	// Each range of rows is filled and ordered by one goroutine, which
-	// reads every pair and keeps the sides landing in its range: a
+	// Each range of rows is filled, ordered and coded by one goroutine,
+	// which reads every pair and keeps the sides landing in its range: a
 	// sequential read per goroutine buys scattered writes nobody shares.
 	// The fill order follows the scheduling; the order under a total
-	// comparator does not.
+	// comparator does not. The range's rows start a page of their own.
+	var mu sync.Mutex
+	var pages [][]simPage
 	par.Range(n, func(lo, hi int) {
 		// Until it is ordered a row holds ranks where its ids will be, in
-		// fill order.
+		// fill order, and the inverted bits of their similarities in keys,
+		// the range's scratch: the block keeps only their codes.
+		base := b.offsets[lo]
+		keys := make([]uint64, b.offsets[hi]-base)
 		filled := make([]uint32, hi-lo)
 		add := func(i, j int32, sim float64) {
 			if int(i) >= lo && int(i) < hi {
 				at := b.offsets[i] + filled[int(i)-lo]
 				filled[int(i)-lo]++
-				b.ids[at], b.sims[at] = symbol.ID(j), sim
+				b.ids[at], keys[at-base] = symbol.ID(j), ^math.Float64bits(sim)
 			}
 		}
 		for i := lo; i < hi; i++ {
@@ -169,28 +176,45 @@ func (s *Similarity) precompute(f Field, indexed map[string]postingList[pedigree
 				add(p.j, p.i, p.sim)
 			}
 		}
-		// keys orders one row at a time; simOf carries the row's exact
-		// similarities across the key sort, by rank. An entry that beats its
+		// A row's keys are ordered in place; simOf carries its exact
+		// similarities across the sort, by rank. An entry that beats its
 		// predecessors in the bits the key dropped moves up past them as it
-		// lands; equal ones keep their value order.
-		var keys []uint64
+		// lands; equal ones keep their value order. Each entry is coded as it
+		// lands: one equal to its predecessor takes its code, as equal
+		// similarities land side by side.
+		var sims []float64
 		simOf := make([]float64, n)
+		c := newCoder()
 		for i := lo; i < hi; i++ {
-			ids, sims := b.ids[b.offsets[i]:b.offsets[i+1]], b.sims[b.offsets[i]:b.offsets[i+1]]
-			keys = keys[:0]
+			from, to := b.offsets[i], b.offsets[i+1]
+			ids, codes, keys := b.ids[from:to], b.codes[from:to], keys[from-base:to-base]
 			for at, rank := range ids {
-				simOf[rank] = sims[at]
-				keys = append(keys, ^math.Float64bits(sims[at])&^rankMask|uint64(rank))
+				simOf[rank] = math.Float64frombits(^keys[at])
+				keys[at] = keys[at]&^rankMask | uint64(rank)
 			}
 			slices.Sort(keys)
+			c.row(uint32(i), len(ids))
+			sims = slices.Grow(sims[:0], len(ids))[:len(ids)]
 			for at, k := range keys {
-				ids[at], sims[at] = syms[k&rankMask], simOf[k&rankMask]
+				sim := simOf[k&rankMask]
+				ids[at], sims[at] = syms[k&rankMask], sim
+				if at > 0 && math.Float64bits(sim) == math.Float64bits(sims[at-1]) {
+					codes[at] = codes[at-1]
+				} else {
+					codes[at] = c.code(sim)
+				}
 				for j := at; j > 0 && sims[j-1] < sims[j]; j-- {
 					ids[j-1], ids[j] = ids[j], ids[j-1]
 					sims[j-1], sims[j] = sims[j], sims[j-1]
+					codes[j-1], codes[j] = codes[j], codes[j-1]
 				}
 			}
 		}
+		mu.Lock()
+		pages = append(pages, c.pages)
+		mu.Unlock()
 	})
+	slices.SortFunc(pages, func(x, y []simPage) int { return cmp.Compare(x[0].first, y[0].first) })
+	b.pages = slices.Concat(pages...)
 	s.blocks[f] = b
 }

@@ -1,8 +1,10 @@
 package index
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -52,35 +54,86 @@ func probeLists(k *Keyword, s *Similarity) map[Field]map[string][]SimilarValue {
 	return ref
 }
 
+// syntheticVocabulary returns n distinct names from a universe no name
+// generator resembles: one to three tokens of 3–16 letters over a
+// six-letter alphabet, drawn from a fixed seed. Nearly every pair shares a
+// bigram, and the lists of the first 800 at s_t = 0.5 hold 95,346 distinct
+// similarity values in 580,244 entries — more than one page's table can
+// code, so a block of them has several pages whatever GOMAXPROCS is (three
+// at 1).
+func syntheticVocabulary(n int) []string {
+	rng := rand.New(rand.NewSource(1))
+	seen := map[string]bool{}
+	var out []string
+	for len(out) < n {
+		tokens := make([]string, 1+rng.Intn(3))
+		for i := range tokens {
+			b := make([]byte, 3+rng.Intn(14))
+			for j := range b {
+				b[j] = "abcdef"[rng.Intn(6)]
+			}
+			tokens[i] = string(b)
+		}
+		if v := strings.Join(tokens, " "); !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// vocabularyGraph has one node per value, carrying it as its first name
+// and its surname.
+func vocabularyGraph(vals []string) *pedigree.Graph {
+	g := &pedigree.Graph{}
+	for i, v := range vals {
+		g.Nodes = append(g.Nodes, pedigree.Node{ID: pedigree.NodeID(i), FirstNames: []string{v}, Surnames: []string{v}})
+	}
+	return g
+}
+
 // TestPrecomputeMatchesProbe is the differential test of the all-pairs
 // pass: at a DS tier, over the whole graph and over both halves of a
-// two-way partition, for one and several workers, every indexed name's
+// two-way partition, and over the synthetic vocabulary whose blocks are
+// split into pages, for one and several workers, every indexed name's
 // precomputed list is the probe's list entry for entry and bit for bit.
 func TestPrecomputeMatchesProbe(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type input struct {
+		name  string
+		g     *pedigree.Graph
+		keep  func(pedigree.NodeID) bool
+		paged bool // every name block must have at least two pages
+	}
+	var inputs []input
 	for _, seed := range []int64{11, 12} {
 		g := scaleGraph(3000, seed)
-		keeps := []func(pedigree.NodeID) bool{nil, keepFor(g, 0, 2), keepFor(g, 1, 2)}
-		for ki, keep := range keeps {
-			// The probe reads only the bigram postings, which do not
-			// depend on the worker count: one reference serves both builds.
-			var ref map[Field]map[string][]SimilarValue
-			for _, procs := range []int{4, 1} {
-				runtime.GOMAXPROCS(procs)
-				k, s := BuildSubset(g, keep, 0.5)
-				if ref == nil {
-					ref = probeLists(k, s)
+		inputs = append(inputs,
+			input{fmt.Sprintf("seed %d", seed), g, nil, false},
+			input{fmt.Sprintf("seed %d half 0", seed), g, keepFor(g, 0, 2), false},
+			input{fmt.Sprintf("seed %d half 1", seed), g, keepFor(g, 1, 2), false})
+	}
+	inputs = append(inputs, input{"synthetic", vocabularyGraph(syntheticVocabulary(800)), nil, true})
+	for _, in := range inputs {
+		// The probe reads only the bigram postings, which do not depend on
+		// the worker count: one reference serves both builds.
+		var ref map[Field]map[string][]SimilarValue
+		for _, procs := range []int{4, 1} {
+			runtime.GOMAXPROCS(procs)
+			k, s := BuildSubset(in.g, in.keep, 0.5)
+			if ref == nil {
+				ref = probeLists(k, s)
+			}
+			for f, want := range ref {
+				if len(want) == 0 || s.Size(f) != len(want) {
+					t.Fatalf("%s procs %d field %v: %d precomputed lists for %d values", in.name, procs, f, s.Size(f), len(want))
 				}
-				for f, want := range ref {
-					if len(want) == 0 || s.Size(f) != len(want) {
-						t.Fatalf("seed %d keep %d procs %d field %v: %d precomputed lists for %d values",
-							seed, ki, procs, f, s.Size(f), len(want))
-					}
-					for v, w := range want {
-						if got := s.listOf(f, v); !reflect.DeepEqual(got, w) {
-							t.Fatalf("seed %d keep %d procs %d field %v value %q:\nprecomputed %v\nprobe       %v",
-								seed, ki, procs, f, v, got, w)
-						}
+				if pages := len(s.blocks[f].pages); in.paged && pages < 2 {
+					t.Fatalf("%s procs %d field %v: %d page(s)", in.name, procs, f, pages)
+				}
+				for v, w := range want {
+					if got := s.listOf(f, v); !reflect.DeepEqual(got, w) {
+						t.Fatalf("%s procs %d field %v value %q:\nprecomputed %v\nprobe       %v", in.name, procs, f, v, got, w)
 					}
 				}
 			}

@@ -95,31 +95,42 @@ func TestProbeMemoryBounded(t *testing.T) {
 
 // TestSimilarityImmutableAfterPublish: nothing writes a published S but
 // its probe cache. While goroutines probe the served generation and a
-// flush rewrites the next one from it, every array of every block keeps its
-// backing address, length and contents, and every probe answer is the list
-// a fresh computeSimilar returns. A flush that leaves a field's vocabulary
-// alone hands the next generation the very same block.
+// flush rewrites the next one from it, every array of every block — its
+// offsets, ids and codes and every page's table — keeps its backing
+// address, length and contents, and every probe answer is the list a fresh
+// computeSimilar returns. A flush that leaves a field's vocabulary alone
+// hands the next generation the very same block.
 func TestSimilarityImmutableAfterPublish(t *testing.T) {
 	_, newG, prevK, prevS := buildGenerations(t, 0.05)
 	type pin struct {
-		block              *simBlock
-		copy               simBlock
-		offsets, ids, sims unsafe.Pointer
+		block *simBlock
+		copy  simBlock
+		addrs []unsafe.Pointer
 	}
-	addrs := func(b *simBlock) (offsets, ids, sims unsafe.Pointer) {
-		return unsafe.Pointer(unsafe.SliceData(b.offsets)), unsafe.Pointer(unsafe.SliceData(b.ids)), unsafe.Pointer(unsafe.SliceData(b.sims))
+	addrs := func(b *simBlock) []unsafe.Pointer {
+		out := []unsafe.Pointer{
+			unsafe.Pointer(unsafe.SliceData(b.offsets)), unsafe.Pointer(unsafe.SliceData(b.ids)),
+			unsafe.Pointer(unsafe.SliceData(b.codes)), unsafe.Pointer(unsafe.SliceData(b.pages)),
+		}
+		for _, p := range b.pages {
+			out = append(out, unsafe.Pointer(unsafe.SliceData(p.table)))
+		}
+		return out
 	}
 	pins := map[Field]pin{}
 	for _, f := range nameFields {
 		b := prevS.blocks[f]
-		if len(b.ids) == 0 || len(b.ids) != len(b.sims) || len(b.offsets) != len(b.vals)+1 {
-			t.Fatalf("field %v: block of %d ids, %d sims, %d offsets for %d values", f, len(b.ids), len(b.sims), len(b.offsets), len(b.vals))
+		if len(b.ids) == 0 || len(b.ids) != len(b.codes) || len(b.offsets) != len(b.vals)+1 || len(b.pages) == 0 {
+			t.Fatalf("field %v: block of %d ids, %d codes, %d offsets, %d pages for %d values",
+				f, len(b.ids), len(b.codes), len(b.offsets), len(b.pages), len(b.vals))
 		}
 		p := pin{block: b, copy: simBlock{
 			rows: maps.Clone(b.rows), vals: slices.Clone(b.vals),
-			offsets: slices.Clone(b.offsets), ids: slices.Clone(b.ids), sims: slices.Clone(b.sims),
-		}}
-		p.offsets, p.ids, p.sims = addrs(b)
+			offsets: slices.Clone(b.offsets), ids: slices.Clone(b.ids), codes: slices.Clone(b.codes),
+		}, addrs: addrs(b)}
+		for _, pg := range b.pages {
+			p.copy.pages = append(p.copy.pages, simPage{pg.first, slices.Clone(pg.table)})
+		}
 		pins[f] = p
 	}
 
@@ -159,7 +170,7 @@ func TestSimilarityImmutableAfterPublish(t *testing.T) {
 		if b != p.block || updS.blocks[f] == b {
 			t.Fatalf("field %v: the flush replaced the served block or shared a changed one", f)
 		}
-		if offsets, ids, sims := addrs(b); offsets != p.offsets || ids != p.ids || sims != p.sims {
+		if !slices.Equal(addrs(b), p.addrs) {
 			t.Fatalf("field %v: an array of the previous generation's block moved", f)
 		}
 		if !reflect.DeepEqual(*b, p.copy) {

@@ -108,7 +108,8 @@ type rowEdit struct {
 // under compareSim, the added values' rows appended. It reads old and the
 // new bigram postings and writes fresh arrays of the exact size, in one
 // sequential pass whose cost is the block's, however many values the flush
-// added.
+// added. The new block has pages of its own: a surviving entry's code is
+// translated through a remap of its old page's codes, filled as they recur.
 func (s *Similarity) rewriteBlock(f Field, old *simBlock, added, removed []symbol.ID) *simBlock {
 	// An added value is in no old row and a removed one in no new list, so
 	// one set of both says which entries of a diff value's list to skip.
@@ -135,7 +136,7 @@ func (s *Similarity) rewriteBlock(f Field, old *simBlock, added, removed []symbo
 		total += sign * l.Len()
 		for i, id := range l.ids {
 			if !inDiff[id] {
-				edits = append(edits, rowEdit{old.rows[symbol.Str(id)], simEntry{v, l.sims[i]}, sign < 0})
+				edits = append(edits, rowEdit{old.rows[symbol.Str(id)], simEntry{v, l.sim(i)}, sign < 0})
 				total += sign
 			}
 		}
@@ -153,7 +154,33 @@ func (s *Similarity) rewriteBlock(f Field, old *simBlock, added, removed []symbo
 	n := len(old.vals) - len(removed) + len(added)
 	b := &simBlock{
 		rows: make(map[string]uint32, n), vals: make([]symbol.ID, 0, n), offsets: make([]uint32, 1, n+1),
-		ids: make([]symbol.ID, 0, total), sims: make([]float64, 0, total),
+		ids: make([]symbol.ID, 0, total), codes: make([]uint16, 0, total),
+	}
+	c := newCoder()
+	// remap[code] is the new code of an old page's code plus one, 0 until
+	// the code recurs; it holds for one old page and one new page. At the
+	// size of every code, it is indexed without a bounds check.
+	remap := new([maxTable]uint32)
+	remapOld, remapNew := -1, -1
+	// copyRun appends the old entries [lo, hi) of a row whose page has
+	// table.
+	copyRun := func(table []float64, lo, hi int) {
+		b.ids = append(b.ids, old.ids[lo:hi]...)
+		at := len(b.codes)
+		b.codes = b.codes[:at+hi-lo]
+		dst := b.codes[at:]
+		for i, code := range old.codes[lo:hi] {
+			nc := remap[code]
+			if nc == 0 {
+				nc = uint32(c.code(table[code])) + 1
+				remap[code] = nc
+			}
+			dst[i] = uint16(nc - 1)
+		}
+	}
+	// appendEntry appends one entry that is not in the old block.
+	appendEntry := func(id symbol.ID, sim float64) {
+		b.ids, b.codes = append(b.ids, id), append(b.codes, c.code(sim))
 	}
 	endRow := func(v symbol.ID) {
 		b.rows[symbol.Str(v)] = uint32(len(b.vals))
@@ -164,29 +191,44 @@ func (s *Similarity) rewriteBlock(f Field, old *simBlock, added, removed []symbo
 		if inDiff[v] {
 			continue
 		}
+		lo, hi := int(old.offsets[r]), int(old.offsets[r+1])
+		e := 0
+		for e < len(edits) && edits[e].row == uint32(r) {
+			e++
+		}
+		// The row keeps at most its old entries and gains at most one per edit.
+		c.row(uint32(len(b.vals)), hi-lo+e)
+		if p := old.page(uint32(r)); p != remapOld || len(c.pages) != remapNew {
+			remapOld, remapNew = p, len(c.pages)
+			clear(remap[:len(old.pages[p].table)])
+		}
 		// Each edit is placed by binary search and the runs between them are
 		// copied whole, so a long row costs a few comparisons.
-		lo, hi := int(old.offsets[r]), int(old.offsets[r+1])
-		for ; len(edits) > 0 && edits[0].row == uint32(r); edits = edits[1:] {
-			ed := edits[0]
+		table := old.pages[remapOld].table
+		for _, ed := range edits[:e] {
 			at := lo + sort.Search(hi-lo, func(i int) bool {
-				return compareSim(simEntry{old.ids[lo+i], old.sims[lo+i]}, ed.simEntry) >= 0
+				return compareSim(simEntry{old.ids[lo+i], table[old.codes[lo+i]]}, ed.simEntry) >= 0
 			})
-			b.ids, b.sims = append(b.ids, old.ids[lo:at]...), append(b.sims, old.sims[lo:at]...)
+			copyRun(table, lo, at)
 			lo = at
 			if !ed.remove {
-				b.ids, b.sims = append(b.ids, ed.id), append(b.sims, ed.sim)
+				appendEntry(ed.id, ed.sim)
 			} else if lo++; at == hi || old.ids[at] != ed.id {
 				panic("index: a removed value's list names a row that does not list it")
 			}
 		}
-		b.ids, b.sims = append(b.ids, old.ids[lo:hi]...), append(b.sims, old.sims[lo:hi]...)
+		edits = edits[e:]
+		copyRun(table, lo, hi)
 		endRow(v)
 	}
 	for i, a := range added {
-		b.ids, b.sims = append(b.ids, fresh[i].ids...), append(b.sims, fresh[i].sims...)
+		c.row(uint32(len(b.vals)), fresh[i].Len())
+		for j, id := range fresh[i].ids {
+			appendEntry(id, fresh[i].sim(j))
+		}
 		endRow(a)
 	}
+	b.pages = c.pages
 	return b
 }
 

@@ -2,6 +2,7 @@ package index
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/snaps/snaps/internal/dataset"
@@ -179,6 +180,51 @@ func TestUpdateEquivalence(t *testing.T) {
 	for _, p := range probes {
 		if got, want := updS.similar(p.f, p.v), fullS.similar(p.f, p.v); !sameSimilar(got, want) {
 			t.Fatalf("probe %v %q: Similar = %v, full rebuild = %v", p.f, p.v, got, want)
+		}
+	}
+
+	t.Run("synthetic pages", testRewriteAcrossPages)
+}
+
+// testRewriteAcrossPages patches a block with pages: over the synthetic
+// vocabulary, a flush removes the two values on either side of a page
+// boundary and adds ten new ones, whose entries land in rows of every page.
+// The rewritten block has pages of its own, and each of its rows is the
+// probe's list and the fresh build's, bit for bit.
+func testRewriteAcrossPages(t *testing.T) {
+	vocab := syntheticVocabulary(810)
+	prevK, prevS := Build(vocabularyGraph(vocab[:800]), 0.5)
+	for _, f := range nameFields {
+		if pages := len(prevS.blocks[f].pages); pages < 2 {
+			t.Fatalf("field %v: the synthetic block has %d page(s)", f, pages)
+		}
+	}
+	// Both name fields index the same values in the same row order.
+	b := prevS.blocks[FieldFirstName]
+	at := b.pages[1].first
+	gone := map[string]bool{symbol.Str(b.vals[at-1]): true, symbol.Str(b.vals[at]): true}
+	vocab = slices.DeleteFunc(vocab, func(v string) bool { return gone[v] })
+	g := vocabularyGraph(vocab)
+	_, fullS := Build(g, 0.5)
+	updK, updS, rebuilt := UpdateSubset(g, nil, prevK, prevS)
+	if rebuilt != 0 {
+		t.Fatalf("ten added values of 808 rebuilt %d blocks, want both patched", rebuilt)
+	}
+	for _, f := range nameFields {
+		if pages := len(updS.blocks[f].pages); pages < 2 {
+			t.Fatalf("field %v: the rewritten block has %d page(s)", f, pages)
+		}
+		if got, want := updS.Size(f), len(vocab); got != want {
+			t.Fatalf("field %v: %d rows, want %d", f, got, want)
+		}
+		for v := range updK.postings[f] {
+			got := updS.listOf(f, v)
+			if want := updS.probe(f, v); !reflect.DeepEqual(got, want) {
+				t.Fatalf("field %v row %q:\nrewritten %v\nprobe     %v", f, v, got, want)
+			}
+			if want := fullS.listOf(f, v); !reflect.DeepEqual(got, want) {
+				t.Fatalf("field %v row %q:\nrewritten   %v\nfresh build %v", f, v, got, want)
+			}
 		}
 	}
 }

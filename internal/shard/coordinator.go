@@ -29,7 +29,7 @@ var (
 		"Per scatter: slowest shard search minus the median one — scatter time lost to the laggard.",
 		obs.LatencyBuckets)
 	mSimilarityBytes = obs.Default.Gauge("snaps_index_similarity_bytes",
-		"Bytes of the similarity index S over the published generation's shards: block arrays plus encoded bigram postings.")
+		"Bytes of the similarity index S over the published generation's shards: block arrays (6 B per list entry, 8 B per page-table value, 8 B per row) plus encoded bigram postings.")
 
 	mShardSearchSeconds = obs.Default.HistogramVec("snaps_shard_search_seconds",
 		"Per-shard search duration under the scatter-gather coordinator.",

@@ -31,7 +31,8 @@ func (p *Probe) Set(f *Features) { p.set(f.Str, f.Tokens, f.HasSpace) }
 // grow process-wide tables. Scores equal strsim.NameSim(s, other) bit for
 // bit.
 func (p *Probe) SetString(s string) {
-	p.set(s, strsim.Fields(s), strings.IndexByte(s, ' ') >= 0)
+	var buf [8]string // a name's tokens, on the stack
+	p.set(s, strsim.AppendFields(buf[:0], s), strings.IndexByte(s, ' ') >= 0)
 }
 
 func (p *Probe) set(s string, tokens []string, hasSpace bool) {

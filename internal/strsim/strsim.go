@@ -240,8 +240,10 @@ func TokenJaccard(a, b string) float64 {
 	return float64(inter) / float64(len(seen))
 }
 
-func fields(s string) []string {
-	var out []string
+func fields(s string) []string { return AppendFields(nil, s) }
+
+// AppendFields appends the tokens of s, as Fields splits them, to out.
+func AppendFields(out []string, s string) []string {
 	start := -1
 	for i := 0; i < len(s); i++ {
 		if s[i] == ' ' || s[i] == '\t' {
