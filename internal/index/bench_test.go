@@ -45,10 +45,10 @@ func BenchmarkProbeUnseen(b *testing.B) {
 	g := scaleGraph(4000, 1)
 	k, s := Build(g, 0.5)
 	var typos []string
-	for v, pl := range k.postings[FieldSurname] {
-		if n := len(v); pl.n == 1 && n >= 4 && v[n-1] != v[n-2] {
+	for _, v := range k.vocab(FieldSurname) {
+		if n := len(v); len(k.Lookup(FieldSurname, v)) == 1 && n >= 4 && v[n-1] != v[n-2] {
 			typo := v[:n-2] + string([]byte{v[n-1], v[n-2]})
-			if _, indexed := k.postings[FieldSurname][typo]; !indexed {
+			if k.Lookup(FieldSurname, typo) == nil {
 				typos = append(typos, typo)
 			}
 		}
@@ -93,8 +93,8 @@ func BenchmarkUpdateSubset(b *testing.B) {
 				updateSimilarity(k, prevK, prevS, 1)
 			}
 			for _, f := range nameFields {
-				added, _ := valueDiff(k.postings[f], prevK.postings[f])
-				b.ReportMetric(100*float64(len(added))/float64(len(k.postings[f])), f.String()+"_added_pct")
+				added, _ := valueDiff(k.fields[f].vals, prevK.fields[f].vals)
+				b.ReportMetric(100*float64(len(added))/float64(k.Values(f)), f.String()+"_added_pct")
 			}
 		})
 	}

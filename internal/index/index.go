@@ -5,6 +5,12 @@
 // name the indexed names that share at least one bigram with it and reach
 // the threshold s_t, most similar first.
 //
+// Both are addressed by symbol id: every indexed value is an interned
+// record attribute, an S entry names its value by id, and K holds one flat
+// array of entity ids per field with offsets indexed by symbol id, so a
+// search goes from an S entry to its entities without a string, a hash or
+// a lock.
+//
 // Build fills S with one all-pairs pass per name field (precompute.go):
 // name similarity is symmetric, so each unordered bigram-sharing pair is
 // scored once, by the unmemoised kernel simcache.NameSimFeatures in its
@@ -105,11 +111,16 @@ type SimilarValue struct {
 // Every listed value is an indexed one, hence an interned symbol, and a
 // list's similarities repeat, so an entry is an id and a code into table,
 // the exact similarities of the entry's page (see simBlock); At resolves
-// both on the way out.
+// both on the way out, Entry resolves only the similarity.
 type SimilarList struct {
 	ids   []symbol.ID
 	codes []uint16
 	table []float64
+	// self is the id of the value the list was looked up for when the
+	// field's block has a row for it, else None. A value without a row is
+	// not indexed here, so no list of the shard holds it, and None is in no
+	// list: the empty string has no bigram.
+	self symbol.ID
 	// Computed: the lookup that returned the list had to probe for it.
 	Computed bool
 }
@@ -120,18 +131,40 @@ func (l SimilarList) Len() int { return len(l.ids) }
 // At returns the i-th entry.
 func (l SimilarList) At(i int) SimilarValue { return SimilarValue{symbol.Str(l.ids[i]), l.sim(i)} }
 
+// Entry returns the i-th entry's value id and similarity, and whether the
+// value is the one the list was looked up for: the search's form of an
+// entry, which K's Entities takes as it is.
+func (l SimilarList) Entry(i int) (id symbol.ID, sim float64, exact bool) {
+	return l.ids[i], l.sim(i), l.ids[i] == l.self
+}
+
 // sim returns the similarity of the i-th entry.
 func (l SimilarList) sim(i int) float64 { return l.table[l.codes[i]] }
 
-// Sim returns the similarity the list holds for value, if it lists it: the
-// way to ask about one value without walking the strings.
-func (l SimilarList) Sim(value string) (float64, bool) {
-	if id, ok := symbol.Lookup(value); ok {
-		if i := slices.Index(l.ids, id); i >= 0 {
-			return l.sim(i), true
-		}
+// SimTable answers which similarity one list holds for a value, by string:
+// the form a search asks the query location's list in, once per location
+// of every candidate entity. Filling it costs a walk of the list; asking it
+// is one hash of the string, without a lock or a scan. The zero value is
+// an empty table, and a refilled one reuses its storage.
+type SimTable struct {
+	sims map[string]float64
+}
+
+// Reset makes t the table of l.
+func (t *SimTable) Reset(l SimilarList) {
+	if t.sims == nil {
+		t.sims = make(map[string]float64, l.Len())
 	}
-	return 0, false
+	clear(t.sims)
+	for i, id := range l.ids {
+		t.sims[symbol.Str(id)] = l.sim(i)
+	}
+}
+
+// Sim returns the similarity the list holds for value, if it lists it.
+func (t *SimTable) Sim(value string) (float64, bool) {
+	s, ok := t.sims[value]
+	return s, ok
 }
 
 // simBlock holds every precomputed list of one name field in CSR form: row
@@ -178,7 +211,7 @@ func (b *simBlock) page(r uint32) int {
 // row returns the view of row r.
 func (b *simBlock) row(r uint32) SimilarList {
 	lo, hi := b.offsets[r], b.offsets[r+1]
-	return SimilarList{ids: b.ids[lo:hi:hi], codes: b.codes[lo:hi:hi], table: b.pages[b.page(r)].table}
+	return SimilarList{ids: b.ids[lo:hi:hi], codes: b.codes[lo:hi:hi], table: b.pages[b.page(r)].table, self: b.vals[r]}
 }
 
 // coder writes the pages of consecutive rows of one block: it opens a page
@@ -246,12 +279,72 @@ func (c *coder) code(sim float64) uint16 {
 	return uint16(len(p.table) - 1)
 }
 
-// Keyword is the keyword index K. Posting lists are stored delta+varint
-// compressed (see postings.go) and are immutable once stored. K has one
-// builder, buildKeyword: a flush builds a fresh K like any other build.
+// Keyword is the keyword index K: per field, the entities carrying each
+// value, addressed by the value's symbol id. It is immutable once built and
+// has one builder, buildKeyword: a flush builds a fresh K like any other
+// build.
 type Keyword struct {
-	// postings[field][value] lists the entity nodes carrying the value.
-	postings [NumFields]map[string]postingList[pedigree.NodeID]
+	fields [NumFields]keyField
+}
+
+// keyField is one field of K in CSR form, the row index being the symbol
+// id: the entities carrying value id are nodes[offsets[id]:offsets[id+1]],
+// ascending. offsets runs to the largest id the field indexes, so an id past
+// its end has no entities, as has any id in range the field does not index.
+// vals lists the ids that have entities, ascending: the field's vocabulary.
+// A posting is 4 bytes and the offsets 4 per symbol up to the largest, and
+// none of it is a pointer.
+type keyField struct {
+	vals    []symbol.ID
+	offsets []uint32
+	nodes   []pedigree.NodeID
+}
+
+// entities returns the row of id, a view into the field.
+func (kf *keyField) entities(id symbol.ID) []pedigree.NodeID {
+	if int(id) >= len(kf.offsets)-1 {
+		return nil
+	}
+	lo, hi := kf.offsets[id], kf.offsets[id+1]
+	return kf.nodes[lo:hi:hi]
+}
+
+// keyPosting is one (value, entity) pair of a field as buildKeyword finds it.
+type keyPosting struct {
+	id   symbol.ID
+	node pedigree.NodeID
+}
+
+// newKeyField lays one field's pairs out as its CSR: counted per id into
+// offsets, prefix-summed, and scattered in the order given, using each row's
+// start as its cursor and shifting the cursors back into starts after. The
+// pairs come in ascending entity order, an entity's values are distinct
+// (pedigree.Node's are), so every row is ascending and duplicate-free.
+func newKeyField(pairs []keyPosting) keyField {
+	if len(pairs) == 0 {
+		return keyField{}
+	}
+	top := symbol.None
+	for _, p := range pairs {
+		top = max(top, p.id)
+	}
+	kf := keyField{offsets: make([]uint32, top+2), nodes: make([]pedigree.NodeID, len(pairs))}
+	for _, p := range pairs {
+		kf.offsets[p.id+1]++
+	}
+	for id := range top + 1 {
+		if kf.offsets[id+1] > 0 {
+			kf.vals = append(kf.vals, id)
+		}
+		kf.offsets[id+1] += kf.offsets[id]
+	}
+	for _, p := range pairs {
+		kf.nodes[kf.offsets[p.id]] = p.node
+		kf.offsets[p.id]++
+	}
+	copy(kf.offsets[1:], kf.offsets[:top+1])
+	kf.offsets[0] = 0
+	return kf
 }
 
 // probeSlots is how many probe-cache slots the strings the corpus does not
@@ -291,7 +384,7 @@ type Similarity struct {
 	// the bigram, delta+varint compressed in ascending id order. Bigrams
 	// are keyed by their packed integer form (strsim.BigramID) rather than
 	// two-byte strings, so probing never hashes string keys.
-	bigramPost [NumFields]map[strsim.BigramID]postingList[symbol.ID]
+	bigramPost [NumFields]map[strsim.BigramID]postingList
 }
 
 // probeSeed keys the probe cache's hash, so which values collide is not
@@ -354,34 +447,30 @@ func BuildSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, simThreshol
 
 // bigramPostings is the one builder of S's bigram postings: for every
 // bigram of the field's indexed values, the ascending ids of the values
-// containing it, encoded. An indexed value is an interned record attribute,
-// so its bigram signature comes straight from the per-symbol feature slab.
-func bigramPostings(indexed map[string]postingList[pedigree.NodeID]) map[strsim.BigramID]postingList[symbol.ID] {
+// containing it (vals is ascending), encoded. An indexed value is an
+// interned record attribute, so its bigram signature comes straight from
+// the per-symbol feature slab.
+func bigramPostings(vals []symbol.ID) map[strsim.BigramID]postingList {
 	raw := map[strsim.BigramID][]symbol.ID{}
-	for v := range indexed {
-		id := symbol.Intern(v)
+	for _, id := range vals {
 		for _, bg := range simcache.Feat(id).Bigrams {
 			raw[bg] = append(raw[bg], id)
 		}
 	}
-	post := make(map[strsim.BigramID]postingList[symbol.ID], len(raw))
+	post := make(map[strsim.BigramID]postingList, len(raw))
 	for bg, ids := range raw {
-		slices.Sort(ids)
 		post[bg] = encodePostings(ids)
 	}
 	return post
 }
 
 // buildKeyword is the one builder of K: the postings of the nodes of g
-// accepted by keep (nil keeps every node). They accumulate uncompressed and
-// are compressed in one pass once sorted and deduplicated.
+// accepted by keep (nil keeps every node), visited in id order. An indexed
+// value is a record attribute, so interning it finds its symbol.
 func buildKeyword(g *pedigree.Graph, keep func(pedigree.NodeID) bool) *Keyword {
-	var raw [NumFields]map[string][]pedigree.NodeID
-	for f := Field(0); f < NumFields; f++ {
-		raw[f] = map[string][]pedigree.NodeID{}
-	}
+	var pairs [NumFields][]keyPosting
 	add := func(f Field, v string, id pedigree.NodeID) {
-		raw[f][v] = append(raw[f][v], id)
+		pairs[f] = append(pairs[f], keyPosting{symbol.Intern(v), id})
 	}
 	for i := range g.Nodes {
 		if n := &g.Nodes[i]; keep == nil || keep(n.ID) {
@@ -389,33 +478,34 @@ func buildKeyword(g *pedigree.Graph, keep func(pedigree.NodeID) bool) *Keyword {
 		}
 	}
 	k := &Keyword{}
-	for f := Field(0); f < NumFields; f++ {
-		k.postings[f] = make(map[string]postingList[pedigree.NodeID], len(raw[f]))
-		for v, ids := range raw[f] {
-			slices.Sort(ids)
-			k.postings[f][v] = encodePostings(slices.Compact(ids))
-		}
+	for f := range k.fields {
+		k.fields[f] = newKeyField(pairs[f])
 	}
 	return k
 }
 
-// Lookup returns the entities carrying the exact value in the field,
-// decoded from the compressed posting list into a fresh slice: the caller
-// owns it and may mutate it or keep it across index updates. The query hot
-// path avoids the decode allocation entirely via Postings.
+// Lookup returns the entities carrying the exact value in the field, in a
+// fresh slice (nil when there are none): the caller owns it and may mutate
+// it or keep it across index updates. The search reads K through Entities.
 func (k *Keyword) Lookup(f Field, value string) []pedigree.NodeID {
-	return k.postings[f][value].decode()
+	if id, ok := symbol.Lookup(value); ok {
+		if e := k.fields[f].entities(id); len(e) > 0 {
+			return slices.Clone(e)
+		}
+	}
+	return nil
 }
 
-// Postings returns an allocation-free iterator over the value's posting
-// list, in ascending node-id order. The iterator reads the immutable
-// compressed bytes, so it stays valid across concurrent index updates.
-func (k *Keyword) Postings(f Field, value string) PostingIter[pedigree.NodeID] {
-	return k.postings[f][value].iter()
+// Entities returns the entities carrying the value whose symbol id is id,
+// ascending: a read-only view into K, which no update writes. A value the
+// field does not index has none. It is the search's path into K: one
+// bounds check and a slice, with no string, hash or lock.
+func (k *Keyword) Entities(f Field, id symbol.ID) []pedigree.NodeID {
+	return k.fields[f].entities(id)
 }
 
 // Values returns the number of distinct values indexed for the field.
-func (k *Keyword) Values(f Field) int { return len(k.postings[f]) }
+func (k *Keyword) Values(f Field) int { return len(k.fields[f].vals) }
 
 // Similar returns the indexed values of the field similar to the probe,
 // most similar first, including the probe itself when indexed. A value S
@@ -477,7 +567,7 @@ var candPool = sync.Pool{New: func() any { return new(candScratch) }}
 // candidates returns, ascending, the distinct symbol ids of the values in
 // post sharing at least one of the bigrams. The result aliases the scratch
 // and is valid until the scratch goes back to the pool.
-func (c *candScratch) candidates(post map[strsim.BigramID]postingList[symbol.ID], bgs []strsim.BigramID) []symbol.ID {
+func (c *candScratch) candidates(post map[strsim.BigramID]postingList, bgs []strsim.BigramID) []symbol.ID {
 	ids := c.ids[:0]
 	for _, bg := range bgs {
 		for it := post[bg].iter(); ; {

@@ -2,12 +2,15 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/snaps/snaps/internal/dataset"
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/er"
+	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/pedigree"
+	"github.com/snaps/snaps/internal/symbol"
 )
 
 func builtIndexes(t *testing.T) (*pedigree.Graph, *Keyword, *Similarity) {
@@ -45,27 +48,98 @@ func TestKeywordLookupConsistent(t *testing.T) {
 func TestKeywordPostingsSortedDeduped(t *testing.T) {
 	_, k, _ := builtIndexes(t)
 	for f := Field(0); f < NumFields; f++ {
-		for v, pl := range k.postings[f] {
-			ids := pl.decode()
-			if len(ids) != int(pl.n) {
-				t.Fatalf("postings for %v=%q decode to %d entries, header says %d", f, v, len(ids), int(pl.n))
+		kf, total := &k.fields[f], 0
+		if !slices.IsSorted(kf.vals) {
+			t.Fatalf("field %v: vocabulary not in id order", f)
+		}
+		for _, id := range kf.vals {
+			ids := k.Entities(f, id)
+			if len(ids) == 0 {
+				t.Fatalf("field %v lists %q with no entities", f, symbol.Str(id))
 			}
 			for i := 1; i < len(ids); i++ {
 				if ids[i] <= ids[i-1] {
-					t.Fatalf("postings for %v=%q not sorted/deduped", f, v)
+					t.Fatalf("postings for %v=%q not sorted/deduped", f, symbol.Str(id))
 				}
 			}
+			total += len(ids)
 		}
+		if total != len(kf.nodes) {
+			t.Fatalf("field %v: the vocabulary's rows hold %d postings of %d", f, total, len(kf.nodes))
+		}
+	}
+}
+
+// vocab lists the values the field of K indexes, in id order.
+func (k *Keyword) vocab(f Field) []string {
+	out := make([]string, len(k.fields[f].vals))
+	for i, id := range k.fields[f].vals {
+		out[i] = symbol.Str(id)
+	}
+	return out
+}
+
+// TestKeywordEdgeCases: K is addressed by symbol id, and every id that
+// reaches it without a row of the field has no entities, by a bounds check
+// or an empty row, never a panic: an id at or past the end of the offsets,
+// a value only another subset indexes, any id of a field with no values.
+// Gender is indexed under its string like the names.
+func TestKeywordEdgeCases(t *testing.T) {
+	g, k, _ := builtIndexes(t)
+	past := symbol.ID(len(k.fields[FieldSurname].offsets))
+	for _, id := range []symbol.ID{past - 1, past, past + 1, 1<<32 - 1} {
+		if e := k.Entities(FieldSurname, id); len(e) != 0 {
+			t.Fatalf("id %d at or past the end of %d offsets has entities %v", id, past, e)
+		}
+	}
+	for _, id := range k.fields[FieldSurname].vals[:3] {
+		if e := k.Entities(FieldYear, id); e != nil {
+			t.Fatalf("the empty year field has entities %v for %q", e, symbol.Str(id))
+		}
+	}
+	if k.Values(FieldYear) != 0 || k.Lookup(FieldYear, "1880") != nil {
+		t.Fatal("the year field holds values")
+	}
+
+	// Split the entities in two: a surname only the other half carries is
+	// interned and inside the first half's id range, and has no entities.
+	half := func(id pedigree.NodeID) bool { return id%2 == 0 }
+	k0, _ := BuildSubset(g, half, 0.5)
+	k1, _ := BuildSubset(g, func(id pedigree.NodeID) bool { return !half(id) }, 0.5)
+	foreign := 0
+	for _, id := range k1.fields[FieldSurname].vals {
+		if len(k0.Entities(FieldSurname, id)) == 0 {
+			foreign++
+			if v := symbol.Str(id); k0.Lookup(FieldSurname, v) != nil || len(k1.Lookup(FieldSurname, v)) == 0 {
+				t.Fatalf("surname %q: Lookup disagrees with Entities across the halves", v)
+			}
+		}
+	}
+	if foreign == 0 {
+		t.Fatal("no surname is carried by one half only")
+	}
+
+	// Gender: exactly the entities of each gender, under its string.
+	for _, gd := range []model.Gender{model.Male, model.Female} {
+		var want []pedigree.NodeID
+		for i := range g.Nodes {
+			if g.Nodes[i].Gender == gd {
+				want = append(want, g.Nodes[i].ID)
+			}
+		}
+		id, _ := symbol.Lookup(gd.String())
+		if got := k.Entities(FieldGender, id); len(want) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("gender %v: %d entities, want %d", gd, len(got), len(want))
+		}
+	}
+	if n := k.Values(FieldGender); n != 2 {
+		t.Fatalf("the gender field indexes %d values, want 2", n)
 	}
 }
 
 func TestSimilarIncludesSelfFirst(t *testing.T) {
 	_, k, s := builtIndexes(t)
-	var name string
-	for v := range k.postings[FieldSurname] {
-		name = v
-		break
-	}
+	name := k.vocab(FieldSurname)[0]
 	sims := s.similar(FieldSurname, name)
 	if len(sims) == 0 {
 		t.Fatal("no similar values for an indexed name")
@@ -101,7 +175,7 @@ func TestSimilarFindsMisspellings(t *testing.T) {
 	_, k, s := builtIndexes(t)
 	// Pick a reasonably long surname from the index and misspell it.
 	var name string
-	for v := range k.postings[FieldSurname] {
+	for _, v := range k.vocab(FieldSurname) {
 		if len(v) >= 8 {
 			name = v
 			break
@@ -168,11 +242,7 @@ func TestSimilarAllocsZero(t *testing.T) {
 		t.Skip("the race detector allocates")
 	}
 	_, k, s := builtIndexes(t)
-	var name string
-	for v := range k.postings[FieldSurname] {
-		name = v
-		break
-	}
+	name := k.vocab(FieldSurname)[0]
 	entries, chars := 0, 0
 	allocs := testing.AllocsPerRun(200, func() {
 		l := s.Similar(FieldSurname, name)
@@ -215,31 +285,38 @@ func TestSimilarMissAllocs(t *testing.T) {
 	}
 }
 
-// TestSimilarListSim: asking a list about one value answers what a walk of
-// it would — every listed value's similarity, nothing for a value it does
-// not list, interned or not.
+// TestSimilarListSim: asking a list's table about one value answers what a
+// walk of the list would — every listed value's similarity, nothing for a
+// value it does not list, interned or not — and a refilled table forgets
+// the list before.
 func TestSimilarListSim(t *testing.T) {
 	_, k, s := builtIndexes(t)
-	var name string
-	for v := range k.postings[FieldSurname] {
-		name = v
-		break
+	vocab := k.vocab(FieldSurname)
+	var table SimTable
+	if _, ok := table.Sim(vocab[0]); ok {
+		t.Fatal("the zero table lists a value")
 	}
-	l := s.Similar(FieldSurname, name)
-	listed := map[string]bool{}
-	for i := 0; i < l.Len(); i++ {
-		sv := l.At(i)
-		listed[sv.Value] = true
-		if got, ok := l.Sim(sv.Value); !ok || got != sv.Sim {
-			t.Fatalf("Sim(%q) = %v, %v; the list holds %v", sv.Value, got, ok, sv.Sim)
+	for _, name := range vocab[:2] {
+		l := s.Similar(FieldSurname, name)
+		table.Reset(l)
+		listed := map[string]bool{}
+		for i := 0; i < l.Len(); i++ {
+			sv := l.At(i)
+			listed[sv.Value] = true
+			if got, ok := table.Sim(sv.Value); !ok || got != sv.Sim {
+				t.Fatalf("Sim(%q) = %v, %v; the list holds %v", sv.Value, got, ok, sv.Sim)
+			}
+			if id, sim, exact := l.Entry(i); symbol.Str(id) != sv.Value || sim != sv.Sim || exact != (sv.Value == name) {
+				t.Fatalf("Entry(%d) = %q, %v, %v; At says %+v for a lookup of %q", i, symbol.Str(id), sim, exact, sv, name)
+			}
 		}
-	}
-	for v := range k.postings[FieldSurname] {
-		if _, ok := l.Sim(v); ok != listed[v] {
-			t.Fatalf("Sim(%q) listed = %v, a walk says %v", v, ok, listed[v])
+		for _, v := range vocab {
+			if _, ok := table.Sim(v); ok != listed[v] {
+				t.Fatalf("Sim(%q) listed = %v, a walk says %v", v, ok, listed[v])
+			}
 		}
-	}
-	if _, ok := l.Sim("zq-nobody-interned-this"); ok {
-		t.Fatal("Sim found a value nobody interned")
+		if _, ok := table.Sim("zq-nobody-interned-this"); ok {
+			t.Fatal("Sim found a value nobody interned")
+		}
 	}
 }

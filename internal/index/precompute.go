@@ -12,11 +12,11 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/par"
-	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/simcache"
 	"github.com/snaps/snaps/internal/strsim"
 	"github.com/snaps/snaps/internal/symbol"
@@ -41,21 +41,16 @@ const pairBlock = 1 << 15
 // precompute computes the similarity list of every value the field indexes
 // and stores them as the field's block: exactly the list computeSimilar
 // returns for each, entry for entry and bit for bit, whatever GOMAXPROCS is.
-func (s *Similarity) precompute(f Field, indexed map[string]postingList[pedigree.NodeID]) {
-	// A value's rank in sorted order is its dense local id: syms, feats and
+func (s *Similarity) precompute(f Field, vocab []symbol.ID) {
+	// A value's rank in value order is its dense local id: syms, feats and
 	// post (per bigram, ascending, the values containing it) are keyed by it,
-	// so the pair loop touches flat slices only. Every indexed value is an
-	// interned record attribute, so Intern here is a map hit, not an insert.
-	vals := make([]string, 0, len(indexed))
-	for v := range indexed {
-		vals = append(vals, v)
-	}
-	slices.Sort(vals)
-	n := len(vals)
-	syms, feats := make([]symbol.ID, n), make([]*simcache.Features, n)
+	// so the pair loop touches flat slices only.
+	syms := slices.Clone(vocab)
+	slices.SortFunc(syms, func(x, y symbol.ID) int { return strings.Compare(symbol.Str(x), symbol.Str(y)) })
+	n := len(syms)
+	feats := make([]*simcache.Features, n)
 	post := map[strsim.BigramID][]int32{}
-	for i, v := range vals {
-		syms[i] = symbol.Intern(v)
+	for i := range syms {
 		feats[i] = simcache.Feat(syms[i])
 		for _, bg := range feats[i].Bigrams {
 			post[bg] = append(post[bg], int32(i))
@@ -111,8 +106,8 @@ func (s *Similarity) precompute(f Field, indexed map[string]postingList[pedigree
 	// a one-letter value has no candidates at all and gets an empty row.
 	hasSelf := func(i int) bool { return s.threshold <= 1 && len(feats[i].Bigrams) > 0 }
 	b := &simBlock{rows: make(map[string]uint32, n), vals: syms, offsets: make([]uint32, n+1)}
-	for i, v := range vals {
-		b.rows[v] = uint32(i)
+	for i, v := range syms {
+		b.rows[symbol.Str(v)] = uint32(i)
 		if hasSelf(i) {
 			b.offsets[i+1] = 1
 		}
@@ -130,13 +125,13 @@ func (s *Similarity) precompute(f Field, indexed map[string]postingList[pedigree
 	}
 	mPairsScored.Add(int64(scored))
 	mPairsKept.Add(int64(kept))
-	for i := range vals {
+	for i := range n {
 		b.offsets[i+1] += b.offsets[i]
 	}
 	b.ids, b.codes = make([]symbol.ID, b.offsets[n]), make([]uint16, b.offsets[n])
 
 	// A list's order is similarity descending, value ascending, and a
-	// value's rank in vals is its place in value order, so the order
+	// value's rank in syms is its place in value order, so the order
 	// lives in integers: one uint64 per entry, the inverted bits of the
 	// similarity (non-negative floats order as their bits) with the low
 	// bits.Len(n) bits replaced by the rank. Sorting the keys is exact on

@@ -36,10 +36,7 @@ func scaleGraph(certs int, seed int64) *pedigree.Graph {
 func probeLists(k *Keyword, s *Similarity) map[Field]map[string][]SimilarValue {
 	ref := map[Field]map[string][]SimilarValue{}
 	for _, f := range []Field{FieldFirstName, FieldSurname} {
-		vals := make([]string, 0, len(k.postings[f]))
-		for v := range k.postings[f] {
-			vals = append(vals, v)
-		}
+		vals := k.vocab(f)
 		lists := make([][]SimilarValue, len(vals))
 		par.Range(len(vals), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -211,8 +208,8 @@ func TestProbeMatchesKernel(t *testing.T) {
 	k, _ := Build(scaleGraph(3000, 11), 0.5)
 	for _, f := range []Field{FieldFirstName, FieldSurname} {
 		var feats []*simcache.Features
-		for v := range k.postings[f] {
-			feats = append(feats, simcache.Feat(symbol.Intern(v)))
+		for _, id := range k.fields[f].vals {
+			feats = append(feats, simcache.Feat(id))
 		}
 		if len(feats) < 500 {
 			t.Fatalf("field %v: only %d values", f, len(feats))
@@ -284,8 +281,8 @@ func TestIndexLeavesKernelMemoUntouched(t *testing.T) {
 	// Miss-path Similar on interned values: surnames, which the first-name
 	// field neither indexes nor precomputes.
 	hits := 0
-	for v := range prevK.postings[FieldSurname] {
-		if prevK.postings[FieldFirstName][v].n == 0 {
+	for _, v := range prevK.vocab(FieldSurname) {
+		if prevK.Lookup(FieldFirstName, v) == nil {
 			if l := prevS.Similar(FieldFirstName, v); l.Computed {
 				hits += l.Len()
 			}

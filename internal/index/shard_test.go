@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"unsafe"
 
 	"github.com/snaps/snaps/internal/pedigree"
+	"github.com/snaps/snaps/internal/symbol"
 )
 
 // TestBuildDeterministic proves the parallel name-similarity precompute
@@ -36,11 +38,7 @@ func TestBuildDeterministic(t *testing.T) {
 // detector.
 func TestSimilarShardedConcurrentMix(t *testing.T) {
 	_, k, s := builtIndexes(t)
-	var known string
-	for v := range k.postings[FieldSurname] {
-		known = v
-		break
-	}
+	known := k.vocab(FieldSurname)[0]
 	var wg sync.WaitGroup
 	var total atomic.Int64
 	for g := 0; g < 16; g++ {
@@ -72,8 +70,8 @@ func TestProbeMemoryBounded(t *testing.T) {
 		t.Fatalf("a fresh S holds %d surname lists for %d indexed surnames", got, indexed)
 	}
 	var known string
-	for v := range k.postings[FieldFirstName] {
-		if k.postings[FieldSurname][v].n == 0 {
+	for _, v := range k.vocab(FieldFirstName) {
+		if k.Lookup(FieldSurname, v) == nil {
 			known = v
 			break
 		}
@@ -158,9 +156,8 @@ func TestSimilarityImmutableAfterPublish(t *testing.T) {
 	_, updS, _ := UpdateSubset(newG, nil, prevK, prevS)
 	// A second flush off the same generation adds one surname and nothing
 	// else: the first-name block must come through by address.
-	surK := &Keyword{postings: prevK.postings}
-	surK.postings[FieldSurname] = maps.Clone(prevK.postings[FieldSurname])
-	surK.postings[FieldSurname]["quixworth"] = encodePostings([]pedigree.NodeID{0})
+	surK := &Keyword{fields: prevK.fields}
+	surK.fields[FieldSurname] = prevK.fields[FieldSurname].with("quixworth", 0)
 	surS, _ := updateSimilarity(surK, prevK, prevS, rebuildAbove)
 	close(stop)
 	wg.Wait()
@@ -185,21 +182,28 @@ func TestSimilarityImmutableAfterPublish(t *testing.T) {
 	}
 }
 
-// TestLookupResultIsCallerOwned mutates a Lookup result and verifies the
-// index postings are untouched: Lookup decodes into a fresh slice.
-func TestLookupResultIsCallerOwned(t *testing.T) {
-	_, k, _ := builtIndexes(t)
-	var value string
-	for v, ids := range k.postings[FieldSurname] {
-		if ids.n > 0 {
-			value = v
-			break
+// with returns a copy of the field with the value added to entity n: the
+// field a build would make of the same pairs.
+func (kf keyField) with(value string, n pedigree.NodeID) keyField {
+	pairs := []keyPosting{{symbol.Intern(value), n}}
+	for _, id := range kf.vals {
+		for _, e := range kf.entities(id) {
+			pairs = append(pairs, keyPosting{id, e})
 		}
 	}
-	if value == "" {
-		t.Skip("no populated posting")
-	}
+	slices.SortStableFunc(pairs, func(x, y keyPosting) int { return cmp.Compare(x.node, y.node) })
+	return newKeyField(pairs)
+}
+
+// TestLookupResultIsCallerOwned mutates a Lookup result and verifies the
+// index postings are untouched: Lookup copies K's row into a fresh slice.
+func TestLookupResultIsCallerOwned(t *testing.T) {
+	_, k, _ := builtIndexes(t)
+	value := k.vocab(FieldSurname)[0]
 	cp := k.Lookup(FieldSurname, value)
+	if len(cp) == 0 {
+		t.Fatalf("no entities for the indexed surname %q", value)
+	}
 	want := append([]pedigree.NodeID(nil), cp...)
 	for i := range cp {
 		cp[i] = -999 // hostile caller scribbles over the slice

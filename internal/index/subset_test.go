@@ -44,8 +44,8 @@ func TestBuildSubsetPartitionsGlobal(t *testing.T) {
 			keep := keepFor(g, shard, n)
 			sk, _ := BuildSubset(g, keep, 0.5)
 			for f := Field(0); f < NumFields; f++ {
-				for v, pl := range sk.postings[f] {
-					ids := pl.decode()
+				for _, v := range sk.vocab(f) {
+					ids := sk.Lookup(f, v)
 					for _, id := range ids {
 						if !keep(id) {
 							t.Fatalf("n=%d shard %d field %v value %q: posting holds foreign node %d",
@@ -59,12 +59,12 @@ func TestBuildSubsetPartitionsGlobal(t *testing.T) {
 		// Subset postings are sorted and the subsets are disjoint, so the
 		// concatenated union sorted once must equal the global postings.
 		for f := Field(0); f < NumFields; f++ {
-			if len(union[f]) != len(k.postings[f]) {
+			if len(union[f]) != k.Values(f) {
 				t.Fatalf("n=%d field %v: union has %d values, global %d",
-					n, f, len(union[f]), len(k.postings[f]))
+					n, f, len(union[f]), k.Values(f))
 			}
-			for v, wantPL := range k.postings[f] {
-				want := wantPL.decode()
+			for _, v := range k.vocab(f) {
+				want := k.Lookup(f, v)
 				got := append([]pedigree.NodeID(nil), union[f][v]...)
 				sortNodeIDs(got)
 				if !reflect.DeepEqual(got, want) {
@@ -95,11 +95,11 @@ func TestBuildSubsetSimilarityIsFilteredGlobal(t *testing.T) {
 		sk, ss := BuildSubset(g, keepFor(g, shard, n), 0.5)
 		for _, f := range []Field{FieldFirstName, FieldSurname} {
 			checked := 0
-			for v := range sk.postings[f] {
+			for _, v := range sk.vocab(f) {
 				got := ss.similar(f, v)
 				var want []SimilarValue
 				for _, sv := range s.similar(f, v) {
-					if sk.postings[f][sv.Value].n > 0 {
+					if sk.Lookup(f, sv.Value) != nil {
 						want = append(want, sv)
 					}
 				}
@@ -132,12 +132,12 @@ func TestUpdateSubsetEquivalentToBuildSubset(t *testing.T) {
 		wantK, wantS := BuildSubset(newG, keepFor(newG, shard, n), 0.5)
 
 		for f := Field(0); f < NumFields; f++ {
-			if len(gotK.postings[f]) != len(wantK.postings[f]) {
+			if gotK.Values(f) != wantK.Values(f) {
 				t.Fatalf("shard %d field %v: %d values incremental, %d fresh",
-					shard, f, len(gotK.postings[f]), len(wantK.postings[f]))
+					shard, f, gotK.Values(f), wantK.Values(f))
 			}
-			for v, wantPL := range wantK.postings[f] {
-				want := wantPL.decode()
+			for _, v := range wantK.vocab(f) {
+				want := wantK.Lookup(f, v)
 				if got := gotK.Lookup(f, v); !reflect.DeepEqual(got, want) {
 					t.Fatalf("shard %d field %v value %q: incremental postings %v, fresh %v",
 						shard, f, v, got, want)
@@ -145,7 +145,7 @@ func TestUpdateSubsetEquivalentToBuildSubset(t *testing.T) {
 			}
 		}
 		for _, f := range []Field{FieldFirstName, FieldSurname} {
-			for v := range wantK.postings[f] {
+			for _, v := range wantK.vocab(f) {
 				if got, want := gotS.similar(f, v), wantS.similar(f, v); !sameSimilar(got, want) {
 					t.Fatalf("shard %d field %v value %q: incremental similar %v, fresh %v",
 						shard, f, v, got, want)

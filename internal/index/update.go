@@ -76,17 +76,18 @@ func updateSimilarity(k, prevK *Keyword, prevS *Similarity, rebuildAt float64) (
 	s = &Similarity{threshold: prevS.threshold}
 	for _, f := range simFields {
 		s.probes[f] = make([]atomic.Pointer[probeEntry], symbol.Len()+probeSlots)
-		added, removed := valueDiff(k.postings[f], prevK.postings[f])
+		vocab := k.fields[f].vals
+		added, removed := valueDiff(vocab, prevK.fields[f].vals)
 		if len(added)+len(removed) == 0 {
 			s.bigramPost[f], s.blocks[f] = prevS.bigramPost[f], prevS.blocks[f]
 			continue
 		}
-		s.bigramPost[f] = bigramPostings(k.postings[f])
+		s.bigramPost[f] = bigramPostings(vocab)
 		switch {
 		case f == FieldLocation:
 			// A location has postings and no lists: nothing is precomputed.
-		case float64(len(added)) > rebuildAt*float64(len(k.postings[f])):
-			s.precompute(f, k.postings[f])
+		case float64(len(added)) > rebuildAt*float64(len(vocab)):
+			s.precompute(f, vocab)
 			rebuilt++
 		default:
 			s.blocks[f] = s.rewriteBlock(f, prevS.blocks[f], added, removed)
@@ -232,18 +233,21 @@ func (s *Similarity) rewriteBlock(f Field, old *simBlock, added, removed []symbo
 	return b
 }
 
-// valueDiff returns the values present only in cur (added) and only in
-// prev (removed), as symbols (both are or were indexed, hence interned), in
-// id order.
-func valueDiff(cur, prev map[string]postingList[pedigree.NodeID]) (added, removed []symbol.ID) {
-	only := func(in, notIn map[string]postingList[pedigree.NodeID]) (ids []symbol.ID) {
-		for v := range in {
-			if _, ok := notIn[v]; !ok {
-				ids = append(ids, symbol.Intern(v))
-			}
+// valueDiff returns the ids present only in cur (added) and only in prev
+// (removed), two vocabularies in ascending id order, in id order.
+func valueDiff(cur, prev []symbol.ID) (added, removed []symbol.ID) {
+	i, j := 0, 0
+	for i < len(cur) || j < len(prev) {
+		switch {
+		case j == len(prev) || i < len(cur) && cur[i] < prev[j]:
+			added = append(added, cur[i])
+			i++
+		case i == len(cur) || prev[j] < cur[i]:
+			removed = append(removed, prev[j])
+			j++
+		default:
+			i, j = i+1, j+1
 		}
-		slices.Sort(ids)
-		return ids
 	}
-	return only(cur, prev), only(prev, cur)
+	return added, removed
 }

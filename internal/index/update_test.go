@@ -154,8 +154,8 @@ func TestUpdateEquivalence(t *testing.T) {
 		if got, want := updK.Values(f), fullK.Values(f); got != want {
 			t.Fatalf("field %v: %d values, full rebuild has %d", f, got, want)
 		}
-		for v, wantPL := range fullK.postings[f] {
-			got, want := updK.Lookup(f, v), wantPL.decode()
+		for _, v := range fullK.vocab(f) {
+			got, want := updK.Lookup(f, v), fullK.Lookup(f, v)
 			if len(got) != len(want) {
 				t.Fatalf("field %v value %q: postings %v, full rebuild %v", f, v, got, want)
 			}
@@ -171,7 +171,7 @@ func TestUpdateEquivalence(t *testing.T) {
 	// name fields (covers shared, recomputed, and added values) and for
 	// the warmed probes (recomputed against the new generation).
 	for _, f := range []Field{FieldFirstName, FieldSurname} {
-		for v := range fullK.postings[f] {
+		for _, v := range fullK.vocab(f) {
 			if got, want := updS.similar(f, v), fullS.similar(f, v); !sameSimilar(got, want) {
 				t.Fatalf("field %v value %q: Similar = %v, full rebuild = %v", f, v, got, want)
 			}
@@ -217,7 +217,7 @@ func testRewriteAcrossPages(t *testing.T) {
 		if got, want := updS.Size(f), len(vocab); got != want {
 			t.Fatalf("field %v: %d rows, want %d", f, got, want)
 		}
-		for v := range updK.postings[f] {
+		for _, v := range updK.vocab(f) {
 			got := updS.listOf(f, v)
 			if want := updS.probe(f, v); !reflect.DeepEqual(got, want) {
 				t.Fatalf("field %v row %q:\nrewritten %v\nprobe     %v", f, v, got, want)
@@ -271,8 +271,8 @@ func TestUpdateSubsetAtTheBound(t *testing.T) {
 			if got, want := gotK.Values(f), wantK.Values(f); got != want {
 				t.Fatalf("%d added, field %v: %d values, fresh build %d", added, f, got, want)
 			}
-			for v, pl := range wantK.postings[f] {
-				if got, want := gotK.Lookup(f, v), pl.decode(); !reflect.DeepEqual(got, want) {
+			for _, v := range wantK.vocab(f) {
+				if got, want := gotK.Lookup(f, v), wantK.Lookup(f, v); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%d added, field %v value %q: postings %v, fresh build %v", added, f, v, got, want)
 				}
 			}

@@ -108,8 +108,10 @@ func LogBuckets(min, growth float64, n int) []float64 {
 var LatencyBuckets = LogBuckets(1e-6, 2, 27)
 
 // CountBuckets are buckets for size-like observations (candidate counts,
-// batch sizes) rather than durations.
-var CountBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 5000}
+// batch sizes) rather than durations. They run to 100k because a tail
+// search at DS-4k already puts over 4,000 entities in one engine's
+// accumulator, and the tiers past it put more.
+var CountBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 5000, 10000, 25000, 50000, 100000}
 
 // Histogram is a fixed-bucket histogram with atomic per-bucket counts. The
 // bounds are inclusive upper bounds in ascending order; observations above

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/snaps/snaps/internal/index"
@@ -30,18 +31,37 @@ func tailQuery(t *testing.T, e *Engine) Query {
 // TestSearchAllocsCeiling holds a tail-pair search to its one allocation,
 // the ranked results: the lists are read in place through the view, the
 // accumulator is pooled, match state is a value copied into each row, and
-// the survivors sort without a closure or swapper on the heap.
+// the survivors sort without a closure or swapper on the heap. With a
+// location, warmed, it stays at one: the location's list is a probe-cache
+// hit, and the table every candidate's locations are looked up in is the
+// pooled state's, refilled in place.
 func TestSearchAllocsCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
 	e := builtEngine(t)
 	q := tailQuery(t, e)
-	if len(e.Search(q)) == 0 {
-		t.Fatalf("no results for %+v", q)
+	located := q
+	for i := range e.Graph.Nodes {
+		if n := &e.Graph.Nodes[i]; len(n.Locations) > 0 && slices.Contains(n.Surnames, q.Surname) {
+			located.Location = n.Locations[0]
+			break
+		}
+	}
+	if located.Location == "" {
+		t.Fatalf("no entity of %+v has a location", q)
 	}
 	const ceiling = 1
-	if got := testing.AllocsPerRun(200, func() { e.Search(q) }); got > ceiling {
-		t.Errorf("Search(%+v) makes %v allocations, ceiling %d", q, got, ceiling)
+	for _, q := range []Query{q, located} {
+		res := e.Search(q)
+		if len(res) == 0 {
+			t.Fatalf("no results for %+v", q)
+		}
+		if q.Location != "" && res[0].Matched[index.FieldLocation] != MatchExact {
+			t.Fatalf("the top result of %+v does not match the location exactly", q)
+		}
+		if got := testing.AllocsPerRun(200, func() { e.Search(q) }); got > ceiling {
+			t.Errorf("Search(%+v) makes %v allocations, ceiling %d", q, got, ceiling)
+		}
 	}
 }

@@ -100,12 +100,14 @@ func referenceSearch(e *Engine, q Query) []Result {
 	}
 	if q.Location != "" {
 		weightSum += weights[index.FieldLocation]
-		locs := e.Similar.Similar(index.FieldLocation, q.Location)
+		locs := similarValues(e.Similar.Similar(index.FieldLocation, q.Location))
 		for id, a := range m {
 			best, exact := 0.0, false
 			for _, l := range e.Graph.Node(id).Locations {
-				if s, listed := locs.Sim(l); listed && s > best {
-					best, exact = s, l == q.Location
+				for _, sv := range locs {
+					if sv.Value == l && sv.Sim > best {
+						best, exact = sv.Sim, l == q.Location
+					}
 				}
 			}
 			if best > 0 {

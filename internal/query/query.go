@@ -168,9 +168,10 @@ func (a *accum) score(weightSum float64) float64 {
 // gender, year range and location against one entity into its accumulator
 // entry, and excludes the entity when it lacks a record of a restricted
 // certificate type. Gender and an overlapping year range match exactly; the
-// location matches by its best similarity in locs, the query location's
-// similarity list. Search calls it per candidate, Explain for its entity.
-func (e *Engine) refine(q *Query, locs index.SimilarList, n *pedigree.Node, a *accum) {
+// location matches by its best similarity in locs, the table of the query
+// location's similarity list. Search calls it per candidate, Explain for its
+// entity.
+func (e *Engine) refine(q *Query, locs *index.SimTable, n *pedigree.Node, a *accum) {
 	if q.Gender != model.GenderUnknown && n.Gender == q.Gender {
 		a.set(index.FieldGender, 1, true)
 	}
@@ -213,6 +214,7 @@ type searchState struct {
 	ids   []pedigree.NodeID // candidate NodeIDs in first-touch order
 	slab  []accum           // accumulator per candidate, parallel to ids
 	heap  []rankEntry       // top-m selection scratch
+	locs  index.SimTable    // the query location's list, refilled per search
 }
 
 // getState fetches (or sizes) a search state for one search.
@@ -279,16 +281,16 @@ func (e *Engine) SearchContext(ctx context.Context, q Query) []Result {
 	// enter the accumulator with their best weighted contribution.
 	st := e.getState()
 	_, asp := obs.StartSpan(ctx, "accumulate")
-	e.accumulate(st, index.FieldFirstName, q.FirstName, firstVals)
-	e.accumulate(st, index.FieldSurname, q.Surname, surVals)
+	e.accumulate(st, index.FieldFirstName, firstVals)
+	e.accumulate(st, index.FieldSurname, surVals)
 	asp.SetAttr("candidates", int64(len(st.ids)))
 	asp.End()
 
 	// Refinement fields.
 	_, ssp := obs.StartSpan(ctx, "score")
-	locs := e.similar(index.FieldLocation, q.Location)
+	st.locs.Reset(e.similar(index.FieldLocation, q.Location))
 	for i := range st.slab {
-		e.refine(&q, locs, e.Graph.Node(st.ids[i]), &st.slab[i])
+		e.refine(&q, &st.locs, e.Graph.Node(st.ids[i]), &st.slab[i])
 	}
 	ssp.End()
 
@@ -391,19 +393,13 @@ func siftDown(h []rankEntry, i int) {
 
 // accumulate adds entities matching any of the precomputed similar name
 // values, weighting the contribution by string similarity. An entity
-// matching several similar values keeps the best contribution.
-func (e *Engine) accumulate(st *searchState, f index.Field, value string, similar index.SimilarList) {
+// matching several similar values keeps the best contribution. An entry is
+// an id, a similarity and an id comparison for exactness, and its entities
+// are a slice of K addressed by the id: the loop never forms a string.
+func (e *Engine) accumulate(st *searchState, f index.Field, similar index.SimilarList) {
 	for i := 0; i < similar.Len(); i++ {
-		sv := similar.At(i)
-		exact := sv.Value == value
-		// Iterate the compressed postings in place: decoding to a slice
-		// here would put one allocation per similar value back on the hot
-		// path the pooled accumulators took off it.
-		for it := e.Keyword.Postings(f, sv.Value); ; {
-			id, ok := it.Next()
-			if !ok {
-				break
-			}
+		value, sim, exact := similar.Entry(i)
+		for _, id := range e.Keyword.Entities(f, value) {
 			var a *accum
 			if st.mark[id] == st.epoch {
 				a = &st.slab[st.slot[id]]
@@ -414,7 +410,7 @@ func (e *Engine) accumulate(st *searchState, f index.Field, value string, simila
 				st.slab = append(st.slab, accum{})
 				a = &st.slab[len(st.slab)-1]
 			}
-			a.offer(f, sv.Sim, exact)
+			a.offer(f, sim, exact)
 		}
 	}
 }
@@ -474,7 +470,9 @@ func (e *Engine) Explain(q Query, id pedigree.NodeID) Explanation {
 	}
 	name(index.FieldFirstName, n.FirstNames)
 	name(index.FieldSurname, n.Surnames)
-	e.refine(&q, e.similar(index.FieldLocation, q.Location), n, &a)
+	var locs index.SimTable
+	locs.Reset(e.similar(index.FieldLocation, q.Location))
+	e.refine(&q, &locs, n, &a)
 
 	out := Explanation{Score: a.score(weightSum(&q))}
 	// Fields list the names, then gender, year and location.
