@@ -156,7 +156,22 @@ type Controller struct {
 	cfg      Config
 	ceil     [NumClasses]int64 // weighted ceiling per class; 0 = unlimited
 	inflight atomic.Int64      // weighted units currently being served
+	// admitted and shed are the decision counters, bound once in New so a
+	// decision renders no series name and takes no registry lock; shed is
+	// indexed by the reasons below.
+	admitted [NumClasses]*obs.Counter
+	shed     [NumClasses][numReasons]*obs.Counter
 }
+
+// The reasons a request is shed, indexes into Controller.shed.
+const (
+	reasonConcurrency = iota
+	reasonBacklog
+	reasonShardBacklog
+	numReasons
+)
+
+var reasonNames = [numReasons]string{"concurrency", "backlog", "shard_backlog"}
 
 // Admission metrics in the default registry, exposed at GET /metrics.
 var (
@@ -164,22 +179,10 @@ var (
 		"Weighted in-flight units currently admitted across all classes.")
 )
 
-func admittedCounter(c Class) *obs.Counter {
-	return obs.Default.Counter(
-		"snaps_admission_admitted_total{"+obs.Label("class", c.String())+"}",
-		"Requests admitted, by class.")
-}
-
-func shedCounter(c Class, reason string) *obs.Counter {
-	return obs.Default.Counter(
-		"snaps_admission_shed_total{"+obs.Label("class", c.String())+","+obs.Label("reason", reason)+"}",
-		"Requests shed (429), by class and reason.")
-}
-
-// shed counts one rejection and returns its Decision.
-func shedDecision(cl Class, reason string, retryAfter time.Duration) Decision {
-	shedCounter(cl, reason).Inc()
-	return Decision{Reason: reason, RetryAfter: retryAfter}
+// shedDecision counts one rejection and returns its Decision.
+func (c *Controller) shedDecision(cl Class, reason int, retryAfter time.Duration) Decision {
+	c.shed[cl][reason].Inc()
+	return Decision{Reason: reasonNames[reason], RetryAfter: retryAfter}
 }
 
 // New returns a controller for the config.
@@ -201,6 +204,20 @@ func New(cfg Config) *Controller {
 			c.ceil[cl] = ceil
 		}
 	}
+	// Every class a decision can count, and only the reasons it can be shed
+	// for: the backlog bounds apply to ingest alone.
+	for cl := Search; cl < NumClasses; cl++ {
+		class := obs.Label("class", cl.String())
+		c.admitted[cl] = obs.Default.Counter("snaps_admission_admitted_total{"+class+"}",
+			"Requests admitted, by class.")
+		for reason, name := range reasonNames {
+			if cl == Ingest || reason == reasonConcurrency {
+				c.shed[cl][reason] = obs.Default.Counter(
+					"snaps_admission_shed_total{"+class+","+obs.Label("reason", name)+"}",
+					"Requests shed (429), by class and reason.")
+			}
+		}
+	}
 	return c
 }
 
@@ -219,12 +236,12 @@ func (c *Controller) Admit(cl Class) (release func(), d Decision) {
 	}
 	if cl == Ingest && c.cfg.Backlog != nil {
 		if over, _, _ := c.BacklogExceeded(); over {
-			return noRelease, shedDecision(cl, "backlog", c.cfg.BacklogRetryAfter)
+			return noRelease, c.shedDecision(cl, reasonBacklog, c.cfg.BacklogRetryAfter)
 		}
 	}
 	if cl == Ingest && c.cfg.ShardBacklog != nil {
 		if over, _, _, _ := c.ShardBacklogExceeded(); over {
-			return noRelease, shedDecision(cl, "shard_backlog", c.cfg.BacklogRetryAfter)
+			return noRelease, c.shedDecision(cl, reasonShardBacklog, c.cfg.BacklogRetryAfter)
 		}
 	}
 	w := int64(c.cfg.Limits[cl].Weight)
@@ -232,14 +249,14 @@ func (c *Controller) Admit(cl Class) (release func(), d Decision) {
 		for {
 			cur := c.inflight.Load()
 			if cur+w > ceil {
-				return noRelease, shedDecision(cl, "concurrency", c.cfg.RetryAfter)
+				return noRelease, c.shedDecision(cl, reasonConcurrency, c.cfg.RetryAfter)
 			}
 			if c.inflight.CompareAndSwap(cur, cur+w) {
 				break
 			}
 		}
 		mInflight.Set(c.inflight.Load())
-		admittedCounter(cl).Inc()
+		c.admitted[cl].Inc()
 		var once sync.Once
 		return func() {
 			once.Do(func() {
@@ -247,7 +264,7 @@ func (c *Controller) Admit(cl Class) (release func(), d Decision) {
 			})
 		}, Decision{Admitted: true}
 	}
-	admittedCounter(cl).Inc()
+	c.admitted[cl].Inc()
 	return noRelease, Decision{Admitted: true}
 }
 

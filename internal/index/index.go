@@ -39,6 +39,7 @@ import (
 	"cmp"
 	"hash/maphash"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -380,9 +381,12 @@ type Similarity struct {
 	// input and shares the last probeSlots slots, direct-mapped by hash: a
 	// collision overwrites.
 	probes [NumFields][]atomic.Pointer[probeEntry]
-	// bigramPost[field][bigram] lists the symbol ids of values containing
-	// the bigram, delta+varint compressed in ascending id order. Bigrams
-	// are keyed by their packed integer form (strsim.BigramID) rather than
+	// ranked[field] is the field's vocabulary in string order: a value's
+	// rank is its place there, the order a list breaks ties in.
+	ranked [NumFields][]symbol.ID
+	// bigramPost[field][bigram] lists the ranks of the values containing
+	// the bigram, delta+varint compressed in ascending order. Bigrams are
+	// keyed by their packed integer form (strsim.BigramID) rather than
 	// two-byte strings, so probing never hashes string keys.
 	bigramPost [NumFields]map[strsim.BigramID]postingList
 }
@@ -445,21 +449,29 @@ func BuildSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, simThreshol
 	return k, s
 }
 
+// stringOrder returns the vocabulary vals in string order: the field's
+// ranks.
+func stringOrder(vals []symbol.ID) []symbol.ID {
+	ranked := slices.Clone(vals)
+	slices.SortFunc(ranked, func(x, y symbol.ID) int { return strings.Compare(symbol.Str(x), symbol.Str(y)) })
+	return ranked
+}
+
 // bigramPostings is the one builder of S's bigram postings: for every
-// bigram of the field's indexed values, the ascending ids of the values
-// containing it (vals is ascending), encoded. An indexed value is an
-// interned record attribute, so its bigram signature comes straight from
-// the per-symbol feature slab.
-func bigramPostings(vals []symbol.ID) map[strsim.BigramID]postingList {
-	raw := map[strsim.BigramID][]symbol.ID{}
-	for _, id := range vals {
+// bigram of the field's indexed values, the ascending ranks of the values
+// containing it in ranked, the field's vocabulary in string order, encoded.
+// An indexed value is an interned record attribute, so its bigram signature
+// comes straight from the per-symbol feature slab.
+func bigramPostings(ranked []symbol.ID) map[strsim.BigramID]postingList {
+	raw := map[strsim.BigramID][]uint32{}
+	for r, id := range ranked {
 		for _, bg := range simcache.Feat(id).Bigrams {
-			raw[bg] = append(raw[bg], id)
+			raw[bg] = append(raw[bg], uint32(r))
 		}
 	}
 	post := make(map[strsim.BigramID]postingList, len(raw))
-	for bg, ids := range raw {
-		post[bg] = encodePostings(ids)
+	for bg, ranks := range raw {
+		post[bg] = encodePostings(ranks)
 	}
 	return post
 }
@@ -553,34 +565,51 @@ func compareSim(x, y simEntry) int {
 	return strings.Compare(symbol.Str(x.id), symbol.Str(y.id))
 }
 
+// rankedSim is one kept candidate of a probe: its rank and similarity.
+type rankedSim struct {
+	rank uint32
+	sim  float64
+}
+
 // candScratch is pooled scratch for a probe: the candidate set of its
 // bigram scan and the match tables it scores the candidates against, so a
 // probe allocates neither.
 type candScratch struct {
-	ids   []symbol.ID
-	kept  []simEntry
+	// marks is a bitset over the field's ranks, all zero between probes.
+	marks []uint64
+	ranks []uint32
+	kept  []rankedSim
 	probe simcache.Probe
 }
 
 var candPool = sync.Pool{New: func() any { return new(candScratch) }}
 
-// candidates returns, ascending, the distinct symbol ids of the values in
-// post sharing at least one of the bigrams. The result aliases the scratch
-// and is valid until the scratch goes back to the pool.
-func (c *candScratch) candidates(post map[strsim.BigramID]postingList, bgs []strsim.BigramID) []symbol.ID {
-	ids := c.ids[:0]
+// candidates returns, ascending, the distinct ranks below n of the values
+// in post sharing at least one of the bigrams: each posting marks its rank,
+// and a scan of the marks reads them out in order and clears them. The
+// result aliases the scratch and is valid until the scratch goes back to
+// the pool.
+func (c *candScratch) candidates(post map[strsim.BigramID]postingList, bgs []strsim.BigramID, n int) []uint32 {
+	words := (n + 63) / 64
+	marks := slices.Grow(c.marks[:0], words)[:words]
 	for _, bg := range bgs {
 		for it := post[bg].iter(); ; {
-			id, ok := it.Next()
+			r, ok := it.Next()
 			if !ok {
 				break
 			}
-			ids = append(ids, id)
+			marks[r/64] |= 1 << (r % 64)
 		}
 	}
-	slices.Sort(ids)
-	c.ids = ids
-	return slices.Compact(ids)
+	ranks := c.ranks[:0]
+	for w, m := range marks {
+		for ; m != 0; m &= m - 1 {
+			ranks = append(ranks, uint32(w*64+bits.TrailingZeros64(m)))
+		}
+		marks[w] = 0
+	}
+	c.marks, c.ranks = marks, ranks
+	return ranks
 }
 
 // computeSimilar is the one-sided probe: it scans the bigram postings for
@@ -595,7 +624,9 @@ func (c *candScratch) candidates(post map[strsim.BigramID]postingList, bgs []str
 // and bigrams from the cached features. Arbitrary query strings are NEVER
 // interned here — an attacker-controlled query stream must not grow the
 // symbol table — so unknown probes are set from the raw string, which
-// yields identical scores.
+// yields identical scores. The candidates come in rank order, which is
+// value order, so the list's order (compareSim) is ordered on integers:
+// similarity descending, then rank.
 func (s *Similarity) computeSimilar(f Field, value string) SimilarList {
 	sc := candPool.Get().(*candScratch)
 	var bgBuf [64]strsim.BigramID
@@ -608,14 +639,22 @@ func (s *Similarity) computeSimilar(f Field, value string) SimilarList {
 		sc.probe.SetString(value)
 		bgs = strsim.AppendBigramIDs(bgBuf[:0], value)
 	}
-	cand := sc.candidates(s.bigramPost[f], bgs)
+	ranked := s.ranked[f]
 	kept := sc.kept[:0]
-	for _, id := range cand {
-		if sim := sc.probe.Sim(simcache.Feat(id)); sim >= s.threshold {
-			kept = append(kept, simEntry{id, sim})
+	for _, r := range sc.candidates(s.bigramPost[f], bgs, len(ranked)) {
+		if sim := sc.probe.Sim(simcache.Feat(ranked[r])); sim >= s.threshold {
+			kept = append(kept, rankedSim{r, sim})
 		}
 	}
-	slices.SortFunc(kept, compareSim)
+	slices.SortFunc(kept, func(x, y rankedSim) int {
+		if x.sim != y.sim {
+			if x.sim > y.sim {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(x.rank, y.rank)
+	})
 	// Equal similarities are adjacent in the ordered list, so its table is
 	// the list's run heads and a code is the number of heads before it.
 	distinct := 0
@@ -632,7 +671,7 @@ func (s *Similarity) computeSimilar(f Field, value string) SimilarList {
 		if i == 0 || math.Float64bits(e.sim) != math.Float64bits(kept[i-1].sim) {
 			out.table = append(out.table, e.sim)
 		}
-		out.ids[i], out.codes[i] = e.id, uint16(len(out.table)-1)
+		out.ids[i], out.codes[i] = ranked[e.rank], uint16(len(out.table)-1)
 	}
 	sc.kept = kept
 	candPool.Put(sc)
@@ -656,11 +695,13 @@ func (s *Similarity) Size(f Field) int {
 
 // Bytes is the size of the data S was built with: the arrays of every
 // field's block — 6 bytes per entry, 8 per page-table value, 4 per row in
-// vals and offsets — and the encoded bigram postings, by arithmetic over
-// their lengths. The maps' own overhead and the probe cache are not in it.
+// vals and offsets — the rank order, 4 bytes per value, and the encoded
+// bigram postings, by arithmetic over their lengths. The maps' own overhead
+// and the probe cache are not in it.
 func (s *Similarity) Bytes() int64 {
 	n := 0
 	for f := range s.blocks {
+		n += 4 * len(s.ranked[f])
 		if b := s.blocks[f]; b != nil {
 			n += 4*(len(b.vals)+len(b.offsets)+len(b.ids)) + 2*len(b.codes)
 			for _, p := range b.pages {

@@ -1,7 +1,8 @@
 // Delta + varint compressed posting lists of S's bigrams.
 //
 // The similarity index maps every bigram of a field's values to the
-// (sorted) symbol ids of the values containing it. A probe walks a few of
+// (sorted) ranks of the values containing it, a value's rank being its
+// place in the field's vocabulary in string order. A probe walks a few of
 // these lists once per lookup S cannot answer, so they are stored for size
 // rather than speed: sorted integer lists compress extremely well as
 // varint-coded gaps — frequent bigrams have dense, small deltas — so a list
@@ -13,23 +14,19 @@
 // reach are shared between index generations (index.UpdateSubset).
 package index
 
-import (
-	"encoding/binary"
+import "encoding/binary"
 
-	"github.com/snaps/snaps/internal/symbol"
-)
-
-// postingList is a compressed, sorted list of symbol ids. The zero value is
-// the empty list.
+// postingList is a compressed, sorted list of ranks. The zero value is the
+// empty list.
 type postingList struct {
 	n    int32
 	data []byte
 }
 
 // encodePostings compresses a sorted (ascending, possibly with repeats)
-// id list. The first id is stored as a delta from -1 so that id 0 still
+// list. The first entry is stored as a delta from -1 so that 0 still
 // yields a positive gap.
-func encodePostings(ids []symbol.ID) postingList {
+func encodePostings(ids []uint32) postingList {
 	if len(ids) == 0 {
 		return postingList{}
 	}
@@ -57,13 +54,13 @@ func (p postingList) iter() postingIter {
 	return postingIter{data: p.data, prev: -1}
 }
 
-// Next returns the next id, or ok=false when the list is exhausted.
-func (it *postingIter) Next() (symbol.ID, bool) {
+// Next returns the next entry, or ok=false when the list is exhausted.
+func (it *postingIter) Next() (uint32, bool) {
 	if it.pos >= len(it.data) {
 		return 0, false
 	}
 	d, k := binary.Uvarint(it.data[it.pos:])
 	it.pos += k
 	it.prev += int64(d)
-	return symbol.ID(it.prev), true
+	return uint32(it.prev), true
 }

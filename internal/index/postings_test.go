@@ -3,21 +3,19 @@ package index
 import (
 	"slices"
 	"testing"
-
-	"github.com/snaps/snaps/internal/symbol"
 )
 
-// checkCodec round-trips one id list through the codec: len and the
+// checkCodec round-trips one rank list through the codec: len and the
 // iterator must give the list back, and an exhausted iterator must stay
 // exhausted.
-func checkCodec(t *testing.T, name string, ids []symbol.ID) {
+func checkCodec(t *testing.T, name string, ids []uint32) {
 	t.Helper()
 	pl := encodePostings(ids)
 	if int(pl.n) != len(ids) {
 		t.Errorf("%s: len = %d, want %d", name, int(pl.n), len(ids))
 	}
 	it := pl.iter()
-	var walked []symbol.ID
+	var walked []uint32
 	for {
 		id, ok := it.Next()
 		if !ok {
@@ -35,19 +33,19 @@ func checkCodec(t *testing.T, name string, ids []symbol.ID) {
 
 // TestPostingCodecRoundTrip runs the delta+varint codec of S's bigram
 // postings over the shapes that have each been a bug somewhere: the empty
-// list, id 0 (stored as a gap from -1), repeats (gap 0), a gap too wide for
-// three varint bytes, and ids above the int32 range.
+// list, rank 0 (stored as a gap from -1), repeats (gap 0), a gap too wide
+// for three varint bytes, and ranks above the int32 range.
 func TestPostingCodecRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
-		ids  []symbol.ID
+		ids  []uint32
 	}{
 		{"empty", nil},
-		{"zero only", []symbol.ID{0}},
-		{"zero first", []symbol.ID{0, 1, 2, 130}},
-		{"repeats", []symbol.ID{3, 3, 3, 9, 9}},
-		{"gap over 2^21", []symbol.ID{5, 5 + 1<<21 + 1, 1<<31 - 1}},
-		{"high", []symbol.ID{1 << 31, 1<<32 - 1}},
+		{"zero only", []uint32{0}},
+		{"zero first", []uint32{0, 1, 2, 130}},
+		{"repeats", []uint32{3, 3, 3, 9, 9}},
+		{"gap over 2^21", []uint32{5, 5 + 1<<21 + 1, 1<<31 - 1}},
+		{"high", []uint32{1 << 31, 1<<32 - 1}},
 	}
 	for _, c := range cases {
 		checkCodec(t, c.name, c.ids)

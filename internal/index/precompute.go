@@ -12,7 +12,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"strings"
 	"sync"
 
 	"github.com/snaps/snaps/internal/obs"
@@ -41,12 +40,12 @@ const pairBlock = 1 << 15
 // precompute computes the similarity list of every value the field indexes
 // and stores them as the field's block: exactly the list computeSimilar
 // returns for each, entry for entry and bit for bit, whatever GOMAXPROCS is.
-func (s *Similarity) precompute(f Field, vocab []symbol.ID) {
-	// A value's rank in value order is its dense local id: syms, feats and
-	// post (per bigram, ascending, the values containing it) are keyed by it,
-	// so the pair loop touches flat slices only.
-	syms := slices.Clone(vocab)
-	slices.SortFunc(syms, func(x, y symbol.ID) int { return strings.Compare(symbol.Str(x), symbol.Str(y)) })
+func (s *Similarity) precompute(f Field) {
+	// A value's rank (its place in s.ranked[f], value order) is its dense
+	// local id: syms, feats and post (per bigram, ascending, the values
+	// containing it) are keyed by it, so the pair loop touches flat slices
+	// only.
+	syms := slices.Clone(s.ranked[f])
 	n := len(syms)
 	feats := make([]*simcache.Features, n)
 	post := map[strsim.BigramID][]int32{}

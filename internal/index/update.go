@@ -63,8 +63,9 @@ func UpdateSubset(g *pedigree.Graph, keep func(pedigree.NodeID) bool, prevK *Key
 
 // updateSimilarity carries S across the indexed-value diff, field by field,
 // and is where S is either patched or rebuilt. A field whose value set did
-// not move is shared by reference. Otherwise its bigram postings are built
-// from the new value set (a millisecond), and a name field's block is
+// not move is shared by reference. Otherwise its rank order and bigram
+// postings are built from the new value set (a millisecond), and a name
+// field's block is
 // scored from scratch (precompute) when more than rebuildAt of its new
 // values were added, or rewritten around the diff (rewriteBlock). A build is
 // this function run against an empty previous index, where every value is
@@ -79,15 +80,16 @@ func updateSimilarity(k, prevK *Keyword, prevS *Similarity, rebuildAt float64) (
 		vocab := k.fields[f].vals
 		added, removed := valueDiff(vocab, prevK.fields[f].vals)
 		if len(added)+len(removed) == 0 {
-			s.bigramPost[f], s.blocks[f] = prevS.bigramPost[f], prevS.blocks[f]
+			s.ranked[f], s.bigramPost[f], s.blocks[f] = prevS.ranked[f], prevS.bigramPost[f], prevS.blocks[f]
 			continue
 		}
-		s.bigramPost[f] = bigramPostings(vocab)
+		s.ranked[f] = stringOrder(vocab)
+		s.bigramPost[f] = bigramPostings(s.ranked[f])
 		switch {
 		case f == FieldLocation:
 			// A location has postings and no lists: nothing is precomputed.
 		case float64(len(added)) > rebuildAt*float64(len(vocab)):
-			s.precompute(f, vocab)
+			s.precompute(f)
 			rebuilt++
 		default:
 			s.blocks[f] = s.rewriteBlock(f, prevS.blocks[f], added, removed)

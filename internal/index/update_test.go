@@ -10,7 +10,9 @@ import (
 	"github.com/snaps/snaps/internal/er"
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/pedigree"
+	"github.com/snaps/snaps/internal/simcache"
 	"github.com/snaps/snaps/internal/store"
+	"github.com/snaps/snaps/internal/strsim"
 	"github.com/snaps/snaps/internal/symbol"
 )
 
@@ -313,13 +315,13 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 	if s.listOf(FieldSurname, "annie") != nil || s.Size(FieldSurname) != 2 {
 		t.Fatalf("S holds %d surname lists after the removal, want anna and bert", s.Size(FieldSurname))
 	}
-	for bg, vals := range s.bigramPost[FieldSurname] {
-		for it := vals.iter(); ; {
-			id, ok := it.Next()
+	for bg, ranks := range s.bigramPost[FieldSurname] {
+		for it := ranks.iter(); ; {
+			r, ok := it.Next()
 			if !ok {
 				break
 			}
-			if symbol.Str(id) == "annie" {
+			if symbol.Str(s.ranked[FieldSurname][r]) == "annie" {
 				t.Fatalf("bigram %q still lists removed value annie", bg)
 			}
 		}
@@ -327,6 +329,56 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 	for _, v := range s.similar(FieldSurname, "anna") {
 		if v.Value == "annie" {
 			t.Fatal("similarity list for anna still contains removed value annie")
+		}
+	}
+}
+
+// TestBigramPostingsByRank pins what a probe's integer order rests on, for
+// a build and for an update carried across a diff: a field's ranks are its
+// vocabulary in string order, and a bigram's posting lists, ascending and
+// once each, the ranks of exactly the values containing the bigram.
+func TestBigramPostingsByRank(t *testing.T) {
+	_, newG, prevK, prevS := buildGenerations(t, 0.06)
+	newK, newS, _ := UpdateSubset(newG, nil, prevK, prevS)
+	for _, c := range []struct {
+		name string
+		k    *Keyword
+		s    *Similarity
+	}{{"build", prevK, prevS}, {"update", newK, newS}} {
+		for _, f := range simFields {
+			ranked := c.s.ranked[f]
+			vocab := c.k.vocab(f)
+			slices.Sort(vocab)
+			if len(ranked) != len(vocab) {
+				t.Fatalf("%s %v: %d ranks for %d values", c.name, f, len(ranked), len(vocab))
+			}
+			for r, id := range ranked {
+				if symbol.Str(id) != vocab[r] {
+					t.Fatalf("%s %v: rank %d is %q, want %q", c.name, f, r, symbol.Str(id), vocab[r])
+				}
+			}
+			want := map[strsim.BigramID][]uint32{}
+			for r, id := range ranked {
+				for _, bg := range simcache.Feat(id).Bigrams {
+					want[bg] = append(want[bg], uint32(r))
+				}
+			}
+			if len(c.s.bigramPost[f]) != len(want) {
+				t.Errorf("%s %v: %d bigram postings, want %d", c.name, f, len(c.s.bigramPost[f]), len(want))
+			}
+			for bg, pl := range c.s.bigramPost[f] {
+				var got []uint32
+				for it := pl.iter(); ; {
+					r, ok := it.Next()
+					if !ok {
+						break
+					}
+					got = append(got, r)
+				}
+				if !slices.Equal(got, want[bg]) {
+					t.Errorf("%s %v: bigram %d lists ranks %v, want %v", c.name, f, bg, got, want[bg])
+				}
+			}
 		}
 	}
 }

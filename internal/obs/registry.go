@@ -94,11 +94,14 @@ func validFamily(s string) bool {
 	return true
 }
 
+// labelEscaper escapes a label value: backslashes, quotes and newlines. A
+// Replacer is safe for concurrent use, so every caller shares this one.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // Label renders one label pair for inclusion in a series name, escaping
 // backslashes, quotes, and newlines in the value.
 func Label(name, value string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return name + `="` + r.Replace(value) + `"`
+	return name + `="` + labelEscaper.Replace(value) + `"`
 }
 
 // lookup returns the entry for name, creating it with mk when absent, and

@@ -9,7 +9,9 @@
 package pedigree
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -207,14 +209,21 @@ func rankValues(m map[string]int) []string {
 
 // DisplayName returns the node's most frequent first name and surname.
 func (n *Node) DisplayName() string {
-	f, s := "?", "?"
+	f, s := n.NameParts()
+	return f + " " + s
+}
+
+// NameParts returns the two halves of DisplayName: the node's most
+// frequent first name and surname, "?" for one it has none of.
+func (n *Node) NameParts() (first, surname string) {
+	first, surname = "?", "?"
 	if len(n.FirstNames) > 0 {
-		f = n.FirstNames[0]
+		first = n.FirstNames[0]
 	}
 	if len(n.Surnames) > 0 {
-		s = n.Surnames[0]
+		surname = n.Surnames[0]
 	}
-	return f + " " + s
+	return first, surname
 }
 
 // Pedigree is an extracted family tree around a focus entity.
@@ -267,14 +276,8 @@ func (g *Graph) Extract(focus NodeID, generations int) *Pedigree {
 			}
 		}
 	}
-	sort.Slice(p.Edges, func(i, j int) bool {
-		if p.Edges[i].From != p.Edges[j].From {
-			return p.Edges[i].From < p.Edges[j].From
-		}
-		if p.Edges[i].To != p.Edges[j].To {
-			return p.Edges[i].To < p.Edges[j].To
-		}
-		return p.Edges[i].Rel < p.Edges[j].Rel
+	slices.SortFunc(p.Edges, func(a, b PedigreeEdge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To), cmp.Compare(a.Rel, b.Rel))
 	})
 	return p
 }
@@ -282,19 +285,16 @@ func (g *Graph) Extract(focus NodeID, generations int) *Pedigree {
 // neighbours returns the distinct entities connected to id by any
 // relationship edge in either direction.
 func (g *Graph) neighbours(id NodeID) []NodeID {
-	seen := map[NodeID]bool{}
-	var out []NodeID
-	for _, e := range g.Nodes[id].Edges {
-		if !seen[e.To] {
-			seen[e.To] = true
-			out = append(out, e.To)
-		}
+	edges := g.Nodes[id].Edges
+	out := make([]NodeID, len(edges))
+	for i, e := range edges {
+		out[i] = e.To
 	}
 	// Reverse edges: scan is avoided by the symmetric construction —
 	// motherOf/fatherOf always pair with childOf and spouseOf with
 	// spouseOf, so forward edges suffice.
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // RenderText renders a pedigree as an indented text tree rooted at the
@@ -333,20 +333,16 @@ func (g *Graph) RenderText(p *Pedigree) string {
 // relationships (e.g. MotherOf/FatherOf edges incoming to id identify the
 // parents).
 func (g *Graph) related(p *Pedigree, id NodeID, rels ...model.Relationship) []NodeID {
-	want := map[model.Relationship]bool{}
-	for _, r := range rels {
-		want[r] = true
-	}
 	var out []NodeID
 	for member := range p.Members {
 		for _, e := range g.Nodes[member].Edges {
-			if e.To == id && want[e.Rel] {
+			if e.To == id && slices.Contains(rels, e.Rel) {
 				out = append(out, member)
 				break
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -362,23 +358,9 @@ func (g *Graph) children(p *Pedigree, id NodeID) []NodeID {
 			out = append(out, e.To)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	// Deduplicate (several certificates can witness the same parenthood).
-	out = dedupNodeIDs(out)
-	return out
-}
-
-func dedupNodeIDs(ids []NodeID) []NodeID {
-	if len(ids) < 2 {
-		return ids
-	}
-	out := ids[:1]
-	for _, id := range ids[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+	return slices.Compact(out)
 }
 
 func lifespan(n *Node) string {

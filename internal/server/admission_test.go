@@ -270,7 +270,9 @@ func TestClassifyEveryRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handleRE := regexp.MustCompile(`s\.mux\.HandleFunc\("([^"]+)"`)
+	handleRE := regexp.MustCompile(`s\.handle\("([^"]+)"`)
+	// A pattern registered on the mux directly would have no bound route.
+	muxRE := regexp.MustCompile(`mux\.Handle(?:Func)?\("([^"]+)"`)
 	registered := 0
 	for _, f := range files {
 		if strings.HasSuffix(f, "_test.go") {
@@ -279,6 +281,9 @@ func TestClassifyEveryRoute(t *testing.T) {
 		src, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, m := range muxRE.FindAllStringSubmatch(string(src), -1) {
+			t.Errorf("%s registers %q on the mux directly, not through s.handle", f, m[1])
 		}
 		for _, m := range handleRE.FindAllStringSubmatch(string(src), -1) {
 			registered++
@@ -304,6 +309,9 @@ func TestClassifyEveryRoute(t *testing.T) {
 		}
 		if got := classifyRoute(pattern); got != class {
 			t.Errorf("classifyRoute(%q) = %v, want %v", pattern, got, class)
+		}
+		if rt := (*srv.routes.Load())[pattern]; rt == nil || rt.class != class || rt.pattern != pattern {
+			t.Errorf("the bound route of %q is %+v, want class %v", pattern, rt, class)
 		}
 	}
 }

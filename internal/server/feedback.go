@@ -26,7 +26,7 @@ type FeedbackHandler struct {
 // the handler for journal access.
 func (s *Server) EnableFeedback() *FeedbackHandler {
 	h := &FeedbackHandler{journal: feedback.NewJournal(), srv: s}
-	s.mux.HandleFunc("/api/feedback", h.handle)
+	s.handle("/api/feedback", h.handle)
 	return h
 }
 
@@ -96,7 +96,7 @@ type StatsResponse struct {
 
 // EnableStats mounts GET /api/stats.
 func (s *Server) EnableStats() {
-	s.mux.HandleFunc("/api/stats", func(w http.ResponseWriter, r *http.Request) {
+	s.handle("/api/stats", func(w http.ResponseWriter, r *http.Request) {
 		g := s.Graph()
 		d := g.Dataset
 		resp := StatsResponse{

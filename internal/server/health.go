@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"github.com/snaps/snaps/internal/admission"
@@ -52,7 +51,7 @@ func (s *Server) EnableSLO(t *obs.SLOTracker) {
 // route is admission-exempt — health must answer precisely when the server
 // is refusing work.
 func (s *Server) EnableHealth(pipe *ingest.Pipeline) {
-	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	s.handle("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
@@ -89,12 +88,10 @@ func (s *Server) EnableHealth(pipe *ingest.Pipeline) {
 				}
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
+		status := http.StatusOK
 		if resp.Status != "ok" {
-			w.WriteHeader(http.StatusServiceUnavailable)
+			status = http.StatusServiceUnavailable
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(resp)
+		writeJSONStatus(w, status, resp)
 	})
 }

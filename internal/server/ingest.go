@@ -24,7 +24,7 @@ func (s *Server) EnableIngest(p *ingest.Pipeline) {
 	// journal backlog before the callback was registered.
 	s.SetCoordinator(p.Serving().Shards)
 
-	s.mux.HandleFunc("/api/ingest", func(w http.ResponseWriter, r *http.Request) {
+	s.handle("/api/ingest", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
@@ -48,12 +48,10 @@ func (s *Server) EnableIngest(p *ingest.Pipeline) {
 			}
 			status = http.StatusOK
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		json.NewEncoder(w).Encode(p.Status())
+		writeJSONStatus(w, status, p.Status())
 	})
 
-	s.mux.HandleFunc("/api/ingest/status", func(w http.ResponseWriter, r *http.Request) {
+	s.handle("/api/ingest/status", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return

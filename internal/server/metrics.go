@@ -4,8 +4,10 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strings"
+	"sync/atomic"
 	"time"
 
+	"github.com/snaps/snaps/internal/admission"
 	"github.com/snaps/snaps/internal/obs"
 )
 
@@ -39,31 +41,71 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// statusClasses are the status-class label values, by statusClassIndex.
+var statusClasses = [numStatusClasses]string{"2xx", "3xx", "4xx", "5xx"}
+
+const numStatusClasses = 4
+
+// statusClassIndex buckets a status code into 2xx/3xx/4xx/5xx (anything
+// below 300 counting as 2xx, anything from 500 as 5xx), as an index into
+// statusClasses.
+func statusClassIndex(code int) int { return min(max(code/100-2, 0), numStatusClasses-1) }
+
 // statusClass buckets a status code into 2xx/3xx/4xx/5xx.
-func statusClass(code int) string {
-	switch {
-	case code >= 500:
-		return "5xx"
-	case code >= 400:
-		return "4xx"
-	case code >= 300:
-		return "3xx"
-	default:
-		return "2xx"
-	}
+func statusClass(code int) string { return statusClasses[statusClassIndex(code)] }
+
+// route is what ServeHTTP needs of one mux pattern, bound once: its
+// admission class and the name of its root span for the common method when
+// the pattern is registered, and its request series per status class at
+// the route's first response in that class, so a series that never counted
+// a response stays out of the exposition. A request renders no label and,
+// past its class's first, takes no registry lock.
+type route struct {
+	class   admission.Class
+	pattern string // "unmatched" for the route of no pattern
+	getSpan string // the root span name of a GET
+	series  [numStatusClasses]atomic.Pointer[routeSeries]
 }
 
-// observeRequest records one served request into the default registry.
-// traceID, when non-empty (the request was traced), becomes the latency
-// bucket's exemplar so a tail bucket on /metrics links to its span tree in
-// /api/debug/traces.
-func observeRequest(route string, status int, d time.Duration, traceID string) {
-	if route == "" {
-		route = "unmatched"
+// routeSeries is one route's request counter and latency histogram for
+// one status class.
+type routeSeries struct {
+	requests *obs.Counter
+	latency  *obs.Histogram
+}
+
+// newRoute binds the route of a mux pattern ("" for unmatched requests).
+func newRoute(pattern string) *route {
+	rt := &route{class: classifyRoute(pattern), pattern: pattern}
+	if rt.pattern == "" {
+		rt.pattern = "unmatched"
 	}
-	code := statusClass(status)
-	mHTTPRequests.With(route, code).Inc()
-	mHTTPLatency.With(route, code).ObserveDurationExemplar(d, traceID)
+	rt.getSpan = http.MethodGet + " " + rt.pattern
+	return rt
+}
+
+// spanName names the root span of a request with the method.
+func (rt *route) spanName(method string) string {
+	if method == http.MethodGet {
+		return rt.getSpan
+	}
+	return method + " " + rt.pattern
+}
+
+// observe records one served request. traceID, when non-empty (the request
+// was traced), becomes the latency bucket's exemplar so a tail bucket on
+// /metrics links to its span tree in /api/debug/traces.
+func (rt *route) observe(status int, d time.Duration, traceID string) {
+	c := statusClassIndex(status)
+	s := rt.series[c].Load()
+	if s == nil {
+		// Racing first responses bind the same series: With registers once.
+		code := statusClasses[c]
+		s = &routeSeries{mHTTPRequests.With(rt.pattern, code), mHTTPLatency.With(rt.pattern, code)}
+		rt.series[c].Store(s)
+	}
+	s.requests.Inc()
+	s.latency.ObserveDurationExemplar(d, traceID)
 }
 
 // handleMetrics serves the text exposition of every metric in the default
@@ -95,7 +137,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // cmd/snaps gates it behind -trace-debug, the same posture as -pprof —
 // since span attributes expose query internals.
 func (s *Server) EnableTraceDebug() {
-	s.mux.HandleFunc("/api/debug/traces", func(w http.ResponseWriter, r *http.Request) {
+	s.handle("/api/debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
@@ -108,9 +150,9 @@ func (s *Server) EnableTraceDebug() {
 // /debug/pprof/. Off by default — cmd/snaps gates it behind -pprof — since
 // profile endpoints expose internals and can be made to burn CPU.
 func (s *Server) EnablePprof() {
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	s.handle("/debug/pprof/", pprof.Index)
+	s.handle("/debug/pprof/cmdline", pprof.Cmdline)
+	s.handle("/debug/pprof/profile", pprof.Profile)
+	s.handle("/debug/pprof/symbol", pprof.Symbol)
+	s.handle("/debug/pprof/trace", pprof.Trace)
 }

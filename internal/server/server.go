@@ -5,15 +5,18 @@
 package server
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"html/template"
+	"maps"
 	"net/http"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,7 +41,12 @@ type Server struct {
 	// Generations is the pedigree extraction depth g (paper: 2).
 	Generations int
 	mux         *http.ServeMux
-	tracer      *obs.Tracer
+	// routes maps every mux pattern, and "" for a request no pattern
+	// matches, to what ServeHTTP needs of it, bound at registration.
+	// Registering copies the map; a request reads it without a lock.
+	routes   atomic.Pointer[map[string]*route]
+	routesMu sync.Mutex
+	tracer   *obs.Tracer
 	// admit, when set (EnableAdmission), decides every request before its
 	// handler runs: weighted concurrency limits and ingest backpressure,
 	// with the pedigree-before-search degradation ladder.
@@ -54,14 +62,30 @@ type Server struct {
 func NewSharded(coord *shard.Coordinator) *Server {
 	s := &Server{Generations: 2, mux: http.NewServeMux(), tracer: obs.NewTracer(256)}
 	s.serving.Store(coord)
-	s.mux.HandleFunc("/", s.handleHome)
-	s.mux.HandleFunc("/api/search", s.handleSearch)
-	s.mux.HandleFunc("/api/pedigree", s.handlePedigree)
-	s.mux.HandleFunc("/api/pedigree.dot", s.handlePedigreeDot)
-	s.mux.HandleFunc("/api/pedigree.ged", s.handlePedigreeGedcom)
-	s.mux.HandleFunc("/pedigree", s.handlePedigreeHTML)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.routes.Store(&map[string]*route{"": newRoute("")})
+	s.handle("/", s.handleHome)
+	s.handle("/api/search", s.handleSearch)
+	s.handle("/api/pedigree", s.handlePedigree)
+	s.handle("/api/pedigree.dot", s.handlePedigreeDot)
+	s.handle("/api/pedigree.ged", s.handlePedigreeGedcom)
+	s.handle("/pedigree", s.handlePedigreeHTML)
+	s.handle("/metrics", s.handleMetrics)
 	return s
+}
+
+// handle registers a handler on the mux and binds its route.
+func (s *Server) handle(pattern string, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, h)
+	s.bindRoute(pattern)
+}
+
+// bindRoute adds the route of pattern to a copy of the routes map.
+func (s *Server) bindRoute(pattern string) {
+	s.routesMu.Lock()
+	defer s.routesMu.Unlock()
+	routes := maps.Clone(*s.routes.Load())
+	routes[pattern] = newRoute(pattern)
+	s.routes.Store(&routes)
 }
 
 // Coordinator returns the currently served shard coordinator.
@@ -85,20 +109,17 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 // (minted otherwise) and is echoed on the response, so clients, log
 // records, and GET /api/debug/traces all correlate on one ID.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	_, route := s.mux.Handler(r)
-	spanName := route
-	if spanName == "" {
-		spanName = "unmatched"
-	}
-	ctx, span := s.tracer.StartRoot(r.Context(), r.Method+" "+spanName, r.Header.Get("X-Request-ID"))
+	_, pattern := s.mux.Handler(r)
+	rt := (*s.routes.Load())[pattern]
+	ctx, span := s.tracer.StartRoot(r.Context(), rt.spanName(r.Method), r.Header.Get("X-Request-Id"))
 	traceID := obs.TraceIDFromContext(ctx)
-	w.Header().Set("X-Request-ID", traceID)
+	w.Header().Set("X-Request-Id", traceID)
 	start := time.Now()
 
 	// Admission runs before the handler: a shed request never touches the
 	// engine or the pedigree graph, it only costs the decision itself.
 	if s.admit != nil {
-		release, dec := s.admit.Admit(classifyRoute(route))
+		release, dec := s.admit.Admit(rt.class)
 		if !dec.Admitted {
 			shed(w, dec)
 			span.SetAttr("shed", 1)
@@ -106,7 +127,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			span.SetAttr("status", http.StatusTooManyRequests)
 			span.End()
 			d := time.Since(start)
-			observeRequest(route, http.StatusTooManyRequests, d, traceID)
+			rt.observe(http.StatusTooManyRequests, d, traceID)
 			if s.slo != nil {
 				s.slo.Observe(http.StatusTooManyRequests, d)
 			}
@@ -120,13 +141,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	span.SetAttr("status", int64(sw.status))
 	span.End()
 	d := time.Since(start)
-	observeRequest(route, sw.status, d, traceID)
+	rt.observe(sw.status, d, traceID)
 	if s.slo != nil {
 		s.slo.Observe(sw.status, d)
 	}
 }
 
-// SearchResult is one row of the JSON result list.
+// SearchResult is one row of the JSON result list. Exact and Approx are
+// shared between rows and responses: read them, never write them.
 type SearchResult struct {
 	Entity    int32    `json:"entity"`
 	Name      string   `json:"name"`
@@ -139,6 +161,20 @@ type SearchResult struct {
 	Exact     []string `json:"exact_fields"`
 	Approx    []string `json:"approx_fields"`
 }
+
+// fieldLists[mask] names the fields of the bitmask mask (bit f for
+// index.Field f) in field order, nil for none: a row's exact_fields and
+// approx_fields, written once for every combination instead of per row.
+var fieldLists = func() (lists [1 << index.NumFields][]string) {
+	for mask := range lists {
+		for f := index.Field(0); f < index.NumFields; f++ {
+			if mask&(1<<f) != 0 {
+				lists[mask] = append(lists[mask], f.String())
+			}
+		}
+	}
+	return lists
+}()
 
 // PedigreeResponse is the JSON pedigree view.
 type PedigreeResponse struct {
@@ -214,12 +250,16 @@ func (s *Server) search(ctx context.Context, q query.Query) ([]SearchResult, uin
 	c := s.Coordinator()
 	results := c.SearchContext(ctx, q)
 	g := c.Graph()
+	var names displayNames
+	for _, res := range results {
+		names.reserve(g.Node(res.Entity))
+	}
 	out := make([]SearchResult, 0, len(results))
 	for _, res := range results {
 		n := g.Node(res.Entity)
 		sr := SearchResult{
 			Entity: int32(res.Entity),
-			Name:   n.DisplayName(),
+			Name:   names.of(n),
 			Gender: n.Gender.String(),
 			Score:  res.Score,
 		}
@@ -237,14 +277,16 @@ func (s *Server) search(ctx context.Context, q query.Query) ([]SearchResult, uin
 		} else {
 			sr.Year = n.MinYear
 		}
+		var exact, approx int
 		for f, m := range res.Matched {
 			switch m {
 			case query.MatchExact:
-				sr.Exact = append(sr.Exact, index.Field(f).String())
+				exact |= 1 << f
 			case query.MatchApprox:
-				sr.Approx = append(sr.Approx, index.Field(f).String())
+				approx |= 1 << f
 			}
 		}
+		sr.Exact, sr.Approx = fieldLists[exact], fieldLists[approx]
 		out = append(out, sr)
 	}
 	return out, c.Generation(), nil
@@ -271,6 +313,31 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, SearchResponse{TraceID: obs.TraceIDFromContext(r.Context()), Results: out})
 }
 
+// displayNames writes the display names of one response into one buffer
+// and cuts each from it: every node is reserved first, then named.
+type displayNames struct {
+	buf  strings.Builder
+	size int
+}
+
+// reserve makes room for n's display name.
+func (d *displayNames) reserve(n *pedigree.Node) {
+	first, sur := n.NameParts()
+	d.size += len(first) + 1 + len(sur)
+}
+
+// of returns n's display name, as Node.DisplayName does.
+func (d *displayNames) of(n *pedigree.Node) string {
+	d.buf.Grow(d.size)
+	d.size = 0
+	first, sur := n.NameParts()
+	from := d.buf.Len()
+	d.buf.WriteString(first)
+	d.buf.WriteByte(' ')
+	d.buf.WriteString(sur)
+	return d.buf.String()[from:]
+}
+
 // nodeID parses the request's id parameter as a node of g.
 func nodeID(r *http.Request, g *pedigree.Graph) (pedigree.NodeID, error) {
 	id, err := strconv.Atoi(r.FormValue("id"))
@@ -287,11 +354,19 @@ func (s *Server) extractPedigree(r *http.Request) (*PedigreeResponse, error) {
 		return nil, err
 	}
 	p := g.Extract(id, s.Generations)
-	resp := &PedigreeResponse{Focus: int32(p.Focus), Text: g.RenderText(p)}
+	resp := &PedigreeResponse{Focus: int32(p.Focus), Text: g.RenderText(p),
+		Members: make([]PedigreeMember, 0, len(p.Members))}
+	if len(p.Edges) > 0 {
+		resp.Edges = make([]PedigreeEdge, 0, len(p.Edges))
+	}
+	var names displayNames
+	for member := range p.Members {
+		names.reserve(g.Node(member))
+	}
 	for member, hops := range p.Members {
 		n := g.Node(member)
 		resp.Members = append(resp.Members, PedigreeMember{
-			Entity: int32(member), Name: n.DisplayName(),
+			Entity: int32(member), Name: names.of(n),
 			Gender: n.Gender.String(), Birth: n.BirthYear, Death: n.DeathYear,
 			Hops: hops,
 		})
@@ -348,13 +423,46 @@ func (s *Server) handlePedigreeGedcom(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+// jsonBuffer is a response body being encoded: compact JSON, into a buffer
+// the encoder keeps between requests.
+type jsonBuffer struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBuffers = sync.Pool{New: func() any {
+	b := new(jsonBuffer)
+	b.enc = json.NewEncoder(&b.buf)
+	return b
+}}
+
+// maxPooledJSON bounds the buffers the pool keeps: a body past it (a trace
+// dump, say) is encoded once and its buffer left to the collector.
+const maxPooledJSON = 64 << 10
+
+// writeJSON answers 200 with v as compact JSON.
+func writeJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
+
+// writeJSONStatus answers status with v as compact JSON: encoded whole
+// before anything is written, so an encoding error is a clean 500, and sent
+// in one Write with its Content-Length.
+func writeJSONStatus(w http.ResponseWriter, status int, v any) {
+	b := jsonBuffers.Get().(*jsonBuffer)
+	defer func() {
+		if b.buf.Cap() <= maxPooledJSON {
+			b.buf.Reset()
+			jsonBuffers.Put(b)
+		}
+	}()
+	if err := b.enc.Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(b.buf.Len()))
+	w.WriteHeader(status)
+	w.Write(b.buf.Bytes())
 }
 
 var homeTmpl = template.Must(template.New("home").Parse(`<!doctype html>
@@ -443,7 +551,7 @@ func (s *Server) handlePedigreeHTML(w http.ResponseWriter, r *http.Request) {
 // returning the per-field score breakdown for one entity against a query —
 // the data behind the result list's exact/approximate colour coding.
 func (s *Server) EnableExplain() {
-	s.mux.HandleFunc("/api/explain", func(w http.ResponseWriter, r *http.Request) {
+	s.handle("/api/explain", func(w http.ResponseWriter, r *http.Request) {
 		c := s.Coordinator()
 		id, err := nodeID(r, c.Graph())
 		if err != nil {
