@@ -12,9 +12,11 @@ package ingest
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/snaps/snaps/internal/model"
+	"github.com/snaps/snaps/internal/vitalio"
 )
 
 // Person is one role occurrence on a submitted certificate.
@@ -73,21 +75,6 @@ func roleByCode(code string) (model.Role, bool) {
 	return 0, false
 }
 
-// principalsFor lists the roles at least one of which must be present, and
-// whether all of them are required.
-func principalsFor(t model.CertType) (roles []model.Role, all bool) {
-	switch t {
-	case model.Birth:
-		return []model.Role{model.Bb}, true
-	case model.Death:
-		return []model.Role{model.Dd}, true
-	case model.Marriage:
-		return []model.Role{model.Mm, model.Mf}, true
-	default: // Census: any head present suffices.
-		return []model.Role{model.Cf, model.Cm}, false
-	}
-}
-
 // Validate rejects certificates that cannot be applied: unknown types or
 // role codes, roles from a different certificate type, nameless persons,
 // and missing principal roles.
@@ -116,92 +103,31 @@ func (c *Certificate) Validate() error {
 			return fmt.Errorf("ingest: role %v has neither first name nor surname", role)
 		}
 	}
-	principals, all := principalsFor(t)
-	any := false
-	for _, r := range principals {
-		if present[r] {
-			any = true
-		} else if all {
-			return fmt.Errorf("ingest: %s certificate missing principal role %v", c.Type, r)
-		}
-	}
-	if !any {
-		return fmt.Errorf("ingest: %s certificate missing a principal role", c.Type)
+	if err := vitalio.CheckPrincipals(t, func(r model.Role) bool { return present[r] }); err != nil {
+		return fmt.Errorf("ingest: %s certificate %w", c.Type, err)
 	}
 	return nil
 }
 
-func norm(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
-
-func parseGender(s string) model.Gender {
-	switch norm(s) {
-	case "m", "male":
-		return model.Male
-	case "f", "female":
-		return model.Female
-	}
-	return model.GenderUnknown
-}
-
-// Apply appends the certificate's records to the data set, following the
-// extraction conventions of internal/vitalio: names are normalised to lower
-// case, parent roles on death certificates carry no address (the address
-// belongs to the deceased's household), and a recorded age at death implies
-// a birth-year hint on the deceased's record. It returns the id of the
-// first record appended. The certificate must have passed Validate.
+// Apply appends the certificate and its records to the data set through
+// vitalio.Append, the convention CSV import follows too, and returns the id
+// of the first record appended. An age of 0 is not a recorded age. The
+// certificate must have passed Validate.
 func Apply(d *model.Dataset, c *Certificate) (model.RecordID, error) {
 	t, err := c.certType()
 	if err != nil {
 		return 0, err
 	}
-	certID := model.CertID(len(d.Certificates))
-	cert := model.Certificate{
-		ID: certID, Type: t, Year: c.Year,
-		Roles: make(map[model.Role]model.RecordID, len(c.Roles)),
-		Age:   -1,
+	vc := vitalio.Cert{Type: t, Year: c.Year, Address: c.Address, Cause: c.Cause, Occupation: c.Occupation}
+	if c.Age > 0 {
+		vc.Age = strconv.Itoa(c.Age)
 	}
-	if t == model.Death {
-		cert.Cause = norm(c.Cause)
-		if c.Age > 0 {
-			cert.Age = c.Age
-		}
-	}
-	firstNew := model.RecordID(len(d.Records))
-
-	// Iterate roles in the fixed model.Role order so record ids are
-	// deterministic regardless of JSON map iteration order.
 	for role := model.Role(0); role < model.NumRoles; role++ {
-		p, ok := rolePerson(c.Roles, role)
-		if !ok {
-			continue
+		if p, ok := rolePerson(c.Roles, role); ok {
+			vc.Roles[role] = vitalio.Person{First: p.FirstName, Sur: p.Surname, Gender: p.Gender}
 		}
-		gender := model.RoleGender(role)
-		if gender == model.GenderUnknown {
-			gender = parseGender(p.Gender)
-		}
-		addr := norm(c.Address)
-		if t == model.Death && (role == model.Dm || role == model.Df) {
-			addr = ""
-		}
-		occ := ""
-		if (t == model.Birth && role == model.Bf) || (t == model.Death && role == model.Dd) {
-			occ = norm(c.Occupation)
-		}
-		id := model.RecordID(len(d.Records))
-		rec := model.Record{
-			ID: id, Cert: certID, Role: role, Gender: gender,
-			First: model.Intern(norm(p.FirstName)), Sur: model.Intern(norm(p.Surname)),
-			Addr: model.Intern(addr), Occ: model.Intern(occ),
-			Year: c.Year, Truth: model.NoPerson,
-		}
-		if t == model.Death && role == model.Dd && cert.Age >= 0 && c.Year != 0 {
-			rec.BirthHint = c.Year - cert.Age
-		}
-		d.Records = append(d.Records, rec)
-		cert.Roles[role] = id
 	}
-	d.Certificates = append(d.Certificates, cert)
-	return firstNew, nil
+	return vitalio.Append(d, &vc)
 }
 
 // rolePerson finds the person for a role under any casing of its code.

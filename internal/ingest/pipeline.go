@@ -16,6 +16,7 @@ import (
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/shard"
 	"github.com/snaps/snaps/internal/store"
+	"github.com/snaps/snaps/internal/vitalio"
 )
 
 // Pipeline metrics in the default registry, exposed at GET /metrics.
@@ -263,10 +264,10 @@ func RouteCert(c *Certificate, shards int) int {
 		return 0
 	}
 	if t, err := c.certType(); err == nil {
-		principals, _ := principalsFor(t)
+		principals, _ := vitalio.Principals(t)
 		for _, r := range principals {
 			if p, ok := rolePerson(c.Roles, r); ok {
-				return shard.Route(norm(p.FirstName), norm(p.Surname), shards)
+				return shard.Route(vitalio.Norm(p.FirstName), vitalio.Norm(p.Surname), shards)
 			}
 		}
 	}
@@ -274,7 +275,7 @@ func RouteCert(c *Certificate, shards int) int {
 	// role present in the fixed model.Role order.
 	for role := model.Role(0); role < model.NumRoles; role++ {
 		if p, ok := rolePerson(c.Roles, role); ok {
-			return shard.Route(norm(p.FirstName), norm(p.Surname), shards)
+			return shard.Route(vitalio.Norm(p.FirstName), vitalio.Norm(p.Surname), shards)
 		}
 	}
 	return 0

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // This file is the request-scoped half of the observability layer: a
@@ -254,11 +255,20 @@ func newTraceID() string {
 // a hostile client cannot balloon the ring buffer.
 const maxTraceIDLen = 64
 
-// sanitizeTraceID accepts a caller-supplied ID, dropping control
-// characters and truncating to maxTraceIDLen; "" asks for a generated ID.
+// sanitizeTraceID accepts a caller-supplied ID, truncating it to
+// maxTraceIDLen at a rune boundary; "" asks for a generated ID, and so does
+// an ID with control characters or one that is not UTF-8 (JSON would spell
+// it differently from the echoed header).
 func sanitizeTraceID(id string) string {
+	if !utf8.ValidString(id) {
+		return ""
+	}
 	if len(id) > maxTraceIDLen {
-		id = id[:maxTraceIDLen]
+		n := maxTraceIDLen
+		for !utf8.RuneStart(id[n]) {
+			n--
+		}
+		id = id[:n]
 	}
 	for _, r := range id {
 		if r < 0x20 || r == 0x7f {

@@ -334,3 +334,36 @@ func TestTraceDebugConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// A caller's request ID keeps one spelling: one cut at 64 bytes falls on a
+// rune boundary, so the echoed header, the body's trace_id and the stored
+// trace agree, and an ID that is not UTF-8 is replaced by a minted one.
+func TestRequestIDOneSpelling(t *testing.T) {
+	s, g := testServer(t)
+	first, sur := someName(g)
+	search := func(id string) (hdr, body string) {
+		t.Helper()
+		req := httptest.NewRequest("GET", "/api/search?first_name="+first+"&surname="+sur, nil)
+		req.Header.Set("X-Request-ID", id)
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		var resp SearchResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return w.Header().Get("X-Request-ID"), resp.TraceID
+	}
+
+	hdr, body := search(strings.Repeat("a", 63) + "é")
+	if hdr != body || hdr != strings.Repeat("a", 63) {
+		t.Errorf("header ID %q, body ID %q, want both 63 a's", hdr, body)
+	}
+	if s.Tracer().Trace(body) == nil {
+		t.Errorf("no trace under the body's ID %q", body)
+	}
+
+	hdr, body = search("\xff")
+	if hdr != body || len(body) != 16 || strings.Trim(body, "0123456789abcdef") != "" {
+		t.Errorf("non-UTF-8 ID: header %q, body %q, want one minted 16-hex ID", hdr, body)
+	}
+}

@@ -2,6 +2,7 @@ package vitalio
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -217,5 +218,35 @@ func TestCensusReadRejectsHeadless(t *testing.T) {
 	r := NewReader("bad")
 	if err := r.ReadCensus(strings.NewReader(row)); err == nil {
 		t.Error("headless household accepted")
+	}
+}
+
+// A negative age is not a recorded age: it reads as -1 with no birth-year
+// hint, so writing the certificate back and reading it again gives the same
+// certificate.
+func TestNegativeAgeNotRecorded(t *testing.T) {
+	row := "0,1874,mary,macrae,f,-3,measles,kirsty,macrae,hector,macrae,,,5 portree,\n"
+	r := NewReader("negative")
+	if err := r.ReadDeaths(strings.NewReader(row)); err != nil {
+		t.Fatal(err)
+	}
+	d := r.Dataset()
+	if got := d.Certificates[0].Age; got != -1 {
+		t.Errorf("age %d, want -1", got)
+	}
+	if hint := d.Record(d.Certificates[0].Roles[model.Dd]).BirthHint; hint != 0 {
+		t.Errorf("BirthHint %d from a negative age, want 0", hint)
+	}
+	var buf bytes.Buffer
+	if err := NewWriter(d, false).WriteDeaths(&buf); err != nil {
+		t.Fatal(err)
+	}
+	again := NewReader("again")
+	if err := again.ReadDeaths(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Dataset().Certificates, d.Certificates) ||
+		!reflect.DeepEqual(again.Dataset().Records, d.Records) {
+		t.Errorf("round trip changed the certificate:\n%+v\n%+v", d.Certificates, again.Dataset().Certificates)
 	}
 }
