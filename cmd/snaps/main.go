@@ -161,7 +161,7 @@ func main() {
 		if d, err = loadCSVs(*birthsCSV, *deathsCSV, *marriagesCSV, *censusCSV); err != nil {
 			fatal(err)
 		}
-		geo.GeocodeDataset(d, geo.Skye())
+		geo.GeocodeRecords(d.Records, geo.Skye())
 		slog.Info("imported certificates", "certificates", len(d.Certificates), "records", len(d.Records))
 	default:
 		cfg, err := dataset.ConfigByName(*dsName)

@@ -57,9 +57,10 @@ type Config struct {
 	FemaleFirstNames []string
 	Nicknames        map[string][]string
 
-	// Geocode maps addresses to coordinates; nil disables geocoding
-	// (paper: only IOS is geocoded).
-	Geocode map[string][2]float64
+	// Geocode resolves addresses to coordinates, with its fuzzy settlement
+	// matching off; nil disables geocoding (paper: only IOS is geocoded,
+	// addresses in KIL and BHIC being absent or of low quality).
+	Geocode *geo.Gazetteer
 
 	// Error model.
 	TypoRate     float64 // per-value probability of a typographical edit
@@ -101,7 +102,7 @@ func IOS() Config {
 		StartYear: 1861, EndYear: 1901,
 		Founders: 420, ZipfS: 0.85,
 		Surnames: skyeSurnamesExt, Addresses: skyeAddresses,
-		Geocode:  skyeGeocode,
+		Geocode:  geo.Skye(),
 		TypoRate: 0.07, NicknameRate: 0.10, MoveRate: 0.03,
 		MissingRate: map[model.Attr]float64{
 			model.FirstName:  0.017,
@@ -273,8 +274,9 @@ func Generate(cfg Config) *Population {
 		},
 	}
 	if cfg.Geocode != nil {
-		g.gazetteer = geo.NewGazetteer(cfg.Geocode)
-		g.gazetteer.FuzzyThreshold = 0 // corrupted addresses stay ungeocoded
+		gz := *cfg.Geocode
+		gz.FuzzyThreshold = 0 // corrupted addresses stay ungeocoded
+		g.gazetteer = &gz
 	}
 	if g.cfg.MaleFirstNames == nil {
 		g.cfg.MaleFirstNames = maleFirstNamesExt

@@ -70,32 +70,6 @@ var skyeAddresses = []string{
 	"caroy", "bracadale", "ullinish", "fiscavaig", "portnalong",
 }
 
-// skyeGeocode maps Skye addresses to approximate coordinates. Only the IOS
-// data set is geocoded, matching the paper (addresses in KIL and BHIC were
-// absent or of low quality).
-var skyeGeocode = map[string][2]float64{
-	"portree": {57.4125, -6.1964}, "kilmore": {57.24, -5.90},
-	"dunvegan": {57.4353, -6.5835}, "uig": {57.5876, -6.3637},
-	"staffin": {57.6278, -6.2078}, "broadford": {57.2425, -5.9125},
-	"elgol": {57.1456, -6.1062}, "carbost": {57.3031, -6.3544},
-	"struan": {57.3586, -6.4114}, "edinbane": {57.4664, -6.4267},
-	"kensaleyre": {57.4822, -6.2850}, "glendale": {57.4453, -6.7014},
-	"waternish": {57.5200, -6.6000}, "sleat": {57.1500, -5.9000},
-	"kyleakin": {57.2708, -5.7403}, "torrin": {57.2100, -6.0300},
-	"luib": {57.2700, -6.0400}, "sconser": {57.3100, -6.1100},
-	"braes": {57.3700, -6.1400}, "penifiler": {57.3900, -6.1800},
-	"achachork": {57.4300, -6.2100}, "borve": {57.4500, -6.2600},
-	"skeabost": {57.4600, -6.3200}, "bernisdale": {57.4700, -6.3500},
-	"treaslane": {57.4800, -6.3800}, "flashader": {57.4900, -6.4300},
-	"greshornish": {57.5000, -6.4400}, "colbost": {57.4400, -6.6400},
-	"milovaig": {57.4500, -6.7500}, "husabost": {57.4800, -6.6800},
-	"ramasaig": {57.4200, -6.7500}, "orbost": {57.4000, -6.6200},
-	"roskhill": {57.4200, -6.5800}, "vatten": {57.4100, -6.5600},
-	"harlosh": {57.3900, -6.5400}, "caroy": {57.3800, -6.5000},
-	"bracadale": {57.3600, -6.4500}, "ullinish": {57.3400, -6.4600},
-	"fiscavaig": {57.3300, -6.4900}, "portnalong": {57.3400, -6.4200},
-}
-
 var kilmarnockAddresses = []string{
 	"king street", "portland street", "titchfield street", "high street",
 	"soulis street", "fore street", "cheapside", "sandbed street",

@@ -1,7 +1,7 @@
 // Package geo provides the geocoding substrate the paper's future work
 // calls for: a gazetteer that resolves historical addresses ("7 portree")
-// to coordinates, dataset-level geocoding for records loaded from CSV, and a
-// haversine distance helper.
+// to coordinates, geocoding of the records loaded from CSV or ingested
+// live, and a haversine distance helper.
 package geo
 
 import (
@@ -91,13 +91,13 @@ func hash64(s string) uint64 {
 	return h
 }
 
-// GeocodeDataset fills the Lat/Lon of every record whose address the
+// GeocodeRecords fills the Lat/Lon of every record whose address the
 // gazetteer resolves, returning how many records were geocoded. Records
 // with existing coordinates are left untouched.
-func GeocodeDataset(d *model.Dataset, g *Gazetteer) int {
+func GeocodeRecords(recs []model.Record, g *Gazetteer) int {
 	n := 0
-	for i := range d.Records {
-		rec := &d.Records[i]
+	for i := range recs {
+		rec := &recs[i]
 		if rec.Addr == 0 || rec.Lat != 0 || rec.Lon != 0 {
 			continue
 		}

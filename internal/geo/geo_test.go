@@ -64,7 +64,7 @@ func TestGeocodeDataset(t *testing.T) {
 		{ID: 2, Addr: model.Intern("")},
 		{ID: 3, Addr: model.Intern("7 uig"), Lat: 1, Lon: 1}, // pre-geocoded: untouched
 	}}
-	n := GeocodeDataset(d, Skye())
+	n := GeocodeRecords(d.Records, Skye())
 	if n != 1 {
 		t.Fatalf("geocoded %d records, want 1", n)
 	}

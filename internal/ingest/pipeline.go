@@ -11,6 +11,7 @@ import (
 
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/er"
+	"github.com/snaps/snaps/internal/geo"
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/pedigree"
@@ -35,9 +36,6 @@ var (
 		"Encoded bytes of accepted certificates waiting for the next batch flush. Admission backpressure bounds this.")
 	mFlushSeconds = obs.Default.Histogram("snaps_ingest_flush_seconds",
 		"Wall-clock duration of one batch flush.", obs.DefBuckets)
-	mFlushStageSeconds = obs.Default.HistogramVec("snaps_ingest_flush_stage_seconds",
-		"Duration of one flush pipeline stage (apply_batch, restore_clusters, er_extend, rebuild_indexes, snapshot_swap).",
-		obs.LatencyBuckets, "stage")
 	mResolvedRecords = obs.Default.Counter("snaps_ingest_resolved_records_total",
 		"Records re-resolved incrementally by er.Extend during flushes.")
 	mCandidatePairs = obs.Default.Counter("snaps_ingest_candidate_pairs_total",
@@ -223,6 +221,9 @@ type Pipeline struct {
 
 	// shardGauges are the pre-created per-shard backlog series.
 	shardGauges []shardBacklogGauges
+	// gazetteer geocodes the records a flush appends; nil when no served
+	// record carries coordinates.
+	gazetteer *geo.Gazetteer
 
 	kick     chan struct{}
 	stop     chan struct{}
@@ -302,6 +303,15 @@ func NewPipeline(sv *Serving, jr *Journal, backlog []Certificate, cfg Config) (*
 	}
 	for s := range p.shardGauges {
 		p.shardGauges[s] = backlogGaugesFor(s)
+	}
+	// Ingested addresses compare as the build's did: by coordinates, from
+	// the gazetteer cmd/snaps geocodes CSV imports with, when the build
+	// geocoded any record.
+	for i := range sv.Dataset.Records {
+		if r := &sv.Dataset.Records[i]; r.Lat != 0 || r.Lon != 0 {
+			p.gazetteer = geo.Skye()
+			break
+		}
 	}
 	// The pipeline owns the bundle: stamp it as generation 0.
 	sv.Generation = 0
@@ -560,7 +570,9 @@ func (p *Pipeline) flushLocked() error {
 	stageT := time.Now()
 	stageDone := func(stage string) {
 		now := time.Now()
-		mFlushStageSeconds.With(stage).ObserveDuration(now.Sub(stageT))
+		obs.Default.Histogram("snaps_ingest_flush_stage_seconds{"+obs.Label("stage", stage)+"}",
+			"Duration of one flush pipeline stage (apply_batch, restore_clusters, er_extend, rebuild_indexes, snapshot_swap).",
+			obs.LatencyBuckets).ObserveDuration(now.Sub(stageT))
 		stageT = now
 	}
 
@@ -578,6 +590,9 @@ func (p *Pipeline) flushLocked() error {
 			root.End()
 			return err
 		}
+	}
+	if p.gazetteer != nil {
+		geo.GeocodeRecords(newD.Records[firstNew:], p.gazetteer)
 	}
 	asp.End()
 	stageDone("apply_batch")

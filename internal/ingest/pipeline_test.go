@@ -2,12 +2,18 @@ package ingest
 
 import (
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/snaps/snaps/internal/blocking"
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/er"
+	"github.com/snaps/snaps/internal/geo"
+	"github.com/snaps/snaps/internal/model"
+	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/query"
 )
 
@@ -232,5 +238,119 @@ func TestPipelineConcurrentSubmitSearchFlush(t *testing.T) {
 	}
 	if st := p.Status(); st.Applied != len(names) {
 		t.Errorf("applied %d, want %d", st.Applied, len(names))
+	}
+}
+
+// flushStageCounts reads the observation count of every
+// snaps_ingest_flush_stage_seconds series from the default registry's
+// exposition, by stage.
+func flushStageCounts(t *testing.T) map[string]int64 {
+	t.Helper()
+	var b strings.Builder
+	if err := obs.Default.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int64{}
+	const prefix = `snaps_ingest_flush_stage_seconds_count{stage="`
+	for _, line := range strings.Split(b.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, prefix)
+		if !ok {
+			continue
+		}
+		stage, value, _ := strings.Cut(rest, `"} `)
+		n, err := strconv.ParseInt(value, 10, 64)
+		if err != nil {
+			t.Fatalf("unparseable sample %q", line)
+		}
+		counts[stage] = n
+	}
+	return counts
+}
+
+// One flush adds one observation to each of its five stage series, which
+// are named at the flush with obs.Label.
+func TestFlushObservesEveryStageOnce(t *testing.T) {
+	p := familyPipeline(t, nil, nil, manualConfig())
+	defer p.Close()
+	before := flushStageCounts(t)
+	if err := p.Submit(torquilDeath()); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	after := flushStageCounts(t)
+	stages := []string{"apply_batch", "restore_clusters", "er_extend", "rebuild_indexes", "snapshot_swap"}
+	for _, stage := range stages {
+		if d := after[stage] - before[stage]; d != 1 {
+			t.Errorf("stage %s: %d observations in one flush, want 1", stage, d)
+		}
+	}
+	if len(after) != len(stages) {
+		t.Errorf("flush stage series %v, want exactly %v", after, stages)
+	}
+}
+
+// deathAtPortree is a death certificate at a Skye address whose names no
+// generated data set holds.
+func deathAtPortree() *Certificate {
+	return &Certificate{
+		Type: "death", Year: 1890, Age: 60, Address: "7 portree",
+		Roles: map[string]Person{
+			"Dd": {FirstName: "torquil", Surname: "macsweenie", Gender: "m"},
+			"Dm": {FirstName: "oighrig", Surname: "macsweenie"},
+			"Df": {FirstName: "ewen", Surname: "macsweenie"},
+		},
+	}
+}
+
+// flushOne submits and flushes c and returns the records it appended.
+func flushOne(t *testing.T, p *Pipeline, c *Certificate) []model.Record {
+	t.Helper()
+	n := len(p.Serving().Dataset.Records)
+	if err := p.Submit(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return p.Serving().Dataset.Records[n:]
+}
+
+// A flush over a geocoded build (IOS) geocodes the records it appends with
+// the gazetteer CSV imports get, so their addresses compare by distance as
+// the built records' do.
+func TestFlushGeocodesLikeTheBuild(t *testing.T) {
+	p := generatedPipeline(t, 0.05, manualConfig())
+	defer p.Close()
+	recs := flushOne(t, p, deathAtPortree())
+	lat, lon, ok := geo.Skye().Resolve("7 portree")
+	if !ok {
+		t.Fatal("the gazetteer does not resolve 7 portree")
+	}
+	for _, r := range recs {
+		if r.Role == model.Dd && (r.Lat != lat || r.Lon != lon) {
+			t.Errorf("deceased at %q geocoded to (%v, %v), want (%v, %v)", r.Address(), r.Lat, r.Lon, lat, lon)
+		}
+		if r.Role != model.Dd && (r.Lat != 0 || r.Lon != 0) {
+			t.Errorf("%v has no address but coordinates (%v, %v)", r.Role, r.Lat, r.Lon)
+		}
+	}
+}
+
+// A flush over a build without coordinates (the DS tiers) geocodes
+// nothing, not even a Skye address.
+func TestFlushWithoutCoordinatesGeocodesNothing(t *testing.T) {
+	d := scaleDataset(1000, 0)
+	st := er.RunLSH(d, blocking.ScaleLSHConfig(), depgraph.DefaultConfig(), er.DefaultConfig()).Result.Store
+	p, err := NewPipeline(NewServing(d, st, 1, manualConfig()), nil, nil, manualConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for _, r := range flushOne(t, p, deathAtPortree()) {
+		if r.Lat != 0 || r.Lon != 0 {
+			t.Errorf("%v at %q geocoded to (%v, %v), want none", r.Role, r.Address(), r.Lat, r.Lon)
+		}
 	}
 }

@@ -248,8 +248,8 @@ func validateExemplar(t *testing.T, ex, line string) {
 	}
 }
 
-// populate builds a registry exercising every metric kind, labeled vecs,
-// escaping-hostile label values, and exemplars.
+// populate builds a registry exercising every metric kind, labelled series
+// named with Label, escaping-hostile label values, and exemplars.
 func populate(t *testing.T) *Registry {
 	t.Helper()
 	r := NewRegistry()
@@ -257,13 +257,16 @@ func populate(t *testing.T) *Registry {
 	r.Gauge("conf_depth", "An int gauge.").Set(3)
 	r.FloatGauge("conf_ratio", "A float gauge.").Set(0.25)
 
-	cv := r.CounterVec("conf_requests_total", "A labeled counter.", "route", "code")
-	cv.With("/api/search", "2xx").Add(5)
-	cv.With("/api/search", "4xx").Inc()
-	cv.With(`we"ird\pa`+"\n"+`th`, "5xx").Inc() // escaping-hostile value
+	requests := func(route, code string) *Counter {
+		return r.Counter("conf_requests_total{"+Label("route", route)+","+Label("code", code)+"}",
+			"A labelled counter.")
+	}
+	requests("/api/search", "2xx").Add(5)
+	requests("/api/search", "4xx").Inc()
+	requests(`we"ird\pa`+"\n"+`th`, "5xx").Inc() // escaping-hostile value
 
-	hv := r.HistogramVec("conf_latency_seconds", "A labeled histogram.", LatencyBuckets, "route")
-	h := hv.With("/api/search")
+	h := r.Histogram("conf_latency_seconds{"+Label("route", "/api/search")+"}",
+		"A labelled histogram.", LatencyBuckets)
 	h.ObserveExemplar(3e-6, "0123456789abcdef")
 	h.ObserveExemplar(100e-6, "fedcba9876543210")
 	h.Observe(250) // above the last bound: +Inf bucket

@@ -14,8 +14,9 @@ import (
 //	POST /api/feedback?a=<record>&b=<record>&decision=confirm|reject
 //	GET  /api/feedback            — journal summary and open violations
 //
-// Decisions are kept in memory; deployments persist them with
-// feedback.Journal.Save on shutdown or via the CLI.
+// Decisions POSTed here live only in memory: they are never applied to the
+// served entities and never saved. Only `snaps -feedback <csv>` applies
+// decisions, at build time.
 type FeedbackHandler struct {
 	mu      sync.Mutex
 	journal *feedback.Journal

@@ -11,24 +11,6 @@ import (
 	"github.com/snaps/snaps/internal/obs"
 )
 
-// Request metrics, one series per registered route pattern × status class.
-// Pattern cardinality is bounded by the mux registrations, never by client
-// input: unmatched paths all collapse into the "unmatched" series, and the
-// vec's series cap backstops everything else.
-const (
-	httpRequestsFamily = "snaps_http_requests_total"
-	httpLatencyFamily  = "snaps_http_request_seconds"
-)
-
-var (
-	mHTTPRequests = obs.Default.CounterVec(httpRequestsFamily,
-		"Total HTTP requests served, by route pattern and status class.",
-		"route", "code")
-	mHTTPLatency = obs.Default.HistogramVec(httpLatencyFamily,
-		"HTTP request latency by route pattern and status class.",
-		obs.LatencyBuckets, "route", "code")
-)
-
 // statusWriter captures the status code a handler writes, so the request
 // counter can be labelled with its status class.
 type statusWriter struct {
@@ -99,9 +81,16 @@ func (rt *route) observe(status int, d time.Duration, traceID string) {
 	c := statusClassIndex(status)
 	s := rt.series[c].Load()
 	if s == nil {
-		// Racing first responses bind the same series: With registers once.
-		code := statusClasses[c]
-		s = &routeSeries{mHTTPRequests.With(rt.pattern, code), mHTTPLatency.With(rt.pattern, code)}
+		// One series per route pattern × status class: the patterns are the
+		// mux registrations, never client input. Racing first responses
+		// bind the same series, as the registry creates a name once.
+		labels := "{" + obs.Label("route", rt.pattern) + "," + obs.Label("code", statusClasses[c]) + "}"
+		s = &routeSeries{
+			obs.Default.Counter("snaps_http_requests_total"+labels,
+				"Total HTTP requests served, by route pattern and status class."),
+			obs.Default.Histogram("snaps_http_request_seconds"+labels,
+				"HTTP request latency by route pattern and status class.", obs.LatencyBuckets),
+		}
 		rt.series[c].Store(s)
 	}
 	s.requests.Inc()

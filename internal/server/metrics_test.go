@@ -115,6 +115,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v := after[`snaps_http_request_seconds_count{route="/api/search",code="4xx"}`]; v < 1 {
 		t.Fatalf("4xx latency histogram count %v, want >= 1", v)
 	}
+	// A series that never counted a response stays out of the exposition.
+	for _, name := range []string{
+		`snaps_http_requests_total{route="/api/search",code="5xx"}`,
+		`snaps_http_request_seconds_count{route="/api/search",code="5xx"}`,
+	} {
+		if _, ok := after[name]; ok {
+			t.Errorf("%s exposed without a 5xx response", name)
+		}
+	}
 	// A scrape itself is counted: /metrics appears as a route.
 	if sumFamily(after, `snaps_http_requests_total{route="/metrics",code="2xx"}`) < 1 {
 		t.Fatal("the /metrics route is not itself instrumented")

@@ -30,19 +30,10 @@ var (
 		obs.LatencyBuckets)
 	mSimilarityBytes = obs.Default.Gauge("snaps_index_similarity_bytes",
 		"Bytes of the similarity index S over the published generation's shards: block arrays (6 B per list entry, 8 B per page-table value, 8 B per row) plus encoded bigram postings.")
-
-	mShardSearchSeconds = obs.Default.HistogramVec("snaps_shard_search_seconds",
-		"Per-shard search duration under the scatter-gather coordinator.",
-		obs.LatencyBuckets, "shard")
-	mShardQueueWait = obs.Default.HistogramVec("snaps_shard_queue_wait_seconds",
-		"Delay between scatter start and a worker picking up the shard's search.",
-		obs.LatencyBuckets, "shard")
-	mStragglerTotal = obs.Default.CounterVec("snaps_shard_straggler_total",
-		"Scatters in which the shard was the slowest one.", "shard")
 )
 
 // shardMetrics are the per-shard series, pre-created at shard construction
-// so the serving hot path never takes the registry (or vec) lock.
+// so the serving hot path never takes the registry lock.
 type shardMetrics struct {
 	searches      *obs.Counter
 	nodes         *obs.Gauge
@@ -52,16 +43,18 @@ type shardMetrics struct {
 }
 
 func metricsFor(id int) *shardMetrics {
-	sid := strconv.Itoa(id)
-	l := obs.Label("shard", sid)
+	l := "{" + obs.Label("shard", strconv.Itoa(id)) + "}"
 	return &shardMetrics{
-		searches: obs.Default.Counter("snaps_shard_searches_total{"+l+"}",
+		searches: obs.Default.Counter("snaps_shard_searches_total"+l,
 			"Searches served by the shard under the scatter-gather coordinator."),
-		nodes: obs.Default.Gauge("snaps_shard_nodes{"+l+"}",
+		nodes: obs.Default.Gauge("snaps_shard_nodes"+l,
 			"Pedigree entities owned by the shard."),
-		searchSeconds: mShardSearchSeconds.With(sid),
-		queueWait:     mShardQueueWait.With(sid),
-		straggles:     mStragglerTotal.With(sid),
+		searchSeconds: obs.Default.Histogram("snaps_shard_search_seconds"+l,
+			"Per-shard search duration under the scatter-gather coordinator.", obs.LatencyBuckets),
+		queueWait: obs.Default.Histogram("snaps_shard_queue_wait_seconds"+l,
+			"Delay between scatter start and a worker picking up the shard's search.", obs.LatencyBuckets),
+		straggles: obs.Default.Counter("snaps_shard_straggler_total"+l,
+			"Scatters in which the shard was the slowest one."),
 	}
 }
 

@@ -34,8 +34,8 @@ type Cert struct {
 	Age        string // age at death
 	Cause      string
 	Occupation string
-	// Roles holds the person in each role; a role with neither name is
-	// absent from the certificate.
+	// Roles holds the person in each role; a role whose names are both
+	// empty after trimming is absent from the certificate.
 	Roles [model.NumRoles]Person
 }
 
@@ -83,7 +83,9 @@ func CheckPrincipals(t model.CertType, present func(model.Role) bool) error {
 // member's age otherwise) gives BirthHint = year - age when the year is
 // known.
 func Append(d *model.Dataset, c *Cert) (model.RecordID, error) {
-	present := func(r model.Role) bool { return c.Roles[r].First != "" || c.Roles[r].Sur != "" }
+	present := func(r model.Role) bool {
+		return strings.TrimSpace(c.Roles[r].First) != "" || strings.TrimSpace(c.Roles[r].Sur) != ""
+	}
 	if err := CheckPrincipals(c.Type, present); err != nil {
 		return 0, err
 	}

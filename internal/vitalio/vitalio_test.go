@@ -250,3 +250,25 @@ func TestNegativeAgeNotRecorded(t *testing.T) {
 		t.Errorf("round trip changed the certificate:\n%+v\n%+v", d.Certificates, again.Dataset().Certificates)
 	}
 }
+
+// A name cell of only whitespace is an empty cell: a role whose names trim
+// to nothing is absent, and a certificate whose principal is blank is
+// rejected, as ingest.Validate rejects it from JSON.
+func TestWhitespaceNamesAbsent(t *testing.T) {
+	row := "0,1874,mary,macrae,f,4,measles,kirsty,macrae,hector,macrae, ,,5 portree,\n"
+	r := NewReader("blank")
+	if err := r.ReadDeaths(strings.NewReader(row)); err != nil {
+		t.Fatal(err)
+	}
+	d := r.Dataset()
+	if len(d.Records) != 3 {
+		t.Fatalf("%d records, want 3 (Dd, Dm, Df): %+v", len(d.Records), d.Records)
+	}
+	if _, ok := d.Certificates[0].Roles[model.Ds]; ok {
+		t.Error("a blank spouse made a Ds record")
+	}
+	blank := "0,1874, ,\t,f,4,measles,kirsty,macrae,hector,macrae,,,5 portree,\n"
+	if err := NewReader("blank").ReadDeaths(strings.NewReader(blank)); err == nil {
+		t.Error("a death whose deceased is blank was accepted")
+	}
+}
