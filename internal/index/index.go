@@ -127,20 +127,24 @@ type SimilarList struct {
 }
 
 // Len returns the number of entries.
-func (l SimilarList) Len() int { return len(l.ids) }
+func (l *SimilarList) Len() int { return len(l.ids) }
 
 // At returns the i-th entry.
-func (l SimilarList) At(i int) SimilarValue { return SimilarValue{symbol.Str(l.ids[i]), l.sim(i)} }
+func (l *SimilarList) At(i int) SimilarValue { return SimilarValue{symbol.Str(l.ids[i]), l.Sim(i)} }
 
 // Entry returns the i-th entry's value id and similarity, and whether the
 // value is the one the list was looked up for: the search's form of an
 // entry, which K's Entities takes as it is.
-func (l SimilarList) Entry(i int) (id symbol.ID, sim float64, exact bool) {
-	return l.ids[i], l.sim(i), l.ids[i] == l.self
+func (l *SimilarList) Entry(i int) (id symbol.ID, sim float64, exact bool) {
+	return l.ids[i], l.Sim(i), l.ids[i] == l.self
 }
 
-// sim returns the similarity of the i-th entry.
-func (l SimilarList) sim(i int) float64 { return l.table[l.codes[i]] }
+// IDs returns the entries' value ids in list order, a read-only view: the
+// form a table keyed by the list's values is filled from.
+func (l *SimilarList) IDs() []symbol.ID { return l.ids }
+
+// Sim returns the similarity of the i-th entry.
+func (l *SimilarList) Sim(i int) float64 { return l.table[l.codes[i]] }
 
 // SimTable answers which similarity one list holds for a value, by string:
 // the form a search asks the query location's list in, once per location
@@ -158,7 +162,7 @@ func (t *SimTable) Reset(l SimilarList) {
 	}
 	clear(t.sims)
 	for i, id := range l.ids {
-		t.sims[symbol.Str(id)] = l.sim(i)
+		t.sims[symbol.Str(id)] = l.Sim(i)
 	}
 }
 
@@ -293,12 +297,17 @@ type Keyword struct {
 // ascending. offsets runs to the largest id the field indexes, so an id past
 // its end has no entities, as has any id in range the field does not index.
 // vals lists the ids that have entities, ascending: the field's vocabulary.
-// A posting is 4 bytes and the offsets 4 per symbol up to the largest, and
-// none of it is a pointer.
+// A name field also holds the transpose, the row index being the entity:
+// the values entity n carries are values[byNode[n]:byNode[n+1]], in the
+// order of pedigree.Node's, and byNode runs to the largest entity the field
+// indexes. A posting is 4 bytes and the offsets 4 per symbol up to the
+// largest (per entity, for the transpose), and none of it is a pointer.
 type keyField struct {
 	vals    []symbol.ID
 	offsets []uint32
 	nodes   []pedigree.NodeID
+	byNode  []uint32
+	values  []symbol.ID
 }
 
 // entities returns the row of id, a view into the field.
@@ -308,6 +317,16 @@ func (kf *keyField) entities(id symbol.ID) []pedigree.NodeID {
 	}
 	lo, hi := kf.offsets[id], kf.offsets[id+1]
 	return kf.nodes[lo:hi:hi]
+}
+
+// valuesOf returns the values entity n carries, a view into the field; nil
+// when the field has no transpose.
+func (kf *keyField) valuesOf(n pedigree.NodeID) []symbol.ID {
+	if int(n) >= len(kf.byNode)-1 {
+		return nil
+	}
+	lo, hi := kf.byNode[n], kf.byNode[n+1]
+	return kf.values[lo:hi:hi]
 }
 
 // keyPosting is one (value, entity) pair of a field as buildKeyword finds it.
@@ -321,7 +340,9 @@ type keyPosting struct {
 // start as its cursor and shifting the cursors back into starts after. The
 // pairs come in ascending entity order, an entity's values are distinct
 // (pedigree.Node's are), so every row is ascending and duplicate-free.
-func newKeyField(pairs []keyPosting) keyField {
+// With transpose, the pairs read in that order are already the transpose's
+// values, and its offsets are counted per entity the same way.
+func newKeyField(pairs []keyPosting, transpose bool) keyField {
 	if len(pairs) == 0 {
 		return keyField{}
 	}
@@ -329,7 +350,19 @@ func newKeyField(pairs []keyPosting) keyField {
 	for _, p := range pairs {
 		top = max(top, p.id)
 	}
-	kf := keyField{offsets: make([]uint32, top+2), nodes: make([]pedigree.NodeID, len(pairs))}
+	var kf keyField
+	if transpose {
+		last := pairs[len(pairs)-1].node
+		kf.byNode, kf.values = make([]uint32, last+2), make([]symbol.ID, len(pairs))
+		for i, p := range pairs {
+			kf.byNode[p.node+1]++
+			kf.values[i] = p.id
+		}
+		for n := range last + 1 {
+			kf.byNode[n+1] += kf.byNode[n]
+		}
+	}
+	kf.offsets, kf.nodes = make([]uint32, top+2), make([]pedigree.NodeID, len(pairs))
 	for _, p := range pairs {
 		kf.offsets[p.id+1]++
 	}
@@ -491,7 +524,7 @@ func buildKeyword(g *pedigree.Graph, keep func(pedigree.NodeID) bool) *Keyword {
 	}
 	k := &Keyword{}
 	for f := range k.fields {
-		k.fields[f] = newKeyField(pairs[f])
+		k.fields[f] = newKeyField(pairs[f], slices.Contains(nameFields, Field(f)))
 	}
 	return k
 }
@@ -515,6 +548,18 @@ func (k *Keyword) Lookup(f Field, value string) []pedigree.NodeID {
 func (k *Keyword) Entities(f Field, id symbol.ID) []pedigree.NodeID {
 	return k.fields[f].entities(id)
 }
+
+// NodeValues returns the symbol ids of the values of a name field that
+// entity n carries, in the order of pedigree.Node's: a read-only view into
+// K, empty for an entity the field does not index.
+func (k *Keyword) NodeValues(f Field, n pedigree.NodeID) []symbol.ID {
+	return k.fields[f].valuesOf(n)
+}
+
+// IDLimit returns one past the largest symbol id the field indexes: a table
+// addressed by the field's value ids needs that many slots, and an id at or
+// past it has no entities.
+func (k *Keyword) IDLimit(f Field) int { return max(len(k.fields[f].offsets)-1, 0) }
 
 // Values returns the number of distinct values indexed for the field.
 func (k *Keyword) Values(f Field) int { return len(k.fields[f].vals) }

@@ -45,6 +45,36 @@ func TestKeywordLookupConsistent(t *testing.T) {
 	}
 }
 
+// TestKeywordTransposeMatchesNodes checks K's transpose against the graph,
+// over the whole graph and over a shard's subset: a name field gives each
+// kept entity the ids of its values in pedigree.Node's order, each row of
+// the field lists the entity, and every id is below IDLimit. Other fields
+// and entities outside the subset have none.
+func TestKeywordTransposeMatchesNodes(t *testing.T) {
+	g, _, _ := builtIndexes(t)
+	odd := func(n pedigree.NodeID) bool { return n%2 == 1 }
+	for _, keep := range []func(pedigree.NodeID) bool{nil, odd} {
+		k := buildKeyword(g, keep)
+		for i := range g.Nodes {
+			n := &g.Nodes[i]
+			for f, values := range map[Field][]string{FieldFirstName: n.FirstNames, FieldSurname: n.Surnames, FieldLocation: nil} {
+				if keep != nil && !keep(n.ID) {
+					values = nil
+				}
+				got := k.NodeValues(f, n.ID)
+				if len(got) != len(values) {
+					t.Fatalf("%v of entity %d: %d transposed values, want %d", f, n.ID, len(got), len(values))
+				}
+				for j, id := range got {
+					if symbol.Str(id) != values[j] || int(id) >= k.IDLimit(f) || !slices.Contains(k.Entities(f, id), n.ID) {
+						t.Fatalf("%v of entity %d: transposed value %d is %q, want %q listing the entity", f, n.ID, j, symbol.Str(id), values[j])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestKeywordPostingsSortedDeduped(t *testing.T) {
 	_, k, _ := builtIndexes(t)
 	for f := Field(0); f < NumFields; f++ {

@@ -192,7 +192,7 @@ func (kf keyField) with(value string, n pedigree.NodeID) keyField {
 		}
 	}
 	slices.SortStableFunc(pairs, func(x, y keyPosting) int { return cmp.Compare(x.node, y.node) })
-	return newKeyField(pairs)
+	return newKeyField(pairs, true)
 }
 
 // TestLookupResultIsCallerOwned mutates a Lookup result and verifies the

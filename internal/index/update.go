@@ -139,7 +139,7 @@ func (s *Similarity) rewriteBlock(f Field, old *simBlock, added, removed []symbo
 		total += sign * l.Len()
 		for i, id := range l.ids {
 			if !inDiff[id] {
-				edits = append(edits, rowEdit{old.rows[symbol.Str(id)], simEntry{v, l.sim(i)}, sign < 0})
+				edits = append(edits, rowEdit{old.rows[symbol.Str(id)], simEntry{v, l.Sim(i)}, sign < 0})
 				total += sign
 			}
 		}
@@ -227,7 +227,7 @@ func (s *Similarity) rewriteBlock(f Field, old *simBlock, added, removed []symbo
 	for i, a := range added {
 		c.row(uint32(len(b.vals)), fresh[i].Len())
 		for j, id := range fresh[i].ids {
-			appendEntry(id, fresh[i].sim(j))
+			appendEntry(id, fresh[i].Sim(j))
 		}
 		endRow(a)
 	}

@@ -2,15 +2,17 @@
 // Sec. 7 of the paper: a query with a mandatory first name and surname, an
 // optional gender, year (or year range), and location is matched against
 // the keyword index (exactly and approximately through the similarity-aware
-// index), scored into an accumulator, and the top-m entities are returned
-// ranked by their normalised match scores.
+// index), and the top-m entities are returned ranked by their normalised
+// match scores.
 //
-// A search allocates only its result list in the steady state: candidates
-// score into a pooled dense accumulator slab addressed through a reusable
-// NodeID→slot table (epoch-reset, so recycling is O(1)), and ranking uses
-// bounded top-m heap selection instead of sorting every candidate. Ranked
-// output is byte-identical to the naive map + full-sort engine; the golden
-// tests guard that equivalence.
+// A search is one threshold walk (Fagin, Lotem & Naor) over the two names'
+// similarity lists: it reads them most similar first, scores each entity
+// in full the first time it reaches it, keeps the best m in a bounded heap,
+// and stops once no entity it has not reached can rank. Its work follows
+// the answer, not the corpus. A search allocates only its result list in
+// the steady state: the walk's state is pooled, its entity marks are
+// epoch-reset, so recycling is O(1). Ranked output is byte-identical to the
+// naive map + full-sort engine; the golden tests guard that equivalence.
 package query
 
 import (
@@ -24,6 +26,7 @@ import (
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/pedigree"
+	"github.com/snaps/snaps/internal/symbol"
 )
 
 // Engine metrics in the default registry, exposed at GET /metrics.
@@ -33,7 +36,7 @@ var (
 	mSearchSeconds = obs.Default.Histogram("snaps_query_search_seconds",
 		"End-to-end Search latency.", obs.DefBuckets)
 	mCandidates = obs.Default.Histogram("snaps_query_candidates",
-		"Entities entering the score accumulator per search.", obs.CountBuckets)
+		"Entities scored per search: those the walk reached before it stopped.", obs.CountBuckets)
 )
 
 // Query is a user search request. FirstName and Surname are mandatory; the
@@ -203,18 +206,18 @@ func (e *Engine) similar(f index.Field, value string) (l index.SimilarList) {
 	return l
 }
 
-// searchState is the pooled per-search scratch: a dense accumulator slab
-// plus the NodeID→slot table addressing it. The table is epoch-marked, so
-// recycling it for the next search is a single counter increment instead
-// of an O(nodes) clear.
+// searchState is the pooled per-search scratch of the walk. mark stamps the
+// entities the walk has scored with the search's epoch, so recycling it is
+// one increment instead of an O(nodes) clear. pos[f] maps a value id of
+// name field f to its position in the query's list of f, plus one, and 0
+// to an unlisted value: the walk fills it from the list and clears it the
+// same way, so it is all zero between searches.
 type searchState struct {
-	slot  []int32  // NodeID → index into ids/slab, valid iff mark[id] == epoch
 	mark  []uint32 // epoch stamp per NodeID
 	epoch uint32
-	ids   []pedigree.NodeID // candidate NodeIDs in first-touch order
-	slab  []accum           // accumulator per candidate, parallel to ids
-	heap  []rankEntry       // top-m selection scratch
-	locs  index.SimTable    // the query location's list, refilled per search
+	pos   [numNames][]uint32 // per name field, sized to K's ids
+	heap  []Result           // top-m selection
+	locs  index.SimTable     // the query location's list, refilled per search
 }
 
 // getState fetches (or sizes) a search state for one search.
@@ -223,37 +226,37 @@ func (e *Engine) getState() *searchState {
 	if st == nil {
 		st = &searchState{}
 	}
-	if n := len(e.Graph.Nodes); len(st.slot) < n {
-		st.slot = make([]int32, n)
+	if n := len(e.Graph.Nodes); len(st.mark) < n {
 		st.mark = make([]uint32, n)
 		st.epoch = 0
 	}
+	for f := range st.pos {
+		if n := e.Keyword.IDLimit(index.Field(f)); len(st.pos[f]) < n {
+			st.pos[f] = make([]uint32, n)
+		}
+	}
 	st.epoch++
 	if st.epoch == 0 { // wrapped: invalidate all marks once
-		for i := range st.mark {
-			st.mark[i] = 0
-		}
+		clear(st.mark)
 		st.epoch = 1
 	}
-	st.ids = st.ids[:0]
-	st.slab = st.slab[:0]
 	st.heap = st.heap[:0]
 	return st
 }
 
 // Search runs the query and returns the top-m ranked entities. Entities
-// enter the accumulator only through a name match (exact or approximate, on
-// first name and/or surname); gender, year, and location only adjust scores
-// of accumulated entities, never add new ones (Sec. 7).
+// are reached only through a name match (exact or approximate, on first
+// name and/or surname); gender, year, and location only adjust the scores
+// of reached entities, never add new ones (Sec. 7).
 func (e *Engine) Search(q Query) []Result {
 	return e.SearchContext(context.Background(), q)
 }
 
 // SearchContext is Search under the caller's trace: when the context
 // carries a span (the server's request middleware starts one), the
-// query's four stages — blocking-key lookup, candidate accumulation,
-// refinement-field scoring, and ranking — each record a child span with
-// the sizes that drove their cost, so a slow search is attributable from
+// query's three stages — blocking-key lookup, the walk that scores the
+// candidates, and ranking — each record a child span with the sizes that
+// drove their cost, so a slow search is attributable from
 // GET /api/debug/traces or the slow-query log.
 func (e *Engine) SearchContext(ctx context.Context, q Query) []Result {
 	start := time.Now()
@@ -270,110 +273,217 @@ func (e *Engine) SearchContext(ctx context.Context, q Query) []Result {
 		}
 		return l
 	}
-	firstVals := lookupName(index.FieldFirstName, q.FirstName)
-	surVals := lookupName(index.FieldSurname, q.Surname)
-	bsp.SetAttr("similar_first_names", int64(firstVals.Len()))
-	bsp.SetAttr("similar_surnames", int64(surVals.Len()))
+	lists := nameLists{
+		index.FieldFirstName: lookupName(index.FieldFirstName, q.FirstName),
+		index.FieldSurname:   lookupName(index.FieldSurname, q.Surname),
+	}
+	bsp.SetAttr("similar_first_names", int64(lists[index.FieldFirstName].Len()))
+	bsp.SetAttr("similar_surnames", int64(lists[index.FieldSurname].Len()))
 	bsp.SetAttr("memo_hits", memoHits)
 	bsp.End()
 
-	// Candidate accumulation: entities carrying any similar name value
-	// enter the accumulator with their best weighted contribution.
+	// The walk: entities reached through the name lists are scored in full
+	// and the best m kept, until no entity not yet reached can rank.
 	st := e.getState()
 	_, asp := obs.StartSpan(ctx, "accumulate")
-	e.accumulate(st, index.FieldFirstName, firstVals)
-	e.accumulate(st, index.FieldSurname, surVals)
-	asp.SetAttr("candidates", int64(len(st.ids)))
+	w := e.walk(st, &q, &lists)
+	asp.SetAttr("candidates", int64(w.scored))
+	asp.SetAttr("entries", int64(w.read[index.FieldFirstName]+w.read[index.FieldSurname]))
+	stopped := int64(0)
+	if w.stopped {
+		stopped = 1
+	}
+	asp.SetAttr("stopped", stopped)
 	asp.End()
 
-	// Refinement fields.
-	_, ssp := obs.StartSpan(ctx, "score")
-	st.locs.Reset(e.similar(index.FieldLocation, q.Location))
-	for i := range st.slab {
-		e.refine(&q, &st.locs, e.Graph.Node(st.ids[i]), &st.slab[i])
-	}
-	ssp.End()
-
-	// Ranking: normalise, select the top-m by bounded heap, and
-	// materialise Result values only for the selected entities.
+	// Ranking: order the kept entities.
 	_, rsp := obs.StartSpan(ctx, "rank")
-	results := e.rank(st, weightSum(&q))
+	results := st.ranking()
 	rsp.SetAttr("results", int64(len(results)))
 	rsp.End()
 
 	mSearches.Inc()
-	mCandidates.Observe(float64(len(st.ids)))
+	mCandidates.Observe(float64(w.scored))
 	mSearchSeconds.ObserveDuration(time.Since(start))
-	sp.SetAttr("candidates", int64(len(st.ids)))
+	sp.SetAttr("candidates", int64(w.scored))
 	sp.SetAttr("results", int64(len(results)))
 	sp.End()
 	e.pool.Put(st)
 	return results
 }
 
-// rankEntry is one candidate in the top-m selection heap.
-type rankEntry struct {
-	id    pedigree.NodeID
-	score float64 // normalised score, identical to Result.Score
+// walkStats is what one walk did: the entities it scored, the entries it
+// read of each name list, and whether it stopped before the end of both.
+type walkStats struct {
+	scored  int
+	read    [numNames]int
+	stopped bool
+}
+
+// numNames is the number of name fields, which are the first fields.
+const numNames = index.FieldSurname + 1
+
+// nameLists is the pair of name lists a search walks, indexed by field.
+type nameLists = [numNames]index.SimilarList
+
+// walk is the threshold algorithm of Fagin, Lotem & Naor over the query's
+// two name lists. It reads them in the order of their next entry's
+// weighted contribution, scores each entity in full the first time an
+// entry reaches it, keeps the best TopM in st.heap, and stops as soon as no
+// entity it has not reached can rank among them; TopM <= 0 reads both lists
+// to the end.
+//
+// The stop is exact. An entity not yet reached matches each name field at
+// most at its list's next similarity, and each refinement field the query
+// gives at most at 1. bound holds those similarities, and its score is at
+// least the entity's, because rounding is monotone. The walk stops when
+// that bound is strictly below the m-th score: an entity that tied it
+// could still win on its lower id.
+func (e *Engine) walk(st *searchState, q *Query, lists *nameLists) (w walkStats) {
+	ws := weightSum(q)
+	var bound accum
+	if q.Gender != model.GenderUnknown {
+		bound.sim[index.FieldGender] = 1
+	}
+	if _, _, ok := q.years(); ok {
+		bound.sim[index.FieldYear] = 1
+	}
+	if q.Location != "" {
+		bound.sim[index.FieldLocation] = 1
+	}
+	st.locs.Reset(e.similar(index.FieldLocation, q.Location))
+	at := &w.read // the next entry of each list, as many as it has read
+	for f := range lists {
+		place(st.pos[f], lists[f].IDs(), true)
+		if lists[f].Len() > 0 {
+			bound.sim[f] = lists[f].Sim(0)
+		}
+	}
+	const sur = index.FieldSurname
+	for {
+		if m := e.TopM; m > 0 && len(st.heap) == m && bound.score(ws) < st.heap[0].Score {
+			w.stopped = true
+			break
+		}
+		f := index.FieldFirstName
+		if at[f] == lists[f].Len() || at[sur] < lists[sur].Len() && weights[sur]*bound.sim[sur] > weights[f]*bound.sim[f] {
+			f = sur
+		}
+		if at[f] == lists[f].Len() {
+			break // both lists read
+		}
+		id, sim, exact := lists[f].Entry(at[f])
+		if at[f]++; at[f] < lists[f].Len() {
+			bound.sim[f] = lists[f].Sim(at[f])
+		} else {
+			bound.sim[f] = 0
+		}
+		for _, n := range e.Keyword.Entities(f, id) {
+			if st.mark[n] != st.epoch {
+				st.mark[n] = st.epoch
+				w.scored++
+				e.reach(st, q, lists, f, sim, exact, n, ws)
+			}
+		}
+	}
+	for f := range lists {
+		place(st.pos[f], lists[f].IDs(), false)
+	}
+	return w
+}
+
+// place writes the position of each listed value, plus one, into its slot
+// of pos, or clears the slots again. A value past pos has no entities.
+func place(pos []uint32, ids []symbol.ID, set bool) {
+	for i, id := range ids {
+		if int(id) < len(pos) {
+			p := uint32(i + 1)
+			if !set {
+				p = 0
+			}
+			pos[id] = p
+		}
+	}
+}
+
+// reach scores entity n, which the walk first reached through an entry of
+// field f at similarity sim, as the whole lists would score it, and offers
+// it to the top-m selection; an excluded entity is not offered. A list is
+// most similar first, so that entry is n's best f-match and the first to
+// reach that similarity, which is the entry offer keeps. The other name
+// field g is matched by random access: the entry offer would keep reading
+// g's list is the one at the smallest position among n's g-values (K's
+// transpose), read through st.pos[g].
+func (e *Engine) reach(st *searchState, q *Query, lists *nameLists, f index.Field, sim float64, exact bool, n pedigree.NodeID, ws float64) {
+	var a accum
+	a.offer(f, sim, exact)
+	g := index.FieldSurname - f
+	best := uint32(0)
+	for _, v := range e.Keyword.NodeValues(g, n) {
+		// Unsigned, p-1 < best-1 reads "listed, and before the best so
+		// far": an unlisted 0 and an unset 0 both wrap to the largest.
+		if p := st.pos[g][v]; p-1 < best-1 {
+			best = p
+		}
+	}
+	if best != 0 {
+		_, gsim, gexact := lists[g].Entry(int(best - 1))
+		a.offer(g, gsim, gexact)
+	}
+	e.refine(q, &st.locs, e.Graph.Node(n), &a)
+	if !a.excluded {
+		st.keep(Result{Entity: n, Score: a.score(ws), Matched: a.match}, e.TopM)
+	}
 }
 
 // rankBetter is the total order of the result list: score descending,
 // NodeID ascending on ties. Comparing normalised scores (not raw weighted
 // sums) keeps the order bit-identical to the historical sort-based engine.
-func rankBetter(a, b rankEntry) bool {
-	if a.score != b.score {
-		return a.score > b.score
+func rankBetter(a, b Result) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
 	}
-	return a.id < b.id
+	return a.Entity < b.Entity
 }
 
-// rank selects the top-m candidates from the accumulator slab. With m > 0
-// it keeps a bounded min-heap (root = worst kept entry) so a hot-name
-// search does O(candidates · log m) work; m <= 0 returns every candidate,
-// fully sorted.
-func (e *Engine) rank(st *searchState, weightSum float64) []Result {
-	m := e.TopM
+// keep offers r to the top-m selection. With m > 0 the heap is bounded, a
+// min-heap (root = worst kept entry) once full, so a search does O(scored ·
+// log m) work; m <= 0 keeps every result.
+func (st *searchState) keep(r Result, m int) {
 	h := st.heap
-	for i := range st.slab {
-		a := &st.slab[i]
-		if a.excluded {
-			continue
-		}
-		ent := rankEntry{id: st.ids[i], score: a.score(weightSum)}
-		if m <= 0 || len(h) < m {
-			h = append(h, ent)
-			if m > 0 && len(h) == m {
-				// Heapify once the bound is reached.
-				for j := len(h)/2 - 1; j >= 0; j-- {
-					siftDown(h, j)
-				}
+	switch {
+	case m <= 0 || len(h) < m:
+		h = append(h, r)
+		if len(h) == m {
+			// Heapify once the bound is reached.
+			for j := len(h)/2 - 1; j >= 0; j-- {
+				siftDown(h, j)
 			}
-			continue
 		}
-		if rankBetter(ent, h[0]) {
-			h[0] = ent
-			siftDown(h, 0)
-		}
+	case rankBetter(r, h[0]):
+		h[0] = r
+		siftDown(h, 0)
 	}
 	st.heap = h // retain grown capacity for the next search
-	// Within-heap order is partial; sort the (at most m) survivors into
-	// the final ranking.
-	slices.SortFunc(h, func(a, b rankEntry) int {
+}
+
+// ranking sorts the kept results, whose order within the heap is partial,
+// into the result list.
+func (st *searchState) ranking() []Result {
+	slices.SortFunc(st.heap, func(a, b Result) int {
 		if rankBetter(a, b) {
 			return -1
 		}
 		return 1 // ids are distinct, so no two entries tie
 	})
-	results := make([]Result, len(h))
-	for i, ent := range h {
-		results[i] = Result{Entity: ent.id, Score: ent.score, Matched: st.slab[st.slot[ent.id]].match}
-	}
+	results := make([]Result, len(st.heap))
+	copy(results, st.heap)
 	return results
 }
 
 // siftDown restores the min-heap property (root = worst entry under
 // rankBetter) for the subtree rooted at i.
-func siftDown(h []rankEntry, i int) {
+func siftDown(h []Result, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		worst := i
@@ -388,30 +498,6 @@ func siftDown(h []rankEntry, i int) {
 		}
 		h[i], h[worst] = h[worst], h[i]
 		i = worst
-	}
-}
-
-// accumulate adds entities matching any of the precomputed similar name
-// values, weighting the contribution by string similarity. An entity
-// matching several similar values keeps the best contribution. An entry is
-// an id, a similarity and an id comparison for exactness, and its entities
-// are a slice of K addressed by the id: the loop never forms a string.
-func (e *Engine) accumulate(st *searchState, f index.Field, similar index.SimilarList) {
-	for i := 0; i < similar.Len(); i++ {
-		value, sim, exact := similar.Entry(i)
-		for _, id := range e.Keyword.Entities(f, value) {
-			var a *accum
-			if st.mark[id] == st.epoch {
-				a = &st.slab[st.slot[id]]
-			} else {
-				st.mark[id] = st.epoch
-				st.slot[id] = int32(len(st.slab))
-				st.ids = append(st.ids, id)
-				st.slab = append(st.slab, accum{})
-				a = &st.slab[len(st.slab)-1]
-			}
-			a.offer(f, sim, exact)
-		}
 	}
 }
 

@@ -27,7 +27,7 @@ func (s *Server) EnableAdmission(c *admission.Controller) {
 // status, feedback, debug — is exempt.
 func classifyRoute(route string) admission.Class {
 	switch route {
-	case "/api/search", "/", "/api/explain":
+	case "/api/search", "/{$}", "/api/explain":
 		return admission.Search
 	case "/api/pedigree", "/api/pedigree.dot", "/api/pedigree.ged", "/pedigree":
 		return admission.Pedigree

@@ -245,7 +245,7 @@ func TestNewStackBacklogBoundWithoutConcurrencyLimit(t *testing.T) {
 // instead of silently landing in Exempt.
 func TestClassifyEveryRoute(t *testing.T) {
 	want := map[string]admission.Class{
-		"/":                    admission.Search,
+		"/{$}":                 admission.Search,
 		"/api/search":          admission.Search,
 		"/api/explain":         admission.Search,
 		"/api/pedigree":        admission.Pedigree,
@@ -304,14 +304,63 @@ func TestClassifyEveryRoute(t *testing.T) {
 	srv.EnableTraceDebug()
 	srv.EnablePprof()
 	for pattern, class := range want {
-		if _, got := srv.mux.Handler(httptest.NewRequest("GET", pattern, nil)); got != pattern {
-			t.Errorf("GET %s routes to pattern %q: not registered after every Enable* call", pattern, got)
+		// "/{$}" is the pattern of the path "/" alone, and its label.
+		path := strings.TrimSuffix(pattern, "{$}")
+		if _, got := srv.mux.Handler(httptest.NewRequest("GET", path, nil)); got != pattern {
+			t.Errorf("GET %s routes to pattern %q: not registered after every Enable* call", path, got)
 		}
 		if got := classifyRoute(pattern); got != class {
 			t.Errorf("classifyRoute(%q) = %v, want %v", pattern, got, class)
 		}
-		if rt := (*srv.routes.Load())[pattern]; rt == nil || rt.class != class || rt.pattern != pattern {
+		if rt := (*srv.routes.Load())[pattern]; rt == nil || rt.class != class || rt.pattern != path {
 			t.Errorf("the bound route of %q is %+v, want class %v", pattern, rt, class)
+		}
+	}
+}
+
+// TestUnknownPathIsNotTheHomePage sends a path no route registers while the
+// search class sheds: it is a 404 under route="unmatched", exempt from
+// admission, and the home page's own series keeps route="/".
+func TestUnknownPathIsNotTheHomePage(t *testing.T) {
+	srv, _ := testServer(t)
+	cfg := admission.DefaultConfig()
+	cfg.MaxConcurrency = 4
+	ctrl := admission.New(cfg)
+	srv.EnableAdmission(ctrl)
+	series := func(route, code string) string {
+		return "snaps_http_requests_total{" + obs.Label("route", route) + "," + obs.Label("code", code) + "}"
+	}
+	before := scrape(t, srv)
+
+	var releases []func()
+	for range cfg.MaxConcurrency {
+		rel, d := ctrl.Admit(admission.Search)
+		if !d.Admitted {
+			t.Fatalf("setup admission shed: %+v", d)
+		}
+		releases = append(releases, rel)
+	}
+	if w := do(srv, "GET", "/nope"); w.Code != http.StatusNotFound {
+		t.Fatalf("GET /nope with the search class shedding: status %d, want 404", w.Code)
+	}
+	if w := do(srv, "GET", "/"); w.Code != http.StatusTooManyRequests {
+		t.Fatalf("GET / with the search class shedding: status %d, want 429", w.Code)
+	}
+	for _, rel := range releases {
+		rel()
+	}
+	if w := do(srv, "GET", "/"); w.Code != http.StatusOK {
+		t.Fatalf("GET /: status %d", w.Code)
+	}
+
+	after := scrape(t, srv)
+	for name, want := range map[string]float64{
+		series("unmatched", "4xx"): 1,
+		series("/", "4xx"):         1, // the 429
+		series("/", "2xx"):         1,
+	} {
+		if got := after[name] - before[name]; got != want {
+			t.Errorf("%s rose by %v, want %v", name, got, want)
 		}
 	}
 }

@@ -44,7 +44,7 @@ func statusClass(code int) string { return statusClasses[statusClassIndex(code)]
 // past its class's first, takes no registry lock.
 type route struct {
 	class   admission.Class
-	pattern string // "unmatched" for the route of no pattern
+	pattern string // the label: "unmatched" for the route of no pattern, "/" for "/{$}"
 	getSpan string // the root span name of a GET
 	series  [numStatusClasses]atomic.Pointer[routeSeries]
 }
@@ -57,8 +57,9 @@ type routeSeries struct {
 }
 
 // newRoute binds the route of a mux pattern ("" for unmatched requests).
+// The home page's pattern "/{$}" matches "/" alone and is labelled so.
 func newRoute(pattern string) *route {
-	rt := &route{class: classifyRoute(pattern), pattern: pattern}
+	rt := &route{class: classifyRoute(pattern), pattern: strings.TrimSuffix(pattern, "{$}")}
 	if rt.pattern == "" {
 		rt.pattern = "unmatched"
 	}

@@ -63,7 +63,7 @@ func NewSharded(coord *shard.Coordinator) *Server {
 	s := &Server{Generations: 2, mux: http.NewServeMux(), tracer: obs.NewTracer(256)}
 	s.serving.Store(coord)
 	s.routes.Store(&map[string]*route{"": newRoute("")})
-	s.handle("/", s.handleHome)
+	s.handle("/{$}", s.handleHome)
 	s.handle("/api/search", s.handleSearch)
 	s.handle("/api/pedigree", s.handlePedigree)
 	s.handle("/api/pedigree.dot", s.handlePedigreeDot)
@@ -513,10 +513,6 @@ var pedigreeTmpl = template.Must(template.New("pedigree").Parse(`<!doctype html>
 </body></html>`))
 
 func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
 	data := struct {
 		Q       query.Query
 		Gender  string

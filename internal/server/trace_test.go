@@ -76,9 +76,9 @@ func TestTraceDebugGatedBehindEnable(t *testing.T) {
 }
 
 // TestSearchTraceSpanTree is the acceptance test of the tracing layer: a
-// search leaves a trace in the ring whose search span has the four stage
-// children — blocking, accumulate, score, rank — with durations summing to
-// within the root span.
+// search leaves a trace in the ring whose search span has the three stage
+// children — blocking, accumulate (the walk, which scores as it reads), rank
+// — with durations summing to within the root span.
 func TestSearchTraceSpanTree(t *testing.T) {
 	s, g := testServer(t)
 	s.EnableTraceDebug()
@@ -120,7 +120,7 @@ func TestSearchTraceSpanTree(t *testing.T) {
 		t.Fatalf("got %d search spans, want 1", len(searches))
 	}
 	kids := snap.Children(searches[0].ID)
-	want := []string{"blocking", "accumulate", "score", "rank"}
+	want := []string{"blocking", "accumulate", "rank"}
 	if len(kids) < len(want) {
 		t.Fatalf("search span has %d children %v, want at least %v", len(kids), spanNames(kids), want)
 	}
@@ -150,9 +150,14 @@ func TestSearchTraceSpanTree(t *testing.T) {
 			t.Errorf("%s started before %s", want[i], want[i-1])
 		}
 	}
-	// The blocking and rank spans carry their workload attributes.
+	// The stage spans carry their workload attributes.
 	if !hasAttr(byName["blocking"], "memo_hits") {
 		t.Errorf("blocking span lacks memo_hits attr: %+v", byName["blocking"].Attrs)
+	}
+	for _, key := range []string{"candidates", "entries", "stopped"} {
+		if !hasAttr(byName["accumulate"], key) {
+			t.Errorf("accumulate span lacks %s attr: %+v", key, byName["accumulate"].Attrs)
+		}
 	}
 	if !hasAttr(byName["rank"], "results") {
 		t.Errorf("rank span lacks results attr: %+v", byName["rank"].Attrs)

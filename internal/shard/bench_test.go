@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"cmp"
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -56,9 +57,11 @@ func tailQueries(g *pedigree.Graph) (names, located []query.Query) {
 // off, every indexed pair in turn, each seen once before the clock starts so
 // that every lookup of S is a hit. location gives each pair a location of
 // one of its entities, which every candidate is scored against.
-// candidates/op is how many entities entered the shards' accumulators per
-// search, averaged over that first pass so that it does not depend on b.N:
-// the work the data sets, which the code does not control.
+// candidates/op is how many entities the shards' walks scored per search
+// and entries/op how many similarity-list entries they read, summed from
+// the accumulate spans of that first pass, traced, so that neither depends
+// on b.N: the work the walk's stop leaves, which the data and the answer
+// set.
 func BenchmarkSearchTail(b *testing.B) {
 	cfg := dataset.ScaleTier(4000)
 	cfg.Seed = 1
@@ -67,20 +70,32 @@ func BenchmarkSearchTail(b *testing.B) {
 	g := pedigree.Build(d, pr.Result.Store)
 	c := shard.Partition(g, shard.Options{Shards: 2, SimThreshold: 0.5})
 	names, located := tailQueries(g)
-	candidates := obs.Default.Histogram("snaps_query_candidates", "", obs.CountBuckets)
+	tracer := obs.NewTracer(1)
 	run := func(qs []query.Query) func(*testing.B) {
 		return func(b *testing.B) {
-			sum := candidates.Sum()
+			var sums [2]int64 // candidates, entries
 			for _, q := range qs {
-				c.Search(q)
+				ctx, root := tracer.StartRoot(context.Background(), "search_tail", "")
+				c.SearchContext(ctx, q)
+				root.End()
+				for _, sp := range tracer.Traces()[0].SpansNamed("accumulate") {
+					for _, a := range sp.Attrs {
+						switch a.Key {
+						case "candidates":
+							sums[0] += a.Value.(int64)
+						case "entries":
+							sums[1] += a.Value.(int64)
+						}
+					}
+				}
 			}
-			perOp := (candidates.Sum() - sum) / float64(len(qs))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.Search(qs[i%len(qs)])
 			}
-			b.ReportMetric(perOp, "candidates/op")
+			b.ReportMetric(float64(sums[0])/float64(len(qs)), "candidates/op")
+			b.ReportMetric(float64(sums[1])/float64(len(qs)), "entries/op")
 		}
 	}
 	b.Run("names", run(names))
