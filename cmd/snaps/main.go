@@ -297,7 +297,6 @@ func main() {
 		// Request tracing: every request runs under a root span; slow
 		// searches log their full span tree, and -trace-debug exposes the
 		// ring buffer of completed traces.
-		srv.Tracer().SetLogger(slog.Default())
 		srv.Tracer().SetSlowQuery(*slowQuery, "search")
 		if *traceDebug {
 			srv.EnableTraceDebug()

@@ -254,9 +254,16 @@ func Table4(w io.Writer, opt Options) {
 	} {
 		p := dataset.Generate(ds.cfg)
 		d := p.Dataset
-		ids := d.RecordIDs()
-		cands := blocking.NewLSH(blocking.DefaultLSHConfig()).Pairs(d, ids)
+		cands := blocking.NewLSH(blocking.DefaultLSHConfig()).Pairs(d, d.RecordIDs())
 		pr := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
+
+		// The unsupervised baselines do not depend on the role-pair group,
+		// and neither resolver writes the graph: each runs once, on one
+		// graph, per data set.
+		g, _ := depgraph.Build(d, depgraph.DefaultConfig(), cands)
+		attr := baseline.NewAttrSim().Match(d, cands)
+		dep := baseline.NewDepGraph().Resolve(d, g)
+		rel := baseline.NewRelCluster().Resolve(d, g)
 
 		for _, grp := range []struct {
 			name string
@@ -267,22 +274,17 @@ func Table4(w io.Writer, opt Options) {
 			{"Bp-Dp", BpDp, ds.keep},
 		} {
 			fmt.Fprintf(w, "%s (%s):\n", ds.cfg.Name, grp.name)
-			q := score(d, combinedPred(pr.Result.Store, grp.rps), grp.rps, grp.keep)
-			fmt.Fprintf(w, "  %-12s %v\n", "SNAPS", q)
-
-			attr := baseline.NewAttrSim().Match(d, cands)
-			q = score(d, attr, grp.rps, grp.keep)
-			fmt.Fprintf(w, "  %-12s %v\n", "Attr-Sim", q)
-
-			g, _ := depgraph.Build(d, depgraph.DefaultConfig(), cands)
-			store := baseline.NewDepGraph().Resolve(d, g)
-			q = score(d, combinedPred(store, grp.rps), grp.rps, grp.keep)
-			fmt.Fprintf(w, "  %-12s %v\n", "Dep-Graph", q)
-
-			g2, _ := depgraph.Build(d, depgraph.DefaultConfig(), cands)
-			store = baseline.NewRelCluster().Resolve(d, g2)
-			q = score(d, combinedPred(store, grp.rps), grp.rps, grp.keep)
-			fmt.Fprintf(w, "  %-12s %v\n", "Rel-Cluster", q)
+			for _, m := range []struct {
+				name string
+				pred map[model.PairKey]bool
+			}{
+				{"SNAPS", combinedPred(pr.Result.Store, grp.rps)},
+				{"Attr-Sim", attr},
+				{"Dep-Graph", combinedPred(dep, grp.rps)},
+				{"Rel-Cluster", combinedPred(rel, grp.rps)},
+			} {
+				fmt.Fprintf(w, "  %-12s %v\n", m.name, score(d, m.pred, grp.rps, grp.keep))
+			}
 
 			mp, ms := magellan(d, cands, grp.rps)
 			fmt.Fprintf(w, "  %-12s P=%.1f±%.1f R=%.1f±%.1f F*=%.1f±%.1f\n",
@@ -350,14 +352,14 @@ func Table5(w io.Writer, opt Options) {
 		baseline.NewAttrSim().Match(d, cands)
 		attrTime := st.Stop()
 
+		// Neither resolver writes the graph, so both run on one build.
 		g, _ := depgraph.Build(d, depgraph.DefaultConfig(), cands)
 		st = obs.StartStage("baseline_dep_graph")
 		baseline.NewDepGraph().Resolve(d, g)
 		depTime := st.Stop()
 
-		g2, _ := depgraph.Build(d, depgraph.DefaultConfig(), cands)
 		st = obs.StartStage("baseline_rel_cluster")
-		baseline.NewRelCluster().Resolve(d, g2)
+		baseline.NewRelCluster().Resolve(d, g)
 		relTime := st.Stop()
 
 		st = obs.StartStage("baseline_magellan")

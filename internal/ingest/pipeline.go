@@ -212,12 +212,11 @@ type Pipeline struct {
 
 	// build state, owned by the worker goroutine (and by flushLocked
 	// callers holding buildMu): the data set and store the next generation
-	// grows from, plus the generation counter of the last published
-	// bundle.
+	// grows from. The serving bundle is published only under buildMu, so
+	// its Generation is the counter a flush advances.
 	buildMu    sync.Mutex
 	buildD     *model.Dataset
 	buildStore *er.EntityStore
-	generation uint64
 
 	// shardGauges are the pre-created per-shard backlog series.
 	shardGauges []shardBacklogGauges
@@ -619,8 +618,9 @@ func (p *Pipeline) flushLocked() error {
 	// new), and the result cache is invalidated against gen.
 	_, isp := obs.StartSpan(ctx, "rebuild_indexes")
 	newG := pedigree.Build(newD, newStore)
-	gen := p.generation + 1
-	coord, ast := p.serving.Load().Shards.Advance(newG, gen)
+	prev := p.serving.Load()
+	gen := prev.Generation + 1
+	coord, ast := prev.Shards.Advance(newG, gen)
 	isp.SetAttr("shards", int64(ast.Touched))
 	isp.SetAttr("blocks_rebuilt", int64(ast.Rebuilt))
 	isp.End()
@@ -629,7 +629,6 @@ func (p *Pipeline) flushLocked() error {
 	_, wsp := obs.StartSpan(ctx, "snapshot_swap")
 	sv := &Serving{Dataset: newD, Store: newStore, Graph: newG, Shards: coord, Generation: gen}
 	p.buildD, p.buildStore = newD, newStore
-	p.generation = gen
 	p.serving.Store(sv)
 
 	mApplied.Add(int64(len(batch)))

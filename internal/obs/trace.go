@@ -5,9 +5,8 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"log/slog"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unicode/utf8"
 )
@@ -32,33 +31,30 @@ type Attr struct {
 	Value any    `json:"value"` // string, int64, or float64
 }
 
-// Span is one timed operation inside a trace. A span is created by
+// Span is a handle on one span of an in-flight trace. A span is created by
 // StartSpan (or Tracer.StartRoot), annotated with SetAttr, and completed
 // exactly once with End; ending the root span finalises the whole trace.
+//
+// A span is annotated and ended by the goroutine that started it; sibling
+// spans may be started from several goroutines at once, as the scatter's
+// workers each start, annotate and end their own shard_search span and
+// the engine spans under it.
 type Span struct {
-	tr     *activeTrace
-	id     uint64
-	parent uint64
-	name   string
-	start  time.Time
-
-	mu    sync.Mutex
-	attrs []Attr
-	ended bool
-	dur   time.Duration
+	tr    *activeTrace
+	i     int // index into tr.snap.Spans; the span's ID is i+1
+	start time.Time
 }
 
-// activeTrace is the shared state of one in-flight trace: every span holds
-// a pointer to it and appends itself on End.
+// activeTrace is one in-flight trace. It is its own snapshot: StartSpan
+// appends to snap.Spans under mu, so the spans lie in creation order,
+// which is start order with IDs ascending; SetAttr and End write their
+// entry in place, and ending the root hands snap itself to the ring.
 type activeTrace struct {
 	tracer *Tracer
-	id     string
-	start  time.Time
-	root   *Span
-	nextID atomic.Uint64
 
-	mu   sync.Mutex
-	done []*Span
+	mu       sync.Mutex
+	finished bool // the root has ended: later spans and writes are dropped
+	snap     TraceSnapshot
 }
 
 // spanKey carries the current span through a context.
@@ -75,75 +71,104 @@ func spanFromContext(ctx context.Context) *Span {
 // untraced. Handlers use it to echo X-Request-ID and to stamp responses.
 func TraceIDFromContext(ctx context.Context) string {
 	if s := spanFromContext(ctx); s != nil {
-		return s.tr.id
+		return s.tr.snap.TraceID
 	}
 	return ""
 }
 
 // StartSpan begins a child span of the context's current span. When the
-// context carries no trace it returns the context unchanged and a nil span
-// whose methods are no-ops, so callers never branch on tracing being
-// enabled.
+// context carries no trace, or its trace has finished, it returns the
+// context unchanged and a nil span whose methods are no-ops, so callers
+// never branch on tracing being enabled.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	parent := spanFromContext(ctx)
 	if parent == nil {
 		return ctx, nil
 	}
-	s := &Span{
-		tr:     parent.tr,
-		id:     parent.tr.nextID.Add(1),
-		parent: parent.id,
-		name:   name,
-		start:  time.Now(),
+	s := parent.tr.open(name, uint64(parent.i+1))
+	if s == nil {
+		return ctx, nil
 	}
 	return context.WithValue(ctx, spanKey{}, s), s
+}
+
+// open appends a span to the trace and returns its handle, nil once the
+// trace has finished. The ID and the start are taken under one lock, so
+// creation order is start order.
+func (t *activeTrace) open(name string, parent uint64) *Span {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.finished {
+		return nil
+	}
+	s := &Span{tr: t, i: len(t.snap.Spans), start: time.Now()}
+	if s.i == 0 {
+		t.snap.Start = s.start // the trace starts with its root
+	}
+	t.snap.Spans = append(t.snap.Spans, SpanSnapshot{
+		ID:          uint64(s.i + 1),
+		Parent:      parent,
+		Name:        name,
+		StartUs:     s.start.Sub(t.snap.Start).Microseconds(),
+		durationRaw: -1, // open
+	})
+	return s
 }
 
 // SetAttr annotates the span with an integer attribute (candidate counts,
 // batch sizes, memo hits). No-op on a nil span.
 func (s *Span) SetAttr(key string, v int64) {
-	if s == nil {
-		return
+	if s != nil {
+		s.annotate(Attr{Key: key, Value: v})
 	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: v})
-	s.mu.Unlock()
 }
 
 // SetAttrStr annotates the span with a string attribute. No-op on a nil
 // span.
 func (s *Span) SetAttrStr(key, v string) {
-	if s == nil {
-		return
+	if s != nil {
+		s.annotate(Attr{Key: key, Value: v})
 	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: v})
-	s.mu.Unlock()
 }
 
-// End completes the span, recording its duration into the trace. Ending
-// the root span finalises the trace: its snapshot enters the tracer's ring
-// buffer and, when the slow-query check fires, one structured log record
-// is emitted. End is idempotent and nil-safe.
+// annotate appends a to the span's entry; no-op once the trace has
+// finished.
+func (s *Span) annotate(a Attr) {
+	t := s.tr
+	t.mu.Lock()
+	if !t.finished {
+		sp := &t.snap.Spans[s.i]
+		sp.Attrs = append(sp.Attrs, a)
+	}
+	t.mu.Unlock()
+}
+
+// End completes the span, writing its duration into the trace. Ending the
+// root span finalises the trace: the spans still open are dropped, the
+// snapshot enters the tracer's ring buffer and, when the slow-query check
+// fires, one structured log record is emitted. End is idempotent and
+// nil-safe, and a no-op once the trace has finished.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
-		return
-	}
-	s.ended = true
-	s.dur = time.Since(s.start)
-	s.mu.Unlock()
-
+	dur := time.Since(s.start)
 	t := s.tr
 	t.mu.Lock()
-	t.done = append(t.done, s)
+	if t.finished || t.snap.Spans[s.i].durationRaw >= 0 {
+		t.mu.Unlock()
+		return
+	}
+	sp := &t.snap.Spans[s.i]
+	sp.DurationUs, sp.durationRaw = dur.Microseconds(), dur
+	t.finished = s.i == 0
+	if t.finished {
+		t.snap.DurationUs = sp.DurationUs
+		t.snap.Spans = slices.DeleteFunc(t.snap.Spans, func(sp SpanSnapshot) bool { return sp.durationRaw < 0 })
+	}
 	t.mu.Unlock()
-	if s == t.root {
-		t.tracer.finish(t)
+	if s.i == 0 {
+		t.tracer.finish(&t.snap)
 	}
 }
 
@@ -152,17 +177,18 @@ func (s *Span) End() {
 // microseconds: fine enough for sub-millisecond query stages, stable to
 // diff in tests.
 type SpanSnapshot struct {
-	ID          uint64 `json:"id"`
-	Parent      uint64 `json:"parent,omitempty"` // 0 = root (no parent)
-	Name        string `json:"name"`
-	StartUs     int64  `json:"start_us"` // offset from trace start
-	DurationUs  int64  `json:"duration_us"`
-	Attrs       []Attr `json:"attrs,omitempty"`
-	durationRaw time.Duration
+	ID          uint64        `json:"id"`
+	Parent      uint64        `json:"parent,omitempty"` // 0 = root (no parent)
+	Name        string        `json:"name"`
+	StartUs     int64         `json:"start_us"` // offset from trace start
+	DurationUs  int64         `json:"duration_us"`
+	Attrs       []Attr        `json:"attrs,omitempty"`
+	durationRaw time.Duration // < 0 while the span is open
 }
 
 // TraceSnapshot is one finished trace: the root operation plus every
-// completed span, ordered by start offset (parents before children).
+// completed span, in creation order (start order, parents before
+// children).
 type TraceSnapshot struct {
 	TraceID    string         `json:"trace_id"`
 	Name       string         `json:"name"`
@@ -290,48 +316,14 @@ func (t *Tracer) StartRoot(ctx context.Context, name, traceID string) (context.C
 	if traceID = sanitizeTraceID(traceID); traceID == "" {
 		traceID = newTraceID()
 	}
-	tr := &activeTrace{tracer: t, id: traceID, start: time.Now()}
-	root := &Span{tr: tr, id: tr.nextID.Add(1), name: name, start: tr.start}
-	tr.root = root
+	tr := &activeTrace{tracer: t, snap: TraceSnapshot{TraceID: traceID, Name: name}}
+	root := tr.open(name, 0)
 	return context.WithValue(ctx, spanKey{}, root), root
 }
 
-// finish snapshots a completed trace into the ring buffer and runs the
+// finish puts a finished trace into the ring buffer and runs the
 // slow-query check.
-func (t *Tracer) finish(tr *activeTrace) {
-	tr.mu.Lock()
-	spans := make([]SpanSnapshot, 0, len(tr.done))
-	for _, s := range tr.done {
-		s.mu.Lock()
-		snap := SpanSnapshot{
-			ID:          s.id,
-			Parent:      s.parent,
-			Name:        s.name,
-			StartUs:     s.start.Sub(tr.start).Microseconds(),
-			DurationUs:  s.dur.Microseconds(),
-			Attrs:       append([]Attr(nil), s.attrs...),
-			durationRaw: s.dur,
-		}
-		s.mu.Unlock()
-		spans = append(spans, snap)
-	}
-	tr.mu.Unlock()
-	// done holds End order (parents after children); present start order
-	// instead, root first, ties broken by creation ID.
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].StartUs != spans[j].StartUs {
-			return spans[i].StartUs < spans[j].StartUs
-		}
-		return spans[i].ID < spans[j].ID
-	})
-	snap := &TraceSnapshot{
-		TraceID:    tr.id,
-		Name:       tr.root.name,
-		Start:      tr.start,
-		DurationUs: tr.root.dur.Microseconds(),
-		Spans:      spans,
-	}
-
+func (t *Tracer) finish(snap *TraceSnapshot) {
 	t.mu.Lock()
 	t.ring[t.next] = snap
 	t.next++

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -235,4 +236,126 @@ func TestEndIsIdempotent(t *testing.T) {
 	if got := len(tr.Traces()); got != 1 {
 		t.Fatalf("double End recorded %d traces, want 1", got)
 	}
+}
+
+// TestSiblingSpansFromGoroutines starts, annotates and ends one child of a
+// shared parent per goroutine, as the scatter's workers do: the snapshot
+// holds every span, parent before children, in start order with IDs
+// ascending.
+func TestSiblingSpansFromGoroutines(t *testing.T) {
+	const workers = 8
+	tr := NewTracer(4)
+	ctx, root := tr.StartRoot(context.Background(), "op", "siblings")
+	pctx, parent := StartSpan(ctx, "scatter")
+	var wg sync.WaitGroup
+	gate := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-gate
+			cctx, child := StartSpan(pctx, "shard_search")
+			child.SetAttr("shard", int64(w))
+			_, leaf := StartSpan(cctx, "search")
+			leaf.SetAttr("shard", int64(w))
+			leaf.End()
+			child.SetAttrStr("state", "done")
+			child.End()
+		}(w)
+	}
+	close(gate)
+	wg.Wait()
+	parent.End()
+	root.End()
+
+	snap := tr.Trace("siblings")
+	if snap == nil {
+		t.Fatal("finished trace not in ring")
+	}
+	if got, want := len(snap.Spans), 2+2*workers; got != want {
+		t.Fatalf("got %d spans, want %d", got, want)
+	}
+	index := map[uint64]int{}
+	for i, s := range snap.Spans {
+		index[s.ID] = i
+		if i > 0 {
+			prev := snap.Spans[i-1]
+			if s.ID <= prev.ID || s.StartUs < prev.StartUs {
+				t.Errorf("span %d (id %d, start %dus) follows id %d at %dus", i, s.ID, s.StartUs, prev.ID, prev.StartUs)
+			}
+		}
+	}
+	for i, s := range snap.Spans[1:] {
+		if p, ok := index[s.Parent]; !ok || p > i {
+			t.Errorf("span %d %q: parent %d is not before it", i+1, s.Name, s.Parent)
+		}
+	}
+	kids := snap.Children(snap.SpansNamed("scatter")[0].ID)
+	shards := map[int64]bool{}
+	for _, k := range kids {
+		if k.Name != "shard_search" || len(k.Attrs) != 2 || k.Attrs[0].Key != "shard" || k.Attrs[1].Value != "done" {
+			t.Fatalf("scatter child %+v", k)
+		}
+		shard := k.Attrs[0].Value.(int64)
+		shards[shard] = true
+		leaves := snap.Children(k.ID)
+		if len(leaves) != 1 || leaves[0].Attrs[0].Value != shard {
+			t.Errorf("shard %d's search spans: %+v", shard, leaves)
+		}
+	}
+	if len(kids) != workers || len(shards) != workers {
+		t.Errorf("scatter has %d children over %d shards, want %d", len(kids), len(shards), workers)
+	}
+}
+
+// TestSpanAfterRootIsDropped: a span still open when the root ends, and
+// annotated and ended afterwards, is absent from the ringed snapshot and
+// leaves it unchanged; so is a span started under it afterwards.
+func TestSpanAfterRootIsDropped(t *testing.T) {
+	tr := NewTracer(4)
+	ctx, root := tr.StartRoot(context.Background(), "op", "late")
+	_, done := StartSpan(ctx, "done")
+	done.SetAttr("n", 1)
+	done.End()
+	lctx, late := StartSpan(ctx, "late")
+	late.SetAttr("before", 1)
+	root.End()
+
+	snap := tr.Trace("late")
+	before, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := spanNamesOf(snap); got != "op,done" {
+		t.Fatalf("ringed spans %s, want op,done", got)
+	}
+
+	late.SetAttr("after", 2)
+	late.SetAttrStr("after", "x")
+	_, later := StartSpan(lctx, "later")
+	later.SetAttr("k", 3)
+	later.End()
+	late.End()
+	done.SetAttr("after", 4)
+	done.End()
+	root.End()
+
+	after, err := json.Marshal(tr.Trace("late"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("late writes changed the ringed snapshot:\nbefore %s\nafter  %s", before, after)
+	}
+	if n := len(tr.Traces()); n != 1 {
+		t.Errorf("ring holds %d traces, want 1", n)
+	}
+}
+
+func spanNamesOf(snap *TraceSnapshot) string {
+	names := make([]string, len(snap.Spans))
+	for i, s := range snap.Spans {
+		names[i] = s.Name
+	}
+	return strings.Join(names, ",")
 }
