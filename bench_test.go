@@ -408,9 +408,10 @@ func BenchmarkBuildGraphStream(b *testing.B) {
 
 // BenchmarkOfflineRunWorkers runs the complete offline build — blocking,
 // dependency graph, and component-partitioned resolution — at GOMAXPROCS 1
-// and at the run's own GOMAXPROCS. The resolved clusters are identical at
-// every setting (see the golden-equivalence tests in er and blocking); the
-// gap between the two sub-benchmarks is the multi-core payoff.
+// and at the run's own GOMAXPROCS. The resolved clusters and their
+// numbering are identical at every setting (see er's
+// TestNumberingIndependentOfProcs); the gap between the two sub-benchmarks
+// is the multi-core payoff.
 func BenchmarkOfflineRunWorkers(b *testing.B) {
 	d := dataset.Generate(dataset.IOS().Scaled(0.08)).Dataset
 	for _, bench := range []struct {

@@ -28,7 +28,7 @@ func main() {
 
 	// 3. Pedigree graph and search indexes.
 	g := pedigree.Build(d, pr.Result.Store)
-	k, s := index.Build(g, 0.5)
+	k, s := index.Build(g, index.SimThreshold)
 	engine := query.NewEngine(g, k, s)
 	fmt.Printf("pedigree graph: %d entities\n", len(g.Nodes))
 

@@ -141,52 +141,54 @@ func (g *Graph) AtomicSim(n *RelationalNode, attr model.Attr) (float64, bool) {
 	return g.Atomics[idx].Sim, true
 }
 
-// CompareAttr computes the similarity of two records' values for an
-// attribute using the attribute-appropriate comparison function: Jaro-
-// Winkler for names, geodesic or bigram-Jaccard similarity for addresses,
-// token-Jaccard for occupations. It returns ok=false when either value is
-// missing (missing values are no evidence, not negative evidence).
+// CompareAttr computes the similarity of two records' own values for an
+// attribute (CompareValues on a.Sym(attr) and b.Sym(attr)). It returns
+// ok=false, as AttrComparable does, when either value is missing (missing
+// values are no evidence, not negative evidence).
 func CompareAttr(cfg Config, a, b *model.Record, attr model.Attr) (sim float64, ok bool) {
-	switch attr {
-	case model.FirstName:
-		if a.First == 0 || b.First == 0 {
-			return 0, false
-		}
-		// NameSim extends Jaro-Winkler with Monge-Elkan token matching so
-		// transposed or partially recorded double forenames still compare.
-		return simcache.NameSim(a.First, b.First), true
-	case model.Surname:
-		if a.Sur == 0 || b.Sur == 0 {
-			return 0, false
-		}
-		// Token-aware comparison also handles multi-token surnames with
-		// tussenvoegsels ("van den berg") in the BHIC data.
-		return simcache.NameSim(a.Sur, b.Sur), true
-	case model.Address:
-		if a.Addr == 0 || b.Addr == 0 {
-			return 0, false
-		}
-		if a.Lat != 0 && b.Lat != 0 {
-			// Geocoded pairs compare by coordinates — a function of the
-			// records, not of the value pair, so never memoised.
-			return strsim.GeoSim(a.Lat, a.Lon, b.Lat, b.Lon, cfg.GeoMaxKm), true
-		}
-		// String-compared (geo-less) addresses are a pure function of the
-		// value pair and ride the process-wide memo like the other
-		// attributes (this used to be the one unmemoised string path).
-		return simcache.Jaccard(a.Addr, b.Addr), true
-	case model.Occupation:
-		if a.Occ == 0 || b.Occ == 0 {
-			return 0, false
-		}
-		return simcache.TokenJaccard(a.Occ, b.Occ), true
+	x, y := a.Sym(attr), b.Sym(attr)
+	if x == 0 || y == 0 {
+		return 0, false
 	}
-	return 0, false
+	return CompareValues(cfg, a, b, attr, x, y), true
 }
 
-// AttrComparable reports whether both records carry a value for attr — the
-// ok half of CompareAttr without the similarity math. The bootstrap
-// scorer's strict category counting needs only presence.
+// CompareValues scores the value pair x, y of an attribute of records a
+// and b with the attribute-appropriate comparison function: Jaro-Winkler
+// for names, geodesic or bigram-Jaccard similarity for addresses,
+// token-Jaccard for occupations. x and y may be other values than the
+// records' own (the resolver's PROP-A propagates entity values); addresses
+// compare by coordinates only when x and y are the records' own addresses
+// and both records are geocoded. A missing value scores 0. Values are
+// symbols, so every string-pair comparison goes through the process-wide
+// memoised kernels.
+func CompareValues(cfg Config, a, b *model.Record, attr model.Attr, x, y model.Sym) float64 {
+	if x == 0 || y == 0 {
+		return 0
+	}
+	switch attr {
+	case model.FirstName, model.Surname:
+		// NameSim extends Jaro-Winkler with Monge-Elkan token matching so
+		// transposed or partially recorded double forenames, and
+		// multi-token surnames with tussenvoegsels ("van den berg") in the
+		// BHIC data, still compare.
+		return simcache.NameSim(x, y)
+	case model.Address:
+		if x == a.Addr && y == b.Addr && a.Lat != 0 && b.Lat != 0 {
+			// Geocoded pairs compare by coordinates — a function of the
+			// records, not of the value pair, so never memoised.
+			return strsim.GeoSim(a.Lat, a.Lon, b.Lat, b.Lon, cfg.GeoMaxKm)
+		}
+		return simcache.Jaccard(x, y)
+	case model.Occupation:
+		return simcache.TokenJaccard(x, y)
+	}
+	return 0
+}
+
+// AttrComparable reports whether both records carry a value for attr: the
+// ok half of CompareAttr. The bootstrap scorer's strict category counting
+// needs only presence.
 func AttrComparable(a, b *model.Record, attr model.Attr) bool {
 	return a.Sym(attr) != 0 && b.Sym(attr) != 0
 }
@@ -311,11 +313,15 @@ func BuildStream(d *model.Dataset, cfg Config, stream func(emit func(chunk []blo
 				}
 				nameSupport := false
 				for _, attr := range compareAttrs {
-					s, ok := CompareAttr(cfg, ra, rb, attr)
-					if !ok || s < cfg.AtomicThreshold {
+					x, y := ra.Sym(attr), rb.Sym(attr)
+					if x == 0 || y == 0 {
 						continue
 					}
-					if idx, ok := g.AtomicIndex[MakeAtomicKey(attr, ra.Sym(attr), rb.Sym(attr))]; ok {
+					s := CompareValues(cfg, ra, rb, attr, x, y)
+					if s < cfg.AtomicThreshold {
+						continue
+					}
+					if idx, ok := g.AtomicIndex[MakeAtomicKey(attr, x, y)]; ok {
 						atomic[attr] = idx
 					} else {
 						atomic[attr] = atomicMiss

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/snaps/snaps/internal/blocking"
 	"github.com/snaps/snaps/internal/dataset"
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/model"
@@ -66,8 +67,8 @@ func TestRunDeterministic(t *testing.T) {
 
 // TestTotalIsWallClock pins what PipelineResult.Total adds up: parts of the
 // run that do not overlap, so never more than the run took. The
-// component-partitioned resolver's phase timings are sums over components
-// resolved concurrently and carry no such bound, which is why Total counts
+// resolver's phase timings are sums over components, resolved concurrently
+// above one proc, and carry no such bound, which is why Total counts
 // Resolve and not them.
 func TestTotalIsWallClock(t *testing.T) {
 	d := dataset.Generate(dataset.IOS().Scaled(0.04)).Dataset
@@ -86,64 +87,76 @@ func TestTotalIsWallClock(t *testing.T) {
 	}
 }
 
-// TestResolveParallelGoldenEquivalence locks the component-partitioned
-// parallel resolver to the serial one: on the same data set, GOMAXPROCS 1
-// (the serial resolver) and the run's own GOMAXPROCS (plus a fixed 4 so the
-// parallel path runs even on single-CPU hosts) must produce the identical
-// cluster set. Entity enumeration order is allowed to differ — cluster
-// contents are not.
-func TestResolveParallelGoldenEquivalence(t *testing.T) {
-	cfg := dataset.IOS().Scaled(0.04)
-	p := dataset.Generate(cfg)
-	ambient := runtime.GOMAXPROCS(0)
-	run := func(workers int) (string, *Result) {
-		partest.WithProcs(t, workers)
-		d := p.Dataset.Clone()
-		pr := Run(d, depgraph.DefaultConfig(), DefaultConfig())
-		return canonicalClusters(pr.Result.Store.Clusters()), pr.Result
+// ResolveSerial is the reference Resolve is tested against: the graph run
+// builds over d under lcfg, blocking the pairs from firstNew on, resolved
+// by resolveGroups over every group on one store (prior's when given, as
+// Extend passes it), with no partition and no renumbering. Exported for
+// the er_test package.
+func ResolveSerial(d *model.Dataset, lcfg blocking.LSHConfig, prior *EntityStore, firstNew model.RecordID) *Result {
+	g, _ := depgraph.BuildStream(d, depgraph.DefaultConfig(), func(emit func([]blocking.Candidate)) {
+		blocking.NewLSH(lcfg).PairsChunkedFrom(d, d.RecordIDs(), int(firstNew), emit)
+	})
+	r := NewResolver(g, DefaultConfig())
+	if prior != nil {
+		prior.Grow()
+		r.store = prior
 	}
-	serial, sres := run(1)
-	if serial == "" {
+	groups := make([]int32, len(g.Groups))
+	for i := range groups {
+		groups[i] = int32(i)
+	}
+	res := &Result{Store: r.store}
+	r.resolveGroups(res, groups)
+	return res
+}
+
+// TestResolveParallelGoldenEquivalence locks the component-partitioned
+// resolver to the serial reference: at GOMAXPROCS 1, the run's own and 4,
+// Run must produce ResolveSerial's cluster set and merge as many nodes.
+// Entity enumeration order may differ from the reference's; cluster
+// contents may not.
+func TestResolveParallelGoldenEquivalence(t *testing.T) {
+	p := dataset.Generate(dataset.IOS().Scaled(0.04))
+	ref := ResolveSerial(p.Dataset.Clone(), blocking.DefaultLSHConfig(), nil, 0)
+	want := canonicalClusters(ref.Store.Clusters())
+	if want == "" {
 		t.Fatal("no non-singleton clusters resolved; scale too small for the guard to bite")
 	}
-	for _, w := range []int{ambient, 4} {
-		par, pres := run(w)
-		if par != serial {
-			t.Fatalf("workers=%d cluster set differs from serial\nserial:\n%s\nworkers=%d:\n%s",
-				w, head(serial, 20), w, head(par, 20))
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0), 4} {
+		partest.WithProcs(t, procs)
+		pr := Run(p.Dataset.Clone(), depgraph.DefaultConfig(), DefaultConfig())
+		if got := canonicalClusters(pr.Result.Store.Clusters()); got != want {
+			t.Fatalf("procs=%d cluster set differs from the serial reference\nreference:\n%s\nprocs=%d:\n%s",
+				procs, head(want, 20), procs, head(got, 20))
 		}
-		if w == 4 && pres.MergedNodes != sres.MergedNodes {
-			t.Fatalf("workers=4 merged %d nodes, serial merged %d", pres.MergedNodes, sres.MergedNodes)
+		if pr.Result.MergedNodes != ref.MergedNodes {
+			t.Fatalf("procs=%d merged %d nodes, the serial reference %d", procs, pr.Result.MergedNodes, ref.MergedNodes)
 		}
 	}
 }
 
 // TestExtendParallelGoldenEquivalence covers the ingest path: restoring a
-// previous clustering and extending it with new records must yield the same
-// clusters whether the resolve over the extension graph runs serially or
-// component-parallel. This exercises seeding pre-existing entities into
-// component stores.
+// previous clustering and extending it with new records must yield the
+// serial reference's clusters at GOMAXPROCS 1 and 4. This exercises
+// seeding pre-existing entities into component stores.
 func TestExtendParallelGoldenEquivalence(t *testing.T) {
-	cfg := dataset.IOS().Scaled(0.04)
-	p := dataset.Generate(cfg)
-	base := Run(p.Dataset, depgraph.DefaultConfig(), DefaultConfig())
-	clusters := base.Result.Store.Clusters()
+	p := dataset.Generate(dataset.IOS().Scaled(0.04))
+	clusters := Run(p.Dataset, depgraph.DefaultConfig(), DefaultConfig()).Result.Store.Clusters()
 
-	// Split off the final certificate's records as the "new" batch by
-	// resolving a clone and re-extending: simply re-run Extend over the
-	// full set with the restored clusters and an arbitrary cut point.
+	// Treat the last tenth of the records as the new batch: restore the
+	// clusters made only of earlier records and extend by the rest.
 	firstNew := model.RecordID(len(p.Dataset.Records) * 9 / 10)
-	run := func(workers int) string {
-		partest.WithProcs(t, workers)
+	d := p.Dataset.Clone()
+	want := canonicalClusters(ResolveSerial(d, blocking.DefaultLSHConfig(), restoreForTest(d, clusters, firstNew), firstNew).Store.Clusters())
+	for _, procs := range []int{1, 4} {
+		partest.WithProcs(t, procs)
 		d := p.Dataset.Clone()
 		st := restoreForTest(d, clusters, firstNew)
 		Extend(d, st, firstNew, depgraph.DefaultConfig(), DefaultConfig())
-		return canonicalClusters(st.Clusters())
-	}
-	serial := run(1)
-	if par := run(4); par != serial {
-		t.Fatalf("parallel Extend cluster set differs from serial\nserial:\n%s\nparallel:\n%s",
-			head(serial, 20), head(par, 20))
+		if got := canonicalClusters(st.Clusters()); got != want {
+			t.Fatalf("procs=%d Extend cluster set differs from the serial reference\nreference:\n%s\nprocs=%d:\n%s",
+				procs, head(want, 20), procs, head(got, 20))
+		}
 	}
 }
 

@@ -59,8 +59,8 @@ func NewEntityStore(d *model.Dataset) *EntityStore {
 	return &EntityStore{d: d, entityOf: eo, ver: make([]uint32, len(d.Records))}
 }
 
-// newSharedStore wraps pre-allocated record tables: component resolvers of
-// the parallel resolve share one entityOf and one ver slab (records are
+// newSharedStore wraps pre-allocated record tables: the component
+// resolvers of Resolve share one entityOf and one ver slab (records are
 // partitioned across components, so slots never contend) while keeping
 // their own entity lists.
 func newSharedStore(d *model.Dataset, entityOf []EntityID, ver []uint32) *EntityStore {
@@ -75,9 +75,9 @@ func (s *EntityStore) bumpViews(e EntityID) {
 }
 
 // seed installs an existing cluster (records plus link edges) as the next
-// entity, used when the parallel resolve hands a component's share of a
-// pre-populated store to its component resolver. The slices are owned by
-// the store afterwards.
+// entity, used when Resolve hands a component's share of a pre-populated
+// store to its component resolver. The slices are owned by the store
+// afterwards.
 func (s *EntityStore) seed(records []model.RecordID, links []linkEdge) {
 	s.adopt(records, links)
 	for _, r := range records {

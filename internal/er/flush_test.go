@@ -51,10 +51,11 @@ func TestRefineKeepsRestoredClusters(t *testing.T) {
 
 // TestChainedExtendMatchesSerial runs the flush cycle eight times at DS-3k
 // — restore the previous clusters, Extend by 16 certificates, build the
-// pedigree graph — under the serial resolver (GOMAXPROCS 1) and the
-// partitioned one, which passes untouched prior entities through. After
-// every flush both must hold the same clusters and the same pedigree nodes;
-// only the enumeration order may differ.
+// pedigree graph — through the serial reference (er.ResolveSerial) and
+// through Extend at GOMAXPROCS 1 and 4, whose partitioned resolver passes
+// untouched prior entities through. After every flush all must hold the
+// same clusters and the same pedigree nodes; only the enumeration order
+// may differ from the reference's.
 func TestChainedExtendMatchesSerial(t *testing.T) {
 	base, clusters := servedTier(3000)
 	holdout := holdoutTier()
@@ -62,8 +63,11 @@ func TestChainedExtendMatchesSerial(t *testing.T) {
 	if len(holdout.Certificates) < flushes*perFlush {
 		t.Fatalf("hold-out tier has %d certificates, want %d", len(holdout.Certificates), flushes*perFlush)
 	}
+	// procs 0 is the serial reference.
 	chain := func(procs int) (clusterSets, nodeSets []string) {
-		partest.WithProcs(t, procs)
+		if procs > 0 {
+			partest.WithProcs(t, procs)
+		}
 		d, prev := base, clusters
 		for f := 0; f < flushes; f++ {
 			d = d.Clone()
@@ -72,7 +76,9 @@ func TestChainedExtendMatchesSerial(t *testing.T) {
 				appendCert(d, holdout, &holdout.Certificates[i])
 			}
 			st := (&store.Snapshot{Dataset: d, Clusters: prev}).Restore()
-			if pr := er.Extend(d, st, firstNew, depgraph.DefaultConfig(), er.DefaultConfig()); pr.Candidates == 0 {
+			if procs == 0 {
+				er.ResolveSerial(d, blocking.DefaultLSHConfig(), st, firstNew)
+			} else if pr := er.Extend(d, st, firstNew, depgraph.DefaultConfig(), er.DefaultConfig()); pr.Candidates == 0 {
 				t.Fatalf("procs=%d flush %d: no candidate touches the batch", procs, f)
 			}
 			prev = st.Clusters()
@@ -85,14 +91,16 @@ func TestChainedExtendMatchesSerial(t *testing.T) {
 		}
 		return clusterSets, nodeSets
 	}
-	wantClusters, wantNodes := chain(1)
-	gotClusters, gotNodes := chain(4)
-	for f := range wantClusters {
-		if gotClusters[f] != wantClusters[f] {
-			t.Fatalf("flush %d: partitioned clusters differ from the serial resolver's", f)
-		}
-		if gotNodes[f] != wantNodes[f] {
-			t.Fatalf("flush %d: partitioned pedigree nodes differ from the serial resolver's", f)
+	wantClusters, wantNodes := chain(0)
+	for _, procs := range []int{1, 4} {
+		gotClusters, gotNodes := chain(procs)
+		for f := range wantClusters {
+			if gotClusters[f] != wantClusters[f] {
+				t.Fatalf("procs=%d flush %d: clusters differ from the serial reference's", procs, f)
+			}
+			if gotNodes[f] != wantNodes[f] {
+				t.Fatalf("procs=%d flush %d: pedigree nodes differ from the serial reference's", procs, f)
+			}
 		}
 	}
 }

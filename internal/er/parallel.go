@@ -123,20 +123,21 @@ func (r *Resolver) partition() []component {
 	return comps
 }
 
-// resolveParallel partitions the dependency graph into connected components
-// and resolves them concurrently, then merges the per-component stores back
-// into the resolver's store in component order. It returns nil when the
-// graph has fewer than two components, signalling Resolve to run serially.
+// Resolve runs bootstrapping, merging, and refinement, and returns the
+// resulting clusters. The dependency graph is partitioned into connected
+// components (see partition); each component is resolved on a store of its
+// own, concurrently across GOMAXPROCS goroutines and inline at one, and
+// its entities are then numbered into the resolver's store in component
+// order. Groups in different components share no records, so their merge
+// decisions are independent, and neither the clusters nor their numbering
+// depend on GOMAXPROCS or on scheduling.
 //
 // Component resolvers share the parent's read-only state (graph, data set,
 // validator, name frequencies) and, because components partition both the
-// records and the relational nodes, can also share the entityOf/ver record
-// slabs and the similarity/value cache slabs without synchronisation.
-func (r *Resolver) resolveParallel() *Result {
+// records and the relational nodes, also the entityOf/ver record slabs and
+// the similarity/value cache slabs, without synchronisation.
+func (r *Resolver) Resolve() *Result {
 	comps := r.partition()
-	if len(comps) < 2 {
-		return nil
-	}
 	st := obs.StartStage("resolve.components")
 
 	// Hand each component with a node group its share of the pre-populated
@@ -188,9 +189,8 @@ func (r *Resolver) resolveParallel() *Result {
 		}
 	})
 
-	// Merge: renumber every component's live entities into the parent store
-	// in component order. Cluster contents are exactly what the serial
-	// resolver produces; only the entity enumeration order differs.
+	// Renumber every component's live entities into the parent store in
+	// component order.
 	out := &Result{Store: r.store}
 	prior := r.store.entities
 	r.store.entities = make([]entity, 0, len(prior))
@@ -204,8 +204,6 @@ func (r *Resolver) resolveParallel() *Result {
 		out.MergedNodes += res.MergedNodes
 		out.RefineRemoved += res.RefineRemoved
 		out.RefineSplits += res.RefineSplits
-		// Phase timings sum CPU time across components, the parallel
-		// analogue of the serial wall-clock columns.
 		out.Timings.Bootstrap += res.Timings.Bootstrap
 		out.Timings.Merge += res.Timings.Merge
 		out.Timings.Refine += res.Timings.Refine

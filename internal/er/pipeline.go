@@ -17,10 +17,10 @@ import (
 //
 // Blocking, GenAtomic, GenRelational and Resolve are wall-clock times of
 // parts of the run that do not overlap. Result.Timings splits the
-// resolution into bootstrap, merge and refine, and is wall clock only at
-// GOMAXPROCS 1: the component-partitioned resolver sums each phase over
-// the components it resolved concurrently, so with more processors its
-// three fields are CPU time and may add up to more than Resolve.
+// resolution into bootstrap, merge and refine, each summed over the
+// components Resolve resolves: wall clock when they run one after another
+// (GOMAXPROCS 1), CPU time that may add up to more than Resolve when they
+// run concurrently.
 type PipelineResult struct {
 	Graph  *depgraph.Graph
 	Result *Result

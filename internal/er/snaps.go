@@ -3,16 +3,12 @@ package er
 import (
 	"container/heap"
 	"math"
-	"runtime"
 	"sort"
 	"time"
 
 	"github.com/snaps/snaps/internal/constraint"
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/model"
-	"github.com/snaps/snaps/internal/obs"
-	"github.com/snaps/snaps/internal/simcache"
-	"github.com/snaps/snaps/internal/strsim"
 	"github.com/snaps/snaps/internal/symbol"
 )
 
@@ -75,10 +71,11 @@ func DefaultConfig() Config {
 }
 
 // Timings reports the duration of each resolution phase, matching the
-// columns of Tables 5 and 6: wall clock from the serial resolver, and from
-// the component-partitioned one (GOMAXPROCS > 1) the sum over components
-// resolved concurrently, that is CPU time. PipelineResult.Resolve is the
-// wall clock of the whole resolution at any setting.
+// columns of Tables 5 and 6, summed over the components Resolve resolves:
+// wall clock when they run one after another (GOMAXPROCS 1), and CPU time,
+// which may add up to more than the resolution took, when they run
+// concurrently. PipelineResult.Resolve is the wall clock of the whole
+// resolution.
 type Timings struct {
 	Bootstrap time.Duration
 	Merge     time.Duration
@@ -174,36 +171,10 @@ func nameCombo(rec *model.Record) nameComboKey {
 	return nameComboKey{rec.First, rec.Sur, rec.Addr}
 }
 
-// Resolve runs bootstrapping, merging, and refinement, and returns the
-// resulting clusters. With more than one processor the dependency graph is
-// partitioned into connected components and resolved concurrently (see
-// resolveParallel); at GOMAXPROCS 1 the serial process runs, which is also
-// the reference the partitioned one is tested against. Groups in different
-// components share no records, so their merge decisions are independent
-// and both produce the same clusters (entity enumeration order differs;
-// cluster contents do not).
-func (r *Resolver) Resolve() *Result {
-	if runtime.GOMAXPROCS(0) > 1 {
-		if res := r.resolveParallel(); res != nil {
-			return res
-		}
-	}
-	res := &Result{Store: r.store}
-	groups := make([]int32, len(r.g.Groups))
-	for i := range groups {
-		groups[i] = int32(i)
-	}
-	r.resolveGroups(res, groups)
-	obs.ObserveStage("bootstrap", res.Timings.Bootstrap)
-	obs.ObserveStage("merge", res.Timings.Merge)
-	obs.ObserveStage("refine", res.Timings.Refine)
-	return res
-}
-
 // resolveGroups runs the full bootstrap → refine → (merge+refine)×passes
 // schedule restricted to the given node groups (indices into g.Groups,
-// ascending), accumulating timings and counters into res. The serial
-// resolver passes every group; component resolvers pass their partition.
+// ascending) on r's store, accumulating timings and counters into res.
+// Resolve runs it once per component, on the component's groups.
 func (r *Resolver) resolveGroups(res *Result, groups []int32) {
 	t0 := time.Now()
 	r.bootstrap(res, groups)
@@ -601,7 +572,7 @@ func (r *Resolver) mustOK(n *depgraph.RelationalNode) bool {
 	}
 	for _, x := range r.entityValues(n.A, model.FirstName) {
 		for _, y := range r.entityValues(n.B, model.FirstName) {
-			if compareValues(r.g.Config, ra, rb, model.FirstName, x, y) >= r.g.Config.AtomicThreshold {
+			if depgraph.CompareValues(r.g.Config, ra, rb, model.FirstName, x, y) >= r.g.Config.AtomicThreshold {
 				return true
 			}
 		}
@@ -649,7 +620,7 @@ func (r *Resolver) propagatedSim(n *depgraph.RelationalNode) float64 {
 		best := 0.0
 		for _, x := range va {
 			for _, y := range vb {
-				s := compareValues(r.g.Config, ra, rb, attr, x, y)
+				s := depgraph.CompareValues(r.g.Config, ra, rb, attr, x, y)
 				if s > best {
 					best = s
 				}
@@ -729,28 +700,4 @@ func (r *Resolver) entityValuesUncached(id model.RecordID, attr model.Attr) []mo
 		out = append(out, own)
 	}
 	return out
-}
-
-// compareValues scores a propagated value pair with the attribute's
-// comparison function, mirroring depgraph.CompareAttr on records carrying
-// the substituted values x and y. Geocoded comparison only applies to the
-// records' own addresses, so propagated address values fall back to bigram
-// Jaccard. Values are symbols, so every string-pair comparison goes
-// through the process-wide memoised kernels.
-func compareValues(cfg depgraph.Config, ra, rb *model.Record, attr model.Attr, x, y model.Sym) float64 {
-	if x == 0 || y == 0 {
-		return 0
-	}
-	switch attr {
-	case model.FirstName, model.Surname:
-		return simcache.NameSim(x, y)
-	case model.Address:
-		if x == ra.Addr && y == rb.Addr && ra.Lat != 0 && rb.Lat != 0 {
-			return strsim.GeoSim(ra.Lat, ra.Lon, rb.Lat, rb.Lon, cfg.GeoMaxKm)
-		}
-		return simcache.Jaccard(x, y)
-	case model.Occupation:
-		return simcache.TokenJaccard(x, y)
-	}
-	return 0
 }

@@ -416,7 +416,7 @@ func Table7(w io.Writer, opt Options) {
 	p := dataset.Generate(dataset.IOS().Scaled(opt.Scale))
 	pr := er.Run(p.Dataset, depgraph.DefaultConfig(), er.DefaultConfig())
 	g := pedigree.Build(p.Dataset, pr.Result.Store)
-	k, s := index.Build(g, 0.5)
+	k, s := index.Build(g, index.SimThreshold)
 	engine := query.NewEngine(g, k, s)
 
 	var queryTimes, pedTimes []time.Duration

@@ -457,8 +457,13 @@ func eachIndexedValue(n *pedigree.Node, add func(Field, string, pedigree.NodeID)
 	}
 }
 
+// SimThreshold is the paper's similarity-list threshold s_t: a value's
+// list S keeps the values at least this similar to it. Every serving
+// index is built with it.
+const SimThreshold = 0.5
+
 // Build constructs both indexes from a pedigree graph. simThreshold is s_t
-// (paper: 0.5). Precomputation covers first names and surnames (the
+// (paper: SimThreshold). Precomputation covers first names and surnames (the
 // mandatory query fields) and runs across GOMAXPROCS workers with
 // deterministic output; locations are extended lazily at query time.
 func Build(g *pedigree.Graph, simThreshold float64) (*Keyword, *Similarity) {

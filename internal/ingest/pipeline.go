@@ -12,6 +12,7 @@ import (
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/er"
 	"github.com/snaps/snaps/internal/geo"
+	"github.com/snaps/snaps/internal/index"
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/pedigree"
@@ -72,7 +73,7 @@ func NewServing(d *model.Dataset, st *er.EntityStore, shards int, cfg Config) *S
 	return &Serving{Dataset: d, Store: st, Graph: g,
 		Shards: shard.Partition(g, shard.Options{
 			Shards:       shards,
-			SimThreshold: cfg.SimThreshold,
+			SimThreshold: index.SimThreshold,
 			CacheEntries: cfg.QueryCache,
 			StaleServe:   cfg.StaleServe,
 		})}
@@ -86,10 +87,6 @@ type Config struct {
 	// MaxAge flushes a non-empty batch once its oldest certificate has
 	// waited this long (default 2s).
 	MaxAge time.Duration
-	// SimThreshold is the similarity-index threshold s_t of the bundle
-	// NewServing builds (default 0.5); flushes keep the threshold of the
-	// coordinator they advance.
-	SimThreshold float64
 	// QueryCache is the capacity, in merged rankings, of the
 	// generation-keyed result cache NewServing gives the coordinator; 0
 	// disables caching.
@@ -119,12 +116,11 @@ const DefaultQueryCache = 4096
 // DefaultConfig returns the production defaults.
 func DefaultConfig() Config {
 	return Config{
-		BatchSize:    16,
-		MaxAge:       2 * time.Second,
-		SimThreshold: 0.5,
-		StaleServe:   true,
-		Graph:        depgraph.DefaultConfig(),
-		Resolver:     er.DefaultConfig(),
+		BatchSize:  16,
+		MaxAge:     2 * time.Second,
+		StaleServe: true,
+		Graph:      depgraph.DefaultConfig(),
+		Resolver:   er.DefaultConfig(),
 	}
 }
 
@@ -135,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxAge <= 0 {
 		c.MaxAge = d.MaxAge
-	}
-	if c.SimThreshold <= 0 {
-		c.SimThreshold = d.SimThreshold
 	}
 	return c
 }
@@ -210,13 +203,11 @@ type Pipeline struct {
 	lastErr      string
 	swapFns      []func(*Serving)
 
-	// build state, owned by the worker goroutine (and by flushLocked
-	// callers holding buildMu): the data set and store the next generation
-	// grows from. The serving bundle is published only under buildMu, so
-	// its Generation is the counter a flush advances.
-	buildMu    sync.Mutex
-	buildD     *model.Dataset
-	buildStore *er.EntityStore
+	// buildMu serialises flushes: the serving bundle is published only
+	// under it, so the published bundle's data set and store are the ones
+	// the next generation grows from, and its Generation is the counter a
+	// flush advances.
+	buildMu sync.Mutex
 
 	// shardGauges are the pre-created per-shard backlog series.
 	shardGauges []shardBacklogGauges
@@ -292,8 +283,6 @@ func NewPipeline(sv *Serving, jr *Journal, backlog []Certificate, cfg Config) (*
 	p := &Pipeline{
 		cfg:          cfg.withDefaults(),
 		journal:      jr,
-		buildD:       sv.Dataset,
-		buildStore:   sv.Store,
 		shardPending: make([]shardPending, n),
 		shardGauges:  make([]shardBacklogGauges, n),
 		kick:         make(chan struct{}, 1),
@@ -575,8 +564,9 @@ func (p *Pipeline) flushLocked() error {
 		stageT = now
 	}
 
+	prev := p.serving.Load()
 	_, asp := obs.StartSpan(ctx, "apply_batch")
-	newD := p.buildD.Clone()
+	newD := prev.Dataset.Clone()
 	firstNew := model.RecordID(len(newD.Records))
 	for i := range batch {
 		if _, err := Apply(newD, &batch[i]); err != nil {
@@ -600,7 +590,7 @@ func (p *Pipeline) flushLocked() error {
 	// (the persistence semantics of internal/store), then fold the new
 	// records in incrementally.
 	_, csp := obs.StartSpan(ctx, "restore_clusters")
-	snap := store.Snapshot{Dataset: newD, Clusters: p.buildStore.Clusters()}
+	snap := store.Snapshot{Dataset: newD, Clusters: prev.Store.Clusters()}
 	newStore := snap.Restore()
 	csp.End()
 	stageDone("restore_clusters")
@@ -618,7 +608,6 @@ func (p *Pipeline) flushLocked() error {
 	// new), and the result cache is invalidated against gen.
 	_, isp := obs.StartSpan(ctx, "rebuild_indexes")
 	newG := pedigree.Build(newD, newStore)
-	prev := p.serving.Load()
 	gen := prev.Generation + 1
 	coord, ast := prev.Shards.Advance(newG, gen)
 	isp.SetAttr("shards", int64(ast.Touched))
@@ -628,7 +617,6 @@ func (p *Pipeline) flushLocked() error {
 
 	_, wsp := obs.StartSpan(ctx, "snapshot_swap")
 	sv := &Serving{Dataset: newD, Store: newStore, Graph: newG, Shards: coord, Generation: gen}
-	p.buildD, p.buildStore = newD, newStore
 	p.serving.Store(sv)
 
 	mApplied.Add(int64(len(batch)))

@@ -79,7 +79,8 @@ type Shard struct {
 type Options struct {
 	// Shards is the partition count; values below 1 mean 1.
 	Shards int
-	// SimThreshold is the similarity-index threshold s_t (paper: 0.5).
+	// SimThreshold is the similarity-index threshold s_t (the paper's is
+	// index.SimThreshold).
 	SimThreshold float64
 	// CacheEntries is the capacity of the coordinator's result cache, in
 	// merged rankings; 0 disables caching.
