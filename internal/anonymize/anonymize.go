@@ -142,12 +142,8 @@ func buildNameMapping(d *model.Dataset, cfg Config) map[string]string {
 	surFreq := map[string]int{}
 	for i := range d.Records {
 		rec := &d.Records[i]
-		g := rec.Gender
-		if g == model.GenderUnknown {
-			g = model.RoleGender(rec.Role)
-		}
 		if rec.First != 0 {
-			switch g {
+			switch rec.EffectiveGender() {
 			case model.Female:
 				femFreq[rec.FirstName()]++
 			case model.Male:

@@ -17,8 +17,9 @@
 package baseline
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/snaps/snaps/internal/blocking"
 	"github.com/snaps/snaps/internal/constraint"
@@ -102,82 +103,36 @@ func NewDepGraph() *DepGraph {
 	return &DepGraph{Threshold: 0.85, Config: depgraph.DefaultConfig(), Iterations: 3}
 }
 
-// Resolve runs the baseline and returns the resulting entity store.
+// Resolve runs the baseline and returns the resulting entity store. Every
+// node not yet linked is eligible in every round.
 func (m *DepGraph) Resolve(d *model.Dataset, g *depgraph.Graph) *er.EntityStore {
 	store := er.NewEntityStore(d)
-	val := constraint.NewValidator(d)
-
-	type scored struct {
-		id  depgraph.NodeID
-		sim float64
-	}
-	merged := make([]bool, len(g.Nodes))
-	for iter := 0; iter < m.Iterations; iter++ {
-		var queue []scored
-		for i := range g.Nodes {
-			if merged[i] {
-				continue
-			}
-			n := &g.Nodes[i]
-			sim := m.nodeSim(d, g, store, n)
-			if sim >= m.Threshold {
-				queue = append(queue, scored{id: n.ID, sim: sim})
-			}
-		}
-		if len(queue) == 0 {
-			break
-		}
-		sort.Slice(queue, func(i, j int) bool {
-			if queue[i].sim != queue[j].sim {
-				return queue[i].sim > queue[j].sim
-			}
-			return queue[i].id < queue[j].id
-		})
-		progress := false
-		for _, s := range queue {
-			n := g.Node(s.id)
-			if !val.PairOK(n.A, n.B) {
-				continue
-			}
-			if !val.MergeOK(store.View(n.A), store.View(n.B)) {
-				continue
-			}
-			store.Link(n.A, n.B)
-			merged[s.id] = true
-			progress = true
-		}
-		if !progress {
-			break
-		}
-	}
+	greedyMerge(d, g, store, m.Iterations, m.Threshold, nil, func(n *depgraph.RelationalNode) float64 {
+		return m.nodeSim(d, store, n)
+	})
 	return store
 }
 
 // nodeSim scores a node with strict category accounting (all present
 // attributes count) plus value propagation through current entities, which
-// is the Dong et al. contribution.
-func (m *DepGraph) nodeSim(d *model.Dataset, g *depgraph.Graph, store *er.EntityStore, n *depgraph.RelationalNode) float64 {
+// is the Dong et al. contribution: an attribute scores the best pair of
+// values across the two records' entities, compared as SNAPS compares
+// them (depgraph.CompareValues).
+func (m *DepGraph) nodeSim(d *model.Dataset, store *er.EntityStore, n *depgraph.RelationalNode) float64 {
 	ra, rb := d.Record(n.A), d.Record(n.B)
-	weights := map[model.AttrCategory]float64{model.Must: 0.5, model.Core: 0.3, model.Extra: 0.2}
+	weights := [...]float64{model.Must: 0.5, model.Core: 0.3, model.Extra: 0.2}
 	var sums, counts [3]float64
-	for _, attr := range []model.Attr{model.FirstName, model.Surname, model.Address, model.Occupation} {
-		if _, present := depgraph.CompareAttr(m.Config, ra, rb, attr); !present {
+	for _, attr := range [...]model.Attr{model.FirstName, model.Surname, model.Address, model.Occupation} {
+		if !depgraph.AttrComparable(ra, rb, attr) {
 			continue
 		}
 		cat := model.CategoryOf(attr)
 		counts[cat]++
 		best := 0.0
-		for va := range valuesOr(store, n.A, attr, d) {
-			for vb := range valuesOr(store, n.B, attr, d) {
-				ta, tb := *ra, *rb
-				setValue(&ta, attr, va)
-				setValue(&tb, attr, vb)
-				if attr == model.Address {
-					ta.Lat, tb.Lat = 0, 0 // propagated values lose geocoding
-				}
-				if s, ok := depgraph.CompareAttr(m.Config, &ta, &tb, attr); ok && s > best {
-					best = s
-				}
+		valsB := store.ValueSyms(n.B, attr)
+		for va := range store.ValueSyms(n.A, attr) {
+			for vb := range valsB {
+				best = max(best, depgraph.CompareValues(m.Config, ra, rb, attr, va, vb))
 			}
 		}
 		if best >= m.Config.AtomicThreshold {
@@ -198,26 +153,50 @@ func (m *DepGraph) nodeSim(d *model.Dataset, g *depgraph.Graph, store *er.Entity
 	return num / den
 }
 
-func valuesOr(store *er.EntityStore, id model.RecordID, attr model.Attr, d *model.Dataset) map[string]int {
-	vals := store.Values(id, attr)
-	if len(vals) == 0 {
-		if v := d.Record(id).Value(attr); v != "" {
-			return map[string]int{v: 1}
-		}
+// greedyMerge is the merge pass Dep-Graph and Rel-Cluster share. Each of
+// at most rounds rounds scores the nodes not yet linked that eligible
+// admits (all of them when eligible is nil), keeps those scoring at or
+// above threshold, and links them in descending score, then node id,
+// wherever the constraints allow the pair and the merge of the two
+// entities. It stops at a round that links nothing.
+func greedyMerge(d *model.Dataset, g *depgraph.Graph, store *er.EntityStore, rounds int, threshold float64,
+	eligible func(*depgraph.RelationalNode) bool, score func(*depgraph.RelationalNode) float64) {
+	val := constraint.NewValidator(d)
+	type scored struct {
+		id  depgraph.NodeID
+		sim float64
 	}
-	return vals
-}
-
-func setValue(r *model.Record, attr model.Attr, v string) {
-	switch attr {
-	case model.FirstName:
-		r.First = model.Intern(v)
-	case model.Surname:
-		r.Sur = model.Intern(v)
-	case model.Address:
-		r.Addr = model.Intern(v)
-	case model.Occupation:
-		r.Occ = model.Intern(v)
+	var queue []scored
+	linked := make([]bool, len(g.Nodes))
+	for round := 0; round < rounds; round++ {
+		queue = queue[:0]
+		for i := range g.Nodes {
+			n := &g.Nodes[i]
+			if linked[n.ID] || eligible != nil && !eligible(n) {
+				continue
+			}
+			if sim := score(n); sim >= threshold {
+				queue = append(queue, scored{id: n.ID, sim: sim})
+			}
+		}
+		slices.SortFunc(queue, func(a, b scored) int {
+			if c := cmp.Compare(b.sim, a.sim); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.id, b.id)
+		})
+		progress := false
+		for _, q := range queue {
+			n := g.Node(q.id)
+			if val.PairOK(n.A, n.B) && val.MergeOK(store.View(n.A), store.View(n.B)) {
+				store.Link(n.A, n.B)
+				linked[q.id] = true
+				progress = true
+			}
+		}
+		if !progress {
+			return
+		}
 	}
 }
 
@@ -241,20 +220,21 @@ func NewRelCluster() *RelCluster {
 	return &RelCluster{Threshold: 0.70, Alpha: 0.25, Config: depgraph.DefaultConfig(), MaxRounds: 6}
 }
 
-// Resolve runs the clustering and returns the entity store.
+// Resolve runs the clustering and returns the entity store. A node is
+// eligible while its two records are in different entities.
 func (m *RelCluster) Resolve(d *model.Dataset, g *depgraph.Graph) *er.EntityStore {
 	store := er.NewEntityStore(d)
-	val := constraint.NewValidator(d)
 
 	// Ambiguity weights per record: inverse document frequency of the name
 	// combination (Bhattacharya & Getoor's ambiguity of attribute values).
-	freq := map[string]int{}
+	type name struct{ first, sur model.Sym }
+	freq := map[name]int{}
 	for i := range d.Records {
-		freq[d.Records[i].FirstName()+"|"+d.Records[i].Surname()]++
+		freq[name{d.Records[i].First, d.Records[i].Sur}]++
 	}
 	o := float64(len(d.Records))
 	amb := func(r *model.Record) float64 {
-		f := float64(freq[r.FirstName()+"|"+r.Surname()])
+		f := float64(freq[name{r.First, r.Sur}])
 		if f <= 0 || o < 2 {
 			return 0
 		}
@@ -304,47 +284,10 @@ func (m *RelCluster) Resolve(d *model.Dataset, g *depgraph.Graph) *er.EntityStor
 		}
 		return (1-m.Alpha)*attr + m.Alpha*rel
 	}
-
-	for round := 0; round < m.MaxRounds; round++ {
-		type scored struct {
-			id depgraph.NodeID
-			s  float64
-		}
-		var queue []scored
-		for i := range g.Nodes {
-			n := &g.Nodes[i]
-			ea, eb := store.EntityOf(n.A), store.EntityOf(n.B)
-			if ea != er.NoEntity && ea == eb {
-				continue
-			}
-			if s := sim(n); s >= m.Threshold {
-				queue = append(queue, scored{id: n.ID, s: s})
-			}
-		}
-		if len(queue) == 0 {
-			break
-		}
-		sort.Slice(queue, func(i, j int) bool {
-			if queue[i].s != queue[j].s {
-				return queue[i].s > queue[j].s
-			}
-			return queue[i].id < queue[j].id
-		})
-		progress := false
-		for _, q := range queue {
-			n := g.Node(q.id)
-			if !val.PairOK(n.A, n.B) {
-				continue
-			}
-			if !val.MergeOK(store.View(n.A), store.View(n.B)) {
-				continue
-			}
-			store.Link(n.A, n.B)
-			progress = true
-		}
-		if !progress {
-			break
-		}
+	apart := func(n *depgraph.RelationalNode) bool {
+		ea := store.EntityOf(n.A)
+		return ea == er.NoEntity || ea != store.EntityOf(n.B)
 	}
+	greedyMerge(d, g, store, m.MaxRounds, m.Threshold, apart, sim)
 	return store
 }

@@ -1,6 +1,11 @@
 package baseline
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/snaps/snaps/internal/blocking"
@@ -138,5 +143,106 @@ func TestDepGraphDeterministic(t *testing.T) {
 	m1, m2 := s1.MatchPairs(rp), s2.MatchPairs(rp)
 	if len(m1) != len(m2) {
 		t.Fatalf("non-deterministic: %d vs %d pairs", len(m1), len(m2))
+	}
+}
+
+// clusterHash fingerprints a clustering independently of entity and record
+// order: sorted record ids per cluster, clusters sorted, singletons left out.
+func clusterHash(s *er.EntityStore) string {
+	var parts []string
+	for _, c := range s.Clusters() {
+		if len(c) < 2 {
+			continue
+		}
+		ids := append([]model.RecordID(nil), c...)
+		slices.Sort(ids)
+		parts = append(parts, fmt.Sprint(ids))
+	}
+	slices.Sort(parts)
+	sum := sha256.Sum256([]byte(strings.Join(parts, "\n")))
+	return hex.EncodeToString(sum[:8])
+}
+
+// pairHash fingerprints a matched pair set independently of map order.
+func pairHash(pred map[model.PairKey]bool) string {
+	keys := make([]model.PairKey, 0, len(pred))
+	for k := range pred {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	sum := sha256.Sum256([]byte(fmt.Sprint(keys)))
+	return hex.EncodeToString(sum[:8])
+}
+
+// TestBaselineGoldens pins what each unsupervised baseline outputs on IOS
+// and KIL: the Dep-Graph and Rel-Cluster cluster sets and the Attr-Sim
+// pair set. The graph is the one the SNAPS pipeline built and resolved,
+// as in the experiments' Tables 4 and 5.
+func TestBaselineGoldens(t *testing.T) {
+	for _, c := range []struct {
+		cfg            dataset.Config
+		attr, dep, rel string
+	}{
+		{dataset.IOS().Scaled(0.08), "abe2ba7876308e7d", "109ec32d7e0d9f93", "f6823fd5bfd5d917"},
+		{dataset.KIL().Scaled(0.08), "e9aa7ddeffa293fd", "be1dbbeda71c5589", "840102a8a22d8efd"},
+	} {
+		d := dataset.Generate(c.cfg).Dataset
+		cands := blocking.NewLSH(blocking.DefaultLSHConfig()).Pairs(d, d.RecordIDs())
+		g := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig()).Graph
+		for _, got := range []struct{ name, hash, want string }{
+			{"Attr-Sim", pairHash(NewAttrSim().Match(d, cands)), c.attr},
+			{"Dep-Graph", clusterHash(NewDepGraph().Resolve(d, g)), c.dep},
+			{"Rel-Cluster", clusterHash(NewRelCluster().Resolve(d, g)), c.rel},
+		} {
+			if got.hash != got.want {
+				t.Errorf("%s %s: hash %s, want %s", c.cfg.Name, got.name, got.hash, got.want)
+			}
+		}
+	}
+}
+
+// TestDepGraphAddressComparison pins how Dep-Graph scores addresses: a pair
+// of the records' own, geocoded addresses compares by distance, and a value
+// propagated from a record's entity compares by bigrams, whatever the
+// coordinates of the two records.
+func TestDepGraphAddressComparison(t *testing.T) {
+	d := &model.Dataset{Name: "addr"}
+	add := func(addr string, lat, lon float64) model.RecordID {
+		id := model.RecordID(len(d.Records))
+		d.Records = append(d.Records, model.Record{
+			ID: id, Cert: model.CertID(id), Role: model.Bm, Gender: model.Female, Year: 1870,
+			First: model.Intern("kirsty"), Sur: model.Intern("macrae"), Addr: model.Intern(addr),
+			Lat: lat, Lon: lon, Truth: model.NoPerson,
+		})
+		return id
+	}
+	// Two spellings of one house, geocoded a few metres apart.
+	a := add("5 portree", 57.4125, -6.1964)
+	b := add("five portree rd", 57.4126, -6.1965)
+	// The same spellings without coordinates.
+	ua := add("5 portree", 0, 0)
+	ub := add("five portree rd", 0, 0)
+	// Records geocoded 25 km apart; far's entity also holds a record that
+	// spells near's address the same way.
+	near := add("12 uig", 57.4125, -6.1964)
+	far := add("kilmore", 57.24, -5.90)
+	spelled := add("12 uig", 0, 0)
+
+	m := NewDepGraph()
+	store := er.NewEntityStore(d)
+	score := func(x, y model.RecordID) float64 {
+		return m.nodeSim(d, store, &depgraph.RelationalNode{A: x, B: y})
+	}
+	if s, _ := depgraph.CompareAttr(m.Config, d.Record(ua), d.Record(ub), model.Address); s >= m.Config.AtomicThreshold {
+		t.Fatal("fixture: the two spellings must differ by bigrams")
+	}
+	geocoded, plain := score(a, b), score(ua, ub)
+	if geocoded <= plain {
+		t.Errorf("own geocoded addresses scored %v, no more than the same spellings without coordinates (%v): they should compare by distance", geocoded, plain)
+	}
+	apart := score(near, far)
+	store.Link(far, spelled)
+	if propagated := score(near, far); propagated <= apart {
+		t.Errorf("propagated address spelled as the record's own scored %v, no more than the pair 25 km apart (%v): it should compare by bigrams", propagated, apart)
 	}
 }

@@ -514,7 +514,7 @@ func (e *emitter) emitSpan(sp span, out []Candidate) []Candidate {
 				}
 				idq := e.ids[q]
 				rq := e.d.Record(idq)
-				if !GenderCompatible(rp, rq) {
+				if !model.GenderCompatible(rp, rq) {
 					continue
 				}
 				if rp.Cert == rq.Cert {
@@ -548,21 +548,4 @@ func (e *emitter) sharedBlock(p, q int32, m uint64) bool {
 		}
 	}
 	return false
-}
-
-// GenderCompatible reports whether two records could refer to the same
-// person as far as recorded or role-implied gender goes.
-func GenderCompatible(a, b *model.Record) bool {
-	ga, gb := effectiveGender(a), effectiveGender(b)
-	if ga == model.GenderUnknown || gb == model.GenderUnknown {
-		return true
-	}
-	return ga == gb
-}
-
-func effectiveGender(r *model.Record) model.Gender {
-	if r.Gender != model.GenderUnknown {
-		return r.Gender
-	}
-	return model.RoleGender(r.Role)
 }

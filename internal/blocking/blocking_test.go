@@ -45,7 +45,7 @@ func TestLSHFiltersGenderAndSameCert(t *testing.T) {
 	l := NewLSH(DefaultLSHConfig())
 	for _, p := range l.Pairs(d, allIDs(d)) {
 		a, b := d.Record(p.A), d.Record(p.B)
-		if !GenderCompatible(a, b) {
+		if !model.GenderCompatible(a, b) {
 			t.Fatalf("gender-incompatible pair %v-%v survived blocking", a.Role, b.Role)
 		}
 		if a.Cert == b.Cert {
@@ -151,27 +151,6 @@ func TestLSHMaxBlockSizeSkipsLargeBlocks(t *testing.T) {
 	pairs := NewLSH(cfg).Pairs(d, allIDs(d))
 	if len(pairs) != 0 {
 		t.Errorf("expected oversized block to be skipped, got %d pairs", len(pairs))
-	}
-}
-
-func TestGenderCompatible(t *testing.T) {
-	mk := func(g model.Gender, role model.Role) *model.Record {
-		return &model.Record{Gender: g, Role: role}
-	}
-	cases := []struct {
-		a, b *model.Record
-		want bool
-	}{
-		{mk(model.Male, model.Bb), mk(model.Male, model.Dd), true},
-		{mk(model.Male, model.Bb), mk(model.Female, model.Dd), false},
-		{mk(model.GenderUnknown, model.Bm), mk(model.Male, model.Df), false}, // Bm implies female
-		{mk(model.GenderUnknown, model.Bb), mk(model.Male, model.Dd), true},
-		{mk(model.GenderUnknown, model.Bm), mk(model.GenderUnknown, model.Dm), true},
-	}
-	for i, c := range cases {
-		if got := GenderCompatible(c.a, c.b); got != c.want {
-			t.Errorf("case %d: GenderCompatible = %v, want %v", i, got, c.want)
-		}
 	}
 }
 

@@ -88,7 +88,7 @@ func oraclePairs(d *model.Dataset, blocks map[oracleKey][]model.RecordID, maxBlo
 					continue
 				}
 				seen[model.MakePairKey(a, b)] = true
-				if ra, rb := d.Record(a), d.Record(b); GenderCompatible(ra, rb) && ra.Cert != rb.Cert {
+				if ra, rb := d.Record(a), d.Record(b); model.GenderCompatible(ra, rb) && ra.Cert != rb.Cert {
 					out = append(out, Candidate{A: a, B: b})
 				}
 			}

@@ -152,7 +152,7 @@ func (v *Validator) BuildOK(a, b model.RecordID) bool {
 	if ra.Cert == rb.Cert {
 		return false
 	}
-	if !genderCompatible(ra, rb) {
+	if !model.GenderCompatible(ra, rb) {
 		return false
 	}
 	if uniqueRole(ra.Role) && ra.Role == rb.Role {
@@ -195,21 +195,10 @@ func (v *Validator) PairOK(a, b model.RecordID) bool {
 	if uniqueRole(ra.Role) && ra.Role == rb.Role {
 		return false
 	}
-	if !genderCompatible(ra, rb) {
+	if !model.GenderCompatible(ra, rb) {
 		return false
 	}
 	return TemporalCompatible(ra, rb)
-}
-
-func genderCompatible(a, b *model.Record) bool {
-	ga, gb := a.Gender, b.Gender
-	if ga == model.GenderUnknown {
-		ga = model.RoleGender(a.Role)
-	}
-	if gb == model.GenderUnknown {
-		gb = model.RoleGender(b.Role)
-	}
-	return ga == model.GenderUnknown || gb == model.GenderUnknown || ga == gb
 }
 
 // MergeOK reports whether all cross-pairs between two entities satisfy the

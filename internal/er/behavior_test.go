@@ -189,7 +189,7 @@ func TestPipelineCandidateFilterConsistency(t *testing.T) {
 		if ra.Cert == rb.Cert {
 			t.Fatal("same-certificate node built")
 		}
-		if !blocking.GenderCompatible(ra, rb) {
+		if !model.GenderCompatible(ra, rb) {
 			t.Fatal("gender-incompatible node built")
 		}
 	}

@@ -250,23 +250,10 @@ func (s *EntityStore) Clusters() [][]model.RecordID {
 	return out
 }
 
-// Values returns the distinct non-empty values (with counts) of an
-// attribute across the records currently in the entity of r, including r
-// itself when unlinked.
-func (s *EntityStore) Values(r model.RecordID, attr model.Attr) map[string]int {
-	out := map[string]int{}
-	for _, id := range s.View(r) {
-		if v := s.d.Record(id).Value(attr); v != "" {
-			out[v]++
-		}
-	}
-	return out
-}
-
-// ValueSyms is Values over interned symbols: the distinct non-empty value
-// symbols (with counts) of an attribute across the entity of r. The
-// resolver's propagation cache consumes this form so every downstream
-// comparison stays symbol-native.
+// ValueSyms returns the distinct non-empty value symbols (with counts) of
+// an attribute across the records currently in the entity of r, including
+// r itself when unlinked. The resolver's propagation and the Dep-Graph
+// baseline compare these symbols with depgraph.CompareValues.
 func (s *EntityStore) ValueSyms(r model.RecordID, attr model.Attr) map[model.Sym]int {
 	out := map[model.Sym]int{}
 	for _, id := range s.View(r) {

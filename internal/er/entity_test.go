@@ -100,13 +100,14 @@ func TestEntityStoreValues(t *testing.T) {
 	d.Records[1].Sur = model.Intern("taylor")
 	s := NewEntityStore(d)
 	s.Link(0, 1)
-	vals := s.Values(0, model.Surname)
-	if vals["smith"] != 1 || vals["taylor"] != 1 {
+	smith, taylor := model.Intern("smith"), model.Intern("taylor")
+	vals := s.ValueSyms(0, model.Surname)
+	if len(vals) != 2 || vals[smith] != 1 || vals[taylor] != 1 {
 		t.Fatalf("entity surname values = %v", vals)
 	}
 	// Unlinked record sees only its own value.
-	vals = s.Values(2, model.Surname)
-	if len(vals) != 1 || vals["smith"] != 1 {
+	vals = s.ValueSyms(2, model.Surname)
+	if len(vals) != 1 || vals[smith] != 1 {
 		t.Fatalf("singleton values = %v", vals)
 	}
 }

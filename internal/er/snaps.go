@@ -660,12 +660,9 @@ func (r *Resolver) entityValues(id model.RecordID, attr model.Attr) []model.Sym 
 
 func (r *Resolver) entityValuesUncached(id model.RecordID, attr model.Attr) []model.Sym {
 	own := r.d.Record(id).Sym(attr)
-	vals := r.store.ValueSyms(id, attr)
+	vals := r.store.ValueSyms(id, attr) // holds own, when present
 	if len(vals) == 0 {
-		if own == 0 {
-			return nil
-		}
-		return []model.Sym{own}
+		return nil
 	}
 	type vc struct {
 		v model.Sym

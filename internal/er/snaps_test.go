@@ -45,7 +45,7 @@ func allCands(d *model.Dataset) []blocking.Candidate {
 	for i := range d.Records {
 		for j := i + 1; j < len(d.Records); j++ {
 			a, b := d.Record(d.Records[i].ID), d.Record(d.Records[j].ID)
-			if a.Cert == b.Cert || !blocking.GenderCompatible(a, b) {
+			if a.Cert == b.Cert || !model.GenderCompatible(a, b) {
 				continue
 			}
 			out = append(out, blocking.Candidate{A: a.ID, B: b.ID})

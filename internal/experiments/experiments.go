@@ -258,12 +258,11 @@ func Table4(w io.Writer, opt Options) {
 		pr := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
 
 		// The unsupervised baselines do not depend on the role-pair group,
-		// and neither resolver writes the graph: each runs once, on one
-		// graph, per data set.
-		g, _ := depgraph.Build(d, depgraph.DefaultConfig(), cands)
+		// and they read only the endpoints of the graph's nodes: each runs
+		// once per data set, on the graph SNAPS resolved.
 		attr := baseline.NewAttrSim().Match(d, cands)
-		dep := baseline.NewDepGraph().Resolve(d, g)
-		rel := baseline.NewRelCluster().Resolve(d, g)
+		dep := baseline.NewDepGraph().Resolve(d, pr.Graph)
+		rel := baseline.NewRelCluster().Resolve(d, pr.Graph)
 
 		for _, grp := range []struct {
 			name string
@@ -352,14 +351,13 @@ func Table5(w io.Writer, opt Options) {
 		baseline.NewAttrSim().Match(d, cands)
 		attrTime := st.Stop()
 
-		// Neither resolver writes the graph, so both run on one build.
-		g, _ := depgraph.Build(d, depgraph.DefaultConfig(), cands)
+		// Both graph baselines run on the graph SNAPS resolved.
 		st = obs.StartStage("baseline_dep_graph")
-		baseline.NewDepGraph().Resolve(d, g)
+		baseline.NewDepGraph().Resolve(d, pr.Graph)
 		depTime := st.Stop()
 
 		st = obs.StartStage("baseline_rel_cluster")
-		baseline.NewRelCluster().Resolve(d, g)
+		baseline.NewRelCluster().Resolve(d, pr.Graph)
 		relTime := st.Stop()
 
 		st = obs.StartStage("baseline_magellan")

@@ -44,13 +44,24 @@ func fixtureGraph(t *testing.T) *pedigree.Graph {
 	return pedigree.Build(d, store)
 }
 
-func TestExportStructure(t *testing.T) {
-	g := fixtureGraph(t)
+// exportAll writes the whole graph through ExportPedigree, every node a
+// member.
+func exportAll(t *testing.T, g *pedigree.Graph) string {
+	t.Helper()
+	p := &pedigree.Pedigree{Members: map[pedigree.NodeID]int{}}
+	for i := range g.Nodes {
+		p.Members[g.Nodes[i].ID] = 0
+	}
 	var sb strings.Builder
-	if err := Export(&sb, g); err != nil {
+	if err := ExportPedigree(&sb, g, p); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
+	return sb.String()
+}
+
+func TestExportStructure(t *testing.T) {
+	g := fixtureGraph(t)
+	out := exportAll(t, g)
 
 	if !strings.HasPrefix(out, "0 HEAD\n") || !strings.HasSuffix(out, "0 TRLR\n") {
 		t.Fatal("missing GEDCOM envelope")
@@ -85,11 +96,7 @@ func TestExportStructure(t *testing.T) {
 
 func TestExportBackReferencesConsistent(t *testing.T) {
 	g := fixtureGraph(t)
-	var sb strings.Builder
-	if err := Export(&sb, g); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := exportAll(t, g)
 	// Every FAMS/FAMC reference must point at an emitted family, and every
 	// HUSB/WIFE/CHIL at an emitted individual.
 	for _, line := range strings.Split(out, "\n") {
@@ -130,11 +137,7 @@ func TestExportOnResolvedSample(t *testing.T) {
 	pop := dataset.Generate(dataset.IOS().Scaled(0.05))
 	pr := er.Run(pop.Dataset, depgraph.DefaultConfig(), er.DefaultConfig())
 	g := pedigree.Build(pop.Dataset, pr.Result.Store)
-	var sb strings.Builder
-	if err := Export(&sb, g); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := exportAll(t, g)
 	if strings.Count(out, " INDI\n") != len(g.Nodes) {
 		t.Errorf("expected one INDI per entity")
 	}

@@ -109,11 +109,6 @@ func GeocodeRecords(recs []model.Record, g *Gazetteer) int {
 	return n
 }
 
-// DistanceKm returns the haversine distance between two points.
-func DistanceKm(lat1, lon1, lat2, lon2 float64) float64 {
-	return strsim.GeoDistanceKm(lat1, lon1, lat2, lon2)
-}
-
 // Skye returns the built-in Isle of Skye gazetteer used by the simulator
 // and the examples.
 func Skye() *Gazetteer { return NewGazetteer(skyePlaces) }

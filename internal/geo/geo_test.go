@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/snaps/snaps/internal/model"
+	"github.com/snaps/snaps/internal/strsim"
 )
 
 func TestResolveExact(t *testing.T) {
@@ -27,7 +28,7 @@ func TestResolveHouseNumber(t *testing.T) {
 	if lat1 == lat2 && lon1 == lon2 {
 		t.Error("distinct houses should jitter to distinct points")
 	}
-	if DistanceKm(lat1, lon1, lat2, lon2) > 6 {
+	if strsim.GeoDistanceKm(lat1, lon1, lat2, lon2) > 6 {
 		t.Error("houses in one settlement should stay within a few km")
 	}
 	// Resolution is deterministic.
@@ -80,11 +81,16 @@ func TestGeocodeDataset(t *testing.T) {
 }
 
 func TestDistanceKm(t *testing.T) {
-	if d := DistanceKm(57.41, -6.20, 57.41, -6.20); d != 0 {
+	g := Skye()
+	plat, plon, ok1 := g.Resolve("portree")
+	ulat, ulon, ok2 := g.Resolve("uig")
+	if !ok1 || !ok2 {
+		t.Fatal("portree or uig not resolved")
+	}
+	if d := strsim.GeoDistanceKm(plat, plon, plat, plon); d != 0 {
 		t.Errorf("distance to self = %v", d)
 	}
-	d := DistanceKm(57.4125, -6.1964, 57.5876, -6.3637) // Portree - Uig
-	if d < 15 || d > 30 {
+	if d := strsim.GeoDistanceKm(plat, plon, ulat, ulon); d < 15 || d > 30 {
 		t.Errorf("Portree-Uig = %v km, expected ~22", d)
 	}
 }

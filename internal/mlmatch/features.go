@@ -61,14 +61,7 @@ func Features(a, b *model.Record) [NumFeatures]float64 {
 	if f[8] > 1 {
 		f[8] = 1
 	}
-	ga, gb := a.Gender, b.Gender
-	if ga == model.GenderUnknown {
-		ga = model.RoleGender(a.Role)
-	}
-	if gb == model.GenderUnknown {
-		gb = model.RoleGender(b.Role)
-	}
-	if ga != model.GenderUnknown && ga == gb {
+	if g := a.EffectiveGender(); g != model.GenderUnknown && g == b.EffectiveGender() {
 		f[9] = 1
 	}
 	return f

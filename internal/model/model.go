@@ -98,10 +98,6 @@ var roleNames = [NumRoles]string{
 // CensusChildRoles lists the census child roles in order.
 var CensusChildRoles = []Role{Cc1, Cc2, Cc3, Cc4, Cc5, Cc6}
 
-// IsCensusChild reports whether the role is one of the enumerated census
-// children.
-func (r Role) IsCensusChild() bool { return r >= Cc1 && r <= Cc6 }
-
 // String returns the paper's role code, e.g. "Bb" for a birth baby.
 func (r Role) String() string {
 	if r < NumRoles {
@@ -122,15 +118,6 @@ func (r Role) CertType() CertType {
 	default:
 		return Census
 	}
-}
-
-// IsParent reports whether the role is a parent role on its certificate.
-func (r Role) IsParent() bool {
-	switch r {
-	case Bm, Bf, Dm, Df, Mmm, Mmf, Mfm, Mff, Cm, Cf:
-		return true
-	}
-	return false
 }
 
 // IsPrincipal reports whether the role is the principal subject of its
@@ -167,13 +154,17 @@ func (g Gender) String() string {
 // RoleGender returns the gender implied by a role, or GenderUnknown when the
 // role does not fix it (babies and deceased persons can be either).
 func RoleGender(r Role) Gender {
-	switch r {
-	case Bm, Dm, Mf, Mmm, Mfm, Cm:
-		return Female
-	case Bf, Df, Mm, Mmf, Mff, Cf:
-		return Male
+	if r < NumRoles {
+		return roleGenders[r]
 	}
 	return GenderUnknown
+}
+
+// roleGenders is RoleGender as a table, so that GenderCompatible, which
+// blocking calls on every candidate pair, stays cheap enough to inline.
+var roleGenders = [NumRoles]Gender{
+	Bm: Female, Dm: Female, Mf: Female, Mmm: Female, Mfm: Female, Cm: Female,
+	Bf: Male, Df: Male, Mm: Male, Mmf: Male, Mff: Male, Cf: Male,
 }
 
 // RecordID uniquely identifies a role occurrence (one Record).
@@ -310,6 +301,23 @@ func (r *Record) Address() string { return symbol.Str(r.Addr) }
 // Occupation resolves the record's occupation through the symbol table.
 func (r *Record) Occupation() string { return symbol.Str(r.Occ) }
 
+// EffectiveGender returns the recorded gender, else the one the record's
+// role implies (GenderUnknown when neither says).
+func (r *Record) EffectiveGender() Gender {
+	if r.Gender != GenderUnknown {
+		return r.Gender
+	}
+	return RoleGender(r.Role)
+}
+
+// GenderCompatible reports whether two records could refer to the same
+// person as far as their effective genders go: they agree, or one is
+// unknown.
+func GenderCompatible(a, b *Record) bool {
+	ga, gb := a.EffectiveGender(), b.EffectiveGender()
+	return ga == GenderUnknown || gb == GenderUnknown || ga == gb
+}
+
 // Sym returns the record's symbol ID for a string QID attribute (None for
 // EventYear, which has no interned representation).
 func (r *Record) Sym(a Attr) Sym {
@@ -387,27 +395,6 @@ func (rel Relationship) String() string {
 		return relNames[rel]
 	}
 	return fmt.Sprintf("Relationship(%d)", uint8(rel))
-}
-
-// Inverse returns the relationship seen from the other endpoint: the inverse
-// of motherOf/fatherOf is childOf; spouseOf is symmetric; the inverse of
-// childOf is reported as MotherOf-or-FatherOf and must be refined by the
-// caller using the parent's gender, so Inverse returns SpouseOf for SpouseOf,
-// ChildOf for the two parent relations, and panics for ChildOf, which has no
-// unique inverse.
-func (rel Relationship) Inverse(parentGender Gender) Relationship {
-	switch rel {
-	case MotherOf, FatherOf:
-		return ChildOf
-	case SpouseOf:
-		return SpouseOf
-	case ChildOf:
-		if parentGender == Female {
-			return MotherOf
-		}
-		return FatherOf
-	}
-	panic("model: invalid relationship")
 }
 
 // CertRelations lists, for a certificate type, the directed relationships

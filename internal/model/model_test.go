@@ -3,6 +3,7 @@ package model
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -28,11 +29,22 @@ func TestRoleStringAndCertType(t *testing.T) {
 	}
 }
 
+// isParent reports whether a role is the mother or father of another role
+// on its certificate.
+func isParent(r Role) bool {
+	for _, rel := range RelationsFor(r.CertType()) {
+		if rel.From == r && (rel.Rel == MotherOf || rel.Rel == FatherOf) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestRoleClassification(t *testing.T) {
 	parents := []Role{Bm, Bf, Dm, Df, Mmm, Mmf, Mfm, Mff}
 	principals := []Role{Bb, Dd, Mm, Mf}
 	for _, r := range parents {
-		if !r.IsParent() {
+		if !isParent(r) {
 			t.Errorf("%v should be a parent role", r)
 		}
 		if r.IsPrincipal() {
@@ -44,7 +56,12 @@ func TestRoleClassification(t *testing.T) {
 			t.Errorf("%v should be principal", r)
 		}
 	}
-	if Ds.IsParent() || Ds.IsPrincipal() {
+	for _, r := range principals {
+		if isParent(r) {
+			t.Errorf("%v should not be a parent role", r)
+		}
+	}
+	if isParent(Ds) || Ds.IsPrincipal() {
 		t.Error("Ds is neither parent nor principal")
 	}
 }
@@ -67,18 +84,6 @@ func TestRoleGender(t *testing.T) {
 		if RoleGender(r) != GenderUnknown {
 			t.Errorf("%v should imply no gender", r)
 		}
-	}
-}
-
-func TestRelationshipInverse(t *testing.T) {
-	if MotherOf.Inverse(Female) != ChildOf || FatherOf.Inverse(Male) != ChildOf {
-		t.Error("parent relations invert to ChildOf")
-	}
-	if SpouseOf.Inverse(Male) != SpouseOf {
-		t.Error("SpouseOf is symmetric")
-	}
-	if ChildOf.Inverse(Female) != MotherOf || ChildOf.Inverse(Male) != FatherOf {
-		t.Error("ChildOf inverts by parent gender")
 	}
 }
 
@@ -220,16 +225,11 @@ func TestCensusRoles(t *testing.T) {
 	if RoleGender(Cf) != Male || RoleGender(Cm) != Female || RoleGender(Cc1) != GenderUnknown {
 		t.Error("census role genders wrong")
 	}
-	if !Cf.IsParent() || !Cm.IsParent() || Cc1.IsParent() {
+	if !isParent(Cf) || !isParent(Cm) || isParent(Cc1) {
 		t.Error("census parent classification wrong")
 	}
-	for i, cc := range CensusChildRoles {
-		if !cc.IsCensusChild() {
-			t.Errorf("child role %d not classified as census child", i)
-		}
-	}
-	if Cf.IsCensusChild() || Bb.IsCensusChild() {
-		t.Error("non-child roles classified as census children")
+	if !slices.Equal(CensusChildRoles, []Role{Cc1, Cc2, Cc3, Cc4, Cc5, Cc6}) {
+		t.Errorf("census child roles = %v", CensusChildRoles)
 	}
 }
 
@@ -247,5 +247,26 @@ func TestCensusRelations(t *testing.T) {
 	}
 	if foundSpouse != 2 {
 		t.Errorf("census spouse relations = %d, want 2", foundSpouse)
+	}
+}
+
+func TestGenderCompatible(t *testing.T) {
+	mk := func(g Gender, role Role) *Record {
+		return &Record{Gender: g, Role: role}
+	}
+	cases := []struct {
+		a, b *Record
+		want bool
+	}{
+		{mk(Male, Bb), mk(Male, Dd), true},
+		{mk(Male, Bb), mk(Female, Dd), false},
+		{mk(GenderUnknown, Bm), mk(Male, Df), false}, // Bm implies female
+		{mk(GenderUnknown, Bb), mk(Male, Dd), true},
+		{mk(GenderUnknown, Bm), mk(GenderUnknown, Dm), true},
+	}
+	for i, c := range cases {
+		if got := GenderCompatible(c.a, c.b); got != c.want {
+			t.Errorf("case %d: GenderCompatible = %v, want %v", i, got, c.want)
+		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"github.com/snaps/snaps/internal/er"
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
+	"github.com/snaps/snaps/internal/symbol"
 )
 
 // EntityID aliases the resolver's entity id inside the pedigree graph. The
@@ -142,21 +143,13 @@ func Build(d *model.Dataset, store *er.EntityStore) *Graph {
 
 // aggregate fills a node's value summaries from its records.
 func (g *Graph) aggregate(n *Node) {
-	first := map[string]int{}
-	sur := map[string]int{}
-	loc := map[string]int{}
+	var first, sur, loc valueCounts
 	n.MinYear, n.MaxYear = 1<<30, 0
 	for _, rid := range n.Records {
 		rec := g.Dataset.Record(rid)
-		if rec.First != 0 {
-			first[rec.FirstName()]++
-		}
-		if rec.Sur != 0 {
-			sur[rec.Surname()]++
-		}
-		if rec.Addr != 0 {
-			loc[rec.Address()]++
-		}
+		first.add(rec.First)
+		sur.add(rec.Sur)
+		loc.add(rec.Addr)
 		if rec.Gender != model.GenderUnknown {
 			n.Gender = rec.Gender
 		} else if rg := model.RoleGender(rec.Role); rg != model.GenderUnknown && n.Gender == model.GenderUnknown {
@@ -180,29 +173,48 @@ func (g *Graph) aggregate(n *Node) {
 	if n.MinYear == 1<<30 {
 		n.MinYear = 0
 	}
-	n.FirstNames = rankValues(first)
-	n.Surnames = rankValues(sur)
-	n.Locations = rankValues(loc)
+	n.FirstNames = first.ranked()
+	n.Surnames = sur.ranked()
+	n.Locations = loc.ranked()
 }
 
-func rankValues(m map[string]int) []string {
-	type vc struct {
-		v string
-		c int
+// valueCount is one distinct value symbol of an attribute and the number
+// of an entity's records carrying it.
+type valueCount struct {
+	v model.Sym
+	c int
+}
+
+// valueCounts counts the distinct values of one attribute across an
+// entity's records. Entities hold a handful of records, so a linear scan
+// serves better than a map.
+type valueCounts []valueCount
+
+func (vc *valueCounts) add(v model.Sym) {
+	if v == 0 {
+		return
 	}
-	list := make([]vc, 0, len(m))
-	for v, c := range m {
-		list = append(list, vc{v, c})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].c != list[j].c {
-			return list[i].c > list[j].c
+	for i := range *vc {
+		if (*vc)[i].v == v {
+			(*vc)[i].c++
+			return
 		}
-		return list[i].v < list[j].v
+	}
+	*vc = append(*vc, valueCount{v, 1})
+}
+
+// ranked returns the values as strings, most frequent first, ties in
+// string order.
+func (vc valueCounts) ranked() []string {
+	slices.SortFunc(vc, func(a, b valueCount) int {
+		if a.c != b.c {
+			return b.c - a.c
+		}
+		return strings.Compare(symbol.Str(a.v), symbol.Str(b.v))
 	})
-	out := make([]string, len(list))
-	for i, x := range list {
-		out[i] = x.v
+	out := make([]string, len(vc))
+	for i, x := range vc {
+		out[i] = symbol.Str(x.v)
 	}
 	return out
 }

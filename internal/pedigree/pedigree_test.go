@@ -235,3 +235,17 @@ func TestRenderDot(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBuild measures Algorithm 1 alone over a resolved IOS sample,
+// as a cold start and every ingest flush run it.
+func BenchmarkBuild(b *testing.B) {
+	p := dataset.Generate(dataset.IOS().Scaled(0.25))
+	pr := er.Run(p.Dataset, depgraph.DefaultConfig(), er.DefaultConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchGraph = Build(p.Dataset, pr.Result.Store)
+	}
+}
+
+var benchGraph *Graph

@@ -12,6 +12,7 @@ import (
 	"github.com/snaps/snaps/internal/er"
 	"github.com/snaps/snaps/internal/index"
 	"github.com/snaps/snaps/internal/model"
+	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/query"
 )
 
@@ -88,8 +89,8 @@ func TestSnapshotGoldenEquivalence(t *testing.T) {
 
 	// Search over the restored pedigree graph matches search over the
 	// original, result for result.
-	origG := snap.PedigreeGraph()
-	gotG := got.PedigreeGraph()
+	origG := pedigree.Build(snap.Dataset, snap.Restore())
+	gotG := pedigree.Build(got.Dataset, got.Restore())
 	origK, origS := index.Build(origG, 0.5)
 	gotK, gotS := index.Build(gotG, 0.5)
 	origE := query.NewEngine(origG, origK, origS)

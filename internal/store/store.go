@@ -18,7 +18,6 @@ import (
 	"github.com/snaps/snaps/internal/er"
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/obs"
-	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/symbol"
 )
 
@@ -59,11 +58,6 @@ func (s *Snapshot) Restore() *er.EntityStore {
 		}
 	}
 	return store
-}
-
-// PedigreeGraph rebuilds the pedigree graph from the snapshot.
-func (s *Snapshot) PedigreeGraph() *pedigree.Graph {
-	return pedigree.Build(s.Dataset, s.Restore())
 }
 
 // Write serialises the snapshot in the compact v02 binary format.

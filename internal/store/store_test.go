@@ -9,6 +9,7 @@ import (
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/er"
 	"github.com/snaps/snaps/internal/model"
+	"github.com/snaps/snaps/internal/pedigree"
 )
 
 func resolvedSnapshot(t *testing.T) *Snapshot {
@@ -90,7 +91,7 @@ func TestRestorePreservesMatchPairs(t *testing.T) {
 
 func TestPedigreeGraphFromSnapshot(t *testing.T) {
 	snap := resolvedSnapshot(t)
-	g := snap.PedigreeGraph()
+	g := pedigree.Build(snap.Dataset, snap.Restore())
 	if len(g.Nodes) == 0 {
 		t.Fatal("empty pedigree graph from snapshot")
 	}

@@ -307,28 +307,6 @@ func GeoSim(lat1, lon1, lat2, lon2, maxKm float64) float64 {
 	return 1 - d/maxKm
 }
 
-// MongeElkan returns the directed Monge-Elkan similarity of two multi-token
-// strings: the mean, over tokens of a, of each token's best Jaro-Winkler
-// match among the tokens of b. It is asymmetric; use SymMongeElkan for a
-// symmetric score.
-func MongeElkan(a, b string) float64 {
-	ta, tb := fields(a), fields(b)
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range ta {
-		best := 0.0
-		for _, y := range tb {
-			if s := JaroWinkler(x, y); s > best {
-				best = s
-			}
-		}
-		sum += best
-	}
-	return sum / float64(len(ta))
-}
-
 // SymMongeElkan returns the symmetric Monge-Elkan similarity: the minimum
 // of the two directed scores, so extra unmatched tokens on either side
 // lower it. It handles transposed double forenames ("jane elizabeth" vs

@@ -207,6 +207,9 @@ func TestGeoDistance(t *testing.T) {
 	if got := GeoDistanceKm(57, -6, 57, -6); !almost(got, 0) {
 		t.Errorf("distance to self = %v, want 0", got)
 	}
+	if d := GeoDistanceKm(57.4125, -6.1964, 57.5876, -6.3637); d < 15 || d > 30 {
+		t.Errorf("GeoDistanceKm Portree-Uig = %v, want ~22", d)
+	}
 }
 
 func TestGeoSim(t *testing.T) {
@@ -243,14 +246,14 @@ func quickCfg() *quick.Config {
 }
 
 func TestMongeElkan(t *testing.T) {
-	if got := MongeElkan("mary", "mary ann"); got != 1 {
-		t.Errorf("directed ME(mary, mary ann) = %v, want 1 (every token of a matches)", got)
+	// The symmetric score is the minimum of the two directed scores, so the
+	// unmatched "ann" lowers it whichever side it is on.
+	for _, p := range [][2]string{{"mary", "mary ann"}, {"mary ann", "mary"}} {
+		if got := SymMongeElkan(p[0], p[1]); got >= 1 || got < 0.5 {
+			t.Errorf("ME(%q, %q) = %v, want mid-range (ann unmatched)", p[0], p[1], got)
+		}
 	}
-	rev := MongeElkan("mary ann", "mary")
-	if rev >= 1 {
-		t.Errorf("directed ME(mary ann, mary) = %v, want < 1 (ann unmatched)", rev)
-	}
-	if got := MongeElkan("", "mary"); got != 0 {
+	if got := SymMongeElkan("", "mary"); got != 0 {
 		t.Errorf("empty ME = %v", got)
 	}
 }

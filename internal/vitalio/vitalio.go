@@ -286,14 +286,6 @@ func names(cols []column) []string {
 	return out
 }
 
-// Header rows of the four schemas (without the optional truth columns).
-var (
-	BirthHeader    = names(births.fixed())
-	DeathHeader    = names(deaths.fixed())
-	MarriageHeader = names(marriages.fixed())
-	CensusHeader   = names(census.fixed())
-)
-
 // Reader accumulates certificates parsed from the CSV streams into a
 // model.Dataset.
 type Reader struct {
