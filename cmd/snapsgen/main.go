@@ -35,18 +35,9 @@ func main() {
 	if *certs > 0 {
 		pop = dataset.GenerateScale(dataset.ScaleTier(*certs))
 	} else {
-		var cfg dataset.Config
-		switch strings.ToLower(*dsName) {
-		case "ios":
-			cfg = dataset.IOS()
-		case "kil":
-			cfg = dataset.KIL()
-		case "ds":
-			cfg = dataset.DS()
-		case "bhic":
-			cfg = dataset.BHIC(1900)
-		default:
-			log.Fatalf("unknown dataset %q", *dsName)
+		cfg, err := dataset.ConfigByName(*dsName)
+		if err != nil {
+			log.Fatal(err)
 		}
 		cfg = cfg.Scaled(*scale)
 		if *census {

@@ -60,29 +60,31 @@ func (c Class) String() string {
 	return "class?"
 }
 
-// ClassLimits tunes one class.
-type ClassLimits struct {
-	// Weight is the in-flight budget units one request of this class
-	// occupies while being served (pedigree renders cost more than
-	// searches).
-	Weight int
-	// Fraction is the class's admission ceiling as a fraction of the
-	// total budget: a request is admitted only while the weighted
-	// in-flight total (plus its own weight) stays at or under
-	// Fraction*MaxConcurrency. Lower fractions shed earlier — this
-	// ordering is the degradation ladder.
-	Fraction float64
+// classLimits are the fixed per-class knobs of the degradation ladder,
+// indexed by Class. weight is the in-flight budget units one request of the
+// class occupies while being served (pedigree renders cost more than
+// searches). fraction is the class's admission ceiling as a fraction of the
+// total budget: a request is admitted only while the weighted in-flight
+// total (plus its own weight) stays at or under fraction*MaxConcurrency.
+// Lower fractions shed earlier — this ordering is the ladder. Exempt has
+// neither and is never counted.
+var classLimits = [NumClasses]struct {
+	weight   int64
+	fraction float64
+}{
+	Search:   {1, 1.0},
+	Ingest:   {2, 0.75},
+	Pedigree: {4, 0.5},
 }
+
+// concurrencyRetryAfter is the Retry-After hint for concurrency sheds.
+const concurrencyRetryAfter = time.Second
 
 // Config tunes the admission controller.
 type Config struct {
 	// MaxConcurrency is the global weighted in-flight budget. <= 0
 	// disables concurrency limiting (backpressure still applies).
 	MaxConcurrency int
-	// Limits holds the per-class knobs, indexed by Class.
-	Limits [NumClasses]ClassLimits
-	// RetryAfter is the Retry-After hint for concurrency sheds.
-	RetryAfter time.Duration
 	// BacklogRetryAfter is the Retry-After hint for ingest backlog sheds;
 	// callers set it to the ingest flush horizon (Config.MaxAge) so the
 	// hint matches when capacity actually frees up.
@@ -112,9 +114,11 @@ type Config struct {
 // PerShardBound derives Config.MaxShardBacklog{Records,Bytes} from the
 // global bound: twice the fair share, so routing skew has headroom but one
 // hot shard still sheds long before the global backlog average would notice
-// it; capped at the global bound (which it equals at one shard) and floored
-// at 1, so a configured bound never degenerates to unbounded. A global bound
-// of 0 or less (unbounded) is returned as is.
+// it; capped at the global bound and floored at 1, so a configured bound
+// never degenerates to unbounded. It equals the global bound at one shard and
+// at two (2·g/2 = g), so a hot shard can shed ahead of the global bound only
+// at three shards or more. A global bound of 0 or less (unbounded) is
+// returned as is.
 func PerShardBound[T int | int64](global, shards T) T {
 	if global <= 0 || shards <= 1 {
 		return global
@@ -126,17 +130,12 @@ func PerShardBound[T int | int64](global, shards T) T {
 // pedigree-before-ingest-before-search degradation ladder and a 4096-record
 // / 8 MiB ingest backlog bound.
 func DefaultConfig() Config {
-	cfg := Config{
+	return Config{
 		MaxConcurrency:    64,
-		RetryAfter:        time.Second,
 		BacklogRetryAfter: 2 * time.Second,
 		MaxBacklogRecords: 4096,
 		MaxBacklogBytes:   8 << 20,
 	}
-	cfg.Limits[Search] = ClassLimits{Weight: 1, Fraction: 1.0}
-	cfg.Limits[Ingest] = ClassLimits{Weight: 2, Fraction: 0.75}
-	cfg.Limits[Pedigree] = ClassLimits{Weight: 4, Fraction: 0.5}
-	return cfg
 }
 
 // Decision is the outcome of one admission check.
@@ -188,21 +187,14 @@ func (c *Controller) shedDecision(cl Class, reason int, retryAfter time.Duration
 // New returns a controller for the config.
 func New(cfg Config) *Controller {
 	c := &Controller{cfg: cfg}
-	if c.cfg.RetryAfter <= 0 {
-		c.cfg.RetryAfter = time.Second
-	}
 	if c.cfg.BacklogRetryAfter <= 0 {
 		c.cfg.BacklogRetryAfter = 2 * time.Second
 	}
-	for cl := Class(0); cl < NumClasses; cl++ {
-		lim := cfg.Limits[cl]
-		if cfg.MaxConcurrency > 0 && lim.Weight > 0 && lim.Fraction > 0 {
-			ceil := int64(lim.Fraction * float64(cfg.MaxConcurrency))
-			if ceil < int64(lim.Weight) {
-				ceil = int64(lim.Weight) // never configure a class out entirely
-			}
-			c.ceil[cl] = ceil
-		}
+	for cl := Search; cl < NumClasses && cfg.MaxConcurrency > 0; cl++ {
+		lim := classLimits[cl]
+		// A ceiling admits at least one request of its class: a small
+		// budget never configures a class out entirely.
+		c.ceil[cl] = max(lim.weight, int64(lim.fraction*float64(cfg.MaxConcurrency)))
 	}
 	// Every class a decision can count, and only the reasons it can be shed
 	// for: the backlog bounds apply to ingest alone.
@@ -244,12 +236,12 @@ func (c *Controller) Admit(cl Class) (release func(), d Decision) {
 			return noRelease, c.shedDecision(cl, reasonShardBacklog, c.cfg.BacklogRetryAfter)
 		}
 	}
-	w := int64(c.cfg.Limits[cl].Weight)
+	w := classLimits[cl].weight
 	if ceil := c.ceil[cl]; ceil > 0 {
 		for {
 			cur := c.inflight.Load()
 			if cur+w > ceil {
-				return noRelease, c.shedDecision(cl, reasonConcurrency, c.cfg.RetryAfter)
+				return noRelease, c.shedDecision(cl, reasonConcurrency, concurrencyRetryAfter)
 			}
 			if c.inflight.CompareAndSwap(cur, cur+w) {
 				break
@@ -282,7 +274,7 @@ func (c *Controller) Shedding(cl Class) bool {
 	if ceil <= 0 {
 		return false
 	}
-	return c.inflight.Load()+int64(c.cfg.Limits[cl].Weight) > ceil
+	return c.inflight.Load()+classLimits[cl].weight > ceil
 }
 
 // BacklogExceeded reports whether the ingest backlog is over either bound,

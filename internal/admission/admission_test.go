@@ -267,7 +267,8 @@ func TestShardBacklogBackpressure(t *testing.T) {
 
 // TestPerShardBound pins the one derivation of the per-shard backlog bound
 // both commands use: twice the fair share, capped at the global bound,
-// floored at 1, and the global bound itself when unbounded or unsharded.
+// floored at 1, and the global bound itself when unbounded, unsharded or
+// at two shards.
 func TestPerShardBound(t *testing.T) {
 	for _, tc := range []struct {
 		name                 string
@@ -278,6 +279,7 @@ func TestPerShardBound(t *testing.T) {
 		{"one shard gets the global bound", 4096, 1, 4096},
 		{"zero shards means one", 4096, 0, 4096},
 		{"two shards: twice the fair share is the global bound", 4096, 2, 4096},
+		{"three shards: the first count below the global bound", 4096, 3, 2730},
 		{"four shards: half", 4096, 4, 2048},
 		{"seven shards round down", 100, 7, 28},
 		{"floor at one", 3, 16, 1},

@@ -58,27 +58,34 @@ func PairSim(cfg depgraph.Config, a, b *model.Record) float64 {
 	return num / den
 }
 
-// AttrSim is the traditional pairwise-threshold baseline.
-type AttrSim struct {
-	// Threshold is the match threshold on the weighted pair similarity.
-	Threshold float64
-	// Graph configuration for the attribute comparison functions.
-	Config depgraph.Config
-}
+// The baselines' fixed parameters.
+const (
+	// attrSimThreshold is Attr-Sim's customary match threshold on the
+	// weighted pair similarity.
+	attrSimThreshold = 0.85
+	// depGraphThreshold is Dep-Graph's merge threshold, SNAPS's t_m, and
+	// depGraphRounds bounds its fixpoint loop of decision propagation.
+	depGraphThreshold = 0.85
+	depGraphRounds    = 3
+	// relClusterThreshold is Rel-Cluster's merge threshold, relClusterAlpha
+	// weighs its relational component against the attribute one, and
+	// relClusterRounds bounds its agglomeration loop (the settings used in
+	// Table 4).
+	relClusterThreshold = 0.70
+	relClusterAlpha     = 0.25
+	relClusterRounds    = 6
+)
 
-// NewAttrSim returns the baseline with the customary 0.85 threshold.
-func NewAttrSim() *AttrSim {
-	return &AttrSim{Threshold: 0.85, Config: depgraph.DefaultConfig()}
-}
-
-// Match classifies candidate pairs and returns the matched pair set. No
-// relationship information, constraints, or clustering is used — exactly
-// the behaviour whose poor linkage quality Table 4 documents.
-func (m *AttrSim) Match(d *model.Dataset, cands []blocking.Candidate) map[model.PairKey]bool {
+// AttrSim is the traditional pairwise-threshold baseline: it classifies
+// candidate pairs and returns the matched pair set. No relationship
+// information, constraints, or clustering is used — exactly the behaviour
+// whose poor linkage quality Table 4 documents.
+func AttrSim(d *model.Dataset, cands []blocking.Candidate) map[model.PairKey]bool {
+	cfg := depgraph.DefaultConfig()
 	out := map[model.PairKey]bool{}
 	for _, c := range cands {
 		a, b := d.Record(c.A), d.Record(c.B)
-		if PairSim(m.Config, a, b) >= m.Threshold {
+		if PairSim(cfg, a, b) >= attrSimThreshold {
 			out[model.MakePairKey(c.A, c.B)] = true
 		}
 	}
@@ -90,38 +97,30 @@ func (m *AttrSim) Match(d *model.Dataset, cands []blocking.Candidate) map[model.
 // one-by-one in descending similarity order whenever the (propagated)
 // strict attribute similarity reaches the threshold and the constraints
 // hold. There is no disambiguation similarity, no group averaging, no
-// drop-lowest iteration, and no refinement.
-type DepGraph struct {
-	Threshold float64
-	Config    depgraph.Config
-	// Iterations bounds the fixpoint loop of decision propagation.
-	Iterations int
-}
-
-// NewDepGraph returns the baseline at the SNAPS merge threshold.
-func NewDepGraph() *DepGraph {
-	return &DepGraph{Threshold: 0.85, Config: depgraph.DefaultConfig(), Iterations: 3}
-}
-
-// Resolve runs the baseline and returns the resulting entity store. Every
-// node not yet linked is eligible in every round.
-func (m *DepGraph) Resolve(d *model.Dataset, g *depgraph.Graph) *er.EntityStore {
+// drop-lowest iteration, and no refinement. Every node not yet linked is
+// eligible in every round. It returns the resulting entity store.
+func DepGraph(d *model.Dataset, g *depgraph.Graph) *er.EntityStore {
 	store := er.NewEntityStore(d)
-	greedyMerge(d, g, store, m.Iterations, m.Threshold, nil, func(n *depgraph.RelationalNode) float64 {
-		return m.nodeSim(d, store, n)
+	greedyMerge(d, g, store, depGraphRounds, depGraphThreshold, nil, func(n *depgraph.RelationalNode) float64 {
+		return depGraphNodeSim(d, g.Config, store, n)
 	})
 	return store
 }
 
-// nodeSim scores a node with strict category accounting (all present
-// attributes count) plus value propagation through current entities, which
-// is the Dong et al. contribution: an attribute scores the best pair of
-// values across the two records' entities, compared as SNAPS compares
-// them (depgraph.CompareValues).
-func (m *DepGraph) nodeSim(d *model.Dataset, store *er.EntityStore, n *depgraph.RelationalNode) float64 {
+// depGraphNodeSim scores a node with strict category accounting (all
+// present attributes count) plus value propagation through current
+// entities, which is the Dong et al. contribution: an attribute scores the
+// best pair of values across the two records' entities, compared as SNAPS
+// compares them (depgraph.CompareValues, which applies the geocoding rule
+// to the node's own records). Each distinct value pair is compared once:
+// entities share values across their records (a household's address), and
+// a geocoded pair costs a geodesic each time it is compared.
+func depGraphNodeSim(d *model.Dataset, cfg depgraph.Config, store *er.EntityStore, n *depgraph.RelationalNode) float64 {
 	ra, rb := d.Record(n.A), d.Record(n.B)
+	ea, eb := store.View(n.A), store.View(n.B)
 	weights := [...]float64{model.Must: 0.5, model.Core: 0.3, model.Extra: 0.2}
 	var sums, counts [3]float64
+	var bufA, bufB [16]model.Sym
 	for _, attr := range [...]model.Attr{model.FirstName, model.Surname, model.Address, model.Occupation} {
 		if !depgraph.AttrComparable(ra, rb, attr) {
 			continue
@@ -129,13 +128,13 @@ func (m *DepGraph) nodeSim(d *model.Dataset, store *er.EntityStore, n *depgraph.
 		cat := model.CategoryOf(attr)
 		counts[cat]++
 		best := 0.0
-		valsB := store.ValueSyms(n.B, attr)
-		for va := range store.ValueSyms(n.A, attr) {
-			for vb := range valsB {
-				best = max(best, depgraph.CompareValues(m.Config, ra, rb, attr, va, vb))
+		vb := appendDistinct(bufB[:0], d, eb, attr)
+		for _, x := range appendDistinct(bufA[:0], d, ea, attr) {
+			for _, y := range vb {
+				best = max(best, depgraph.CompareValues(cfg, ra, rb, attr, x, y))
 			}
 		}
-		if best >= m.Config.AtomicThreshold {
+		if best >= cfg.AtomicThreshold {
 			sums[cat] += best
 		}
 	}
@@ -151,6 +150,17 @@ func (m *DepGraph) nodeSim(d *model.Dataset, store *er.EntityStore, n *depgraph.
 		return 0
 	}
 	return num / den
+}
+
+// appendDistinct appends to dst the distinct non-empty values of attr over
+// the records ids. Entities are small, so a linear scan of dst beats a map.
+func appendDistinct(dst []model.Sym, d *model.Dataset, ids []model.RecordID, attr model.Attr) []model.Sym {
+	for _, id := range ids {
+		if v := d.Record(id).Sym(attr); v != 0 && !slices.Contains(dst, v) {
+			dst = append(dst, v)
+		}
+	}
+	return dst
 }
 
 // greedyMerge is the merge pass Dep-Graph and Rel-Cluster share. Each of
@@ -205,24 +215,9 @@ func greedyMerge(d *model.Dataset, g *depgraph.Graph, store *er.EntityStore, rou
 // combination of attribute similarity and relational (shared-neighbour)
 // similarity, with an ambiguity-scaled attribute component. Cluster
 // similarities are recomputed as clusters merge. No value propagation,
-// no partial-match-group handling, no refinement.
-type RelCluster struct {
-	Threshold float64
-	// Alpha weighs the relational component against the attribute one.
-	Alpha  float64
-	Config depgraph.Config
-	// MaxRounds bounds the agglomeration loop.
-	MaxRounds int
-}
-
-// NewRelCluster returns the baseline with the settings used in Table 4.
-func NewRelCluster() *RelCluster {
-	return &RelCluster{Threshold: 0.70, Alpha: 0.25, Config: depgraph.DefaultConfig(), MaxRounds: 6}
-}
-
-// Resolve runs the clustering and returns the entity store. A node is
-// eligible while its two records are in different entities.
-func (m *RelCluster) Resolve(d *model.Dataset, g *depgraph.Graph) *er.EntityStore {
+// no partial-match-group handling, no refinement. A node is eligible while
+// its two records are in different entities. It returns the entity store.
+func RelCluster(d *model.Dataset, g *depgraph.Graph) *er.EntityStore {
 	store := er.NewEntityStore(d)
 
 	// Ambiguity weights per record: inverse document frequency of the name
@@ -260,7 +255,7 @@ func (m *RelCluster) Resolve(d *model.Dataset, g *depgraph.Graph) *er.EntityStor
 
 	sim := func(n *depgraph.RelationalNode) float64 {
 		ra, rb := d.Record(n.A), d.Record(n.B)
-		attr := PairSim(m.Config, ra, rb)
+		attr := PairSim(g.Config, ra, rb)
 		attr *= 0.75 + 0.25*(amb(ra)+amb(rb))/2 // ambiguity scaling
 		// Relational component: fraction of neighbour records already in
 		// shared entities.
@@ -282,12 +277,12 @@ func (m *RelCluster) Resolve(d *model.Dataset, g *depgraph.Graph) *er.EntityStor
 		if total > 0 {
 			rel = float64(shared) / float64(total)
 		}
-		return (1-m.Alpha)*attr + m.Alpha*rel
+		return (1-relClusterAlpha)*attr + relClusterAlpha*rel
 	}
 	apart := func(n *depgraph.RelationalNode) bool {
 		ea := store.EntityOf(n.A)
 		return ea == er.NoEntity || ea != store.EntityOf(n.B)
 	}
-	greedyMerge(d, g, store, m.MaxRounds, m.Threshold, apart, sim)
+	greedyMerge(d, g, store, relClusterRounds, relClusterThreshold, apart, sim)
 	return store
 }

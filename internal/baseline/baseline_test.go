@@ -61,7 +61,7 @@ func TestPairSimBounds(t *testing.T) {
 func TestAttrSimHighRecallLowPrecision(t *testing.T) {
 	f := newFixture(t, 0.12)
 	rp := model.MakeRolePair(model.Bm, model.Bm)
-	pred := NewAttrSim().Match(f.d, f.cands)
+	pred := AttrSim(f.d, f.cands)
 	// Restrict predictions to the scored role pair.
 	filtered := map[model.PairKey]bool{}
 	for k := range pred {
@@ -81,7 +81,7 @@ func TestAttrSimHighRecallLowPrecision(t *testing.T) {
 
 func TestDepGraphBaselineRuns(t *testing.T) {
 	f := newFixture(t, 0.08)
-	store := NewDepGraph().Resolve(f.d, f.g)
+	store := DepGraph(f.d, f.g)
 	rp := model.MakeRolePair(model.Bm, model.Bm)
 	q := quality(f.d, store.MatchPairs(rp), rp)
 	if q.Recall == 0 {
@@ -91,7 +91,7 @@ func TestDepGraphBaselineRuns(t *testing.T) {
 
 func TestRelClusterBaselineRuns(t *testing.T) {
 	f := newFixture(t, 0.08)
-	store := NewRelCluster().Resolve(f.d, f.g)
+	store := RelCluster(f.d, f.g)
 	rp := model.MakeRolePair(model.Bm, model.Bm)
 	q := quality(f.d, store.MatchPairs(rp), rp)
 	if q.Recall == 0 {
@@ -110,11 +110,11 @@ func TestSNAPSBeatsBaselines(t *testing.T) {
 
 	// Rebuild the graph: the SNAPS resolver mutates node state.
 	g2, _ := depgraph.Build(f.d, depgraph.DefaultConfig(), f.cands)
-	qDep := quality(f.d, NewDepGraph().Resolve(f.d, g2).MatchPairs(rp), rp)
+	qDep := quality(f.d, DepGraph(f.d, g2).MatchPairs(rp), rp)
 	g3, _ := depgraph.Build(f.d, depgraph.DefaultConfig(), f.cands)
-	qRel := quality(f.d, NewRelCluster().Resolve(f.d, g3).MatchPairs(rp), rp)
+	qRel := quality(f.d, RelCluster(f.d, g3).MatchPairs(rp), rp)
 
-	attrPred := NewAttrSim().Match(f.d, f.cands)
+	attrPred := AttrSim(f.d, f.cands)
 	filtered := map[model.PairKey]bool{}
 	for k := range attrPred {
 		a, b := k.Split()
@@ -137,8 +137,8 @@ func TestSNAPSBeatsBaselines(t *testing.T) {
 func TestDepGraphDeterministic(t *testing.T) {
 	f := newFixture(t, 0.05)
 	g2, _ := depgraph.Build(f.d, depgraph.DefaultConfig(), f.cands)
-	s1 := NewDepGraph().Resolve(f.d, f.g)
-	s2 := NewDepGraph().Resolve(f.d, g2)
+	s1 := DepGraph(f.d, f.g)
+	s2 := DepGraph(f.d, g2)
 	rp := model.MakeRolePair(model.Bm, model.Bm)
 	m1, m2 := s1.MatchPairs(rp), s2.MatchPairs(rp)
 	if len(m1) != len(m2) {
@@ -190,9 +190,9 @@ func TestBaselineGoldens(t *testing.T) {
 		cands := blocking.NewLSH(blocking.DefaultLSHConfig()).Pairs(d, d.RecordIDs())
 		g := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig()).Graph
 		for _, got := range []struct{ name, hash, want string }{
-			{"Attr-Sim", pairHash(NewAttrSim().Match(d, cands)), c.attr},
-			{"Dep-Graph", clusterHash(NewDepGraph().Resolve(d, g)), c.dep},
-			{"Rel-Cluster", clusterHash(NewRelCluster().Resolve(d, g)), c.rel},
+			{"Attr-Sim", pairHash(AttrSim(d, cands)), c.attr},
+			{"Dep-Graph", clusterHash(DepGraph(d, g)), c.dep},
+			{"Rel-Cluster", clusterHash(RelCluster(d, g)), c.rel},
 		} {
 			if got.hash != got.want {
 				t.Errorf("%s %s: hash %s, want %s", c.cfg.Name, got.name, got.hash, got.want)
@@ -228,12 +228,12 @@ func TestDepGraphAddressComparison(t *testing.T) {
 	far := add("kilmore", 57.24, -5.90)
 	spelled := add("12 uig", 0, 0)
 
-	m := NewDepGraph()
+	cfg := depgraph.DefaultConfig()
 	store := er.NewEntityStore(d)
 	score := func(x, y model.RecordID) float64 {
-		return m.nodeSim(d, store, &depgraph.RelationalNode{A: x, B: y})
+		return depGraphNodeSim(d, cfg, store, &depgraph.RelationalNode{A: x, B: y})
 	}
-	if s, _ := depgraph.CompareAttr(m.Config, d.Record(ua), d.Record(ub), model.Address); s >= m.Config.AtomicThreshold {
+	if s, _ := depgraph.CompareAttr(cfg, d.Record(ua), d.Record(ub), model.Address); s >= cfg.AtomicThreshold {
 		t.Fatal("fixture: the two spellings must differ by bigrams")
 	}
 	geocoded, plain := score(a, b), score(ua, ub)

@@ -169,14 +169,6 @@ func (v *Validator) BuildOK(a, b model.RecordID) bool {
 	return TemporalCompatible(ra, rb)
 }
 
-// EntityView is the minimal read interface the validator needs from an
-// entity store: the records currently in an entity.
-type EntityView interface {
-	// Records returns the record ids in the entity. The slice must not be
-	// modified.
-	Records() []model.RecordID
-}
-
 // Validator checks link and temporal constraints against a data set.
 type Validator struct {
 	d *model.Dataset
@@ -204,12 +196,11 @@ func (v *Validator) PairOK(a, b model.RecordID) bool {
 // MergeOK reports whether all cross-pairs between two entities satisfy the
 // constraints, i.e. whether the two entities could be merged into one
 // person (the paper's "apply constraints on every possible record pair
-// between the entities"). The two views may be the same entity, in which
-// case MergeOK reports true.
-func (v *Validator) MergeOK(ea, eb EntityView) bool {
-	ra, rb := ea.Records(), eb.Records()
-	for _, a := range ra {
-		for _, b := range rb {
+// between the entities"). ea and eb list the records of each entity; they
+// may be the same entity, in which case MergeOK reports true.
+func (v *Validator) MergeOK(ea, eb []model.RecordID) bool {
+	for _, a := range ea {
+		for _, b := range eb {
 			if a == b {
 				return true // same entity
 			}

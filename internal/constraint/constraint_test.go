@@ -138,10 +138,6 @@ func TestPairOKGender(t *testing.T) {
 	}
 }
 
-type fakeEntity []model.RecordID
-
-func (f fakeEntity) Records() []model.RecordID { return f }
-
 func TestMergeOK(t *testing.T) {
 	d := &model.Dataset{Records: []model.Record{
 		rec(0, model.Bb, 1870, 0),
@@ -152,15 +148,15 @@ func TestMergeOK(t *testing.T) {
 	v := NewValidator(d)
 	// Entities {0,1} and {3}: compatible (born 1870, died 1890? no: Bm 1895
 	// after death 1890 -> incompatible).
-	if v.MergeOK(fakeEntity{0, 1}, fakeEntity{3}) {
+	if v.MergeOK([]model.RecordID{0, 1}, []model.RecordID{3}) {
 		t.Error("entity with death 1890 cannot merge with Bm record from 1895")
 	}
 	// Entities {0} and {3}: baby born 1870, mother in 1895 (age 25): fine.
-	if !v.MergeOK(fakeEntity{0}, fakeEntity{3}) {
+	if !v.MergeOK([]model.RecordID{0}, []model.RecordID{3}) {
 		t.Error("Bb 1870 + Bm 1895 should merge")
 	}
 	// Entities {0,1} and {2}: two birth records -> violation.
-	if v.MergeOK(fakeEntity{0, 1}, fakeEntity{2}) {
+	if v.MergeOK([]model.RecordID{0, 1}, []model.RecordID{2}) {
 		t.Error("two Bb records across entities must block the merge")
 	}
 }

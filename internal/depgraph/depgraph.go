@@ -98,9 +98,10 @@ type Config struct {
 	GeoMaxKm float64
 }
 
-// DefaultConfig returns the paper's parameters. GeoMaxKm is chosen so that
-// houses in the same settlement score high but below the atomic threshold
-// unless they are the same household.
+// DefaultConfig returns the paper's parameters. At GeoMaxKm 5,
+// strsim.GeoSim scores two geocoded addresses within 0.5 km at the atomic
+// threshold 0.9 or above, so houses of one settlement do bind, whatever
+// their spellings.
 func DefaultConfig() Config { return Config{AtomicThreshold: 0.9, GeoMaxKm: 5} }
 
 // Graph is the dependency graph G_D.

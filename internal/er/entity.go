@@ -115,20 +115,14 @@ func (s *EntityStore) Grow() {
 // modified.
 func (s *EntityStore) Records(e EntityID) []model.RecordID { return s.entities[e].records }
 
-// recordsView adapts an entity (or an implicit singleton) to the
-// constraint.EntityView interface.
-type recordsView []model.RecordID
-
-// Records implements constraint.EntityView.
-func (v recordsView) Records() []model.RecordID { return v }
-
 // View returns the records a hypothetical entity containing r holds: the
-// record's cluster, or just the record itself when unlinked.
-func (s *EntityStore) View(r model.RecordID) recordsView {
+// record's cluster, or just the record itself when unlinked. The slice must
+// not be modified.
+func (s *EntityStore) View(r model.RecordID) []model.RecordID {
 	if e := s.entityOf[r]; e != NoEntity {
-		return recordsView(s.entities[e].records)
+		return s.entities[e].records
 	}
-	return recordsView([]model.RecordID{r})
+	return []model.RecordID{r}
 }
 
 // Link merges the entities of two records (creating entities as needed) and
@@ -252,8 +246,8 @@ func (s *EntityStore) Clusters() [][]model.RecordID {
 
 // ValueSyms returns the distinct non-empty value symbols (with counts) of
 // an attribute across the records currently in the entity of r, including
-// r itself when unlinked. The resolver's propagation and the Dep-Graph
-// baseline compare these symbols with depgraph.CompareValues.
+// r itself when unlinked. The resolver's propagation ranks them by count
+// and compares them with depgraph.CompareValues.
 func (s *EntityStore) ValueSyms(r model.RecordID, attr model.Attr) map[model.Sym]int {
 	out := map[model.Sym]int{}
 	for _, id := range s.View(r) {

@@ -27,12 +27,12 @@ func TestRefineKeepsRestoredClusters(t *testing.T) {
 	d := dataset.GenerateScale(dataset.ScaleTier(3000)).Dataset
 	cfg := er.DefaultConfig()
 	clusters := er.RunLSH(d, blocking.ScaleLSHConfig(), depgraph.DefaultConfig(), cfg).Result.Store.Clusters()
-	large := slices.ContainsFunc(clusters, func(c []model.RecordID) bool { return len(c) > cfg.BridgeSplitSize })
+	large := slices.ContainsFunc(clusters, func(c []model.RecordID) bool { return len(c) > er.BridgeSplitSize })
 	if !large {
 		// Fold the smallest clusters into one past the split size.
 		sort.SliceStable(clusters, func(i, j int) bool { return len(clusters[i]) < len(clusters[j]) })
 		var big []model.RecordID
-		for len(big) <= cfg.BridgeSplitSize {
+		for len(big) <= er.BridgeSplitSize {
 			big = append(big, clusters[0]...)
 			clusters = clusters[1:]
 		}
@@ -40,7 +40,7 @@ func TestRefineKeepsRestoredClusters(t *testing.T) {
 	}
 	st := (&store.Snapshot{Dataset: d, Clusters: clusters}).Restore()
 	before := st.Clusters()
-	removed, splits := st.Refine(cfg.DensityThreshold, cfg.BridgeSplitSize)
+	removed, splits := st.Refine(er.DensityThreshold, er.BridgeSplitSize)
 	if removed != 0 || splits != 0 {
 		t.Fatalf("Refine removed %d records and made %d splits in restored clusters", removed, splits)
 	}

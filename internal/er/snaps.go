@@ -12,63 +12,58 @@ import (
 	"github.com/snaps/snaps/internal/symbol"
 )
 
-// Config holds the SNAPS resolver parameters and the ablation switches used
-// by Table 3 of the paper.
+// Config holds the two SNAPS parameters the paper's sensitivity analysis
+// varies and the ablation switches used by Table 3 of the paper. The other
+// parameters are fixed at the paper's values (the constants below).
 type Config struct {
-	// BootstrapThreshold is t_b: minimum average atomic similarity of a node
-	// group for bootstrap merging (paper: 0.95).
-	BootstrapThreshold float64
 	// MergeThreshold is t_m: minimum average node similarity for merging
 	// (paper: 0.85).
 	MergeThreshold float64
 	// Gamma is γ in Eq. (3): weight of the atomic similarity versus the
 	// disambiguation similarity (paper: 0.6).
 	Gamma float64
-	// WMust, WCore, WExtra weight the attribute categories in Eq. (1)
-	// (paper example: 0.5/0.3/0.2).
-	WMust, WCore, WExtra float64
-	// DensityThreshold is t_d and BridgeSplitSize is t_n for the REF
-	// technique (paper: 0.3 and 15).
-	DensityThreshold float64
-	BridgeSplitSize  int
-	// Passes is the number of merge+refine passes; the second pass lets
-	// records freed by REF relink (paper: iterative process).
-	Passes int
 
 	// Ablation switches (all true for full SNAPS).
 	Propagation bool // PROP-A and PROP-C
 	Ambiguity   bool // AMB
 	Relations   bool // REL
 	Refinement  bool // REF
-
-	// MaxPropValues caps the entity value set considered during PROP-A so
-	// pathological clusters cannot make propagation quadratic.
-	MaxPropValues int
-
-	// ExtraYearWindow bounds the temporal validity of Extra-attribute
-	// disagreement: two records whose events lie within this many years and
-	// whose addresses/occupations are both present but dissimilar receive
-	// negative evidence; farther apart, the attribute may legitimately have
-	// changed and contributes nothing.
-	ExtraYearWindow int
 }
 
 // DefaultConfig returns the paper's published parameter values with every
 // technique enabled.
 func DefaultConfig() Config {
 	return Config{
-		BootstrapThreshold: 0.95,
-		MergeThreshold:     0.85,
-		Gamma:              0.6,
-		WMust:              0.5, WCore: 0.3, WExtra: 0.2,
-		DensityThreshold: 0.3,
-		BridgeSplitSize:  15,
-		Passes:           2,
-		Propagation:      true, Ambiguity: true, Relations: true, Refinement: true,
-		MaxPropValues:   6,
-		ExtraYearWindow: 6,
+		MergeThreshold: 0.85,
+		Gamma:          0.6,
+		Propagation:    true, Ambiguity: true, Relations: true, Refinement: true,
 	}
 }
+
+// The resolver's fixed parameters, at the paper's values (DESIGN §3).
+const (
+	// bootstrapThreshold is t_b: minimum average atomic similarity of a
+	// node group for bootstrap merging.
+	bootstrapThreshold = 0.95
+	// wMust, wCore and wExtra weight the attribute categories in Eq. (1).
+	wMust, wCore, wExtra = 0.5, 0.3, 0.2
+	// DensityThreshold is t_d and BridgeSplitSize is t_n, the parameters
+	// the resolver runs REF (EntityStore.Refine) with.
+	DensityThreshold = 0.3
+	BridgeSplitSize  = 15
+	// passes is the number of merge+refine passes; the second pass lets
+	// records freed by REF relink (paper: iterative process).
+	passes = 2
+	// maxPropValues caps the entity value set considered during PROP-A so
+	// pathological clusters cannot make propagation quadratic.
+	maxPropValues = 6
+	// extraYearWindow bounds the temporal validity of Extra-attribute
+	// disagreement: two records whose events lie within this many years
+	// and whose addresses/occupations are both present but dissimilar
+	// receive negative evidence; farther apart, the attribute may
+	// legitimately have changed and contributes nothing.
+	extraYearWindow = 6
+)
 
 // Timings reports the duration of each resolution phase, matching the
 // columns of Tables 5 and 6, summed over the components Resolve resolves:
@@ -183,10 +178,6 @@ func (r *Resolver) resolveGroups(res *Result, groups []int32) {
 
 	refineBefore := res.Timings.Refine
 	t1 := time.Now()
-	passes := r.cfg.Passes
-	if passes < 1 {
-		passes = 1
-	}
 	for p := 0; p < passes; p++ {
 		r.merge(res, groups)
 		r.refine(res)
@@ -200,7 +191,7 @@ func (r *Resolver) refine(res *Result) {
 		return
 	}
 	t := time.Now()
-	rem, spl := r.store.Refine(r.cfg.DensityThreshold, r.cfg.BridgeSplitSize)
+	rem, spl := r.store.Refine(DensityThreshold, BridgeSplitSize)
 	res.Timings.Refine += time.Since(t)
 	res.RefineRemoved += rem
 	res.RefineSplits += spl
@@ -219,7 +210,7 @@ func (r *Resolver) bootstrap(res *Result, groups []int32) {
 		for _, id := range grp.Nodes {
 			sum += r.strictAtomicSim(r.g.Node(id))
 		}
-		if sum/float64(len(grp.Nodes)) < r.cfg.BootstrapThreshold {
+		if sum/float64(len(grp.Nodes)) < bootstrapThreshold {
 			continue
 		}
 		ordered := append([]depgraph.NodeID(nil), grp.Nodes...)
@@ -369,7 +360,7 @@ func (r *Resolver) mergeGroup(nodes []depgraph.NodeID, res *Result) {
 		// near-unique name.
 		threshold := r.cfg.MergeThreshold
 		if len(live) < 2 {
-			threshold = r.cfg.BootstrapThreshold
+			threshold = bootstrapThreshold
 		}
 		if avg >= threshold {
 			// Merge the strongest nodes first: when two alignments compete
@@ -445,7 +436,7 @@ func (r *Resolver) extraDisagrees(ra, rb *model.Record, attr model.Attr) bool {
 	if dy < 0 {
 		dy = -dy
 	}
-	return dy <= r.cfg.ExtraYearWindow
+	return dy <= extraYearWindow
 }
 
 // atomicSimOf computes the category-weighted atomic similarity s_a of
@@ -453,7 +444,7 @@ func (r *Resolver) extraDisagrees(ra, rb *model.Record, attr model.Attr) bool {
 // atomic nodes contribute positively; name attributes without a bound node
 // contribute nothing (the surname may legitimately have changed, which
 // PROP-A handles); unbound Extra attributes count as negative evidence only
-// when the two events are temporally close (see Config.ExtraYearWindow).
+// when the two events are temporally close (see extraYearWindow).
 func (r *Resolver) atomicSimOf(n *depgraph.RelationalNode) float64 {
 	ra, rb := r.d.Record(n.A), r.d.Record(n.B)
 	var sums, counts [3]float64
@@ -475,7 +466,7 @@ func (r *Resolver) atomicSimOf(n *depgraph.RelationalNode) float64 {
 // category mean similarities, dropping the weight of categories that have
 // no comparable values.
 func (r *Resolver) combineCategories(sums, counts [3]float64) float64 {
-	weights := [3]float64{r.cfg.WMust, r.cfg.WCore, r.cfg.WExtra}
+	weights := [3]float64{wMust, wCore, wExtra}
 	num, den := 0.0, 0.0
 	for c := 0; c < 3; c++ {
 		if counts[c] == 0 {
@@ -640,7 +631,7 @@ func (r *Resolver) propagatedSim(n *depgraph.RelationalNode) float64 {
 	return r.combineCategories(sums, counts)
 }
 
-// entityValues returns up to MaxPropValues distinct values (as symbols) of
+// entityValues returns up to maxPropValues distinct values (as symbols) of
 // the attribute across the record's entity, most frequent first, always
 // including the record's own value. The result is cached against the
 // record's store version stamp and must not be modified.
@@ -677,17 +668,13 @@ func (r *Resolver) entityValuesUncached(id model.RecordID, attr model.Attr) []mo
 			return list[i].c > list[j].c
 		}
 		// The tie-break stays lexicographic on the strings (not on symbol
-		// IDs, whose order is interning order): the MaxPropValues cap cuts
+		// IDs, whose order is interning order): the maxPropValues cap cuts
 		// this ordered list, so the tie-break is output-visible.
 		return symbol.Str(list[i].v) < symbol.Str(list[j].v)
 	})
-	maxN := r.cfg.MaxPropValues
-	if maxN <= 0 {
-		maxN = 6
-	}
-	out := make([]model.Sym, 0, maxN+1)
+	out := make([]model.Sym, 0, maxPropValues+1)
 	hasOwn := false
-	for i := 0; i < len(list) && len(out) < maxN; i++ {
+	for i := 0; i < len(list) && len(out) < maxPropValues; i++ {
 		out = append(out, list[i].v)
 		if list[i].v == own {
 			hasOwn = true

@@ -258,11 +258,12 @@ func Table4(w io.Writer, opt Options) {
 		pr := er.Run(d, depgraph.DefaultConfig(), er.DefaultConfig())
 
 		// The unsupervised baselines do not depend on the role-pair group,
-		// and they read only the endpoints of the graph's nodes: each runs
-		// once per data set, on the graph SNAPS resolved.
-		attr := baseline.NewAttrSim().Match(d, cands)
-		dep := baseline.NewDepGraph().Resolve(d, pr.Graph)
-		rel := baseline.NewRelCluster().Resolve(d, pr.Graph)
+		// and they read only the graph's configuration and its nodes'
+		// endpoints: each runs once per data set, on the graph SNAPS
+		// resolved.
+		attr := baseline.AttrSim(d, cands)
+		dep := baseline.DepGraph(d, pr.Graph)
+		rel := baseline.RelCluster(d, pr.Graph)
 
 		for _, grp := range []struct {
 			name string
@@ -348,16 +349,16 @@ func Table5(w io.Writer, opt Options) {
 		// Baselines are timed through the shared Stage API, so the table's
 		// numbers and the snaps_stage_seconds series agree by construction.
 		st := obs.StartStage("baseline_attr_sim")
-		baseline.NewAttrSim().Match(d, cands)
+		baseline.AttrSim(d, cands)
 		attrTime := st.Stop()
 
 		// Both graph baselines run on the graph SNAPS resolved.
 		st = obs.StartStage("baseline_dep_graph")
-		baseline.NewDepGraph().Resolve(d, pr.Graph)
+		baseline.DepGraph(d, pr.Graph)
 		depTime := st.Stop()
 
 		st = obs.StartStage("baseline_rel_cluster")
-		baseline.NewRelCluster().Resolve(d, pr.Graph)
+		baseline.RelCluster(d, pr.Graph)
 		relTime := st.Stop()
 
 		st = obs.StartStage("baseline_magellan")

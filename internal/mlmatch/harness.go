@@ -92,9 +92,9 @@ func TruthOf(pairs []LabelledPair) map[model.PairKey]bool {
 // over: SVM, random forest, logistic regression, decision tree.
 func DefaultTrainers() []Trainer {
 	return []Trainer{
-		NewLinearSVM(),
-		NewRandomForest(),
-		NewLogisticRegression(),
+		LinearSVM{},
+		RandomForest{},
+		LogisticRegression{},
 		NewDecisionTree(),
 	}
 }

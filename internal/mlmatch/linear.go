@@ -27,26 +27,24 @@ func (m *linearModel) score(x [NumFeatures]float64) float64 {
 func (m *linearModel) Predict(x [NumFeatures]float64) bool { return m.score(x) > 0 }
 
 // LogisticRegression trains a binary logistic-regression matcher with
-// mini-batch SGD and L2 regularisation.
-type LogisticRegression struct {
-	Epochs       int
-	LearningRate float64
-	L2           float64
-	Seed         int64
-}
+// mini-batch SGD and L2 regularisation, at fixed hyperparameters.
+type LogisticRegression struct{}
 
-// NewLogisticRegression returns sensible defaults for pairwise matching.
-func NewLogisticRegression() *LogisticRegression {
-	return &LogisticRegression{Epochs: 60, LearningRate: 0.3, L2: 1e-4, Seed: 1}
-}
+// The logistic regression's hyperparameters.
+const (
+	logRegEpochs       = 60
+	logRegLearningRate = 0.3
+	logRegL2           = 1e-4
+	logRegSeed         = 1
+)
 
 // Train implements Trainer.
-func (t *LogisticRegression) Train(examples []Example) Classifier {
+func (LogisticRegression) Train(examples []Example) Classifier {
 	m := &linearModel{name: "logreg"}
 	if len(examples) == 0 {
 		return m
 	}
-	rng := rand.New(rand.NewSource(t.Seed))
+	rng := rand.New(rand.NewSource(logRegSeed))
 	idx := make([]int, len(examples))
 	for i := range idx {
 		idx[i] = i
@@ -63,9 +61,9 @@ func (t *LogisticRegression) Train(examples []Example) Classifier {
 		posW = float64(len(examples)) / (2 * float64(pos))
 		negW = float64(len(examples)) / (2 * float64(len(examples)-pos))
 	}
-	for epoch := 0; epoch < t.Epochs; epoch++ {
+	for epoch := 0; epoch < logRegEpochs; epoch++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		lr := t.LearningRate / (1 + 0.05*float64(epoch))
+		lr := logRegLearningRate / (1 + 0.05*float64(epoch))
 		for _, i := range idx {
 			e := &examples[i]
 			y := 0.0
@@ -77,7 +75,7 @@ func (t *LogisticRegression) Train(examples []Example) Classifier {
 			p := sigmoid(m.score(e.X))
 			g := weight * (p - y)
 			for j := range m.w {
-				m.w[j] -= lr * (g*e.X[j] + t.L2*m.w[j])
+				m.w[j] -= lr * (g*e.X[j] + logRegL2*m.w[j])
 			}
 			m.b -= lr * g
 		}
@@ -96,23 +94,23 @@ func sigmoid(z float64) float64 {
 }
 
 // LinearSVM trains a linear soft-margin SVM with the Pegasos-style
-// subgradient method on the hinge loss.
-type LinearSVM struct {
-	Epochs int
-	Lambda float64
-	Seed   int64
-}
+// subgradient method on the hinge loss, at fixed hyperparameters.
+type LinearSVM struct{}
 
-// NewLinearSVM returns sensible defaults for pairwise matching.
-func NewLinearSVM() *LinearSVM { return &LinearSVM{Epochs: 60, Lambda: 1e-4, Seed: 2} }
+// The linear SVM's hyperparameters.
+const (
+	svmEpochs = 60
+	svmLambda = 1e-4
+	svmSeed   = 2
+)
 
 // Train implements Trainer.
-func (t *LinearSVM) Train(examples []Example) Classifier {
+func (LinearSVM) Train(examples []Example) Classifier {
 	m := &linearModel{name: "svm"}
 	if len(examples) == 0 {
 		return m
 	}
-	rng := rand.New(rand.NewSource(t.Seed))
+	rng := rand.New(rand.NewSource(svmSeed))
 	idx := make([]int, len(examples))
 	for i := range idx {
 		idx[i] = i
@@ -129,7 +127,7 @@ func (t *LinearSVM) Train(examples []Example) Classifier {
 		negW = float64(len(examples)) / (2 * float64(len(examples)-pos))
 	}
 	step := 0
-	for epoch := 0; epoch < t.Epochs; epoch++ {
+	for epoch := 0; epoch < svmEpochs; epoch++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for _, i := range idx {
 			step++
@@ -140,13 +138,13 @@ func (t *LinearSVM) Train(examples []Example) Classifier {
 				y = 1
 				weight = posW
 			}
-			lr := 1 / (t.Lambda * float64(step))
+			lr := 1 / (svmLambda * float64(step))
 			if lr > 10 {
 				lr = 10
 			}
 			margin := y * m.score(e.X)
 			for j := range m.w {
-				m.w[j] *= 1 - lr*t.Lambda
+				m.w[j] *= 1 - lr*svmLambda
 			}
 			if margin < 1 {
 				for j := range m.w {

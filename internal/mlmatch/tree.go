@@ -182,32 +182,36 @@ func (m *RandomForestModel) Predict(x [NumFeatures]float64) bool {
 	return votes*2 > len(m.trees)
 }
 
-// RandomForest trains a bagged ensemble of feature-subsampled trees.
-type RandomForest struct {
-	Trees    int
-	MaxDepth int
-	Seed     int64
-}
+// RandomForest trains a bagged ensemble of feature-subsampled trees, at
+// fixed hyperparameters.
+type RandomForest struct{}
 
-// NewRandomForest returns defaults suitable for pair matching.
-func NewRandomForest() *RandomForest { return &RandomForest{Trees: 15, MaxDepth: 8, Seed: 4} }
+// The random forest's hyperparameters: the ensemble size, and the settings
+// of each tree it grows.
+const (
+	forestSeed          = 4
+	forestTrees         = 15
+	forestMaxDepth      = 8
+	forestMinLeafSize   = 3
+	forestFeatureSubset = 4
+)
 
 // Train implements Trainer.
-func (t *RandomForest) Train(examples []Example) Classifier {
+func (RandomForest) Train(examples []Example) Classifier {
 	m := &RandomForestModel{}
 	if len(examples) == 0 {
 		return m
 	}
-	rng := rand.New(rand.NewSource(t.Seed))
-	for k := 0; k < t.Trees; k++ {
+	rng := rand.New(rand.NewSource(forestSeed))
+	for k := 0; k < forestTrees; k++ {
 		// Bootstrap sample.
 		sample := make([]Example, len(examples))
 		for i := range sample {
 			sample[i] = examples[rng.Intn(len(examples))]
 		}
 		dt := &DecisionTree{
-			MaxDepth: t.MaxDepth, MinLeafSize: 3,
-			FeatureSubset: 4, Seed: rng.Int63(),
+			MaxDepth: forestMaxDepth, MinLeafSize: forestMinLeafSize,
+			FeatureSubset: forestFeatureSubset, Seed: rng.Int63(),
 		}
 		m.trees = append(m.trees, dt.Train(sample).(*DecisionTreeModel))
 	}

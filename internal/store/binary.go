@@ -71,16 +71,19 @@ const (
 
 // maxStringLen bounds any single stored string (names, addresses, causes,
 // the data set name). Real values are tens of bytes; anything past this is
-// corruption, rejected before the bytes are allocated.
+// corruption, rejected before the bytes are allocated. The writer refuses
+// such a string too, so it never writes a snapshot the reader rejects.
 const maxStringLen = 1 << 16
 
 // ---------------------------------------------------------------- writer
 
 // binWriter accumulates one section body and flushes it length-prefixed.
+// err holds the first string over maxStringLen; flush returns it.
 type binWriter struct {
 	w   *bufio.Writer
 	buf []byte
 	tmp [binary.MaxVarintLen64]byte
+	err error
 }
 
 func (b *binWriter) uvarint(v uint64) {
@@ -96,6 +99,9 @@ func (b *binWriter) svarint(v int64) {
 func (b *binWriter) byte(v byte) { b.buf = append(b.buf, v) }
 
 func (b *binWriter) string(s string) {
+	if len(s) > maxStringLen && b.err == nil {
+		b.err = fmt.Errorf("store: string of %d bytes exceeds limit %d", len(s), maxStringLen)
+	}
 	b.uvarint(uint64(len(s)))
 	b.buf = append(b.buf, s...)
 }
@@ -108,6 +114,9 @@ func (b *binWriter) float(f float64) {
 
 // flush writes the pending body as a section and resets the buffer.
 func (b *binWriter) flush(tag byte) error {
+	if b.err != nil {
+		return b.err
+	}
 	if err := b.w.WriteByte(tag); err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/snaps/snaps/internal/dataset"
@@ -132,6 +133,30 @@ func TestValidateRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Read(&buf); err == nil {
 		t.Fatal("overlapping clusters accepted")
+	}
+}
+
+// TestWriteRefusesOverlongString pins that the writer and the reader agree
+// on the string bound: a record whose name is one byte over it is refused at
+// Write, not written into a snapshot that Read then rejects.
+func TestWriteRefusesOverlongString(t *testing.T) {
+	d := &model.Dataset{Name: "overlong", Records: []model.Record{{
+		First: model.Intern(strings.Repeat("a", maxStringLen+1)), Sur: model.Intern("macleod"),
+		Truth: model.NoPerson,
+	}}}
+	var buf bytes.Buffer
+	if err := Write(&buf, &Snapshot{Dataset: d}); err == nil {
+		_, rerr := Read(&buf)
+		t.Fatalf("Write accepted a %d-byte name (Read then says: %v)", maxStringLen+1, rerr)
+	}
+	// At the bound itself both sides accept it.
+	d.Records[0].First = model.Intern(strings.Repeat("a", maxStringLen))
+	buf.Reset()
+	if err := Write(&buf, &Snapshot{Dataset: d}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(&buf); err != nil {
+		t.Fatal(err)
 	}
 }
 
