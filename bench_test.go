@@ -238,9 +238,9 @@ func BenchmarkAblationLSHBanding(b *testing.B) {
 		ids[i] = d.Records[i].ID
 	}
 	for _, cfg := range []blocking.LSHConfig{
-		{Bands: 8, Rows: 4, Seed: 0x5eed, MaxBlockSize: 400},
-		{Bands: 16, Rows: 2, Seed: 0x5eed, MaxBlockSize: 400},
-		{Bands: 4, Rows: 8, Seed: 0x5eed, MaxBlockSize: 400},
+		{Bands: 8, Rows: 4, MaxBlockSize: 400},
+		{Bands: 16, Rows: 2, MaxBlockSize: 400},
+		{Bands: 4, Rows: 8, MaxBlockSize: 400},
 	} {
 		name := "bands=" + itoa(cfg.Bands) + "/rows=" + itoa(cfg.Rows)
 		b.Run(name, func(b *testing.B) {

@@ -331,8 +331,8 @@ func runQuery(coord *shard.Coordinator, nameQuery string) {
 	// like "van den berg"); otherwise the last token is the surname.
 	var first, sur string
 	if i := strings.Index(nameQuery, "/"); i >= 0 {
-		first = strings.TrimSpace(strings.ToLower(nameQuery[:i]))
-		sur = strings.TrimSpace(strings.ToLower(nameQuery[i+1:]))
+		first = vitalio.Norm(nameQuery[:i])
+		sur = vitalio.Norm(nameQuery[i+1:])
 	} else {
 		parts := strings.Fields(strings.ToLower(nameQuery))
 		if len(parts) < 2 {

@@ -41,8 +41,6 @@ type LSHConfig struct {
 	// pairs; the collision probability of a pair with Jaccard similarity s
 	// is 1-(1-s^Rows)^Bands.
 	Bands, Rows int
-	// Seed seeds the per-position hash mixers so runs are reproducible.
-	Seed uint64
 	// MaxBlockSize caps a block: larger blocks (stop-word-like names) are
 	// skipped to avoid quadratic blowup on very frequent values, mirroring
 	// standard blocking practice. Zero means no cap.
@@ -53,7 +51,7 @@ type LSHConfig struct {
 // rows, which admits pairs with bigram Jaccard similarity around 0.35-0.4
 // with high probability.
 func DefaultLSHConfig() LSHConfig {
-	return LSHConfig{Bands: 8, Rows: 4, Seed: 0x5eed, MaxBlockSize: 400}
+	return LSHConfig{Bands: 8, Rows: 4, MaxBlockSize: 400}
 }
 
 // ScaleLSHConfig returns the blocking profile for the DS-scale bench
@@ -66,7 +64,7 @@ func DefaultLSHConfig() LSHConfig {
 // out, the same selectivity-for-scale trade the paper makes to run BHIC
 // windows (Table 6).
 func ScaleLSHConfig() LSHConfig {
-	return LSHConfig{Bands: 6, Rows: 6, Seed: 0x5eed, MaxBlockSize: 128}
+	return LSHConfig{Bands: 6, Rows: 6, MaxBlockSize: 128}
 }
 
 // LSH is a MinHash locality-sensitive-hashing blocker over the
@@ -80,6 +78,9 @@ type LSH struct {
 // maxBands is the largest LSHConfig.Bands NewLSH accepts.
 const maxBands = 32
 
+// lshSeed seeds the per-position hash mixers, so runs are reproducible.
+const lshSeed = 0x5eed
+
 // NewLSH returns an LSH blocker with the given configuration; one without
 // positive Bands and Rows, or with more than 32 Bands, is replaced by
 // DefaultLSHConfig.
@@ -91,7 +92,7 @@ func NewLSH(cfg LSHConfig) *LSH {
 	}
 	n := cfg.Bands * cfg.Rows
 	mixers := make([]uint64, n)
-	x := cfg.Seed | 1
+	x := uint64(lshSeed | 1)
 	for i := range mixers {
 		// splitmix64 step to derive independent odd multipliers.
 		x += 0x9e3779b97f4a7c15

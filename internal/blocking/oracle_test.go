@@ -140,7 +140,7 @@ func TestBandMaskWidth(t *testing.T) {
 	d := dataset.Generate(dataset.IOS().Scaled(0.05)).Dataset
 	ids := allIDs(d)
 	for _, bands := range []int{16, 32} {
-		cfg := LSHConfig{Bands: bands, Rows: 2, Seed: 0x5eed, MaxBlockSize: 40}
+		cfg := LSHConfig{Bands: bands, Rows: 2, MaxBlockSize: 40}
 		if got := checkAgainstOracle(t, "wide", d, ids, cfg); len(got) == 0 {
 			t.Fatalf("Bands %d: no pairs", bands)
 		}

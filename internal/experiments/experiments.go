@@ -563,9 +563,9 @@ func Blocking(w io.Writer, opt Options) {
 			label, m.Candidates, m.PairCompleteness, m.ReductionRatio)
 	}
 	for _, cfg := range []blocking.LSHConfig{
-		{Bands: 4, Rows: 8, Seed: 0x5eed, MaxBlockSize: 400},
-		{Bands: 8, Rows: 4, Seed: 0x5eed, MaxBlockSize: 400},
-		{Bands: 16, Rows: 2, Seed: 0x5eed, MaxBlockSize: 400},
+		{Bands: 4, Rows: 8, MaxBlockSize: 400},
+		{Bands: 8, Rows: 4, MaxBlockSize: 400},
+		{Bands: 16, Rows: 2, MaxBlockSize: 400},
 	} {
 		score(fmt.Sprintf("lsh bands=%d rows=%d", cfg.Bands, cfg.Rows),
 			blocking.NewLSH(cfg).Pairs(d, ids))

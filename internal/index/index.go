@@ -172,22 +172,20 @@ func (t *SimTable) Sim(value string) (float64, bool) {
 	return s, ok
 }
 
-// simBlock holds every precomputed list of one name field in CSR form: row
-// r is ids[offsets[r]:offsets[r+1]] with codes beside it, and vals[r] is the
-// value the row belongs to (itself listed in the row, unless it has no
-// bigram). An entry is 6 bytes: its similarity is the code's value in the
-// table of the row's page, a run of consecutive rows whose table holds at
-// most maxTable values. offsets caps a block at 2^32 entries and a page's
-// table caps one row at maxTable distinct similarities, which only a block
-// of more than maxTable values can reach; neither is checked on the read
-// path, and a coder panics rather than write a code that does not fit.
-// Nothing in the arrays but the page tables is a pointer, so the collector
-// never scans them, and a block is immutable: a flush that changes the
-// field's vocabulary writes a new one (update.go), any other shares it
-// whole.
+// simBlock holds every precomputed list of one name field in CSR form, row
+// r being the list of the value of rank r (see Similarity.ranked): its ids
+// are ids[offsets[r]:offsets[r+1]] with codes beside them, and it lists
+// the value itself unless the value has no bigram. An entry is 6 bytes:
+// its similarity is the code's value in the table of the row's page, a run
+// of consecutive rows whose table holds at most maxTable values. offsets
+// caps a block at 2^32 entries and a page's table caps one row at maxTable
+// distinct similarities, which only a block of more than maxTable values
+// can reach; neither is checked on the read path, and a coder panics
+// rather than write a code that does not fit. Nothing in the arrays but
+// the page tables is a pointer, so the collector never scans them, and a
+// block is immutable: a flush that changes the field's vocabulary writes a
+// new one (update.go), any other shares it whole.
 type simBlock struct {
-	rows    map[string]uint32
-	vals    []symbol.ID
 	offsets []uint32
 	ids     []symbol.ID
 	codes   []uint16
@@ -213,10 +211,18 @@ func (b *simBlock) page(r uint32) int {
 	return p
 }
 
-// row returns the view of row r.
-func (b *simBlock) row(r uint32) SimilarList {
+// row returns the view of the field's row r, the list of the value of rank
+// r.
+func (s *Similarity) row(f Field, r int) SimilarList {
+	b := s.blocks[f]
 	lo, hi := b.offsets[r], b.offsets[r+1]
-	return SimilarList{ids: b.ids[lo:hi:hi], codes: b.codes[lo:hi:hi], table: b.pages[b.page(r)].table, self: b.vals[r]}
+	return SimilarList{ids: b.ids[lo:hi:hi], codes: b.codes[lo:hi:hi], table: b.pages[b.page(uint32(r))].table, self: s.ranked[f][r]}
+}
+
+// rank returns the place of value in ranked, a vocabulary in string order,
+// and whether it is there.
+func rank(ranked []symbol.ID, value string) (int, bool) {
+	return slices.BinarySearchFunc(ranked, value, func(id symbol.ID, v string) int { return strings.Compare(symbol.Str(id), v) })
 }
 
 // coder writes the pages of consecutive rows of one block: it opens a page
@@ -415,13 +421,14 @@ type Similarity struct {
 	// collision overwrites.
 	probes [NumFields][]atomic.Pointer[probeEntry]
 	// ranked[field] is the field's vocabulary in string order: a value's
-	// rank is its place there, the order a list breaks ties in.
+	// rank is its place there, the order a list breaks ties in and the row
+	// of its list in the field's block.
 	ranked [NumFields][]symbol.ID
 	// bigramPost[field][bigram] lists the ranks of the values containing
-	// the bigram, delta+varint compressed in ascending order. Bigrams are
-	// keyed by their packed integer form (strsim.BigramID) rather than
-	// two-byte strings, so probing never hashes string keys.
-	bigramPost [NumFields]map[strsim.BigramID]postingList
+	// the bigram, ascending. Bigrams are keyed by their packed integer form
+	// (strsim.BigramID) rather than two-byte strings, so probing never
+	// hashes string keys.
+	bigramPost [NumFields]map[strsim.BigramID][]uint32
 }
 
 // probeSeed keys the probe cache's hash, so which values collide is not
@@ -497,19 +504,15 @@ func stringOrder(vals []symbol.ID) []symbol.ID {
 
 // bigramPostings is the one builder of S's bigram postings: for every
 // bigram of the field's indexed values, the ascending ranks of the values
-// containing it in ranked, the field's vocabulary in string order, encoded.
-// An indexed value is an interned record attribute, so its bigram signature
+// containing it in ranked, the field's vocabulary in string order. An
+// indexed value is an interned record attribute, so its bigram signature
 // comes straight from the per-symbol feature slab.
-func bigramPostings(ranked []symbol.ID) map[strsim.BigramID]postingList {
-	raw := map[strsim.BigramID][]uint32{}
+func bigramPostings(ranked []symbol.ID) map[strsim.BigramID][]uint32 {
+	post := map[strsim.BigramID][]uint32{}
 	for r, id := range ranked {
 		for _, bg := range simcache.Feat(id).Bigrams {
-			raw[bg] = append(raw[bg], uint32(r))
+			post[bg] = append(post[bg], uint32(r))
 		}
-	}
-	post := make(map[strsim.BigramID]postingList, len(raw))
-	for bg, ranks := range raw {
-		post[bg] = encodePostings(ranks)
 	}
 	return post
 }
@@ -576,10 +579,10 @@ func (k *Keyword) Values(f Field) int { return len(k.fields[f].vals) }
 // colliding one replaces it; concurrent first queries of one value each
 // compute the same list. The view reads S in place: a hit allocates nothing.
 func (s *Similarity) Similar(f Field, value string) SimilarList {
-	if b := s.blocks[f]; b != nil {
-		if r, ok := b.rows[value]; ok {
+	if s.blocks[f] != nil {
+		if r, ok := rank(s.ranked[f], value); ok {
 			mMemoHits.Inc()
-			return b.row(r)
+			return s.row(f, r)
 		}
 	}
 	slot := s.probeSlot(f, value)
@@ -639,15 +642,11 @@ var candPool = sync.Pool{New: func() any { return new(candScratch) }}
 // and a scan of the marks reads them out in order and clears them. The
 // result aliases the scratch and is valid until the scratch goes back to
 // the pool.
-func (c *candScratch) candidates(post map[strsim.BigramID]postingList, bgs []strsim.BigramID, n int) []uint32 {
+func (c *candScratch) candidates(post map[strsim.BigramID][]uint32, bgs []strsim.BigramID, n int) []uint32 {
 	words := (n + 63) / 64
 	marks := slices.Grow(c.marks[:0], words)[:words]
 	for _, bg := range bgs {
-		for it := post[bg].iter(); ; {
-			r, ok := it.Next()
-			if !ok {
-				break
-			}
+		for _, r := range post[bg] {
 			marks[r/64] |= 1 << (r % 64)
 		}
 	}
@@ -732,8 +731,8 @@ func (s *Similarity) computeSimilar(f Field, value string) SimilarList {
 // precomputed ones plus the occupied probe-cache slots.
 func (s *Similarity) Size(f Field) int {
 	n := 0
-	if b := s.blocks[f]; b != nil {
-		n = len(b.vals)
+	if s.blocks[f] != nil {
+		n = len(s.ranked[f])
 	}
 	for i := range s.probes[f] {
 		if s.probes[f][i].Load() != nil {
@@ -745,21 +744,21 @@ func (s *Similarity) Size(f Field) int {
 
 // Bytes is the size of the data S was built with: the arrays of every
 // field's block — 6 bytes per entry, 8 per page-table value, 4 per row in
-// vals and offsets — the rank order, 4 bytes per value, and the encoded
-// bigram postings, by arithmetic over their lengths. The maps' own overhead
-// and the probe cache are not in it.
+// offsets — the rank order, 4 bytes per value, and the bigram postings, 4
+// bytes per entry, by arithmetic over their lengths. The maps' own
+// overhead and the probe cache are not in it.
 func (s *Similarity) Bytes() int64 {
 	n := 0
 	for f := range s.blocks {
 		n += 4 * len(s.ranked[f])
 		if b := s.blocks[f]; b != nil {
-			n += 4*(len(b.vals)+len(b.offsets)+len(b.ids)) + 2*len(b.codes)
+			n += 4*(len(b.offsets)+len(b.ids)) + 2*len(b.codes)
 			for _, p := range b.pages {
 				n += 8 * len(p.table)
 			}
 		}
-		for _, pl := range s.bigramPost[f] {
-			n += len(pl.data)
+		for _, ranks := range s.bigramPost[f] {
+			n += 4 * len(ranks)
 		}
 	}
 	return int64(n)

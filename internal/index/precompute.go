@@ -17,7 +17,6 @@ import (
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/par"
 	"github.com/snaps/snaps/internal/simcache"
-	"github.com/snaps/snaps/internal/strsim"
 	"github.com/snaps/snaps/internal/symbol"
 )
 
@@ -38,22 +37,19 @@ const pairChunk = 16
 const pairBlock = 1 << 15
 
 // precompute computes the similarity list of every value the field indexes
-// and stores them as the field's block: exactly the list computeSimilar
-// returns for each, entry for entry and bit for bit, whatever GOMAXPROCS is.
+// and stores them as the field's block, row r the list of rank r: exactly
+// the list computeSimilar returns for each, entry for entry and bit for
+// bit, whatever GOMAXPROCS is. It reads the field's rank order and bigram
+// postings, which must already be those of its vocabulary.
 func (s *Similarity) precompute(f Field) {
 	// A value's rank (its place in s.ranked[f], value order) is its dense
-	// local id: syms, feats and post (per bigram, ascending, the values
-	// containing it) are keyed by it, so the pair loop touches flat slices
-	// only.
-	syms := slices.Clone(s.ranked[f])
+	// local id: syms, feats and the bigram postings are keyed by it, so the
+	// pair loop touches flat slices only.
+	syms, post := s.ranked[f], s.bigramPost[f]
 	n := len(syms)
 	feats := make([]*simcache.Features, n)
-	post := map[strsim.BigramID][]int32{}
-	for i := range syms {
-		feats[i] = simcache.Feat(syms[i])
-		for _, bg := range feats[i].Bigrams {
-			post[bg] = append(post[bg], int32(i))
-		}
+	for i, id := range syms {
+		feats[i] = simcache.Feat(id)
 	}
 	score := obs.StartStage("index_build_sims_score")
 	chunks := (n + pairChunk - 1) / pairChunk
@@ -76,7 +72,7 @@ func (s *Similarity) precompute(f Field) {
 				probe.Set(fi)
 				for _, bg := range fi.Bigrams {
 					list := post[bg]
-					at, _ := slices.BinarySearch(list, int32(i))
+					at, _ := slices.BinarySearch(list, uint32(i))
 					for _, j := range list[at+1:] {
 						if seen[j] == epoch {
 							continue
@@ -88,7 +84,7 @@ func (s *Similarity) precompute(f Field) {
 								blocks[w] = append(blocks[w], buf)
 								buf = make([]simPair, 0, pairBlock)
 							}
-							buf = append(buf, simPair{int32(i), j, sim})
+							buf = append(buf, simPair{int32(i), int32(j), sim})
 						}
 					}
 				}
@@ -104,9 +100,8 @@ func (s *Similarity) precompute(f Field) {
 	// with a bigram is its own candidate and scores 1 without a kernel call;
 	// a one-letter value has no candidates at all and gets an empty row.
 	hasSelf := func(i int) bool { return s.threshold <= 1 && len(feats[i].Bigrams) > 0 }
-	b := &simBlock{rows: make(map[string]uint32, n), vals: syms, offsets: make([]uint32, n+1)}
-	for i, v := range syms {
-		b.rows[symbol.Str(v)] = uint32(i)
+	b := &simBlock{offsets: make([]uint32, n+1)}
+	for i := range n {
 		if hasSelf(i) {
 			b.offsets[i+1] = 1
 		}

@@ -3,7 +3,6 @@ package index
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"reflect"
 	"slices"
 	"sync"
@@ -19,13 +18,13 @@ import (
 // yields the same index as a serial build: every memoised list must be
 // identical across two independent builds.
 func TestBuildDeterministic(t *testing.T) {
-	g, _, s1 := builtIndexes(t)
+	g, k, s1 := builtIndexes(t)
 	_, s2 := Build(g, 0.5)
 	for _, f := range []Field{FieldFirstName, FieldSurname} {
 		if s1.Size(f) != s2.Size(f) {
 			t.Fatalf("field %v: memo sizes differ: %d vs %d", f, s1.Size(f), s2.Size(f))
 		}
-		for v := range s1.blocks[f].rows {
+		for _, v := range k.vocab(f) {
 			if want, got := s1.listOf(f, v), s2.listOf(f, v); !reflect.DeepEqual(want, got) {
 				t.Fatalf("field %v value %q: precomputed lists differ:\n%v\nvs\n%v", f, v, want, got)
 			}
@@ -80,7 +79,7 @@ func TestProbeMemoryBounded(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		s.Similar(FieldSurname, fmt.Sprintf("macprobe%d", i))
 	}
-	if got := len(s.blocks[FieldSurname].rows); got != indexed {
+	if got := len(s.blocks[FieldSurname].offsets) - 1; got != indexed {
 		t.Errorf("probes changed the precomputed lists: %d, want %d", got, indexed)
 	}
 	if got := s.Size(FieldSurname); got <= indexed+1 || got > indexed+1+probeSlots {
@@ -118,12 +117,11 @@ func TestSimilarityImmutableAfterPublish(t *testing.T) {
 	pins := map[Field]pin{}
 	for _, f := range nameFields {
 		b := prevS.blocks[f]
-		if len(b.ids) == 0 || len(b.ids) != len(b.codes) || len(b.offsets) != len(b.vals)+1 || len(b.pages) == 0 {
+		if len(b.ids) == 0 || len(b.ids) != len(b.codes) || len(b.offsets) != len(prevS.ranked[f])+1 || len(b.pages) == 0 {
 			t.Fatalf("field %v: block of %d ids, %d codes, %d offsets, %d pages for %d values",
-				f, len(b.ids), len(b.codes), len(b.offsets), len(b.pages), len(b.vals))
+				f, len(b.ids), len(b.codes), len(b.offsets), len(b.pages), len(prevS.ranked[f]))
 		}
 		p := pin{block: b, copy: simBlock{
-			rows: maps.Clone(b.rows), vals: slices.Clone(b.vals),
 			offsets: slices.Clone(b.offsets), ids: slices.Clone(b.ids), codes: slices.Clone(b.codes),
 		}, addrs: addrs(b)}
 		for _, pg := range b.pages {

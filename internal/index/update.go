@@ -92,7 +92,7 @@ func updateSimilarity(k, prevK *Keyword, prevS *Similarity, rebuildAt float64) (
 			s.precompute(f)
 			rebuilt++
 		default:
-			s.blocks[f] = s.rewriteBlock(f, prevS.blocks[f], added, removed)
+			s.blocks[f] = s.rewriteBlock(f, prevS)
 		}
 	}
 	return s, rebuilt
@@ -106,26 +106,45 @@ type rowEdit struct {
 	remove bool
 }
 
-// rewriteBlock writes the field's next block from the previous one: removed
-// values' rows dropped, every surviving row copied with its edits merged in
-// under compareSim, the added values' rows appended. It reads old and the
-// new bigram postings and writes fresh arrays of the exact size, in one
+// rewriteBlock writes the field's next block from prev's: every row of a
+// surviving value copied with its edits merged in under compareSim, every
+// added value's list computed, each at its new rank, and the removed
+// values' rows dropped. It walks the new and the old vocabulary side by
+// side in string order and writes fresh arrays of the exact size, in one
 // sequential pass whose cost is the block's, however many values the flush
 // added. The new block has pages of its own: a surviving entry's code is
 // translated through a remap of its old page's codes, filled as they recur.
-func (s *Similarity) rewriteBlock(f Field, old *simBlock, added, removed []symbol.ID) *simBlock {
-	// An added value is in no old row and a removed one in no new list, so
-	// one set of both says which entries of a diff value's list to skip.
-	inDiff := make(map[symbol.ID]bool, len(added)+len(removed))
-	for _, id := range slices.Concat(added, removed) {
-		inDiff[id] = true
+func (s *Similarity) rewriteBlock(f Field, prev *Similarity) *simBlock {
+	old, oldRanked, ranked := prev.blocks[f], prev.ranked[f], s.ranked[f]
+	// from[r] is the old row of the value of rank r, or -1 when the value
+	// was added; added lists those ranks and removed the rows of the values
+	// that left, both ascending. survivor[id] is the rank of a value in both
+	// vocabularies plus one, 0 for any other id.
+	from := make([]int32, len(ranked))
+	survivor := make([]uint32, symbol.Len())
+	var added, removed []int
+	o := 0
+	for r, v := range ranked {
+		for ; o < len(oldRanked) && symbol.Str(oldRanked[o]) < symbol.Str(v); o++ {
+			removed = append(removed, o)
+		}
+		if o < len(oldRanked) && oldRanked[o] == v {
+			from[r], survivor[v] = int32(o), uint32(r)+1
+			o++
+		} else {
+			from[r] = -1
+			added = append(added, r)
+		}
+	}
+	for ; o < len(oldRanked); o++ {
+		removed = append(removed, o)
 	}
 	// The added values' own lists, against the new bigram postings: they see
 	// each other and every surviving value.
 	fresh := make([]SimilarList, len(added))
 	par.Range(len(added), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			fresh[i] = s.computeSimilar(f, symbol.Str(added[i]))
+			fresh[i] = s.computeSimilar(f, symbol.Str(ranked[added[i]]))
 		}
 	})
 	// S is symmetric (the property the all-pairs precompute rests on, and one
@@ -138,26 +157,25 @@ func (s *Similarity) rewriteBlock(f Field, old *simBlock, added, removed []symbo
 	mirror := func(v symbol.ID, l SimilarList, sign int) {
 		total += sign * l.Len()
 		for i, id := range l.ids {
-			if !inDiff[id] {
-				edits = append(edits, rowEdit{old.rows[symbol.Str(id)], simEntry{v, l.Sim(i)}, sign < 0})
+			if r := survivor[id]; r > 0 {
+				edits = append(edits, rowEdit{r - 1, simEntry{v, l.Sim(i)}, sign < 0})
 				total += sign
 			}
 		}
 	}
-	for i, a := range added {
-		mirror(a, fresh[i], +1)
+	for i, r := range added {
+		mirror(ranked[r], fresh[i], +1)
 	}
 	for _, r := range removed {
-		mirror(r, old.row(old.rows[symbol.Str(r)]), -1)
+		mirror(oldRanked[r], prev.row(f, r), -1)
 	}
 	slices.SortFunc(edits, func(x, y rowEdit) int {
 		return cmp.Or(cmp.Compare(x.row, y.row), compareSim(x.simEntry, y.simEntry))
 	})
 
-	n := len(old.vals) - len(removed) + len(added)
 	b := &simBlock{
-		rows: make(map[string]uint32, n), vals: make([]symbol.ID, 0, n), offsets: make([]uint32, 1, n+1),
-		ids: make([]symbol.ID, 0, total), codes: make([]uint16, 0, total),
+		offsets: make([]uint32, 1, len(ranked)+1),
+		ids:     make([]symbol.ID, 0, total), codes: make([]uint16, 0, total),
 	}
 	c := newCoder()
 	// remap[code] is the new code of an old page's code plus one, 0 until
@@ -185,51 +203,45 @@ func (s *Similarity) rewriteBlock(f Field, old *simBlock, added, removed []symbo
 	appendEntry := func(id symbol.ID, sim float64) {
 		b.ids, b.codes = append(b.ids, id), append(b.codes, c.code(sim))
 	}
-	endRow := func(v symbol.ID) {
-		b.rows[symbol.Str(v)] = uint32(len(b.vals))
-		b.vals = append(b.vals, v)
-		b.offsets = append(b.offsets, uint32(len(b.ids)))
-	}
-	for r, v := range old.vals {
-		if inDiff[v] {
-			continue
-		}
-		lo, hi := int(old.offsets[r]), int(old.offsets[r+1])
-		e := 0
-		for e < len(edits) && edits[e].row == uint32(r) {
-			e++
-		}
-		// The row keeps at most its old entries and gains at most one per edit.
-		c.row(uint32(len(b.vals)), hi-lo+e)
-		if p := old.page(uint32(r)); p != remapOld || len(c.pages) != remapNew {
-			remapOld, remapNew = p, len(c.pages)
-			clear(remap[:len(old.pages[p].table)])
-		}
-		// Each edit is placed by binary search and the runs between them are
-		// copied whole, so a long row costs a few comparisons.
-		table := old.pages[remapOld].table
-		for _, ed := range edits[:e] {
-			at := lo + sort.Search(hi-lo, func(i int) bool {
-				return compareSim(simEntry{old.ids[lo+i], table[old.codes[lo+i]]}, ed.simEntry) >= 0
-			})
-			copyRun(table, lo, at)
-			lo = at
-			if !ed.remove {
-				appendEntry(ed.id, ed.sim)
-			} else if lo++; at == hi || old.ids[at] != ed.id {
-				panic("index: a removed value's list names a row that does not list it")
+	for r, was := range from {
+		if was < 0 {
+			l := fresh[0]
+			fresh = fresh[1:]
+			c.row(uint32(r), l.Len())
+			for j, id := range l.ids {
+				appendEntry(id, l.Sim(j))
 			}
+		} else {
+			lo, hi := int(old.offsets[was]), int(old.offsets[was+1])
+			e := 0
+			for e < len(edits) && edits[e].row == uint32(r) {
+				e++
+			}
+			// The row keeps at most its old entries and gains at most one per edit.
+			c.row(uint32(r), hi-lo+e)
+			if p := old.page(uint32(was)); p != remapOld || len(c.pages) != remapNew {
+				remapOld, remapNew = p, len(c.pages)
+				clear(remap[:len(old.pages[p].table)])
+			}
+			// Each edit is placed by binary search and the runs between them are
+			// copied whole, so a long row costs a few comparisons.
+			table := old.pages[remapOld].table
+			for _, ed := range edits[:e] {
+				at := lo + sort.Search(hi-lo, func(i int) bool {
+					return compareSim(simEntry{old.ids[lo+i], table[old.codes[lo+i]]}, ed.simEntry) >= 0
+				})
+				copyRun(table, lo, at)
+				lo = at
+				if !ed.remove {
+					appendEntry(ed.id, ed.sim)
+				} else if lo++; at == hi || old.ids[at] != ed.id {
+					panic("index: a removed value's list names a row that does not list it")
+				}
+			}
+			edits = edits[e:]
+			copyRun(table, lo, hi)
 		}
-		edits = edits[e:]
-		copyRun(table, lo, hi)
-		endRow(v)
-	}
-	for i, a := range added {
-		c.row(uint32(len(b.vals)), fresh[i].Len())
-		for j, id := range fresh[i].ids {
-			appendEntry(id, fresh[i].Sim(j))
-		}
-		endRow(a)
+		b.offsets = append(b.offsets, uint32(len(b.ids)))
 	}
 	b.pages = c.pages
 	return b

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -107,9 +108,9 @@ func (s *Similarity) probe(f Field, v string) []SimilarValue { return values(s.c
 // listOf is the precomputed list of v: nil when the field's block has no row
 // for it.
 func (s *Similarity) listOf(f Field, v string) []SimilarValue {
-	if b := s.blocks[f]; b != nil {
-		if r, ok := b.rows[v]; ok {
-			return values(b.row(r))
+	if s.blocks[f] != nil {
+		if r, ok := rank(s.ranked[f], v); ok {
+			return values(s.row(f, r))
 		}
 	}
 	return nil
@@ -202,9 +203,8 @@ func testRewriteAcrossPages(t *testing.T) {
 		}
 	}
 	// Both name fields index the same values in the same row order.
-	b := prevS.blocks[FieldFirstName]
-	at := b.pages[1].first
-	gone := map[string]bool{symbol.Str(b.vals[at-1]): true, symbol.Str(b.vals[at]): true}
+	at, ranked := prevS.blocks[FieldFirstName].pages[1].first, prevS.ranked[FieldFirstName]
+	gone := map[string]bool{symbol.Str(ranked[at-1]): true, symbol.Str(ranked[at]): true}
 	vocab = slices.DeleteFunc(vocab, func(v string) bool { return gone[v] })
 	g := vocabularyGraph(vocab)
 	_, fullS := Build(g, 0.5)
@@ -280,10 +280,10 @@ func TestUpdateSubsetAtTheBound(t *testing.T) {
 			}
 		}
 		for _, f := range nameFields {
-			if got, want := len(gotS.blocks[f].vals), len(wantS.blocks[f].vals); got != want {
-				t.Fatalf("%d added, field %v: %d rows, fresh build %d", added, f, got, want)
+			if got, want := len(gotS.blocks[f].offsets), len(wantS.blocks[f].offsets); got != want {
+				t.Fatalf("%d added, field %v: %d rows, fresh build %d", added, f, got-1, want-1)
 			}
-			for v := range wantS.blocks[f].rows {
+			for _, v := range wantK.vocab(f) {
 				if got, want := gotS.listOf(f, v), wantS.listOf(f, v); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%d added, field %v row %q: %v, fresh build %v", added, f, v, got, want)
 				}
@@ -316,11 +316,7 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 		t.Fatalf("S holds %d surname lists after the removal, want anna and bert", s.Size(FieldSurname))
 	}
 	for bg, ranks := range s.bigramPost[FieldSurname] {
-		for it := ranks.iter(); ; {
-			r, ok := it.Next()
-			if !ok {
-				break
-			}
+		for _, r := range ranks {
 			if symbol.Str(s.ranked[FieldSurname][r]) == "annie" {
 				t.Fatalf("bigram %q still lists removed value annie", bg)
 			}
@@ -366,18 +362,49 @@ func TestBigramPostingsByRank(t *testing.T) {
 			if len(c.s.bigramPost[f]) != len(want) {
 				t.Errorf("%s %v: %d bigram postings, want %d", c.name, f, len(c.s.bigramPost[f]), len(want))
 			}
-			for bg, pl := range c.s.bigramPost[f] {
-				var got []uint32
-				for it := pl.iter(); ; {
-					r, ok := it.Next()
-					if !ok {
-						break
-					}
-					got = append(got, r)
-				}
+			for bg, got := range c.s.bigramPost[f] {
 				if !slices.Equal(got, want[bg]) {
 					t.Errorf("%s %v: bigram %d lists ranks %v, want %v", c.name, f, bg, got, want[bg])
 				}
+			}
+		}
+	}
+}
+
+// TestRewrittenRowsAreRanks pins the layout of a rewritten block: S built
+// over one 90% hash subset of the nodes of TestPrecomputeMatchesProbe's
+// DS-3k graph is carried to another 90% subset, which both adds and removes
+// values of each name field, and row r of every rewritten block is the list
+// of the value of rank r, computeSimilar's list for it entry for entry, ids
+// and similarities.
+func TestRewrittenRowsAreRanks(t *testing.T) {
+	g := scaleGraph(3000, 11)
+	subset := func(mult uint32) func(pedigree.NodeID) bool {
+		return func(id pedigree.NodeID) bool { return uint32(id)*mult%100 < 90 }
+	}
+	prevK, prevS := BuildSubset(g, subset(2654435761), 0.5)
+	k := buildKeyword(g, subset(2246822519))
+	s, rebuilt := updateSimilarity(k, prevK, prevS, 1)
+	if rebuilt != 0 {
+		t.Fatalf("%d blocks rebuilt, want every one rewritten", rebuilt)
+	}
+	for _, f := range nameFields {
+		added, removed := valueDiff(k.fields[f].vals, prevK.fields[f].vals)
+		if len(added) == 0 || len(removed) == 0 || s.blocks[f] == prevS.blocks[f] {
+			t.Fatalf("field %v: %d values added, %d removed: the carry does not rewrite the block both ways", f, len(added), len(removed))
+		}
+		ranked := s.ranked[f]
+		if rows := len(s.blocks[f].offsets) - 1; rows != len(ranked) {
+			t.Fatalf("field %v: %d rows for %d values", f, rows, len(ranked))
+		}
+		for r, id := range ranked {
+			got, want := s.row(f, r), s.computeSimilar(f, symbol.Str(id))
+			same := slices.Equal(got.ids, want.ids)
+			for i := 0; same && i < got.Len(); i++ {
+				same = math.Float64bits(got.Sim(i)) == math.Float64bits(want.Sim(i))
+			}
+			if !same {
+				t.Fatalf("field %v row %d (%q):\nrow   %v\nprobe %v", f, r, symbol.Str(id), values(got), values(want))
 			}
 		}
 	}

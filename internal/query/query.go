@@ -34,7 +34,7 @@ var (
 	mSearches = obs.Default.Counter("snaps_query_searches_total",
 		"Search queries answered by the ranking engine.")
 	mSearchSeconds = obs.Default.Histogram("snaps_query_search_seconds",
-		"End-to-end Search latency.", obs.DefBuckets)
+		"End-to-end Search latency.", obs.LatencyBuckets)
 	mCandidates = obs.Default.Histogram("snaps_query_candidates",
 		"Entities scored per search: those the walk reached before it stopped.", obs.CountBuckets)
 )
@@ -436,10 +436,12 @@ func (e *Engine) reach(st *searchState, q *Query, lists *nameLists, f index.Fiel
 	}
 }
 
-// rankBetter is the total order of the result list: score descending,
-// NodeID ascending on ties. Comparing normalised scores (not raw weighted
-// sums) keeps the order bit-identical to the historical sort-based engine.
-func rankBetter(a, b Result) bool {
+// RankBetter reports whether a ranks before b in the total order of a
+// result list: score descending, NodeID ascending on ties. Comparing
+// normalised scores (not raw weighted sums) keeps the order bit-identical
+// to the historical sort-based engine. The shards' rankings are merged
+// under the same order.
+func RankBetter(a, b Result) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
 	}
@@ -460,7 +462,7 @@ func (st *searchState) keep(r Result, m int) {
 				siftDown(h, j)
 			}
 		}
-	case rankBetter(r, h[0]):
+	case RankBetter(r, h[0]):
 		h[0] = r
 		siftDown(h, 0)
 	}
@@ -471,7 +473,7 @@ func (st *searchState) keep(r Result, m int) {
 // into the result list.
 func (st *searchState) ranking() []Result {
 	slices.SortFunc(st.heap, func(a, b Result) int {
-		if rankBetter(a, b) {
+		if RankBetter(a, b) {
 			return -1
 		}
 		return 1 // ids are distinct, so no two entries tie
@@ -482,15 +484,15 @@ func (st *searchState) ranking() []Result {
 }
 
 // siftDown restores the min-heap property (root = worst entry under
-// rankBetter) for the subtree rooted at i.
+// RankBetter) for the subtree rooted at i.
 func siftDown(h []Result, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		worst := i
-		if l < len(h) && rankBetter(h[worst], h[l]) {
+		if l < len(h) && RankBetter(h[worst], h[l]) {
 			worst = l
 		}
-		if r < len(h) && rankBetter(h[worst], h[r]) {
+		if r < len(h) && RankBetter(h[worst], h[r]) {
 			worst = r
 		}
 		if worst == i {

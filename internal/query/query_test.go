@@ -1,13 +1,18 @@
 package query
 
 import (
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/snaps/snaps/internal/dataset"
 	"github.com/snaps/snaps/internal/depgraph"
 	"github.com/snaps/snaps/internal/er"
 	"github.com/snaps/snaps/internal/index"
 	"github.com/snaps/snaps/internal/model"
+	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/pedigree"
 )
 
@@ -255,4 +260,75 @@ func TestExplainNoMatch(t *testing.T) {
 	if len(ex.Fields) != 0 || ex.Score != 0 {
 		t.Errorf("nonsense query should explain to nothing: %+v", ex)
 	}
+}
+
+// searchSecondsBuckets reads the engine's latency histogram off the default
+// registry: the cumulative count at each upper bound, ascending.
+func searchSecondsBuckets(t *testing.T) (les []float64, counts []int64) {
+	t.Helper()
+	var b strings.Builder
+	if err := obs.Default.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, `snaps_query_search_seconds_bucket{le="`)
+		if !ok {
+			continue
+		}
+		le, n, _ := strings.Cut(rest, `"} `)
+		bound, err := strconv.ParseFloat(le, 64)
+		if err != nil {
+			t.Fatalf("bad bound in %q: %v", line, err)
+		}
+		count, err := strconv.ParseInt(n, 10, 64)
+		if err != nil {
+			t.Fatalf("bad count in %q: %v", line, err)
+		}
+		les, counts = append(les, bound), append(counts, count)
+	}
+	return les, counts
+}
+
+// TestSearchHistogramResolvesSearches: snaps_query_search_seconds must
+// resolve what a search costs. After a few hundred searches, the bucket
+// holding the median of their observations — where the histogram's p50
+// estimate lies — spans no more than a factor of 3 either side of the
+// median the test times itself; a layout whose first bucket swallows every
+// search would put that estimate anywhere between 0 and its bound.
+func TestSearchHistogramResolvesSearches(t *testing.T) {
+	e := builtEngine(t)
+	var queries []Query
+	for i := range e.Graph.Nodes {
+		if n := &e.Graph.Nodes[i]; len(n.FirstNames) > 0 && len(n.Surnames) > 0 {
+			queries = append(queries, Query{FirstName: n.FirstNames[0], Surname: n.Surnames[0]})
+		}
+	}
+	const searches = 400
+	for _, q := range queries[:min(len(queries), 50)] {
+		e.Search(q) // warm the probe caches and the allocator
+	}
+	les, before := searchSecondsBuckets(t)
+	took := make([]time.Duration, searches)
+	for i := range took {
+		start := time.Now()
+		e.Search(queries[i%len(queries)])
+		took[i] = time.Since(start)
+	}
+	_, after := searchSecondsBuckets(t)
+	if len(les) == 0 || len(after) != len(before) {
+		t.Fatalf("snaps_query_search_seconds has %d bounds, %d then %d counts", len(les), len(before), len(after))
+	}
+	slices.Sort(took)
+	median := took[searches/2].Seconds()
+	lo := 0.0
+	for i, le := range les {
+		if n := after[i] - before[i]; 2*n >= searches {
+			if lo < median/3 || le > 3*median {
+				t.Fatalf("the median of %d searches is %.1f µs, but the histogram puts it in (%g, %g] s", searches, 1e6*median, lo, le)
+			}
+			return
+		}
+		lo = le
+	}
+	t.Fatalf("the histogram counted fewer than half of %d searches", searches)
 }

@@ -28,6 +28,7 @@ import (
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/query"
 	"github.com/snaps/snaps/internal/shard"
+	"github.com/snaps/snaps/internal/vitalio"
 )
 
 // Server serves the SNAPS web interface for one built data set. The shard
@@ -203,9 +204,9 @@ type PedigreeEdge struct {
 
 func (s *Server) parseQuery(r *http.Request) query.Query {
 	q := query.Query{
-		FirstName: strings.ToLower(strings.TrimSpace(r.FormValue("first_name"))),
-		Surname:   strings.ToLower(strings.TrimSpace(r.FormValue("surname"))),
-		Location:  strings.ToLower(strings.TrimSpace(r.FormValue("location"))),
+		FirstName: vitalio.Norm(r.FormValue("first_name")),
+		Surname:   vitalio.Norm(r.FormValue("surname")),
+		Location:  vitalio.Norm(r.FormValue("location")),
 		YearFrom:  query.ParseYear(r.FormValue("year_from")),
 		YearTo:    query.ParseYear(r.FormValue("year_to")),
 	}

@@ -29,7 +29,7 @@ var (
 		"Per scatter: slowest shard search minus the median one — scatter time lost to the laggard.",
 		obs.LatencyBuckets)
 	mSimilarityBytes = obs.Default.Gauge("snaps_index_similarity_bytes",
-		"Bytes of the similarity index S over the published generation's shards: block arrays (6 B per list entry, 8 B per page-table value, 8 B per row) plus encoded bigram postings.")
+		"Bytes of the similarity index S over the published generation's shards: block arrays (6 B per list entry, 8 B per page-table value, 4 B per row), the rank order (4 B per value) and the bigram postings (4 B per posting entry).")
 )
 
 // shardMetrics are the per-shard series, pre-created at shard construction
@@ -392,17 +392,8 @@ func (c *Coordinator) searchShard(ctx context.Context, sh *Shard, q query.Query,
 	return res, dur
 }
 
-// resultBefore is the global ranking order: score descending, NodeID
-// ascending — exactly the query engine's tie-break comparator.
-func resultBefore(a, b query.Result) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	return a.Entity < b.Entity
-}
-
 // mergeRanked k-way merges the per-shard rankings (each already sorted by
-// resultBefore) into the global top-m; m <= 0 merges everything. The input
+// query.RankBetter) into the global top-m; m <= 0 merges everything. The input
 // slices are never mutated.
 func mergeRanked(parts [][]query.Result, m int) []query.Result {
 	total := 0
@@ -424,7 +415,7 @@ func mergeRanked(parts [][]query.Result, m int) []query.Result {
 			if idx[pi] >= len(p) {
 				continue
 			}
-			if best < 0 || resultBefore(p[idx[pi]], parts[best][idx[best]]) {
+			if best < 0 || query.RankBetter(p[idx[pi]], parts[best][idx[best]]) {
 				best = pi
 			}
 		}

@@ -51,7 +51,7 @@ func refMerge(parts [][]query.Result, m int) []query.Result {
 	for _, p := range parts {
 		all = append(all, p...)
 	}
-	sort.SliceStable(all, func(i, j int) bool { return resultBefore(all[i], all[j]) })
+	sort.SliceStable(all, func(i, j int) bool { return query.RankBetter(all[i], all[j]) })
 	if m > 0 && len(all) > m {
 		all = all[:m]
 	}
@@ -80,7 +80,7 @@ func TestMergeRankedMatchesSort(t *testing.T) {
 				next++
 			}
 			// Each shard's list arrives already ranked.
-			sort.Slice(parts[p], func(i, j int) bool { return resultBefore(parts[p][i], parts[p][j]) })
+			sort.Slice(parts[p], func(i, j int) bool { return query.RankBetter(parts[p][i], parts[p][j]) })
 		}
 		for _, m := range []int{0, 1, 3, 20} {
 			var snapshot [][]query.Result
