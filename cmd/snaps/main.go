@@ -233,7 +233,8 @@ func main() {
 
 	if *anon {
 		slog.Info("anonymising")
-		anonD, _ := anonymize.Anonymize(d, anonymize.DefaultConfig())
+		// The demo's year shift; a deployment keeps its own offset secret.
+		anonD, _ := anonymize.Anonymize(d, -37)
 		// Re-run the pipeline on the anonymised data so the served indexes
 		// never contain sensitive values.
 		d = anonD

@@ -155,7 +155,7 @@ func TestFullSystemIntegration(t *testing.T) {
 	}
 
 	// 7. Anonymise and re-query with public names only.
-	anonD, mapping := anonymize.Anonymize(d, anonymize.DefaultConfig())
+	anonD, mapping := anonymize.Anonymize(d, -37)
 	if len(mapping) == 0 {
 		t.Fatal("empty anonymisation mapping")
 	}

@@ -23,39 +23,21 @@ import (
 	"github.com/snaps/snaps/internal/strsim"
 )
 
-// Config tunes the anonymiser.
-type Config struct {
-	// YearOffset is the global shift applied to every year. Deployments
-	// keep it secret; tests pass a fixed value.
-	YearOffset int
-	// K is the k-anonymity threshold for causes of death (paper: 10).
-	K int
-	// ClusterThreshold is the minimum Jaro-Winkler similarity for a name to
-	// join an existing name cluster.
-	ClusterThreshold float64
-	// Public name corpora. Defaults stand in for the US voter database the
-	// paper uses.
-	PublicFemale, PublicMale, PublicSurnames []string
-}
-
-// DefaultConfig returns the paper's parameters with the embedded public
-// name pools.
-func DefaultConfig() Config {
-	return Config{
-		YearOffset:       -37,
-		K:                10,
-		ClusterThreshold: 0.82,
-		PublicFemale:     PublicFemaleNames,
-		PublicMale:       PublicMaleNames,
-		PublicSurnames:   PublicSurnames,
-	}
-}
+const (
+	// kAnonymity is the k-anonymity threshold for causes of death (paper:
+	// k = 10).
+	kAnonymity = 10
+	// clusterThreshold is the minimum Jaro-Winkler similarity for a name
+	// to join an existing name cluster.
+	clusterThreshold = 0.82
+)
 
 // Anonymize returns a deep copy of the data set with names mapped to the
-// public corpus, years shifted, and rare causes of death generalised. The
-// original data set is not modified. The returned mapping reports the name
-// substitutions for audit/testing (sensitive → public).
-func Anonymize(d *model.Dataset, cfg Config) (*model.Dataset, map[string]string) {
+// public corpus, every year shifted by yearOffset, and rare causes of death
+// generalised. The offset is the deployment's secret; tests pass a fixed
+// value. The original data set is not modified. The returned mapping
+// reports the name substitutions for audit/testing (sensitive → public).
+func Anonymize(d *model.Dataset, yearOffset int) (*model.Dataset, map[string]string) {
 	out := &model.Dataset{Name: d.Name + "-anon"}
 	out.Records = append([]model.Record(nil), d.Records...)
 	out.Certificates = make([]model.Certificate, len(d.Certificates))
@@ -68,7 +50,7 @@ func Anonymize(d *model.Dataset, cfg Config) (*model.Dataset, map[string]string)
 		out.Certificates[i] = cc
 	}
 
-	mapping := buildNameMapping(d, cfg)
+	mapping := buildNameMapping(d)
 	for i := range out.Records {
 		rec := &out.Records[i]
 		if rec.First != 0 {
@@ -78,15 +60,15 @@ func Anonymize(d *model.Dataset, cfg Config) (*model.Dataset, map[string]string)
 			rec.Sur = model.Intern(mapName(mapping, rec.Surname()))
 		}
 		if rec.Year != 0 {
-			rec.Year += cfg.YearOffset
+			rec.Year += yearOffset
 		}
 	}
 	for i := range out.Certificates {
 		if out.Certificates[i].Year != 0 {
-			out.Certificates[i].Year += cfg.YearOffset
+			out.Certificates[i].Year += yearOffset
 		}
 	}
-	anonymizeCauses(out, cfg)
+	anonymizeCauses(out)
 	return out, mapping
 }
 
@@ -136,7 +118,7 @@ func clusterNames(names []string, freq map[string]int, threshold float64) []name
 // member. Sensitive clusters larger than their public counterpart synthesise
 // extra variants by suffixing the public centre, which preserves high
 // intra-cluster similarity.
-func buildNameMapping(d *model.Dataset, cfg Config) map[string]string {
+func buildNameMapping(d *model.Dataset) map[string]string {
 	femFreq := map[string]int{}
 	maleFreq := map[string]int{}
 	surFreq := map[string]int{}
@@ -158,13 +140,13 @@ func buildNameMapping(d *model.Dataset, cfg Config) map[string]string {
 		}
 	}
 	mapping := map[string]string{}
-	mapClass(mapping, femFreq, cfg.PublicFemale, cfg.ClusterThreshold)
-	mapClass(mapping, maleFreq, cfg.PublicMale, cfg.ClusterThreshold)
-	mapClass(mapping, surFreq, cfg.PublicSurnames, cfg.ClusterThreshold)
+	mapClass(mapping, femFreq, publicFemaleNames)
+	mapClass(mapping, maleFreq, publicMaleNames)
+	mapClass(mapping, surFreq, publicSurnames)
 	return mapping
 }
 
-func mapClass(mapping map[string]string, freq map[string]int, public []string, threshold float64) {
+func mapClass(mapping map[string]string, freq map[string]int, public []string) {
 	if len(freq) == 0 || len(public) == 0 {
 		return
 	}
@@ -174,12 +156,12 @@ func mapClass(mapping map[string]string, freq map[string]int, public []string, t
 			names = append(names, n)
 		}
 	}
-	sensitive := clusterNames(names, freq, threshold)
+	sensitive := clusterNames(names, freq, clusterThreshold)
 	pubFreq := map[string]int{}
 	for i, p := range public {
 		pubFreq[p] = len(public) - i // corpus order encodes frequency rank
 	}
-	publicClusters := clusterNames(public, pubFreq, threshold)
+	publicClusters := clusterNames(public, pubFreq, clusterThreshold)
 	// Rank clusters by size (then centre) on both sides.
 	rank := func(cs []nameCluster) {
 		sort.Slice(cs, func(i, j int) bool {
@@ -241,7 +223,7 @@ func ageStratum(age int) int {
 
 // anonymizeCauses applies gender- and age-stratified k-anonymity to causes
 // of death in place.
-func anonymizeCauses(d *model.Dataset, cfg Config) {
+func anonymizeCauses(d *model.Dataset) {
 	type stratum struct {
 		gender model.Gender
 		age    int
@@ -275,14 +257,14 @@ func anonymizeCauses(d *model.Dataset, cfg Config) {
 		if !ok {
 			continue
 		}
-		if counts[st][c.Cause] >= cfg.K {
+		if counts[st][c.Cause] >= kAnonymity {
 			continue // already frequent in its stratum
 		}
 		// Find the most similar frequent cause within the stratum.
 		best, bestSim := "", 0.0
 		frequent := make([]string, 0, len(counts[st]))
 		for cause, n := range counts[st] {
-			if n >= cfg.K {
+			if n >= kAnonymity {
 				frequent = append(frequent, cause)
 			}
 		}

@@ -19,7 +19,7 @@ func sample(t *testing.T) *model.Dataset {
 func TestAnonymizeDoesNotModifyOriginal(t *testing.T) {
 	d := sample(t)
 	before := append([]model.Record(nil), d.Records...)
-	Anonymize(d, DefaultConfig())
+	Anonymize(d, -37)
 	for i := range d.Records {
 		if d.Records[i] != before[i] {
 			t.Fatal("original data set modified")
@@ -29,7 +29,7 @@ func TestAnonymizeDoesNotModifyOriginal(t *testing.T) {
 
 func TestAnonymizeReplacesAllNames(t *testing.T) {
 	d := sample(t)
-	anon, mapping := Anonymize(d, DefaultConfig())
+	anon, mapping := Anonymize(d, -37)
 	if len(mapping) == 0 {
 		t.Fatal("empty name mapping")
 	}
@@ -51,7 +51,7 @@ func TestAnonymizeReplacesAllNames(t *testing.T) {
 
 func TestAnonymizeConsistentMapping(t *testing.T) {
 	d := sample(t)
-	anon, mapping := Anonymize(d, DefaultConfig())
+	anon, mapping := Anonymize(d, -37)
 	// The same sensitive value must always map to the same public value.
 	for i := range d.Records {
 		orig := d.Records[i].Surname()
@@ -67,9 +67,7 @@ func TestAnonymizeConsistentMapping(t *testing.T) {
 
 func TestAnonymizeYearShift(t *testing.T) {
 	d := sample(t)
-	cfg := DefaultConfig()
-	cfg.YearOffset = -37
-	anon, _ := Anonymize(d, cfg)
+	anon, _ := Anonymize(d, -37)
 	for i := range d.Records {
 		if d.Records[i].Year == 0 {
 			continue
@@ -90,9 +88,7 @@ func TestAnonymizeYearShift(t *testing.T) {
 
 func TestCauseKAnonymity(t *testing.T) {
 	d := sample(t)
-	cfg := DefaultConfig()
-	cfg.K = 10
-	anon, _ := Anonymize(d, cfg)
+	anon, _ := Anonymize(d, -37)
 	// Every cause in the anonymised data must occur at least K times within
 	// its gender-age stratum, or be "not known".
 	type stratum struct {
@@ -120,15 +116,15 @@ func TestCauseKAnonymity(t *testing.T) {
 			// A frequent original cause stays; a rare cause was replaced by
 			// a frequent one, increasing its count. Counts below K can only
 			// remain if the stratum had no frequent cause at all.
-			if n < cfg.K {
+			if n < kAnonymity {
 				hasFrequent := false
 				for _, cn := range m {
-					if cn >= cfg.K {
+					if cn >= kAnonymity {
 						hasFrequent = true
 					}
 				}
 				if hasFrequent {
-					t.Errorf("stratum %+v: cause %q occurs %d < K=%d times", st, cause, n, cfg.K)
+					t.Errorf("stratum %+v: cause %q occurs %d < K=%d times", st, cause, n, kAnonymity)
 				}
 			}
 		}
@@ -137,7 +133,7 @@ func TestCauseKAnonymity(t *testing.T) {
 
 func TestNameMappingPreservesSimilarityStructure(t *testing.T) {
 	d := sample(t)
-	_, mapping := Anonymize(d, DefaultConfig())
+	_, mapping := Anonymize(d, -37)
 	// Highly similar sensitive names should map into the same public
 	// cluster, hence remain similar, in most cases. We check the aggregate:
 	// among sensitive pairs with JW >= 0.92, at least half of the mapped
@@ -204,8 +200,8 @@ func TestAgeStratum(t *testing.T) {
 
 func TestAnonymizeDeterministic(t *testing.T) {
 	d := sample(t)
-	a1, m1 := Anonymize(d, DefaultConfig())
-	a2, m2 := Anonymize(d, DefaultConfig())
+	a1, m1 := Anonymize(d, -37)
+	a2, m2 := Anonymize(d, -37)
 	if len(m1) != len(m2) {
 		t.Fatal("mapping sizes differ between runs")
 	}
@@ -225,7 +221,7 @@ func TestAnonymizedDataStillResolvable(t *testing.T) {
 	// The headline promise of Sec. 9: the anonymised data keeps the
 	// similarity structure, so the ER pipeline still works on it.
 	d := sample(t)
-	anon, _ := Anonymize(d, DefaultConfig())
+	anon, _ := Anonymize(d, -37)
 	// Truth survives anonymisation (same person ids), so quality is
 	// measurable.
 	pr := er.Run(anon, depgraph.DefaultConfig(), er.DefaultConfig())

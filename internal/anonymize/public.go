@@ -4,8 +4,8 @@ package anonymize
 // paper maps sensitive names onto. Order encodes frequency rank (most
 // common first).
 
-// PublicFemaleNames is the public corpus of female first names.
-var PublicFemaleNames = []string{
+// publicFemaleNames is the public corpus of female first names.
+var publicFemaleNames = []string{
 	"jessica", "ashley", "amanda", "brittany", "samantha", "taylor",
 	"hannah", "alexis", "kayla", "madison", "sydney", "morgan", "paige",
 	"chloe", "zoe", "mackenzie", "peyton", "savannah", "brooke", "autumn",
@@ -18,8 +18,8 @@ var PublicFemaleNames = []string{
 	"aurora", "violet",
 }
 
-// PublicMaleNames is the public corpus of male first names.
-var PublicMaleNames = []string{
+// publicMaleNames is the public corpus of male first names.
+var publicMaleNames = []string{
 	"michael", "christopher", "matthew", "joshua", "tyler", "brandon",
 	"austin", "cody", "ethan", "logan", "mason", "aiden", "carter",
 	"wyatt", "hunter", "landon", "gavin", "chase", "blake", "cole",
@@ -32,8 +32,8 @@ var PublicMaleNames = []string{
 	"samuel", "david",
 }
 
-// PublicSurnames is the public corpus of surnames.
-var PublicSurnames = []string{
+// publicSurnames is the public corpus of surnames.
+var publicSurnames = []string{
 	"johnson", "williams", "jones", "garcia", "rodriguez", "martinez",
 	"hernandez", "lopez", "gonzalez", "perez", "sanchez", "ramirez",
 	"torres", "flores", "rivera", "gomez", "diaz", "cruz", "reyes",

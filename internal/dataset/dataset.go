@@ -69,11 +69,9 @@ type Config struct {
 	// MissingRate is the per-attribute probability of a missing value.
 	MissingRate map[model.Attr]float64
 
-	// Demography.
+	// Demography. Deaths follow deathHazard's age curve.
 	BirthRate    float64 // yearly probability a married couple has a child
 	MarriageRate float64 // yearly probability an eligible single marries
-	// DeathHazard scales the age-dependent death probability.
-	DeathHazard float64
 
 	// CensusYears lists decennial census years; in each, every household
 	// inside the observation window is enumerated as a census certificate.
@@ -110,7 +108,7 @@ func IOS() Config {
 			model.Address:    0.012,
 			model.Occupation: 0.57,
 		},
-		BirthRate: 0.33, MarriageRate: 0.09, DeathHazard: 1.0,
+		BirthRate: 0.33, MarriageRate: 0.09,
 	}
 }
 
@@ -130,7 +128,7 @@ func KIL() Config {
 			model.Address:    0.25,
 			model.Occupation: 0.71,
 		},
-		BirthRate: 0.34, MarriageRate: 0.10, DeathHazard: 1.0,
+		BirthRate: 0.34, MarriageRate: 0.10,
 	}
 }
 
@@ -146,13 +144,17 @@ func DS() Config {
 	c.Founders = 2600
 	c.ZipfS = 0.70
 	c.Surnames = append(append([]string{}, kilSurnamesExt...), skyeSurnamesExt...)
-	c.MissingRate = map[model.Attr]float64{
-		model.FirstName:  0.007,
-		model.Surname:    0.0009,
-		model.Address:    0.0013,
-		model.Occupation: 0.58,
-	}
+	c.MissingRate = dsMissingRate
 	return c
+}
+
+// dsMissingRate is the missing-value profile of Digitising Scotland, shared
+// by DS and the DS bench tiers. It is read, never written.
+var dsMissingRate = map[model.Attr]float64{
+	model.FirstName:  0.007,
+	model.Surname:    0.0009,
+	model.Address:    0.0013,
+	model.Occupation: 0.58,
 }
 
 // BHIC returns a configuration for the scalability experiments (Table 6):
@@ -177,7 +179,7 @@ func BHIC(startYear int) Config {
 			model.Address:    0.30,
 			model.Occupation: 0.65,
 		},
-		BirthRate: 0.33, MarriageRate: 0.10, DeathHazard: 1.0,
+		BirthRate: 0.33, MarriageRate: 0.10,
 	}
 }
 
@@ -459,8 +461,7 @@ func (g *generator) stepYear(year int) {
 		if age < 0 {
 			continue
 		}
-		h := deathHazard(age) * g.cfg.DeathHazard
-		if g.rng.Float64() < h {
+		if g.rng.Float64() < deathHazard(age) {
 			p.DeathYear = year
 			g.emitDeath(p.ID, year)
 		}

@@ -25,62 +25,47 @@ import (
 // addresses, namesake children) and from villages whose surname draws are
 // biased toward a community-local head, the way parish registers cluster.
 
-// ScaleConfig parameterises the direct-emission generator.
+// ScaleConfig parameterises the direct-emission generator: what its users
+// vary is a seed and a size. The rest of the recipe is the constants below.
 type ScaleConfig struct {
-	Name string
 	Seed int64
 
 	// TargetCerts stops emission once at least this many certificates
-	// exist (the final household may overshoot by a handful).
+	// exist (the final household may overshoot by a handful). It also
+	// names the tier ("DS-4k").
 	TargetCerts int
+}
 
-	// SurnameUniverse and GivenUniverse size the synthetic name pools.
-	SurnameUniverse, GivenUniverse int
+// The DS recipe.
+const (
+	// scaleSurnames and scaleGivenNames size the synthetic name pools.
+	scaleSurnames, scaleGivenNames = 24000, 3600
 
-	// ZipfS skews the name draws, as in Config.
-	ZipfS float64
+	// scaleZipfS skews the name draws, as Config.ZipfS does.
+	scaleZipfS = 0.78
 
-	// StartYear..EndYear is the emission window.
-	StartYear, EndYear int
+	// scaleStartYear..scaleEndYear is the emission window.
+	scaleStartYear, scaleEndYear = 1855, 1973
 
-	// NamesakeRate is the probability a child is named after the
+	// namesakeRate is the probability a child is named after the
 	// same-gender parent (the Scottish naming tradition). It concentrates
 	// given names within households, creating the within-family ambiguity
 	// that stresses entity resolution.
-	NamesakeRate float64
+	namesakeRate = 0.28
 
-	// Villages partitions addresses into communities whose surname draws
-	// rotate the Zipf head, so surnames correlate with addresses.
-	Villages int
+	// villages partitions addresses into communities whose surname draws
+	// rotate the Zipf head, so surnames correlate with addresses; a
+	// village's address block holds streetsPerVillage street names.
+	villages, streetsPerVillage = 160, 12
 
-	// Error model, as in Config.
-	TypoRate, NicknameRate float64
-	MissingRate            map[model.Attr]float64
-}
+	// Error model, as in Config; missing values follow dsMissingRate.
+	scaleTypoRate, scaleNicknameRate = 0.08, 0.10
+)
 
-// ScaleTier returns the standard configuration for a bench tier of the
-// given certificate count, with the DS missing-value profile.
+// ScaleTier returns the configuration of a bench tier of the given
+// certificate count.
 func ScaleTier(certs int) ScaleConfig {
-	return ScaleConfig{
-		Name:            "DS-" + tierLabel(certs),
-		Seed:            int64(9000 + certs%9973),
-		TargetCerts:     certs,
-		SurnameUniverse: 24000,
-		GivenUniverse:   3600,
-		ZipfS:           0.78,
-		StartYear:       1855,
-		EndYear:         1973,
-		NamesakeRate:    0.28,
-		Villages:        160,
-		TypoRate:        0.08,
-		NicknameRate:    0.10,
-		MissingRate: map[model.Attr]float64{
-			model.FirstName:  0.007,
-			model.Surname:    0.0009,
-			model.Address:    0.0013,
-			model.Occupation: 0.58,
-		},
-	}
+	return ScaleConfig{Seed: int64(9000 + certs%9973), TargetCerts: certs}
 }
 
 func tierLabel(certs int) string {
@@ -96,27 +81,28 @@ func tierLabel(certs int) string {
 // GenerateScale emits a population of at least cfg.TargetCerts
 // certificates. Output is deterministic for a given configuration.
 func GenerateScale(cfg ScaleConfig) *Population {
+	name := "DS-" + tierLabel(cfg.TargetCerts)
 	gcfg := Config{
-		Name: cfg.Name, Seed: cfg.Seed,
-		StartYear: cfg.StartYear, EndYear: cfg.EndYear,
-		ZipfS:            cfg.ZipfS,
-		Surnames:         syntheticSurnames(cfg.SurnameUniverse),
-		Addresses:        syntheticStreets(cfg.Villages * streetsPerVillage),
-		MaleFirstNames:   syntheticGivenNames(maleFirstNamesExt, cfg.GivenUniverse),
-		FemaleFirstNames: syntheticGivenNames(femaleFirstNamesExt, cfg.GivenUniverse),
+		Name: name, Seed: cfg.Seed,
+		StartYear: scaleStartYear, EndYear: scaleEndYear,
+		ZipfS:            scaleZipfS,
+		Surnames:         syntheticSurnames(scaleSurnames),
+		Addresses:        syntheticStreets(villages * streetsPerVillage),
+		MaleFirstNames:   syntheticGivenNames(maleFirstNamesExt, scaleGivenNames),
+		FemaleFirstNames: syntheticGivenNames(femaleFirstNamesExt, scaleGivenNames),
 		Nicknames:        nicknames,
-		TypoRate:         cfg.TypoRate, NicknameRate: cfg.NicknameRate,
-		MissingRate: cfg.MissingRate,
+		TypoRate:         scaleTypoRate, NicknameRate: scaleNicknameRate,
+		MissingRate: dsMissingRate,
 	}
 	g := &generator{
 		cfg:     gcfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		hintRng: rand.New(rand.NewSource(cfg.Seed ^ 0x5ea1)),
-		dataset: &model.Dataset{Name: cfg.Name},
+		dataset: &model.Dataset{Name: name},
 	}
-	g.maleZipf = newZipf(g.rng, len(gcfg.MaleFirstNames), cfg.ZipfS)
-	g.femaleZipf = newZipf(g.rng, len(gcfg.FemaleFirstNames), cfg.ZipfS)
-	g.surnameZipf = newZipf(g.rng, len(gcfg.Surnames), cfg.ZipfS)
+	g.maleZipf = newZipf(g.rng, len(gcfg.MaleFirstNames), scaleZipfS)
+	g.femaleZipf = newZipf(g.rng, len(gcfg.FemaleFirstNames), scaleZipfS)
+	g.surnameZipf = newZipf(g.rng, len(gcfg.Surnames), scaleZipfS)
 	g.addrZipf = newZipf(g.rng, len(gcfg.Addresses), 1.05)
 	g.occZipf = newZipf(g.rng, len(occupations), 1.1)
 	g.causeZipf = newZipf(g.rng, len(deathCauses), 1.15)
@@ -126,22 +112,16 @@ func GenerateScale(cfg ScaleConfig) *Population {
 	g.dataset.Certificates = make([]model.Certificate, 0, cfg.TargetCerts+cfg.TargetCerts/64)
 	g.dataset.Records = make([]model.Record, 0, cfg.TargetCerts*27/10)
 
-	s := &scaleEmitter{generator: g, scfg: cfg}
-	s.villageZipf = newZipf(g.rng, cfg.Villages, 1.0)
+	s := &scaleEmitter{generator: g, villageZipf: newZipf(g.rng, villages, 1.0)}
 	for len(g.dataset.Certificates) < cfg.TargetCerts {
 		s.emitHousehold()
 	}
 	return &Population{Config: gcfg, Persons: g.persons, Dataset: g.dataset}
 }
 
-// streetsPerVillage is the number of street names in one village's address
-// block.
-const streetsPerVillage = 12
-
 // scaleEmitter drives the shared emit paths household by household.
 type scaleEmitter struct {
 	*generator
-	scfg        ScaleConfig
 	villageZipf *zipfSampler
 }
 
@@ -203,11 +183,11 @@ func (s *scaleEmitter) villageAddress(v int) string {
 	return fmt.Sprintf("%d %s", 1+s.generator.rng.Intn(60), streets[idx%len(streets)])
 }
 
-// applyNamesake renames a child after the same-gender parent with the
-// configured probability.
+// applyNamesake renames a child after the same-gender parent with
+// probability namesakeRate.
 func (s *scaleEmitter) applyNamesake(child, h, w model.PersonID) {
 	g := s.generator
-	if g.rng.Float64() >= s.scfg.NamesakeRate {
+	if g.rng.Float64() >= namesakeRate {
 		return
 	}
 	cp := &g.persons[child]

@@ -16,9 +16,6 @@ import (
 // distinct households geocode to distinct points.
 type Gazetteer struct {
 	places map[string][2]float64
-	// JitterDeg is the maximum coordinate jitter applied per distinct
-	// address string (~0.015° ≈ 1.5 km). Zero disables jitter.
-	JitterDeg float64
 	// FuzzyThreshold enables approximate settlement matching: an unknown
 	// settlement resolves to the most similar gazetteer entry at or above
 	// this Jaro-Winkler similarity. Zero disables fuzzy matching.
@@ -31,8 +28,12 @@ func NewGazetteer(places map[string][2]float64) *Gazetteer {
 	for k, v := range places {
 		cp[strings.ToLower(k)] = v
 	}
-	return &Gazetteer{places: cp, JitterDeg: 0.015, FuzzyThreshold: 0.92}
+	return &Gazetteer{places: cp, FuzzyThreshold: 0.92}
 }
+
+// jitterDeg is the maximum coordinate jitter applied per distinct address
+// string (~0.015° ≈ 1.5 km).
+const jitterDeg = 0.015
 
 // Len returns the number of gazetteer entries.
 func (g *Gazetteer) Len() int { return len(g.places) }
@@ -61,12 +62,9 @@ func (g *Gazetteer) Resolve(address string) (lat, lon float64, ok bool) {
 	if !found {
 		return 0, 0, false
 	}
-	lat, lon = ll[0], ll[1]
-	if g.JitterDeg > 0 {
-		h := hash64(addr)
-		lat += (float64(h&0xffff)/65535 - 0.5) * 2 * g.JitterDeg
-		lon += (float64((h>>16)&0xffff)/65535 - 0.5) * 2 * g.JitterDeg
-	}
+	h := hash64(addr)
+	lat = ll[0] + (float64(h&0xffff)/65535-0.5)*2*jitterDeg
+	lon = ll[1] + (float64((h>>16)&0xffff)/65535-0.5)*2*jitterDeg
 	return lat, lon, true
 }
 

@@ -46,9 +46,9 @@ func BenchmarkProbeUnseen(b *testing.B) {
 	k, s := Build(g, 0.5)
 	var typos []string
 	for _, v := range k.vocab(FieldSurname) {
-		if n := len(v); len(k.Lookup(FieldSurname, v)) == 1 && n >= 4 && v[n-1] != v[n-2] {
+		if n := len(v); len(lookup(k, FieldSurname, v)) == 1 && n >= 4 && v[n-1] != v[n-2] {
 			typo := v[:n-2] + string([]byte{v[n-1], v[n-2]})
-			if k.Lookup(FieldSurname, typo) == nil {
+			if lookup(k, FieldSurname, typo) == nil {
 				typos = append(typos, typo)
 			}
 		}
@@ -83,7 +83,7 @@ func BenchmarkUpdateSubset(b *testing.B) {
 			updateSimilarity(k, &Keyword{}, &Similarity{threshold: 0.5}, rebuildAbove)
 		}
 	})
-	for _, pct := range []uint32{99, 90, 80, 60} {
+	for _, pct := range []uint32{99, 90, 85, 80, 75, 60} {
 		prevK, prevS := BuildSubset(g, func(id pedigree.NodeID) bool {
 			return uint32(id)*2654435761%100 < pct
 		}, 0.5)

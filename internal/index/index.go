@@ -537,18 +537,6 @@ func buildKeyword(g *pedigree.Graph, keep func(pedigree.NodeID) bool) *Keyword {
 	return k
 }
 
-// Lookup returns the entities carrying the exact value in the field, in a
-// fresh slice (nil when there are none): the caller owns it and may mutate
-// it or keep it across index updates. The search reads K through Entities.
-func (k *Keyword) Lookup(f Field, value string) []pedigree.NodeID {
-	if id, ok := symbol.Lookup(value); ok {
-		if e := k.fields[f].entities(id); len(e) > 0 {
-			return slices.Clone(e)
-		}
-	}
-	return nil
-}
-
 // Entities returns the entities carrying the value whose symbol id is id,
 // ascending: a read-only view into K, which no update writes. A value the
 // field does not index has none. It is the search's path into K: one
@@ -725,21 +713,6 @@ func (s *Similarity) computeSimilar(f Field, value string) SimilarList {
 	sc.kept = kept
 	candPool.Put(sc)
 	return out
-}
-
-// Size reports the number of similarity lists S holds for a field: the
-// precomputed ones plus the occupied probe-cache slots.
-func (s *Similarity) Size(f Field) int {
-	n := 0
-	if s.blocks[f] != nil {
-		n = len(s.ranked[f])
-	}
-	for i := range s.probes[f] {
-		if s.probes[f][i].Load() != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // Bytes is the size of the data S was built with: the arrays of every

@@ -122,8 +122,8 @@ func TestPrecomputeMatchesProbe(t *testing.T) {
 				ref = probeLists(k, s)
 			}
 			for f, want := range ref {
-				if len(want) == 0 || s.Size(f) != len(want) {
-					t.Fatalf("%s procs %d field %v: %d precomputed lists for %d values", in.name, procs, f, s.Size(f), len(want))
+				if len(want) == 0 || size(s, f) != len(want) {
+					t.Fatalf("%s procs %d field %v: %d precomputed lists for %d values", in.name, procs, f, size(s, f), len(want))
 				}
 				if pages := len(s.blocks[f].pages); in.paged && pages < 2 {
 					t.Fatalf("%s procs %d field %v: %d page(s)", in.name, procs, f, pages)
@@ -282,7 +282,7 @@ func TestIndexLeavesKernelMemoUntouched(t *testing.T) {
 	// field neither indexes nor precomputes.
 	hits := 0
 	for _, v := range prevK.vocab(FieldSurname) {
-		if prevK.Lookup(FieldFirstName, v) == nil {
+		if lookup(prevK, FieldFirstName, v) == nil {
 			if l := prevS.Similar(FieldFirstName, v); l.Computed {
 				hits += l.Len()
 			}

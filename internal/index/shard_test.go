@@ -21,8 +21,8 @@ func TestBuildDeterministic(t *testing.T) {
 	g, k, s1 := builtIndexes(t)
 	_, s2 := Build(g, 0.5)
 	for _, f := range []Field{FieldFirstName, FieldSurname} {
-		if s1.Size(f) != s2.Size(f) {
-			t.Fatalf("field %v: memo sizes differ: %d vs %d", f, s1.Size(f), s2.Size(f))
+		if size(s1, f) != size(s2, f) {
+			t.Fatalf("field %v: memo sizes differ: %d vs %d", f, size(s1, f), size(s2, f))
 		}
 		for _, v := range k.vocab(f) {
 			if want, got := s1.listOf(f, v), s2.listOf(f, v); !reflect.DeepEqual(want, got) {
@@ -52,7 +52,7 @@ func TestSimilarShardedConcurrentMix(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if s.Size(FieldSurname) == 0 {
+	if size(s, FieldSurname) == 0 {
 		t.Fatal("memo empty after concurrent mix")
 	}
 }
@@ -65,12 +65,12 @@ func TestSimilarShardedConcurrentMix(t *testing.T) {
 func TestProbeMemoryBounded(t *testing.T) {
 	_, k, s := builtIndexes(t)
 	indexed := k.Values(FieldSurname)
-	if got := s.Size(FieldSurname); got != indexed {
+	if got := size(s, FieldSurname); got != indexed {
 		t.Fatalf("a fresh S holds %d surname lists for %d indexed surnames", got, indexed)
 	}
 	var known string
 	for _, v := range k.vocab(FieldFirstName) {
-		if k.Lookup(FieldSurname, v) == nil {
+		if lookup(k, FieldSurname, v) == nil {
 			known = v
 			break
 		}
@@ -82,7 +82,7 @@ func TestProbeMemoryBounded(t *testing.T) {
 	if got := len(s.blocks[FieldSurname].offsets) - 1; got != indexed {
 		t.Errorf("probes changed the precomputed lists: %d, want %d", got, indexed)
 	}
-	if got := s.Size(FieldSurname); got <= indexed+1 || got > indexed+1+probeSlots {
+	if got := size(s, FieldSurname); got <= indexed+1 || got > indexed+1+probeSlots {
 		t.Errorf("after 2000 distinct probes S holds %d lists, want within (%d, %d]", got, indexed+1, indexed+1+probeSlots)
 	}
 	if s.Similar(FieldSurname, known).Computed {
@@ -193,12 +193,12 @@ func (kf keyField) with(value string, n pedigree.NodeID) keyField {
 	return newKeyField(pairs, true)
 }
 
-// TestLookupResultIsCallerOwned mutates a Lookup result and verifies the
-// index postings are untouched: Lookup copies K's row into a fresh slice.
+// TestLookupResultIsCallerOwned mutates a lookup result and verifies the
+// index postings are untouched: lookup copies K's row into a fresh slice.
 func TestLookupResultIsCallerOwned(t *testing.T) {
 	_, k, _ := builtIndexes(t)
 	value := k.vocab(FieldSurname)[0]
-	cp := k.Lookup(FieldSurname, value)
+	cp := lookup(k, FieldSurname, value)
 	if len(cp) == 0 {
 		t.Fatalf("no entities for the indexed surname %q", value)
 	}
@@ -206,7 +206,7 @@ func TestLookupResultIsCallerOwned(t *testing.T) {
 	for i := range cp {
 		cp[i] = -999 // hostile caller scribbles over the slice
 	}
-	got := k.Lookup(FieldSurname, value)
+	got := lookup(k, FieldSurname, value)
 	if len(got) != len(want) {
 		t.Fatalf("posting length changed after mutating a copy")
 	}
@@ -215,8 +215,8 @@ func TestLookupResultIsCallerOwned(t *testing.T) {
 			t.Fatalf("posting %d corrupted: got %d, want %d", i, got[i], want[i])
 		}
 	}
-	if k.Lookup(FieldSurname, "zq-absent-value") != nil {
-		t.Error("Lookup of an absent value should be nil")
+	if lookup(k, FieldSurname, "zq-absent-value") != nil {
+		t.Error("lookup of an absent value should be nil")
 	}
 }
 

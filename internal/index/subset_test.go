@@ -45,7 +45,7 @@ func TestBuildSubsetPartitionsGlobal(t *testing.T) {
 			sk, _ := BuildSubset(g, keep, 0.5)
 			for f := Field(0); f < NumFields; f++ {
 				for _, v := range sk.vocab(f) {
-					ids := sk.Lookup(f, v)
+					ids := lookup(sk, f, v)
 					for _, id := range ids {
 						if !keep(id) {
 							t.Fatalf("n=%d shard %d field %v value %q: posting holds foreign node %d",
@@ -64,7 +64,7 @@ func TestBuildSubsetPartitionsGlobal(t *testing.T) {
 					n, f, len(union[f]), k.Values(f))
 			}
 			for _, v := range k.vocab(f) {
-				want := k.Lookup(f, v)
+				want := lookup(k, f, v)
 				got := append([]pedigree.NodeID(nil), union[f][v]...)
 				sortNodeIDs(got)
 				if !reflect.DeepEqual(got, want) {
@@ -99,7 +99,7 @@ func TestBuildSubsetSimilarityIsFilteredGlobal(t *testing.T) {
 				got := ss.similar(f, v)
 				var want []SimilarValue
 				for _, sv := range s.similar(f, v) {
-					if sk.Lookup(f, sv.Value) != nil {
+					if lookup(sk, f, sv.Value) != nil {
 						want = append(want, sv)
 					}
 				}
@@ -121,7 +121,7 @@ func TestBuildSubsetSimilarityIsFilteredGlobal(t *testing.T) {
 
 // TestUpdateSubsetEquivalentToBuildSubset grows a generation the way an
 // ingest flush does and asserts, per partition, that patching the previous
-// subset indexes (UpdateSubset) answers Lookup and Similar identically to
+// subset indexes (UpdateSubset) answers lookup and Similar identically to
 // a from-scratch BuildSubset of the new graph.
 func TestUpdateSubsetEquivalentToBuildSubset(t *testing.T) {
 	prevG, newG, _, _ := buildGenerations(t, 0.05)
@@ -137,8 +137,8 @@ func TestUpdateSubsetEquivalentToBuildSubset(t *testing.T) {
 					shard, f, gotK.Values(f), wantK.Values(f))
 			}
 			for _, v := range wantK.vocab(f) {
-				want := wantK.Lookup(f, v)
-				if got := gotK.Lookup(f, v); !reflect.DeepEqual(got, want) {
+				want := lookup(wantK, f, v)
+				if got := lookup(gotK, f, v); !reflect.DeepEqual(got, want) {
 					t.Fatalf("shard %d field %v value %q: incremental postings %v, fresh %v",
 						shard, f, v, got, want)
 				}

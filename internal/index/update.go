@@ -38,17 +38,18 @@ var (
 // values the previous generation did not index before patching its block
 // stops paying. A rewrite scores every added value one-sidedly, so its cost
 // grows with the added share, while precompute costs the same whatever the
-// previous generation held. On BenchmarkUpdateSubset a patch costs as much
-// as a rebuild at 12–13% added values and a fifth less at 9–10% (DESIGN.md
-// §4.9): the bound is the round tenth, just under the crossover.
-const rebuildAbove = 0.1
+// previous generation held. On BenchmarkUpdateSubset (6 runs) a patch beat
+// a rebuild in every run at 12–13% added values, by 7% in the median, and
+// lost in 5 of 6 at 15–16% (DESIGN.md §4.9): the bound is the round
+// share just under the last added share at which the patch always won.
+const rebuildAbove = 0.12
 
 // UpdateSubset builds the indexes over the nodes of g accepted by keep (nil
 // keeps every node): K is built like any other, S is the previous
 // generation's carried across the difference between the two K's value
 // sets. prevK and prevS are only read, without any lock — nothing writes an
 // index once it is published — and the similarity threshold is prevS's. The
-// returned indexes answer Lookup and Similar identically to a fresh
+// returned indexes answer Entities and Similar identically to a fresh
 // BuildSubset(g, keep, threshold), whatever subset prevK and prevS were
 // built over; rebuilt is how many name-field blocks were scored from
 // scratch rather than patched or shared.

@@ -117,7 +117,7 @@ func (s *Similarity) listOf(f Field, v string) []SimilarValue {
 }
 
 // TestUpdateEquivalence is the structural golden guard for incremental
-// index maintenance: Update must answer every Lookup and Similar exactly
+// index maintenance: Update must answer every lookup and Similar exactly
 // like a fresh Build over the new generation — same posting lists, same
 // similarity lists, for indexed values and query-time probes alike.
 func TestUpdateEquivalence(t *testing.T) {
@@ -158,7 +158,7 @@ func TestUpdateEquivalence(t *testing.T) {
 			t.Fatalf("field %v: %d values, full rebuild has %d", f, got, want)
 		}
 		for _, v := range fullK.vocab(f) {
-			got, want := updK.Lookup(f, v), fullK.Lookup(f, v)
+			got, want := lookup(updK, f, v), lookup(fullK, f, v)
 			if len(got) != len(want) {
 				t.Fatalf("field %v value %q: postings %v, full rebuild %v", f, v, got, want)
 			}
@@ -216,7 +216,7 @@ func testRewriteAcrossPages(t *testing.T) {
 		if pages := len(updS.blocks[f].pages); pages < 2 {
 			t.Fatalf("field %v: the rewritten block has %d page(s)", f, pages)
 		}
-		if got, want := updS.Size(f), len(vocab); got != want {
+		if got, want := size(updS, f), len(vocab); got != want {
 			t.Fatalf("field %v: %d rows, want %d", f, got, want)
 		}
 		for _, v := range updK.vocab(f) {
@@ -232,7 +232,7 @@ func testRewriteAcrossPages(t *testing.T) {
 }
 
 // TestUpdateSubsetAtTheBound takes a name field to either side of
-// rebuildAbove: with a tenth of the values new the blocks are patched, with
+// rebuildAbove: with that share of the values new the blocks are patched, with
 // one more they are rebuilt, and both times K and every precomputed row of S
 // equal BuildSubset's, entry for entry. Each node carries a first name and a
 // surname no other node does, so the previous generation's missing nodes
@@ -274,7 +274,7 @@ func TestUpdateSubsetAtTheBound(t *testing.T) {
 				t.Fatalf("%d added, field %v: %d values, fresh build %d", added, f, got, want)
 			}
 			for _, v := range wantK.vocab(f) {
-				if got, want := gotK.Lookup(f, v), wantK.Lookup(f, v); !reflect.DeepEqual(got, want) {
+				if got, want := lookup(gotK, f, v), lookup(wantK, f, v); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%d added, field %v value %q: postings %v, fresh build %v", added, f, v, got, want)
 				}
 			}
@@ -312,8 +312,8 @@ func TestUpdateSimilarityRemovesValues(t *testing.T) {
 
 	newK := buildKeyword(mk("anna", "bert"), nil) // "annie" removed
 	s, _ := updateSimilarity(newK, prevK, prevS, rebuildAbove)
-	if s.listOf(FieldSurname, "annie") != nil || s.Size(FieldSurname) != 2 {
-		t.Fatalf("S holds %d surname lists after the removal, want anna and bert", s.Size(FieldSurname))
+	if s.listOf(FieldSurname, "annie") != nil || size(s, FieldSurname) != 2 {
+		t.Fatalf("S holds %d surname lists after the removal, want anna and bert", size(s, FieldSurname))
 	}
 	for bg, ranks := range s.bigramPost[FieldSurname] {
 		for _, r := range ranks {

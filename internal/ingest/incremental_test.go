@@ -15,6 +15,7 @@ import (
 	"github.com/snaps/snaps/internal/obs"
 	"github.com/snaps/snaps/internal/pedigree"
 	"github.com/snaps/snaps/internal/query"
+	"github.com/snaps/snaps/internal/symbol"
 )
 
 // generatedPipeline builds a one-shard pipeline over a generated data set,
@@ -245,7 +246,8 @@ func TestOneShardFlushesPatchAndMatchFullBuild(t *testing.T) {
 			index.FieldFirstName: n.FirstNames, index.FieldSurname: n.Surnames,
 		} {
 			for _, v := range vals {
-				if got, want := sh.Keyword.Lookup(f, v), fullK.Lookup(f, v); !reflect.DeepEqual(got, want) {
+				id, _ := symbol.Lookup(v)
+				if got, want := sh.Keyword.Entities(f, id), fullK.Entities(f, id); !reflect.DeepEqual(got, want) {
 					t.Fatalf("Lookup(%v, %q) = %v, full build %v", f, v, got, want)
 				}
 				if got, want := similarValues(sh.Similar.Similar(f, v)), similarValues(fullS.Similar(f, v)); !reflect.DeepEqual(got, want) {
@@ -412,7 +414,8 @@ func shardsMatchFreshBuild(t *testing.T, sv *Serving) {
 				index.FieldLocation: n.Locations, index.FieldGender: {n.Gender.String()},
 			} {
 				for _, v := range vals {
-					if got, want := sh.Keyword.Lookup(f, v), wantK.Lookup(f, v); !reflect.DeepEqual(got, want) {
+					id, _ := symbol.Lookup(v)
+					if got, want := sh.Keyword.Entities(f, id), wantK.Entities(f, id); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%d shards, shard %d: Lookup(%v, %q) = %v, fresh build %v", nshards, s, f, v, got, want)
 					}
 					if f != index.FieldFirstName && f != index.FieldSurname {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/snaps/snaps/internal/index"
+	"github.com/snaps/snaps/internal/symbol"
 )
 
 // tailQuery is the name pair of an entity whose surname no other entity
@@ -18,7 +19,8 @@ func tailQuery(t *testing.T, e *Engine) Query {
 		if len(n.FirstNames) == 0 || len(n.Surnames) == 0 {
 			continue
 		}
-		if sur := n.Surnames[0]; len(e.Keyword.Lookup(index.FieldSurname, sur)) == 1 && (best.Surname == "" || sur < best.Surname) {
+		sur := n.Surnames[0]
+		if id, _ := symbol.Lookup(sur); len(e.Keyword.Entities(index.FieldSurname, id)) == 1 && (best.Surname == "" || sur < best.Surname) {
 			best = Query{FirstName: n.FirstNames[0], Surname: sur}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"github.com/snaps/snaps/internal/index"
 	"github.com/snaps/snaps/internal/model"
 	"github.com/snaps/snaps/internal/pedigree"
+	"github.com/snaps/snaps/internal/symbol"
 )
 
 // similarValues materialises a view of S as the slice the historical engine
@@ -53,7 +54,8 @@ func referenceSearch(e *Engine, q Query) []Result {
 		for _, sv := range similar {
 			exact := sv.Value == value
 			contribution := weights[f] * sv.Sim
-			for _, id := range e.Keyword.Lookup(f, sv.Value) {
+			sym, _ := symbol.Lookup(sv.Value)
+			for _, id := range e.Keyword.Entities(f, sym) {
 				a := m[id]
 				if a == nil {
 					a = &refAccum{}

@@ -71,7 +71,7 @@ func TestAdvanceRepublishesEveryShard(t *testing.T) {
 
 // TestAdvanceRebuildsFieldsPastTheBound: whether a block is patched or
 // rebuilt is decided per name field of each shard, from the share of its
-// values the flush added. 80 novel surnames are more than a tenth of every
+// values the flush added. 80 novel surnames are more than 12% of every
 // shard's surnames, so every surname block is rebuilt, while the three new
 // first names are too few to rebuild any first-name block. The counters
 // tick once per block, and the coordinator serves what a fresh partition
@@ -87,7 +87,7 @@ func TestAdvanceRebuildsFieldsPastTheBound(t *testing.T) {
 		prev := c.Shards()[s].Keyword
 		for f, rebuild := range map[index.Field]bool{index.FieldSurname: true, index.FieldFirstName: false} {
 			was, is := prev.Values(f), sh.Keyword.Values(f)
-			if over := 10*(is-was) > is; over != rebuild {
+			if over := 100*(is-was) > 12*is; over != rebuild {
 				t.Fatalf("shard %d field %v went %d -> %d values: the case does not put it on the intended side of the bound", s, f, was, is)
 			}
 		}
