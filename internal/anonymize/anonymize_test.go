@@ -131,6 +131,42 @@ func TestCauseKAnonymity(t *testing.T) {
 	}
 }
 
+// TestCauseKAnonymityExactK pins k at 10, not merely at the invariant
+// TestCauseKAnonymity checks: in one stratum (women dying under 20) a cause
+// recorded 10 times survives, in another (men dying at 40 or over) a cause
+// recorded 9 times, the stratum's only cause, becomes "not known". Any k
+// below 10 keeps the second, any above drops the first.
+func TestCauseKAnonymityExactK(t *testing.T) {
+	d := &model.Dataset{Name: "k"}
+	death := func(g model.Gender, age int, cause string) {
+		id := model.RecordID(len(d.Records))
+		d.Records = append(d.Records, model.Record{
+			ID: id, Cert: model.CertID(len(d.Certificates)), Role: model.Dd, Gender: g,
+			First: model.Intern("ann"), Sur: model.Intern("ross"), Year: 1880, Truth: model.NoPerson,
+		})
+		d.Certificates = append(d.Certificates, model.Certificate{
+			ID: model.CertID(len(d.Certificates)), Type: model.Death, Year: 1880, Age: age, Cause: cause,
+			Roles: map[model.Role]model.RecordID{model.Dd: id},
+		})
+	}
+	for i := 0; i < 10; i++ {
+		death(model.Female, 12, "phthisis")
+	}
+	for i := 0; i < 9; i++ {
+		death(model.Male, 61, "bronchitis")
+	}
+	anon, _ := Anonymize(d, 0)
+	for i, c := range anon.Certificates {
+		want := "phthisis"
+		if i >= 10 {
+			want = "not known"
+		}
+		if c.Cause != want {
+			t.Fatalf("certificate %d (%s, recorded %d times in its stratum): cause %q, want %q", i, d.Certificates[i].Cause, 10-i/10, c.Cause, want)
+		}
+	}
+}
+
 func TestNameMappingPreservesSimilarityStructure(t *testing.T) {
 	d := sample(t)
 	_, mapping := Anonymize(d, -37)

@@ -8,7 +8,6 @@
 package blocking
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 
@@ -360,9 +359,9 @@ func emitPairs(d *model.Dataset, ids []model.RecordID, tables []sigTable, maxBlo
 	}
 	e.bands = make([]bandBlocks, nbands)
 	par.Pull(nbands, func(_ int, next func() int) {
-		var scratch []bandEntry
+		var scratch [2][]bandEntry
 		for b := next(); b < nbands; b = next() {
-			scratch = e.buildBand(b, maxBlock, repeat, scratch)
+			e.buildBand(b, maxBlock, repeat, &scratch)
 		}
 	})
 
@@ -409,40 +408,8 @@ type bandEntry struct {
 // buildBand sorts band b's entries into blocks and keeps the ones that can
 // emit, cutting them into spans as it goes. scratch is reused across the
 // bands one worker builds.
-func (e *emitter) buildBand(b, maxBlock int, repeat []bool, scratch []bandEntry) []bandEntry {
-	var t *sigTable
-	for ti := range e.tables {
-		if b >= e.tables[ti].base {
-			t = &e.tables[ti]
-		}
-	}
-	off := b - t.base
-	var fresh map[uint64]bool // the hashes new positions carry; nil: keep all
-	if e.firstNew > 0 {
-		fresh = map[uint64]bool{}
-		for _, r := range t.row[min(int(e.firstNew), len(t.row)):] {
-			if r >= 0 {
-				fresh[t.sigs[int(r)*t.width+off]] = true
-			}
-		}
-	}
-	entries := scratch[:0]
-	for p, r := range t.row {
-		if r < 0 {
-			continue
-		}
-		if h := t.sigs[int(r)*t.width+off]; fresh == nil || fresh[h] {
-			entries = append(entries, bandEntry{hash: h, pos: int32(p)})
-		}
-	}
-	// Entries were appended in position order, so a stable sort on the hash
-	// alone would do; comparing positions too lets the unstable sort serve.
-	slices.SortFunc(entries, func(x, y bandEntry) int {
-		if x.hash != y.hash {
-			return cmp.Compare(x.hash, y.hash)
-		}
-		return cmp.Compare(x.pos, y.pos)
-	})
+func (e *emitter) buildBand(b, maxBlock int, repeat []bool, scratch *[2][]bandEntry) {
+	entries := e.bandEntries(b, scratch)
 	bb := &e.bands[b]
 	pending := 0 // pairs emittable from the blocks since the last cut
 	for lo := 0; lo < len(entries); {
@@ -485,7 +452,74 @@ func (e *emitter) buildBand(b, maxBlock int, repeat []bool, scratch []bandEntry)
 	if pending > 0 {
 		bb.cuts = append(bb.cuts, int32(len(bb.ends)))
 	}
-	return entries
+}
+
+// bandEntries returns band b's entries in (hash, position) order: every
+// position with a key in b's pass, or with firstNew > 0 only those whose
+// hash a new position carries. The result lives in one of the two scratch
+// buffers until the next call.
+func (e *emitter) bandEntries(b int, scratch *[2][]bandEntry) []bandEntry {
+	var t *sigTable
+	for ti := range e.tables {
+		if b >= e.tables[ti].base {
+			t = &e.tables[ti]
+		}
+	}
+	off := b - t.base
+	var fresh map[uint64]bool // the hashes new positions carry; nil: keep all
+	if e.firstNew > 0 {
+		fresh = map[uint64]bool{}
+		for _, r := range t.row[min(int(e.firstNew), len(t.row)):] {
+			if r >= 0 {
+				fresh[t.sigs[int(r)*t.width+off]] = true
+			}
+		}
+	}
+	entries := scratch[0][:0]
+	for p, r := range t.row {
+		if r < 0 {
+			continue
+		}
+		if h := t.sigs[int(r)*t.width+off]; fresh == nil || fresh[h] {
+			entries = append(entries, bandEntry{hash: h, pos: int32(p)})
+		}
+	}
+	// Entries were appended in position order, so the stable sort on the
+	// hash alone orders them by (hash, position).
+	scratch[0], scratch[1] = sortByHash(entries, scratch[1])
+	return scratch[0]
+}
+
+// sortByHash sorts entries by hash, stably: an LSD radix sort on 8-bit
+// digits that ping-pongs between entries and tmp, skipping the digits all
+// entries share. It returns the sorted slice and the other buffer, either
+// of which may be the one passed in as entries.
+func sortByHash(entries, tmp []bandEntry) (sorted, scratch []bandEntry) {
+	var counts [8][256]int32
+	for _, en := range entries {
+		for d := range counts {
+			counts[d][byte(en.hash>>(8*d))]++
+		}
+	}
+	tmp = slices.Grow(tmp[:0], len(entries))[:len(entries)]
+	for d := range counts {
+		c := &counts[d]
+		if len(entries) == 0 || int(c[byte(entries[0].hash>>(8*d))]) == len(entries) {
+			continue
+		}
+		var sum int32
+		for i, k := range c {
+			c[i] = sum
+			sum += k
+		}
+		for _, en := range entries {
+			k := byte(en.hash >> (8 * d))
+			tmp[c[k]] = en
+			c[k]++
+		}
+		entries, tmp = tmp, entries
+	}
+	return entries, tmp
 }
 
 // emitSpan appends the new, filtered pairs of one span to out.

@@ -12,6 +12,7 @@
 package depgraph
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"time"
@@ -45,6 +46,9 @@ func MakeAtomicKey(attr model.Attr, a, b model.Sym) AtomicKey {
 	}
 	return AtomicKey{Attr: attr, A: a, B: b}
 }
+
+// pair packs the key's value pair into one word, the atomic index's key.
+func (k AtomicKey) pair() uint64 { return uint64(k.A)<<32 | uint64(k.B) }
 
 // AtomicNode is a pair of QID values with their similarity.
 type AtomicNode struct {
@@ -109,15 +113,22 @@ type Graph struct {
 	Dataset *model.Dataset
 	Config  Config
 
-	// Atomics stores the atomic nodes; AtomicIndex maps keys to indices.
-	Atomics     []AtomicNode
-	AtomicIndex map[AtomicKey]int32
-
+	// Atomics stores the atomic nodes, numbered in first-occurrence order
+	// over the candidate stream.
+	Atomics []AtomicNode
+	// Nodes stores the relational nodes in candidate order; Groups the node
+	// groups, numbered by their smallest member.
 	Nodes  []RelationalNode
 	Groups []Group
 
-	// pairIndex maps a record pair to its relational node.
-	pairIndex map[model.PairKey]NodeID
+	// atomicIndex maps, per compared attribute, the packed canonical value
+	// pair of an atomic node (AtomicKey.pair) to its index in Atomics.
+	atomicIndex [model.NumAttrs]map[uint64]int32
+	// pairRows and pairs index the relational nodes by record pair, keyed
+	// by the smaller record: row r is pairs[pairRows[r]:pairRows[r+1]], one
+	// entry per node, the larger record<<32 | NodeID, ascending.
+	pairRows []int32
+	pairs    []uint64
 }
 
 // Node returns the relational node with the given id.
@@ -126,10 +137,20 @@ func (g *Graph) Node(id NodeID) *RelationalNode { return &g.Nodes[id] }
 // Group returns the group with the given id.
 func (g *Graph) Group(id GroupID) *Group { return &g.Groups[id] }
 
-// NodeFor returns the relational node for a record pair, if any.
+// NodeFor returns the relational node for a record pair, if any; a pair
+// listed twice resolves to its later node.
 func (g *Graph) NodeFor(a, b model.RecordID) (NodeID, bool) {
-	id, ok := g.pairIndex[model.MakePairKey(a, b)]
-	return id, ok
+	a, b = min(a, b), max(a, b)
+	if a < 0 || int(a) >= len(g.pairRows)-1 {
+		return 0, false
+	}
+	row := g.pairs[g.pairRows[a]:g.pairRows[a+1]]
+	// The insertion point of (b, MaxUint32) is just past every entry of b.
+	i, _ := slices.BinarySearch(row, uint64(uint32(b))<<32|math.MaxUint32)
+	if i == 0 || uint32(row[i-1]>>32) != uint32(b) {
+		return 0, false
+	}
+	return NodeID(uint32(row[i-1])), true
 }
 
 // AtomicSim returns the similarity of the atomic node bound to the given
@@ -213,13 +234,17 @@ type BuildStats struct {
 // incremental Extend flushes) skip it.
 const GCRebaseMinCandidates = 1 << 22
 
-// atomicMiss marks, in a chunk's scratch, an attribute whose supporting
-// value pair was not in the atomic index when the chunk arrived.
-const atomicMiss = -2
+// atomicMiss is a supporting value pair that was not in the atomic index
+// when its chunk arrived: candidate ci's attr, scored sim.
+type atomicMiss struct {
+	key AtomicKey
+	sim float64
+	ci  int32
+}
 
 // buildChunkSize bounds the candidate pairs scored per streamed chunk; the
-// per-chunk scratch slabs (similarities, atomic bindings, node predicate)
-// are sized by it and reused, so graph construction memory no longer grows
+// per-chunk scratch (atomic bindings, node predicate, per-worker miss lists)
+// is sized by it and reused, so graph construction memory no longer grows
 // with the total candidate count.
 const buildChunkSize = 1 << 16
 
@@ -250,26 +275,30 @@ func Build(d *model.Dataset, cfg Config, cands []blocking.Candidate) (*Graph, Bu
 //
 // Each chunk is scored in parallel into fixed-size scratch; the same pass
 // resolves every supporting value pair against the atomic index and
-// evaluates the node predicate. What stays serial per chunk is interning
-// the value pairs the index did not yet hold and appending the surviving
-// relational nodes, both in candidate order. Because chunks arrive in the
+// evaluates the node predicate, each worker listing the value pairs the
+// index did not yet hold. What stays serial per chunk is interning those
+// lists in worker order and appending the surviving relational nodes, both
+// in candidate order. Because chunks arrive in the
 // order the candidates would occupy in one big slice, the first-occurrence
 // orders — and therefore every node and group ID — are identical to the
 // monolithic build at any chunk size and GOMAXPROCS. Atomic and
 // relational nodes live in separate slices with independent ID spaces, so
 // interleaving their construction across chunks cannot renumber anything.
 func BuildStream(d *model.Dataset, cfg Config, stream func(emit func(chunk []blocking.Candidate))) (*Graph, BuildStats) {
-	g := &Graph{Dataset: d, Config: cfg, AtomicIndex: map[AtomicKey]int32{}}
+	g := &Graph{Dataset: d, Config: cfg}
+	for _, attr := range compareAttrs {
+		g.atomicIndex[attr] = map[uint64]int32{}
+	}
 	var stats BuildStats
 	v := constraint.NewValidator(d)
 
 	// Chunk-sized scratch, reused across chunks: per candidate, the atomic
-	// node bound to each attribute (or atomicMiss, with the similarity the
-	// new node will carry in sims), and whether it becomes a node.
+	// node bound to each attribute and whether it becomes a node; per
+	// scoring worker, the misses of its candidate range.
 	var (
-		sims     [][model.NumAttrs]float64
 		atomicOf [][model.NumAttrs]int32
 		keep     []bool
+		misses   [][]atomicMiss
 	)
 
 	// Surviving relational nodes are staged in fixed-size slabs and copied
@@ -289,63 +318,69 @@ func BuildStream(d *model.Dataset, cfg Config, stream func(emit func(chunk []blo
 			return
 		}
 		stats.Candidates += n
-		if cap(sims) < n {
-			sims = make([][model.NumAttrs]float64, n)
+		if cap(atomicOf) < n {
 			atomicOf = make([][model.NumAttrs]int32, n)
 			keep = make([]bool, n)
 		}
-		sims, atomicOf, keep = sims[:n], atomicOf[:n], keep[:n]
+		atomicOf, keep = atomicOf[:n], keep[:n]
+		workers := par.Procs(n)
+		for len(misses) < workers {
+			misses = append(misses, nil)
+		}
 
 		// Phase 1a, parallel: score the chunk, look every supporting value
 		// pair up in the atomic index as it stood when the chunk arrived —
 		// nothing writes it during the pass — and evaluate the node
-		// predicate. Similarities are pure functions of the value pairs,
-		// memoised process-wide by symbol pair (internal/simcache), so
-		// repeats across chunks, goroutines and Extend flushes are computed
-		// once; BuildOK is a pure function of the two records.
+		// predicate. Worker w scores the w-th contiguous candidate range
+		// and lists its misses in candidate order. Similarities are pure
+		// functions of the value pairs, memoised process-wide by symbol
+		// pair (internal/simcache), so repeats across chunks, goroutines
+		// and Extend flushes are computed once; BuildOK is a pure function
+		// of the two records.
 		t0 := time.Now()
-		par.Range(n, func(lo, hi int) {
-			for ci := lo; ci < hi; ci++ {
-				c := chunk[ci]
-				ra, rb := d.Record(c.A), d.Record(c.B)
-				atomic := [model.NumAttrs]int32{}
-				for i := range atomic {
-					atomic[i] = -1
+		par.Range(workers, func(wlo, whi int) {
+			for w := wlo; w < whi; w++ {
+				miss := misses[w][:0]
+				for ci := w * n / workers; ci < (w+1)*n/workers; ci++ {
+					c := chunk[ci]
+					ra, rb := d.Record(c.A), d.Record(c.B)
+					var atomic [model.NumAttrs]int32
+					for i := range atomic {
+						atomic[i] = -1
+					}
+					nameSupport := false
+					for _, attr := range compareAttrs {
+						x, y := ra.Sym(attr), rb.Sym(attr)
+						if x == 0 || y == 0 {
+							continue
+						}
+						s := CompareValues(cfg, ra, rb, attr, x, y)
+						if s < cfg.AtomicThreshold {
+							continue
+						}
+						key := MakeAtomicKey(attr, x, y)
+						if idx, ok := g.atomicIndex[attr][key.pair()]; ok {
+							atomic[attr] = idx
+						} else {
+							miss = append(miss, atomicMiss{key: key, sim: s, ci: int32(ci)})
+						}
+						if attr == model.FirstName || attr == model.Surname {
+							nameSupport = true
+						}
+					}
+					atomicOf[ci] = atomic
+					keep[ci] = nameSupport && v.BuildOK(c.A, c.B)
 				}
-				nameSupport := false
-				for _, attr := range compareAttrs {
-					x, y := ra.Sym(attr), rb.Sym(attr)
-					if x == 0 || y == 0 {
-						continue
-					}
-					s := CompareValues(cfg, ra, rb, attr, x, y)
-					if s < cfg.AtomicThreshold {
-						continue
-					}
-					if idx, ok := g.AtomicIndex[MakeAtomicKey(attr, x, y)]; ok {
-						atomic[attr] = idx
-					} else {
-						atomic[attr] = atomicMiss
-						sims[ci][attr] = s
-					}
-					if attr == model.FirstName || attr == model.Surname {
-						nameSupport = true
-					}
-				}
-				atomicOf[ci] = atomic
-				keep[ci] = nameSupport && v.BuildOK(c.A, c.B)
+				misses[w] = miss
 			}
 		})
-		// Phase 1b, serial: intern the value pairs the index did not hold,
-		// in candidate order. Only a pair's first occurrence creates a
-		// node, and a first occurrence is a miss whichever chunk it falls
-		// in, so atomic ids are those of one serial pass over the stream.
-		for ci := range atomicOf {
-			for _, attr := range compareAttrs {
-				if atomicOf[ci][attr] == atomicMiss {
-					ra, rb := d.Record(chunk[ci].A), d.Record(chunk[ci].B)
-					atomicOf[ci][attr] = g.addAtomic(attr, ra.Sym(attr), rb.Sym(attr), sims[ci][attr])
-				}
+		// Phase 1b, serial: intern the misses worker by worker, which is
+		// candidate order. Only a pair's first occurrence creates a node,
+		// and a first occurrence is a miss whichever chunk it falls in, so
+		// atomic ids are those of one serial pass over the stream.
+		for _, miss := range misses[:workers] {
+			for _, m := range miss {
+				atomicOf[m.ci][m.key.Attr] = g.addAtomic(m.key, m.sim)
 			}
 		}
 		stats.GenAtomic += time.Since(t0)
@@ -380,7 +415,7 @@ func BuildStream(d *model.Dataset, cfg Config, stream func(emit func(chunk []blo
 	// the live set. One forced collection here costs well under a second
 	// against a multi-minute build and is gated on candidate volume so
 	// incremental Extend flushes never pay it.
-	sims, atomicOf, keep = nil, nil, nil
+	atomicOf, keep, misses = nil, nil, nil
 	if stats.Candidates >= GCRebaseMinCandidates {
 		runtime.GC()
 	}
@@ -395,12 +430,9 @@ func BuildStream(d *model.Dataset, cfg Config, stream func(emit func(chunk []blo
 	nodeSlabs = nil
 
 	// Relationship edges and groups need the complete node set, and the
-	// pair index behind NodeFor is filled once, at its final size.
+	// pair index behind NodeFor is built once, at its final size.
 	t2 := time.Now()
-	g.pairIndex = make(map[model.PairKey]NodeID, len(g.Nodes))
-	for i := range g.Nodes {
-		g.pairIndex[model.MakePairKey(g.Nodes[i].A, g.Nodes[i].B)] = NodeID(i)
-	}
+	g.indexPairs()
 	g.connectRelationships()
 	g.buildGroups()
 	stats.GenRelational += time.Since(t2)
@@ -408,15 +440,88 @@ func BuildStream(d *model.Dataset, cfg Config, stream func(emit func(chunk []blo
 }
 
 // addAtomic interns an atomic node and returns its index.
-func (g *Graph) addAtomic(attr model.Attr, a, b model.Sym, sim float64) int32 {
-	key := MakeAtomicKey(attr, a, b)
-	if idx, ok := g.AtomicIndex[key]; ok {
+func (g *Graph) addAtomic(key AtomicKey, sim float64) int32 {
+	idx := g.atomicID(key)
+	if idx < 0 {
+		idx = int32(len(g.Atomics))
+		g.Atomics = append(g.Atomics, AtomicNode{Key: key, Sim: sim})
+		g.atomicIndex[key.Attr][key.pair()] = idx
+	}
+	return idx
+}
+
+// atomicID returns the index of the atomic node with the given key, or -1.
+func (g *Graph) atomicID(key AtomicKey) int32 {
+	if idx, ok := g.atomicIndex[key.Attr][key.pair()]; ok {
 		return idx
 	}
-	idx := int32(len(g.Atomics))
-	g.Atomics = append(g.Atomics, AtomicNode{Key: key, Sim: sim})
-	g.AtomicIndex[key] = idx
-	return idx
+	return -1
+}
+
+// indexPairs fills the pair index behind NodeFor: a counting pass sizes the
+// rows, a fill pass in node order writes them, and each row is sorted.
+func (g *Graph) indexPairs() {
+	g.pairRows = make([]int32, len(g.Dataset.Records)+1)
+	for i := range g.Nodes {
+		g.pairRows[min(g.Nodes[i].A, g.Nodes[i].B)+1]++
+	}
+	prefixSum(g.pairRows)
+	g.pairs = make([]uint64, len(g.Nodes))
+	next := slices.Clone(g.pairRows[:len(g.Dataset.Records)])
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		a := min(n.A, n.B)
+		g.pairs[next[a]] = uint64(uint32(max(n.A, n.B)))<<32 | uint64(i)
+		next[a]++
+	}
+	par.Range(len(g.pairRows)-1, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			slices.Sort(g.pairs[g.pairRows[r]:g.pairRows[r+1]])
+		}
+	})
+}
+
+// prefixSum turns per-row counts, stored one slot to the right of their
+// row, into row offsets: row r becomes [rows[r], rows[r+1]).
+func prefixSum(rows []int32) {
+	for r := 1; r < len(rows); r++ {
+		rows[r] += rows[r-1]
+	}
+}
+
+// relEdge is one certificate relationship of a record: to is related to it
+// by rel.
+type relEdge struct {
+	to  model.RecordID
+	rel model.Relationship
+}
+
+// certRelations returns every record's certificate relationships, row r
+// being edges[rows[r]:rows[r+1]] for record r, in certificate order and
+// within a certificate in model.RelationsFor order.
+func certRelations(d *model.Dataset) (rows []int32, edges []relEdge) {
+	each := func(f func(from model.RecordID, e relEdge)) {
+		for ci := range d.Certificates {
+			cert := &d.Certificates[ci]
+			for _, cr := range model.RelationsFor(cert.Type) {
+				from, okF := cert.Roles[cr.From]
+				to, okT := cert.Roles[cr.To]
+				if okF && okT {
+					f(from, relEdge{to: to, rel: cr.Rel})
+				}
+			}
+		}
+	}
+	rows = make([]int32, len(d.Records)+1)
+	each(func(from model.RecordID, _ relEdge) { rows[from+1]++ })
+	prefixSum(rows)
+	edges = make([]relEdge, rows[len(d.Records)])
+	next := slices.Clone(rows[:len(d.Records)])
+	each(func(from model.RecordID, e relEdge) {
+		edges[next[from]] = e
+		next[from]++
+	})
+	return rows, edges
 }
 
 // connectRelationships adds an edge between relational nodes (a1,b1) and
@@ -424,34 +529,16 @@ func (g *Graph) addAtomic(attr model.Attr, a, b model.Sym, sim float64) int32 {
 // relationship as b1 and b2 on theirs (e.g. both are motherOf the records
 // of the other node).
 func (g *Graph) connectRelationships() {
-	d := g.Dataset
-	// relTo[cert] maps a record to its relationship-labelled certificate
-	// co-mentions: rel[from] = list of (to, rel).
-	type relEdge struct {
-		to  model.RecordID
-		rel model.Relationship
-	}
-	relOf := map[model.RecordID][]relEdge{}
-	for ci := range d.Certificates {
-		cert := &d.Certificates[ci]
-		for _, cr := range model.RelationsFor(cert.Type) {
-			from, okF := cert.Roles[cr.From]
-			to, okT := cert.Roles[cr.To]
-			if !okF || !okT {
-				continue
-			}
-			relOf[from] = append(relOf[from], relEdge{to: to, rel: cr.Rel})
-		}
-	}
+	rows, edges := certRelations(g.Dataset)
 	// Each node's neighbour list is written only by the worker owning that
-	// node; relOf and pairIndex are read-only here, so the wiring loop
-	// parallelises without synchronisation, and per-node dedup+sort keeps
-	// the result independent of GOMAXPROCS.
+	// node; the relations and the pair index are read-only here, so the
+	// wiring loop parallelises without synchronisation, and per-node
+	// dedup+sort keeps the result independent of GOMAXPROCS.
 	par.Range(len(g.Nodes), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			n := &g.Nodes[i]
-			for _, ea := range relOf[n.A] {
-				for _, eb := range relOf[n.B] {
+			for _, ea := range edges[rows[n.A]:rows[n.A+1]] {
+				for _, eb := range edges[rows[n.B]:rows[n.B+1]] {
 					if ea.rel != eb.rel {
 						continue
 					}
@@ -472,13 +559,7 @@ func (g *Graph) connectRelationships() {
 				}
 				return int(a.Rel) - int(b.Rel)
 			})
-			out := n.Neighbours[:1]
-			for _, nb := range n.Neighbours[1:] {
-				if nb != out[len(out)-1] {
-					out = append(out, nb)
-				}
-			}
-			n.Neighbours = out
+			n.Neighbours = slices.Compact(n.Neighbours)
 		}
 	})
 }

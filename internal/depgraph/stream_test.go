@@ -100,14 +100,14 @@ func TestBuildStreamAtomicKeyAcrossChunks(t *testing.T) {
 		partest.WithProcs(t, procs)
 		want := chunked()
 		if len(want.Atomics) != 4 || len(want.Nodes) != 3 ||
-			want.AtomicIndex[MakeAtomicKey(model.Surname, smith, smith)] != 2 ||
-			want.AtomicIndex[MakeAtomicKey(model.FirstName, angus, angus)] != 3 {
+			want.atomicID(MakeAtomicKey(model.Surname, smith, smith)) != 2 ||
+			want.atomicID(MakeAtomicKey(model.FirstName, angus, angus)) != 3 {
 			t.Fatalf("procs=%d: one-chunk build has atomics %v; the fixture expects smith/smith at 2 and angus/angus at 3", procs, want.Atomics)
 		}
 		for _, cuts := range [][]int{{1}, {2}, {3}, {1, 2, 3}} {
 			g := chunked(cuts...)
 			graphsEqual(t, "procs="+itoa(procs)+" first cut="+itoa(cuts[0]), g, want)
-			if !reflect.DeepEqual(g.AtomicIndex, want.AtomicIndex) {
+			if !reflect.DeepEqual(g.atomicIndex, want.atomicIndex) {
 				t.Fatalf("procs=%d cuts=%v: atomic index differs", procs, cuts)
 			}
 		}

@@ -193,33 +193,6 @@ func (kf keyField) with(value string, n pedigree.NodeID) keyField {
 	return newKeyField(pairs, true)
 }
 
-// TestLookupResultIsCallerOwned mutates a lookup result and verifies the
-// index postings are untouched: lookup copies K's row into a fresh slice.
-func TestLookupResultIsCallerOwned(t *testing.T) {
-	_, k, _ := builtIndexes(t)
-	value := k.vocab(FieldSurname)[0]
-	cp := lookup(k, FieldSurname, value)
-	if len(cp) == 0 {
-		t.Fatalf("no entities for the indexed surname %q", value)
-	}
-	want := append([]pedigree.NodeID(nil), cp...)
-	for i := range cp {
-		cp[i] = -999 // hostile caller scribbles over the slice
-	}
-	got := lookup(k, FieldSurname, value)
-	if len(got) != len(want) {
-		t.Fatalf("posting length changed after mutating a copy")
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("posting %d corrupted: got %d, want %d", i, got[i], want[i])
-		}
-	}
-	if lookup(k, FieldSurname, "zq-absent-value") != nil {
-		t.Error("lookup of an absent value should be nil")
-	}
-}
-
 // TestYearIndexShrunk verifies the year field stores no postings at all:
 // queries use the MinYear/MaxYear interval check.
 func TestYearIndexShrunk(t *testing.T) {
